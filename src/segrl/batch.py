@@ -17,7 +17,8 @@ import numpy as np
 
 from .advantages import GAEConfig, whiten
 from .core import KEEP, SWITCH, Trajectory, TurnRecord
-from .critic import CriticBatch, FlatCriticBatch, ValueTables, _BOOT_HIGH, _BOOT_LOW, _TERMINAL
+from .critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
+                     single_coupling_rows)
 from .envs import EnvModel, transition_tables
 from .policy import PolicyParams, log_softmax, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
@@ -439,64 +440,53 @@ def _v_low_prev(tt: TurnTable, tables: ValueTables) -> np.ndarray:
 
 def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
                             n_options: int) -> CriticBatch:
+    """One single-coupling row per turn (low head) and per segment (high
+    head); see CriticBatch for the stacked cell indexing."""
+    if (tt.final_state[~tt.terminated & (tt.length > 0)] < 0).any():
+        raise ValueError("truncated episode without final_state")
     sm = segment_masks(tt)
     n, t_max = tt.mask.shape
-    rows_i, ts = np.nonzero(tt.mask)
-    cell = tt.state[rows_i, ts] * n_options + tt.subgoal[rows_i, ts]
-    r = tt.reward[rows_i, ts]
-    w = tt.weight[rows_i]
-    terminal = tt.terminated[rows_i] & sm.is_last[rows_i, ts]
-    final_here = sm.is_last[rows_i, ts] & ~tt.terminated[rows_i]
-    segf = sm.seg_final[rows_i, ts]
     nxt_state = np.zeros((n, t_max), dtype=np.int64)
     if t_max > 1:
         nxt_state[:, :-1] = tt.state[:, 1:]
-    kind = np.full(rows_i.shape, _BOOT_LOW, dtype=np.int64)
-    boot = nxt_state[rows_i, ts] * n_options + tt.subgoal[rows_i, ts]
-    hi = segf & ~terminal
-    kind[hi] = _BOOT_HIGH
-    boot[hi] = np.where(final_here[hi], tt.final_state[rows_i[hi]],
-                        nxt_state[rows_i[hi], ts[hi]])
-    kind[terminal] = _TERMINAL
-    boot[terminal] = 0
-    if (boot < 0).any():
-        raise ValueError("truncated episode without final_state")
+    # the closing boundary: none after a terminal state, else the final state
+    end = np.where(tt.terminated, -1, tt.final_state)
 
+    # low head: v_low inside a segment, v_high at its closing boundary
+    rows_i, ts = np.nonzero(tt.mask)
+    o = tt.subgoal[rows_i, ts]
+    lo_cell = low_cell(tt.state[rows_i, ts], o, n_states, n_options)
+    lo_boot = low_cell(nxt_state[rows_i, ts], o, n_states, n_options)
+    segf = sm.seg_final[rows_i, ts]
+    lo_boot[segf] = np.where(sm.is_last[rows_i[segf], ts[segf]], end[rows_i[segf]],
+                             nxt_state[rows_i[segf], ts[segf]])
+
+    # high head: macro reward r~ and duration discount g~ per segment
     b_rows, b_ts = np.nonzero(sm.is_boundary)
     g = returns_matrix(tt, gamma)
-    seg_len = sm.seg_end[b_rows, b_ts] - b_ts
-    gtilde = gamma ** seg_len.astype(np.float64)
     ends = sm.seg_end[b_rows, b_ts]
+    gtilde = gamma ** (ends - b_ts).astype(np.float64)
     open_end = ends < tt.length[b_rows]
     g_end = np.where(open_end, g[b_rows, np.minimum(ends, t_max - 1)], 0.0)
     rtilde = g[b_rows, b_ts] - gtilde * g_end
-    hi_cell = tt.state[b_rows, b_ts]
-    hi_kind = np.full(b_rows.shape, _BOOT_HIGH, dtype=np.int64)
-    hi_boot = np.zeros(b_rows.shape, dtype=np.int64)
-    hi_boot[open_end] = tt.state[b_rows[open_end], ends[open_end]]
-    closed_term = ~open_end & tt.terminated[b_rows]
-    hi_kind[closed_term] = _TERMINAL
-    closed_trunc = ~open_end & ~tt.terminated[b_rows]
-    hi_boot[closed_trunc] = tt.final_state[b_rows[closed_trunc]]
-    if (hi_boot < 0).any():
-        raise ValueError("truncated episode without final_state")
+    hi_boot = np.where(open_end, tt.state[b_rows, np.minimum(ends, t_max - 1)],
+                       end[b_rows])
 
-    rows = {
-        "lo_cell": cell, "lo_r": r, "lo_kind": kind, "lo_boot": boot, "lo_w": w,
-        "hi_cell": hi_cell, "hi_r": rtilde, "hi_disc": gtilde,
-        "hi_kind": hi_kind, "hi_boot": hi_boot, "hi_w": tt.weight[b_rows],
-    }
+    rows = single_coupling_rows(
+        np.concatenate([lo_cell, tt.state[b_rows, b_ts]]),
+        np.concatenate([tt.weight[rows_i], tt.weight[b_rows]]),
+        np.concatenate([tt.reward[rows_i, ts], rtilde]),
+        np.concatenate([lo_boot, hi_boot]),
+        np.concatenate([np.full(lo_cell.size, gamma), gtilde]))
     return CriticBatch.from_rows(rows, gamma, n_states, n_options)
 
 
 def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> FlatCriticBatch:
     g = returns_matrix(tt, gamma)
     rows_i, ts = np.nonzero(tt.mask)
-    rows = {"state": tt.state[rows_i, ts], "g": g[rows_i, ts], "w": tt.weight[rows_i]}
-    batch = FlatCriticBatch(n_states, np.zeros(n_states), np.zeros(n_states), rows=rows)
-    np.add.at(batch.w, rows["state"], rows["w"])
-    np.add.at(batch.g, rows["state"], rows["w"] * rows["g"])
-    return batch
+    return FlatCriticBatch.from_rows(
+        {"state": tt.state[rows_i, ts], "g": g[rows_i, ts], "w": tt.weight[rows_i]},
+        n_states)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ import numpy as np
 
 from .core import SWITCH, Trajectory, segment_views
 
-_TERMINAL, _BOOT_HIGH, _BOOT_LOW = 0, 1, 2
-
-
 @dataclass
 class ValueTables:
     """v_high[s] and v_low[s, o].  Terminal states are never written and
@@ -101,171 +98,149 @@ def low_targets(traj: Trajectory, tables: ValueTables, gamma: float) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Batch aggregation
+# Regression rows
 #
-# Per-cell mean targets are affine in the value tables, so a batch can be
-# digested once into (weights, constant part, bootstrap coefficient
-# matrices); the per-epoch refit is then a couple of small mat-vecs.
+# Both heads live in one stacked index space, [v_high, v_low.ravel()]: the
+# high cell of state s is s and the low cell of (s, o) is S + s*O + o.  A
+# batch is a list of weighted rows, each regressing one cell toward a
+# reward plus zero or more discounted table lookups (its couplings), so
+# every target is affine in the tables and costs one gather per epoch.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CriticBatch:
-    """Digested regression problem for both heads.
+    """The bootstrapped regression problem of both heads, as rows.
 
-    Mean low target:  ybar_low  = (low_r + gamma*(low_mh @ v_high
-                                   + low_ml @ v_low.ravel())) / low_w
-    Mean high target: ybar_high = (high_r + high_m @ v_high) / high_w
-    (the duration discounts are folded into high_m / high_r weights).
-    Row-level arrays are kept when built from trajectories so that exact
-    batch MSE can be reported; purely aggregated batches report the
-    reducible (per-cell) error instead.
+    `rows` holds per-row arrays `cell`, `w`, `r` and per-coupling arrays
+    `row`, `boot`, `coef`; `cell` and `boot` index the stacked tables
+    [v_high, v_low.ravel()].  Row j targets
+        y_j = r_j + sum over couplings k of row j: coef_k * v[boot_k],
+    a terminal row has no coupling, and each cell's mean target is the
+    w-weighted mean of its rows' targets.  Sampled batches hold one row per
+    turn (low head, coef gamma) and per segment (high head, coef the
+    duration discount); exact batches hold one row per visited cell.
     """
 
     n_states: int
     n_options: int
     gamma: float
-    low_w: np.ndarray
-    low_r: np.ndarray
-    low_mh: np.ndarray
-    low_ml: np.ndarray
-    high_w: np.ndarray
-    high_r: np.ndarray
-    high_m: np.ndarray
-    rows: dict | None = field(default=None, repr=False)
+    rows: dict = field(repr=False)
+    w: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def empty(cls, n_states: int, n_options: int, gamma: float) -> "CriticBatch":
-        c = n_states * n_options
-        return cls(
-            n_states=n_states, n_options=n_options, gamma=gamma,
-            low_w=np.zeros(c), low_r=np.zeros(c),
-            low_mh=np.zeros((c, n_states)), low_ml=np.zeros((c, c)),
-            high_w=np.zeros(n_states), high_r=np.zeros(n_states),
-            high_m=np.zeros((n_states, n_states)),
-        )
+    def __post_init__(self):
+        # per-cell weight over the stacked tables; zero marks unvisited cells
+        self.w = np.bincount(self.rows["cell"], weights=self.rows["w"],
+                             minlength=self.n_states * (1 + self.n_options))
 
     @classmethod
     def from_trajectories(cls, trajectories, gamma: float, n_states: int,
                           n_options: int, weights=None) -> "CriticBatch":
-        batch = cls.empty(n_states, n_options, gamma)
-        lo_cell, lo_r, lo_kind, lo_boot, lo_w = [], [], [], [], []
-        hi_cell, hi_r, hi_disc, hi_kind, hi_boot, hi_w = [], [], [], [], [], []
+        cell, w, r, boot, coef = [], [], [], [], []
         for i, traj in enumerate(trajectories):
-            w = 1.0 if weights is None else float(weights[i])
-            t_total = traj.n_turns
-            for t, turn in enumerate(traj.turns):
-                cell = turn.state * n_options + turn.subgoal
-                if turn.done:
-                    kind, boot = _TERMINAL, 0
-                elif t == t_total - 1:
-                    if traj.final_state is None:
-                        raise ValueError("truncated trajectory without final_state")
-                    kind, boot = _BOOT_HIGH, traj.final_state
-                elif traj.turns[t + 1].q == SWITCH:
-                    kind, boot = _BOOT_HIGH, traj.turns[t + 1].state
+            wi = 1.0 if weights is None else float(weights[i])
+            turns = traj.turns
+            if traj.terminated:
+                end = -1
+            elif traj.final_state is None:
+                raise ValueError("truncated trajectory without final_state")
+            else:
+                end = traj.final_state
+            for t, turn in enumerate(turns):
+                if turn.done or t == len(turns) - 1:
+                    b = -1 if turn.done else end
+                elif turns[t + 1].q == SWITCH:
+                    b = turns[t + 1].state
                 else:
-                    kind, boot = _BOOT_LOW, traj.turns[t + 1].state * n_options + turn.subgoal
-                lo_cell.append(cell)
-                lo_r.append(turn.reward)
-                lo_kind.append(kind)
-                lo_boot.append(boot)
-                lo_w.append(w)
+                    b = low_cell(turns[t + 1].state, turn.subgoal, n_states, n_options)
+                cell.append(low_cell(turn.state, turn.subgoal, n_states, n_options))
+                w.append(wi)
+                r.append(turn.reward)
+                boot.append(b)
+                coef.append(gamma)
             for seg in segment_views(traj, gamma):
-                s_b = traj.turns[seg.start].state
-                if seg.stop < t_total:
-                    kind, boot = _BOOT_HIGH, traj.turns[seg.stop].state
-                elif traj.terminated:
-                    kind, boot = _TERMINAL, 0
-                else:
-                    kind, boot = _BOOT_HIGH, traj.final_state
-                hi_cell.append(s_b)
-                hi_r.append(seg.reward)
-                hi_disc.append(seg.discount)
-                hi_kind.append(kind)
-                hi_boot.append(boot)
-                hi_w.append(w)
-        rows = {
-            "lo_cell": np.array(lo_cell, dtype=np.int64),
-            "lo_r": np.array(lo_r, dtype=np.float64),
-            "lo_kind": np.array(lo_kind, dtype=np.int64),
-            "lo_boot": np.array(lo_boot, dtype=np.int64),
-            "lo_w": np.array(lo_w, dtype=np.float64),
-            "hi_cell": np.array(hi_cell, dtype=np.int64),
-            "hi_r": np.array(hi_r, dtype=np.float64),
-            "hi_disc": np.array(hi_disc, dtype=np.float64),
-            "hi_kind": np.array(hi_kind, dtype=np.int64),
-            "hi_boot": np.array(hi_boot, dtype=np.int64),
-            "hi_w": np.array(hi_w, dtype=np.float64),
-        }
+                cell.append(turns[seg.start].state)
+                w.append(wi)
+                r.append(seg.reward)
+                boot.append(turns[seg.stop].state if seg.stop < len(turns) else end)
+                coef.append(seg.discount)
+        rows = single_coupling_rows(
+            np.array(cell, dtype=np.int64), np.array(w, dtype=np.float64),
+            np.array(r, dtype=np.float64), np.array(boot, dtype=np.int64),
+            np.array(coef, dtype=np.float64))
         return cls.from_rows(rows, gamma, n_states, n_options)
 
     @classmethod
     def from_rows(cls, rows: dict, gamma: float, n_states: int,
                   n_options: int) -> "CriticBatch":
-        batch = cls.empty(n_states, n_options, gamma)
-        batch.rows = rows
-        r = rows
-        np.add.at(batch.low_w, r["lo_cell"], r["lo_w"])
-        np.add.at(batch.low_r, r["lo_cell"], r["lo_w"] * r["lo_r"])
-        m_hi = r["lo_kind"] == _BOOT_HIGH
-        m_lo = r["lo_kind"] == _BOOT_LOW
-        np.add.at(batch.low_mh, (r["lo_cell"][m_hi], r["lo_boot"][m_hi]), r["lo_w"][m_hi])
-        np.add.at(batch.low_ml, (r["lo_cell"][m_lo], r["lo_boot"][m_lo]), r["lo_w"][m_lo])
-        np.add.at(batch.high_w, r["hi_cell"], r["hi_w"])
-        np.add.at(batch.high_r, r["hi_cell"], r["hi_w"] * r["hi_r"])
-        m = r["hi_kind"] == _BOOT_HIGH
-        np.add.at(batch.high_m, (r["hi_cell"][m], r["hi_boot"][m]),
-                  r["hi_w"][m] * r["hi_disc"][m])
-        return batch
+        return cls(n_states, n_options, gamma, rows)
 
     # -- target evaluation ---------------------------------------------------
 
-    def mean_low_targets(self, tables: ValueTables) -> np.ndarray:
-        num = self.low_r + self.gamma * (self.low_mh @ tables.v_high
-                                         + self.low_ml @ tables.v_low.ravel())
-        return np.divide(num, self.low_w, out=np.zeros_like(num),
-                         where=self.low_w > 0)
+    def row_targets(self, tables: ValueTables) -> np.ndarray:
+        """y per row: its reward plus its discounted bootstrap lookups."""
+        r = self.rows
+        v = stacked(tables)
+        return r["r"] + np.bincount(r["row"], weights=r["coef"] * v[r["boot"]],
+                                    minlength=r["r"].size)
 
-    def mean_high_targets(self, tables: ValueTables) -> np.ndarray:
-        num = self.high_r + self.high_m @ tables.v_high
-        return np.divide(num, self.high_w, out=np.zeros_like(num),
-                         where=self.high_w > 0)
+    def mean_targets(self, tables: ValueTables) -> np.ndarray:
+        """Per-cell w-weighted mean target over the stacked tables (0 where
+        unvisited)."""
+        num = np.bincount(self.rows["cell"],
+                          weights=self.rows["w"] * self.row_targets(tables),
+                          minlength=self.w.size)
+        return np.divide(num, self.w, out=np.zeros_like(num), where=self.w > 0)
 
-    def batch_mse(self, tables: ValueTables,
-                  target_tables: ValueTables | None = None) -> tuple[float, float]:
-        """Exact weighted MSE per head (row-level when rows are available).
+    def mse_and_grad(self, tables: ValueTables,
+                     target_tables: ValueTables | None = None
+                     ) -> tuple[float, float, np.ndarray]:
+        """Weighted MSE of the low and high head rows, and the gradient of
+        their sum wrt the stacked tables with the targets held constant.
 
         Predictions come from `tables`; bootstrap targets from
         `target_tables` (default: the same tables).
         """
+        r = self.rows
         tgt = tables if target_tables is None else target_tables
-        if self.rows is not None:
-            r = self.rows
-            boot = np.zeros_like(r["lo_r"])
-            m = r["lo_kind"] == _BOOT_HIGH
-            boot[m] = tgt.v_high[r["lo_boot"][m]]
-            m = r["lo_kind"] == _BOOT_LOW
-            boot[m] = tgt.v_low.ravel()[r["lo_boot"][m]]
-            y = r["lo_r"] + self.gamma * boot
-            pred = tables.v_low.ravel()[r["lo_cell"]]
-            lo = float(np.average((pred - y) ** 2, weights=r["lo_w"])) if len(y) else 0.0
-            boot = np.zeros_like(r["hi_r"])
-            m = r["hi_kind"] == _BOOT_HIGH
-            boot[m] = tgt.v_high[r["hi_boot"][m]]
-            y = r["hi_r"] + r["hi_disc"] * boot
-            pred = tables.v_high[r["hi_cell"]]
-            hi = float(np.average((pred - y) ** 2, weights=r["hi_w"])) if len(y) else 0.0
-            return lo, hi
-        # aggregate-only batch: report the reducible (per-cell mean) error
-        ybar = self.mean_low_targets(tgt)
-        vis = self.low_w > 0
-        lo = float(np.average((tables.v_low.ravel()[vis] - ybar[vis]) ** 2,
-                              weights=self.low_w[vis])) if vis.any() else 0.0
-        ybar = self.mean_high_targets(tgt)
-        vis = self.high_w > 0
-        hi = float(np.average((tables.v_high[vis] - ybar[vis]) ** 2,
-                              weights=self.high_w[vis])) if vis.any() else 0.0
+        err = stacked(tables)[r["cell"]] - self.row_targets(tgt)
+        high = r["cell"] < self.n_states
+        head_w = np.where(high, self.w[:self.n_states].sum(),
+                          self.w[self.n_states:].sum())
+        wn = np.divide(r["w"], head_w, out=np.zeros_like(head_w),
+                       where=head_w > 0)
+        sq = wn * err * err
+        grad = np.bincount(r["cell"], weights=2.0 * wn * err,
+                           minlength=self.w.size)
+        return float(sq[~high].sum()), float(sq[high].sum()), grad
+
+    def batch_mse(self, tables: ValueTables,
+                  target_tables: ValueTables | None = None) -> tuple[float, float]:
+        """Weighted MSE per head, (low, high); see `mse_and_grad`."""
+        lo, hi, _ = self.mse_and_grad(tables, target_tables)
         return lo, hi
+
+
+def stacked(tables: ValueTables) -> np.ndarray:
+    """The tables as one vector [v_high, v_low.ravel()]."""
+    return np.concatenate([tables.v_high, tables.v_low.ravel()])
+
+
+def unstacked(v: np.ndarray, n_states: int) -> ValueTables:
+    """Inverse of `stacked`."""
+    return ValueTables(v[:n_states], v[n_states:].reshape(n_states, -1))
+
+
+def low_cell(state, subgoal, n_states: int, n_options: int):
+    """Stacked index of v_low[state, subgoal] (scalars or arrays)."""
+    return n_states + state * n_options + subgoal
+
+
+def single_coupling_rows(cell, w, r, boot, coef) -> dict:
+    """Rows coupled to at most one table entry; boot < 0 marks a terminal
+    row, which has none."""
+    live = boot >= 0
+    return {"cell": cell, "w": w, "r": r, "row": np.flatnonzero(live),
+            "boot": boot[live], "coef": coef[live]}
 
 
 @dataclass
@@ -308,21 +283,17 @@ def fit_critic(tables: ValueTables, batch, gamma: float, lr: float, epochs: int,
     if lr <= 0:
         raise ValueError("lr must be > 0")
     cb = _as_critic_batch(batch, gamma, tables.n_states, tables.n_options)
-    out = tables.copy()
+    v = stacked(tables)
+    out = unstacked(v, tables.n_states)    # views: they follow updates of v
+    target_tables = out if refresh_targets else out.copy()
+    vis = cb.w > 0
     report = CriticFitReport([], [])
-    lo_vis = cb.low_w > 0
-    hi_vis = cb.high_w > 0
-    frozen = out.copy() if not refresh_targets else None
     for _ in range(epochs):
-        target_tables = out if refresh_targets else frozen
         mse_lo, mse_hi = cb.batch_mse(out, target_tables)
         report.mse_low.append(mse_lo)
         report.mse_high.append(mse_hi)
-        ybar_lo = cb.mean_low_targets(target_tables)
-        ybar_hi = cb.mean_high_targets(target_tables)
-        flat = out.v_low.ravel()
-        flat[lo_vis] -= 2.0 * lr * (flat[lo_vis] - ybar_lo[lo_vis])
-        out.v_high[hi_vis] -= 2.0 * lr * (out.v_high[hi_vis] - ybar_hi[hi_vis])
+        ybar = cb.mean_targets(target_tables)
+        v[vis] -= 2.0 * lr * (v[vis] - ybar[vis])
     return out, report
 
 
@@ -357,13 +328,17 @@ class FlatCriticBatch:
                 states.append(turn.state)
                 gs.append(g[t])
                 ws.append(w)
-        batch = cls(n_states, np.zeros(n_states), np.zeros(n_states),
-                    rows={"state": np.array(states, dtype=np.int64),
-                          "g": np.array(gs, dtype=np.float64),
-                          "w": np.array(ws, dtype=np.float64)})
-        np.add.at(batch.w, batch.rows["state"], batch.rows["w"])
-        np.add.at(batch.g, batch.rows["state"], batch.rows["w"] * batch.rows["g"])
-        return batch
+        return cls.from_rows({"state": np.array(states, dtype=np.int64),
+                              "g": np.array(gs, dtype=np.float64),
+                              "w": np.array(ws, dtype=np.float64)}, n_states)
+
+    @classmethod
+    def from_rows(cls, rows: dict, n_states: int) -> "FlatCriticBatch":
+        """Aggregate per-turn rows `state`, `g` (return-to-go), `w`."""
+        w = np.bincount(rows["state"], weights=rows["w"], minlength=n_states)
+        g = np.bincount(rows["state"], weights=rows["w"] * rows["g"],
+                        minlength=n_states)
+        return cls(n_states, w, g, rows=rows)
 
     def mean_targets(self) -> np.ndarray:
         return np.divide(self.g, self.w, out=np.zeros_like(self.g),

@@ -155,11 +155,6 @@ class OneStep:
         return f"OneStep(n_actions={self.n_actions}, reward={self.reward})"
 
 
-def fetchchain_transition(env: FetchChain, state: int, action: int) -> tuple[int, float, bool]:
-    """Free-function view of FetchChain dynamics."""
-    return env.transition(state, action)
-
-
 def transition_tables(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (next_state, reward, done) lookup tables over (state, action).
 

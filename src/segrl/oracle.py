@@ -25,7 +25,7 @@ import numpy as np
 from .advantages import GAEConfig
 from .batch import BatchAdvantages, advantage_arrays, rollout_batch
 from .core import KEEP, SWITCH, Trajectory, TurnRecord, returns_to_go
-from .critic import CriticBatch, ValueTables
+from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
 from .policy import GradTables, PolicyParams, grad_log_prob, log_softmax, softmax
 from .rng import derive_seed
@@ -440,17 +440,27 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float,
                        horizon: int | None = None) -> CriticBatch:
     """The regression problem fit_critic would see on the full enumeration.
 
-    Row masses follow the exact turn and segment occupancies, so fitting
-    against this batch is fitting against the entire trajectory
-    distribution at once, with zero sampling noise.
+    One row per visited cell: its occupancy mass, its mean reward and its
+    bootstrap couplings normalised by that mass, so fitting against this
+    batch is fitting against the entire trajectory distribution at once,
+    with zero sampling noise, and its MSE is the per-cell (reducible) error.
     """
     dp = solve_dp(env, params, gamma, horizon)
     n_s, n_o, n_a = params.n_states, params.n_options, params.n_actions
     horizon = dp.horizon
-    batch = CriticBatch.empty(n_s, n_o, gamma)
-    cells = (np.arange(n_s)[:, None] * n_o + np.arange(n_o)[None, :])
+    n_v = n_s * (1 + n_o)
+    mass_w = np.zeros(n_v)           # occupancy mass per stacked cell
+    mass_r = np.zeros(n_v)           # reward mass per stacked cell
+    c_cell, c_boot, c_mass = [], [], []
+
+    def couple(cell, boot, mass):
+        c_cell.append(cell)
+        c_boot.append(boot)
+        c_mass.append(mass)
 
     # low head: one mass bundle per (t, s, o, a), split over the next switch
+    o_cols = np.arange(n_o)[None, :]
+    cells = low_cell(np.arange(n_s)[:, None], o_cols, n_s, n_o).ravel()
     for t in range(horizon):
         layer = dp.occ[t]
         if not layer.any():
@@ -460,27 +470,19 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float,
             if not mass.any():
                 continue
             s2 = dp.nxt[:, a]
-            ended = dp.done[:, a]
-            np.add.at(batch.low_w, cells.ravel(), mass.ravel())
-            np.add.at(batch.low_r, cells.ravel(),
-                      (mass * dp.rew[:, a][:, None]).ravel())
-            live = mass * (~ended)[:, None]
-            if not live.any():
-                continue
+            mass_w[cells] += mass.ravel()
+            mass_r[cells] += (mass * dp.rew[:, a][:, None]).ravel()
+            live = mass * (~dp.done[:, a])[:, None]
             if t + 1 >= horizon:
                 # enumeration horizon: non-terminal rows bootstrap the high
                 # head at the final state (truncation rule)
-                np.add.at(batch.low_mh,
-                          (cells.ravel(), np.repeat(s2, n_o)),
-                          live.ravel())
+                couple(cells, np.repeat(s2, n_o), gamma * live.ravel())
                 continue
             beta_next = dp.beta[s2]              # (S, O): switch prob at s2
-            to_high = live * beta_next           # carried subgoal terminates
-            to_low = live * (1.0 - beta_next)    # segment continues at s2
-            np.add.at(batch.low_mh, (cells.ravel(), np.repeat(s2, n_o)),
-                      to_high.ravel())
-            cell2 = s2[:, None] * n_o + np.arange(n_o)[None, :]
-            np.add.at(batch.low_ml, (cells.ravel(), cell2.ravel()), to_low.ravel())
+            # the carried subgoal terminates, or the segment continues at s2
+            couple(cells, np.repeat(s2, n_o), gamma * (live * beta_next).ravel())
+            couple(cells, low_cell(s2[:, None], o_cols, n_s, n_o).ravel(),
+                   gamma * (live * (1.0 - beta_next)).ravel())
 
     # high head: within-segment recursion gives E[r~] and E[g~ 1{end at s'}]
     # per segment started at (t, s, o); both are affine in v_high.
@@ -491,7 +493,6 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float,
     for t in range(horizon - 1, -1, -1):
         c = np.zeros((n_s, n_o))
         w = np.zeros((n_s, n_o, n_s))
-        o_cols = np.arange(n_o)[None, :]
         for a in range(n_a):
             pa = dp.pi_lo[:, :, a]
             c += pa * dp.rew[:, a][:, None]
@@ -515,6 +516,7 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float,
         seg_w_by_t[t] = w
         seg_c_next, seg_w_next = c, w
 
+    to_boundary = np.zeros((n_s, n_s))
     for t in range(horizon):
         h = dp.occ_boundary[t]
         live = h > 0
@@ -522,11 +524,26 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float,
             continue
         mix_c = np.sum(dp.pi_hi * seg_c[t], axis=1)
         mix_w = np.einsum("so,sou->su", dp.pi_hi, seg_w_by_t[t])
-        batch.high_w[live] += h[live]
-        batch.high_r[live] += h[live] * mix_c[live]
-        batch.high_m[live] += h[live, None] * mix_w[live]
+        mass_w[:n_s][live] += h[live]
+        mass_r[:n_s][live] += h[live] * mix_c[live]
+        to_boundary[live] += h[live, None] * mix_w[live]
+    src, dst = np.nonzero(to_boundary)
+    couple(src, dst, to_boundary[src, dst])
 
-    return batch
+    # one row per visited cell; duplicate couplings merged
+    cell = np.flatnonzero(mass_w > 0)
+    row_of = np.full(n_v, -1, dtype=np.int64)
+    row_of[cell] = np.arange(cell.size)
+    c_cell = np.concatenate(c_cell)
+    c_mass = np.concatenate(c_mass)
+    nz = c_mass > 0
+    key, inv = np.unique(c_cell[nz] * n_v + np.concatenate(c_boot)[nz],
+                         return_inverse=True)
+    k_cell, k_boot = np.divmod(key, n_v)
+    rows = {"cell": cell, "w": mass_w[cell], "r": mass_r[cell] / mass_w[cell],
+            "row": row_of[k_cell], "boot": k_boot,
+            "coef": np.bincount(inv, weights=c_mass[nz]) / mass_w[k_cell]}
+    return CriticBatch.from_rows(rows, gamma, n_s, n_o)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .batch import (TurnTable, advantage_arrays, batch_stats,
                     critic_batch_from_table, flat_batch_from_table,
                     rollout_batch, segment_masks)
 from .core import SWITCH, TurnRecord
-from .critic import ValueTables, fit_critic, fit_flat_critic
+from .critic import ValueTables, fit_critic, fit_flat_critic, unstacked
 from .envs import EnvModel
 from .policy import (GradTables, PolicyParams, log_prob, log_softmax, softmax)
 from .rng import derive_seed
@@ -86,7 +86,6 @@ class PPOConfig:
 @dataclass
 class TrainState:
     params: PolicyParams
-    params_old: PolicyParams
     params_ref: PolicyParams
     tables: ValueTables
     iteration: int = 0
@@ -356,50 +355,12 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     surrogate, g_actor = actor_loss(rows, params, cfg.clip_eps)
     kl, g_kl = kl_penalty(rows, params, ref)
     cb = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
-    frozen = tables if target_tables is None else target_tables
-    r = cb.rows
-    y_lo = _row_targets_low(cb, frozen)
-    y_hi = _row_targets_high(cb, frozen)
-    pred_lo = tables.v_low.ravel()[r["lo_cell"]]
-    pred_hi = tables.v_high[r["hi_cell"]]
-    w_lo_sum = r["lo_w"].sum()
-    w_hi_sum = r["hi_w"].sum()
-    mse_lo = float(np.sum(r["lo_w"] * (pred_lo - y_lo) ** 2)) / w_lo_sum
-    mse_hi = float(np.sum(r["hi_w"] * (pred_hi - y_hi) ** 2)) / w_hi_sum \
-        if w_hi_sum > 0 else 0.0
+    mse_lo, mse_hi, g_v = cb.mse_and_grad(tables, target_tables)
     value = -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
     g_theta = GradTables.zeros_like(params)
     g_theta.add(g_actor, weight=-1.0)
     g_theta.add(g_kl, weight=cfg.kl_beta)
-    g_tab = ValueTables.zeros(tables.n_states, tables.n_options)
-    gl = np.zeros(tables.n_states * tables.n_options)
-    np.add.at(gl, r["lo_cell"], 2.0 * r["lo_w"] * (pred_lo - y_lo) / w_lo_sum)
-    g_tab.v_low = (cfg.c_v * gl).reshape(tables.v_low.shape)
-    gh = np.zeros(tables.n_states)
-    if w_hi_sum > 0:
-        np.add.at(gh, r["hi_cell"], 2.0 * r["hi_w"] * (pred_hi - y_hi) / w_hi_sum)
-    g_tab.v_high = cfg.c_v * gh
-    return value, g_theta, g_tab
-
-
-def _row_targets_low(cb, tables: ValueTables) -> np.ndarray:
-    r = cb.rows
-    boot = np.zeros_like(r["lo_r"])
-    from .critic import _BOOT_HIGH, _BOOT_LOW
-    m = r["lo_kind"] == _BOOT_HIGH
-    boot[m] = tables.v_high[r["lo_boot"][m]]
-    m = r["lo_kind"] == _BOOT_LOW
-    boot[m] = tables.v_low.ravel()[r["lo_boot"][m]]
-    return r["lo_r"] + cb.gamma * boot
-
-
-def _row_targets_high(cb, tables: ValueTables) -> np.ndarray:
-    r = cb.rows
-    from .critic import _BOOT_HIGH
-    boot = np.zeros_like(r["hi_r"])
-    m = r["hi_kind"] == _BOOT_HIGH
-    boot[m] = tables.v_high[r["hi_boot"][m]]
-    return r["hi_r"] + r["hi_disc"] * boot
+    return value, g_theta, unstacked(cfg.c_v * g_v, tables.n_states)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +397,10 @@ def evaluate(params: PolicyParams, env: EnvModel, episodes: int,
 # Training drivers
 # ---------------------------------------------------------------------------
 
-def _check_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not np.isfinite(v):
-            raise TrainingDiverged(f"non-finite {name}: {v}")
+def _check_finite(name: str, it: int, *values) -> None:
+    """Raise TrainingDiverged unless every value or array is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise TrainingDiverged(f"non-finite {name} at iteration {it}")
 
 
 def _minibatches(n_rows: int, size: int, rng: np.random.Generator):
@@ -473,37 +434,30 @@ def _policy_fingerprint(params: PolicyParams) -> int:
 def train(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None = None,
           n_options: int = 2, on_iteration=None) -> TrainResult:
     """Full hierarchical training loop; deterministic under a fixed seed."""
-    params = (init_params.copy() if init_params is not None
-              else PolicyParams.uniform(env.n_states, n_options, env.n_actions))
-    state = TrainState(params=params, params_old=params.copy(),
-                       params_ref=params.copy(),
-                       tables=ValueTables.zeros(env.n_states, params.n_options))
-    return _run_loop(cfg, env, state, flat=False, on_iteration=on_iteration)
+    return _run_loop(cfg, env, init_params, n_options, on_iteration, flat=False)
 
 
 def train_flat_baseline(cfg: PPOConfig, env: EnvModel,
                         init_params: PolicyParams | None = None,
                         n_options: int = 2, on_iteration=None) -> TrainResult:
     """Comparison loop: state-only critic, whole-episode GAE, joint ratio."""
+    return _run_loop(cfg, env, init_params, n_options, on_iteration, flat=True)
+
+
+def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
+              n_options: int, on_iteration, flat: bool) -> TrainResult:
     params = (init_params.copy() if init_params is not None
               else PolicyParams.uniform(env.n_states, n_options, env.n_actions))
-    state = TrainState(params=params, params_old=params.copy(),
-                       params_ref=params.copy(),
+    state = TrainState(params=params, params_ref=params.copy(),
                        tables=ValueTables.zeros(env.n_states, params.n_options))
-    return _run_loop(cfg, env, state, flat=True, on_iteration=on_iteration)
-
-
-def _run_loop(cfg: PPOConfig, env: EnvModel, state: TrainState, flat: bool,
-              on_iteration=None) -> TrainResult:
     rollout_seed = derive_seed(cfg.seed, _TRAIN_STREAM)
     v_flat = np.zeros(env.n_states)
     metrics: list[MetricsRow] = []
     goal = getattr(env, "goal_state", None)
     for it in range(cfg.iterations):
         state.iteration = it
-        state.params_old = state.params.copy()
-        it_seed = derive_seed(rollout_seed, _policy_fingerprint(state.params_old))
-        tt = rollout_batch(env, state.params_old, cfg.episodes_per_iter,
+        it_seed = derive_seed(rollout_seed, _policy_fingerprint(state.params))
+        tt = rollout_batch(env, state.params, cfg.episodes_per_iter,
                            it_seed, c_keep=cfg.c_keep)
         if flat:
             fb = flat_batch_from_table(tt, cfg.gamma, env.n_states)
@@ -512,7 +466,7 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, state: TrainState, flat: bool,
                 critic_mse = mses[-1]
             else:
                 critic_mse = 0.0
-            adv = advantage_arrays(tt, state.tables, cfg.gae(), v_flat=v_flat)
+            critic = (v_flat,)
         else:
             cb = critic_batch_from_table(tt, cfg.gamma, env.n_states,
                                          state.tables.n_options)
@@ -522,7 +476,10 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, state: TrainState, flat: bool,
                 critic_mse = rep.final_mse
             else:
                 critic_mse = sum(cb.batch_mse(state.tables))
-            adv = advantage_arrays(tt, state.tables, cfg.gae())
+            critic = (state.tables.v_high, state.tables.v_low)
+        _check_finite("critic", it, critic_mse, *critic)
+        adv = advantage_arrays(tt, state.tables, cfg.gae(),
+                               v_flat=v_flat if flat else None)
         rows = gather_rows(tt, adv)
 
         surrogate_sum, turn_count = 0.0, 0
@@ -534,17 +491,15 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, state: TrainState, flat: bool,
                 mb = rows.take(idx)
                 value, g_actor = loss_fn(mb, state.params, cfg.clip_eps)
                 kl, g_kl = kl_penalty(mb, state.params, state.params_ref)
-                _check_finite("actor surrogate", value, kl)
+                _check_finite("actor surrogate", it, value, kl)
                 # the surrogate is a sum over minibatch turns while the KL is
                 # a per-turn mean; scale the KL gradient to the same footing
                 _ascent_step(state.params, g_actor, g_kl, cfg.lr_actor,
                              cfg.kl_beta * len(idx))
                 surrogate_sum += value
                 turn_count += len(idx)
-        if not np.all(np.isfinite(state.params.switch)) or \
-           not np.all(np.isfinite(state.params.subgoal)) or \
-           not np.all(np.isfinite(state.params.action)):
-            raise TrainingDiverged(f"non-finite parameters at iteration {it}")
+        _check_finite("policy parameters", it, state.params.switch,
+                      state.params.subgoal, state.params.action)
 
         kl_now, _ = kl_penalty(rows, state.params, state.params_ref)
         st = batch_stats(tt, goal_state=goal)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
+from segrl.critic import unstacked
 
 
 def traj_from(qs, rewards, done=True, states=None, subgoals=None, actions=None,
@@ -44,3 +45,13 @@ def traj_from(qs, rewards, done=True, states=None, subgoals=None, actions=None,
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def weighted_target_maps(batch):
+    """Per-cell weight times mean target on the zero tables and on every
+    unit table over [v_high, v_low.ravel()]: the affine map of the batch's
+    mean targets, entry by entry (constant part, then each coefficient)."""
+    n_v = batch.w.size
+    units = [np.zeros(n_v)] + [np.eye(1, n_v, j)[0] for j in range(n_v)]
+    return [batch.w * batch.mean_targets(unstacked(u, batch.n_states))
+            for u in units]

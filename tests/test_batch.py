@@ -12,6 +12,8 @@ from segrl.oracle import random_tables, random_trajectory
 from segrl.policy import PolicyParams, fetchchain_phased, rollout
 from segrl.rng import CounterRng
 
+from conftest import weighted_target_maps
+
 
 @pytest.fixture(scope="module")
 def env_and_params():
@@ -126,9 +128,20 @@ class TestCriticBatchesFromTable:
         trajs = tt.to_trajectories()
         a = critic_batch_from_table(tt, 0.9, env.n_states, 2)
         b = CriticBatch.from_trajectories(trajs, 0.9, env.n_states, 2)
-        for f in ("low_w", "low_r", "low_mh", "low_ml", "high_w", "high_r",
-                  "high_m"):
-            assert np.allclose(getattr(a, f), getattr(b, f), atol=1e-10), f
+        assert np.allclose(a.w, b.w, atol=1e-10)
+        for j, (x, y) in enumerate(zip(weighted_target_maps(a),
+                                       weighted_target_maps(b))):
+            assert np.allclose(x, y, atol=1e-10), j
+
+    def test_batch_memory_is_linear_in_rows(self):
+        # no per-cell-pair matrices: a wide env's batch stays in row form
+        env = FetchChain(15, 60)
+        params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
+        tt = rollout_batch(env, params, 64, seed=0)
+        cb = critic_batch_from_table(tt, 0.99, env.n_states, 2)
+        held = sum(v.nbytes for v in vars(cb).values() if isinstance(v, np.ndarray))
+        held += sum(v.nbytes for v in cb.rows.values())
+        assert held < 1_000_000, held
 
     def test_flat_batches_agree(self, env_and_params):
         env, params = env_and_params

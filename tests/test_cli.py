@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +128,17 @@ class TestDispatch:
         lines = (out / "trajectory.jsonl").read_text().splitlines()
         assert len(lines) == 7
         assert json.loads(lines[-1])["done"] is True
+
+    def test_module_entry_point_prints_version(self):
+        import segrl
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(segrl.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-m", "segrl.cli", "--version"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == segrl.__version__
 
     def test_missing_file_exit_2(self, capsys):
         assert dispatch(["parse", "--input", "/nonexistent/file.txt"]) == 2

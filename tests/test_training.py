@@ -245,6 +245,15 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged):
             train(cfg, env)
 
+    @pytest.mark.parametrize("driver", [train, train_flat_baseline])
+    def test_critic_divergence_raises(self, driver):
+        # per-cell steps with lr > 1 overshoot and blow the critic up
+        cfg = PPOConfig(lr_critic=5.0, iterations=60, episodes_per_iter=16,
+                        seed=0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingDiverged, match="critic at iteration"):
+            driver(cfg, FetchChain(3, 6))
+
     def test_flat_baseline_runs_and_reports(self):
         env = FetchChain(3, 8)
         cfg = PPOConfig(seed=0, iterations=30, episodes_per_iter=64, c_keep=0.0)
