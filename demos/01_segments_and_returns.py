@@ -4,14 +4,14 @@ Rolls a uniform policy on the fetch-and-deliver chain and walks through the
 segment structure that every estimator in the library consumes.
 """
 
-from segrl import (CounterRng, FetchChain, PolicyParams, apply_keep_penalty,
-                   episode_return, return_to_go, rollout, segment_boundaries,
-                   segment_views)
+from segrl import (FetchChain, PolicyParams, apply_keep_penalty,
+                   episode_return, return_to_go, rollout_batch,
+                   segment_boundaries, segment_views)
 
 env = FetchChain(length=3, horizon=6)
 params = PolicyParams.uniform(env.n_states, n_options=2, n_actions=env.n_actions)
 
-traj = rollout(env, params, env.horizon, CounterRng(seed=7, episode=0))
+traj = rollout_batch(env, params, n_episodes=1, seed=7).to_trajectories()[0]
 print(f"episode of {traj.n_turns} turns, terminated={traj.terminated}")
 for u in traj.turns:
     pos, carrying, clock = env.decode(u.state)

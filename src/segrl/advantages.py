@@ -1,24 +1,27 @@
-"""Segment-aware advantage estimators at three levels, plus a flat baseline.
+"""Estimator configuration and the per-trajectory segment recursions.
 
 Execution (low) advantages accumulate TD residuals within each segment only,
 with the segment-final residual bootstrapping to the high-head value at the
 next boundary.  Planning (high) advantages treat each segment as one
 macro-step with a duration discount.  Switching advantages are the centered
-binary policy-gradient signal (q - beta) * (v_high - v_low).  The flat
+binary policy-gradient signal (q - beta) * (v_high - v_low), and the flat
 comparator runs ordinary GAE across the whole episode with a state-only
 baseline.
+
+All four are computed over a padded batch by `batch.advantage_arrays`.  The
+one-episode low and high recursions below are the reference that
+`oracle.telescope_check` verifies against their closed forms on random
+trajectories and random tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SWITCH, Trajectory, segment_boundaries, segment_views
+from .core import Trajectory, segment_views
 from .critic import ValueTables, v_next
-from .policy import PolicyParams, switch_prob
 
 
 @dataclass
@@ -45,23 +48,6 @@ class GAEConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.whiten not in ("off", "per-level"):
             raise ValueError("whiten must be 'off' or 'per-level'")
-
-
-@dataclass
-class HierarchicalAdvantages:
-    """Per-turn low and switch advantages plus per-boundary high advantages.
-
-    a_low has length T, a_high length K (one per segment, anchored at its
-    starting boundary), a_switch length T-1 (the first switch is forced and
-    carries no learning signal).  a_flat is present when a flat baseline
-    table was supplied.
-    """
-
-    a_low: np.ndarray
-    a_high: np.ndarray
-    a_switch: np.ndarray
-    boundaries: list[int]
-    a_flat: np.ndarray | None = None
 
 
 def low_td_residuals(traj: Trajectory, tables: ValueTables, gamma: float) -> np.ndarray:
@@ -118,79 +104,6 @@ def high_advantages(traj: Trajectory, tables: ValueTables, cfg: GAEConfig
     return deltas, adv
 
 
-def switch_gain(tables: ValueTables, state: int, prev_subgoal: int) -> float:
-    """How much better switching is than continuing, in expectation."""
-    return float(tables.v_high[state] - tables.v_low[state, prev_subgoal])
-
-
-def behavior_switch_prob(turn, params: PolicyParams | None = None) -> float:
-    """beta_t from the recorded behavior log-prob, or from `params`.
-
-    The stored behavior value is preferred so that advantages stay frozen
-    across optimization epochs.
-    """
-    if turn.lp_switch is not None:
-        p = math.exp(turn.lp_switch)
-        return p if turn.q == SWITCH else 1.0 - p
-    if params is None:
-        raise ValueError(f"turn {turn.t}: no behavior record and no params given")
-    return switch_prob(params, turn.state, turn.prev_subgoal)
-
-
-def switch_advantages(traj: Trajectory, tables: ValueTables,
-                      params: PolicyParams | None = None) -> np.ndarray:
-    """(q_t - beta_t) * switch gain for t = 1 .. T-1."""
-    out = np.empty(max(traj.n_turns - 1, 0), dtype=np.float64)
-    for t in range(1, traj.n_turns):
-        turn = traj.turns[t]
-        beta = behavior_switch_prob(turn, params)
-        out[t - 1] = (turn.q - beta) * switch_gain(tables, turn.state, turn.prev_subgoal)
-    return out
-
-
-def flat_td_residuals(traj: Trajectory, v_flat: np.ndarray, gamma: float) -> np.ndarray:
-    out = np.empty(traj.n_turns, dtype=np.float64)
-    for t, turn in enumerate(traj.turns):
-        if turn.done:
-            boot = 0.0
-        elif t == traj.n_turns - 1:
-            if traj.final_state is None:
-                raise ValueError("truncated trajectory without final_state")
-            boot = float(v_flat[traj.final_state])
-        else:
-            boot = float(v_flat[traj.turns[t + 1].state])
-        out[t] = turn.reward + gamma * boot - v_flat[turn.state]
-    return out
-
-
-def flat_gae(traj: Trajectory, v_flat: np.ndarray, cfg: GAEConfig) -> np.ndarray:
-    """Ordinary GAE across the whole episode, no segment resets."""
-    deltas = flat_td_residuals(traj, v_flat, cfg.gamma)
-    out = np.empty_like(deltas)
-    acc = 0.0
-    decay = cfg.gamma * cfg.lambda_flat
-    for t in range(len(deltas) - 1, -1, -1):
-        acc = deltas[t] + decay * acc
-        out[t] = acc
-    return out
-
-
-def estimate_all(traj: Trajectory, tables: ValueTables, cfg: GAEConfig,
-                 params: PolicyParams | None = None,
-                 v_flat: np.ndarray | None = None) -> HierarchicalAdvantages:
-    """Bundle the three estimators (plus the flat baseline when given).
-
-    Whitening is a batch-level operation; see `estimate_batch`.
-    """
-    boundaries = segment_boundaries(traj)
-    deltas = low_td_residuals(traj, tables, cfg.gamma)
-    a_low = low_advantages(deltas, boundaries, cfg)
-    _, a_high = high_advantages(traj, tables, cfg)
-    a_switch = switch_advantages(traj, tables, params)
-    a_flat = flat_gae(traj, v_flat, cfg) if v_flat is not None else None
-    return HierarchicalAdvantages(a_low, a_high, a_switch, boundaries, a_flat)
-
-
 def whiten(values: np.ndarray) -> np.ndarray:
     """Normalize to zero mean and unit variance (no-op scale when degenerate)."""
     if values.size == 0:
@@ -200,22 +113,3 @@ def whiten(values: np.ndarray) -> np.ndarray:
     if std < 1e-12:
         return centered
     return centered / std
-
-
-def estimate_batch(trajectories, tables: ValueTables, cfg: GAEConfig,
-                   params: PolicyParams | None = None,
-                   v_flat: np.ndarray | None = None) -> list[HierarchicalAdvantages]:
-    """Per-trajectory estimates with optional per-level batch whitening."""
-    items = [estimate_all(traj, tables, cfg, params, v_flat) for traj in trajectories]
-    if cfg.whiten == "per-level" and items:
-        for name in ("a_low", "a_high", "a_switch", "a_flat"):
-            parts = [getattr(it, name) for it in items]
-            if any(p is None for p in parts):
-                continue
-            flat = np.concatenate(parts) if parts else np.empty(0)
-            white = whiten(flat)
-            pos = 0
-            for it, part in zip(items, parts):
-                setattr(it, name, white[pos:pos + len(part)])
-                pos += len(part)
-    return items

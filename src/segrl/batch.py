@@ -1,12 +1,11 @@
-"""Columnar episode buffers and vectorized rollout / advantage kernels.
+"""Columnar episode buffers and the vectorized rollout / advantage kernels.
 
 TurnTable stores a batch of episodes as padded (n_episodes, max_turns)
-arrays.  The kernels here mirror the per-trajectory reference functions in
-`core`, `critic` and `advantages` exactly (the tests assert agreement) but
-run as a handful of numpy passes, which is what makes the Monte-Carlo
-verification suites and the trainer fast.  Because every random draw is
-keyed by (seed, episode, turn, head), a vectorized batch reproduces the
-one-episode `policy.rollout` bit for bit.
+arrays.  The kernels here are the one implementation of the rollout, the
+segment-aware advantage estimators and the critic regression rows; the
+tests check them against per-episode reference forms.  Because every random
+draw is keyed by (seed, episode, turn, head), a batch reproduces any of its
+sub-batches, rolled at the matching `episode_offset`, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class TurnTable:
     def from_trajectories(cls, trajectories, weights=None) -> "TurnTable":
         trajs = list(trajectories)
         n = len(trajs)
-        t_max = max(tr.n_turns for tr in trajs)
+        t_max = max((tr.n_turns for tr in trajs), default=0)
         tt = _empty_table(n, t_max)
         for i, tr in enumerate(trajs):
             tt.length[i] = tr.n_turns
@@ -140,11 +139,8 @@ def _empty_table(n: int, t_max: int) -> TurnTable:
 
 
 def _sample_rows(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF over normalized softmax rows.
-
-    Matches policy._sample_row exactly (same normalization and the same
-    searchsorted 'right' tie behavior).
-    """
+    """Inverse-CDF draws over explicitly normalized softmax rows: the first
+    index whose CDF exceeds u (ties go right), clamped to the last."""
     probs = softmax(logits, axis=1)
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
@@ -324,7 +320,11 @@ class BatchAdvantages:
 def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
                      params: PolicyParams | None = None,
                      v_flat: np.ndarray | None = None) -> BatchAdvantages:
-    """Vectorized counterpart of advantages.estimate_batch on a TurnTable."""
+    """Low, high, switching (and, given `v_flat`, flat) advantages per turn.
+
+    Switching advantages take beta from the recorded behavior log-probs,
+    or from `params` on turns that have none.
+    """
     sm = segment_masks(tt)
     n, t_max = tt.mask.shape
     gamma = cfg.gamma

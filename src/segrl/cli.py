@@ -14,18 +14,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advantages import GAEConfig, estimate_all
+from .advantages import GAEConfig
+from .batch import TurnTable, advantage_arrays, rollout_batch
 from .config import ConfigError, RunConfig, load_config
-from .core import load_trajectories, save_trajectories
+from .core import (MalformedTrajectory, load_trajectories, save_trajectories,
+                   validate_trajectory)
 from .critic import ValueTables, fit_critic
-from .envs import FetchChain, make_env
-from .oracle import (exact_critic_batch, oracle_values,
-                     switching_exactness_report, telescope_check,
-                     unbiasedness_report, variance_report)
-from .parsing import ingest_transcript_file
-from .policy import (PolicyParams, fetchchain_phased, load_policy, rollout,
-                     save_policy)
-from .rng import CounterRng
+from .envs import FetchChain
+from .oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
+                     oracle_values, switching_exactness_report,
+                     telescope_check, unbiasedness_report, variance_report)
+from .parsing import ParseFailure, ingest_transcript_file
+from .policy import (CheckpointError, PolicyParams, fetchchain_phased,
+                     load_policy, read_checkpoint, save_policy)
 from .training import evaluate, train, train_flat_baseline
 
 CHECKPOINT_EVERY = 50
@@ -45,15 +46,9 @@ def save_values(path, tables: ValueTables) -> None:
 
 
 def load_values(path) -> ValueTables:
-    with open(path, "r", encoding="utf-8") as fp:
-        if fp.readline().strip() != VALUES_MAGIC:
-            raise ValueError("not a value-table checkpoint")
-        n_s, n_o = (int(x) for x in fp.readline().split())
-        _, _, count = fp.readline().split()
-        v_high = np.array([float(fp.readline()) for _ in range(int(count))])
-        _, _, count = fp.readline().split()
-        v_low = np.array([float(fp.readline()) for _ in range(int(count))])
-        return ValueTables(v_high, v_low.reshape(n_s, n_o))
+    tables = read_checkpoint(path, VALUES_MAGIC, lambda n_s, n_o: {
+        "v_high": (n_s,), "v_low": (n_s, n_o)})
+    return ValueTables(tables["v_high"], tables["v_low"])
 
 
 def _load_run_config(args) -> RunConfig:
@@ -100,10 +95,12 @@ def cmd_rollout(args) -> int:
     env = cfg.make_env()
     params = (load_policy(args.policy) if args.policy else
               PolicyParams.uniform(env.n_states, cfg.n_options, env.n_actions))
+    if args.episodes < 0:
+        print("error: --episodes must be >= 0", file=sys.stderr)
+        return 2
     out = _out_dir(args, "runs/rollout")
-    trajs = [rollout(env, params, env.horizon, CounterRng(cfg.ppo.seed, ep),
-                     c_keep=cfg.ppo.c_keep)
-             for ep in range(args.episodes)]
+    trajs = rollout_batch(env, params, args.episodes, cfg.ppo.seed,
+                          c_keep=cfg.ppo.c_keep).to_trajectories()
     path = out / "trajectories.jsonl"
     save_trajectories(path, trajs)
     print(f"wrote {len(trajs)} episodes to {path}")
@@ -132,25 +129,58 @@ def cmd_parse(args) -> int:
     return 0
 
 
+def _check_advantage_inputs(trajs, tables: ValueTables,
+                            params: PolicyParams | None) -> None:
+    """Reject episodes that break the turn invariants or index outside the
+    value tables, and a policy over other dimensions than the tables."""
+    n_s, n_o = tables.n_states, tables.n_options
+    if params is not None and (params.n_states, params.n_options) != (n_s, n_o):
+        raise CheckpointError(
+            f"the policy has {params.n_states} states x {params.n_options} "
+            f"subgoals, the value tables {n_s} x {n_o}")
+    for k, traj in enumerate(trajs):
+        try:
+            validate_trajectory(traj)
+        except MalformedTrajectory as exc:
+            raise MalformedTrajectory(f"episode {k}: {exc}") from None
+        for u in traj.turns:
+            for name, value, bound in (("state", u.state, n_s),
+                                       ("subgoal", u.subgoal, n_o),
+                                       ("prev_subgoal", u.prev_subgoal, n_o)):
+                if value is not None and not 0 <= value < bound:
+                    raise MalformedTrajectory(
+                        f"episode {k}, turn {u.t}: {name} {value} is outside "
+                        f"the value tables (0 .. {bound - 1})")
+        if traj.truncated and traj.final_state is None:
+            raise MalformedTrajectory(f"episode {k}: truncated without final_state")
+        if traj.final_state is not None and not 0 <= traj.final_state < n_s:
+            raise MalformedTrajectory(
+                f"episode {k}: final_state {traj.final_state} is outside the "
+                f"value tables (0 .. {n_s - 1})")
+
+
 def cmd_advantages(args) -> int:
     trajs = load_trajectories(args.input)
     tables = load_values(args.values)
     params = load_policy(args.policy) if args.policy else None
+    _check_advantage_inputs(trajs, tables, params)
     cfg = GAEConfig(gamma=args.gamma, lambda_low=args.lambda_low,
                     lambda_high=args.lambda_high, lambda_flat=args.lambda_flat)
+    tt = TurnTable.from_trajectories(trajs)
+    adv = advantage_arrays(tt, tables, cfg, params=params)
     out = _out_dir(args, "runs/advantages")
     path = out / "advantages.jsonl"
     with open(path, "w", encoding="utf-8") as fp:
-        for traj in trajs:
-            est = estimate_all(traj, tables, cfg, params=params)
-            k = 0
-            for t in range(traj.n_turns):
-                rec = {"t": t, "A_low": est.a_low[t],
-                       "A_switch": None if t == 0 else est.a_switch[t - 1],
-                       "A_high": None, "A_flat": None}
-                if t in est.boundaries[:-1]:
-                    rec["A_high"] = est.a_high[k]
-                    k += 1
+        for i, n in enumerate(tt.length.tolist()):
+            a_low = adv.a_low[i, :n].tolist()
+            a_high = adv.a_high[i, :n].tolist()
+            a_switch = adv.a_switch[i, :n].tolist()
+            boundary = adv.masks.is_boundary[i, :n].tolist()
+            for t in range(n):
+                rec = {"t": t, "A_low": a_low[t],
+                       "A_switch": None if t == 0 else a_switch[t],
+                       "A_high": a_high[t] if boundary[t] else None,
+                       "A_flat": None}
                 fp.write(json.dumps(rec) + "\n")
     print(f"wrote per-turn advantages for {len(trajs)} episodes to {path}")
     return 0
@@ -194,17 +224,14 @@ def cmd_verify(args) -> int:
         env, params = _verify_env_policy(cfg, 12345)
         rep = unbiasedness_report(env, params, n=args.samples, seed=seed)
         # bootstrapped estimator (mixing weight 0.95): bias recorded only
-        from .advantages import GAEConfig as _GAEConfig
-        from .oracle import mc_gradient_hae, oracle_gradient
-        import numpy as _np
         mixed = mc_gradient_hae(
             env, params, oracle_values(env, params, 1.0).tables,
-            _GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95,
-                       lambda_flat=0.95),
+            GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95,
+                      lambda_flat=0.95),
             n=min(args.samples, 20000), seed=seed)
         exact = oracle_gradient(env, params, 1.0)
-        bias95 = float(_np.max(_np.abs(mixed.mean.as_vector()
-                                       - exact.as_vector())))
+        bias95 = float(np.max(np.abs(mixed.mean.as_vector()
+                                     - exact.as_vector())))
         return _report(out, "unbiased", {
             "n": rep.n, "max_z": rep.max_z, "n_failed": rep.n_failed,
             "n_coords": rep.n_coords, "max_abs_dev": rep.max_abs_dev,
@@ -330,7 +357,8 @@ def dispatch(argv) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, MalformedTrajectory, ParseFailure,
+            CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

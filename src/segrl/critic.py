@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SWITCH, Trajectory, segment_views
+from .core import SWITCH, Trajectory
 
 @dataclass
 class ValueTables:
@@ -71,32 +71,6 @@ def v_next(traj: Trajectory, tables: ValueTables, t: int) -> float:
     return float(tables.v_low[nxt.state, turn.subgoal])
 
 
-def high_targets(traj: Trajectory, tables: ValueTables, gamma: float) -> np.ndarray:
-    """Segment-level bootstrapped targets, one per segment."""
-    views = segment_views(traj, gamma)
-    t_total = traj.n_turns
-    out = np.empty(len(views), dtype=np.float64)
-    for seg in views:
-        if seg.stop < t_total:
-            boot = float(tables.v_high[traj.turns[seg.stop].state])
-        elif traj.terminated:
-            boot = 0.0
-        else:
-            if traj.final_state is None:
-                raise ValueError("truncated trajectory without final_state")
-            boot = float(tables.v_high[traj.final_state])
-        out[seg.k] = seg.reward + seg.discount * boot
-    return out
-
-
-def low_targets(traj: Trajectory, tables: ValueTables, gamma: float) -> np.ndarray:
-    """Turn-level bootstrapped targets y_t = r_t + gamma * v_next(t)."""
-    out = np.empty(traj.n_turns, dtype=np.float64)
-    for t, turn in enumerate(traj.turns):
-        out[t] = turn.reward + gamma * v_next(traj, tables, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Regression rows
 #
@@ -131,43 +105,6 @@ class CriticBatch:
         # per-cell weight over the stacked tables; zero marks unvisited cells
         self.w = np.bincount(self.rows["cell"], weights=self.rows["w"],
                              minlength=self.n_states * (1 + self.n_options))
-
-    @classmethod
-    def from_trajectories(cls, trajectories, gamma: float, n_states: int,
-                          n_options: int, weights=None) -> "CriticBatch":
-        cell, w, r, boot, coef = [], [], [], [], []
-        for i, traj in enumerate(trajectories):
-            wi = 1.0 if weights is None else float(weights[i])
-            turns = traj.turns
-            if traj.terminated:
-                end = -1
-            elif traj.final_state is None:
-                raise ValueError("truncated trajectory without final_state")
-            else:
-                end = traj.final_state
-            for t, turn in enumerate(turns):
-                if turn.done or t == len(turns) - 1:
-                    b = -1 if turn.done else end
-                elif turns[t + 1].q == SWITCH:
-                    b = turns[t + 1].state
-                else:
-                    b = low_cell(turns[t + 1].state, turn.subgoal, n_states, n_options)
-                cell.append(low_cell(turn.state, turn.subgoal, n_states, n_options))
-                w.append(wi)
-                r.append(turn.reward)
-                boot.append(b)
-                coef.append(gamma)
-            for seg in segment_views(traj, gamma):
-                cell.append(turns[seg.start].state)
-                w.append(wi)
-                r.append(seg.reward)
-                boot.append(turns[seg.stop].state if seg.stop < len(turns) else end)
-                coef.append(seg.discount)
-        rows = single_coupling_rows(
-            np.array(cell, dtype=np.int64), np.array(w, dtype=np.float64),
-            np.array(r, dtype=np.float64), np.array(boot, dtype=np.int64),
-            np.array(coef, dtype=np.float64))
-        return cls.from_rows(rows, gamma, n_states, n_options)
 
     @classmethod
     def from_rows(cls, rows: dict, gamma: float, n_states: int,
@@ -254,22 +191,8 @@ class CriticFitReport:
                (self.mse_high[-1] if self.mse_high else 0.0)
 
 
-def _as_critic_batch(batch, gamma: float, n_states: int, n_options: int) -> CriticBatch:
-    if isinstance(batch, CriticBatch):
-        if abs(batch.gamma - gamma) > 1e-12:
-            raise ValueError("batch was digested with a different gamma")
-        return batch
-    items = list(batch)
-    if items and isinstance(items[0], tuple):
-        trajs = [t for t, _ in items]
-        weights = [w for _, w in items]
-    else:
-        trajs, weights = items, None
-    return CriticBatch.from_trajectories(trajs, gamma, n_states, n_options, weights)
-
-
-def fit_critic(tables: ValueTables, batch, gamma: float, lr: float, epochs: int,
-               refresh_targets: bool = True) -> tuple[ValueTables, CriticFitReport]:
+def fit_critic(tables: ValueTables, batch: CriticBatch, gamma: float, lr: float,
+               epochs: int, refresh_targets: bool = True) -> tuple[ValueTables, CriticFitReport]:
     """Regress both heads toward their bootstrapped targets.
 
     By default the targets are recomputed from the updated tables at the
@@ -282,17 +205,18 @@ def fit_critic(tables: ValueTables, batch, gamma: float, lr: float, epochs: int,
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    cb = _as_critic_batch(batch, gamma, tables.n_states, tables.n_options)
+    if abs(batch.gamma - gamma) > 1e-12:
+        raise ValueError("batch was digested with a different gamma")
     v = stacked(tables)
     out = unstacked(v, tables.n_states)    # views: they follow updates of v
     target_tables = out if refresh_targets else out.copy()
-    vis = cb.w > 0
+    vis = batch.w > 0
     report = CriticFitReport([], [])
     for _ in range(epochs):
-        mse_lo, mse_hi = cb.batch_mse(out, target_tables)
+        mse_lo, mse_hi = batch.batch_mse(out, target_tables)
         report.mse_low.append(mse_lo)
         report.mse_high.append(mse_hi)
-        ybar = cb.mean_targets(target_tables)
+        ybar = batch.mean_targets(target_tables)
         v[vis] -= 2.0 * lr * (v[vis] - ybar[vis])
     return out, report
 
@@ -315,22 +239,6 @@ class FlatCriticBatch:
     w: np.ndarray
     g: np.ndarray
     rows: dict | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_trajectories(cls, trajectories, gamma: float, n_states: int,
-                          weights=None) -> "FlatCriticBatch":
-        from .core import returns_to_go
-        states, gs, ws = [], [], []
-        for i, traj in enumerate(trajectories):
-            w = 1.0 if weights is None else float(weights[i])
-            g = returns_to_go(traj, gamma)
-            for t, turn in enumerate(traj.turns):
-                states.append(turn.state)
-                gs.append(g[t])
-                ws.append(w)
-        return cls.from_rows({"state": np.array(states, dtype=np.int64),
-                              "g": np.array(gs, dtype=np.float64),
-                              "w": np.array(ws, dtype=np.float64)}, n_states)
 
     @classmethod
     def from_rows(cls, rows: dict, n_states: int) -> "FlatCriticBatch":

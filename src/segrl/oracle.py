@@ -242,25 +242,22 @@ def solve_dp(env: EnvModel, params: PolicyParams, gamma: float,
     pi_lo = softmax(params.action, axis=-1)
     beta = pi_sw[:, :, SWITCH]
 
-    g_low = np.zeros((horizon, n_s, n_o))
-    g_high = np.zeros((horizon, n_s))
+    dp = DpSolution(gamma=gamma, horizon=horizon,
+                    g_low=np.zeros((horizon, n_s, n_o)),
+                    g_high=np.zeros((horizon, n_s)),
+                    occ=np.zeros((horizon, n_s, n_o)),
+                    occ_boundary=np.zeros((horizon, n_s)),
+                    occ_switch=np.zeros((horizon, n_s, n_o)),
+                    beta=beta, pi_hi=pi_hi, pi_lo=pi_lo, pi_sw=pi_sw,
+                    nxt=nxt, rew=rew, done=done)
     for t in range(horizon - 1, -1, -1):
         acc = np.zeros((n_s, n_o))
         for a in range(n_a):
-            val = np.broadcast_to(rew[:, a][:, None], (n_s, n_o)).copy()
-            if t + 1 < horizon:
-                s2 = nxt[:, a]
-                alive = ~done[:, a]
-                cont = (beta[s2] * g_high[t + 1, s2][:, None]
-                        + (1.0 - beta[s2]) * g_low[t + 1, s2])
-                val += gamma * np.where(alive[:, None], cont, 0.0)
-            acc += pi_lo[:, :, a] * val
-        g_low[t] = acc
-        g_high[t] = np.sum(pi_hi * acc, axis=1)
+            acc += pi_lo[:, :, a] * _action_value(dp, t, a)
+        dp.g_low[t] = acc
+        dp.g_high[t] = np.sum(pi_hi * acc, axis=1)
 
-    occ = np.zeros((horizon, n_s, n_o))
-    occ_boundary = np.zeros((horizon, n_s))
-    occ_switch = np.zeros((horizon, n_s, n_o))
+    occ, occ_boundary, occ_switch = dp.occ, dp.occ_boundary, dp.occ_switch
     for s0, p0 in env.initial_states():
         occ_boundary[0, s0] += p0
         occ[0, s0] += p0 * pi_hi[s0]
@@ -273,11 +270,21 @@ def solve_dp(env: EnvModel, params: PolicyParams, gamma: float,
         switched = (inflow * beta).sum(axis=1)
         occ_boundary[t + 1] = switched
         occ[t + 1] = inflow * (1.0 - beta) + switched[:, None] * pi_hi
+    return dp
 
-    return DpSolution(gamma=gamma, horizon=horizon, g_low=g_low, g_high=g_high,
-                      occ=occ, occ_boundary=occ_boundary, occ_switch=occ_switch,
-                      beta=beta, pi_hi=pi_hi, pi_lo=pi_lo, pi_sw=pi_sw,
-                      nxt=nxt, rew=rew, done=done)
+
+def _action_value(dp: DpSolution, t: int, a: int) -> np.ndarray:
+    """E[r_t + gamma * G_{t+1} | s_t = s, o_t = o, a_t = a] per (s, o); reads
+    the layer t + 1 of g_low and g_high."""
+    n_s, n_o = dp.g_low.shape[1:]
+    val = np.broadcast_to(dp.rew[:, a][:, None], (n_s, n_o)).copy()
+    if t + 1 < dp.horizon:
+        s2 = dp.nxt[:, a]
+        alive = ~dp.done[:, a]
+        cont = (dp.beta[s2] * dp.g_high[t + 1, s2][:, None]
+                + (1.0 - dp.beta[s2]) * dp.g_low[t + 1, s2])
+        val += dp.gamma * np.where(alive[:, None], cont, 0.0)
+    return val
 
 
 def objective(env: EnvModel, params: PolicyParams, gamma: float,
@@ -315,7 +322,10 @@ def oracle_values(env: EnvModel, params: PolicyParams, gamma: float,
     V_flat(s) = E[G | s]; each averaged over every turn occurrence of its
     context, weighted by occupancy.
     """
-    dp = solve_dp(env, params, gamma, horizon)
+    return _values_from_dp(solve_dp(env, params, gamma, horizon))
+
+
+def _values_from_dp(dp: DpSolution) -> OracleValues:
     w_low = dp.occ.sum(axis=0)
     w_high = dp.occ_boundary.sum(axis=0)
     num_low = np.sum(dp.occ * dp.g_low, axis=0)
@@ -340,7 +350,6 @@ def oracle_gradient(env: EnvModel, params: PolicyParams, gamma: float,
     """
     dp = solve_dp(env, params, gamma, horizon)
     out = GradTables.zeros_like(params)
-    n_s, n_o, n_a = params.n_states, params.n_options, params.n_actions
     disc = 1.0
     for t in range(dp.horizon):
         w = disc * dp.occ_switch[t]
@@ -355,16 +364,8 @@ def oracle_gradient(env: EnvModel, params: PolicyParams, gamma: float,
             out.subgoal += wb[:, None] * dp.pi_hi * (dp.g_low[t] - dp.g_high[t][:, None])
         wa = disc * dp.occ[t]
         if wa.any():
-            v_choice = np.empty((n_s, n_o, n_a))
-            for a in range(n_a):
-                val = np.broadcast_to(dp.rew[:, a][:, None], (n_s, n_o)).copy()
-                if t + 1 < dp.horizon:
-                    s2 = dp.nxt[:, a]
-                    alive = ~dp.done[:, a]
-                    cont = (dp.beta[s2] * dp.g_high[t + 1, s2][:, None]
-                            + (1.0 - dp.beta[s2]) * dp.g_low[t + 1, s2])
-                    val += gamma * np.where(alive[:, None], cont, 0.0)
-                v_choice[:, :, a] = val
+            v_choice = np.stack([_action_value(dp, t, a)
+                                 for a in range(params.n_actions)], axis=-1)
             v_mean = np.sum(dp.pi_lo * v_choice, axis=-1, keepdims=True)
             out.action += wa[:, :, None] * dp.pi_lo * (v_choice - v_mean)
         disc *= gamma
@@ -414,7 +415,7 @@ def switching_exactness_report(env: EnvModel, params: PolicyParams, gamma: float
     """
     dp = solve_dp(env, params, gamma)
     if values is None:
-        values = oracle_values(env, params, gamma)
+        values = _values_from_dp(dp)
     max_dev = 0.0
     n_ctx = 0
     for t in range(1, dp.horizon):

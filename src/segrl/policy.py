@@ -9,13 +9,13 @@ what makes the brute-force verification suites possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KEEP, SWITCH, Trajectory, TurnRecord, apply_keep_penalty
-from .envs import EnvModel, FetchChain, DROP, LEFT, PICKUP, RIGHT
-from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng
+from .core import KEEP, SWITCH, Trajectory, TurnRecord
+from .envs import FetchChain, DROP, LEFT, PICKUP, RIGHT
 
 CHECKPOINT_MAGIC = "segrl-policy v1"
 
@@ -141,14 +141,6 @@ def switch_prob(params: PolicyParams, state: int, prev_subgoal: int) -> float:
     return float(softmax(params.switch[state, prev_subgoal])[SWITCH])
 
 
-def _sample_row(logits: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw over an explicitly normalized softmax row."""
-    probs = softmax(logits)
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
-
-
 # -- per-turn log-density and score ----------------------------------------
 
 def log_prob(params: PolicyParams, turn: TurnRecord
@@ -195,88 +187,6 @@ def grad_log_prob(params: PolicyParams, turn: TurnRecord,
     out.action[turn.state, turn.subgoal] -= row
     out.action[turn.state, turn.subgoal, turn.action] += 1.0
     return out
-
-
-# -- sampling and rollout ---------------------------------------------------
-
-def sample_turn(params: PolicyParams, state: int, prev_subgoal: int | None,
-                rng: CounterRng, t: int
-                ) -> tuple[int, int, int, float | None, float | None, float]:
-    """Draw (q, subgoal, action) plus the behavior log-probs for one turn.
-
-    At t = 0 the switch is forced (q = 1) and carries no log-probability.
-    """
-    if t == 0 or prev_subgoal is None:
-        q, lp_sw = SWITCH, None
-    else:
-        q = _sample_row(params.switch[state, prev_subgoal],
-                        rng.uniform(t, HEAD_SWITCH))
-        lp_sw = float(log_softmax(params.switch[state, prev_subgoal])[q])
-    if q == SWITCH:
-        o = _sample_row(params.subgoal[state], rng.uniform(t, HEAD_SUBGOAL))
-        lp_hi = float(log_softmax(params.subgoal[state])[o])
-    else:
-        o, lp_hi = prev_subgoal, None
-    a = _sample_row(params.action[state, o], rng.uniform(t, HEAD_ACTION))
-    lp_lo = float(log_softmax(params.action[state, o])[a])
-    return q, o, a, lp_sw, lp_hi, lp_lo
-
-
-def greedy_turn(params: PolicyParams, state: int, prev_subgoal: int | None, t: int
-                ) -> tuple[int, int, int]:
-    """Argmax decisions; ties break toward the lowest index."""
-    if t == 0 or prev_subgoal is None:
-        q = SWITCH
-    else:
-        q = int(np.argmax(params.switch[state, prev_subgoal]))
-    o = int(np.argmax(params.subgoal[state])) if q == SWITCH else prev_subgoal
-    a = int(np.argmax(params.action[state, o]))
-    return q, o, a
-
-
-def rollout(env: EnvModel, params: PolicyParams, horizon: int, rng: CounterRng,
-            c_keep: float = 0.0, greedy: bool = False) -> Trajectory:
-    """Collect one episode, ending on env `done` or truncation at `horizon`.
-
-    Behavior log-probs are stored on every turn; the KEEP penalty is folded
-    into the shaped rewards while raw rewards are preserved.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    turns: list[TurnRecord] = []
-    state_items = env.initial_states()
-    if len(state_items) == 1:
-        state = state_items[0][0]
-    else:
-        u = rng.uniform(0, 3)  # head 3 reserved for the initial draw
-        cdf = np.cumsum([p for _, p in state_items])
-        state = state_items[int(np.searchsorted(cdf / cdf[-1], u, side="right"))][0]
-    prev: int | None = None
-    truncated = False
-    final_state: int | None = None
-    for t in range(horizon):
-        if greedy:
-            q, o, a = greedy_turn(params, state, prev, t)
-            lp_sw = lp_hi = None
-            lp_lo = None
-        else:
-            q, o, a, lp_sw, lp_hi, lp_lo = sample_turn(params, state, prev, rng, t)
-        nxt, r, done = env.transition(state, a)
-        turns.append(TurnRecord(
-            t=t, state=state, prev_subgoal=prev, q=q, subgoal=o, action=a,
-            reward=r, raw_reward=r, done=done,
-            lp_switch=lp_sw, lp_subgoal=lp_hi, lp_action=lp_lo,
-        ))
-        if done:
-            final_state = nxt
-            break
-        state, prev = nxt, o
-    else:
-        truncated = True
-        final_state = state
-    traj = Trajectory(tuple(turns), truncated=truncated, final_state=final_state,
-                      seed=rng.seed)
-    return apply_keep_penalty(traj, c_keep)
 
 
 def fetchchain_expert(env: FetchChain, n_options: int = 2,
@@ -360,6 +270,9 @@ def fetchchain_phased(env: FetchChain, rng: np.random.Generator,
 #   then, for each of the tables switch / subgoal / action:
 #     a line "table <name> <count>" followed by <count> lines, one value
 #     each (repr round-trips float64 exactly), in row-major order.
+# Value-table checkpoints (`cli.save_values`) share the layout with the
+# magic "segrl-values v1", sizes "<n_states> <n_options>" and the tables
+# v_high / v_low.
 
 def save_policy(path, params: PolicyParams) -> None:
     with open(path, "w", encoding="utf-8") as fp:
@@ -372,19 +285,68 @@ def save_policy(path, params: PolicyParams) -> None:
                 fp.write(repr(float(v)) + "\n")
 
 
-def load_policy(path) -> PolicyParams:
+class CheckpointError(ValueError):
+    """A policy or value-table checkpoint is truncated or does not parse."""
+
+
+def read_checkpoint(path, magic: str, shapes) -> dict[str, np.ndarray]:
+    """The tables of a text checkpoint in the layout above.
+
+    `shapes` maps the integers of the sizes line to {table name: shape}, in
+    file order.  Raises CheckpointError naming the line when the file is
+    truncated, a line does not parse or does not match the declared shapes,
+    or anything but blank lines follows the last table.
+    """
     with open(path, "r", encoding="utf-8") as fp:
-        magic = fp.readline().strip()
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a policy checkpoint: {magic!r}")
-        n_s, n_o, n_a = (int(x) for x in fp.readline().split())
-        shapes = {"switch": (n_s, n_o, 2), "subgoal": (n_s, n_o),
-                  "action": (n_s, n_o, n_a)}
-        tables = {}
-        for _ in range(3):
-            tag, name, count = fp.readline().split()
-            if tag != "table" or name not in shapes:
-                raise ValueError(f"corrupt checkpoint near table {name!r}")
-            vals = np.array([float(fp.readline()) for _ in range(int(count))])
-            tables[name] = vals.reshape(shapes[name])
-        return PolicyParams(**tables)
+        lines = fp.read().splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise CheckpointError(f"{path}: not a {magic!r} checkpoint")
+    pos = 1  # index of the next unread line
+
+    def take(n: int, what: str, conv) -> list:
+        nonlocal pos
+        if pos + n > len(lines):
+            raise CheckpointError(f"{path}: truncated at line {len(lines) + 1}, "
+                                  f"expected {what}")
+        out = []
+        for i in range(pos, pos + n):
+            try:
+                out.append(conv(lines[i]))
+            except (ValueError, TypeError):
+                raise CheckpointError(f"{path}, line {i + 1}: expected {what}, "
+                                      f"got {lines[i]!r}") from None
+        pos += n
+        return out
+
+    layout, = take(1, "the table sizes",
+                   lambda text: shapes(*(_size(x) for x in text.split())))
+    tables = {}
+    for name, shape in layout.items():
+        count = math.prod(shape)
+        take(1, f"'table {name} {count}'",
+             lambda text: _expect(text.split() == ["table", name, str(count)]))
+        values = take(count, f"a value of table {name}", float)
+        tables[name] = np.array(values, dtype=np.float64).reshape(shape)
+    if any(line.strip() for line in lines[pos:]):
+        raise CheckpointError(f"{path}, line {pos + 1}: unexpected content "
+                              f"after the last table")
+    return tables
+
+
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"negative size {n}")
+    return n
+
+
+def _expect(ok: bool) -> None:
+    if not ok:
+        raise ValueError("unexpected line")
+
+
+def load_policy(path) -> PolicyParams:
+    return PolicyParams(**read_checkpoint(
+        path, CHECKPOINT_MAGIC,
+        lambda n_s, n_o, n_a: {"switch": (n_s, n_o, 2), "subgoal": (n_s, n_o),
+                               "action": (n_s, n_o, n_a)}))

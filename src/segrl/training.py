@@ -19,10 +19,10 @@ from .advantages import GAEConfig
 from .batch import (TurnTable, advantage_arrays, batch_stats,
                     critic_batch_from_table, flat_batch_from_table,
                     rollout_batch, segment_masks)
-from .core import SWITCH, TurnRecord
+from .core import SWITCH
 from .critic import ValueTables, fit_critic, fit_flat_critic, unstacked
 from .envs import EnvModel
-from .policy import (GradTables, PolicyParams, log_prob, log_softmax, softmax)
+from .policy import GradTables, PolicyParams, log_softmax, softmax
 from .rng import derive_seed
 
 METRICS_HEADER = ("iter,mean_return,success,mean_segments,mean_seg_len,"
@@ -179,17 +179,6 @@ def gather_rows(tt: TurnTable, adv) -> TurnRows:
 # ---------------------------------------------------------------------------
 # Ratios, surrogates, KL
 # ---------------------------------------------------------------------------
-
-def ppo_ratios(params: PolicyParams, turn: TurnRecord
-               ) -> tuple[float | None, float | None, float]:
-    """Per-head probability ratios live/behavior for a single stored turn."""
-    if turn.lp_action is None:
-        raise ValueError(f"turn {turn.t}: no behavior log-probs recorded")
-    lp_sw, lp_hi, lp_lo = log_prob(params, turn)
-    r_sw = None if lp_sw is None else float(np.exp(lp_sw - turn.lp_switch))
-    r_hi = None if lp_hi is None else float(np.exp(lp_hi - turn.lp_subgoal))
-    return r_sw, r_hi, float(np.exp(lp_lo - turn.lp_action))
-
 
 def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
                        ) -> tuple[np.ndarray, np.ndarray]:

@@ -55,3 +55,29 @@ def weighted_target_maps(batch):
     units = [np.zeros(n_v)] + [np.eye(1, n_v, j)[0] for j in range(n_v)]
     return [batch.w * batch.mean_targets(unstacked(u, batch.n_states))
             for u in units]
+
+
+def head_ratios(tt, params):
+    """Per-turn (switch, subgoal, action) ratios live/behavior as
+    `training.actor_loss` forms them, in `gather_rows` order.
+
+    With one head's advantage 1, the others 0 and no clipping, the surrogate
+    of a one-turn minibatch is that head's ratio; a head the turn lacks (the
+    switch at t = 0, the subgoal on KEEP turns) contributes 0.
+    """
+    from types import SimpleNamespace
+
+    from segrl.training import actor_loss, gather_rows
+
+    zeros = np.zeros(tt.mask.shape)
+    rows = gather_rows(tt, SimpleNamespace(a_low=zeros, a_high=zeros,
+                                           a_switch=zeros, a_flat=None))
+    heads = ("adv_switch", "adv_high", "adv_low")
+    out = np.empty((len(rows), 3))
+    for i in range(len(rows)):
+        row = rows.take(np.array([i]))
+        for k, head in enumerate(heads):
+            for name in heads:
+                setattr(row, name, np.full(1, float(name == head)))
+            out[i, k], _ = actor_loss(row, params, eps=1e9)
+    return rows, out

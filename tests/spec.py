@@ -1,0 +1,273 @@
+"""Per-trajectory reference forms of the batch kernels.
+
+Each function here restates, one episode and one turn at a time, what a
+vectorized kernel in `segrl.batch` or `segrl.training` computes over a
+padded `TurnTable`.  They are the specification the kernels are tested
+against (`tests/test_batch.py`), not library code:
+
+* `rollout` (with `sample_turn`, `greedy_turn`) for `rollout_batch`;
+* `estimate_batch` (with `switch_advantages`, `flat_gae`) for
+  `advantage_arrays`;
+* `critic_batch` and `flat_critic_batch` for `critic_batch_from_table` and
+  `flat_batch_from_table`;
+* `ppo_ratios` for the per-head ratios inside `training.actor_loss`.
+
+The low and high segment recursions are the library's own
+`advantages.low_td_residuals` / `low_advantages` / `high_advantages`, which
+stay in `src/` as the reference that `oracle.telescope_check` verifies.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from segrl.advantages import (GAEConfig, high_advantages, low_advantages,
+                              low_td_residuals, whiten)
+from segrl.core import (SWITCH, Trajectory, TurnRecord, apply_keep_penalty,
+                        returns_to_go, segment_boundaries, segment_views)
+from segrl.critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
+                          single_coupling_rows)
+from segrl.envs import EnvModel
+from segrl.policy import PolicyParams, log_prob, log_softmax, softmax
+from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng
+
+
+# -- rollout ------------------------------------------------------------------
+
+def _sample_row(logits: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw over an explicitly normalized softmax row."""
+    probs = softmax(logits)
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+
+
+def sample_turn(params: PolicyParams, state: int, prev_subgoal: int | None,
+                rng: CounterRng, t: int):
+    """Draw (q, subgoal, action) plus the behavior log-probs for one turn.
+
+    At t = 0 the switch is forced (q = 1) and carries no log-probability.
+    """
+    if t == 0 or prev_subgoal is None:
+        q, lp_sw = SWITCH, None
+    else:
+        q = _sample_row(params.switch[state, prev_subgoal],
+                        rng.uniform(t, HEAD_SWITCH))
+        lp_sw = float(log_softmax(params.switch[state, prev_subgoal])[q])
+    if q == SWITCH:
+        o = _sample_row(params.subgoal[state], rng.uniform(t, HEAD_SUBGOAL))
+        lp_hi = float(log_softmax(params.subgoal[state])[o])
+    else:
+        o, lp_hi = prev_subgoal, None
+    a = _sample_row(params.action[state, o], rng.uniform(t, HEAD_ACTION))
+    lp_lo = float(log_softmax(params.action[state, o])[a])
+    return q, o, a, lp_sw, lp_hi, lp_lo
+
+
+def greedy_turn(params: PolicyParams, state: int, prev_subgoal: int | None, t: int):
+    """Argmax decisions; ties break toward the lowest index."""
+    if t == 0 or prev_subgoal is None:
+        q = SWITCH
+    else:
+        q = int(np.argmax(params.switch[state, prev_subgoal]))
+    o = int(np.argmax(params.subgoal[state])) if q == SWITCH else prev_subgoal
+    a = int(np.argmax(params.action[state, o]))
+    return q, o, a
+
+
+def rollout(env: EnvModel, params: PolicyParams, horizon: int, rng: CounterRng,
+            c_keep: float = 0.0, greedy: bool = False) -> Trajectory:
+    """Collect one episode, ending on env `done` or truncation at `horizon`."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    turns: list[TurnRecord] = []
+    state_items = env.initial_states()
+    if len(state_items) == 1:
+        state = state_items[0][0]
+    else:
+        u = rng.uniform(0, 3)  # head 3 reserved for the initial draw
+        cdf = np.cumsum([p for _, p in state_items])
+        state = state_items[int(np.searchsorted(cdf / cdf[-1], u, side="right"))][0]
+    prev: int | None = None
+    truncated = False
+    final_state: int | None = None
+    for t in range(horizon):
+        if greedy:
+            q, o, a = greedy_turn(params, state, prev, t)
+            lp_sw = lp_hi = lp_lo = None
+        else:
+            q, o, a, lp_sw, lp_hi, lp_lo = sample_turn(params, state, prev, rng, t)
+        nxt, r, done = env.transition(state, a)
+        turns.append(TurnRecord(
+            t=t, state=state, prev_subgoal=prev, q=q, subgoal=o, action=a,
+            reward=r, raw_reward=r, done=done,
+            lp_switch=lp_sw, lp_subgoal=lp_hi, lp_action=lp_lo,
+        ))
+        if done:
+            final_state = nxt
+            break
+        state, prev = nxt, o
+    else:
+        truncated = True
+        final_state = state
+    traj = Trajectory(tuple(turns), truncated=truncated, final_state=final_state,
+                      seed=rng.seed)
+    return apply_keep_penalty(traj, c_keep)
+
+
+# -- advantages ---------------------------------------------------------------
+
+@dataclass
+class HierarchicalAdvantages:
+    """a_low has length T, a_high one entry per segment, a_switch length
+    T-1 (the first switch is forced); a_flat when a flat table was given."""
+
+    a_low: np.ndarray
+    a_high: np.ndarray
+    a_switch: np.ndarray
+    boundaries: list[int]
+    a_flat: np.ndarray | None = None
+
+
+def switch_advantages(traj: Trajectory, tables: ValueTables,
+                      params: PolicyParams | None = None) -> np.ndarray:
+    """(q_t - beta_t) * (v_high(s_t) - v_low(s_t, o_{t-1})) for t = 1 .. T-1;
+    beta_t from the recorded behavior log-prob, else from `params`."""
+    out = np.empty(max(traj.n_turns - 1, 0), dtype=np.float64)
+    for t in range(1, traj.n_turns):
+        turn = traj.turns[t]
+        if turn.lp_switch is not None:
+            p = math.exp(turn.lp_switch)
+            beta = p if turn.q == SWITCH else 1.0 - p
+        elif params is None:
+            raise ValueError(f"turn {t}: no behavior record and no params given")
+        else:
+            beta = float(softmax(params.switch[turn.state, turn.prev_subgoal])[SWITCH])
+        gain = tables.v_high[turn.state] - tables.v_low[turn.state, turn.prev_subgoal]
+        out[t - 1] = (turn.q - beta) * gain
+    return out
+
+
+def flat_gae(traj: Trajectory, v_flat: np.ndarray, cfg: GAEConfig) -> np.ndarray:
+    """Ordinary GAE across the whole episode, no segment resets."""
+    deltas = np.empty(traj.n_turns, dtype=np.float64)
+    for t, turn in enumerate(traj.turns):
+        if turn.done:
+            boot = 0.0
+        elif t == traj.n_turns - 1:
+            if traj.final_state is None:
+                raise ValueError("truncated trajectory without final_state")
+            boot = float(v_flat[traj.final_state])
+        else:
+            boot = float(v_flat[traj.turns[t + 1].state])
+        deltas[t] = turn.reward + cfg.gamma * boot - v_flat[turn.state]
+    out = np.empty_like(deltas)
+    acc = 0.0
+    decay = cfg.gamma * cfg.lambda_flat
+    for t in range(len(deltas) - 1, -1, -1):
+        acc = deltas[t] + decay * acc
+        out[t] = acc
+    return out
+
+
+def estimate_all(traj: Trajectory, tables: ValueTables, cfg: GAEConfig,
+                 params: PolicyParams | None = None,
+                 v_flat: np.ndarray | None = None) -> HierarchicalAdvantages:
+    boundaries = segment_boundaries(traj)
+    deltas = low_td_residuals(traj, tables, cfg.gamma)
+    a_low = low_advantages(deltas, boundaries, cfg)
+    _, a_high = high_advantages(traj, tables, cfg)
+    a_switch = switch_advantages(traj, tables, params)
+    a_flat = flat_gae(traj, v_flat, cfg) if v_flat is not None else None
+    return HierarchicalAdvantages(a_low, a_high, a_switch, boundaries, a_flat)
+
+
+def estimate_batch(trajectories, tables: ValueTables, cfg: GAEConfig,
+                   params: PolicyParams | None = None,
+                   v_flat: np.ndarray | None = None) -> list[HierarchicalAdvantages]:
+    """Per-trajectory estimates with optional per-level batch whitening."""
+    items = [estimate_all(traj, tables, cfg, params, v_flat) for traj in trajectories]
+    if cfg.whiten == "per-level" and items:
+        for name in ("a_low", "a_high", "a_switch", "a_flat"):
+            parts = [getattr(it, name) for it in items]
+            if any(p is None for p in parts):
+                continue
+            white = whiten(np.concatenate(parts))
+            pos = 0
+            for it, part in zip(items, parts):
+                setattr(it, name, white[pos:pos + len(part)])
+                pos += len(part)
+    return items
+
+
+# -- critic regression rows ---------------------------------------------------
+
+def critic_batch(trajectories, gamma: float, n_states: int, n_options: int,
+                 weights=None) -> CriticBatch:
+    """One single-coupling row per turn (low head) and per segment (high
+    head), built episode by episode."""
+    cell, w, r, boot, coef = [], [], [], [], []
+    for i, traj in enumerate(trajectories):
+        wi = 1.0 if weights is None else float(weights[i])
+        turns = traj.turns
+        if traj.terminated:
+            end = -1
+        elif traj.final_state is None:
+            raise ValueError("truncated trajectory without final_state")
+        else:
+            end = traj.final_state
+        for t, turn in enumerate(turns):
+            if turn.done or t == len(turns) - 1:
+                b = -1 if turn.done else end
+            elif turns[t + 1].q == SWITCH:
+                b = turns[t + 1].state
+            else:
+                b = low_cell(turns[t + 1].state, turn.subgoal, n_states, n_options)
+            cell.append(low_cell(turn.state, turn.subgoal, n_states, n_options))
+            w.append(wi)
+            r.append(turn.reward)
+            boot.append(b)
+            coef.append(gamma)
+        for seg in segment_views(traj, gamma):
+            cell.append(turns[seg.start].state)
+            w.append(wi)
+            r.append(seg.reward)
+            boot.append(turns[seg.stop].state if seg.stop < len(turns) else end)
+            coef.append(seg.discount)
+    rows = single_coupling_rows(
+        np.array(cell, dtype=np.int64), np.array(w, dtype=np.float64),
+        np.array(r, dtype=np.float64), np.array(boot, dtype=np.int64),
+        np.array(coef, dtype=np.float64))
+    return CriticBatch.from_rows(rows, gamma, n_states, n_options)
+
+
+def flat_critic_batch(trajectories, gamma: float, n_states: int,
+                      weights=None) -> FlatCriticBatch:
+    """Per-turn (state, return-to-go) rows, built episode by episode."""
+    states, gs, ws = [], [], []
+    for i, traj in enumerate(trajectories):
+        wi = 1.0 if weights is None else float(weights[i])
+        g = returns_to_go(traj, gamma)
+        for t, turn in enumerate(traj.turns):
+            states.append(turn.state)
+            gs.append(g[t])
+            ws.append(wi)
+    return FlatCriticBatch.from_rows({"state": np.array(states, dtype=np.int64),
+                                      "g": np.array(gs, dtype=np.float64),
+                                      "w": np.array(ws, dtype=np.float64)}, n_states)
+
+
+# -- PPO ratios ---------------------------------------------------------------
+
+def ppo_ratios(params: PolicyParams, turn: TurnRecord):
+    """Per-head probability ratios live/behavior for a single stored turn;
+    None for a head absent from the turn."""
+    if turn.lp_action is None:
+        raise ValueError(f"turn {turn.t}: no behavior log-probs recorded")
+    lp_sw, lp_hi, lp_lo = log_prob(params, turn)
+    r_sw = None if lp_sw is None else float(np.exp(lp_sw - turn.lp_switch))
+    r_hi = None if lp_hi is None else float(np.exp(lp_hi - turn.lp_subgoal))
+    return r_sw, r_hi, float(np.exp(lp_lo - turn.lp_action))

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from segrl.advantages import (GAEConfig, estimate_all, estimate_batch,
-                              flat_gae, high_advantages, low_advantages,
-                              low_td_residuals, switch_advantages, whiten)
+from segrl.advantages import (GAEConfig, high_advantages, low_advantages,
+                              low_td_residuals, whiten)
+from segrl.batch import TurnTable, advantage_arrays
 from segrl.core import returns_to_go, segment_boundaries
 from segrl.critic import ValueTables
 from segrl.oracle import random_tables, random_trajectory, telescope_check
 from segrl.policy import PolicyParams
 
+import spec
 from conftest import traj_from
 
 
@@ -18,6 +19,29 @@ def cfg_with(**kw):
     base = dict(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
     base.update(kw)
     return GAEConfig(**base)
+
+
+def one_episode(traj, tables, cfg, params=None, v_flat=None):
+    """`advantage_arrays` on a one-episode TurnTable, unpadded: a_low per
+    turn, a_high per segment, a_switch for t = 1 .. T-1, a_flat per turn
+    (None without v_flat)."""
+    adv = advantage_arrays(TurnTable.from_trajectories([traj]), tables, cfg,
+                           params=params, v_flat=v_flat)
+    n = traj.n_turns
+    a_high = adv.a_high[0, :n][adv.masks.is_boundary[0, :n]]
+    a_flat = None if adv.a_flat is None else adv.a_flat[0, :n]
+    return adv.a_low[0, :n], a_high, adv.a_switch[0, 1:n], a_flat
+
+
+def switch_advantages(traj, tables, params=None):
+    return one_episode(traj, tables, cfg_with(), params=params)[2]
+
+
+def flat_gae(traj, v_flat, cfg):
+    # the other levels need tables and switch probabilities; any will do
+    n_s, n_o = len(v_flat), max(u.subgoal for u in traj.turns) + 1
+    return one_episode(traj, ValueTables.zeros(n_s, n_o), cfg,
+                       params=PolicyParams.uniform(n_s, n_o, 1), v_flat=v_flat)[3]
 
 
 class TestLowResiduals:
@@ -145,23 +169,25 @@ class TestEstimateAll:
         traj = random_trajectory(rng, 8, 3, 4)
         tables = random_tables(rng, 8, 3)
         cfg = GAEConfig(gamma=0.9, lambda_low=0.7, lambda_high=0.6)
-        est = estimate_all(traj, tables, cfg)
+        a_low, a_high, a_switch, _ = one_episode(traj, tables, cfg)
+        bounds = segment_boundaries(traj)
         d = low_td_residuals(traj, tables, 0.9)
-        assert np.allclose(est.a_low,
-                           low_advantages(d, est.boundaries, cfg))
-        assert np.allclose(est.a_high, high_advantages(traj, tables, cfg)[1])
-        assert np.allclose(est.a_switch, switch_advantages(traj, tables))
-        assert len(est.a_low) == traj.n_turns
-        assert len(est.a_high) == len(est.boundaries) - 1
-        assert len(est.a_switch) == traj.n_turns - 1
+        assert np.allclose(a_low, low_advantages(d, bounds, cfg))
+        assert np.allclose(a_high, high_advantages(traj, tables, cfg)[1])
+        assert np.allclose(a_switch, spec.switch_advantages(traj, tables))
+        assert len(a_low) == traj.n_turns
+        assert len(a_high) == len(bounds) - 1
+        assert len(a_switch) == traj.n_turns - 1
 
     def test_batch_whitening_moments(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4, max_turns=8) for _ in range(40)]
         tables = random_tables(rng, 8, 3)
         cfg = GAEConfig(gamma=0.9, whiten="per-level")
-        items = estimate_batch(trajs, tables, cfg)
-        for name in ("a_low", "a_high", "a_switch"):
-            flat = np.concatenate([getattr(it, name) for it in items])
+        tt = TurnTable.from_trajectories(trajs)
+        adv = advantage_arrays(tt, tables, cfg)
+        later = tt.mask & (np.arange(tt.max_turns) > 0)
+        for flat in (adv.a_low[tt.mask], adv.a_high[adv.masks.is_boundary],
+                     adv.a_switch[later]):
             assert abs(flat.mean()) < 1e-10
             assert flat.var() == pytest.approx(1.0, abs=1e-6)
 
@@ -169,10 +195,11 @@ class TestEstimateAll:
         traj = random_trajectory(rng, 8, 3, 4)
         tables = random_tables(rng, 8, 3)
         cfg = GAEConfig(gamma=0.9)
-        items = estimate_batch([traj, traj, traj], tables, cfg)
-        for it in items[1:]:
-            assert np.array_equal(it.a_low, items[0].a_low)
-            assert np.array_equal(it.a_high, items[0].a_high)
+        adv = advantage_arrays(TurnTable.from_trajectories([traj, traj, traj]),
+                               tables, cfg)
+        for i in (1, 2):
+            assert np.array_equal(adv.a_low[i], adv.a_low[0])
+            assert np.array_equal(adv.a_high[i], adv.a_high[0])
 
     def test_whiten_degenerate_guard(self):
         out = whiten(np.full(5, 3.0))
@@ -194,15 +221,15 @@ class TestSegmentLocality:
                 turns=tuple(u._replace(reward=u.reward + 1.0) if u.t == t_hit else u
                             for u in traj.turns),
                 truncated=traj.truncated, final_state=traj.final_state)
-            base = estimate_all(traj, tables, cfg)
-            bump = estimate_all(bumped, tables, cfg)
-            diff_low = bump.a_low - base.a_low
+            base_low, base_high, _, _ = one_episode(traj, tables, cfg)
+            bump_low, bump_high, _, _ = one_episode(bumped, tables, cfg)
+            diff_low = bump_low - base_low
             # later segments untouched; the perturbed segment feels it only
             # at or before the perturbed turn
             assert np.allclose(diff_low[bounds[j + 1]:], 0.0, atol=1e-12)
             assert np.allclose(diff_low[t_hit + 1:bounds[j + 1]], 0.0, atol=1e-12)
             assert abs(diff_low[t_hit]) > 1e-9
-            diff_high = bump.a_high - base.a_high
+            diff_high = bump_high - base_high
             assert np.allclose(diff_high[j + 1:], 0.0, atol=1e-12)
             assert abs(diff_high[j]) > 1e-9
 

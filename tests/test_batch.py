@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from segrl.advantages import GAEConfig, estimate_batch
+from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, batch_stats,
                          critic_batch_from_table, flat_batch_from_table,
                          returns_matrix, rollout_batch, segment_masks)
 from segrl.core import returns_to_go, segment_boundaries
-from segrl.critic import CriticBatch, FlatCriticBatch
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, random_trajectory
-from segrl.policy import PolicyParams, fetchchain_phased, rollout
+from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.rng import CounterRng
 
-from conftest import weighted_target_maps
+import spec
+from conftest import head_ratios, weighted_target_maps
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +28,8 @@ class TestRolloutBatch:
         tt = rollout_batch(env, params, 32, seed=13, c_keep=0.2)
         trajs = tt.to_trajectories()
         for ep in range(32):
-            single = rollout(env, params, env.horizon, CounterRng(13, ep),
-                             c_keep=0.2)
+            single = spec.rollout(env, params, env.horizon, CounterRng(13, ep),
+                                  c_keep=0.2)
             assert len(single.turns) == len(trajs[ep].turns)
             for a, b in zip(single.turns, trajs[ep].turns):
                 assert a.state == b.state and a.q == b.q
@@ -98,7 +98,7 @@ class TestBatchAdvantages:
         cfg = GAEConfig(gamma=0.92, lambda_low=0.8, lambda_high=0.7,
                         lambda_flat=0.9)
         arr = advantage_arrays(tt, tables, cfg, v_flat=v_flat)
-        ref = estimate_batch(tt.to_trajectories(), tables, cfg, v_flat=v_flat)
+        ref = spec.estimate_batch(tt.to_trajectories(), tables, cfg, v_flat=v_flat)
         for i, h in enumerate(ref):
             t_total = int(tt.length[i])
             assert np.allclose(arr.a_low[i, :t_total], h.a_low, atol=1e-11)
@@ -127,7 +127,7 @@ class TestCriticBatchesFromTable:
         tt = rollout_batch(env, params, 40, seed=9, c_keep=0.1)
         trajs = tt.to_trajectories()
         a = critic_batch_from_table(tt, 0.9, env.n_states, 2)
-        b = CriticBatch.from_trajectories(trajs, 0.9, env.n_states, 2)
+        b = spec.critic_batch(trajs, 0.9, env.n_states, 2)
         assert np.allclose(a.w, b.w, atol=1e-10)
         for j, (x, y) in enumerate(zip(weighted_target_maps(a),
                                        weighted_target_maps(b))):
@@ -147,9 +147,23 @@ class TestCriticBatchesFromTable:
         env, params = env_and_params
         tt = rollout_batch(env, params, 40, seed=9)
         a = flat_batch_from_table(tt, 0.9, env.n_states)
-        b = FlatCriticBatch.from_trajectories(tt.to_trajectories(), 0.9,
-                                              env.n_states)
+        b = spec.flat_critic_batch(tt.to_trajectories(), 0.9, env.n_states)
         assert np.allclose(a.w, b.w) and np.allclose(a.g, b.g)
+
+
+class TestRatios:
+    def test_match_per_turn_reference(self, env_and_params):
+        env, params = env_and_params
+        tt = rollout_batch(env, params, 12, seed=5, c_keep=0.1)
+        live = fetchchain_phased(env, np.random.default_rng(8))
+        _, got = head_ratios(tt, live)
+        want = [spec.ppo_ratios(live, u)
+                for traj in tt.to_trajectories() for u in traj.turns]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # an absent head contributes 0 to the surrogate
+            w = [0.0 if r is None else r for r in w]
+            assert np.allclose(g, w, atol=1e-11)
 
 
 class TestBatchStats:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,9 +8,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segrl.advantages import GAEConfig
 from segrl.cli import dispatch, load_values, save_values
 from segrl.config import ConfigError, parse_config_text
+from segrl.core import load_trajectories, write_trajectories
 from segrl.critic import ValueTables
+from segrl.envs import FetchChain
+from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
+                          load_policy, save_policy)
+from segrl.rng import CounterRng
+
+import spec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# state id -1, and a KEEP turn that changes the subgoal
+BAD_EPISODE = [
+    {"t": 0, "state": 0, "prev_subgoal": None, "q": 1, "subgoal": 0,
+     "subgoal_text": None, "action": 1, "reward": 0.0, "raw_reward": 0.0,
+     "done": False},
+    {"t": 1, "state": -1, "prev_subgoal": 0, "q": 0, "subgoal": 1,
+     "subgoal_text": None, "action": 1, "reward": 0.0, "raw_reward": 0.0,
+     "done": True},
+]
+
+
+def _subprocess_env():
+    import segrl
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(segrl.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return env
 
 
 class TestConfig:
@@ -131,17 +160,182 @@ class TestDispatch:
 
     def test_module_entry_point_prints_version(self):
         import segrl
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(segrl.__file__).parents[1]), env.get("PYTHONPATH", "")])
         done = subprocess.run([sys.executable, "-m", "segrl.cli", "--version"],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
+                              capture_output=True, text=True,
+                              env=_subprocess_env(), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == segrl.__version__
 
     def test_missing_file_exit_2(self, capsys):
         assert dispatch(["parse", "--input", "/nonexistent/file.txt"]) == 2
+
+
+class TestRolloutAndAdvantages:
+    """`segrl rollout` and `segrl advantages` against the per-episode spec."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        env = FetchChain(3, 8)
+        params = fetchchain_phased(env, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        tables = ValueTables(rng.standard_normal(env.n_states),
+                             rng.standard_normal((env.n_states, 2)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env.L = 3\nenv.H = 8\nc_keep = 0.3\n")
+        save_policy(tmp_path / "policy.txt", params)
+        save_values(tmp_path / "values.txt", tables)
+        return env, params, tables, cfg
+
+    def test_rollout_matches_spec_bytes(self, tmp_path, inputs):
+        env, params, _, cfg = inputs
+        assert dispatch(["rollout", "--config", str(cfg), "--seed", "11",
+                         "--episodes", "24", "--policy",
+                         str(tmp_path / "policy.txt"), "--out",
+                         str(tmp_path / "roll")]) == 0
+        buf = io.StringIO()
+        write_trajectories(buf, [spec.rollout(env, params, env.horizon,
+                                              CounterRng(11, ep), c_keep=0.3)
+                                 for ep in range(24)])
+        assert (tmp_path / "roll" / "trajectories.jsonl").read_text() == buf.getvalue()
+
+    def test_advantages_match_spec(self, tmp_path, inputs):
+        env, params, tables, cfg = inputs
+        assert dispatch(["rollout", "--config", str(cfg), "--episodes", "24",
+                         "--policy", str(tmp_path / "policy.txt"),
+                         "--out", str(tmp_path / "roll")]) == 0
+        jsonl = tmp_path / "roll" / "trajectories.jsonl"
+        assert dispatch(["advantages", "--input", str(jsonl),
+                         "--values", str(tmp_path / "values.txt"),
+                         "--policy", str(tmp_path / "policy.txt"),
+                         "--gamma", "0.9", "--lambda-low", "0.8",
+                         "--lambda-high", "0.7", "--out",
+                         str(tmp_path / "adv")]) == 0
+        got = [json.loads(line) for line in
+               (tmp_path / "adv" / "advantages.jsonl").read_text().splitlines()]
+        cfg = GAEConfig(gamma=0.9, lambda_low=0.8, lambda_high=0.7)
+        want = []
+        for traj in load_trajectories(jsonl):
+            est = spec.estimate_all(traj, tables, cfg, params=params)
+            starts = est.boundaries[:-1]
+            for t in range(traj.n_turns):
+                want.append({"t": t, "A_low": est.a_low[t],
+                             "A_switch": None if t == 0 else est.a_switch[t - 1],
+                             "A_high": est.a_high[starts.index(t)] if t in starts else None,
+                             "A_flat": None})
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert list(g) == ["t", "A_low", "A_switch", "A_high", "A_flat"]
+            assert g["t"] == w["t"] and g["A_flat"] is None
+            for key in ("A_low", "A_switch", "A_high"):
+                assert (g[key] is None) == (w[key] is None), (key, w["t"])
+                if w[key] is not None:
+                    assert abs(g[key] - w[key]) <= 1e-12, (key, w["t"])
+
+    def test_empty_input_writes_empty_output(self, tmp_path, inputs):
+        (tmp_path / "empty.jsonl").write_text("")
+        assert dispatch(["advantages", "--input", str(tmp_path / "empty.jsonl"),
+                         "--values", str(tmp_path / "values.txt"),
+                         "--out", str(tmp_path / "adv")]) == 0
+        assert (tmp_path / "adv" / "advantages.jsonl").read_text() == ""
+
+
+class TestMalformedInputs:
+    """Each malformed input is refused with exit code 2 and a one-line
+    message, not a traceback."""
+
+    def _refused(self, argv, capsys, *words):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        for word in words:
+            assert word in err, err
+
+    def test_bad_episode(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(t) + "\n" for t in BAD_EPISODE))
+        env = FetchChain(3, 6)
+        save_values(tmp_path / "values.txt", ValueTables.zeros(env.n_states, 2))
+        save_policy(tmp_path / "policy.txt",
+                    PolicyParams.uniform(env.n_states, 2, env.n_actions))
+        self._refused(["advantages", "--input", str(bad),
+                       "--values", str(tmp_path / "values.txt"),
+                       "--policy", str(tmp_path / "policy.txt"),
+                       "--out", str(tmp_path / "adv")], capsys, "episode 0")
+        assert not (tmp_path / "adv" / "advantages.jsonl").exists()
+
+    @pytest.mark.parametrize("field,value", [("state", -1), ("state", 14),
+                                             ("subgoal", 2), ("subgoal", -1)])
+    def test_ids_outside_the_tables(self, tmp_path, capsys, field, value):
+        turns = [dict(BAD_EPISODE[0], done=True)]
+        turns[0][field] = value
+        path = tmp_path / "ep.jsonl"
+        path.write_text(json.dumps(turns[0]) + "\n")
+        save_values(tmp_path / "values.txt", ValueTables.zeros(14, 2))
+        self._refused(["advantages", "--input", str(path),
+                       "--values", str(tmp_path / "values.txt"),
+                       "--out", str(tmp_path / "adv")], capsys, field)
+
+    def test_policy_dimensions_must_match_values(self, tmp_path, capsys):
+        path = tmp_path / "ep.jsonl"
+        path.write_text(json.dumps(dict(BAD_EPISODE[0], done=True)) + "\n")
+        save_values(tmp_path / "values.txt", ValueTables.zeros(14, 2))
+        save_policy(tmp_path / "policy.txt", PolicyParams.uniform(14, 3, 4))
+        self._refused(["advantages", "--input", str(path),
+                       "--values", str(tmp_path / "values.txt"),
+                       "--policy", str(tmp_path / "policy.txt"),
+                       "--out", str(tmp_path / "adv")], capsys, "policy")
+
+    def test_transcript_without_action(self, tmp_path, capsys):
+        path = tmp_path / "no-action.txt"
+        path.write_text("<switch>SWITCH</switch>\n<subgoal>find a knife</subgoal>\n"
+                        "<action>go to countertop 1</action>\n\n"
+                        "<switch>KEEP</switch>\n<subgoal>find a knife</subgoal>\n"
+                        "@done\n")
+        self._refused(["parse", "--input", str(path), "--out",
+                       str(tmp_path / "parsed")], capsys, "action")
+
+    def test_negative_episode_count(self, tmp_path, capsys):
+        self._refused(["rollout", "--episodes", "-1", "--out",
+                       str(tmp_path / "roll")], capsys, "--episodes")
+
+    def test_truncated_policy(self, tmp_path, capsys):
+        save_policy(tmp_path / "policy.txt", PolicyParams.uniform(202, 2, 4))
+        lines = (tmp_path / "policy.txt").read_text().splitlines(keepends=True)
+        (tmp_path / "cut.txt").write_text("".join(lines[:len(lines) // 2]))
+        self._refused(["eval", "--policy", str(tmp_path / "cut.txt"),
+                       "--episodes", "4"], capsys, "truncated")
+
+
+class TestCheckpointErrors:
+    def test_truncated_values_name_the_line(self, tmp_path):
+        save_values(tmp_path / "values.txt", ValueTables.zeros(6, 2))
+        lines = (tmp_path / "values.txt").read_text().splitlines(keepends=True)
+        (tmp_path / "cut.txt").write_text("".join(lines[:5]))
+        with pytest.raises(CheckpointError, match="line 6"):
+            load_values(tmp_path / "cut.txt")
+
+    def test_unparsable_value_names_the_line(self, tmp_path):
+        save_policy(tmp_path / "policy.txt", PolicyParams.uniform(3, 2, 2))
+        lines = (tmp_path / "policy.txt").read_text().splitlines(keepends=True)
+        lines[4] = "zero\n"
+        (tmp_path / "bad.txt").write_text("".join(lines))
+        with pytest.raises(CheckpointError, match="line 5"):
+            load_policy(tmp_path / "bad.txt")
+
+    def test_trailing_content_rejected(self, tmp_path):
+        save_values(tmp_path / "values.txt", ValueTables.zeros(6, 2))
+        with open(tmp_path / "values.txt", "a", encoding="utf-8") as fp:
+            fp.write("0.5\n")
+        with pytest.raises(CheckpointError, match="after the last table"):
+            load_values(tmp_path / "values.txt")
+
+
+class TestDemos:
+    def test_segments_demo_runs(self):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "demos" / "01_segments_and_returns.py")],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestValueCheckpoint:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from segrl.critic import (CriticBatch, FlatCriticBatch, ValueTables,
-                          fit_critic, fit_flat_critic, high_targets,
-                          low_targets, v_next)
+from segrl.batch import (TurnTable, critic_batch_from_table,
+                         flat_batch_from_table)
+from segrl.core import segment_boundaries
+from segrl.critic import ValueTables, fit_critic, fit_flat_critic, v_next
 from segrl.envs import FetchChain
 from segrl.oracle import (enumerate_trajectories, exact_critic_batch,
                           oracle_values, random_tables, random_trajectory)
@@ -14,6 +15,23 @@ from conftest import traj_from, weighted_target_maps
 
 def sentinel_tables(n_states, n_options, high=1000.0, low=-7.0):
     return ValueTables(np.full(n_states, high), np.full((n_states, n_options), low))
+
+
+def one_episode_batch(traj, gamma, n_states, n_options):
+    """`critic_batch_from_table` on a one-episode TurnTable: rows 0 .. T-1
+    are the turns (low head), the rest the segments (high head)."""
+    return critic_batch_from_table(TurnTable.from_trajectories([traj]), gamma,
+                                   n_states, n_options)
+
+
+def high_targets(traj, tables, gamma):
+    cb = one_episode_batch(traj, gamma, tables.n_states, tables.n_options)
+    return cb.row_targets(tables)[traj.n_turns:]
+
+
+def low_targets(traj, tables, gamma):
+    cb = one_episode_batch(traj, gamma, tables.n_states, tables.n_options)
+    return cb.row_targets(tables)[:traj.n_turns]
 
 
 class TestVNext:
@@ -90,7 +108,6 @@ class TestTargets:
         for _ in range(50):
             traj = random_trajectory(rng, 12, 3, 4)
             y = low_targets(traj, tables, 1.0)
-            from segrl.core import segment_boundaries
             bounds = segment_boundaries(traj)
             for k in range(len(bounds) - 1):
                 t_final = bounds[k + 1] - 1
@@ -119,9 +136,10 @@ class TestFitCritic:
         # one cell, one target: v <- v - 2*lr*(v - y)
         traj = traj_from([1], [5.0], states=[0])
         tables = ValueTables.zeros(1, 1)
-        fitted, _ = fit_critic(tables, [traj], gamma=1.0, lr=0.25, epochs=1)
+        batch = one_episode_batch(traj, 1.0, 1, 1)
+        fitted, _ = fit_critic(tables, batch, gamma=1.0, lr=0.25, epochs=1)
         assert fitted.v_low[0, 0] == pytest.approx(0.0 - 2 * 0.25 * (0.0 - 5.0))
-        fitted, _ = fit_critic(tables, [traj], gamma=1.0, lr=0.25, epochs=50)
+        fitted, _ = fit_critic(tables, batch, gamma=1.0, lr=0.25, epochs=50)
         assert fitted.v_low[0, 0] == pytest.approx(5.0, abs=1e-9)
 
     def test_converges_to_oracle_values(self, rng):
@@ -136,7 +154,7 @@ class TestFitCritic:
         assert np.max(np.abs(fitted.v_low - vals.v_low)[vals.low_defined]) < 1e-10
 
     def test_monotone_mse_for_small_lr(self, rng):
-        from segrl.batch import rollout_batch, critic_batch_from_table
+        from segrl.batch import rollout_batch
         env = FetchChain(3, 6)
         p = fetchchain_phased(env, rng)
         tt = rollout_batch(env, p, 200, seed=5)
@@ -153,8 +171,8 @@ class TestFitCritic:
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.6)
         gamma = 0.9
         dist = enumerate_trajectories(env, p)
-        cb_t = CriticBatch.from_trajectories(
-            [t for t, _ in dist], gamma, env.n_states, 2, [w for _, w in dist])
+        tt = TurnTable.from_trajectories([t for t, _ in dist], [w for _, w in dist])
+        cb_t = critic_batch_from_table(tt, gamma, env.n_states, 2)
         cb_e = exact_critic_batch(env, p, gamma)
         assert np.allclose(cb_t.w, cb_e.w, atol=1e-12)
         for j, (a, b) in enumerate(zip(weighted_target_maps(cb_t),
@@ -172,7 +190,7 @@ class TestFitCritic:
 class TestFlatCritic:
     def test_converges_to_per_state_mean_return(self, rng):
         trajs = [random_trajectory(rng, 6, 2, 3) for _ in range(100)]
-        batch = FlatCriticBatch.from_trajectories(trajs, 0.9, 6)
+        batch = flat_batch_from_table(TurnTable.from_trajectories(trajs), 0.9, 6)
         v, mses = fit_flat_critic(np.zeros(6), batch, lr=0.5, epochs=5)
         assert np.allclose(v[batch.w > 0], batch.mean_targets()[batch.w > 0])
         assert mses[0] >= mses[-1]
@@ -182,8 +200,8 @@ class TestFlatCritic:
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.6)
         gamma = 0.9
         dist = enumerate_trajectories(env, p)
-        batch = FlatCriticBatch.from_trajectories(
-            [t for t, _ in dist], gamma, env.n_states, [w for _, w in dist])
+        tt = TurnTable.from_trajectories([t for t, _ in dist], [w for _, w in dist])
+        batch = flat_batch_from_table(tt, gamma, env.n_states)
         v, _ = fit_flat_critic(np.zeros(env.n_states), batch, lr=0.5, epochs=5)
         vals = oracle_values(env, p, gamma)
         assert np.max(np.abs(v - vals.v_flat)[vals.flat_defined]) < 1e-12

@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from segrl.batch import rollout_batch
 from segrl.core import KEEP, SWITCH, TurnRecord, validate_trajectory
-from segrl.envs import FetchChain
+from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.oracle import enumerate_trajectories, random_trajectory
 from segrl.policy import (PolicyParams, fetchchain_expert,
-                          grad_log_prob, load_policy, log_prob, rollout,
-                          sample_turn, save_policy, switch_prob,
-                          with_behavior_logprobs)
-from segrl.rng import CounterRng
+                          grad_log_prob, load_policy, log_prob,
+                          save_policy, switch_prob, with_behavior_logprobs)
 
 
 def small_params(rng, n_s=5, n_o=3, n_a=4, scale=1.0):
     return PolicyParams.random(rng, n_s, n_o, n_a, scale=scale)
+
+
+def rollout(env, params, seed, episode=0, **kw):
+    """Episode `episode` of the `rollout_batch` stream `seed`, as a
+    Trajectory."""
+    return rollout_batch(env, params, 1, seed, episode_offset=episode,
+                         **kw).to_trajectories()[0]
 
 
 class TestSwitchProb:
@@ -35,24 +41,35 @@ class TestSwitchProb:
 
 class TestSampleTurn:
     def test_deterministic_heads(self):
-        p = PolicyParams.uniform(3, 2, 3)
-        p.switch[1, 0, SWITCH] = 1e9
-        p.subgoal[1, 1] = 1e9
-        p.action[1, 1, 2] = 1e9
-        q, o, a, lp_sw, lp_hi, lp_lo = sample_turn(p, 1, 0, CounterRng(0, 0), t=3)
-        assert (q, o, a) == (SWITCH, 1, 2)
-        assert lp_sw == pytest.approx(0.0, abs=1e-12)
-        assert lp_hi == pytest.approx(0.0, abs=1e-12)
-        assert lp_lo == pytest.approx(0.0, abs=1e-12)
+        env = FetchChain(3, 2)
+        p = PolicyParams.uniform(env.n_states, 2, env.n_actions)
+        s0, s1 = env.encode(0, False, 0), env.encode(1, False, 1)
+        p.subgoal[s0, 0] = 1e9
+        p.action[s0, 0, RIGHT] = 1e9
+        # turn 1 at s1 with previous subgoal 0
+        p.switch[s1, 0, SWITCH] = 1e9
+        p.subgoal[s1, 1] = 1e9
+        p.action[s1, 1, PICKUP] = 1e9
+        turn = rollout(env, p, seed=0).turns[1]
+        assert (turn.state, turn.prev_subgoal) == (s1, 0)
+        assert (turn.q, turn.subgoal, turn.action) == (SWITCH, 1, PICKUP)
+        assert turn.lp_switch == pytest.approx(0.0, abs=1e-12)
+        assert turn.lp_subgoal == pytest.approx(0.0, abs=1e-12)
+        assert turn.lp_action == pytest.approx(0.0, abs=1e-12)
 
     def test_first_turn_forces_switch(self, rng):
-        p = small_params(rng)
-        q, o, a, lp_sw, lp_hi, lp_lo = sample_turn(p, 0, None, CounterRng(1, 0), t=0)
-        assert q == SWITCH and lp_sw is None and lp_hi is not None
+        env = FetchChain(3, 6)
+        p = small_params(rng, env.n_states, 2, env.n_actions)
+        turn = rollout(env, p, seed=1).turns[0]
+        assert turn.q == SWITCH and turn.lp_switch is None
+        assert turn.lp_subgoal is not None
 
     def test_seeded_reproducibility(self, rng):
-        p = small_params(rng)
-        draws = {sample_turn(p, 2, 1, CounterRng(7, 5), t=2)[:3] for _ in range(5)}
+        env = FetchChain(3, 6)
+        p = small_params(rng, env.n_states, 2, env.n_actions)
+        draws = {tuple((u.q, u.subgoal, u.action)
+                       for u in rollout(env, p, seed=7, episode=5).turns)
+                 for _ in range(5)}
         assert len(draws) == 1
 
 
@@ -143,14 +160,14 @@ class TestRollout:
     def test_single_turn_horizon(self, rng):
         env = FetchChain(3, 6)
         p = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        traj = rollout(env, p, 1, CounterRng(0, 0))
+        traj = rollout(env, p, seed=0, horizon=1)
         assert traj.n_turns == 1 and traj.turns[0].q == SWITCH
         assert traj.truncated and traj.final_state is not None
 
     def test_expert_reaches_optimum(self):
         env = FetchChain(3, 8)
         p = fetchchain_expert(env)
-        traj = rollout(env, p, env.horizon, CounterRng(0, 0))
+        traj = rollout(env, p, seed=0)
         assert sum(u.raw_reward for u in traj.turns) == pytest.approx(10.0)
         assert traj.terminated
 
@@ -162,14 +179,14 @@ class TestRollout:
         outs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_trajectories(buf, [rollout(env, p, env.horizon, CounterRng(9, 4))])
+            write_trajectories(buf, [rollout(env, p, seed=9, episode=4)])
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
     def test_keep_penalty_applied(self, rng):
         env = FetchChain(3, 6)
         p = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        traj = rollout(env, p, env.horizon, CounterRng(3, 0), c_keep=0.3)
+        traj = rollout(env, p, seed=3, c_keep=0.3)
         for u in traj.turns:
             expected = u.raw_reward - (0.3 if u.q == KEEP else 0.0)
             assert u.reward == pytest.approx(expected, abs=1e-12)
@@ -178,7 +195,7 @@ class TestRollout:
     def test_behavior_logprob_attachment(self, rng):
         env = FetchChain(3, 6)
         p = small_params(rng, env.n_states, 2, env.n_actions)
-        traj = rollout(env, p, env.horizon, CounterRng(2, 1))
+        traj = rollout(env, p, seed=2, episode=1)
         again = with_behavior_logprobs(traj, p)
         for a, b in zip(traj.turns, again.turns):
             if a.lp_switch is not None:

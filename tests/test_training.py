@@ -5,15 +5,18 @@ import pytest
 
 from segrl.advantages import GAEConfig
 from segrl.batch import advantage_arrays, rollout_batch
-from segrl.core import KEEP, SWITCH, TurnRecord
+from segrl.batch import TurnTable
+from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, success_probability
 from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
                             actor_loss, evaluate, flat_actor_loss, gather_rows,
-                            kl_penalty, ppo_ratios, total_loss, train,
+                            kl_penalty, total_loss, train,
                             train_flat_baseline)
+
+from conftest import head_ratios
 
 
 def make_rows(env, params, seed=7, n=24, c_keep=0.0, tables=None, cfg=None):
@@ -29,32 +32,35 @@ class TestRatios:
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, rng)
         tt = rollout_batch(env, params, 8, seed=2)
-        for traj in tt.to_trajectories():
-            for u in traj.turns:
-                r_sw, r_hi, r_lo = ppo_ratios(params, u)
-                assert r_lo == pytest.approx(1.0, abs=1e-12)
-                if u.t > 0:
-                    assert r_sw == pytest.approx(1.0, abs=1e-12)
-                if u.q == SWITCH:
-                    assert r_hi == pytest.approx(1.0, abs=1e-12)
-                else:
-                    assert r_hi is None
+        rows, ratios = head_ratios(tt, params)
+        for t, q, (r_sw, r_hi, r_lo) in zip(rows.t, rows.q, ratios):
+            assert r_lo == pytest.approx(1.0, abs=1e-12)
+            if t > 0:
+                assert r_sw == pytest.approx(1.0, abs=1e-12)
+            if q == SWITCH:
+                assert r_hi == pytest.approx(1.0, abs=1e-12)
+            else:
+                assert r_hi == 0.0
 
     def test_logit_shift_arithmetic(self):
-        params = PolicyParams.uniform(2, 2, 2)
         turn = TurnRecord(0, 0, None, SWITCH, 0, 1, 0.0, 0.0, False,
                           lp_switch=None, lp_subgoal=math.log(0.5),
                           lp_action=math.log(0.5))
+        tt = TurnTable.from_trajectories([Trajectory((turn,), truncated=True,
+                                                     final_state=1)])
         live = PolicyParams.uniform(2, 2, 2)
         live.action[0, 0, 1] += math.log(2.0)
-        _, _, r_lo = ppo_ratios(live, turn)
-        assert r_lo == pytest.approx((2 / 3) / 0.5, abs=1e-12)
+        _, ratios = head_ratios(tt, live)
+        assert ratios[0, 2] == pytest.approx((2 / 3) / 0.5, abs=1e-12)
 
     def test_missing_behavior_record(self):
-        params = PolicyParams.uniform(2, 2, 2)
+        # no recorded log-probs: the surrogate is NaN, which the trainer's
+        # finite check turns into TrainingDiverged
         turn = TurnRecord(0, 0, None, SWITCH, 0, 1, 0.0, 0.0, False)
-        with pytest.raises(ValueError):
-            ppo_ratios(params, turn)
+        tt = TurnTable.from_trajectories([Trajectory((turn,), truncated=True,
+                                                     final_state=1)])
+        _, ratios = head_ratios(tt, PolicyParams.uniform(2, 2, 2))
+        assert np.isnan(ratios[0, 2]) and np.isnan(ratios[0, 1])
 
 
 class TestClippedSurrogate:
