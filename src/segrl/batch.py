@@ -19,7 +19,7 @@ from .core import KEEP, SWITCH, Trajectory, TurnRecord
 from .critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
                      single_coupling_rows)
 from .envs import EnvModel, transition_tables
-from .policy import PolicyParams, log_softmax, softmax
+from .policy import PolicyParams, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
 
 
@@ -138,39 +138,74 @@ def _empty_table(n: int, t_max: int) -> TurnTable:
     )
 
 
-def _sample_rows(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sample_rows(logits: np.ndarray, u: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF draws over explicitly normalized softmax rows: the first
-    index whose CDF exceeds u (ties go right), clamped to the last."""
-    probs = softmax(logits, axis=1)
-    cdf = np.cumsum(probs, axis=1)
+    index whose CDF exceeds u (ties go right), clamped to the last; and the
+    log-softmax of the drawn index.  Both come from one max/exp/sum."""
+    z = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(z)
+    total = np.sum(e, axis=1, keepdims=True)
+    cdf = np.cumsum(e / total, axis=1)
     cdf /= cdf[:, -1:]
     idx = np.sum(cdf <= u[:, None], axis=1)
-    return np.minimum(idx, logits.shape[1] - 1).astype(np.int64)
+    idx = np.minimum(idx, logits.shape[1] - 1).astype(np.int64)
+    rows = np.arange(idx.size)
+    return idx, z[rows, idx] - np.log(total[:, 0])
+
+
+def _start_states(env: EnvModel, seed: int, ep_ids: np.ndarray) -> np.ndarray:
+    """Each episode's start state, drawn from its stream (head 3) when the
+    env has more than one."""
+    starts = env.initial_states()
+    if len(starts) == 1:
+        return np.full(ep_ids.size, starts[0][0], dtype=np.int64)
+    u0 = counter_uniform(seed, ep_ids, 0, 3)
+    cdf = np.cumsum([p for _, p in starts])
+    cdf = cdf / cdf[-1]
+    pick = np.searchsorted(cdf, u0, side="right")
+    return np.array([starts[int(min(k, len(starts) - 1))][0] for k in pick],
+                    dtype=np.int64)
 
 
 def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: int,
                   horizon: int | None = None, c_keep: float = 0.0,
                   episode_offset: int = 0, greedy: bool = False) -> TurnTable:
-    """Collect a batch of episodes in lockstep across vectorized turns."""
+    """Collect a batch of episodes in lockstep across vectorized turns.
+
+    Greedy episodes are a function of their start state, so a greedy batch
+    rolls one episode per distinct start and copies it to every episode
+    that starts there.
+    """
     horizon = env.horizon if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    nxt_tab, rew_tab, done_tab = transition_tables(env)
-    n = int(n_episodes)
-    tt = _empty_table(n, horizon)
-    ep_ids = episode_offset + np.arange(n, dtype=np.int64)
-
-    starts = env.initial_states()
-    if len(starts) == 1:
-        state = np.full(n, starts[0][0], dtype=np.int64)
+    ep_ids = episode_offset + np.arange(int(n_episodes), dtype=np.int64)
+    start = _start_states(env, seed, ep_ids)
+    if greedy:
+        distinct, which = np.unique(start, return_inverse=True)
+        once = _roll(env, params, distinct, horizon, seed, None)
+        tt = TurnTable(**{k: v[which] for k, v in vars(once).items()})
     else:
-        u0 = counter_uniform(seed, ep_ids, 0, 3)
-        cdf = np.cumsum([p for _, p in starts])
-        cdf = cdf / cdf[-1]
-        pick = np.searchsorted(cdf, u0, side="right")
-        state = np.array([starts[int(min(k, len(starts) - 1))][0] for k in pick],
-                         dtype=np.int64)
+        tt = _roll(env, params, start, horizon, seed, ep_ids)
+    if c_keep > 0.0:
+        keeps = tt.mask & (tt.q == KEEP)
+        tt.reward[keeps] -= c_keep
+    return tt
 
+
+_HEAD_KEYS = np.array([HEAD_SWITCH, HEAD_SUBGOAL, HEAD_ACTION])[:, None]
+
+
+def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, horizon: int,
+          seed: int, ep_ids: np.ndarray | None) -> TurnTable:
+    """Episodes from the given start states: sampled with the streams of
+    `ep_ids`, or greedy (argmax, no log-probs) when `ep_ids` is None."""
+    greedy = ep_ids is None
+    nxt_tab, rew_tab, done_tab = transition_tables(env)
+    n = state.size
+    tt = _empty_table(n, horizon)
+    state = state.copy()
     prev = np.full(n, -1, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     for t in range(horizon):
@@ -179,36 +214,33 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
             break
         s = state[idx]
         p = prev[idx]
+        if not greedy:
+            # one draw per head per live episode
+            u = counter_uniform(seed, ep_ids[idx], t, _HEAD_KEYS)
         if t == 0:
             q = np.ones(idx.size, dtype=np.int64)
             lp_sw = np.full(idx.size, np.nan)
+        elif greedy:
+            q = np.argmax(params.switch[s, p], axis=1).astype(np.int64)
         else:
-            logits = params.switch[s, p]
-            if greedy:
-                q = np.argmax(logits, axis=1).astype(np.int64)
-            else:
-                q = _sample_rows(logits, counter_uniform(seed, ep_ids[idx], t, HEAD_SWITCH))
-            lp_sw = log_softmax(logits, axis=1)[np.arange(idx.size), q]
-        switching = q == SWITCH
+            q, lp_sw = _sample_rows(params.switch[s, p], u[HEAD_SWITCH])
+        sw = np.flatnonzero(q == SWITCH)
         o = p.copy()
-        if switching.any():
-            sw = np.flatnonzero(switching)
+        lp_hi = np.full(idx.size, np.nan)
+        if sw.size:
             logits = params.subgoal[s[sw]]
             if greedy:
-                o_new = np.argmax(logits, axis=1).astype(np.int64)
+                o[sw] = np.argmax(logits, axis=1)
             else:
-                o_new = _sample_rows(logits, counter_uniform(seed, ep_ids[idx][sw], t, HEAD_SUBGOAL))
-            o[sw] = o_new
-        lp_hi = np.full(idx.size, np.nan)
-        if switching.any():
-            sw = np.flatnonzero(switching)
-            lp_hi[sw] = log_softmax(params.subgoal[s[sw]], axis=1)[np.arange(sw.size), o[sw]]
+                o[sw], lp_hi[sw] = _sample_rows(logits, u[HEAD_SUBGOAL][sw])
         logits = params.action[s, o]
         if greedy:
             a = np.argmax(logits, axis=1).astype(np.int64)
         else:
-            a = _sample_rows(logits, counter_uniform(seed, ep_ids[idx], t, HEAD_ACTION))
-        lp_lo = log_softmax(logits, axis=1)[np.arange(idx.size), a]
+            a, lp_lo = _sample_rows(logits, u[HEAD_ACTION])
+            tt.lp_switch[idx, t] = lp_sw
+            tt.lp_subgoal[idx, t] = lp_hi
+            tt.lp_action[idx, t] = lp_lo
 
         s2 = nxt_tab[s, a]
         r = rew_tab[s, a]
@@ -221,9 +253,6 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
         tt.action[idx, t] = a
         tt.reward[idx, t] = r
         tt.raw_reward[idx, t] = r
-        tt.lp_switch[idx, t] = lp_sw if not greedy else np.nan
-        tt.lp_subgoal[idx, t] = lp_hi if not greedy else np.nan
-        tt.lp_action[idx, t] = lp_lo if not greedy else np.nan
         tt.mask[idx, t] = True
         tt.length[idx] += 1
 
@@ -237,9 +266,6 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
 
     still = np.flatnonzero(alive)
     tt.final_state[still] = state[still]  # truncated at the horizon
-    if c_keep > 0.0:
-        keeps = tt.mask & (tt.q == KEEP)
-        tt.reward[keeps] -= c_keep
     return tt
 
 

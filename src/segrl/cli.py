@@ -90,11 +90,20 @@ def cmd_train(args, flat: bool) -> int:
     return 0
 
 
+def _check_policy_env(params: PolicyParams, env) -> None:
+    """Reject a policy over other states or actions than the env."""
+    if (params.n_states, params.n_actions) != (env.n_states, env.n_actions):
+        raise CheckpointError(
+            f"the policy has {params.n_states} states x {params.n_actions} "
+            f"actions, the environment {env!r} {env.n_states} x {env.n_actions}")
+
+
 def cmd_rollout(args) -> int:
     cfg = _load_run_config(args)
     env = cfg.make_env()
     params = (load_policy(args.policy) if args.policy else
               PolicyParams.uniform(env.n_states, cfg.n_options, env.n_actions))
+    _check_policy_env(params, env)
     if args.episodes < 0:
         print("error: --episodes must be >= 0", file=sys.stderr)
         return 2
@@ -110,7 +119,11 @@ def cmd_rollout(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     env = cfg.make_env()
+    if args.episodes < 1:
+        print("error: --episodes must be >= 1", file=sys.stderr)
+        return 2
     params = load_policy(args.policy)
+    _check_policy_env(params, env)
     report = evaluate(params, env, args.episodes, mode=args.mode, seed=cfg.ppo.seed)
     print(f"success {report.success_rate:.3f}  mean return {report.mean_return:.3f}  "
           f"switch rate {report.switch_rate:.3f}  "
@@ -164,6 +177,11 @@ def cmd_advantages(args) -> int:
     tables = load_values(args.values)
     params = load_policy(args.policy) if args.policy else None
     _check_advantage_inputs(trajs, tables, params)
+    if params is None and any(u.lp_switch is None
+                              for traj in trajs for u in traj.turns[1:]):
+        print("error: --policy is required: the trajectory file records no "
+              "behavior log-probs for the switch probabilities", file=sys.stderr)
+        return 2
     cfg = GAEConfig(gamma=args.gamma, lambda_low=args.lambda_low,
                     lambda_high=args.lambda_high, lambda_flat=args.lambda_flat)
     tt = TurnTable.from_trajectories(trajs)

@@ -256,16 +256,30 @@ def read_trajectories(fp: IO[str]) -> Iterator[Trajectory]:
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedTrajectory(f"line {line_no}: not valid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise MalformedTrajectory(f"line {line_no}: expected a JSON object")
         if obj.get("truncated"):
             if not turns:
                 raise MalformedTrajectory(f"line {line_no}: truncation sentinel without turns")
             fs = obj.get("final_state")
-            yield Trajectory(tuple(turns), truncated=True,
-                             final_state=None if fs is None else int(fs))
+            try:
+                fs = None if fs is None else int(fs)
+            except (TypeError, ValueError):
+                raise MalformedTrajectory(
+                    f"line {line_no}: final_state {fs!r} is not an integer") from None
+            yield Trajectory(tuple(turns), truncated=True, final_state=fs)
             turns = []
             continue
-        u = turn_from_json(obj)
+        try:
+            u = turn_from_json(obj)
+        except KeyError as exc:
+            raise MalformedTrajectory(f"line {line_no}: turn lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedTrajectory(f"line {line_no}: bad turn field ({exc})") from None
         turns.append(u)
         if u.done:
             yield Trajectory(tuple(turns), truncated=False)

@@ -11,6 +11,7 @@ non-terminal truncation code path is never exercised by these environments.
 
 from __future__ import annotations
 
+import weakref
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -155,12 +156,27 @@ class OneStep:
         return f"OneStep(n_actions={self.n_actions}, reward={self.reward})"
 
 
+# the dense tables of each env object, built on first use; envs are immutable
+_TABLES: "weakref.WeakKeyDictionary[EnvModel, tuple]" = weakref.WeakKeyDictionary()
+
+
 def transition_tables(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (next_state, reward, done) lookup tables over (state, action).
 
     Terminal rows self-loop with zero reward so vectorized rollouts can
     gather unconditionally; callers mask them out via episode liveness.
+    The tables are built once per env object and are read-only.
     """
+    try:
+        return _TABLES[env]
+    except KeyError:
+        tables = _TABLES[env] = _dense_tables(env)
+        return tables
+    except TypeError:  # an env that cannot be weakly referenced or hashed
+        return _dense_tables(env)
+
+
+def _dense_tables(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_s, n_a = env.n_states, env.n_actions
     nxt = np.empty((n_s, n_a), dtype=np.int64)
     rew = np.zeros((n_s, n_a), dtype=np.float64)
@@ -172,6 +188,8 @@ def transition_tables(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray
             continue
         for a in range(n_a):
             nxt[s, a], rew[s, a], done[s, a] = env.transition(s, a)
+    for table in (nxt, rew, done):
+        table.flags.writeable = False
     return nxt, rew, done
 
 

@@ -295,7 +295,8 @@ def read_checkpoint(path, magic: str, shapes) -> dict[str, np.ndarray]:
     `shapes` maps the integers of the sizes line to {table name: shape}, in
     file order.  Raises CheckpointError naming the line when the file is
     truncated, a line does not parse or does not match the declared shapes,
-    or anything but blank lines follows the last table.
+    a value is nan or infinite, or anything but blank lines follows the last
+    table.
     """
     with open(path, "r", encoding="utf-8") as fp:
         lines = fp.read().splitlines()
@@ -325,7 +326,7 @@ def read_checkpoint(path, magic: str, shapes) -> dict[str, np.ndarray]:
         count = math.prod(shape)
         take(1, f"'table {name} {count}'",
              lambda text: _expect(text.split() == ["table", name, str(count)]))
-        values = take(count, f"a value of table {name}", float)
+        values = take(count, f"a finite value of table {name}", _finite)
         tables[name] = np.array(values, dtype=np.float64).reshape(shape)
     if any(line.strip() for line in lines[pos:]):
         raise CheckpointError(f"{path}, line {pos + 1}: unexpected content "
@@ -338,6 +339,13 @@ def _size(text: str) -> int:
     if n < 0:
         raise ValueError(f"negative size {n}")
     return n
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x}")
+    return x
 
 
 def _expect(ok: bool) -> None:

@@ -34,22 +34,26 @@ def _absorb(h: np.ndarray, word) -> np.ndarray:
     return _finalize(h ^ (np.asarray(word, dtype=np.uint64) * _MIX1 + _GOLDEN))
 
 
-def counter_uniform(seed: int, episode, turn: int, head: int):
+def counter_uniform(seed: int, episode, turn, head):
     """Uniform in [0, 1) keyed by (seed, episode, turn, head).
 
-    `episode` may be an integer array, in which case the result has the
-    same shape.  53-bit mantissa resolution.
+    `episode`, `turn` and `head` may be integer arrays that broadcast
+    together, in which case the result has the broadcast shape; the hash is
+    elementwise, so each entry equals the scalar call on its keys.  53-bit
+    mantissa resolution.
 
     The intermediate products wrap mod 2**64 by design; computations stay
     on (at least) 1-d uint64 arrays because numpy would warn on wrapped
     scalar arithmetic.
     """
-    scalar = np.ndim(episode) == 0
-    ep = np.atleast_1d(np.asarray(episode, dtype=np.uint64))
+    keys = np.broadcast_arrays(*(np.asarray(k, dtype=np.uint64)
+                                 for k in (episode, turn, head)))
+    scalar = keys[0].ndim == 0
+    ep, t, hd = (np.atleast_1d(k) for k in keys)
     h = _finalize(np.full_like(ep, np.uint64(seed)) + _GOLDEN)
     h = _absorb(h, ep)
-    h = _absorb(h, np.full_like(ep, np.uint64(turn)))
-    h = _absorb(h, np.full_like(ep, np.uint64(head)))
+    h = _absorb(h, t)
+    h = _absorb(h, hd)
     u = (h >> _R11).astype(np.float64) * (2.0 ** -53)
     return float(u[0]) if scalar else u
 

@@ -177,8 +177,65 @@ def gather_rows(tt: TurnTable, adv) -> TurnRows:
 
 
 # ---------------------------------------------------------------------------
-# Ratios, surrogates, KL
+# One log-softmax pass per head; the surrogates and the KL read it
 # ---------------------------------------------------------------------------
+
+# head order of every pass: the order the surrogate and the KL sum them in
+_HEADS = ("action", "subgoal", "switch")
+
+
+@dataclass
+class HeadPass:
+    """Log-probabilities of one head at the minibatch turns it is present at.
+
+    `at` marks those turns; `cell` is the row of the head's table viewed as
+    (cells, choices) and `chosen` the index taken there.  `p` = exp(`lp`).
+    """
+
+    at: np.ndarray
+    cell: np.ndarray
+    chosen: np.ndarray
+    lp: np.ndarray
+    p: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "HeadPass":
+        """The pass restricted to the present turns where `keep` holds."""
+        at = self.at.copy()
+        at[at] = keep
+        return HeadPass(at, self.cell[keep], self.chosen[keep], self.lp[keep],
+                        self.p[keep])
+
+    def live(self) -> np.ndarray:
+        return self.lp[np.arange(len(self.cell)), self.chosen]
+
+
+def _cell_rows(table: np.ndarray) -> np.ndarray:
+    """A logit table viewed as (cells, choices)."""
+    return table.reshape(-1, table.shape[-1])
+
+
+def _policy_pass(rows: TurnRows, params: PolicyParams) -> tuple[HeadPass, ...]:
+    """Per head in `_HEADS` order: the action head at every turn, the
+    subgoal head at switch turns, the switch head from t = 1 on."""
+    n_o = params.n_options
+    sites = (
+        (np.ones(len(rows), dtype=bool), rows.state * n_o + rows.subgoal, rows.action),
+        (rows.q == SWITCH, rows.state, rows.subgoal),
+        (rows.t > 0, rows.state * n_o + rows.prev_subgoal, rows.q),
+    )
+    out = []
+    for name, (at, cell, chosen) in zip(_HEADS, sites):
+        cell = cell[at]
+        lp = log_softmax(_cell_rows(getattr(params, name))[cell], axis=1)
+        out.append(HeadPass(at, cell, chosen[at], lp, np.exp(lp)))
+    return tuple(out)
+
+
+def _ref_log_probs(ref: PolicyParams) -> tuple[np.ndarray, ...]:
+    """Log-softmax of every cell of the reference policy, per head."""
+    return tuple(log_softmax(_cell_rows(getattr(ref, name)), axis=1)
+                 for name in _HEADS)
+
 
 def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,11 +254,108 @@ def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
     return value, grad_w
 
 
-def _scatter_head(grad_table: np.ndarray, rows_idx: tuple, chosen: np.ndarray,
-                  probs: np.ndarray, weight: np.ndarray) -> None:
-    """Accumulate weight * (e_chosen - probs) into softmax rows."""
-    np.add.at(grad_table, rows_idx + (chosen,), weight)
-    np.add.at(grad_table, rows_idx, -weight[:, None] * probs)
+def _row_sums(table: np.ndarray, cell: np.ndarray, rows: np.ndarray,
+              chosen: np.ndarray | None = None,
+              weight: np.ndarray | None = None) -> np.ndarray:
+    """The (m, K) `rows` summed into a zero table shaped like `table`, at
+    rows `cell` of its (cells, K) view; with `chosen`, weight[i] goes in at
+    (cell[i], chosen[i]) first.  Each entry adds its terms in that fixed
+    order, turn by turn, so the sums do not depend on how they are batched;
+    a last-bit change would re-roll every later training batch."""
+    k = table.shape[-1]
+    idx = [(cell[:, None] * k + np.arange(k)).ravel()]
+    vals = [rows.ravel()]
+    if chosen is not None:
+        idx.insert(0, cell * k + chosen)
+        vals.insert(0, weight)
+    return np.bincount(np.concatenate(idx), np.concatenate(vals),
+                       minlength=table.size).reshape(table.shape)
+
+
+def _score(table: np.ndarray, h: HeadPass, probs: np.ndarray,
+           weight: np.ndarray) -> np.ndarray:
+    """sum_i weight_i * (e_chosen_i - probs_i) on the head's table."""
+    return _row_sums(table, h.cell, -weight[:, None] * probs, h.chosen, weight)
+
+
+def _grad_tables(params: PolicyParams, parts: dict) -> GradTables:
+    """GradTables from the heads in `parts`, zero for the others."""
+    return GradTables(*[parts[name] if name in parts
+                        else np.zeros_like(getattr(params, name))
+                        for name in ("switch", "subgoal", "action")])
+
+
+def _surrogate(rows: TurnRows, heads: tuple[HeadPass, ...],
+               params: PolicyParams, eps: float) -> tuple[float, GradTables]:
+    """Summed clipped surrogate of the three levels over one pass."""
+    total = 0.0
+    parts = {}
+    # the switch surrogate skips turns the parser flagged malformed
+    act, sub, sw = heads
+    sw = sw.take(rows.format_ok[sw.at])
+    for name, h, adv, lp_beh in (
+            ("action", act, rows.adv_low, rows.lp_action),
+            ("subgoal", sub, rows.adv_high, rows.lp_subgoal),
+            ("switch", sw, rows.adv_switch, rows.lp_switch)):
+        if name != "action" and not h.at.any():
+            continue
+        ratio = np.exp(h.live() - lp_beh[h.at])
+        value, w = _clipped_surrogate(ratio, adv[h.at], eps)
+        total += float(value.sum())
+        parts[name] = _score(getattr(params, name), h, h.p, w)
+    return total, _grad_tables(params, parts)
+
+
+def _flat_surrogate(rows: TurnRows, heads: tuple[HeadPass, ...],
+                    params: PolicyParams, eps: float
+                    ) -> tuple[float, GradTables]:
+    """Single-level surrogate on the joint turn ratio over one pass."""
+    act, sub, sw = heads
+    n = len(rows)
+    live = act.live()
+    beh = rows.lp_action.copy()
+    live_hi = np.zeros(n)
+    live_hi[sub.at] = sub.live()
+    live = live + live_hi
+    beh[sub.at] += rows.lp_subgoal[sub.at]
+    live_sw = np.zeros(n)
+    live_sw[sw.at] = sw.live()
+    live = live + live_sw
+    beh[sw.at] += rows.lp_switch[sw.at]
+    ratio = np.exp(live - beh)
+    value, w = _clipped_surrogate(ratio, rows.adv_flat, eps)
+    # the action head weighs with the explicitly normalized softmax; exp(lp)
+    # differs from it in the last bits, which would change every run
+    probs = softmax(_cell_rows(params.action)[act.cell], axis=1)
+    parts = {"action": _score(params.action, act, probs, w)}
+    for name, h in (("subgoal", sub), ("switch", sw)):
+        if h.at.any():
+            parts[name] = _score(getattr(params, name), h, h.p, w[h.at])
+    return float(value.sum()), _grad_tables(params, parts)
+
+
+def _kl(rows: TurnRows, heads: tuple[HeadPass, ...], ref_lp: tuple,
+        params: PolicyParams, grad: bool = True
+        ) -> tuple[float, GradTables | None]:
+    """Exact categorical KL(live || ref) averaged over turns, and (with
+    `grad`) its gradient wrt the live logits."""
+    n = len(rows)
+    if n == 0:
+        return 0.0, _grad_tables(params, {}) if grad else None
+    total = 0.0
+    parts = {}
+    for name, h, lq in zip(_HEADS, heads, ref_lp):
+        if name != "action" and not h.at.any():
+            continue
+        diff = h.lp - lq[h.cell]
+        kl = np.sum(h.p * diff, axis=1)
+        total += float(kl.sum())
+        if grad:
+            parts[name] = _row_sums(getattr(params, name), h.cell,
+                                    h.p * (diff - kl[:, None]))
+    if not grad:
+        return total / n, None
+    return total / n, _grad_tables(params, parts).scale(1.0 / n)
 
 
 def actor_loss(rows: TurnRows, params: PolicyParams, eps: float
@@ -212,40 +366,7 @@ def actor_loss(rows: TurnRows, params: PolicyParams, eps: float
     skips the forced first turn and any turn flagged malformed by the
     parser.
     """
-    grads = GradTables.zeros_like(params)
-    total = 0.0
-    # action level
-    logits = params.action[rows.state, rows.subgoal]
-    lp = log_softmax(logits, axis=1)
-    live = lp[np.arange(len(rows)), rows.action]
-    ratio = np.exp(live - rows.lp_action)
-    value, w = _clipped_surrogate(ratio, rows.adv_low, eps)
-    total += float(value.sum())
-    _scatter_head(grads.action, (rows.state, rows.subgoal), rows.action,
-                  np.exp(lp), w)
-    # subgoal level at switch turns
-    hi = rows.q == SWITCH
-    if hi.any():
-        logits = params.subgoal[rows.state[hi]]
-        lp = log_softmax(logits, axis=1)
-        live = lp[np.arange(int(hi.sum())), rows.subgoal[hi]]
-        ratio = np.exp(live - rows.lp_subgoal[hi])
-        value, w = _clipped_surrogate(ratio, rows.adv_high[hi], eps)
-        total += float(value.sum())
-        _scatter_head(grads.subgoal, (rows.state[hi],), rows.subgoal[hi],
-                      np.exp(lp), w)
-    # switch level, t >= 1, well-formed turns only
-    sw = (rows.t > 0) & rows.format_ok
-    if sw.any():
-        logits = params.switch[rows.state[sw], rows.prev_subgoal[sw]]
-        lp = log_softmax(logits, axis=1)
-        live = lp[np.arange(int(sw.sum())), rows.q[sw]]
-        ratio = np.exp(live - rows.lp_switch[sw])
-        value, w = _clipped_surrogate(ratio, rows.adv_switch[sw], eps)
-        total += float(value.sum())
-        _scatter_head(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]),
-                      rows.q[sw], np.exp(lp), w)
-    return total, grads
+    return _surrogate(rows, _policy_pass(rows, params), params, eps)
 
 
 def flat_actor_loss(rows: TurnRows, params: PolicyParams, eps: float
@@ -255,46 +376,7 @@ def flat_actor_loss(rows: TurnRows, params: PolicyParams, eps: float
     The ratio multiplies the product of present-head likelihoods; its score
     is the sum of the per-head scores, all weighted by the same advantage.
     """
-    grads = GradTables.zeros_like(params)
-    n = len(rows)
-    lp_lo = log_softmax(params.action[rows.state, rows.subgoal], axis=1)
-    live = lp_lo[np.arange(n), rows.action]
-    beh = rows.lp_action.copy()
-    hi = rows.q == SWITCH
-    lp_hi = log_softmax(params.subgoal[rows.state[hi]], axis=1)
-    live_hi = np.zeros(n)
-    live_hi[hi] = lp_hi[np.arange(int(hi.sum())), rows.subgoal[hi]]
-    live = live + live_hi
-    beh[hi] += rows.lp_subgoal[hi]
-    sw = rows.t > 0
-    lp_sw = log_softmax(params.switch[rows.state[sw], rows.prev_subgoal[sw]], axis=1)
-    live_sw = np.zeros(n)
-    live_sw[sw] = lp_sw[np.arange(int(sw.sum())), rows.q[sw]]
-    live = live + live_sw
-    beh[sw] += rows.lp_switch[sw]
-    ratio = np.exp(live - beh)
-    value, w = _clipped_surrogate(ratio, rows.adv_flat, eps)
-    _scatter_head(grads.action, (rows.state, rows.subgoal), rows.action,
-                  softmax(params.action[rows.state, rows.subgoal], axis=1), w)
-    if hi.any():
-        _scatter_head(grads.subgoal, (rows.state[hi],), rows.subgoal[hi],
-                      np.exp(lp_hi), w[hi])
-    if sw.any():
-        _scatter_head(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]),
-                      rows.q[sw], np.exp(lp_sw), w[sw])
-    return float(value.sum()), grads
-
-
-def _kl_rows(live_logits: np.ndarray, ref_logits: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row KL(live || ref) and its gradient wrt the live logits."""
-    lp = log_softmax(live_logits, axis=1)
-    lq = log_softmax(ref_logits, axis=1)
-    p = np.exp(lp)
-    diff = lp - lq
-    kl = np.sum(p * diff, axis=1)
-    grad = p * (diff - kl[:, None])
-    return kl, grad
+    return _flat_surrogate(rows, _policy_pass(rows, params), params, eps)
 
 
 def kl_penalty(rows: TurnRows, params: PolicyParams, ref: PolicyParams
@@ -304,28 +386,7 @@ def kl_penalty(rows: TurnRows, params: PolicyParams, ref: PolicyParams
     Heads present at each turn contribute: the action head always, the
     subgoal head on switch turns, the switch head from t = 1 on.
     """
-    grads = GradTables.zeros_like(params)
-    n = len(rows)
-    if n == 0:
-        return 0.0, grads
-    total = 0.0
-    kl, g = _kl_rows(params.action[rows.state, rows.subgoal],
-                     ref.action[rows.state, rows.subgoal])
-    total += float(kl.sum())
-    np.add.at(grads.action, (rows.state, rows.subgoal), g)
-    hi = rows.q == SWITCH
-    if hi.any():
-        kl, g = _kl_rows(params.subgoal[rows.state[hi]], ref.subgoal[rows.state[hi]])
-        total += float(kl.sum())
-        np.add.at(grads.subgoal, (rows.state[hi],), g)
-    sw = rows.t > 0
-    if sw.any():
-        kl, g = _kl_rows(params.switch[rows.state[sw], rows.prev_subgoal[sw]],
-                         ref.switch[rows.state[sw], rows.prev_subgoal[sw]])
-        total += float(kl.sum())
-        np.add.at(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]), g)
-    grads.scale(1.0 / n)
-    return total / n, grads
+    return _kl(rows, _policy_pass(rows, params), _ref_log_probs(ref), params)
 
 
 def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
@@ -341,8 +402,9 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     checks and diagnostics; `train` takes the equivalent staged steps.
     """
     rows = gather_rows(tt, adv)
-    surrogate, g_actor = actor_loss(rows, params, cfg.clip_eps)
-    kl, g_kl = kl_penalty(rows, params, ref)
+    heads = _policy_pass(rows, params)
+    surrogate, g_actor = _surrogate(rows, heads, params, cfg.clip_eps)
+    kl, g_kl = _kl(rows, heads, _ref_log_probs(ref), params)
     cb = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
     mse_lo, mse_hi, g_v = cb.mse_and_grad(tables, target_tables)
     value = -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
@@ -439,6 +501,7 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
               else PolicyParams.uniform(env.n_states, n_options, env.n_actions))
     state = TrainState(params=params, params_ref=params.copy(),
                        tables=ValueTables.zeros(env.n_states, params.n_options))
+    ref_lp = _ref_log_probs(state.params_ref)  # the reference stays frozen
     rollout_seed = derive_seed(cfg.seed, _TRAIN_STREAM)
     v_flat = np.zeros(env.n_states)
     metrics: list[MetricsRow] = []
@@ -474,12 +537,13 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         surrogate_sum, turn_count = 0.0, 0
         shuffle = np.random.Generator(np.random.PCG64(
             derive_seed(cfg.seed, 23, it)))
-        loss_fn = flat_actor_loss if flat else actor_loss
+        surrogate = _flat_surrogate if flat else _surrogate
         for _ in range(cfg.epochs):
             for idx in _minibatches(len(rows), cfg.minibatch, shuffle):
                 mb = rows.take(idx)
-                value, g_actor = loss_fn(mb, state.params, cfg.clip_eps)
-                kl, g_kl = kl_penalty(mb, state.params, state.params_ref)
+                heads = _policy_pass(mb, state.params)
+                value, g_actor = surrogate(mb, heads, state.params, cfg.clip_eps)
+                kl, g_kl = _kl(mb, heads, ref_lp, state.params)
                 _check_finite("actor surrogate", it, value, kl)
                 # the surrogate is a sum over minibatch turns while the KL is
                 # a per-turn mean; scale the KL gradient to the same footing
@@ -490,7 +554,8 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         _check_finite("policy parameters", it, state.params.switch,
                       state.params.subgoal, state.params.action)
 
-        kl_now, _ = kl_penalty(rows, state.params, state.params_ref)
+        kl_now, _ = _kl(rows, _policy_pass(rows, state.params), ref_lp,
+                        state.params, grad=False)
         st = batch_stats(tt, goal_state=goal)
         greedy = evaluate(state.params, env, cfg.eval_episodes, "greedy",
                           seed=derive_seed(cfg.seed, 31, it))

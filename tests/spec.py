@@ -10,7 +10,10 @@ against (`tests/test_batch.py`), not library code:
   `advantage_arrays`;
 * `critic_batch` and `flat_critic_batch` for `critic_batch_from_table` and
   `flat_batch_from_table`;
-* `ppo_ratios` for the per-head ratios inside `training.actor_loss`.
+* `ppo_ratios` for the per-head ratios inside `training.actor_loss`;
+* `actor_loss`, `flat_actor_loss` and `kl_penalty` for the trainer's
+  shared per-head pass: each head's log-softmax computed separately by the
+  surrogate and by the KL, gradients summed with `np.add.at`.
 
 The low and high segment recursions are the library's own
 `advantages.low_td_residuals` / `low_advantages` / `high_advantages`, which
@@ -31,8 +34,10 @@ from segrl.core import (SWITCH, Trajectory, TurnRecord, apply_keep_penalty,
 from segrl.critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
                           single_coupling_rows)
 from segrl.envs import EnvModel
-from segrl.policy import PolicyParams, log_prob, log_softmax, softmax
+from segrl.policy import (GradTables, PolicyParams, log_prob, log_softmax,
+                          softmax)
 from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng
+from segrl.training import _clipped_surrogate
 
 
 # -- rollout ------------------------------------------------------------------
@@ -271,3 +276,114 @@ def ppo_ratios(params: PolicyParams, turn: TurnRecord):
     r_sw = None if lp_sw is None else float(np.exp(lp_sw - turn.lp_switch))
     r_hi = None if lp_hi is None else float(np.exp(lp_hi - turn.lp_subgoal))
     return r_sw, r_hi, float(np.exp(lp_lo - turn.lp_action))
+
+
+# -- surrogates and KL ----------------------------------------------------------
+
+def _scatter_head(grad_table, rows_idx, chosen, probs, weight):
+    """Accumulate weight * (e_chosen - probs) into softmax rows."""
+    np.add.at(grad_table, rows_idx + (chosen,), weight)
+    np.add.at(grad_table, rows_idx, -weight[:, None] * probs)
+
+
+def actor_loss(rows, params: PolicyParams, eps: float):
+    """Summed clipped surrogate over the three levels, one head at a time."""
+    grads = GradTables.zeros_like(params)
+    total = 0.0
+    logits = params.action[rows.state, rows.subgoal]
+    lp = log_softmax(logits, axis=1)
+    live = lp[np.arange(len(rows)), rows.action]
+    ratio = np.exp(live - rows.lp_action)
+    value, w = _clipped_surrogate(ratio, rows.adv_low, eps)
+    total += float(value.sum())
+    _scatter_head(grads.action, (rows.state, rows.subgoal), rows.action,
+                  np.exp(lp), w)
+    hi = rows.q == SWITCH
+    if hi.any():
+        logits = params.subgoal[rows.state[hi]]
+        lp = log_softmax(logits, axis=1)
+        live = lp[np.arange(int(hi.sum())), rows.subgoal[hi]]
+        ratio = np.exp(live - rows.lp_subgoal[hi])
+        value, w = _clipped_surrogate(ratio, rows.adv_high[hi], eps)
+        total += float(value.sum())
+        _scatter_head(grads.subgoal, (rows.state[hi],), rows.subgoal[hi],
+                      np.exp(lp), w)
+    sw = (rows.t > 0) & rows.format_ok
+    if sw.any():
+        logits = params.switch[rows.state[sw], rows.prev_subgoal[sw]]
+        lp = log_softmax(logits, axis=1)
+        live = lp[np.arange(int(sw.sum())), rows.q[sw]]
+        ratio = np.exp(live - rows.lp_switch[sw])
+        value, w = _clipped_surrogate(ratio, rows.adv_switch[sw], eps)
+        total += float(value.sum())
+        _scatter_head(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]),
+                      rows.q[sw], np.exp(lp), w)
+    return total, grads
+
+
+def flat_actor_loss(rows, params: PolicyParams, eps: float):
+    """Single-level surrogate on the joint turn ratio, flat advantages."""
+    grads = GradTables.zeros_like(params)
+    n = len(rows)
+    lp_lo = log_softmax(params.action[rows.state, rows.subgoal], axis=1)
+    live = lp_lo[np.arange(n), rows.action]
+    beh = rows.lp_action.copy()
+    hi = rows.q == SWITCH
+    lp_hi = log_softmax(params.subgoal[rows.state[hi]], axis=1)
+    live_hi = np.zeros(n)
+    live_hi[hi] = lp_hi[np.arange(int(hi.sum())), rows.subgoal[hi]]
+    live = live + live_hi
+    beh[hi] += rows.lp_subgoal[hi]
+    sw = rows.t > 0
+    lp_sw = log_softmax(params.switch[rows.state[sw], rows.prev_subgoal[sw]], axis=1)
+    live_sw = np.zeros(n)
+    live_sw[sw] = lp_sw[np.arange(int(sw.sum())), rows.q[sw]]
+    live = live + live_sw
+    beh[sw] += rows.lp_switch[sw]
+    ratio = np.exp(live - beh)
+    value, w = _clipped_surrogate(ratio, rows.adv_flat, eps)
+    _scatter_head(grads.action, (rows.state, rows.subgoal), rows.action,
+                  softmax(params.action[rows.state, rows.subgoal], axis=1), w)
+    if hi.any():
+        _scatter_head(grads.subgoal, (rows.state[hi],), rows.subgoal[hi],
+                      np.exp(lp_hi), w[hi])
+    if sw.any():
+        _scatter_head(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]),
+                      rows.q[sw], np.exp(lp_sw), w[sw])
+    return float(value.sum()), grads
+
+
+def _kl_rows(live_logits, ref_logits):
+    """Per-row KL(live || ref) and its gradient wrt the live logits."""
+    lp = log_softmax(live_logits, axis=1)
+    lq = log_softmax(ref_logits, axis=1)
+    p = np.exp(lp)
+    diff = lp - lq
+    kl = np.sum(p * diff, axis=1)
+    return kl, p * (diff - kl[:, None])
+
+
+def kl_penalty(rows, params: PolicyParams, ref: PolicyParams):
+    """Exact categorical KL to the reference policy, averaged over turns."""
+    grads = GradTables.zeros_like(params)
+    n = len(rows)
+    if n == 0:
+        return 0.0, grads
+    total = 0.0
+    kl, g = _kl_rows(params.action[rows.state, rows.subgoal],
+                     ref.action[rows.state, rows.subgoal])
+    total += float(kl.sum())
+    np.add.at(grads.action, (rows.state, rows.subgoal), g)
+    hi = rows.q == SWITCH
+    if hi.any():
+        kl, g = _kl_rows(params.subgoal[rows.state[hi]], ref.subgoal[rows.state[hi]])
+        total += float(kl.sum())
+        np.add.at(grads.subgoal, (rows.state[hi],), g)
+    sw = rows.t > 0
+    if sw.any():
+        kl, g = _kl_rows(params.switch[rows.state[sw], rows.prev_subgoal[sw]],
+                         ref.switch[rows.state[sw], rows.prev_subgoal[sw]])
+        total += float(kl.sum())
+        np.add.at(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]), g)
+    grads.scale(1.0 / n)
+    return total / n, grads

@@ -15,6 +15,13 @@ import spec
 from conftest import head_ratios, weighted_target_maps
 
 
+class _TwoStarts(FetchChain):
+    """FetchChain started at cell 0 or, more often, at cell 1."""
+
+    def initial_states(self):
+        return [(self.encode(0, False, 0), 0.4), (self.encode(1, False, 0), 0.6)]
+
+
 @pytest.fixture(scope="module")
 def env_and_params():
     env = FetchChain(3, 6)
@@ -47,6 +54,21 @@ class TestRolloutBatch:
         first = tt.state[0]
         for ep in range(1, 8):
             assert np.array_equal(tt.state[ep], first)
+
+    def test_greedy_matches_single_rollouts_bitwise(self, env_and_params):
+        # one greedy episode is rolled per distinct start and copied
+        _, params = env_and_params
+        env = _TwoStarts(3, 6)
+        tt = rollout_batch(env, params, 24, seed=5, c_keep=0.2,
+                           episode_offset=3, greedy=True)
+        assert set(tt.state[:, 0].tolist()) == {0, 1}
+        assert np.isnan(tt.lp_switch).all() and np.isnan(tt.lp_action).all()
+        for ep, traj in enumerate(tt.to_trajectories()):
+            single = spec.rollout(env, params, env.horizon, CounterRng(5, 3 + ep),
+                                  c_keep=0.2, greedy=True)
+            assert single.turns == traj.turns
+            assert single.truncated == traj.truncated
+            assert single.final_state == traj.final_state
 
     def test_episode_offset_changes_draws(self, env_and_params):
         env, params = env_and_params

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -245,10 +246,12 @@ class TestMalformedInputs:
 
     def _refused(self, argv, capsys, *words):
         assert dispatch(argv) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         for word in words:
             assert word in err, err
+        return captured.out
 
     def test_bad_episode(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -298,6 +301,75 @@ class TestMalformedInputs:
         self._refused(["rollout", "--episodes", "-1", "--out",
                        str(tmp_path / "roll")], capsys, "--episodes")
 
+    @pytest.mark.parametrize("lines,word", [
+        (['{"t":0,"state":0'], "JSON"),
+        (['{"t":0,"state":0}'], "prev_subgoal"),
+        (['[0, 1]'], "object"),
+        ([json.dumps(dict(BAD_EPISODE[0], state="x"))], "'x'"),
+        ([json.dumps(BAD_EPISODE[0]), '{"truncated":true,"final_state":"end"}'],
+         "final_state"),
+    ])
+    def test_malformed_json_line(self, tmp_path, capsys, lines, word):
+        (tmp_path / "cut.jsonl").write_text("\n".join(lines) + "\n")
+        save_values(tmp_path / "values.txt", ValueTables.zeros(14, 2))
+        self._refused(["advantages", "--input", str(tmp_path / "cut.jsonl"),
+                       "--values", str(tmp_path / "values.txt"),
+                       "--out", str(tmp_path / "adv")], capsys,
+                      f"line {len(lines)}", word)
+
+    @pytest.mark.parametrize("command,value", [("eval", "nan"),
+                                               ("advantages", "-inf")])
+    def test_non_finite_checkpoint_value(self, tmp_path, capsys, command, value):
+        env = FetchChain(3, 6)
+        save_policy(tmp_path / "policy.txt",
+                    PolicyParams.uniform(env.n_states, 2, env.n_actions))
+        save_values(tmp_path / "values.txt", ValueTables.zeros(env.n_states, 2))
+        path = tmp_path / ("policy.txt" if command == "eval" else "values.txt")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[6] = value + "\n"
+        path.write_text("".join(lines))
+        (tmp_path / "ep.jsonl").write_text(json.dumps(dict(BAD_EPISODE[0], done=True)) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env.L = 3\nenv.H = 6\n")
+        argv = (["eval", "--config", str(cfg), "--policy", str(path)]
+                if command == "eval" else
+                ["advantages", "--input", str(tmp_path / "ep.jsonl"),
+                 "--values", str(path), "--out", str(tmp_path / "adv")])
+        self._refused(argv, capsys, "line 7", "finite")
+
+    def test_advantages_need_a_policy_for_multi_turn_episodes(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env.L = 3\nenv.H = 6\n")
+        assert dispatch(["rollout", "--config", str(cfg), "--episodes", "3",
+                         "--out", str(tmp_path / "roll")]) == 0
+        capsys.readouterr()
+        save_values(tmp_path / "values.txt", ValueTables.zeros(FetchChain(3, 6).n_states, 2))
+        self._refused(["advantages", "--input", str(tmp_path / "roll" / "trajectories.jsonl"),
+                       "--values", str(tmp_path / "values.txt"),
+                       "--out", str(tmp_path / "adv")], capsys, "--policy")
+        assert not (tmp_path / "adv" / "advantages.jsonl").exists()
+
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_eval_episode_count(self, tmp_path, capsys, episodes):
+        env = FetchChain(5, 20)
+        save_policy(tmp_path / "policy.txt",
+                    PolicyParams.uniform(env.n_states, 2, env.n_actions))
+        out = self._refused(["eval", "--policy", str(tmp_path / "policy.txt"),
+                             "--episodes", episodes], capsys, "--episodes")
+        assert "nan" not in out
+
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_policy_must_match_the_env(self, tmp_path, capsys, command):
+        env = FetchChain(5, 20)
+        save_policy(tmp_path / "policy.txt",
+                    PolicyParams.uniform(env.n_states, 2, env.n_actions))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env = onestep\n")
+        out = self._refused([command, "--config", str(cfg), "--policy",
+                             str(tmp_path / "policy.txt"), "--out", str(tmp_path / "o")],
+                            capsys, "202 states")
+        assert "success" not in out
+
     def test_truncated_policy(self, tmp_path, capsys):
         save_policy(tmp_path / "policy.txt", PolicyParams.uniform(202, 2, 4))
         lines = (tmp_path / "policy.txt").read_text().splitlines(keepends=True)
@@ -328,6 +400,24 @@ class TestCheckpointErrors:
             fp.write("0.5\n")
         with pytest.raises(CheckpointError, match="after the last table"):
             load_values(tmp_path / "values.txt")
+
+
+class TestBitIdentity:
+    """The bytes of `metrics.csv` for 20 iterations on FetchChain(5, 20) at
+    seed 0 (numpy 2.4, x86-64).  Rollout streams are keyed by a hash of the
+    parameter bytes, so any last-bit change to an update re-rolls every later
+    batch; a change that reorders the arithmetic re-pins these digests and
+    says so."""
+
+    @pytest.mark.parametrize("command,digest", [
+        ("train", "03d9fb7eca32c7f1bd61b1e46763ab13717642cf246841d0b181938cc341a469"),
+        ("train-flat", "7ee2586aad626cfc28e1ea120bd91d58e0d811143e5aa331d59d0340261af247"),
+    ])
+    def test_metrics_csv_digest(self, tmp_path, command, digest):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 20\nseed = 0\n")
+        assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
 
 
 class TestDemos:

@@ -99,3 +99,17 @@ def test_make_env():
     assert isinstance(make_env("onestep"), OneStep)
     with pytest.raises(ValueError):
         make_env("gridworld")
+
+
+def test_transition_tables_built_once_and_read_only():
+    env = FetchChain(3, 4)
+    first = transition_tables(env)
+    again = transition_tables(env)
+    assert all(a is b for a, b in zip(first, again))
+    for table in first:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = table[0, 1]
+    # another env object of the same size gets its own, equal tables
+    other = transition_tables(FetchChain(3, 4))
+    assert all(a is not b and (a == b).all() for a, b in zip(first, other))

@@ -46,3 +46,15 @@ def test_derive_seed_deterministic():
 def test_counter_rng_view():
     rng = CounterRng(5, 11)
     assert rng.uniform(0, 2) == counter_uniform(5, 11, 0, 2)
+
+
+def test_array_turn_and_head_match_scalar_calls():
+    eps = np.array([0, 4, 9, 2**40])
+    turns = np.array([0, 3, 2**31])[:, None, None]
+    heads = np.array([0, 1, 2, 3])[:, None]
+    u = counter_uniform(7, eps, turns, heads)
+    assert u.shape == (3, 4, 4)
+    for i, t in enumerate(turns.ravel()):
+        for j, h in enumerate(heads.ravel()):
+            for k, ep in enumerate(eps):
+                assert u[i, j, k] == counter_uniform(7, int(ep), int(t), int(h))

@@ -12,10 +12,12 @@ from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, success_probability
 from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
-                            actor_loss, evaluate, flat_actor_loss, gather_rows,
+                            _kl, _policy_pass, _ref_log_probs, actor_loss,
+                            evaluate, flat_actor_loss, gather_rows,
                             kl_penalty, total_loss, train,
                             train_flat_baseline)
 
+import spec
 from conftest import head_ratios
 
 
@@ -158,6 +160,72 @@ class TestKlPenalty:
         _, _, rows = make_rows(env, params)
         kl, _ = kl_penalty(rows, params, ref)
         assert kl >= 0.0
+
+
+@pytest.fixture(scope="module")
+def shared_pass_case():
+    """Rows of a sampled batch with some malformed turns, live logits away
+    from the behavior ones (so ratios clip) and a random reference."""
+    env = FetchChain(3, 6)
+    rng = np.random.default_rng(11)
+    behavior = fetchchain_phased(env, rng)
+    tt = rollout_batch(env, behavior, 40, seed=9, c_keep=0.1)
+    adv = advantage_arrays(tt, random_tables(rng, env.n_states, 2),
+                           GAEConfig(gamma=0.95),
+                           v_flat=rng.standard_normal(env.n_states))
+    rows = gather_rows(tt, adv)
+    rows.format_ok = rng.random(len(rows)) > 0.3
+    live = PolicyParams(*[t + 0.6 * rng.standard_normal(t.shape) for t in
+                          (behavior.switch, behavior.subgoal, behavior.action)])
+    ref = PolicyParams.random(rng, env.n_states, 2, env.n_actions)
+    picks = {
+        "all": np.arange(len(rows)),
+        "random": rng.permutation(len(rows))[:57],
+        "no-switch": np.flatnonzero(rows.q == KEEP),
+        "first-turns": np.flatnonzero(rows.t == 0),
+        "first-row": np.array([0]),
+        "keep-row": np.flatnonzero(rows.q == KEEP)[:1],
+        "malformed-row": np.flatnonzero(~rows.format_ok & (rows.t > 0))[:1],
+        "empty": np.array([], dtype=np.int64),
+    }
+    return rows, live, ref, picks
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in
+               ((a.switch, b.switch), (a.subgoal, b.subgoal), (a.action, b.action)))
+
+
+class TestSharedPass:
+    """The one log-softmax pass per head against the per-function spec,
+    bit for bit."""
+
+    @pytest.mark.parametrize("pick", ["all", "random", "no-switch", "first-turns",
+                                      "first-row", "keep-row", "malformed-row",
+                                      "empty"])
+    def test_matches_spec_bitwise(self, shared_pass_case, pick):
+        rows, live, ref, picks = shared_pass_case
+        mb = rows.take(picks[pick])
+        if pick != "empty":
+            assert len(mb) > 0
+        for fn, ref_fn, args in ((actor_loss, spec.actor_loss, (live, 0.2)),
+                                 (flat_actor_loss, spec.flat_actor_loss, (live, 0.2)),
+                                 (kl_penalty, spec.kl_penalty, (live, ref))):
+            value, grads = fn(mb, *args)
+            want, want_grads = ref_fn(mb, *args)
+            assert value == want, fn.__name__
+            assert _same(grads, want_grads), fn.__name__
+        # the trainer's iteration-end KL builds no gradient
+        kl, none = _kl(mb, _policy_pass(mb, live), _ref_log_probs(ref), live,
+                       grad=False)
+        assert none is None and kl == spec.kl_penalty(mb, live, ref)[0]
+
+    def test_cases_cover_what_they_name(self, shared_pass_case):
+        rows, _, _, picks = shared_pass_case
+        assert not (rows.q[picks["no-switch"]] == SWITCH).any()
+        assert (~rows.format_ok[picks["random"]]).any()
+        assert (rows.q[picks["random"]] == SWITCH).any()
+        assert not rows.format_ok[picks["malformed-row"]].any()
 
 
 class TestTotalLoss:
