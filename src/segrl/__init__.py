@@ -25,8 +25,8 @@ from .oracle import (enumerate_trajectories, mc_gradient_hae, objective,
 from .parsing import (FormatVerdict, ParsedDecision, ParseFailure, ingest_log,
                       parse_blocks, render_decision)
 from .policy import (CheckpointError, GradTables, PolicyParams,
-                     fetchchain_expert, fetchchain_phased, grad_log_prob,
-                     load_policy, log_prob, save_policy, switch_prob)
+                     fetchchain_expert, fetchchain_phased, load_policy,
+                     save_policy, switch_prob)
 from .rng import CounterRng, counter_uniform, derive_seed
 from .training import (PPOConfig, TrainResult, evaluate, train,
                        train_flat_baseline)

@@ -2,9 +2,11 @@
 
 TurnTable stores a batch of episodes as padded (n_episodes, max_turns)
 arrays.  The kernels here are the one implementation of the rollout, the
-segment-aware advantage estimators and the critic regression rows; the
-tests check them against per-episode reference forms.  Because every random
-draw is keyed by (seed, episode, turn, head), a batch reproduces any of its
+segment-aware advantage estimators, the critic regression rows and the
+per-head policy pass with its score sums (the trainer, the Monte-Carlo and
+enumerated oracles and gradcheck all run it); the tests check them against
+per-episode and per-turn reference forms.  Because every random draw is
+keyed by (seed, episode, turn, head), a batch reproduces any of its
 sub-batches, rolled at the matching `episode_offset`, bit for bit.
 """
 
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig, whiten
-from .core import KEEP, SWITCH, Trajectory, TurnRecord
+from .core import KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord
 from .critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
                      single_coupling_rows)
 from .envs import EnvModel, transition_tables
-from .policy import PolicyParams, softmax
+from .policy import GradTables, PolicyParams, log_softmax, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
 
 
@@ -58,11 +60,18 @@ class TurnTable:
 
     @classmethod
     def from_trajectories(cls, trajectories, weights=None) -> "TurnTable":
+        """The episodes as one table.  Raises MalformedTrajectory, naming the
+        episode and the turn, on an id that would index a table silently
+        wrong: a negative state, subgoal, action or final_state, a missing
+        or negative prev_subgoal after the first turn, a q other than KEEP
+        or SWITCH, or a KEEP turn that changes the subgoal."""
         trajs = list(trajectories)
         n = len(trajs)
         t_max = max((tr.n_turns for tr in trajs), default=0)
         tt = _empty_table(n, t_max)
         for i, tr in enumerate(trajs):
+            if tr.final_state is not None and tr.final_state < 0:
+                raise MalformedTrajectory(f"episode {i}: final_state is {tr.final_state}")
             tt.length[i] = tr.n_turns
             tt.terminated[i] = tr.terminated
             tt.final_state[i] = -1 if tr.final_state is None else tr.final_state
@@ -83,6 +92,19 @@ class TurnTable:
                     tt.lp_action[i, t] = u.lp_action
                 tt.format_ok[i, t] = u.format_valid
                 tt.mask[i, t] = True
+        later = np.arange(t_max) > 0
+        for what, arr, bad in (
+                ("state is", tt.state, tt.state < 0),
+                ("subgoal is", tt.subgoal, tt.subgoal < 0),
+                ("action is", tt.action, tt.action < 0),
+                ("prev_subgoal is", tt.prev_subgoal, later & (tt.prev_subgoal < 0)),
+                ("q is", tt.q, (tt.q != KEEP) & (tt.q != SWITCH)),
+                ("KEEP changes the subgoal to", tt.subgoal,
+                 (tt.q == KEEP) & (tt.subgoal != tt.prev_subgoal))):
+            hit = np.argwhere(tt.mask & bad)
+            if hit.size:
+                i, t = hit[0]
+                raise MalformedTrajectory(f"episode {i}, turn {t}: {what} {arr[i, t]}")
         return tt
 
     def to_trajectories(self) -> list[Trajectory]:
@@ -513,6 +535,170 @@ def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> FlatCri
     return FlatCriticBatch.from_rows(
         {"state": tt.state[rows_i, ts], "g": g[rows_i, ts], "w": tt.weight[rows_i]},
         n_states)
+
+
+# ---------------------------------------------------------------------------
+# Turn rows and the per-head policy pass: the one score-function kernel
+# ---------------------------------------------------------------------------
+
+@dataclass
+class TurnRows:
+    """Per-turn arrays gathered from a TurnTable, with the advantages when
+    given; `episode` and `t` locate each row in the table."""
+
+    state: np.ndarray
+    prev_subgoal: np.ndarray
+    q: np.ndarray
+    subgoal: np.ndarray
+    action: np.ndarray
+    episode: np.ndarray
+    t: np.ndarray
+    lp_switch: np.ndarray
+    lp_subgoal: np.ndarray
+    lp_action: np.ndarray
+    format_ok: np.ndarray
+    adv_low: np.ndarray | None = None
+    adv_high: np.ndarray | None = None
+    adv_switch: np.ndarray | None = None
+    adv_flat: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def take(self, idx: np.ndarray) -> "TurnRows":
+        return TurnRows(*[None if v is None else v[idx]
+                          for v in self.__dict__.values()])
+
+
+def gather_rows(tt: TurnTable, adv: BatchAdvantages | None = None) -> TurnRows:
+    """The table's turns in row-major order, with `adv`'s advantages."""
+    eps, ts = np.nonzero(tt.mask)
+    advs = {} if adv is None else dict(
+        adv_low=adv.a_low[eps, ts], adv_high=adv.a_high[eps, ts],
+        adv_switch=adv.a_switch[eps, ts],
+        adv_flat=None if adv.a_flat is None else adv.a_flat[eps, ts])
+    return TurnRows(
+        state=tt.state[eps, ts],
+        prev_subgoal=tt.prev_subgoal[eps, ts],
+        q=tt.q[eps, ts],
+        subgoal=tt.subgoal[eps, ts],
+        action=tt.action[eps, ts],
+        episode=eps,
+        t=ts,
+        lp_switch=tt.lp_switch[eps, ts],
+        lp_subgoal=tt.lp_subgoal[eps, ts],
+        lp_action=tt.lp_action[eps, ts],
+        format_ok=tt.format_ok[eps, ts],
+        **advs,
+    )
+
+
+# head order of every pass: the order the trainer sums the heads in
+HEADS = ("action", "subgoal", "switch")
+
+
+@dataclass
+class HeadPass:
+    """Log-probabilities of one head at the turns it is present at.
+
+    `at` marks those turns; `cell` is the row of the head's table viewed as
+    (cells, choices) and `chosen` the index taken there.  `p` = exp(`lp`).
+    """
+
+    at: np.ndarray
+    cell: np.ndarray
+    chosen: np.ndarray
+    lp: np.ndarray
+    p: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "HeadPass":
+        """The pass restricted to the present turns where `keep` holds."""
+        at = self.at.copy()
+        at[at] = keep
+        return HeadPass(at, self.cell[keep], self.chosen[keep], self.lp[keep],
+                        self.p[keep])
+
+    def live(self) -> np.ndarray:
+        return self.lp[np.arange(len(self.cell)), self.chosen]
+
+
+def cell_rows(table: np.ndarray) -> np.ndarray:
+    """A logit table viewed as (cells, choices)."""
+    return table.reshape(-1, table.shape[-1])
+
+
+def policy_pass(rows: TurnRows, params: PolicyParams) -> tuple[HeadPass, ...]:
+    """Per head in `HEADS` order: the action head at every turn, the
+    subgoal head at switch turns, the switch head from t = 1 on."""
+    n_o = params.n_options
+    sites = (
+        (np.ones(len(rows), dtype=bool), rows.state * n_o + rows.subgoal, rows.action),
+        (rows.q == SWITCH, rows.state, rows.subgoal),
+        (rows.t > 0, rows.state * n_o + rows.prev_subgoal, rows.q),
+    )
+    out = []
+    for name, (at, cell, chosen) in zip(HEADS, sites):
+        cell = cell[at]
+        lp = log_softmax(cell_rows(getattr(params, name))[cell], axis=1)
+        out.append(HeadPass(at, cell, chosen[at], lp, np.exp(lp)))
+    return tuple(out)
+
+
+def row_sums(table: np.ndarray, cell: np.ndarray, rows: np.ndarray,
+             chosen: np.ndarray | None = None,
+             weight: np.ndarray | None = None,
+             group: np.ndarray | None = None, n_groups: int = 1) -> np.ndarray:
+    """The (m, K) `rows` summed into a zero table shaped like `table`, at
+    rows `cell` of its (cells, K) view; with `chosen`, weight[i] goes in at
+    (cell[i], chosen[i]) first.  With `group`, row i goes into table
+    group[i] of `n_groups` stacked on a leading axis.  Each entry adds its
+    terms in that fixed order, turn by turn, so the sums do not depend on
+    how they are batched; a last-bit change would re-roll every later
+    training batch."""
+    k = table.shape[-1]
+    if group is not None:
+        cell = group * (table.size // k) + cell
+    idx = [(cell[:, None] * k + np.arange(k)).ravel()]
+    vals = [rows.ravel()]
+    if chosen is not None:
+        idx.insert(0, cell * k + chosen)
+        vals.insert(0, weight)
+    out = np.bincount(np.concatenate(idx), np.concatenate(vals),
+                      minlength=n_groups * table.size)
+    return out.reshape(table.shape if group is None else (n_groups,) + table.shape)
+
+
+def score_sums(table: np.ndarray, h: HeadPass, weight: np.ndarray,
+               probs: np.ndarray | None = None, group: np.ndarray | None = None,
+               n_groups: int = 1) -> np.ndarray:
+    """sum_i weight_i * (e_chosen_i - probs_i) on the head's table, over the
+    turns the head is present at; `probs` defaults to the pass's exp(lp).
+    With `group` (per present turn), one table per group."""
+    probs = h.p if probs is None else probs
+    return row_sums(table, h.cell, -weight[:, None] * probs, h.chosen, weight,
+                    group, n_groups)
+
+
+def score_tables(params: PolicyParams, heads: tuple[HeadPass, ...], weights,
+                 group: np.ndarray | None = None, n_groups: int = 1) -> GradTables:
+    """Every head's score sum; `weights` (one array per head in `HEADS`
+    order) and `group` are per row of the pass."""
+    parts = {name: score_sums(getattr(params, name), h, w[h.at],
+                              group=None if group is None else group[h.at],
+                              n_groups=n_groups)
+             for name, h, w in zip(HEADS, heads, weights)}
+    return GradTables(parts["switch"], parts["subgoal"], parts["action"])
+
+
+def record_behavior(tt: TurnTable, params: PolicyParams) -> TurnTable:
+    """Replace the table's behavior log-probs, in place, by those `params`
+    gives each present head (NaN where a head is absent); returns `tt`."""
+    rows = gather_rows(tt)
+    for h, lp in zip(policy_pass(rows, params),
+                     (tt.lp_action, tt.lp_subgoal, tt.lp_switch)):
+        lp.fill(np.nan)
+        lp[rows.episode[h.at], rows.t[h.at]] = h.live()
+    return tt
 
 
 # ---------------------------------------------------------------------------

@@ -224,19 +224,38 @@ def turn_to_json(u: TurnRecord) -> dict:
     }
 
 
+_TURN_FIELDS = (("t", int), ("state", int), ("prev_subgoal", int), ("q", int),
+                ("subgoal", int), ("action", int), ("reward", float),
+                ("raw_reward", float))
+
+
 def turn_from_json(obj: dict) -> TurnRecord:
-    return TurnRecord(
-        t=int(obj["t"]),
-        state=int(obj["state"]),
-        prev_subgoal=None if obj["prev_subgoal"] is None else int(obj["prev_subgoal"]),
-        q=int(obj["q"]),
-        subgoal=int(obj["subgoal"]),
-        action=int(obj["action"]),
-        reward=float(obj["reward"]),
-        raw_reward=float(obj["raw_reward"]),
-        done=bool(obj["done"]),
-        subgoal_text=obj.get("subgoal_text"),
-    )
+    """A turn from its JSON object; KeyError on a missing key, ValueError
+    naming the field on a value of the wrong type."""
+    try:
+        return TurnRecord(
+            t=int(obj["t"]),
+            state=int(obj["state"]),
+            prev_subgoal=None if obj["prev_subgoal"] is None else int(obj["prev_subgoal"]),
+            q=int(obj["q"]),
+            subgoal=int(obj["subgoal"]),
+            action=int(obj["action"]),
+            reward=float(obj["reward"]),
+            raw_reward=float(obj["raw_reward"]),
+            done=bool(obj["done"]),
+            subgoal_text=obj.get("subgoal_text"),
+        )
+    except (TypeError, ValueError):
+        # find the field that failed, in the order they were read
+        for name, conv in _TURN_FIELDS:
+            value = obj[name]
+            try:
+                if value is not None or name != "prev_subgoal":
+                    conv(value)
+            except (TypeError, ValueError):
+                what = "an integer" if conv is int else "a number"
+                raise ValueError(f"field {name!r} is not {what}: {value!r}") from None
+        raise
 
 
 def write_trajectories(fp: IO[str], trajectories: Iterable[Trajectory]) -> None:
@@ -279,7 +298,7 @@ def read_trajectories(fp: IO[str]) -> Iterator[Trajectory]:
         except KeyError as exc:
             raise MalformedTrajectory(f"line {line_no}: turn lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise MalformedTrajectory(f"line {line_no}: bad turn field ({exc})") from None
+            raise MalformedTrajectory(f"line {line_no}: {exc}") from None
         turns.append(u)
         if u.done:
             yield Trajectory(tuple(turns), truncated=False)

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import TurnTable, advantage_arrays
+from .batch import (TurnRows, TurnTable, advantage_arrays, gather_rows,
+                    policy_pass, record_behavior, score_tables)
 from .critic import ValueTables
 from .oracle import random_tables, random_trajectory
-from .policy import (GradTables, PolicyParams, grad_log_prob, log_prob,
-                     params_as_vector, params_from_vector,
-                     with_behavior_logprobs)
+from .policy import GradTables, PolicyParams, split_tables
 from .training import PPOConfig, total_loss
 
 DEFAULT_H = 1e-5
@@ -31,21 +30,20 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def fd_params_grad(fn, params: PolicyParams, h: float = DEFAULT_H) -> GradTables:
-    """Central differences of a scalar function of the policy logits."""
-    base = params_as_vector(params)
-    out = np.empty_like(base)
-    for i in range(base.size):
-        bump = base.copy()
-        bump[i] = base[i] + h
-        hi = fn(params_from_vector(bump, params))
-        bump[i] = base[i] - h
-        lo = fn(params_from_vector(bump, params))
-        out[i] = (hi - lo) / (2 * h)
-    sizes = [params.switch.size, params.subgoal.size, params.action.size]
-    parts = np.split(out, np.cumsum(sizes)[:-1])
-    return GradTables(parts[0].reshape(params.switch.shape),
-                      parts[1].reshape(params.subgoal.shape),
-                      parts[2].reshape(params.action.shape))
+    """Central differences of a function of the policy logits, bumping and
+    restoring each entry of the live tables in place.  A vector-valued `fn`
+    gives one table per output entry, stacked on a leading axis."""
+    cols = []
+    for arr in (params.switch, params.subgoal, params.action):
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + h
+            hi = fn(params)
+            arr[i] = orig - h
+            lo = fn(params)
+            arr[i] = orig
+            cols.append((np.asarray(hi) - lo) / (2 * h))
+    return GradTables(*split_tables(np.moveaxis(np.array(cols), 0, -1), params))
 
 
 def fd_tables_grad(fn, tables: ValueTables, h: float = DEFAULT_H) -> ValueTables:
@@ -87,10 +85,9 @@ def random_case(rng: np.random.Generator) -> GradCheckCase:
         params_old.subgoal + 0.3 * rng.standard_normal(params_old.subgoal.shape),
         params_old.action + 0.3 * rng.standard_normal(params_old.action.shape))
     ref = PolicyParams.random(rng, n_s, n_o, n_a, scale=0.5)
-    trajs = [with_behavior_logprobs(
-                 random_trajectory(rng, n_s, n_o, n_a, max_turns=6), params_old)
+    trajs = [random_trajectory(rng, n_s, n_o, n_a, max_turns=6)
              for _ in range(int(rng.integers(2, 5)))]
-    table = TurnTable.from_trajectories(trajs)
+    table = record_behavior(TurnTable.from_trajectories(trajs), params_old)
     tables = random_tables(rng, n_s, n_o)
     cfg = PPOConfig(gamma=float(rng.uniform(0.5, 1.0)), clip_eps=0.2,
                     c_v=float(rng.uniform(0.2, 2.0)),
@@ -98,23 +95,29 @@ def random_case(rng: np.random.Generator) -> GradCheckCase:
     return GradCheckCase(params, params_old, ref, tables, table, cfg)
 
 
+def turn_log_likelihood(rows: TurnRows, params: PolicyParams) -> np.ndarray:
+    """Each turn's log-likelihood under `params`: its present heads' summed
+    log-probabilities from the policy pass."""
+    out = np.zeros(len(rows))
+    for h in policy_pass(rows, params):
+        out[h.at] += h.live()
+    return out
+
+
 def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
                          h: float = DEFAULT_H) -> float:
-    """Max relative error of grad_log_prob vs central differences."""
-    worst = 0.0
+    """Max relative error, over the turns of a random trajectory, of the
+    score kernel's per-turn scores vs central differences of the per-turn
+    log-likelihood (one bump evaluates every turn)."""
     n_s, n_o, n_a = 4, 3, 3
     params = PolicyParams.random(rng, n_s, n_o, n_a)
     traj = random_trajectory(rng, n_s, n_o, n_a, max_turns=n_turns)
-    for u in traj.turns:
-        analytic = grad_log_prob(params, u)
-
-        def density(p, turn=u):
-            lp_sw, lp_hi, lp_lo = log_prob(p, turn)
-            return (lp_sw or 0.0) + (lp_hi or 0.0) + lp_lo
-
-        numeric = fd_params_grad(density, params, h)
-        worst = max(worst, rel_err(analytic.as_vector(), numeric.as_vector()))
-    return worst
+    rows = gather_rows(TurnTable.from_trajectories([traj]))
+    one = np.ones(len(rows))
+    analytic = score_tables(params, policy_pass(rows, params), (one,) * 3,
+                            group=np.arange(len(rows)), n_groups=len(rows))
+    numeric = fd_params_grad(lambda p: turn_log_likelihood(rows, p), params, h)
+    return rel_err(analytic.as_vector(), numeric.as_vector())
 
 
 def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:

@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import BatchAdvantages, advantage_arrays, rollout_batch
+from .batch import (HEADS, TurnTable, advantage_arrays, gather_rows,
+                    policy_pass, returns_matrix, rollout_batch, score_sums,
+                    score_tables)
 from .core import KEEP, SWITCH, Trajectory, TurnRecord, returns_to_go
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
-from .policy import GradTables, PolicyParams, grad_log_prob, log_softmax, softmax
+from .policy import GradTables, PolicyParams, log_softmax, softmax
 from .rng import derive_seed
 
 
@@ -138,27 +140,24 @@ def objective_enumerated(env, params, gamma, horizon=None, cap=1e8) -> float:
 
 def oracle_gradient_enumerated(env, params, gamma, horizon=None, cap=1e8) -> GradTables:
     """Exact policy gradient as sum_tau P(tau) (sum_t scores) R_tau."""
-    out = GradTables.zeros_like(params)
-    for traj, p in enumerate_trajectories(env, params, horizon, cap):
-        scores = GradTables.zeros_like(params)
-        scale, ret = 1.0, 0.0
-        for u in traj.turns:
-            grad_log_prob(params, u, out=scores)
-            ret += scale * u.reward
-            scale *= gamma
-        out.add(scores, weight=p * ret)
-    return out
+    return _enumerated_scores(env, params, horizon, cap, gamma)
 
 
 def score_expectation_enumerated(env, params, horizon=None, cap=1e8) -> GradTables:
     """E[sum_t grad log pi] over the full enumeration (zero in theory)."""
-    out = GradTables.zeros_like(params)
-    for traj, p in enumerate_trajectories(env, params, horizon, cap):
-        scores = GradTables.zeros_like(params)
-        for u in traj.turns:
-            grad_log_prob(params, u, out=scores)
-        out.add(scores, weight=p)
-    return out
+    return _enumerated_scores(env, params, horizon, cap)
+
+
+def _enumerated_scores(env, params, horizon, cap, gamma=None) -> GradTables:
+    """The score kernel over the whole enumeration as one table, each turn
+    weighted by its trajectory's P(tau), times R_tau when `gamma` is given."""
+    dist = enumerate_trajectories(env, params, horizon, cap)
+    tt = TurnTable.from_trajectories([traj for traj, _ in dist],
+                                     weights=[p for _, p in dist])
+    w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
+    rows = gather_rows(tt)
+    w = w[rows.episode]
+    return score_tables(params, policy_pass(rows, params), (w, w, w))
 
 
 def oracle_values_enumerated(env, params, gamma, horizon=None, cap=1e8):
@@ -569,81 +568,37 @@ class McGradient:
 
 def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
                     cfg: GAEConfig, n: int, seed: int,
-                    chunk: int = 5000) -> McGradient:
+                    chunk: int = 1000) -> McGradient:
     """Sampled policy gradient using the segment-aware advantage estimates.
 
     Per-head contributions: the switch score weighted by the switching
     advantage (t >= 1), the subgoal score weighted by the segment advantage
     at boundary turns, and the action score weighted by the within-segment
-    advantage.  Returns the per-coordinate mean and standard error over
-    episodes.
+    advantage.  Each episode's sums come from the trainer's per-head pass,
+    grouped by episode, `chunk` episodes at a time: a head's per-episode
+    tables hold chunk x table-size floats (2.4 MB for the action head of
+    the phased FetchChain(3, 6) policy).  Returns the per-coordinate mean
+    and standard error over episodes.
     """
-    n_coords = params.switch.size + params.subgoal.size + params.action.size
-    off_sub = params.switch.size
-    off_act = off_sub + params.subgoal.size
-    sum_x = np.zeros(n_coords)
-    sum_x2 = np.zeros(n_coords)
+    sum_x = {name: np.zeros_like(getattr(params, name)) for name in HEADS}
+    sum_x2 = {name: np.zeros_like(getattr(params, name)) for name in HEADS}
     done_eps = 0
     while done_eps < n:
         m = min(chunk, n - done_eps)
         tt = rollout_batch(env, params, m, seed, episode_offset=done_eps)
-        adv = advantage_arrays(tt, tables, cfg)
-        dense = np.zeros((m, n_coords))
-        _scatter_episode_grads(dense, tt, adv, params, off_sub, off_act)
-        sum_x += dense.sum(axis=0)
-        sum_x2 += (dense ** 2).sum(axis=0)
+        rows = gather_rows(tt, advantage_arrays(tt, tables, cfg))
+        for name, h, adv in zip(HEADS, policy_pass(rows, params),
+                                (rows.adv_low, rows.adv_high, rows.adv_switch)):
+            # one head's per-episode tables at a time, squared in place
+            x = score_sums(getattr(params, name), h, adv[h.at],
+                           group=rows.episode[h.at], n_groups=m)
+            sum_x[name] += x.sum(axis=0)
+            sum_x2[name] += np.square(x, out=x).sum(axis=0)
         done_eps += m
-    mean = sum_x / n
-    var = np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1)
-    se = np.sqrt(var / n)
-    return McGradient(mean=_vector_to_grads(mean, params),
-                      se=_vector_to_grads(se, params), n=n)
-
-
-def _vector_to_grads(vec: np.ndarray, params: PolicyParams) -> GradTables:
-    sizes = [params.switch.size, params.subgoal.size, params.action.size]
-    parts = np.split(vec, np.cumsum(sizes)[:-1])
-    return GradTables(parts[0].reshape(params.switch.shape),
-                      parts[1].reshape(params.subgoal.shape),
-                      parts[2].reshape(params.action.shape))
-
-
-def _scatter_episode_grads(dense, tt, adv: BatchAdvantages, params: PolicyParams,
-                           off_sub: int, off_act: int) -> None:
-    n_o, n_a = params.n_options, params.n_actions
-    eps, ts = np.nonzero(tt.mask)
-    s = tt.state[eps, ts]
-    o = tt.subgoal[eps, ts]
-    a = tt.action[eps, ts]
-    # action head
-    w = adv.a_low[eps, ts]
-    probs = softmax(params.action[s, o], axis=1)
-    base = off_act + (s * n_o + o) * n_a
-    np.add.at(dense, (eps, base + a), w)
-    np.add.at(dense, (eps[:, None], base[:, None] + np.arange(n_a)[None, :]),
-              -w[:, None] * probs)
-    # subgoal head at boundary turns
-    bmask = tt.q[eps, ts] == SWITCH
-    beps, bs, bts = eps[bmask], s[bmask], ts[bmask]
-    bo = o[bmask]
-    w = adv.a_high[beps, bts]
-    probs = softmax(params.subgoal[bs], axis=1)
-    base = off_sub + bs * n_o
-    np.add.at(dense, (beps, base + bo), w)
-    np.add.at(dense, (beps[:, None], base[:, None] + np.arange(n_o)[None, :]),
-              -w[:, None] * probs)
-    # switch head, t >= 1
-    smask = ts > 0
-    seps, sts = eps[smask], ts[smask]
-    ss = s[smask]
-    sp = tt.prev_subgoal[seps, sts]
-    sq = tt.q[seps, sts]
-    w = adv.a_switch[seps, sts]
-    probs = softmax(params.switch[ss, sp], axis=1)
-    base = (ss * n_o + sp) * 2
-    np.add.at(dense, (seps, base + sq), w)
-    np.add.at(dense, (seps[:, None], base[:, None] + np.arange(2)[None, :]),
-              -w[:, None] * probs)
+    mean = {name: sum_x[name] / n for name in HEADS}
+    se = {name: np.sqrt(np.maximum(sum_x2[name] - n * mean[name] ** 2, 0.0)
+                        / max(n - 1, 1) / n) for name in HEADS}
+    return McGradient(mean=GradTables(**mean), se=GradTables(**se), n=n)
 
 
 @dataclass

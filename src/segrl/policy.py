@@ -3,8 +3,9 @@
 The switch head decides whether to terminate the active subgoal, the
 subgoal head proposes a fresh subgoal on switch turns, and the action head
 picks a primitive action conditioned on (state, subgoal).  All heads have
-exact log-probabilities and analytic score-function gradients, which is
-what makes the brute-force verification suites possible.
+exact log-probabilities and analytic score-function gradients (computed
+per head over a batch of turns by `batch.policy_pass`), which is what
+makes the brute-force verification suites possible.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KEEP, SWITCH, Trajectory, TurnRecord
+from .core import KEEP, SWITCH
 from .envs import FetchChain, DROP, LEFT, PICKUP, RIGHT
 
 CHECKPOINT_MAGIC = "segrl-policy v1"
@@ -115,12 +116,17 @@ def params_as_vector(params: PolicyParams) -> np.ndarray:
                            params.action.ravel()])
 
 
+def split_tables(vec: np.ndarray, like: PolicyParams) -> tuple[np.ndarray, ...]:
+    """The switch, subgoal and action tables of a vector laid out as
+    `params_as_vector`; leading axes of `vec` stay in front."""
+    tables = (like.switch, like.subgoal, like.action)
+    parts = np.split(vec, np.cumsum([t.size for t in tables])[:-1], axis=-1)
+    return tuple(part.reshape(vec.shape[:-1] + t.shape)
+                 for part, t in zip(parts, tables))
+
+
 def params_from_vector(vec: np.ndarray, like: PolicyParams) -> PolicyParams:
-    sizes = [like.switch.size, like.subgoal.size, like.action.size]
-    parts = np.split(np.asarray(vec, dtype=np.float64), np.cumsum(sizes)[:-1])
-    return PolicyParams(parts[0].reshape(like.switch.shape),
-                        parts[1].reshape(like.subgoal.shape),
-                        parts[2].reshape(like.action.shape))
+    return PolicyParams(*split_tables(np.asarray(vec, dtype=np.float64), like))
 
 
 # -- softmax helpers --------------------------------------------------------
@@ -139,54 +145,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 def switch_prob(params: PolicyParams, state: int, prev_subgoal: int) -> float:
     """Probability of SWITCH at (state, previous subgoal)."""
     return float(softmax(params.switch[state, prev_subgoal])[SWITCH])
-
-
-# -- per-turn log-density and score ----------------------------------------
-
-def log_prob(params: PolicyParams, turn: TurnRecord
-             ) -> tuple[float | None, float | None, float]:
-    """(lp_switch, lp_subgoal, lp_action) for one turn under `params`.
-
-    lp_switch is None at t = 0 (the first switch is forced, not sampled);
-    lp_subgoal is present iff the turn switched.
-    """
-    lp_sw = None
-    if turn.t > 0:
-        if turn.prev_subgoal is None:
-            raise ValueError(f"turn {turn.t}: missing prev_subgoal")
-        if turn.q == KEEP and turn.subgoal != turn.prev_subgoal:
-            raise ValueError(f"turn {turn.t}: KEEP with a changed subgoal")
-        lp_sw = float(log_softmax(params.switch[turn.state, turn.prev_subgoal])[turn.q])
-    lp_hi = None
-    if turn.q == SWITCH:
-        lp_hi = float(log_softmax(params.subgoal[turn.state])[turn.subgoal])
-    lp_lo = float(log_softmax(params.action[turn.state, turn.subgoal])[turn.action])
-    return lp_sw, lp_hi, lp_lo
-
-
-def grad_log_prob(params: PolicyParams, turn: TurnRecord,
-                  out: GradTables | None = None) -> GradTables:
-    """Score-function gradient of the turn's log-density.
-
-    For a chosen index i in a softmax row with probabilities p, the row
-    gradient is e_i - p; heads absent from the turn contribute zero.
-    """
-    if out is None:
-        out = GradTables.zeros_like(params)
-    if turn.t > 0:
-        if turn.q == KEEP and turn.subgoal != turn.prev_subgoal:
-            raise ValueError(f"turn {turn.t}: KEEP with a changed subgoal")
-        row = softmax(params.switch[turn.state, turn.prev_subgoal])
-        out.switch[turn.state, turn.prev_subgoal] -= row
-        out.switch[turn.state, turn.prev_subgoal, turn.q] += 1.0
-    if turn.q == SWITCH:
-        row = softmax(params.subgoal[turn.state])
-        out.subgoal[turn.state] -= row
-        out.subgoal[turn.state, turn.subgoal] += 1.0
-    row = softmax(params.action[turn.state, turn.subgoal])
-    out.action[turn.state, turn.subgoal] -= row
-    out.action[turn.state, turn.subgoal, turn.action] += 1.0
-    return out
 
 
 def fetchchain_expert(env: FetchChain, n_options: int = 2,
@@ -213,20 +171,6 @@ def fetchchain_expert(env: FetchChain, n_options: int = 2,
             best = PICKUP if pos == env.length - 1 else RIGHT
         params.action[s, :, best] = sharpness
     return params
-
-
-def with_behavior_logprobs(traj: Trajectory, params: PolicyParams) -> Trajectory:
-    """Return a copy whose behavior log-probs come from `params`.
-
-    Useful for turning ingested or synthetic trajectories into valid
-    optimizer input (ratios need the collection-time log-probabilities).
-    """
-    turns = []
-    for u in traj.turns:
-        lp_sw, lp_hi, lp_lo = log_prob(params, u)
-        turns.append(u._replace(lp_switch=lp_sw, lp_subgoal=lp_hi, lp_action=lp_lo))
-    from dataclasses import replace as _replace
-    return _replace(traj, turns=tuple(turns))
 
 
 def fetchchain_phased(env: FetchChain, rng: np.random.Generator,

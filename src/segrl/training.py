@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import (TurnTable, advantage_arrays, batch_stats,
-                    critic_batch_from_table, flat_batch_from_table,
-                    rollout_batch, segment_masks)
-from .core import SWITCH
+from .batch import (HEADS, HeadPass, TurnRows, TurnTable, advantage_arrays,
+                    batch_stats, cell_rows, critic_batch_from_table,
+                    flat_batch_from_table, gather_rows, policy_pass,
+                    rollout_batch, row_sums, score_sums)
 from .critic import ValueTables, fit_critic, fit_flat_critic, unstacked
 from .envs import EnvModel
 from .policy import GradTables, PolicyParams, log_softmax, softmax
@@ -126,115 +126,14 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# Flattened turn rows: the minibatch unit
+# One log-softmax pass per head (`batch.policy_pass`); the surrogates and
+# the KL read it
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TurnRows:
-    """Per-turn arrays gathered from a TurnTable plus frozen advantages."""
-
-    state: np.ndarray
-    prev_subgoal: np.ndarray
-    q: np.ndarray
-    subgoal: np.ndarray
-    action: np.ndarray
-    t: np.ndarray
-    lp_switch: np.ndarray
-    lp_subgoal: np.ndarray
-    lp_action: np.ndarray
-    format_ok: np.ndarray
-    adv_low: np.ndarray
-    adv_high: np.ndarray
-    adv_switch: np.ndarray
-    adv_flat: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.state)
-
-    def take(self, idx: np.ndarray) -> "TurnRows":
-        return TurnRows(*[None if v is None else v[idx]
-                          for v in self.__dict__.values()])
-
-
-def gather_rows(tt: TurnTable, adv) -> TurnRows:
-    eps, ts = np.nonzero(tt.mask)
-    return TurnRows(
-        state=tt.state[eps, ts],
-        prev_subgoal=tt.prev_subgoal[eps, ts],
-        q=tt.q[eps, ts],
-        subgoal=tt.subgoal[eps, ts],
-        action=tt.action[eps, ts],
-        t=ts,
-        lp_switch=tt.lp_switch[eps, ts],
-        lp_subgoal=tt.lp_subgoal[eps, ts],
-        lp_action=tt.lp_action[eps, ts],
-        format_ok=tt.format_ok[eps, ts],
-        adv_low=adv.a_low[eps, ts],
-        adv_high=adv.a_high[eps, ts],
-        adv_switch=adv.a_switch[eps, ts],
-        adv_flat=None if adv.a_flat is None else adv.a_flat[eps, ts],
-    )
-
-
-# ---------------------------------------------------------------------------
-# One log-softmax pass per head; the surrogates and the KL read it
-# ---------------------------------------------------------------------------
-
-# head order of every pass: the order the surrogate and the KL sum them in
-_HEADS = ("action", "subgoal", "switch")
-
-
-@dataclass
-class HeadPass:
-    """Log-probabilities of one head at the minibatch turns it is present at.
-
-    `at` marks those turns; `cell` is the row of the head's table viewed as
-    (cells, choices) and `chosen` the index taken there.  `p` = exp(`lp`).
-    """
-
-    at: np.ndarray
-    cell: np.ndarray
-    chosen: np.ndarray
-    lp: np.ndarray
-    p: np.ndarray
-
-    def take(self, keep: np.ndarray) -> "HeadPass":
-        """The pass restricted to the present turns where `keep` holds."""
-        at = self.at.copy()
-        at[at] = keep
-        return HeadPass(at, self.cell[keep], self.chosen[keep], self.lp[keep],
-                        self.p[keep])
-
-    def live(self) -> np.ndarray:
-        return self.lp[np.arange(len(self.cell)), self.chosen]
-
-
-def _cell_rows(table: np.ndarray) -> np.ndarray:
-    """A logit table viewed as (cells, choices)."""
-    return table.reshape(-1, table.shape[-1])
-
-
-def _policy_pass(rows: TurnRows, params: PolicyParams) -> tuple[HeadPass, ...]:
-    """Per head in `_HEADS` order: the action head at every turn, the
-    subgoal head at switch turns, the switch head from t = 1 on."""
-    n_o = params.n_options
-    sites = (
-        (np.ones(len(rows), dtype=bool), rows.state * n_o + rows.subgoal, rows.action),
-        (rows.q == SWITCH, rows.state, rows.subgoal),
-        (rows.t > 0, rows.state * n_o + rows.prev_subgoal, rows.q),
-    )
-    out = []
-    for name, (at, cell, chosen) in zip(_HEADS, sites):
-        cell = cell[at]
-        lp = log_softmax(_cell_rows(getattr(params, name))[cell], axis=1)
-        out.append(HeadPass(at, cell, chosen[at], lp, np.exp(lp)))
-    return tuple(out)
-
 
 def _ref_log_probs(ref: PolicyParams) -> tuple[np.ndarray, ...]:
     """Log-softmax of every cell of the reference policy, per head."""
-    return tuple(log_softmax(_cell_rows(getattr(ref, name)), axis=1)
-                 for name in _HEADS)
+    return tuple(log_softmax(cell_rows(getattr(ref, name)), axis=1)
+                 for name in HEADS)
 
 
 def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
@@ -252,30 +151,6 @@ def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
     value = np.where(take_raw, raw, alt)
     grad_w = np.where(take_raw, ratio * adv, 0.0)
     return value, grad_w
-
-
-def _row_sums(table: np.ndarray, cell: np.ndarray, rows: np.ndarray,
-              chosen: np.ndarray | None = None,
-              weight: np.ndarray | None = None) -> np.ndarray:
-    """The (m, K) `rows` summed into a zero table shaped like `table`, at
-    rows `cell` of its (cells, K) view; with `chosen`, weight[i] goes in at
-    (cell[i], chosen[i]) first.  Each entry adds its terms in that fixed
-    order, turn by turn, so the sums do not depend on how they are batched;
-    a last-bit change would re-roll every later training batch."""
-    k = table.shape[-1]
-    idx = [(cell[:, None] * k + np.arange(k)).ravel()]
-    vals = [rows.ravel()]
-    if chosen is not None:
-        idx.insert(0, cell * k + chosen)
-        vals.insert(0, weight)
-    return np.bincount(np.concatenate(idx), np.concatenate(vals),
-                       minlength=table.size).reshape(table.shape)
-
-
-def _score(table: np.ndarray, h: HeadPass, probs: np.ndarray,
-           weight: np.ndarray) -> np.ndarray:
-    """sum_i weight_i * (e_chosen_i - probs_i) on the head's table."""
-    return _row_sums(table, h.cell, -weight[:, None] * probs, h.chosen, weight)
 
 
 def _grad_tables(params: PolicyParams, parts: dict) -> GradTables:
@@ -302,7 +177,7 @@ def _surrogate(rows: TurnRows, heads: tuple[HeadPass, ...],
         ratio = np.exp(h.live() - lp_beh[h.at])
         value, w = _clipped_surrogate(ratio, adv[h.at], eps)
         total += float(value.sum())
-        parts[name] = _score(getattr(params, name), h, h.p, w)
+        parts[name] = score_sums(getattr(params, name), h, w)
     return total, _grad_tables(params, parts)
 
 
@@ -326,11 +201,11 @@ def _flat_surrogate(rows: TurnRows, heads: tuple[HeadPass, ...],
     value, w = _clipped_surrogate(ratio, rows.adv_flat, eps)
     # the action head weighs with the explicitly normalized softmax; exp(lp)
     # differs from it in the last bits, which would change every run
-    probs = softmax(_cell_rows(params.action)[act.cell], axis=1)
-    parts = {"action": _score(params.action, act, probs, w)}
+    probs = softmax(cell_rows(params.action)[act.cell], axis=1)
+    parts = {"action": score_sums(params.action, act, w, probs)}
     for name, h in (("subgoal", sub), ("switch", sw)):
         if h.at.any():
-            parts[name] = _score(getattr(params, name), h, h.p, w[h.at])
+            parts[name] = score_sums(getattr(params, name), h, w[h.at])
     return float(value.sum()), _grad_tables(params, parts)
 
 
@@ -344,15 +219,15 @@ def _kl(rows: TurnRows, heads: tuple[HeadPass, ...], ref_lp: tuple,
         return 0.0, _grad_tables(params, {}) if grad else None
     total = 0.0
     parts = {}
-    for name, h, lq in zip(_HEADS, heads, ref_lp):
+    for name, h, lq in zip(HEADS, heads, ref_lp):
         if name != "action" and not h.at.any():
             continue
         diff = h.lp - lq[h.cell]
         kl = np.sum(h.p * diff, axis=1)
         total += float(kl.sum())
         if grad:
-            parts[name] = _row_sums(getattr(params, name), h.cell,
-                                    h.p * (diff - kl[:, None]))
+            parts[name] = row_sums(getattr(params, name), h.cell,
+                                   h.p * (diff - kl[:, None]))
     if not grad:
         return total / n, None
     return total / n, _grad_tables(params, parts).scale(1.0 / n)
@@ -366,7 +241,7 @@ def actor_loss(rows: TurnRows, params: PolicyParams, eps: float
     skips the forced first turn and any turn flagged malformed by the
     parser.
     """
-    return _surrogate(rows, _policy_pass(rows, params), params, eps)
+    return _surrogate(rows, policy_pass(rows, params), params, eps)
 
 
 def flat_actor_loss(rows: TurnRows, params: PolicyParams, eps: float
@@ -376,7 +251,7 @@ def flat_actor_loss(rows: TurnRows, params: PolicyParams, eps: float
     The ratio multiplies the product of present-head likelihoods; its score
     is the sum of the per-head scores, all weighted by the same advantage.
     """
-    return _flat_surrogate(rows, _policy_pass(rows, params), params, eps)
+    return _flat_surrogate(rows, policy_pass(rows, params), params, eps)
 
 
 def kl_penalty(rows: TurnRows, params: PolicyParams, ref: PolicyParams
@@ -386,7 +261,7 @@ def kl_penalty(rows: TurnRows, params: PolicyParams, ref: PolicyParams
     Heads present at each turn contribute: the action head always, the
     subgoal head on switch turns, the switch head from t = 1 on.
     """
-    return _kl(rows, _policy_pass(rows, params), _ref_log_probs(ref), params)
+    return _kl(rows, policy_pass(rows, params), _ref_log_probs(ref), params)
 
 
 def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
@@ -402,7 +277,7 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     checks and diagnostics; `train` takes the equivalent staged steps.
     """
     rows = gather_rows(tt, adv)
-    heads = _policy_pass(rows, params)
+    heads = policy_pass(rows, params)
     surrogate, g_actor = _surrogate(rows, heads, params, cfg.clip_eps)
     kl, g_kl = _kl(rows, heads, _ref_log_probs(ref), params)
     cb = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
@@ -541,7 +416,7 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         for _ in range(cfg.epochs):
             for idx in _minibatches(len(rows), cfg.minibatch, shuffle):
                 mb = rows.take(idx)
-                heads = _policy_pass(mb, state.params)
+                heads = policy_pass(mb, state.params)
                 value, g_actor = surrogate(mb, heads, state.params, cfg.clip_eps)
                 kl, g_kl = _kl(mb, heads, ref_lp, state.params)
                 _check_finite("actor surrogate", it, value, kl)
@@ -554,7 +429,7 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         _check_finite("policy parameters", it, state.params.switch,
                       state.params.subgoal, state.params.action)
 
-        kl_now, _ = _kl(rows, _policy_pass(rows, state.params), ref_lp,
+        kl_now, _ = _kl(rows, policy_pass(rows, state.params), ref_lp,
                         state.params, grad=False)
         st = batch_stats(tt, goal_state=goal)
         greedy = evaluate(state.params, env, cfg.eval_episodes, "greedy",

@@ -65,13 +65,10 @@ def head_ratios(tt, params):
     of a one-turn minibatch is that head's ratio; a head the turn lacks (the
     switch at t = 0, the subgoal on KEEP turns) contributes 0.
     """
-    from types import SimpleNamespace
+    from segrl.batch import gather_rows
+    from segrl.training import actor_loss
 
-    from segrl.training import actor_loss, gather_rows
-
-    zeros = np.zeros(tt.mask.shape)
-    rows = gather_rows(tt, SimpleNamespace(a_low=zeros, a_high=zeros,
-                                           a_switch=zeros, a_flat=None))
+    rows = gather_rows(tt)
     heads = ("adv_switch", "adv_high", "adv_low")
     out = np.empty((len(rows), 3))
     for i in range(len(rows)):
@@ -81,3 +78,31 @@ def head_ratios(tt, params):
                 setattr(row, name, np.full(1, float(name == head)))
             out[i, k], _ = actor_loss(row, params, eps=1e9)
     return rows, out
+
+
+def one_turn(turn):
+    """A standalone turn as a one-turn episode (at column 0 of a table)."""
+    return Trajectory((turn,), truncated=True, final_state=0)
+
+
+def kernel_log_probs(params, trajectories):
+    """Per turn, in `gather_rows` order, the (lp_switch, lp_subgoal,
+    lp_action) that `batch.record_behavior` takes from the policy pass;
+    None where the turn lacks the head."""
+    from segrl.batch import TurnTable, gather_rows, record_behavior
+
+    rows = gather_rows(record_behavior(TurnTable.from_trajectories(trajectories),
+                                       params))
+    return [tuple(None if np.isnan(x) else float(x) for x in lps)
+            for lps in zip(rows.lp_switch, rows.lp_subgoal, rows.lp_action)]
+
+
+def kernel_scores(params, trajectories):
+    """The score kernel's per-turn score tables, one per turn in
+    `gather_rows` order on a leading axis."""
+    from segrl.batch import TurnTable, gather_rows, policy_pass, score_tables
+
+    rows = gather_rows(TurnTable.from_trajectories(trajectories))
+    one = np.ones(len(rows))
+    return score_tables(params, policy_pass(rows, params), (one,) * 3,
+                        group=np.arange(len(rows)), n_groups=len(rows))

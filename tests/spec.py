@@ -13,7 +13,12 @@ against (`tests/test_batch.py`), not library code:
 * `ppo_ratios` for the per-head ratios inside `training.actor_loss`;
 * `actor_loss`, `flat_actor_loss` and `kl_penalty` for the trainer's
   shared per-head pass: each head's log-softmax computed separately by the
-  surrogate and by the KL, gradients summed with `np.add.at`.
+  surrogate and by the KL, gradients summed with `np.add.at`;
+* `log_prob`, `grad_log_prob` and `with_behavior_logprobs`, one turn at a
+  time, for `batch.policy_pass`, `batch.score_tables` and
+  `batch.record_behavior`;
+* `mc_gradient_hae` (with `scatter_episode_grads`, a dense per-episode
+  `np.add.at` scatter) for `oracle.mc_gradient_hae`.
 
 The low and high segment recursions are the library's own
 `advantages.low_td_residuals` / `low_advantages` / `high_advantages`, which
@@ -23,19 +28,20 @@ stay in `src/` as the reference that `oracle.telescope_check` verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from segrl.advantages import (GAEConfig, high_advantages, low_advantages,
                               low_td_residuals, whiten)
-from segrl.core import (SWITCH, Trajectory, TurnRecord, apply_keep_penalty,
+from segrl.batch import advantage_arrays, rollout_batch
+from segrl.core import (KEEP, SWITCH, Trajectory, TurnRecord, apply_keep_penalty,
                         returns_to_go, segment_boundaries, segment_views)
 from segrl.critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
                           single_coupling_rows)
 from segrl.envs import EnvModel
-from segrl.policy import (GradTables, PolicyParams, log_prob, log_softmax,
-                          softmax)
+from segrl.policy import (GradTables, PolicyParams, log_softmax, softmax,
+                          split_tables)
 from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng
 from segrl.training import _clipped_surrogate
 
@@ -263,6 +269,130 @@ def flat_critic_batch(trajectories, gamma: float, n_states: int,
     return FlatCriticBatch.from_rows({"state": np.array(states, dtype=np.int64),
                                       "g": np.array(gs, dtype=np.float64),
                                       "w": np.array(ws, dtype=np.float64)}, n_states)
+
+
+# -- per-turn log-density and score -------------------------------------------
+
+def log_prob(params: PolicyParams, turn: TurnRecord
+             ) -> tuple[float | None, float | None, float]:
+    """(lp_switch, lp_subgoal, lp_action) for one turn under `params`.
+
+    lp_switch is None at t = 0 (the first switch is forced, not sampled);
+    lp_subgoal is present iff the turn switched.
+    """
+    lp_sw = None
+    if turn.t > 0:
+        if turn.prev_subgoal is None:
+            raise ValueError(f"turn {turn.t}: missing prev_subgoal")
+        if turn.q == KEEP and turn.subgoal != turn.prev_subgoal:
+            raise ValueError(f"turn {turn.t}: KEEP with a changed subgoal")
+        lp_sw = float(log_softmax(params.switch[turn.state, turn.prev_subgoal])[turn.q])
+    lp_hi = None
+    if turn.q == SWITCH:
+        lp_hi = float(log_softmax(params.subgoal[turn.state])[turn.subgoal])
+    lp_lo = float(log_softmax(params.action[turn.state, turn.subgoal])[turn.action])
+    return lp_sw, lp_hi, lp_lo
+
+
+def grad_log_prob(params: PolicyParams, turn: TurnRecord,
+                  out: GradTables | None = None) -> GradTables:
+    """Score-function gradient of the turn's log-density.
+
+    For a chosen index i in a softmax row with probabilities p, the row
+    gradient is e_i - p; heads absent from the turn contribute zero.
+    """
+    if out is None:
+        out = GradTables.zeros_like(params)
+    if turn.t > 0:
+        if turn.q == KEEP and turn.subgoal != turn.prev_subgoal:
+            raise ValueError(f"turn {turn.t}: KEEP with a changed subgoal")
+        row = softmax(params.switch[turn.state, turn.prev_subgoal])
+        out.switch[turn.state, turn.prev_subgoal] -= row
+        out.switch[turn.state, turn.prev_subgoal, turn.q] += 1.0
+    if turn.q == SWITCH:
+        row = softmax(params.subgoal[turn.state])
+        out.subgoal[turn.state] -= row
+        out.subgoal[turn.state, turn.subgoal] += 1.0
+    row = softmax(params.action[turn.state, turn.subgoal])
+    out.action[turn.state, turn.subgoal] -= row
+    out.action[turn.state, turn.subgoal, turn.action] += 1.0
+    return out
+
+
+def with_behavior_logprobs(traj: Trajectory, params: PolicyParams) -> Trajectory:
+    """A copy whose behavior log-probs come from `params`."""
+    turns = []
+    for u in traj.turns:
+        lp_sw, lp_hi, lp_lo = log_prob(params, u)
+        turns.append(u._replace(lp_switch=lp_sw, lp_subgoal=lp_hi, lp_action=lp_lo))
+    return replace(traj, turns=tuple(turns))
+
+
+# -- Monte-Carlo gradient -------------------------------------------------------
+
+def scatter_episode_grads(dense, tt, adv, params: PolicyParams,
+                          off_sub: int, off_act: int) -> None:
+    """Add each episode's advantage-weighted scores into its row of `dense`
+    (episodes x params_as_vector coordinates)."""
+    n_o, n_a = params.n_options, params.n_actions
+    eps, ts = np.nonzero(tt.mask)
+    s = tt.state[eps, ts]
+    o = tt.subgoal[eps, ts]
+    a = tt.action[eps, ts]
+    # action head
+    w = adv.a_low[eps, ts]
+    probs = softmax(params.action[s, o], axis=1)
+    base = off_act + (s * n_o + o) * n_a
+    np.add.at(dense, (eps, base + a), w)
+    np.add.at(dense, (eps[:, None], base[:, None] + np.arange(n_a)[None, :]),
+              -w[:, None] * probs)
+    # subgoal head at boundary turns
+    bmask = tt.q[eps, ts] == SWITCH
+    beps, bs, bts = eps[bmask], s[bmask], ts[bmask]
+    bo = o[bmask]
+    w = adv.a_high[beps, bts]
+    probs = softmax(params.subgoal[bs], axis=1)
+    base = off_sub + bs * n_o
+    np.add.at(dense, (beps, base + bo), w)
+    np.add.at(dense, (beps[:, None], base[:, None] + np.arange(n_o)[None, :]),
+              -w[:, None] * probs)
+    # switch head, t >= 1
+    smask = ts > 0
+    seps, sts = eps[smask], ts[smask]
+    ss = s[smask]
+    sp = tt.prev_subgoal[seps, sts]
+    sq = tt.q[seps, sts]
+    w = adv.a_switch[seps, sts]
+    probs = softmax(params.switch[ss, sp], axis=1)
+    base = (ss * n_o + sp) * 2
+    np.add.at(dense, (seps, base + sq), w)
+    np.add.at(dense, (seps[:, None], base[:, None] + np.arange(2)[None, :]),
+              -w[:, None] * probs)
+
+
+def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
+                    cfg: GAEConfig, n: int, seed: int, chunk: int = 5000):
+    """(mean, se) GradTables of the per-episode scattered gradients."""
+    n_coords = params.switch.size + params.subgoal.size + params.action.size
+    off_sub = params.switch.size
+    off_act = off_sub + params.subgoal.size
+    sum_x = np.zeros(n_coords)
+    sum_x2 = np.zeros(n_coords)
+    done_eps = 0
+    while done_eps < n:
+        m = min(chunk, n - done_eps)
+        tt = rollout_batch(env, params, m, seed, episode_offset=done_eps)
+        adv = advantage_arrays(tt, tables, cfg)
+        dense = np.zeros((m, n_coords))
+        scatter_episode_grads(dense, tt, adv, params, off_sub, off_act)
+        sum_x += dense.sum(axis=0)
+        sum_x2 += (dense ** 2).sum(axis=0)
+        done_eps += m
+    mean = sum_x / n
+    var = np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1)
+    se = np.sqrt(var / n)
+    return (GradTables(*split_tables(mean, params)),
+            GradTables(*split_tables(se, params)))
 
 
 # -- PPO ratios ---------------------------------------------------------------

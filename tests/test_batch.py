@@ -1,18 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, batch_stats,
                          critic_batch_from_table, flat_batch_from_table,
-                         returns_matrix, rollout_batch, segment_masks)
-from segrl.core import returns_to_go, segment_boundaries
+                         gather_rows, record_behavior, returns_matrix,
+                         rollout_batch, segment_masks)
+from segrl.core import MalformedTrajectory, returns_to_go, segment_boundaries
 from segrl.envs import FetchChain, OneStep
-from segrl.oracle import random_tables, random_trajectory
+from segrl.gradcheck import turn_log_likelihood
+from segrl.oracle import (mc_gradient_hae, oracle_values, random_tables,
+                          random_trajectory)
 from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.rng import CounterRng
 
 import spec
-from conftest import head_ratios, weighted_target_maps
+from conftest import head_ratios, kernel_scores, traj_from, weighted_target_maps
 
 
 class _TwoStarts(FetchChain):
@@ -88,6 +93,24 @@ class TestTableConversions:
             for ua, ub in zip(a.turns, b.turns):
                 assert ua.state == ub.state and ua.q == ub.q
                 assert ua.subgoal == ub.subgoal and ua.reward == ub.reward
+
+    @pytest.mark.parametrize("field", ["state", "subgoal", "action",
+                                       "prev_subgoal", "final_state"])
+    def test_negative_ids_rejected(self, field):
+        # a negative id would index the policy and value tables from the end;
+        # turn 1 of episode 1 is a SWITCH, so each id is checked on its own
+        traj = traj_from([1, 1, 0], [0.0, 1.0, 0.0], done=False, final_state=2)
+        if field == "final_state":
+            bad = replace(traj, final_state=-1)
+            where = "episode 1"
+        else:
+            turns = list(traj.turns)
+            turns[1] = turns[1]._replace(**{field: -1})
+            bad = replace(traj, turns=tuple(turns))
+            where = "episode 1, turn 1"
+        TurnTable.from_trajectories([traj, traj])
+        with pytest.raises(MalformedTrajectory, match=where):
+            TurnTable.from_trajectories([traj, bad])
 
     def test_segment_masks_match_reference(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(30)]
@@ -206,3 +229,53 @@ class TestBatchStats:
         tt = rollout_batch(env, params, 10, seed=0)
         st = batch_stats(tt, goal_state=env.goal_state)
         assert st.success_rate == 1.0 and st.mean_return == 10.0
+
+
+class TestScoreKernel:
+    """The per-head pass and its score sums against the per-turn spec."""
+
+    def test_scores_match_per_turn_reference(self, rng):
+        params = PolicyParams.random(rng, 6, 3, 4)
+        trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
+        got = kernel_scores(params, trajs)
+        turns = [u for traj in trajs for u in traj.turns]
+        assert got.action.shape[0] == len(turns)
+        for k, u in enumerate(turns):
+            want = spec.grad_log_prob(params, u)
+            for name in ("switch", "subgoal", "action"):
+                assert np.allclose(getattr(got, name)[k], getattr(want, name),
+                                   atol=1e-12), (k, name)
+
+    def test_log_likelihoods_match_per_turn_reference(self, rng):
+        params = PolicyParams.random(rng, 6, 3, 4)
+        trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
+        got = turn_log_likelihood(gather_rows(TurnTable.from_trajectories(trajs)),
+                                  params)
+        want = [sum(lp for lp in spec.log_prob(params, u) if lp is not None)
+                for traj in trajs for u in traj.turns]
+        assert np.allclose(got, want, atol=1e-12)
+
+    def test_recorded_behavior_matches_per_turn_reference(self, rng):
+        params = PolicyParams.random(rng, 6, 3, 4)
+        trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
+        got = record_behavior(TurnTable.from_trajectories(trajs), params)
+        want = TurnTable.from_trajectories(
+            [spec.with_behavior_logprobs(traj, params) for traj in trajs])
+        for name in ("lp_switch", "lp_subgoal", "lp_action"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(np.isnan(a), np.isnan(b)), name
+            assert np.allclose(a[~np.isnan(a)], b[~np.isnan(b)], atol=1e-12), name
+
+    def test_mc_gradient_matches_dense_scatter(self):
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
+                        lambda_flat=1.0)
+        tables = oracle_values(env, params, 1.0).tables
+        # chunks of 700 leave a short last chunk
+        got = mc_gradient_hae(env, params, tables, cfg, n=2000, seed=3, chunk=700)
+        mean, se = spec.mc_gradient_hae(env, params, tables, cfg, n=2000, seed=3,
+                                        chunk=700)
+        assert got.n == 2000
+        assert np.allclose(got.mean.as_vector(), mean.as_vector(), rtol=0, atol=1e-12)
+        assert np.allclose(got.se.as_vector(), se.as_vector(), rtol=0, atol=1e-12)

@@ -1,7 +1,10 @@
+import ast
 import hashlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +311,7 @@ class TestMalformedInputs:
         ([json.dumps(dict(BAD_EPISODE[0], state="x"))], "'x'"),
         ([json.dumps(BAD_EPISODE[0]), '{"truncated":true,"final_state":"end"}'],
          "final_state"),
+        ([json.dumps(dict(BAD_EPISODE[0], reward="high"))], "field 'reward'"),
     ])
     def test_malformed_json_line(self, tmp_path, capsys, lines, word):
         (tmp_path / "cut.jsonl").write_text("\n".join(lines) + "\n")
@@ -426,6 +430,26 @@ class TestDemos:
             [sys.executable, str(ROOT / "demos" / "01_segments_and_returns.py")],
             capture_output=True, text=True, env=_subprocess_env(), timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_demo_and_readme_imports_resolve(self):
+        # only demo 01 runs here: every segrl name the other demos and the
+        # README's Python blocks import must still exist
+        sources = [(path.name, path.read_text())
+                   for path in sorted((ROOT / "demos").glob("*.py"))]
+        sources += [("README.md", block) for block in re.findall(
+            r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)]
+        names = []
+        for where, text in sources:
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Import):
+                    names += [(where, alias.name, None) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names += [(where, node.module, alias.name) for alias in node.names]
+        names = [n for n in names if n[1].split(".")[0] == "segrl"]
+        assert len(names) > 10
+        for where, module, name in names:
+            mod = importlib.import_module(module)
+            assert name is None or hasattr(mod, name), f"{where}: {module}.{name}"
 
 
 class TestValueCheckpoint:

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from segrl.batch import rollout_batch
-from segrl.core import KEEP, SWITCH, TurnRecord, validate_trajectory
+from segrl.batch import TurnTable, gather_rows, record_behavior, rollout_batch
+from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, validate_trajectory
 from segrl.envs import PICKUP, RIGHT, FetchChain
+from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import enumerate_trajectories, random_trajectory
-from segrl.policy import (PolicyParams, fetchchain_expert,
-                          grad_log_prob, load_policy, log_prob,
-                          save_policy, switch_prob, with_behavior_logprobs)
+from segrl.policy import (PolicyParams, fetchchain_expert, load_policy,
+                          save_policy, switch_prob)
+
+from conftest import kernel_log_probs, kernel_scores, one_turn
 
 
 def small_params(rng, n_s=5, n_o=3, n_a=4, scale=1.0):
@@ -74,75 +76,82 @@ class TestSampleTurn:
 
 
 class TestLogProb:
+    """The per-head log-probabilities of the policy pass, one turn at a time."""
+
     def test_uniform_two_actions(self):
         p = PolicyParams.uniform(2, 2, 2)
         turn = TurnRecord(0, 0, None, SWITCH, 0, 1, 0.0, 0.0, False)
-        _, _, lp_lo = log_prob(p, turn)
+        (_, _, lp_lo), = kernel_log_probs(p, [one_turn(turn)])
         assert lp_lo == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_keep_has_no_subgoal_likelihood(self, rng):
         p = small_params(rng)
-        turn = TurnRecord(2, 1, 1, KEEP, 1, 0, 0.0, 0.0, False)
-        lp_sw, lp_hi, lp_lo = log_prob(p, turn)
+        turns = (TurnRecord(0, 1, None, SWITCH, 1, 2, 0.0, 0.0, False),
+                 TurnRecord(1, 1, 1, KEEP, 1, 0, 0.0, 0.0, False))
+        _, (lp_sw, lp_hi, lp_lo) = kernel_log_probs(
+            p, [Trajectory(turns, truncated=True, final_state=0)])
         assert lp_hi is None and lp_sw is not None
 
     def test_first_turn_has_no_switch_likelihood(self, rng):
         p = small_params(rng)
         turn = TurnRecord(0, 0, None, SWITCH, 2, 1, 0.0, 0.0, False)
-        lp_sw, lp_hi, _ = log_prob(p, turn)
+        (lp_sw, lp_hi, _), = kernel_log_probs(p, [one_turn(turn)])
         assert lp_sw is None and lp_hi is not None
 
     def test_inconsistent_turn_rejected(self, rng):
         p = small_params(rng)
-        turn = TurnRecord(1, 0, 0, KEEP, 1, 0, 0.0, 0.0, False)
+        turns = (TurnRecord(0, 0, None, SWITCH, 0, 0, 0.0, 0.0, False),
+                 TurnRecord(1, 0, 0, KEEP, 1, 0, 0.0, 0.0, False))
         with pytest.raises(ValueError):
-            log_prob(p, turn)
+            kernel_log_probs(p, [Trajectory(turns, truncated=True, final_state=0)])
 
     def test_density_matches_enumeration(self, rng):
         env = FetchChain(2, 3)
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.8)
-        for traj, prob in enumerate_trajectories(env, p):
-            total = 0.0
-            for u in traj.turns:
-                lp_sw, lp_hi, lp_lo = log_prob(p, u)
-                total += (lp_sw or 0.0) + (lp_hi or 0.0) + lp_lo
-            assert total == pytest.approx(math.log(prob), abs=1e-10)
+        dist = enumerate_trajectories(env, p)
+        rows = gather_rows(TurnTable.from_trajectories([traj for traj, _ in dist]))
+        total = np.bincount(rows.episode, turn_log_likelihood(rows, p))
+        for got, (_, prob) in zip(total, dist):
+            assert got == pytest.approx(math.log(prob), abs=1e-10)
 
     def test_head_normalization(self, rng):
         p = small_params(rng)
         for s in range(p.n_states):
             for o in range(p.n_options):
-                probs = [math.exp(log_prob(
-                    p, TurnRecord(0, s, None, SWITCH, o, a, 0.0, 0.0, False))[2])
-                    for a in range(p.n_actions)]
+                lps = kernel_log_probs(p, [
+                    one_turn(TurnRecord(0, s, None, SWITCH, o, a, 0.0, 0.0, False))
+                    for a in range(p.n_actions)])
+                probs = [math.exp(lp_lo) for _, _, lp_lo in lps]
                 assert sum(probs) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGradLogProb:
+    """The score kernel's per-turn scores (one group per turn)."""
+
     def test_softmax_score_row(self):
         p = PolicyParams.uniform(1, 1, 2)
         turn = TurnRecord(0, 0, None, SWITCH, 0, 0, 0.0, 0.0, False)
-        g = grad_log_prob(p, turn)
-        assert g.action[0, 0].tolist() == pytest.approx([0.5, -0.5], abs=1e-12)
+        g = kernel_scores(p, [one_turn(turn)])
+        assert g.action[0, 0, 0].tolist() == pytest.approx([0.5, -0.5], abs=1e-12)
 
     def test_deterministic_head_zero_row(self):
         p = PolicyParams.uniform(1, 1, 2)
         p.action[0, 0, 0] = 60.0
         turn = TurnRecord(0, 0, None, SWITCH, 0, 0, 0.0, 0.0, False)
-        g = grad_log_prob(p, turn)
+        g = kernel_scores(p, [one_turn(turn)])
         assert np.max(np.abs(g.action)) < 1e-12
 
     def test_rows_sum_to_zero(self, rng):
         p = small_params(rng)
         for _ in range(20):
             traj = random_trajectory(rng, p.n_states, p.n_options, p.n_actions)
-            for u in traj.turns:
-                g = grad_log_prob(p, u)
-                assert abs(g.action[u.state, u.subgoal].sum()) < 1e-12
+            g = kernel_scores(p, [traj])
+            for k, u in enumerate(traj.turns):
+                assert abs(g.action[k, u.state, u.subgoal].sum()) < 1e-12
                 if u.q == SWITCH:
-                    assert abs(g.subgoal[u.state].sum()) < 1e-12
+                    assert abs(g.subgoal[k, u.state].sum()) < 1e-12
                 if u.t > 0:
-                    assert abs(g.switch[u.state, u.prev_subgoal].sum()) < 1e-12
+                    assert abs(g.switch[k, u.state, u.prev_subgoal].sum()) < 1e-12
 
     def test_finite_differences(self, rng):
         from segrl.gradcheck import check_log_prob_grads
@@ -196,7 +205,8 @@ class TestRollout:
         env = FetchChain(3, 6)
         p = small_params(rng, env.n_states, 2, env.n_actions)
         traj = rollout(env, p, seed=2, episode=1)
-        again = with_behavior_logprobs(traj, p)
+        again = record_behavior(TurnTable.from_trajectories([traj]),
+                                p).to_trajectories()[0]
         for a, b in zip(traj.turns, again.turns):
             if a.lp_switch is not None:
                 assert a.lp_switch == pytest.approx(b.lp_switch, abs=1e-12)

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
-from segrl.batch import advantage_arrays, rollout_batch
-from segrl.batch import TurnTable
+from segrl.batch import (TurnTable, advantage_arrays, gather_rows, policy_pass,
+                         rollout_batch)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, success_probability
 from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
-                            _kl, _policy_pass, _ref_log_probs, actor_loss,
-                            evaluate, flat_actor_loss, gather_rows,
-                            kl_penalty, total_loss, train,
+                            _kl, _ref_log_probs, actor_loss, evaluate,
+                            flat_actor_loss, kl_penalty, total_loss, train,
                             train_flat_baseline)
 
 import spec
@@ -216,7 +215,7 @@ class TestSharedPass:
             assert value == want, fn.__name__
             assert _same(grads, want_grads), fn.__name__
         # the trainer's iteration-end KL builds no gradient
-        kl, none = _kl(mb, _policy_pass(mb, live), _ref_log_probs(ref), live,
+        kl, none = _kl(mb, policy_pass(mb, live), _ref_log_probs(ref), live,
                        grad=False)
         assert none is None and kl == spec.kl_penalty(mb, live, ref)[0]
 
