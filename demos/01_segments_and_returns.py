@@ -1,40 +1,50 @@
 """Episode anatomy: turns, switch decisions, segments, macro-steps.
 
 Rolls a uniform policy on the fetch-and-deliver chain and walks through the
-segment structure that every estimator in the library consumes.
+segment structure that every estimator in the library consumes, read from
+the padded `TurnTable` columns the kernels work on.
 """
 
-from segrl import (FetchChain, PolicyParams, apply_keep_penalty,
-                   episode_return, return_to_go, rollout_batch,
-                   segment_boundaries, segment_views)
+import numpy as np
+
+from segrl import KEEP, FetchChain, PolicyParams, rollout_batch
+from segrl.batch import returns_matrix, segment_masks
 
 env = FetchChain(length=3, horizon=6)
 params = PolicyParams.uniform(env.n_states, n_options=2, n_actions=env.n_actions)
 
-traj = rollout_batch(env, params, n_episodes=1, seed=7).to_trajectories()[0]
-print(f"episode of {traj.n_turns} turns, terminated={traj.terminated}")
-for u in traj.turns:
-    pos, carrying, clock = env.decode(u.state)
-    word = "SWITCH" if u.q else "KEEP  "
-    print(f"  t={u.t} pos={pos} carrying={int(carrying)} {word} "
-          f"subgoal={u.subgoal} action={u.action} r={u.reward:+.1f}")
+tt = rollout_batch(env, params, n_episodes=1, seed=7)
+n = int(tt.length[0])
+reward = tt.reward[0, :n]
+print(f"episode of {n} turns, terminated={bool(tt.terminated[0])}")
+for t in range(n):
+    pos, carrying, clock = env.decode(int(tt.state[0, t]))
+    word = "SWITCH" if tt.q[0, t] else "KEEP  "
+    print(f"  t={t} pos={pos} carrying={int(carrying)} {word} "
+          f"subgoal={tt.subgoal[0, t]} action={tt.action[0, t]} r={reward[t]:+.1f}")
 
-bounds = segment_boundaries(traj)
-print(f"\nboundaries [b_0..b_K] = {bounds}")
+sm = segment_masks(tt)
+starts = np.flatnonzero(sm.is_boundary[0]).tolist()
+print(f"\nboundaries [b_0..b_K] = {starts + [n]}")
 gamma = 0.9
-for seg in segment_views(traj, gamma):
-    print(f"  segment {seg.k}: turns [{seg.start}, {seg.stop}) subgoal "
-          f"{seg.subgoal}  macro-reward {seg.reward:+.3f}  "
-          f"duration discount {seg.discount:.3f}")
+total = 0.0
+for k, start in enumerate(starts):
+    stop = int(sm.seg_end[0, start])
+    macro = float(np.dot(gamma ** np.arange(stop - start), reward[start:stop]))
+    total += gamma ** start * macro
+    print(f"  segment {k}: turns [{start}, {stop}) subgoal "
+          f"{tt.subgoal[0, start]}  macro-reward {macro:+.3f}  "
+          f"duration discount {gamma ** (stop - start):.3f}")
 
 # the macro-steps tile the discounted return exactly
-total = sum(gamma ** seg.start * seg.reward for seg in segment_views(traj, gamma))
+episode_return = float(np.dot(gamma ** np.arange(n), reward))
 print(f"\nsum of offset macro-rewards {total:+.6f} "
-      f"= episode return {episode_return(traj, gamma):+.6f}")
-print(f"return to go from t=0: {return_to_go(traj, gamma, 0):+.6f}")
+      f"= episode return {episode_return:+.6f}")
+print(f"return to go from t=0: {returns_matrix(tt, gamma)[0, 0]:+.6f}")
 
-shaped = apply_keep_penalty(traj, c_keep=0.3)
-keeps = sum(1 for u in traj.turns if u.q == 0)
+# the same episode (same seed) with the KEEP penalty charged by the rollout
+shaped = rollout_batch(env, params, n_episodes=1, seed=7, c_keep=0.3)
+keeps = int(np.sum(shaped.mask & (shaped.q == KEEP)))
 print(f"\nafter the KEEP penalty (0.3 x {keeps} keep turns): "
-      f"shaped return {episode_return(shaped, 1.0):+.2f} "
-      f"vs raw {episode_return(traj, 1.0, raw=True):+.2f}")
+      f"shaped return {shaped.reward[shaped.mask].sum():+.2f} "
+      f"vs raw {shaped.raw_reward[shaped.mask].sum():+.2f}")

@@ -8,15 +8,13 @@ estimator identities on exactly enumerable toy environments.
 
 __version__ = "0.1.0"
 
-from .advantages import (GAEConfig, high_advantages, low_advantages,
-                         low_td_residuals)
+from .advantages import GAEConfig
 from .batch import TurnTable, advantage_arrays, rollout_batch
-from .core import (KEEP, SWITCH, MalformedTrajectory, SegmentView, Trajectory,
-                   TurnRecord, apply_keep_penalty, episode_return,
-                   load_trajectories, return_to_go, save_trajectories,
-                   segment_boundaries, segment_views, validate_trajectory)
+from .core import (KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord,
+                   load_trajectories, save_trajectories, segment_boundaries,
+                   validate_trajectory)
 from .critic import (CriticBatch, FlatCriticBatch, ValueTables, fit_critic,
-                     fit_flat_critic, v_next)
+                     fit_flat_critic)
 from .envs import EnvModel, FetchChain, OneStep, make_env, optimal_return
 from .oracle import (enumerate_trajectories, mc_gradient_hae, objective,
                      oracle_gradient, oracle_values, success_probability,

@@ -1,4 +1,4 @@
-"""Estimator configuration and the per-trajectory segment recursions.
+"""Estimator configuration and per-level whitening.
 
 Execution (low) advantages accumulate TD residuals within each segment only,
 with the segment-final residual bootstrapping to the high-head value at the
@@ -8,10 +8,11 @@ binary policy-gradient signal (q - beta) * (v_high - v_low), and the flat
 comparator runs ordinary GAE across the whole episode with a state-only
 baseline.
 
-All four are computed over a padded batch by `batch.advantage_arrays`.  The
-one-episode low and high recursions below are the reference that
-`oracle.telescope_check` verifies against their closed forms on random
-trajectories and random tables.
+All four are computed over a padded batch by `batch.advantage_arrays`, the
+one implementation: the trainer and every oracle run it, and
+`oracle.telescope_check` verifies it against its closed forms on random
+trajectories, tables and discounts.  The one-episode recursions survive only
+as the test-side reference (`tests/spec.py`).
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import Trajectory, segment_views
-from .critic import ValueTables, v_next
 
 
 @dataclass
@@ -48,60 +46,6 @@ class GAEConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.whiten not in ("off", "per-level"):
             raise ValueError("whiten must be 'off' or 'per-level'")
-
-
-def low_td_residuals(traj: Trajectory, tables: ValueTables, gamma: float) -> np.ndarray:
-    """delta_t = r_t + gamma * v_next(t) - v_low(s_t, o_t)."""
-    out = np.empty(traj.n_turns, dtype=np.float64)
-    for t, turn in enumerate(traj.turns):
-        out[t] = (turn.reward + gamma * v_next(traj, tables, t)
-                  - tables.v_low[turn.state, turn.subgoal])
-    return out
-
-
-def low_advantages(deltas: np.ndarray, boundaries: list[int], cfg: GAEConfig) -> np.ndarray:
-    """Backward accumulation of residuals, resetting at every boundary."""
-    out = np.empty_like(deltas)
-    decay = cfg.gamma * cfg.lambda_low
-    interior = set(boundaries[1:-1])
-    acc = 0.0
-    for t in range(len(deltas) - 1, -1, -1):
-        if t + 1 in interior or t == len(deltas) - 1:
-            acc = deltas[t]
-        else:
-            acc = deltas[t] + decay * acc
-        out[t] = acc
-    return out
-
-
-def high_advantages(traj: Trajectory, tables: ValueTables, cfg: GAEConfig
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Macro-step residuals and advantages over the boundary-indexed chain.
-
-    delta_k = r~_k + g~_k * v_high(s_{b_{k+1}}) - v_high(s_{b_k}); the
-    mixing weight multiplies once per segment: A_k = delta_k + g~_k *
-    lambda_high * A_{k+1}.
-    """
-    views = segment_views(traj, cfg.gamma)
-    t_total = traj.n_turns
-    deltas = np.empty(len(views), dtype=np.float64)
-    for seg in views:
-        if seg.stop < t_total:
-            boot = float(tables.v_high[traj.turns[seg.stop].state])
-        elif traj.terminated:
-            boot = 0.0
-        else:
-            if traj.final_state is None:
-                raise ValueError("truncated trajectory without final_state")
-            boot = float(tables.v_high[traj.final_state])
-        deltas[seg.k] = (seg.reward + seg.discount * boot
-                         - tables.v_high[traj.turns[seg.start].state])
-    adv = np.empty_like(deltas)
-    acc = 0.0
-    for k in range(len(views) - 1, -1, -1):
-        acc = deltas[k] + views[k].discount * cfg.lambda_high * acc
-        adv[k] = acc
-    return deltas, adv
 
 
 def whiten(values: np.ndarray) -> np.ndarray:

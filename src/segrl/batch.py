@@ -202,6 +202,8 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
     horizon = env.horizon if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if c_keep < 0:
+        raise ValueError("c_keep must be >= 0")
     ep_ids = episode_offset + np.arange(int(n_episodes), dtype=np.int64)
     start = _start_states(env, seed, ep_ids)
     if greedy:
@@ -320,8 +322,10 @@ def segment_masks(tt: TurnTable) -> SegmentMasks:
     return SegmentMasks(is_boundary, seg_final, seg_end, is_last)
 
 
-def returns_matrix(tt: TurnTable, gamma: float, raw: bool = False) -> np.ndarray:
-    """Per-turn return-to-go, zero beyond episode length."""
+def returns_matrix(tt: TurnTable, gamma: float | np.ndarray,
+                   raw: bool = False) -> np.ndarray:
+    """Per-turn return-to-go, zero beyond episode length; `gamma` is one
+    discount or one per episode."""
     r = np.where(tt.mask, tt.raw_reward if raw else tt.reward, 0.0)
     out = np.zeros_like(r)
     carry = np.zeros(tt.n_episodes)
@@ -333,7 +337,7 @@ def returns_matrix(tt: TurnTable, gamma: float, raw: bool = False) -> np.ndarray
 
 
 def _bootstrap_next(tt: TurnTable, tables: ValueTables, sm: SegmentMasks) -> np.ndarray:
-    """v_next per turn: low head inside a segment, high head at boundaries,
+    """Bootstrap value per turn: low head inside a segment, high head at boundaries,
     zero past terminal states, table value at truncation."""
     n, t_max = tt.mask.shape
     out = np.zeros((n, t_max))
@@ -373,15 +377,25 @@ def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     Switching advantages take beta from the recorded behavior log-probs,
     or from `params` on turns that have none.
     """
+    return _advantage_arrays(tt, tables, cfg, cfg.gamma, params, v_flat)
+
+
+def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
+                      gamma: float | np.ndarray,
+                      params: PolicyParams | None = None,
+                      v_flat: np.ndarray | None = None) -> BatchAdvantages:
+    """`advantage_arrays` with `gamma` in place of cfg.gamma: one discount,
+    or one per episode (an (n,) array, broadcast as (n, 1) over turns).  A
+    scalar takes the same arithmetic as a per-episode entry."""
     sm = segment_masks(tt)
     n, t_max = tt.mask.shape
-    gamma = cfg.gamma
+    gamma_col = gamma if np.ndim(gamma) == 0 else np.asarray(gamma)[:, None]
     cols = np.arange(t_max)
 
     # low level
     boot = _bootstrap_next(tt, tables, sm)
     d_low = np.where(tt.mask,
-                     tt.reward + gamma * boot - tables.v_low[tt.state, tt.subgoal],
+                     tt.reward + gamma_col * boot - tables.v_low[tt.state, tt.subgoal],
                      0.0)
     a_low = np.zeros_like(d_low)
     carry = np.zeros(n)
@@ -394,7 +408,7 @@ def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     # high level (per boundary turn)
     g = returns_matrix(tt, gamma)
     seg_len = np.where(sm.is_boundary, sm.seg_end - cols[None, :], 0)
-    gtilde = np.where(sm.is_boundary, gamma ** seg_len.astype(np.float64), 0.0)
+    gtilde = np.where(sm.is_boundary, gamma_col ** seg_len.astype(np.float64), 0.0)
     g_at_end = np.zeros((n, t_max))
     in_range = sm.is_boundary & (sm.seg_end < tt.length[:, None])
     rows, ts = np.nonzero(in_range)
@@ -438,7 +452,8 @@ def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
         if trunc_last.any():
             rows = np.flatnonzero(trunc_last.any(axis=1))
             boot_f[trunc_last] = v_flat[tt.final_state[rows]]
-        d_flat = np.where(tt.mask, tt.reward + gamma * boot_f - v_flat[tt.state], 0.0)
+        d_flat = np.where(tt.mask,
+                          tt.reward + gamma_col * boot_f - v_flat[tt.state], 0.0)
         a_flat = np.zeros_like(d_flat)
         carry = np.zeros(n)
         decay = gamma * cfg.lambda_flat

@@ -224,10 +224,14 @@ def _verify_env_policy(cfg: RunConfig, seed: int):
 
 
 def cmd_verify(args) -> int:
+    mode = args.mode
+    flag = "samples" if mode in ("unbiased", "variance") else "trials"
+    if getattr(args, flag) < 1:
+        print(f"error: --{flag} must be >= 1", file=sys.stderr)
+        return 2
     cfg = _load_run_config(args)
     out = _out_dir(args, "runs/verify")
     seed = cfg.ppo.seed
-    mode = args.mode
     if mode == "telescope":
         rep = telescope_check(trials=args.trials, seed=seed)
         env, params = _verify_env_policy(cfg, 12345)

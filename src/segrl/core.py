@@ -1,18 +1,16 @@
-"""Episode data model: turns, trajectories, segments, returns, reward shaping.
+"""Episode records: turns, trajectories, their invariants and JSON-Lines.
 
 A trajectory is a sequence of turns (s, q, o, a, r).  The switch bit q
-partitions the turns into maximal constant-subgoal segments; everything
-downstream (critics, advantage estimators, the trainer) consumes the
-segment structure derived here.
+partitions the turns into maximal constant-subgoal segments.  Trajectories
+are the record that files and transcripts are read into and written from;
+the estimators, critics and trainer consume them as a `batch.TurnTable`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 KEEP = 0
 SWITCH = 1
@@ -48,20 +46,10 @@ class TurnRecord(NamedTuple):
     format_valid: bool = True
 
 
-class SegmentView(NamedTuple):
-    """Maximal constant-subgoal run [start, stop) compressed to a macro-step."""
-
-    k: int
-    start: int
-    stop: int
-    subgoal: int
-    reward: float     # within-segment discounted reward, discount 1 at `start`
-    discount: float   # gamma ** (stop - start)
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """An episode of turns, ending either terminally or by truncation.
+    """An episode of turns, ending either terminally or by truncation: the
+    record of a JSON-Lines file or a transcript.
 
     `final_state` is the state observed after the last turn; it is required
     for bootstrapping when the episode was truncated non-terminally and is
@@ -80,15 +68,6 @@ class Trajectory:
     @property
     def terminated(self) -> bool:
         return not self.truncated
-
-    def rewards(self) -> np.ndarray:
-        return np.array([u.reward for u in self.turns], dtype=np.float64)
-
-    def raw_rewards(self) -> np.ndarray:
-        return np.array([u.raw_reward for u in self.turns], dtype=np.float64)
-
-    def switches(self) -> np.ndarray:
-        return np.array([u.q for u in self.turns], dtype=np.int64)
 
 
 def validate_trajectory(traj: Trajectory) -> None:
@@ -138,66 +117,6 @@ def segment_boundaries(traj: Trajectory) -> list[int]:
     return bounds
 
 
-def segment_views(traj: Trajectory, gamma: float) -> list[SegmentView]:
-    """Compress each segment into (macro-reward, duration discount)."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    bounds = segment_boundaries(traj)
-    views = []
-    for k in range(len(bounds) - 1):
-        start, stop = bounds[k], bounds[k + 1]
-        acc = 0.0
-        scale = 1.0
-        for j in range(start, stop):
-            acc += scale * traj.turns[j].reward
-            scale *= gamma
-        views.append(SegmentView(k, start, stop, traj.turns[start].subgoal,
-                                 acc, gamma ** (stop - start)))
-    return views
-
-
-def return_to_go(traj: Trajectory, gamma: float, t: int) -> float:
-    """Discounted tail sum of shaped rewards from turn t (G_T := 0)."""
-    if not 0 <= t < traj.n_turns:
-        raise IndexError(f"turn {t} out of range for length {traj.n_turns}")
-    acc = 0.0
-    for j in range(traj.n_turns - 1, t - 1, -1):
-        acc = traj.turns[j].reward + gamma * acc
-    return acc
-
-
-def returns_to_go(traj: Trajectory, gamma: float) -> np.ndarray:
-    """All return-to-go values in one backward pass."""
-    out = np.empty(traj.n_turns, dtype=np.float64)
-    acc = 0.0
-    for j in range(traj.n_turns - 1, -1, -1):
-        acc = traj.turns[j].reward + gamma * acc
-        out[j] = acc
-    return out
-
-
-def episode_return(traj: Trajectory, gamma: float = 1.0, raw: bool = False) -> float:
-    rewards = traj.raw_rewards() if raw else traj.rewards()
-    scale = gamma ** np.arange(len(rewards))
-    return float(np.dot(scale, rewards))
-
-
-def apply_keep_penalty(traj: Trajectory, c_keep: float) -> Trajectory:
-    """Subtract c_keep from the shaped reward of every KEEP turn.
-
-    Raw rewards are left untouched, so success metrics stay meaningful.
-    """
-    if c_keep < 0:
-        raise ValueError("c_keep must be >= 0")
-    if c_keep == 0.0:
-        return traj
-    turns = tuple(
-        u._replace(reward=u.reward - c_keep) if u.q == KEEP else u
-        for u in traj.turns
-    )
-    return replace(traj, turns=turns)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory JSON-Lines format
 #
@@ -224,38 +143,37 @@ def turn_to_json(u: TurnRecord) -> dict:
     }
 
 
-_TURN_FIELDS = (("t", int), ("state", int), ("prev_subgoal", int), ("q", int),
-                ("subgoal", int), ("action", int), ("reward", float),
-                ("raw_reward", float))
+# the Python types `json` decodes each kind of field to; exact types, since
+# bool is a subclass of int
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a boolean": (bool,)}
+
+
+def _json_field(obj: dict, name: str, what: str):
+    """obj[name] if it holds a JSON value of the kind `what`; KeyError when
+    missing, ValueError naming the field otherwise."""
+    value = obj[name]
+    if type(value) not in _JSON_TYPES[what]:
+        raise ValueError(f"field {name!r} is not {what}: {value!r}")
+    return value
 
 
 def turn_from_json(obj: dict) -> TurnRecord:
     """A turn from its JSON object; KeyError on a missing key, ValueError
-    naming the field on a value of the wrong type."""
-    try:
-        return TurnRecord(
-            t=int(obj["t"]),
-            state=int(obj["state"]),
-            prev_subgoal=None if obj["prev_subgoal"] is None else int(obj["prev_subgoal"]),
-            q=int(obj["q"]),
-            subgoal=int(obj["subgoal"]),
-            action=int(obj["action"]),
-            reward=float(obj["reward"]),
-            raw_reward=float(obj["raw_reward"]),
-            done=bool(obj["done"]),
-            subgoal_text=obj.get("subgoal_text"),
-        )
-    except (TypeError, ValueError):
-        # find the field that failed, in the order they were read
-        for name, conv in _TURN_FIELDS:
-            value = obj[name]
-            try:
-                if value is not None or name != "prev_subgoal":
-                    conv(value)
-            except (TypeError, ValueError):
-                what = "an integer" if conv is int else "a number"
-                raise ValueError(f"field {name!r} is not {what}: {value!r}") from None
-        raise
+    naming the field on a value of the wrong JSON type (a bool or a float
+    where an integer belongs, a bool where a number belongs)."""
+    return TurnRecord(
+        t=_json_field(obj, "t", "an integer"),
+        state=_json_field(obj, "state", "an integer"),
+        prev_subgoal=(None if obj["prev_subgoal"] is None
+                      else _json_field(obj, "prev_subgoal", "an integer")),
+        q=_json_field(obj, "q", "an integer"),
+        subgoal=_json_field(obj, "subgoal", "an integer"),
+        action=_json_field(obj, "action", "an integer"),
+        reward=float(_json_field(obj, "reward", "a number")),
+        raw_reward=float(_json_field(obj, "raw_reward", "a number")),
+        done=_json_field(obj, "done", "a boolean"),
+        subgoal_text=obj.get("subgoal_text"),
+    )
 
 
 def write_trajectories(fp: IO[str], trajectories: Iterable[Trajectory]) -> None:
@@ -285,11 +203,9 @@ def read_trajectories(fp: IO[str]) -> Iterator[Trajectory]:
             if not turns:
                 raise MalformedTrajectory(f"line {line_no}: truncation sentinel without turns")
             fs = obj.get("final_state")
-            try:
-                fs = None if fs is None else int(fs)
-            except (TypeError, ValueError):
+            if fs is not None and type(fs) is not int:
                 raise MalformedTrajectory(
-                    f"line {line_no}: final_state {fs!r} is not an integer") from None
+                    f"line {line_no}: final_state {fs!r} is not an integer")
             yield Trajectory(tuple(turns), truncated=True, final_state=fs)
             turns = []
             continue
@@ -297,7 +213,7 @@ def read_trajectories(fp: IO[str]) -> Iterator[Trajectory]:
             u = turn_from_json(obj)
         except KeyError as exc:
             raise MalformedTrajectory(f"line {line_no}: turn lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedTrajectory(f"line {line_no}: {exc}") from None
         turns.append(u)
         if u.done:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SWITCH, Trajectory
 
 @dataclass
 class ValueTables:
@@ -45,30 +44,6 @@ class ValueTables:
 
     def copy(self) -> "ValueTables":
         return ValueTables(self.v_high.copy(), self.v_low.copy())
-
-
-def v_next(traj: Trajectory, tables: ValueTables, t: int) -> float:
-    """Bootstrap value for turn t.
-
-    Interior turns look up the low head at (s_{t+1}, current subgoal);
-    segment-final turns look up the high head at the boundary state.
-    A terminal next state bootstraps 0; a truncated episode bootstraps the
-    table value at the recorded final state.
-    """
-    if not 0 <= t < traj.n_turns:
-        raise IndexError(f"turn {t} out of range")
-    turn = traj.turns[t]
-    if turn.done:
-        return 0.0
-    if t == traj.n_turns - 1:
-        # truncated: the (implicit) final boundary closes the segment here
-        if traj.final_state is None:
-            raise ValueError("truncated trajectory without final_state")
-        return float(tables.v_high[traj.final_state])
-    nxt = traj.turns[t + 1]
-    if nxt.q == SWITCH:
-        return float(tables.v_high[nxt.state])
-    return float(tables.v_low[nxt.state, turn.subgoal])
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import (HEADS, TurnTable, advantage_arrays, gather_rows,
-                    policy_pass, returns_matrix, rollout_batch, score_sums,
-                    score_tables)
-from .core import KEEP, SWITCH, Trajectory, TurnRecord, returns_to_go
+from .batch import (HEADS, TurnTable, _advantage_arrays, advantage_arrays,
+                    gather_rows, policy_pass, returns_matrix, rollout_batch,
+                    score_sums, score_tables, segment_masks)
+from .core import KEEP, SWITCH, Trajectory, TurnRecord
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
 from .policy import GradTables, PolicyParams, log_softmax, softmax
@@ -126,16 +126,18 @@ def enumerate_trajectories(env: EnvModel, params: PolicyParams,
 # Leaf-averaging oracles (small instances; cross-checks for the DP route)
 # ---------------------------------------------------------------------------
 
+def _enumeration_table(env, params, horizon, cap) -> TurnTable:
+    """The whole enumeration as one table, each episode weighted by its
+    probability P(tau)."""
+    dist = enumerate_trajectories(env, params, horizon, cap)
+    return TurnTable.from_trajectories([traj for traj, _ in dist],
+                                       weights=[p for _, p in dist])
+
+
 def objective_enumerated(env, params, gamma, horizon=None, cap=1e8) -> float:
     """J = E[sum_t gamma^t r_t] by direct leaf averaging."""
-    total = 0.0
-    for traj, p in enumerate_trajectories(env, params, horizon, cap):
-        scale, acc = 1.0, 0.0
-        for u in traj.turns:
-            acc += scale * u.reward
-            scale *= gamma
-        total += p * acc
-    return total
+    tt = _enumeration_table(env, params, horizon, cap)
+    return float(np.dot(tt.weight, returns_matrix(tt, gamma)[:, 0]))
 
 
 def oracle_gradient_enumerated(env, params, gamma, horizon=None, cap=1e8) -> GradTables:
@@ -151,30 +153,32 @@ def score_expectation_enumerated(env, params, horizon=None, cap=1e8) -> GradTabl
 def _enumerated_scores(env, params, horizon, cap, gamma=None) -> GradTables:
     """The score kernel over the whole enumeration as one table, each turn
     weighted by its trajectory's P(tau), times R_tau when `gamma` is given."""
-    dist = enumerate_trajectories(env, params, horizon, cap)
-    tt = TurnTable.from_trajectories([traj for traj, _ in dist],
-                                     weights=[p for _, p in dist])
+    tt = _enumeration_table(env, params, horizon, cap)
     w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
     rows = gather_rows(tt)
     w = w[rows.episode]
     return score_tables(params, policy_pass(rows, params), (w, w, w))
 
 
+def _enumerated_turns(env, params, gamma, horizon, cap):
+    """Every turn of the enumeration with its return-to-go and its
+    trajectory's probability."""
+    tt = _enumeration_table(env, params, horizon, cap)
+    rows = gather_rows(tt)
+    return (rows, returns_matrix(tt, gamma)[rows.episode, rows.t],
+            tt.weight[rows.episode])
+
+
 def oracle_values_enumerated(env, params, gamma, horizon=None, cap=1e8):
     """Leaf-averaged conditional values; cross-check for `oracle_values`."""
     n_s, n_o = params.n_states, params.n_options
-    num_low = np.zeros((n_s, n_o))
-    den_low = np.zeros((n_s, n_o))
-    num_high = np.zeros(n_s)
-    den_high = np.zeros(n_s)
-    for traj, p in enumerate_trajectories(env, params, horizon, cap):
-        g = returns_to_go(traj, gamma)
-        for t, u in enumerate(traj.turns):
-            num_low[u.state, u.subgoal] += p * g[t]
-            den_low[u.state, u.subgoal] += p
-            if u.q == SWITCH:
-                num_high[u.state] += p * g[t]
-                den_high[u.state] += p
+    rows, g, p = _enumerated_turns(env, params, gamma, horizon, cap)
+    low = rows.state * n_o + rows.subgoal
+    num_low = np.bincount(low, p * g, n_s * n_o).reshape(n_s, n_o)
+    den_low = np.bincount(low, p, n_s * n_o).reshape(n_s, n_o)
+    hi = rows.q == SWITCH
+    num_high = np.bincount(rows.state[hi], p[hi] * g[hi], n_s)
+    den_high = np.bincount(rows.state[hi], p[hi], n_s)
     v_low = np.divide(num_low, den_low, out=np.zeros_like(num_low), where=den_low > 0)
     v_high = np.divide(num_high, den_high, out=np.zeros_like(num_high), where=den_high > 0)
     num_flat = num_low.sum(axis=1)
@@ -187,16 +191,14 @@ def oracle_values_enumerated(env, params, gamma, horizon=None, cap=1e8):
 
 def conditional_switch_values_enumerated(env, params, gamma, horizon=None, cap=1e8):
     """Leaf-averaged E[G_t | t, s, o_prev, q] as {(t, s, o_prev, q): value}."""
-    num: dict[tuple, float] = {}
-    den: dict[tuple, float] = {}
-    for traj, p in enumerate_trajectories(env, params, horizon, cap):
-        g = returns_to_go(traj, gamma)
-        for t in range(1, traj.n_turns):
-            u = traj.turns[t]
-            key = (t, u.state, u.prev_subgoal, u.q)
-            num[key] = num.get(key, 0.0) + p * g[t]
-            den[key] = den.get(key, 0.0) + p
-    return {k: num[k] / den[k] for k in num}
+    rows, g, p = _enumerated_turns(env, params, gamma, horizon, cap)
+    later = rows.t > 0
+    keys = np.stack([rows.t, rows.state, rows.prev_subgoal, rows.q], axis=1)[later]
+    keys, ctx = np.unique(keys, axis=0, return_inverse=True)
+    ctx = ctx.ravel()
+    num = np.bincount(ctx, p[later] * g[later])
+    den = np.bincount(ctx, p[later])
+    return {tuple(k): float(v) for k, v in zip(keys.tolist(), num / den)}
 
 
 # ---------------------------------------------------------------------------
@@ -758,48 +760,53 @@ class TelescopeReport:
 def telescope_check(trials: int, seed: int, n_states: int = 12, n_options: int = 3,
                     n_actions: int = 4, max_turns: int = 10,
                     tol: float = 1e-10) -> TelescopeReport:
-    """With mixing weights 1, the backward-recursive estimators must equal
-    their closed forms on any trajectory and any tables:
+    """With mixing weights 1, the trainer's advantage kernel must equal its
+    closed forms on any trajectory, any tables and any gamma:
 
     low:  sum_l gamma^(l-t) r_l (within the segment)
           + gamma^(end-t) * V_boundary(end) - v_low(s_t, o_t)
     high: bootstrapped return from the boundary - v_high(s_boundary)
+
+    Each trial draws a trajectory, its own tables and its own gamma.  All
+    trials run as one table through one kernel pass, trial i's states
+    offset by n_states * i into the stacked tables.
     """
-    from .advantages import high_advantages, low_advantages, low_td_residuals
-    from .core import segment_boundaries
-
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    max_low = 0.0
-    max_high = 0.0
+    trajs, v_high, v_low, gammas = [], [], [], []
     for _ in range(trials):
-        traj = random_trajectory(rng, n_states, n_options, n_actions, max_turns)
+        trajs.append(random_trajectory(rng, n_states, n_options, n_actions, max_turns))
         tables = random_tables(rng, n_states, n_options)
-        gamma = float(rng.uniform(0.2, 1.0))
-        cfg = GAEConfig(gamma=gamma, lambda_low=1.0, lambda_high=1.0)
-        bounds = segment_boundaries(traj)
-        deltas = low_td_residuals(traj, tables, gamma)
-        a_low = low_advantages(deltas, bounds, cfg)
-        _, a_high = high_advantages(traj, tables, cfg)
-        g = returns_to_go(traj, gamma)
-        t_total = traj.n_turns
+        v_high.append(tables.v_high)
+        v_low.append(tables.v_low)
+        gammas.append(float(rng.uniform(0.2, 1.0)))
+    tt = TurnTable.from_trajectories(trajs)
+    offset = n_states * np.arange(trials)
+    tt.state += offset[:, None]
+    tt.final_state += offset     # a random trajectory always records one
+    tables = ValueTables(np.concatenate(v_high), np.concatenate(v_low))
+    gamma = np.array(gammas)
+    adv = _advantage_arrays(tt, tables, GAEConfig(lambda_low=1.0, lambda_high=1.0),
+                            gamma)
 
-        def boundary_value(b: int) -> float:
-            if b < t_total:
-                return float(tables.v_high[traj.turns[b].state])
-            if traj.terminated:
-                return 0.0
-            return float(tables.v_high[traj.final_state])
-
-        for k in range(len(bounds) - 1):
-            start, end = bounds[k], bounds[k + 1]
-            for t in range(start, end):
-                tail = g[t] - (gamma ** (end - t)) * (g[end] if end < t_total else 0.0)
-                closed = (tail + gamma ** (end - t) * boundary_value(end)
-                          - tables.v_low[traj.turns[t].state, traj.turns[t].subgoal])
-                max_low = max(max_low, abs(a_low[t] - closed))
-            boot = 0.0 if traj.terminated else \
-                (gamma ** (t_total - start)) * float(tables.v_high[traj.final_state])
-            closed_high = g[start] + boot - tables.v_high[traj.turns[start].state]
-            max_high = max(max_high, abs(a_high[k] - closed_high))
-    return TelescopeReport(trials=trials, max_dev_low=float(max_low),
-                           max_dev_high=float(max_high), tol=tol)
+    sm = segment_masks(tt)
+    g = returns_matrix(tt, gamma)
+    cols = np.arange(tt.max_turns)
+    ep = np.arange(trials)[:, None]
+    v_final = np.where(tt.terminated, 0.0, tables.v_high[tt.final_state])[:, None]
+    # per turn: its segment's end, the discount to it, G there and the value
+    # of the boundary there, which at the episode's end is v_final
+    inside = sm.seg_end < tt.length[:, None]
+    end = np.minimum(sm.seg_end, tt.max_turns - 1)
+    disc = gamma[:, None] ** (sm.seg_end - cols).astype(np.float64)
+    g_end = np.where(inside, g[ep, end], 0.0)
+    v_end = np.where(inside, tables.v_high[tt.state[ep, end]], v_final)
+    closed_low = (g - disc * g_end + disc * v_end
+                  - tables.v_low[tt.state, tt.subgoal])
+    to_final = gamma[:, None] ** (tt.length[:, None] - cols).astype(np.float64)
+    closed_high = g + to_final * v_final - tables.v_high[tt.state]
+    dev_low = np.abs(adv.a_low - closed_low)[tt.mask]
+    dev_high = np.abs(adv.a_high - closed_high)[sm.is_boundary]
+    return TelescopeReport(trials=trials, max_dev_low=float(dev_low.max()),
+                           max_dev_high=float(dev_high.max()), tol=tol)

@@ -3,11 +3,16 @@
 Each function here restates, one episode and one turn at a time, what a
 vectorized kernel in `segrl.batch` or `segrl.training` computes over a
 padded `TurnTable`.  They are the specification the kernels are tested
-against (`tests/test_batch.py`), not library code:
+against (`tests/test_batch.py` and the estimator tests), not library code:
 
-* `rollout` (with `sample_turn`, `greedy_turn`) for `rollout_batch`;
-* `estimate_batch` (with `switch_advantages`, `flat_gae`) for
-  `advantage_arrays`;
+* `segment_views` (macro-reward and duration discount per segment) and
+  `returns_to_go` for `batch.segment_masks` / `returns_matrix` and the
+  high-head rows of `critic_batch_from_table`;
+* `rollout` (with `sample_turn`, `greedy_turn` and `apply_keep_penalty`)
+  for `rollout_batch`;
+* `estimate_batch` for `advantage_arrays`: the segment recursions
+  `low_td_residuals` (with `v_next`), `low_advantages` and
+  `high_advantages`, plus `switch_advantages` and `flat_gae`;
 * `critic_batch` and `flat_critic_batch` for `critic_batch_from_table` and
   `flat_batch_from_table`;
 * `ppo_ratios` for the per-head ratios inside `training.actor_loss`;
@@ -20,23 +25,21 @@ against (`tests/test_batch.py`), not library code:
 * `mc_gradient_hae` (with `scatter_episode_grads`, a dense per-episode
   `np.add.at` scatter) for `oracle.mc_gradient_hae`.
 
-The low and high segment recursions are the library's own
-`advantages.low_td_residuals` / `low_advantages` / `high_advantages`, which
-stay in `src/` as the reference that `oracle.telescope_check` verifies.
+The library has one implementation of each estimator; `oracle.telescope_check`
+verifies that one, `batch.advantage_arrays`, against its closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from segrl.advantages import (GAEConfig, high_advantages, low_advantages,
-                              low_td_residuals, whiten)
+from segrl.advantages import GAEConfig, whiten
 from segrl.batch import advantage_arrays, rollout_batch
-from segrl.core import (KEEP, SWITCH, Trajectory, TurnRecord, apply_keep_penalty,
-                        returns_to_go, segment_boundaries, segment_views)
+from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
 from segrl.critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
                           single_coupling_rows)
 from segrl.envs import EnvModel
@@ -44,6 +47,61 @@ from segrl.policy import (GradTables, PolicyParams, log_softmax, softmax,
                           split_tables)
 from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng
 from segrl.training import _clipped_surrogate
+
+
+# -- segments, returns and reward shaping ---------------------------------------
+
+class SegmentView(NamedTuple):
+    """Maximal constant-subgoal run [start, stop) compressed to a macro-step."""
+
+    k: int
+    start: int
+    stop: int
+    subgoal: int
+    reward: float     # within-segment discounted reward, discount 1 at `start`
+    discount: float   # gamma ** (stop - start)
+
+
+def segment_views(traj: Trajectory, gamma: float) -> list[SegmentView]:
+    """Compress each segment into (macro-reward, duration discount)."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    bounds = segment_boundaries(traj)
+    views = []
+    for k in range(len(bounds) - 1):
+        start, stop = bounds[k], bounds[k + 1]
+        acc = 0.0
+        scale = 1.0
+        for j in range(start, stop):
+            acc += scale * traj.turns[j].reward
+            scale *= gamma
+        views.append(SegmentView(k, start, stop, traj.turns[start].subgoal,
+                                 acc, gamma ** (stop - start)))
+    return views
+
+
+def returns_to_go(traj: Trajectory, gamma: float) -> np.ndarray:
+    """Discounted tail sums of the shaped rewards, one backward pass."""
+    out = np.empty(traj.n_turns, dtype=np.float64)
+    acc = 0.0
+    for j in range(traj.n_turns - 1, -1, -1):
+        acc = traj.turns[j].reward + gamma * acc
+        out[j] = acc
+    return out
+
+
+def apply_keep_penalty(traj: Trajectory, c_keep: float) -> Trajectory:
+    """Subtract c_keep from the shaped reward of every KEEP turn; raw
+    rewards are left untouched."""
+    if c_keep < 0:
+        raise ValueError("c_keep must be >= 0")
+    if c_keep == 0.0:
+        return traj
+    turns = tuple(
+        u._replace(reward=u.reward - c_keep) if u.q == KEEP else u
+        for u in traj.turns
+    )
+    return replace(traj, turns=turns)
 
 
 # -- rollout ------------------------------------------------------------------
@@ -182,6 +240,80 @@ def flat_gae(traj: Trajectory, v_flat: np.ndarray, cfg: GAEConfig) -> np.ndarray
         acc = deltas[t] + decay * acc
         out[t] = acc
     return out
+
+
+def v_next(traj: Trajectory, tables: ValueTables, t: int) -> float:
+    """Bootstrap value for turn t: the low head at (s_{t+1}, current
+    subgoal) inside a segment, the high head at the boundary state after a
+    segment-final turn, 0 after a terminal turn and the high head at the
+    recorded final state after a truncated one."""
+    if not 0 <= t < traj.n_turns:
+        raise IndexError(f"turn {t} out of range")
+    turn = traj.turns[t]
+    if turn.done:
+        return 0.0
+    if t == traj.n_turns - 1:
+        if traj.final_state is None:
+            raise ValueError("truncated trajectory without final_state")
+        return float(tables.v_high[traj.final_state])
+    nxt = traj.turns[t + 1]
+    if nxt.q == SWITCH:
+        return float(tables.v_high[nxt.state])
+    return float(tables.v_low[nxt.state, turn.subgoal])
+
+
+def low_td_residuals(traj: Trajectory, tables: ValueTables, gamma: float) -> np.ndarray:
+    """delta_t = r_t + gamma * v_next(t) - v_low(s_t, o_t)."""
+    out = np.empty(traj.n_turns, dtype=np.float64)
+    for t, turn in enumerate(traj.turns):
+        out[t] = (turn.reward + gamma * v_next(traj, tables, t)
+                  - tables.v_low[turn.state, turn.subgoal])
+    return out
+
+
+def low_advantages(deltas: np.ndarray, boundaries: list[int], cfg: GAEConfig) -> np.ndarray:
+    """Backward accumulation of residuals, resetting at every boundary."""
+    out = np.empty_like(deltas)
+    decay = cfg.gamma * cfg.lambda_low
+    interior = set(boundaries[1:-1])
+    acc = 0.0
+    for t in range(len(deltas) - 1, -1, -1):
+        if t + 1 in interior or t == len(deltas) - 1:
+            acc = deltas[t]
+        else:
+            acc = deltas[t] + decay * acc
+        out[t] = acc
+    return out
+
+
+def high_advantages(traj: Trajectory, tables: ValueTables, cfg: GAEConfig
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Macro-step residuals and advantages over the boundary-indexed chain.
+
+    delta_k = r~_k + g~_k * v_high(s_{b_{k+1}}) - v_high(s_{b_k}); the
+    mixing weight multiplies once per segment: A_k = delta_k + g~_k *
+    lambda_high * A_{k+1}.
+    """
+    views = segment_views(traj, cfg.gamma)
+    t_total = traj.n_turns
+    deltas = np.empty(len(views), dtype=np.float64)
+    for seg in views:
+        if seg.stop < t_total:
+            boot = float(tables.v_high[traj.turns[seg.stop].state])
+        elif traj.terminated:
+            boot = 0.0
+        else:
+            if traj.final_state is None:
+                raise ValueError("truncated trajectory without final_state")
+            boot = float(tables.v_high[traj.final_state])
+        deltas[seg.k] = (seg.reward + seg.discount * boot
+                         - tables.v_high[traj.turns[seg.start].state])
+    adv = np.empty_like(deltas)
+    acc = 0.0
+    for k in range(len(views) - 1, -1, -1):
+        acc = deltas[k] + views[k].discount * cfg.lambda_high * acc
+        adv[k] = acc
+    return deltas, adv
 
 
 def estimate_all(traj: Trajectory, tables: ValueTables, cfg: GAEConfig,

@@ -1,12 +1,14 @@
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from segrl.advantages import (GAEConfig, high_advantages, low_advantages,
-                              low_td_residuals, whiten)
+from segrl import batch, oracle
+from segrl.advantages import GAEConfig, whiten
 from segrl.batch import TurnTable, advantage_arrays
-from segrl.core import returns_to_go, segment_boundaries
+from segrl.core import segment_boundaries
 from segrl.critic import ValueTables
 from segrl.oracle import random_tables, random_trajectory, telescope_check
 from segrl.policy import PolicyParams
@@ -44,13 +46,25 @@ def flat_gae(traj, v_flat, cfg):
                        params=PolicyParams.uniform(n_s, n_o, 1), v_flat=v_flat)[3]
 
 
+def low_high(traj, tables, cfg):
+    """The kernel's low and high advantages of one episode; the switching
+    level needs switch probabilities, and any will do."""
+    params = PolicyParams.uniform(tables.n_states, tables.n_options, 1)
+    return one_episode(traj, tables, cfg, params=params)[:2]
+
+
+def residuals(traj, tables, gamma):
+    """The kernel's low TD residuals: its low advantages at lambda_low 0."""
+    return low_high(traj, tables, cfg_with(gamma=gamma, lambda_low=0.0))[0]
+
+
 class TestLowResiduals:
     def test_exact_cancellation_at_boundary(self):
         tables = ValueTables.zeros(10, 2)
         tables.v_high[2] = 3.0
         tables.v_low[1, 0] = 3.0
         traj = traj_from([1, 0, 1], [0.0] * 3, states=[0, 1, 2])
-        d = low_td_residuals(traj, tables, 1.0)
+        d = residuals(traj, tables, 1.0)
         assert d[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_interior_arithmetic(self):
@@ -58,7 +72,7 @@ class TestLowResiduals:
         tables.v_low[1, 0] = 2.0   # next state, same subgoal
         tables.v_low[0, 0] = 1.0
         traj = traj_from([1, 0], [0.5, 0.0], states=[0, 1])
-        d = low_td_residuals(traj, tables, 0.9)
+        d = residuals(traj, tables, 0.9)
         assert d[0] == pytest.approx(0.5 + 0.9 * 2.0 - 1.0)
 
 
@@ -66,35 +80,38 @@ class TestLowAdvantages:
     def test_lambda_zero_is_one_step(self, rng):
         traj = random_trajectory(rng, 8, 2, 3)
         tables = random_tables(rng, 8, 2)
-        cfg = cfg_with(gamma=0.9, lambda_low=0.0)
-        d = low_td_residuals(traj, tables, 0.9)
-        a = low_advantages(d, segment_boundaries(traj), cfg)
-        assert np.allclose(a, d)
+        assert np.allclose(residuals(traj, tables, 0.9),
+                           spec.low_td_residuals(traj, tables, 0.9))
 
     def test_direct_sum_within_segment(self):
-        deltas = np.array([1.0, 0.5])
-        a = low_advantages(deltas, [0, 2], cfg_with())
+        # zero tables at gamma 1: each residual is its turn's reward
+        traj = traj_from([1, 0], [1.0, 0.5])
+        a = low_high(traj, ValueTables.zeros(2, 1), cfg_with())[0]
         assert a[0] == pytest.approx(1.5)
 
     def test_accumulation_resets_at_boundaries(self):
-        deltas = np.array([1.0, 1.0, 1.0, 1.0])
-        a = low_advantages(deltas, [0, 2, 4], cfg_with())
+        traj = traj_from([1, 0, 1, 0], [1.0] * 4)
+        a = low_high(traj, ValueTables.zeros(4, 2), cfg_with())[0]
         assert a.tolist() == [2.0, 1.0, 2.0, 1.0]
 
 
 class TestHighAdvantages:
+    """The kernel's high residuals are its high advantages at lambda_high 0."""
+
     def test_single_segment(self, rng):
         traj = traj_from([1, 0, 0], [1.0, 2.0, 3.0])
         tables = random_tables(rng, 8, 3)
-        deltas, adv = high_advantages(traj, tables, cfg_with())
+        adv = low_high(traj, tables, cfg_with())[1]
+        deltas = low_high(traj, tables, cfg_with(lambda_high=0.0))[1]
         assert len(deltas) == 1 and adv[0] == deltas[0]
 
     def test_two_segment_product(self):
         # durations 2 and 1 under gamma=0.5 give duration discounts 0.25, 0.5
         tables = ValueTables.zeros(10, 2)
-        traj = traj_from([1, 0, 1], [0.0] * 3, states=[0, 1, 2])
-        cfg = cfg_with(gamma=0.5)
-        deltas, adv = high_advantages(traj, tables, cfg)
+        tables.v_high[:] = np.arange(10.0)
+        traj = traj_from([1, 0, 1], [1.0, 2.0, 4.0], states=[0, 1, 2])
+        adv = low_high(traj, tables, cfg_with(gamma=0.5))[1]
+        deltas = low_high(traj, tables, cfg_with(gamma=0.5, lambda_high=0.0))[1]
         assert adv[0] == pytest.approx(deltas[0] + 0.25 * deltas[1])
 
     def test_monte_carlo_closed_form(self, rng):
@@ -102,8 +119,8 @@ class TestHighAdvantages:
         for _ in range(50):
             traj = random_trajectory(rng, 8, 3, 4, p_truncated=0.0)
             tables = random_tables(rng, 8, 3)
-            _, adv = high_advantages(traj, tables, cfg)
-            g = returns_to_go(traj, 0.9)
+            adv = one_episode(traj, tables, cfg)[1]
+            g = spec.returns_to_go(traj, 0.9)
             bounds = segment_boundaries(traj)
             for k, b in enumerate(bounds[:-1]):
                 closed = g[b] - tables.v_high[traj.turns[b].state]
@@ -158,7 +175,7 @@ class TestFlatGae:
             traj = random_trajectory(rng, 8, 3, 4, p_truncated=0.0)
             v = rng.standard_normal(8)
             a = flat_gae(traj, v, cfg)
-            g = returns_to_go(traj, 0.85)
+            g = spec.returns_to_go(traj, 0.85)
             for t in range(traj.n_turns):
                 assert a[t] == pytest.approx(
                     g[t] - v[traj.turns[t].state], abs=1e-10)
@@ -171,9 +188,9 @@ class TestEstimateAll:
         cfg = GAEConfig(gamma=0.9, lambda_low=0.7, lambda_high=0.6)
         a_low, a_high, a_switch, _ = one_episode(traj, tables, cfg)
         bounds = segment_boundaries(traj)
-        d = low_td_residuals(traj, tables, 0.9)
-        assert np.allclose(a_low, low_advantages(d, bounds, cfg))
-        assert np.allclose(a_high, high_advantages(traj, tables, cfg)[1])
+        d = spec.low_td_residuals(traj, tables, 0.9)
+        assert np.allclose(a_low, spec.low_advantages(d, bounds, cfg))
+        assert np.allclose(a_high, spec.high_advantages(traj, tables, cfg)[1])
         assert np.allclose(a_switch, spec.switch_advantages(traj, tables))
         assert len(a_low) == traj.n_turns
         assert len(a_high) == len(bounds) - 1
@@ -234,10 +251,44 @@ class TestSegmentLocality:
             assert abs(diff_high[j]) > 1e-9
 
 
+def mutated(fn, old, new):
+    """`fn` recompiled in its own module with the one occurrence of `old` in
+    its source replaced by `new`."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    scope = {}
+    exec(compile(src.replace(old, new), inspect.getfile(fn), "exec"),
+         fn.__globals__, scope)
+    return scope[fn.__name__]
+
+
 class TestTelescoping:
     def test_random_corpus_identities(self):
         rep = telescope_check(trials=2000, seed=11)
         assert rep.passed, (rep.max_dev_low, rep.max_dev_high)
+
+    def test_trials_must_be_positive(self):
+        with pytest.raises(ValueError):
+            telescope_check(trials=0, seed=0)
+
+    def test_catches_a_dropped_truncation_bootstrap(self, monkeypatch):
+        original = batch._bootstrap_next
+
+        def no_final_state(tt, tables, sm):
+            out = original(tt, tables, sm)
+            out[sm.is_last & ~tt.terminated[:, None]] = 0.0
+            return out
+
+        monkeypatch.setattr(batch, "_bootstrap_next", no_final_state)
+        rep = telescope_check(trials=300, seed=0)
+        assert not rep.passed and rep.max_dev_low > 1e-3
+
+    def test_catches_a_shifted_duration_discount(self, monkeypatch):
+        shifted = mutated(batch._advantage_arrays, "gamma_col ** seg_len.astype",
+                          "gamma_col ** (seg_len + 1).astype")
+        monkeypatch.setattr(oracle, "_advantage_arrays", shifted)
+        rep = telescope_check(trials=300, seed=0)
+        assert not rep.passed and rep.max_dev_high > 1e-3
 
 
 class TestConfigValidation:

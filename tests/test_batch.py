@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
-from segrl.batch import (TurnTable, advantage_arrays, batch_stats,
-                         critic_batch_from_table, flat_batch_from_table,
-                         gather_rows, record_behavior, returns_matrix,
-                         rollout_batch, segment_masks)
-from segrl.core import MalformedTrajectory, returns_to_go, segment_boundaries
+from segrl.batch import (TurnTable, _advantage_arrays, advantage_arrays,
+                         batch_stats, critic_batch_from_table,
+                         flat_batch_from_table, gather_rows, record_behavior,
+                         returns_matrix, rollout_batch, segment_masks)
+from segrl.core import MalformedTrajectory, segment_boundaries
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import (mc_gradient_hae, oracle_values, random_tables,
@@ -130,7 +130,7 @@ class TestTableConversions:
         tt = TurnTable.from_trajectories(trajs)
         g = returns_matrix(tt, 0.9)
         for i, traj in enumerate(trajs):
-            ref = returns_to_go(traj, 0.9)
+            ref = spec.returns_to_go(traj, 0.9)
             assert np.allclose(g[i, :traj.n_turns], ref, atol=1e-12)
 
 
@@ -153,6 +153,24 @@ class TestBatchAdvantages:
                 assert np.allclose(arr.a_switch[i, 1:t_total], h.a_switch,
                                    atol=1e-11)
             assert np.allclose(arr.a_flat[i, :t_total], h.a_flat, atol=1e-11)
+
+    def test_per_episode_gamma_is_one_scalar_call_per_episode(self, rng):
+        # bit for bit: the telescope gate runs every trial's own gamma
+        # through one call of the kernel the trainer runs at one gamma
+        trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(40)]
+        gammas = rng.uniform(0.2, 1.0, size=40)
+        tables = random_tables(rng, 8, 3)
+        v_flat = rng.standard_normal(8)
+        cfg = GAEConfig(lambda_low=0.8, lambda_high=0.7, lambda_flat=0.9)
+        joint = _advantage_arrays(TurnTable.from_trajectories(trajs), tables, cfg,
+                                  gammas, v_flat=v_flat)
+        for i, (traj, gamma) in enumerate(zip(trajs, gammas)):
+            one = advantage_arrays(TurnTable.from_trajectories([traj]), tables,
+                                   replace(cfg, gamma=float(gamma)), v_flat=v_flat)
+            n = traj.n_turns
+            for name in ("a_low", "a_high", "a_switch", "a_flat"):
+                assert np.array_equal(getattr(joint, name)[i, :n],
+                                      getattr(one, name)[0], equal_nan=True), (i, name)
 
     def test_whitened_moments(self, env_and_params):
         env, params = env_and_params

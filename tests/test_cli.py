@@ -312,6 +312,8 @@ class TestMalformedInputs:
         ([json.dumps(BAD_EPISODE[0]), '{"truncated":true,"final_state":"end"}'],
          "final_state"),
         ([json.dumps(dict(BAD_EPISODE[0], reward="high"))], "field 'reward'"),
+        ([json.dumps(dict(BAD_EPISODE[0], state=1.7))], "field 'state'"),
+        ([json.dumps(dict(BAD_EPISODE[0], q=True))], "field 'q'"),
     ])
     def test_malformed_json_line(self, tmp_path, capsys, lines, word):
         (tmp_path / "cut.jsonl").write_text("\n".join(lines) + "\n")
@@ -320,6 +322,17 @@ class TestMalformedInputs:
                        "--values", str(tmp_path / "values.txt"),
                        "--out", str(tmp_path / "adv")], capsys,
                       f"line {len(lines)}", word)
+
+    @pytest.mark.parametrize("mode,flag", [
+        ("telescope", "--trials"), ("gradcheck", "--trials"),
+        ("critic-fixpoint", "--trials"), ("unbiased", "--samples"),
+        ("variance", "--samples")])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_verify_count_below_one(self, tmp_path, capsys, mode, flag, count):
+        out = self._refused(["verify", mode, flag, count, "--out",
+                             str(tmp_path / "v")], capsys, flag)
+        assert "PASS" not in out and "nan" not in out
+        assert not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize("command,value", [("eval", "nan"),
                                                ("advantages", "-inf")])

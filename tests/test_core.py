@@ -1,16 +1,39 @@
 import io
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrl.core import (KEEP, SWITCH, MalformedTrajectory, apply_keep_penalty,
-                        episode_return, read_trajectories, return_to_go,
-                        returns_to_go, segment_boundaries, segment_views,
+from segrl.batch import (TurnTable, critic_batch_from_table, returns_matrix,
+                         rollout_batch, segment_masks)
+from segrl.core import (KEEP, MalformedTrajectory, load_trajectories,
+                        read_trajectories, segment_boundaries,
                         validate_trajectory, write_trajectories)
+from segrl.envs import FetchChain
 from segrl.oracle import random_trajectory
+from segrl.policy import PolicyParams
 
+import spec
 from conftest import traj_from
+
+
+def returns(traj, gamma):
+    """`returns_matrix` on a one-episode table, unpadded."""
+    return returns_matrix(TurnTable.from_trajectories([traj]), gamma)[0, :traj.n_turns]
+
+
+def macro_steps(traj, gamma, n_states=8, n_options=3):
+    """(start, stop, macro-reward) per segment, from the kernels: the
+    boundaries of `segment_masks` and the rewards of the high-head rows of
+    `critic_batch_from_table`, which follow its one row per turn."""
+    tt = TurnTable.from_trajectories([traj])
+    sm = segment_masks(tt)
+    starts = np.flatnonzero(sm.is_boundary[0])
+    cb = critic_batch_from_table(tt, gamma, n_states, n_options)
+    return [(int(b), int(sm.seg_end[0, b]), float(r))
+            for b, r in zip(starts, cb.rows["r"][traj.n_turns:])]
 
 
 class TestSegmentBoundaries:
@@ -33,73 +56,92 @@ class TestSegmentBoundaries:
 
 class TestSegmentViews:
     def test_zero_rewards(self):
-        (seg,) = segment_views(traj_from([1, 0, 0], [0, 0, 0]), gamma=1.0)
+        (seg,) = spec.segment_views(traj_from([1, 0, 0], [0, 0, 0]), gamma=1.0)
         assert seg.reward == 0.0 and seg.discount == 1.0
 
     def test_hand_evaluated_sum(self):
-        (seg,) = segment_views(traj_from([1, 0, 0], [1, 2, 4]), gamma=0.5)
+        (seg,) = spec.segment_views(traj_from([1, 0, 0], [1, 2, 4]), gamma=0.5)
         assert seg.reward == pytest.approx(3.0, abs=1e-15)
         assert seg.discount == pytest.approx(0.125, abs=1e-15)
 
     def test_single_terminal_turn(self):
-        (seg,) = segment_views(traj_from([1], [10.0]), gamma=0.9)
+        (seg,) = spec.segment_views(traj_from([1], [10.0]), gamma=0.9)
         assert seg.reward == 10.0 and seg.discount == pytest.approx(0.9)
 
     def test_gamma_range(self):
         with pytest.raises(ValueError):
-            segment_views(traj_from([1], [0.0]), gamma=0.0)
+            spec.segment_views(traj_from([1], [0.0]), gamma=0.0)
 
 
 class TestReturnToGo:
     def test_zero_discount(self):
         traj = traj_from([1, 0, 0], [3.0, 5.0, 7.0])
-        for t in range(3):
-            assert return_to_go(traj, 0.0, t) == traj.turns[t].reward
+        assert returns(traj, 0.0).tolist() == [3.0, 5.0, 7.0]
 
     def test_undiscounted_sum(self):
-        assert return_to_go(traj_from([1, 0, 0], [1, 1, 1]), 1.0, 0) == 3.0
+        assert returns(traj_from([1, 0, 0], [1, 1, 1]), 1.0)[0] == 3.0
 
     def test_discounted_tail(self):
-        assert return_to_go(traj_from([1, 0, 0], [0, 0, 10]), 0.5, 0) == 2.5
+        assert returns(traj_from([1, 0, 0], [0, 0, 10]), 0.5)[0] == 2.5
 
-    def test_index_error(self):
-        with pytest.raises(IndexError):
-            return_to_go(traj_from([1], [0.0]), 1.0, 1)
+    def test_zero_beyond_length(self):
+        trajs = [traj_from([1], [4.0]), traj_from([1, 0, 0], [1.0, 2.0, 3.0])]
+        g = returns_matrix(TurnTable.from_trajectories(trajs), 0.9)
+        assert g.shape == (2, 3) and g[0, 1:].tolist() == [0.0, 0.0]
 
     def test_matches_batch_helper(self, rng):
+        # the backward pass against each turn's discounted tail sum
         traj = random_trajectory(rng, 6, 2, 3)
-        g = returns_to_go(traj, 0.9)
+        r = [u.reward for u in traj.turns]
+        g = spec.returns_to_go(traj, 0.9)
         for t in range(traj.n_turns):
-            assert g[t] == pytest.approx(return_to_go(traj, 0.9, t), abs=1e-12)
+            tail = sum(0.9 ** (j - t) * r[j] for j in range(t, traj.n_turns))
+            assert g[t] == pytest.approx(tail, abs=1e-12)
+        assert np.allclose(returns(traj, 0.9), g, atol=1e-12)
 
 
 class TestKeepPenalty:
-    def test_zero_penalty_identity(self):
-        traj = traj_from([1, 0, 0], [0, 0, 10])
-        assert apply_keep_penalty(traj, 0.0) is traj
+    """`rollout_batch(c_keep=c)` against `c_keep=0` at the same seed: the
+    episodes are the same, and only KEEP turns' shaped rewards move."""
 
-    def test_per_definition_subtraction(self):
-        shaped = apply_keep_penalty(traj_from([1, 0, 0], [0, 0, 10]), 0.3)
-        assert [u.reward for u in shaped.turns] == pytest.approx([0.0, -0.3, 9.7])
-        assert [u.raw_reward for u in shaped.turns] == [0.0, 0.0, 10.0]
+    @pytest.fixture(scope="class")
+    def env_params(self):
+        env = FetchChain(3, 6)
+        return env, PolicyParams.uniform(env.n_states, 2, env.n_actions)
+
+    def test_zero_penalty_identity(self, env_params):
+        tt = rollout_batch(*env_params, 20, seed=3, c_keep=0.0)
+        assert np.array_equal(tt.reward, tt.raw_reward)
+
+    def test_per_definition_subtraction(self, env_params):
+        tt = rollout_batch(*env_params, 20, seed=3, c_keep=0.3)
+        keeps = tt.mask & (tt.q == KEEP)
+        assert keeps.any()
+        assert np.array_equal(tt.reward[keeps], tt.raw_reward[keeps] - 0.3)
+        assert np.array_equal(tt.reward[~keeps], tt.raw_reward[~keeps])
 
     def test_idempotent_only_at_zero(self):
         traj = traj_from([1, 0], [1.0, 1.0])
-        once = apply_keep_penalty(traj, 0.3)
-        twice = apply_keep_penalty(once, 0.3)
+        once = spec.apply_keep_penalty(traj, 0.3)
+        twice = spec.apply_keep_penalty(once, 0.3)
         assert once.turns[1].reward != twice.turns[1].reward
 
-    def test_shaped_minus_raw(self, rng):
-        for _ in range(20):
-            traj = random_trajectory(rng, 5, 2, 3)
-            shaped = apply_keep_penalty(traj, 0.25)
-            keeps = sum(1 for u in traj.turns if u.q == KEEP)
-            diff = sum(u.reward for u in shaped.turns) - sum(u.reward for u in traj.turns)
-            assert diff == pytest.approx(-0.25 * keeps, abs=1e-12)
+    def test_shaped_minus_raw(self, env_params):
+        base = rollout_batch(*env_params, 50, seed=9)
+        shaped = rollout_batch(*env_params, 50, seed=9, c_keep=0.25)
+        for name in ("state", "q", "subgoal", "action", "raw_reward", "mask",
+                     "final_state", "lp_action"):
+            assert np.array_equal(getattr(base, name), getattr(shaped, name),
+                                  equal_nan=name == "lp_action"), name
+        keeps = (base.mask & (base.q == KEEP)).sum(axis=1)
+        diff = shaped.reward.sum(axis=1) - base.reward.sum(axis=1)
+        assert np.allclose(diff, -0.25 * keeps, atol=1e-12)
 
-    def test_rejects_negative(self):
+    def test_rejects_negative(self, env_params):
         with pytest.raises(ValueError):
-            apply_keep_penalty(traj_from([1], [0.0]), -0.1)
+            rollout_batch(*env_params, 1, seed=0, c_keep=-0.1)
+        with pytest.raises(ValueError):
+            spec.apply_keep_penalty(traj_from([1], [0.0]), -0.1)
 
 
 class TestPartitionProperties:
@@ -107,26 +149,29 @@ class TestPartitionProperties:
         for _ in range(100):
             traj = random_trajectory(rng, 8, 3, 4)
             gamma = float(rng.uniform(0.3, 1.0))
-            views = segment_views(traj, gamma)
+            steps = macro_steps(traj, gamma)
             covered = []
-            for seg in views:
-                covered.extend(range(seg.start, seg.stop))
+            for start, stop, _ in steps:
+                covered.extend(range(start, stop))
             assert covered == list(range(traj.n_turns))
-            # discounted reward reconstruction from segment offsets
-            total = sum(gamma ** seg.start * seg.reward for seg in views)
-            assert total == pytest.approx(episode_return(traj, gamma), abs=1e-12)
+            # the offset macro-rewards tile the discounted return
+            total = sum(gamma ** start * r for start, _, r in steps)
+            direct = sum(gamma ** u.t * u.reward for u in traj.turns)
+            assert total == pytest.approx(direct, abs=1e-12)
+            assert returns(traj, gamma)[0] == pytest.approx(direct, abs=1e-12)
 
     def test_boundary_return_recursion(self, rng):
         for _ in range(100):
             traj = random_trajectory(rng, 8, 3, 4)
             gamma = float(rng.uniform(0.3, 1.0))
             bounds = segment_boundaries(traj)
-            g = returns_to_go(traj, gamma)
-            views = segment_views(traj, gamma)
-            for seg in views:
-                g_next = g[seg.stop] if seg.stop < traj.n_turns else 0.0
-                assert g[seg.start] == pytest.approx(
-                    seg.reward + seg.discount * g_next, abs=1e-12)
+            g = returns(traj, gamma)
+            steps = macro_steps(traj, gamma)
+            for start, stop, r in steps:
+                g_next = g[stop] if stop < traj.n_turns else 0.0
+                assert g[start] == pytest.approx(
+                    r + gamma ** (stop - start) * g_next, abs=1e-12)
+            assert [s for s, _, _ in steps] + [traj.n_turns] == bounds
             assert bounds[0] == 0 and bounds[-1] == traj.n_turns
 
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=12))
@@ -188,3 +233,34 @@ class TestJsonl:
                           '"reward":0.0,"raw_reward":0.0,"done":false}\n')
         with pytest.raises(MalformedTrajectory):
             list(read_trajectories(buf))
+
+    GOOD_TURN = {"t": 0, "state": 0, "prev_subgoal": None, "q": 1, "subgoal": 0,
+                 "subgoal_text": None, "action": 1, "reward": 0, "raw_reward": 0.5,
+                 "done": True}
+
+    def test_number_fields_take_integers(self, tmp_path):
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps(self.GOOD_TURN) + "\n")
+        (traj,) = load_trajectories(path)
+        u = traj.turns[0]
+        assert type(u.reward) is float and u.reward == 0.0 and u.done is True
+
+    @pytest.mark.parametrize("field,value", [
+        ("state", 1.7), ("state", True), ("q", True), ("t", 0.0),
+        ("prev_subgoal", 0.0), ("subgoal", False), ("action", "1"),
+        ("reward", True), ("raw_reward", False), ("raw_reward", "0.5"),
+        ("done", 1), ("done", "true")])
+    def test_wrong_json_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps(dict(self.GOOD_TURN, **{field: value})) + "\n")
+        with pytest.raises(MalformedTrajectory, match=f"line 1: field '{field}'"):
+            load_trajectories(path)
+
+    @pytest.mark.parametrize("final_state", [2.0, True, "2"])
+    def test_sentinel_final_state_must_be_an_integer(self, tmp_path, final_state):
+        path = tmp_path / "one.jsonl"
+        sentinel = {"truncated": True, "final_state": final_state}
+        path.write_text(json.dumps(dict(self.GOOD_TURN, done=False)) + "\n"
+                        + json.dumps(sentinel) + "\n")
+        with pytest.raises(MalformedTrajectory, match="line 2: final_state"):
+            load_trajectories(path)

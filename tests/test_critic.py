@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from segrl.batch import (TurnTable, critic_batch_from_table,
-                         flat_batch_from_table)
+from segrl.batch import (TurnTable, _bootstrap_next, critic_batch_from_table,
+                         flat_batch_from_table, segment_masks)
 from segrl.core import segment_boundaries
-from segrl.critic import ValueTables, fit_critic, fit_flat_critic, v_next
+from segrl.critic import ValueTables, fit_critic, fit_flat_critic
 from segrl.envs import FetchChain
 from segrl.oracle import (enumerate_trajectories, exact_critic_batch,
                           oracle_values, random_tables, random_trajectory)
@@ -32,6 +32,12 @@ def high_targets(traj, tables, gamma):
 def low_targets(traj, tables, gamma):
     cb = one_episode_batch(traj, gamma, tables.n_states, tables.n_options)
     return cb.row_targets(tables)[:traj.n_turns]
+
+
+def v_next(traj, tables, t):
+    """The advantage kernel's bootstrap value for turn t of one episode."""
+    tt = TurnTable.from_trajectories([traj])
+    return _bootstrap_next(tt, tables, segment_masks(tt))[0, t]
 
 
 class TestVNext:
