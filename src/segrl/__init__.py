@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .advantages import GAEConfig
 from .batch import TurnTable, advantage_arrays, rollout_batch
-from .core import (KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord,
-                   load_trajectories, save_trajectories, segment_boundaries,
-                   validate_trajectory)
+from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
+                   TurnRecord, load_trajectories, save_trajectories,
+                   segment_boundaries)
 from .critic import (CriticBatch, FlatCriticBatch, ValueTables, fit_critic,
                      fit_flat_critic)
 from .envs import EnvModel, FetchChain, OneStep, make_env, optimal_return

@@ -26,16 +26,16 @@ import numpy as np
 class GAEConfig:
     """Discount and per-level mixing parameters.
 
-    whiten is 'off' (verification default: identity checks need raw values)
-    or 'per-level' (training default: each level is normalized to zero mean
-    and unit variance across the batch).
+    whiten is off by default (identity checks need raw values); the trainer
+    turns it on, normalizing each level to zero mean and unit variance
+    across the batch.
     """
 
     gamma: float = 0.99
     lambda_low: float = 0.95
     lambda_high: float = 0.95
     lambda_flat: float = 0.95
-    whiten: str = "off"
+    whiten: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -44,8 +44,8 @@ class GAEConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.whiten not in ("off", "per-level"):
-            raise ValueError("whiten must be 'off' or 'per-level'")
+        if not isinstance(self.whiten, bool):
+            raise ValueError(f"whiten must be a bool, got {self.whiten!r}")
 
 
 def whiten(values: np.ndarray) -> np.ndarray:

@@ -60,51 +60,79 @@ class TurnTable:
 
     @classmethod
     def from_trajectories(cls, trajectories, weights=None) -> "TurnTable":
-        """The episodes as one table.  Raises MalformedTrajectory, naming the
-        episode and the turn, on an id that would index a table silently
-        wrong: a negative state, subgoal, action or final_state, a missing
-        or negative prev_subgoal after the first turn, a q other than KEEP
-        or SWITCH, or a KEEP turn that changes the subgoal."""
+        """The episodes as one table; the one place that validates episode
+        structure.  Raises MalformedTrajectory, naming the episode and the
+        turn where there is one, at the first rule broken, in this order.
+
+        Ids: an integer field beyond int64; a negative state, subgoal,
+        action, prev_subgoal or final_state.  Structure: an episode without
+        turns; a first turn that is not a SWITCH or carries a prev_subgoal;
+        a `t` other than the turn's position; a q other than KEEP or SWITCH;
+        a prev_subgoal other than the previous turn's subgoal; a KEEP turn
+        that changes the subgoal; `done` before the last turn; an episode
+        both done and truncated, or neither; a truncated episode without
+        final_state.
+        """
         trajs = list(trajectories)
-        n = len(trajs)
-        t_max = max((tr.n_turns for tr in trajs), default=0)
-        tt = _empty_table(n, t_max)
-        for i, tr in enumerate(trajs):
-            if tr.final_state is not None and tr.final_state < 0:
-                raise MalformedTrajectory(f"episode {i}: final_state is {tr.final_state}")
-            tt.length[i] = tr.n_turns
-            tt.terminated[i] = tr.terminated
-            tt.final_state[i] = -1 if tr.final_state is None else tr.final_state
-            tt.weight[i] = 1.0 if weights is None else float(weights[i])
-            for t, u in enumerate(tr.turns):
-                tt.state[i, t] = u.state
-                tt.prev_subgoal[i, t] = -1 if u.prev_subgoal is None else u.prev_subgoal
-                tt.q[i, t] = u.q
-                tt.subgoal[i, t] = u.subgoal
-                tt.action[i, t] = u.action
-                tt.reward[i, t] = u.reward
-                tt.raw_reward[i, t] = u.raw_reward
-                if u.lp_switch is not None:
-                    tt.lp_switch[i, t] = u.lp_switch
-                if u.lp_subgoal is not None:
-                    tt.lp_subgoal[i, t] = u.lp_subgoal
-                if u.lp_action is not None:
-                    tt.lp_action[i, t] = u.lp_action
-                tt.format_ok[i, t] = u.format_valid
-                tt.mask[i, t] = True
-        later = np.arange(t_max) > 0
-        for what, arr, bad in (
-                ("state is", tt.state, tt.state < 0),
-                ("subgoal is", tt.subgoal, tt.subgoal < 0),
-                ("action is", tt.action, tt.action < 0),
-                ("prev_subgoal is", tt.prev_subgoal, later & (tt.prev_subgoal < 0)),
-                ("q is", tt.q, (tt.q != KEEP) & (tt.q != SWITCH)),
-                ("KEEP changes the subgoal to", tt.subgoal,
-                 (tt.q == KEEP) & (tt.subgoal != tt.prev_subgoal))):
-            hit = np.argwhere(tt.mask & bad)
-            if hit.size:
-                i, t = hit[0]
-                raise MalformedTrajectory(f"episode {i}, turn {t}: {what} {arr[i, t]}")
+        length = np.array([tr.n_turns for tr in trajs], dtype=np.int64)
+        tt = _empty_table(len(trajs), int(length.max(initial=0)))
+        cols = np.arange(tt.max_turns)
+        tt.length[:] = length
+        tt.mask[:] = cols < length[:, None]
+        tt.terminated[:] = [not tr.truncated for tr in trajs]
+        tt.weight[:] = 1.0 if weights is None else weights
+        col = dict(zip(TurnRecord._fields, zip(*[u for tr in trajs for u in tr.turns])))
+        col = {f: col.get(f, ()) for f in TurnRecord._fields}
+        at_turn = "episode {}, turn {}"
+
+        def ids(name, values, where=lambda k: at_turn.format(*np.argwhere(tt.mask)[k])):
+            try:
+                return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+            except OverflowError:
+                k = next(k for k, v in enumerate(values) if not -2**63 <= (v or 0) < 2**63)
+                raise MalformedTrajectory(
+                    f"{where(k)}: {name} {values[k]} is beyond int64") from None
+
+        fs = [tr.final_state for tr in trajs]
+        tt.final_state[:] = ids("final_state", fs, "episode {}".format)
+        t_of, done, has_prev = (np.zeros(tt.mask.shape, dtype) for dtype in (np.int64, bool, bool))
+        t_of[tt.mask] = ids("t", col["t"])
+        for name in ("state", "prev_subgoal", "q", "subgoal", "action"):
+            getattr(tt, name)[tt.mask] = ids(name, col[name])
+        for name in ("reward", "raw_reward", "lp_switch", "lp_subgoal", "lp_action"):
+            getattr(tt, name)[tt.mask] = np.array(col[name], dtype=np.float64)
+        tt.format_ok[tt.mask] = col["format_valid"]
+        done[tt.mask] = col["done"]
+        has_prev[tt.mask] = [p is not None for p in col["prev_subgoal"]]
+        has_fs = np.array([x is not None for x in fs], dtype=bool)
+        prev_o = np.full_like(tt.subgoal, -1)
+        prev_o[:, 1:] = tt.subgoal[:, :-1]
+        last = cols == (length - 1)[:, None]
+        done_last = (done & last).any(axis=1)
+        for bad, what, value in (
+                (tt.state < 0, "state is", tt.state),
+                (tt.subgoal < 0, "subgoal is", tt.subgoal),
+                (tt.action < 0, "action is", tt.action),
+                (has_prev & (tt.prev_subgoal < 0), "prev_subgoal is", tt.prev_subgoal),
+                (has_fs & (tt.final_state < 0), "final_state is", tt.final_state),
+                (length == 0, "no turns", None),
+                ((cols == 0) & (tt.q != SWITCH), "the first turn does not switch: q is", tt.q),
+                ((cols == 0) & has_prev, "the first turn carries prev_subgoal", tt.prev_subgoal),
+                (t_of != cols, "t is", t_of),
+                ((tt.q != KEEP) & (tt.q != SWITCH), "q is", tt.q),
+                ((cols > 0) & (tt.prev_subgoal != prev_o),
+                 "prev_subgoal is not the previous subgoal", prev_o),
+                ((tt.q == KEEP) & (tt.subgoal != tt.prev_subgoal),
+                 "KEEP changes the subgoal to", tt.subgoal),
+                (done & ~last, "done before the last turn", None),
+                (done_last & ~tt.terminated, "done on the last turn, yet truncated", None),
+                (~done_last & tt.terminated, "neither done nor truncated", None),
+                (~tt.terminated & ~has_fs, "truncated without final_state", None)):
+            if (bad := bad & tt.mask if bad.ndim == 2 else bad).any():
+                at = tuple(np.argwhere(bad)[0])
+                where = (at_turn if len(at) == 2 else "episode {}").format(*at)
+                shown = "" if value is None else f" {value[at]}"
+                raise MalformedTrajectory(f"{where}: {what}{shown}")
         return tt
 
     def to_trajectories(self) -> list[Trajectory]:
@@ -349,11 +377,8 @@ def _bootstrap_next(tt: TurnTable, tables: ValueTables, sm: SegmentMasks) -> np.
     mid_boundary = sm.seg_final & ~sm.is_last
     out[mid_boundary] = tables.v_high[nxt_state[mid_boundary]]
     trunc_last = sm.is_last & ~tt.terminated[:, None]
-    if trunc_last.any():
-        rows = np.flatnonzero(trunc_last.any(axis=1))
-        if (tt.final_state[rows] < 0).any():
-            raise ValueError("truncated episode without final_state")
-        out[trunc_last] = tables.v_high[tt.final_state[rows]]
+    rows = np.flatnonzero(trunc_last.any(axis=1))
+    out[trunc_last] = tables.v_high[tt.final_state[rows]]
     # terminal last turns keep 0
     return out
 
@@ -418,11 +443,7 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     rows, ts = np.nonzero(in_range)
     boot_high[rows, ts] = tables.v_high[tt.state[rows, sm.seg_end[rows, ts]]]
     closing = sm.is_boundary & (sm.seg_end >= tt.length[:, None]) & ~tt.terminated[:, None]
-    if closing.any():
-        rows = np.nonzero(closing)[0]
-        if (tt.final_state[rows] < 0).any():
-            raise ValueError("truncated episode without final_state")
-        boot_high[closing] = tables.v_high[tt.final_state[rows]]
+    boot_high[closing] = tables.v_high[tt.final_state[np.nonzero(closing)[0]]]
     d_high = np.where(sm.is_boundary,
                       rtilde + gtilde * boot_high - tables.v_high[tt.state], 0.0)
     a_high = np.zeros_like(d_high)
@@ -462,7 +483,7 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
             a_flat[:, t] = np.where(tt.mask[:, t], carry, 0.0)
             carry = np.where(tt.mask[:, t], carry, 0.0)
 
-    if cfg.whiten == "per-level":
+    if cfg.whiten:
         a_low[tt.mask] = whiten(a_low[tt.mask])
         a_high[sm.is_boundary] = whiten(a_high[sm.is_boundary])
         sw_mask = tt.mask & (cols[None, :] > 0)
@@ -505,8 +526,6 @@ def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
                             n_options: int) -> CriticBatch:
     """One single-coupling row per turn (low head) and per segment (high
     head); see CriticBatch for the stacked cell indexing."""
-    if (tt.final_state[~tt.terminated & (tt.length > 0)] < 0).any():
-        raise ValueError("truncated episode without final_state")
     sm = segment_masks(tt)
     n, t_max = tt.mask.shape
     nxt_state = np.zeros((n, t_max), dtype=np.int64)

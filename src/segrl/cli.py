@@ -1,7 +1,9 @@
 """Command-line entry point: training, rollouts, parsing, verification.
 
-Exit codes: 0 on success, 1 when a verification gate fails, 2 on usage or
-configuration errors.  All outputs land under the --out directory.
+Exit codes: 0 on success, 1 when a verification gate fails, 2 on refused
+input (`core.InputError`: usage, a config file, trajectory JSON-Lines, a
+checkpoint or a transcript) or a missing file.  All outputs land under the
+--out directory.
 """
 
 from __future__ import annotations
@@ -16,15 +18,15 @@ import numpy as np
 from . import __version__
 from .advantages import GAEConfig
 from .batch import TurnTable, advantage_arrays, rollout_batch
-from .config import ConfigError, RunConfig, load_config
-from .core import (MalformedTrajectory, load_trajectories, save_trajectories,
-                   validate_trajectory)
+from .config import RunConfig, load_config
+from .core import (InputError, MalformedTrajectory, load_trajectories,
+                   save_trajectories)
 from .critic import ValueTables, fit_critic
 from .envs import FetchChain
 from .oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                      oracle_values, switching_exactness_report,
                      telescope_check, unbiasedness_report, variance_report)
-from .parsing import ParseFailure, ingest_transcript_file
+from .parsing import ingest_transcript_file
 from .policy import (CheckpointError, PolicyParams, fetchchain_phased,
                      load_policy, read_checkpoint, save_policy)
 from .training import evaluate, train, train_flat_baseline
@@ -105,8 +107,7 @@ def cmd_rollout(args) -> int:
               PolicyParams.uniform(env.n_states, cfg.n_options, env.n_actions))
     _check_policy_env(params, env)
     if args.episodes < 0:
-        print("error: --episodes must be >= 0", file=sys.stderr)
-        return 2
+        raise InputError("--episodes must be >= 0")
     out = _out_dir(args, "runs/rollout")
     trajs = rollout_batch(env, params, args.episodes, cfg.ppo.seed,
                           c_keep=cfg.ppo.c_keep).to_trajectories()
@@ -120,8 +121,7 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     env = cfg.make_env()
     if args.episodes < 1:
-        print("error: --episodes must be >= 1", file=sys.stderr)
-        return 2
+        raise InputError("--episodes must be >= 1")
     params = load_policy(args.policy)
     _check_policy_env(params, env)
     report = evaluate(params, env, args.episodes, mode=args.mode, seed=cfg.ppo.seed)
@@ -142,49 +142,40 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def _check_advantage_inputs(trajs, tables: ValueTables,
+def _check_advantage_inputs(tt: TurnTable, tables: ValueTables,
                             params: PolicyParams | None) -> None:
-    """Reject episodes that break the turn invariants or index outside the
-    value tables, and a policy over other dimensions than the tables."""
+    """Reject episodes that index outside the value tables, a policy over
+    other dimensions than the tables, and a missing policy where the
+    episodes record no behavior switch log-probs."""
     n_s, n_o = tables.n_states, tables.n_options
     if params is not None and (params.n_states, params.n_options) != (n_s, n_o):
         raise CheckpointError(
             f"the policy has {params.n_states} states x {params.n_options} "
             f"subgoals, the value tables {n_s} x {n_o}")
-    for k, traj in enumerate(trajs):
-        try:
-            validate_trajectory(traj)
-        except MalformedTrajectory as exc:
-            raise MalformedTrajectory(f"episode {k}: {exc}") from None
-        for u in traj.turns:
-            for name, value, bound in (("state", u.state, n_s),
-                                       ("subgoal", u.subgoal, n_o),
-                                       ("prev_subgoal", u.prev_subgoal, n_o)):
-                if value is not None and not 0 <= value < bound:
-                    raise MalformedTrajectory(
-                        f"episode {k}, turn {u.t}: {name} {value} is outside "
-                        f"the value tables (0 .. {bound - 1})")
-        if traj.truncated and traj.final_state is None:
-            raise MalformedTrajectory(f"episode {k}: truncated without final_state")
-        if traj.final_state is not None and not 0 <= traj.final_state < n_s:
+    for name, ids, bound in (("state", tt.state, n_s), ("subgoal", tt.subgoal, n_o),
+                             ("prev_subgoal", tt.prev_subgoal, n_o)):
+        if (bad := tt.mask & (ids >= bound)).any():
+            i, t = np.argwhere(bad)[0]
             raise MalformedTrajectory(
-                f"episode {k}: final_state {traj.final_state} is outside the "
-                f"value tables (0 .. {n_s - 1})")
+                f"episode {i}, turn {t}: {name} {ids[i, t]} is outside the "
+                f"value tables (0 .. {bound - 1})")
+    if (bad := tt.final_state >= n_s).any():
+        i = np.argmax(bad)
+        raise MalformedTrajectory(
+            f"episode {i}: final_state {tt.final_state[i]} is outside the "
+            f"value tables (0 .. {n_s - 1})")
+    if params is None and (tt.mask[:, 1:] & np.isnan(tt.lp_switch[:, 1:])).any():
+        raise InputError("--policy is required: the trajectory file records no "
+                         "behavior log-probs for the switch probabilities")
 
 
 def cmd_advantages(args) -> int:
-    trajs = load_trajectories(args.input)
+    tt = TurnTable.from_trajectories(load_trajectories(args.input))
     tables = load_values(args.values)
     params = load_policy(args.policy) if args.policy else None
-    _check_advantage_inputs(trajs, tables, params)
-    if params is None and any(u.lp_switch is None
-                              for traj in trajs for u in traj.turns[1:]):
-        print("error: --policy is required: the trajectory file records no "
-              "behavior log-probs for the switch probabilities", file=sys.stderr)
-        return 2
+    _check_advantage_inputs(tt, tables, params)
     cfg = GAEConfig(gamma=args.gamma, lambda_low=args.lambda_low,
                     lambda_high=args.lambda_high, lambda_flat=args.lambda_flat)
-    tt = TurnTable.from_trajectories(trajs)
     adv = advantage_arrays(tt, tables, cfg, params=params)
     out = _out_dir(args, "runs/advantages")
     path = out / "advantages.jsonl"
@@ -200,7 +191,7 @@ def cmd_advantages(args) -> int:
                        "A_high": a_high[t] if boundary[t] else None,
                        "A_flat": None}
                 fp.write(json.dumps(rec) + "\n")
-    print(f"wrote per-turn advantages for {len(trajs)} episodes to {path}")
+    print(f"wrote per-turn advantages for {tt.n_episodes} episodes to {path}")
     return 0
 
 
@@ -227,8 +218,7 @@ def cmd_verify(args) -> int:
     mode = args.mode
     flag = "samples" if mode in ("unbiased", "variance") else "trials"
     if getattr(args, flag) < 1:
-        print(f"error: --{flag} must be >= 1", file=sys.stderr)
-        return 2
+        raise InputError(f"--{flag} must be >= 1")
     cfg = _load_run_config(args)
     out = _out_dir(args, "runs/verify")
     seed = cfg.ppo.seed
@@ -376,11 +366,7 @@ def dispatch(argv) -> int:
             return cmd_advantages(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, MalformedTrajectory, ParseFailure,
-            CheckpointError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

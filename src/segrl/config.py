@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from .core import InputError
 from .envs import EnvModel, make_env
 from .training import PPOConfig
 
 
-class ConfigError(ValueError):
-    """Unknown key, unparsable line, or out-of-range value."""
+class ConfigError(InputError):
+    """Unknown key, unparsable line, or out-of-range or non-finite value."""
 
 
 _FLOAT_KEYS = {
@@ -80,6 +82,8 @@ def parse_config_text(text: str) -> RunConfig:
                 parsed = val
         except ValueError:
             raise ConfigError(f"line {line_no}: cannot parse value for '{key}': {val!r}")
+        if key in _FLOAT_KEYS and not math.isfinite(parsed):
+            raise ConfigError(f"line {line_no}: '{key}' must be finite, got {val}")
         if key in _RANGES:
             ok, desc = _RANGES[key]
             if not ok(parsed):

@@ -1,14 +1,16 @@
-"""Episode records: turns, trajectories, their invariants and JSON-Lines.
+"""Episode records: turns, trajectories and their JSON-Lines format.
 
 A trajectory is a sequence of turns (s, q, o, a, r).  The switch bit q
 partitions the turns into maximal constant-subgoal segments.  Trajectories
 are the record that files and transcripts are read into and written from;
-the estimators, critics and trainer consume them as a `batch.TurnTable`.
+the estimators, critics and trainer consume them as a `batch.TurnTable`,
+whose `from_trajectories` checks the turn-structure invariants.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -16,8 +18,14 @@ KEEP = 0
 SWITCH = 1
 
 
-class MalformedTrajectory(ValueError):
-    """A trajectory violates the turn-structure invariants."""
+class InputError(ValueError):
+    """Input from outside the program that segrl refuses: a config file,
+    trajectory JSON-Lines, a checkpoint, a transcript or a command-line
+    argument.  The command line reports it and exits with code 2."""
+
+
+class MalformedTrajectory(InputError):
+    """A trajectory file or record violates the turn-structure invariants."""
 
 
 class TurnRecord(NamedTuple):
@@ -70,34 +78,6 @@ class Trajectory:
         return not self.truncated
 
 
-def validate_trajectory(traj: Trajectory) -> None:
-    """Check the turn-structure invariants, raising MalformedTrajectory."""
-    turns = traj.turns
-    if len(turns) == 0:
-        raise MalformedTrajectory("empty trajectory")
-    if turns[0].q != SWITCH:
-        raise MalformedTrajectory("first turn must switch (q_0 = 1)")
-    if turns[0].prev_subgoal is not None:
-        raise MalformedTrajectory("first turn cannot carry a previous subgoal")
-    for i, u in enumerate(turns):
-        if u.t != i:
-            raise MalformedTrajectory(f"turn index mismatch at position {i}")
-        if u.q not in (KEEP, SWITCH):
-            raise MalformedTrajectory(f"turn {i}: q must be 0 or 1")
-        if i > 0:
-            prev = turns[i - 1]
-            if u.prev_subgoal != prev.subgoal:
-                raise MalformedTrajectory(f"turn {i}: prev_subgoal does not chain")
-            if u.q == KEEP and u.subgoal != prev.subgoal:
-                raise MalformedTrajectory(f"turn {i}: KEEP must retain the subgoal")
-        if u.done and i != len(turns) - 1:
-            raise MalformedTrajectory(f"turn {i}: done before the last turn")
-    if turns[-1].done and traj.truncated:
-        raise MalformedTrajectory("episode cannot be both terminal and truncated")
-    if not turns[-1].done and not traj.truncated:
-        raise MalformedTrajectory("non-terminal episode must be flagged truncated")
-
-
 def segment_boundaries(traj: Trajectory) -> list[int]:
     """Boundary indices [b_0 .. b_K] with b_0 = 0 and b_K = T.
 
@@ -124,8 +104,9 @@ def segment_boundaries(traj: Trajectory) -> list[int]:
 #   {"t":int,"state":int,"prev_subgoal":int|null,"q":0|1,"subgoal":int,
 #    "subgoal_text":string|null,"action":int,"reward":float,
 #    "raw_reward":float,"done":bool}
-# An episode is a contiguous run ending with done:true or a truncation
-# sentinel line {"truncated":true} (optionally carrying "final_state").
+# Rewards are finite.  An episode is a contiguous run ending with done:true
+# or a truncation sentinel line {"truncated":true} (optionally carrying
+# "final_state"); `truncated` takes no other value.
 # ---------------------------------------------------------------------------
 
 def turn_to_json(u: TurnRecord) -> dict:
@@ -145,14 +126,15 @@ def turn_to_json(u: TurnRecord) -> dict:
 
 # the Python types `json` decodes each kind of field to; exact types, since
 # bool is a subclass of int
-_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a boolean": (bool,)}
+_JSON_TYPES = {"an integer": (int,), "a finite number": (int, float), "a boolean": (bool,)}
 
 
 def _json_field(obj: dict, name: str, what: str):
     """obj[name] if it holds a JSON value of the kind `what`; KeyError when
     missing, ValueError naming the field otherwise."""
     value = obj[name]
-    if type(value) not in _JSON_TYPES[what]:
+    if type(value) not in _JSON_TYPES[what] or (
+            what == "a finite number" and not abs(value) <= sys.float_info.max):
         raise ValueError(f"field {name!r} is not {what}: {value!r}")
     return value
 
@@ -160,7 +142,8 @@ def _json_field(obj: dict, name: str, what: str):
 def turn_from_json(obj: dict) -> TurnRecord:
     """A turn from its JSON object; KeyError on a missing key, ValueError
     naming the field on a value of the wrong JSON type (a bool or a float
-    where an integer belongs, a bool where a number belongs)."""
+    where an integer belongs, a bool where a number belongs) or on a reward
+    that is not finite."""
     return TurnRecord(
         t=_json_field(obj, "t", "an integer"),
         state=_json_field(obj, "state", "an integer"),
@@ -169,8 +152,8 @@ def turn_from_json(obj: dict) -> TurnRecord:
         q=_json_field(obj, "q", "an integer"),
         subgoal=_json_field(obj, "subgoal", "an integer"),
         action=_json_field(obj, "action", "an integer"),
-        reward=float(_json_field(obj, "reward", "a number")),
-        raw_reward=float(_json_field(obj, "raw_reward", "a number")),
+        reward=float(_json_field(obj, "reward", "a finite number")),
+        raw_reward=float(_json_field(obj, "raw_reward", "a finite number")),
         done=_json_field(obj, "done", "a boolean"),
         subgoal_text=obj.get("subgoal_text"),
     )
@@ -195,11 +178,15 @@ def read_trajectories(fp: IO[str]) -> Iterator[Trajectory]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedTrajectory(f"line {line_no}: not valid JSON ({exc.msg})") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer too long
+            raise MalformedTrajectory(
+                f"line {line_no}: not valid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(obj, dict):
             raise MalformedTrajectory(f"line {line_no}: expected a JSON object")
-        if obj.get("truncated"):
+        if "truncated" in obj:
+            if obj["truncated"] is not True:
+                raise MalformedTrajectory(
+                    f"line {line_no}: truncated {obj['truncated']!r} is not true")
             if not turns:
                 raise MalformedTrajectory(f"line {line_no}: truncation sentinel without turns")
             fs = obj.get("final_state")

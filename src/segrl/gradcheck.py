@@ -9,7 +9,7 @@ relative comparison with a unit floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,7 +122,8 @@ def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
 
 def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
     """Max relative error of the combined-loss gradients (policy and critic)."""
-    adv = advantage_arrays(case.table, case.tables, case.cfg.gae(whiten=False))
+    adv = advantage_arrays(case.table, case.tables,
+                           replace(case.cfg.gae(), whiten=False))
     frozen = case.tables.copy()
     value, g_theta, g_tab = total_loss(case.params, case.ref, case.tables,
                                        case.table, adv, case.cfg,

@@ -62,7 +62,6 @@ class TrajectoryDistribution:
 
 
 def enumerate_trajectories(env: EnvModel, params: PolicyParams,
-                           horizon: int | None = None,
                            cap: float = 1e8) -> TrajectoryDistribution:
     """Depth-first expansion over (q, o-if-switch, a) choices.
 
@@ -70,17 +69,16 @@ def enumerate_trajectories(env: EnvModel, params: PolicyParams,
     branching product exceeds `cap`.  Behavior log-probs are recorded on
     every turn, exactly as a rollout would have stored them.
     """
-    horizon = env.horizon if horizon is None else horizon
-    if branching_bound(params.n_options, params.n_actions, horizon) > cap:
+    if branching_bound(params.n_options, params.n_actions, env.horizon) > cap:
         raise EnumerationCapExceeded(
-            f"branching bound exceeds cap ({cap:g}) for horizon {horizon}")
+            f"branching bound exceeds cap ({cap:g}) for horizon {env.horizon}")
     items: list[tuple[Trajectory, float]] = []
     lsw = log_softmax(params.switch, axis=-1)
     lhi = log_softmax(params.subgoal, axis=-1)
     llo = log_softmax(params.action, axis=-1)
 
     def expand(t, state, prev, prob, turns):
-        if t == horizon:
+        if t == env.horizon:
             items.append((Trajectory(tuple(turns), truncated=True,
                                      final_state=state), prob))
             return
@@ -126,53 +124,53 @@ def enumerate_trajectories(env: EnvModel, params: PolicyParams,
 # Leaf-averaging oracles (small instances; cross-checks for the DP route)
 # ---------------------------------------------------------------------------
 
-def _enumeration_table(env, params, horizon, cap) -> TurnTable:
+def _enumeration_table(env, params, cap) -> TurnTable:
     """The whole enumeration as one table, each episode weighted by its
     probability P(tau)."""
-    dist = enumerate_trajectories(env, params, horizon, cap)
+    dist = enumerate_trajectories(env, params, cap)
     return TurnTable.from_trajectories([traj for traj, _ in dist],
                                        weights=[p for _, p in dist])
 
 
-def objective_enumerated(env, params, gamma, horizon=None, cap=1e8) -> float:
+def objective_enumerated(env, params, gamma, cap=1e8) -> float:
     """J = E[sum_t gamma^t r_t] by direct leaf averaging."""
-    tt = _enumeration_table(env, params, horizon, cap)
+    tt = _enumeration_table(env, params, cap)
     return float(np.dot(tt.weight, returns_matrix(tt, gamma)[:, 0]))
 
 
-def oracle_gradient_enumerated(env, params, gamma, horizon=None, cap=1e8) -> GradTables:
+def oracle_gradient_enumerated(env, params, gamma, cap=1e8) -> GradTables:
     """Exact policy gradient as sum_tau P(tau) (sum_t scores) R_tau."""
-    return _enumerated_scores(env, params, horizon, cap, gamma)
+    return _enumerated_scores(env, params, cap, gamma)
 
 
-def score_expectation_enumerated(env, params, horizon=None, cap=1e8) -> GradTables:
+def score_expectation_enumerated(env, params, cap=1e8) -> GradTables:
     """E[sum_t grad log pi] over the full enumeration (zero in theory)."""
-    return _enumerated_scores(env, params, horizon, cap)
+    return _enumerated_scores(env, params, cap)
 
 
-def _enumerated_scores(env, params, horizon, cap, gamma=None) -> GradTables:
+def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
     """The score kernel over the whole enumeration as one table, each turn
     weighted by its trajectory's P(tau), times R_tau when `gamma` is given."""
-    tt = _enumeration_table(env, params, horizon, cap)
+    tt = _enumeration_table(env, params, cap)
     w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
     rows = gather_rows(tt)
     w = w[rows.episode]
     return score_tables(params, policy_pass(rows, params), (w, w, w))
 
 
-def _enumerated_turns(env, params, gamma, horizon, cap):
+def _enumerated_turns(env, params, gamma, cap):
     """Every turn of the enumeration with its return-to-go and its
     trajectory's probability."""
-    tt = _enumeration_table(env, params, horizon, cap)
+    tt = _enumeration_table(env, params, cap)
     rows = gather_rows(tt)
     return (rows, returns_matrix(tt, gamma)[rows.episode, rows.t],
             tt.weight[rows.episode])
 
 
-def oracle_values_enumerated(env, params, gamma, horizon=None, cap=1e8):
+def oracle_values_enumerated(env, params, gamma, cap=1e8):
     """Leaf-averaged conditional values; cross-check for `oracle_values`."""
     n_s, n_o = params.n_states, params.n_options
-    rows, g, p = _enumerated_turns(env, params, gamma, horizon, cap)
+    rows, g, p = _enumerated_turns(env, params, gamma, cap)
     low = rows.state * n_o + rows.subgoal
     num_low = np.bincount(low, p * g, n_s * n_o).reshape(n_s, n_o)
     den_low = np.bincount(low, p, n_s * n_o).reshape(n_s, n_o)
@@ -189,9 +187,9 @@ def oracle_values_enumerated(env, params, gamma, horizon=None, cap=1e8):
                         flat_defined=den_flat > 0)
 
 
-def conditional_switch_values_enumerated(env, params, gamma, horizon=None, cap=1e8):
+def conditional_switch_values_enumerated(env, params, gamma, cap=1e8):
     """Leaf-averaged E[G_t | t, s, o_prev, q] as {(t, s, o_prev, q): value}."""
-    rows, g, p = _enumerated_turns(env, params, gamma, horizon, cap)
+    rows, g, p = _enumerated_turns(env, params, gamma, cap)
     later = rows.t > 0
     keys = np.stack([rows.t, rows.state, rows.prev_subgoal, rows.q], axis=1)[later]
     keys, ctx = np.unique(keys, axis=0, return_inverse=True)
@@ -232,10 +230,9 @@ class DpSolution:
     done: np.ndarray
 
 
-def solve_dp(env: EnvModel, params: PolicyParams, gamma: float,
-             horizon: int | None = None) -> DpSolution:
+def solve_dp(env: EnvModel, params: PolicyParams, gamma: float) -> DpSolution:
     """Exhaustive expectation engine organized by shared turn prefixes."""
-    horizon = env.horizon if horizon is None else horizon
+    horizon = env.horizon
     n_s, n_o, n_a = params.n_states, params.n_options, params.n_actions
     nxt, rew, done = transition_tables(env)
     pi_sw = softmax(params.switch, axis=-1)
@@ -288,10 +285,9 @@ def _action_value(dp: DpSolution, t: int, a: int) -> np.ndarray:
     return val
 
 
-def objective(env: EnvModel, params: PolicyParams, gamma: float,
-              horizon: int | None = None) -> float:
+def objective(env: EnvModel, params: PolicyParams, gamma: float) -> float:
     """J = E[sum_t gamma^t r_t], exactly."""
-    dp = solve_dp(env, params, gamma, horizon)
+    dp = solve_dp(env, params, gamma)
     return float(sum(p0 * dp.g_high[0, s0] for s0, p0 in env.initial_states()))
 
 
@@ -315,15 +311,14 @@ class OracleValues:
         return ValueTables(self.v_high.copy(), self.v_low.copy())
 
 
-def oracle_values(env: EnvModel, params: PolicyParams, gamma: float,
-                  horizon: int | None = None) -> OracleValues:
+def oracle_values(env: EnvModel, params: PolicyParams, gamma: float) -> OracleValues:
     """Occupancy-weighted conditional expectations of the return-to-go.
 
     V_low(s, o) = E[G | s, o]; V_high(s) = E[G | s, q = 1];
     V_flat(s) = E[G | s]; each averaged over every turn occurrence of its
     context, weighted by occupancy.
     """
-    return _values_from_dp(solve_dp(env, params, gamma, horizon))
+    return _values_from_dp(solve_dp(env, params, gamma))
 
 
 def _values_from_dp(dp: DpSolution) -> OracleValues:
@@ -341,15 +336,14 @@ def _values_from_dp(dp: DpSolution) -> OracleValues:
                         flat_defined=w_flat > 0)
 
 
-def oracle_gradient(env: EnvModel, params: PolicyParams, gamma: float,
-                    horizon: int | None = None) -> GradTables:
+def oracle_gradient(env: EnvModel, params: PolicyParams, gamma: float) -> GradTables:
     """Exact gradient of the discounted objective.
 
     Computed as sum_t gamma^t E[score_t * G_t] layer by layer; this equals
     the leaf-enumerated sum_tau P (sum_t scores) R_tau because each
     decision's score has zero conditional mean against its prefix return.
     """
-    dp = solve_dp(env, params, gamma, horizon)
+    dp = solve_dp(env, params, gamma)
     out = GradTables.zeros_like(params)
     disc = 1.0
     for t in range(dp.horizon):
@@ -373,13 +367,12 @@ def oracle_gradient(env: EnvModel, params: PolicyParams, gamma: float,
     return out
 
 
-def success_probability(env: EnvModel, params: PolicyParams,
-                        horizon: int | None = None) -> float:
+def success_probability(env: EnvModel, params: PolicyParams) -> float:
     """Exact probability of entering the environment's goal state."""
     goal = getattr(env, "goal_state", None)
     if goal is None:
         raise ValueError("environment does not declare a goal_state")
-    dp = solve_dp(env, params, 1.0, horizon)
+    dp = solve_dp(env, params, 1.0)
     total = 0.0
     for a in range(params.n_actions):
         hits = dp.nxt[:, a] == goal
@@ -438,8 +431,7 @@ def switching_exactness_report(env: EnvModel, params: PolicyParams, gamma: float
 # Exact critic regression problem (the enumerated measure, pre-digested)
 # ---------------------------------------------------------------------------
 
-def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float,
-                       horizon: int | None = None) -> CriticBatch:
+def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float) -> CriticBatch:
     """The regression problem fit_critic would see on the full enumeration.
 
     One row per visited cell: its occupancy mass, its mean reward and its
@@ -447,7 +439,7 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float,
     batch is fitting against the entire trajectory distribution at once,
     with zero sampling noise, and its MSE is the per-cell (reducible) error.
     """
-    dp = solve_dp(env, params, gamma, horizon)
+    dp = solve_dp(env, params, gamma)
     n_s, n_o, n_a = params.n_states, params.n_options, params.n_actions
     horizon = dp.horizon
     n_v = n_s * (1 + n_o)

@@ -9,11 +9,12 @@ and a flat 0.1 penalty applies to the turn's reward.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import KEEP, SWITCH, Trajectory, TurnRecord
+from .core import KEEP, SWITCH, InputError, Trajectory, TurnRecord
 
 FORMAT_PENALTY = 0.1
 
@@ -31,8 +32,9 @@ _BLOCK_RES = {
 }
 
 
-class ParseFailure(ValueError):
-    """No action block could be recovered; the turn is unusable."""
+class ParseFailure(InputError):
+    """A transcript record is unusable: no action block could be recovered,
+    or its `@reward` is not a finite number."""
 
 
 @dataclass(frozen=True)
@@ -183,28 +185,36 @@ def ingest_log(lines: Sequence[tuple[str, float, bool]]) -> IngestResult:
 
 # ---------------------------------------------------------------------------
 # Transcript files: one turn per record, records separated by a blank line.
-# A record's metadata lines start with '@': "@reward <float>" and "@done".
-# All other lines are the turn's text.  Without annotations, rewards default
-# to 0 and the final record ends the episode.
+# A record's metadata lines start with '@': "@reward <finite float>" and
+# "@done", which only the last record may carry.  All other lines are the
+# turn's text.  Without annotations, rewards default to 0 and the final
+# record ends the episode.
 # ---------------------------------------------------------------------------
 
 def read_transcript(text: str) -> list[tuple[str, float, bool]]:
     records: list[tuple[str, float, bool]] = []
     chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
-    for chunk in chunks:
-        reward, done = 0.0, False
+    for k, chunk in enumerate(chunks):
+        last = k == len(chunks) - 1
+        reward = 0.0
         body: list[str] = []
         for line in chunk.splitlines():
             stripped = line.strip()
             if stripped.startswith("@reward"):
-                reward = float(stripped.split(None, 1)[1])
+                value = (stripped.split(None, 1) + [""])[1]
+                try:
+                    reward = float(value)
+                except ValueError:
+                    reward = math.nan
+                if not math.isfinite(reward):
+                    raise ParseFailure(f"record {k}: @reward takes a finite "
+                                       f"number, got {value!r}")
             elif stripped == "@done":
-                done = True
+                if not last:
+                    raise ParseFailure(f"record {k}: @done before the last record")
             else:
                 body.append(line)
-        records.append(("\n".join(body), reward, done))
-    if records and not records[-1][2]:
-        records[-1] = (records[-1][0], records[-1][1], True)
+        records.append(("\n".join(body), reward, last))
     return records
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KEEP, SWITCH
+from .core import KEEP, SWITCH, InputError
 from .envs import FetchChain, DROP, LEFT, PICKUP, RIGHT
 
 CHECKPOINT_MAGIC = "segrl-policy v1"
@@ -229,7 +229,7 @@ def save_policy(path, params: PolicyParams) -> None:
                 fp.write(repr(float(v)) + "\n")
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """A policy or value-table checkpoint is truncated or does not parse."""
 
 

@@ -40,9 +40,9 @@ class TrainingDiverged(RuntimeError):
 class PPOConfig:
     """Hyperparameters of the training loop.
 
-    Learning rates are tabular-scale.  `whiten` turns per-level advantage
-    normalization on (training default); verification code paths construct
-    their own GAEConfig with whitening off.
+    Learning rates are tabular-scale.  Training whitens the advantages per
+    level (`gae`); verification code paths construct their own GAEConfig
+    with whitening off.
     """
 
     gamma: float = 0.99
@@ -61,7 +61,6 @@ class PPOConfig:
     episodes_per_iter: int = 64
     eval_episodes: int = 32
     seed: int = 0
-    whiten: bool = True
 
     def __post_init__(self):
         if self.clip_eps <= 0:
@@ -76,11 +75,10 @@ class PPOConfig:
         # GAEConfig validates gamma and the lambdas
         self.gae()
 
-    def gae(self, whiten: bool | None = None) -> GAEConfig:
-        on = self.whiten if whiten is None else whiten
+    def gae(self) -> GAEConfig:
         return GAEConfig(gamma=self.gamma, lambda_low=self.lambda_low,
                          lambda_high=self.lambda_high, lambda_flat=self.lambda_flat,
-                         whiten="per-level" if on else "off")
+                         whiten=True)
 
 
 @dataclass

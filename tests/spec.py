@@ -333,7 +333,7 @@ def estimate_batch(trajectories, tables: ValueTables, cfg: GAEConfig,
                    v_flat: np.ndarray | None = None) -> list[HierarchicalAdvantages]:
     """Per-trajectory estimates with optional per-level batch whitening."""
     items = [estimate_all(traj, tables, cfg, params, v_flat) for traj in trajectories]
-    if cfg.whiten == "per-level" and items:
+    if cfg.whiten and items:
         for name in ("a_low", "a_high", "a_switch", "a_flat"):
             parts = [getattr(it, name) for it in items]
             if any(p is None for p in parts):

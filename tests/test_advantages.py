@@ -199,7 +199,7 @@ class TestEstimateAll:
     def test_batch_whitening_moments(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4, max_turns=8) for _ in range(40)]
         tables = random_tables(rng, 8, 3)
-        cfg = GAEConfig(gamma=0.9, whiten="per-level")
+        cfg = GAEConfig(gamma=0.9, whiten=True)
         tt = TurnTable.from_trajectories(trajs)
         adv = advantage_arrays(tt, tables, cfg)
         later = tt.mask & (np.arange(tt.max_turns) > 0)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from segrl.batch import (TurnTable, _advantage_arrays, advantage_arrays,
                          batch_stats, critic_batch_from_table,
                          flat_batch_from_table, gather_rows, record_behavior,
                          returns_matrix, rollout_batch, segment_masks)
-from segrl.core import MalformedTrajectory, segment_boundaries
+from segrl.core import KEEP, MalformedTrajectory, segment_boundaries
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import (mc_gradient_hae, oracle_values, random_tables,
@@ -112,6 +113,39 @@ class TestTableConversions:
         with pytest.raises(MalformedTrajectory, match=where):
             TurnTable.from_trajectories([traj, bad])
 
+    # each edit of a valid truncated episode (turns SWITCH, KEEP, SWITCH)
+    # breaks one rule of the validator and no other, so the message is that
+    # rule's; the id rules are checked first
+    @pytest.mark.parametrize("turn,edit,message", [
+        (1, dict(state=10**23), "episode 1, turn 1: state 1" + "0" * 23 + " is beyond int64"),
+        (None, dict(final_state=2**63),
+         "episode 1: final_state 9223372036854775808 is beyond int64"),
+        (1, dict(state=-1, t=7), "episode 1, turn 1: state is -1"),
+        (None, dict(turns=()), "episode 1: no turns"),
+        (0, dict(q=KEEP), "episode 1, turn 0: the first turn does not switch: q is 0"),
+        (0, dict(prev_subgoal=0), "episode 1, turn 0: the first turn carries prev_subgoal 0"),
+        (1, dict(t=5), "episode 1, turn 1: t is 5"),
+        (1, dict(q=2), "episode 1, turn 1: q is 2"),
+        (2, dict(prev_subgoal=1),
+         "episode 1, turn 2: prev_subgoal is not the previous subgoal 0"),
+        (2, dict(q=KEEP), "episode 1, turn 2: KEEP changes the subgoal to 1"),
+        (1, dict(done=True), "episode 1, turn 1: done before the last turn"),
+        (2, dict(done=True), "episode 1: done on the last turn, yet truncated"),
+        (None, dict(truncated=False), "episode 1: neither done nor truncated"),
+        (None, dict(final_state=None), "episode 1: truncated without final_state"),
+    ])
+    def test_each_structure_rule(self, turn, edit, message):
+        traj = traj_from([1, 0, 1], [0.0, 1.0, 0.0], done=False, final_state=2)
+        if turn is None:
+            bad = replace(traj, **edit)
+        else:
+            turns = list(traj.turns)
+            turns[turn] = turns[turn]._replace(**edit)
+            bad = replace(traj, turns=tuple(turns))
+        TurnTable.from_trajectories([traj, traj])
+        with pytest.raises(MalformedTrajectory, match=f"^{re.escape(message)}$"):
+            TurnTable.from_trajectories([traj, bad])
+
     def test_segment_masks_match_reference(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(30)]
         tt = TurnTable.from_trajectories(trajs)
@@ -176,7 +210,7 @@ class TestBatchAdvantages:
         env, params = env_and_params
         tt = rollout_batch(env, params, 100, seed=3)
         tables = random_tables(np.random.default_rng(1), env.n_states, 2)
-        cfg = GAEConfig(gamma=0.95, whiten="per-level")
+        cfg = GAEConfig(gamma=0.95, whiten=True)
         arr = advantage_arrays(tt, tables, cfg)
         low = arr.a_low[tt.mask]
         assert abs(low.mean()) < 1e-10 and low.var() == pytest.approx(1.0, abs=1e-6)

@@ -5,17 +5,21 @@ import io
 import json
 import os
 import re
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segrl.advantages import GAEConfig
 from segrl.cli import dispatch, load_values, save_values
-from segrl.config import ConfigError, parse_config_text
-from segrl.core import load_trajectories, write_trajectories
+from segrl.config import _FLOAT_KEYS, KNOWN_KEYS, ConfigError, parse_config_text
+from segrl.core import InputError, load_trajectories, write_trajectories
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
@@ -83,6 +87,24 @@ class TestConfig:
     def test_bad_env_rejected(self):
         with pytest.raises(ConfigError, match="env"):
             parse_config_text("env = atari")
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(sorted(KNOWN_KEYS) + ["entropy"]), st.one_of(
+            st.sampled_from(["0", "1", "0.5", "-1", "2", "inf", "-inf", "nan", "1e999",
+                             "fetchchain", "onestep", "atari", ""]),
+            st.integers().map(str), st.floats().map(repr), st.text(max_size=4)))
+        .map(" = ".join),
+        st.text(max_size=10)), max_size=6).map("\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_reads_to_a_valid_config_or_an_input_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except InputError:
+            return
+        ppo = cfg.ppo
+        assert all(math.isfinite(getattr(ppo, key)) for key in _FLOAT_KEYS)
+        assert 0.0 < ppo.gamma <= 1.0 and min(ppo.epochs, ppo.minibatch) >= 1
+        assert cfg.env_name in ("fetchchain", "onestep")
 
 
 class TestDispatch:
@@ -270,7 +292,8 @@ class TestMalformedInputs:
         assert not (tmp_path / "adv" / "advantages.jsonl").exists()
 
     @pytest.mark.parametrize("field,value", [("state", -1), ("state", 14),
-                                             ("subgoal", 2), ("subgoal", -1)])
+                                             ("subgoal", 2), ("subgoal", -1),
+                                             ("state", 10**23), ("subgoal", 2**63)])
     def test_ids_outside_the_tables(self, tmp_path, capsys, field, value):
         turns = [dict(BAD_EPISODE[0], done=True)]
         turns[0][field] = value
@@ -300,6 +323,27 @@ class TestMalformedInputs:
         self._refused(["parse", "--input", str(path), "--out",
                        str(tmp_path / "parsed")], capsys, "action")
 
+    @pytest.mark.parametrize("line", ["@reward", "@reward abc", "@reward nan",
+                                      "@reward -inf", "@reward 1e999", "@done"])
+    def test_transcript_reward_and_done(self, tmp_path, capsys, line):
+        # record 0 of two: a reward that is not a finite number, or @done
+        # before the last record
+        path = tmp_path / "bad.txt"
+        record = "<switch>SWITCH</switch>\n<subgoal>a</subgoal>\n<action>b</action>\n"
+        path.write_text(record + line + "\n\n" + record + "@done\n")
+        self._refused(["parse", "--input", str(path), "--out", str(tmp_path / "p")],
+                      capsys, "record 0", line.split()[0])
+        assert not (tmp_path / "p" / "trajectory.jsonl").exists()
+
+    @pytest.mark.parametrize("line", ["lr_actor = inf", "c_keep = inf",
+                                      "gamma = nan", "lr_critic = 1e999"])
+    def test_non_finite_config_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 2\n" + line + "\n")
+        self._refused(["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                      capsys, "line 2", line.split()[0], "finite")
+        assert not (tmp_path / "t").exists()
+
     def test_negative_episode_count(self, tmp_path, capsys):
         self._refused(["rollout", "--episodes", "-1", "--out",
                        str(tmp_path / "roll")], capsys, "--episodes")
@@ -314,6 +358,16 @@ class TestMalformedInputs:
         ([json.dumps(dict(BAD_EPISODE[0], reward="high"))], "field 'reward'"),
         ([json.dumps(dict(BAD_EPISODE[0], state=1.7))], "field 'state'"),
         ([json.dumps(dict(BAD_EPISODE[0], q=True))], "field 'q'"),
+        ([json.dumps(dict(BAD_EPISODE[0], done=True, reward=float("nan")))],
+         "field 'reward'"),
+        ([json.dumps(dict(BAD_EPISODE[0], done=True, raw_reward=float("-inf")))],
+         "field 'raw_reward'"),
+        ([json.dumps(dict(BAD_EPISODE[0], done=True, reward=10**400))], "field 'reward'"),
+        ([json.dumps(BAD_EPISODE[0]), '{"truncated":"no","final_state":3}'],
+         "truncated 'no'"),
+        ([json.dumps(BAD_EPISODE[0]), '{"truncated":1,"final_state":3}'], "truncated 1"),
+        ([json.dumps(dict(BAD_EPISODE[0], done=True, truncated=False))], "truncated"),
+        (['{"t":0,"state":' + "1" * 5000 + "}"], "JSON"),
     ])
     def test_malformed_json_line(self, tmp_path, capsys, lines, word):
         (tmp_path / "cut.jsonl").write_text("\n".join(lines) + "\n")
@@ -417,6 +471,43 @@ class TestCheckpointErrors:
             fp.write("0.5\n")
         with pytest.raises(CheckpointError, match="after the last table"):
             load_values(tmp_path / "values.txt")
+
+
+    @given(kind=st.sampled_from(["policy", "values"]),
+           sizes=st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3)),
+           edits=st.lists(st.tuples(
+               st.sampled_from(["replace", "insert", "drop", "cut"]), st.integers(0, 80),
+               st.one_of(st.sampled_from(["nan", "-inf", "1e999", "0.5", "-3", "", "x",
+                                          "table v_low 0", "table action 2", "2 2",
+                                          "1 1 1", "segrl-values v1"]),
+                         st.floats().map(repr), st.integers().map(str),
+                         st.text(max_size=6))), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_reads_to_valid_tables_or_an_input_error(self, kind, sizes, edits):
+        n_s, n_o, n_a = sizes
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.txt"
+            if kind == "policy":
+                save_policy(path, PolicyParams.uniform(n_s, n_o, n_a))
+            else:
+                save_values(path, ValueTables.zeros(n_s, n_o))
+            lines = path.read_text().splitlines()
+            for edit, k, text in edits:
+                k = min(k, len(lines))
+                if edit == "insert":
+                    lines.insert(k, text)
+                elif edit == "cut":
+                    del lines[k:]
+                elif k < len(lines):
+                    lines[k:k + 1] = [text] if edit == "replace" else []
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                back = load_policy(path) if kind == "policy" else load_values(path)
+            except InputError:
+                return
+        tables = ([back.switch, back.subgoal, back.action] if kind == "policy"
+                  else [back.v_high, back.v_low])
+        assert all(np.isfinite(t).all() for t in tables)
 
 
 class TestBitIdentity:

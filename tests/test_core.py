@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrl.batch import (TurnTable, critic_batch_from_table, returns_matrix,
-                         rollout_batch, segment_masks)
-from segrl.core import (KEEP, MalformedTrajectory, load_trajectories,
+from segrl.advantages import GAEConfig
+from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
+                         returns_matrix, rollout_batch, segment_masks)
+from segrl.core import (KEEP, InputError, MalformedTrajectory, load_trajectories,
                         read_trajectories, segment_boundaries,
-                        validate_trajectory, write_trajectories)
+                        write_trajectories)
 from segrl.envs import FetchChain
-from segrl.oracle import random_trajectory
+from segrl.oracle import random_tables, random_trajectory
 from segrl.policy import PolicyParams
 
 import spec
@@ -186,22 +187,82 @@ class TestPartitionProperties:
         assert bounds[1:-1] == [b for b in interior if b != len(qs)]
 
 
+_TURN_FIELDS = ("t", "state", "prev_subgoal", "q", "subgoal", "action", "reward",
+                "raw_reward", "done")
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.integers(),
+                         st.floats(), st.text(max_size=2))
+
+
+@st.composite
+def _jsonl_text(draw):
+    """Valid episodes as JSON-Lines, then up to three edits: a line dropped,
+    stray text inserted, or a key dropped or set to any JSON value."""
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 4))
+        truncated = draw(st.booleans())
+        prev = None
+        for t in range(n):
+            q = 1 if t == 0 else draw(st.integers(0, 1))
+            o = draw(st.integers(0, 2)) if q else prev
+            lines.append({"t": t, "state": draw(st.integers(0, 4)), "prev_subgoal": prev,
+                          "q": q, "subgoal": o, "action": draw(st.integers(0, 2)),
+                          "reward": draw(st.floats(-2, 2)), "raw_reward": 0.0,
+                          "done": t == n - 1 and not truncated})
+            prev = o
+        if truncated:
+            lines.append({"truncated": True, "final_state": draw(st.integers(0, 4))})
+    keys = st.sampled_from(_TURN_FIELDS + ("truncated", "final_state"))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["drop line", "text", "drop key", "set key"]))
+        if edit == "text":
+            lines.insert(k, draw(st.text(max_size=8)))
+        elif k < len(lines) and edit == "drop line":
+            del lines[k]
+        elif k < len(lines) and isinstance(lines[k], dict):
+            if edit == "drop key":
+                lines[k].pop(draw(keys), None)
+            else:
+                lines[k][draw(keys)] = draw(_JSON_VALUES)
+    return "\n".join(x if isinstance(x, str) else json.dumps(x) for x in lines)
+
+
 class TestValidation:
     def test_valid_random(self, rng):
-        for _ in range(50):
-            validate_trajectory(random_trajectory(rng, 6, 2, 3))
+        TurnTable.from_trajectories([random_trajectory(rng, 6, 2, 3)
+                                     for _ in range(50)])
 
     def test_keep_must_retain_subgoal(self):
         traj = traj_from([1, 0], [0, 0], subgoals=[0, 1])
         with pytest.raises(MalformedTrajectory):
-            validate_trajectory(traj)
+            TurnTable.from_trajectories([traj])
+
+    @given(_jsonl_text())
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_reads_to_a_valid_table_or_an_input_error(self, text):
+        try:
+            tt = TurnTable.from_trajectories(read_trajectories(io.StringIO(text)))
+        except InputError:
+            return
+        for ids in (tt.state, tt.subgoal, tt.action):
+            assert (ids[tt.mask] >= 0).all()
+        n_s, n_o, n_a = (int(np.max(x, initial=0)) + 1 for x in
+                         (np.append(tt.state[tt.mask], tt.final_state),
+                          tt.subgoal[tt.mask], tt.action[tt.mask]))
+        if max(n_s, n_o, n_a) <= 100:
+            # a validated table runs the advantage kernel to finite values
+            adv = advantage_arrays(tt, random_tables(np.random.default_rng(0), n_s, n_o),
+                                   GAEConfig(), PolicyParams.uniform(n_s, n_o, n_a))
+            assert np.isfinite(adv.a_low[tt.mask]).all()
+            assert np.isfinite(adv.a_high[adv.masks.is_boundary]).all()
 
     def test_done_only_last(self):
         traj = traj_from([1, 0], [0, 0])
         bad = traj.__class__(
             turns=(traj.turns[0]._replace(done=True), traj.turns[1]))
         with pytest.raises(MalformedTrajectory):
-            validate_trajectory(bad)
+            TurnTable.from_trajectories([bad])
 
 
 class TestJsonl:

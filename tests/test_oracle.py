@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
-from segrl.batch import advantage_arrays, rollout_batch
+from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
+                         rollout_batch)
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           conditional_switch_values_enumerated,
-                          enumerate_trajectories, mc_gradient_hae, objective,
+                          enumerate_trajectories, exact_critic_batch,
+                          mc_gradient_hae, objective,
                           objective_enumerated, oracle_gradient,
                           oracle_gradient_enumerated, oracle_values,
                           oracle_values_enumerated, score_expectation_enumerated,
@@ -14,6 +16,8 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           switching_exactness_report, unbiasedness_report,
                           variance_report)
 from segrl.policy import PolicyParams, fetchchain_phased
+
+from conftest import weighted_target_maps
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,72 @@ class TestDualRoutes:
         for (t, s, o_prev, q), val in leaf.items():
             expect = dp.g_low[t, s, o_prev] if q == 0 else dp.g_high[t, s]
             assert val == pytest.approx(expect, abs=1e-10)
+
+
+class _Walk:
+    """Three cells and a goal, with no clock in the state: action 0 steps
+    forward (from cell 2 into the goal, reward 1), action 1 waits (reward
+    -0.1).  An episode that has not reached the goal by the horizon is cut
+    there, which never happens in the shipped envs: with two subgoals, 864
+    of the enumeration's 1248 leaves are truncated."""
+
+    n_states, n_actions, horizon, goal_state = 4, 2, 4, 3
+
+    def initial_states(self):
+        return [(0, 0.4), (1, 0.6)]
+
+    def is_terminal(self, s):
+        return s == self.goal_state
+
+    def transition(self, s, a):
+        if a == 1:
+            return s, -0.1, False
+        if s == 2:
+            return self.goal_state, 1.0, True
+        return s + 1, 0.0, False
+
+
+class TestTruncatedLeaves:
+    @pytest.fixture(scope="class")
+    def walk(self):
+        env = _Walk()
+        rng = np.random.default_rng(7)
+        return env, PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.8)
+
+    def test_enumeration_cuts_at_the_horizon(self, walk):
+        dist = enumerate_trajectories(*walk)
+        assert len(dist) == 1248
+        assert sum(traj.truncated for traj, _ in dist) == 864
+        assert dist.total_probability == pytest.approx(1.0, abs=1e-12)
+
+    def test_dual_routes(self, walk):
+        env, params = walk
+        for gamma in (1.0, 0.9):
+            assert objective(env, params, gamma) == pytest.approx(
+                objective_enumerated(env, params, gamma), abs=1e-12)
+            dp = oracle_gradient(env, params, gamma)
+            leaf = oracle_gradient_enumerated(env, params, gamma)
+            assert np.max(np.abs(dp.as_vector() - leaf.as_vector())) < 1e-12
+            dp = oracle_values(env, params, gamma)
+            leaf = oracle_values_enumerated(env, params, gamma)
+            for name in ("v_high", "v_low", "v_flat"):
+                assert np.allclose(getattr(dp, name), getattr(leaf, name), atol=1e-11)
+        mass = sum(p for traj, p in enumerate_trajectories(env, params)
+                   if traj.terminated and traj.final_state == env.goal_state)
+        assert 0.0 < mass < 1.0
+        assert success_probability(env, params) == pytest.approx(mass, abs=1e-12)
+
+    def test_exact_critic_batch_matches_the_enumeration(self, walk):
+        env, params = walk
+        gamma = 0.9
+        dist = enumerate_trajectories(env, params)
+        tt = TurnTable.from_trajectories([t for t, _ in dist], [w for _, w in dist])
+        cb_t = critic_batch_from_table(tt, gamma, env.n_states, 2)
+        cb_e = exact_critic_batch(env, params, gamma)
+        assert np.allclose(cb_t.w, cb_e.w, atol=1e-12)
+        for j, (a, b) in enumerate(zip(weighted_target_maps(cb_t),
+                                       weighted_target_maps(cb_e))):
+            assert np.allclose(a, b, atol=1e-12), j
 
 
 class TestOracleValues:

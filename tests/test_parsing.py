@@ -1,10 +1,12 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrl.core import KEEP, SWITCH, segment_boundaries, validate_trajectory
+from segrl.batch import TurnTable
+from segrl.core import KEEP, SWITCH, InputError, segment_boundaries
 from segrl.parsing import (BAD_SWITCH_VALUE, FORMAT_PENALTY,
                            KEEP_CHANGED_SUBGOAL, MISSING_SWITCH, WRONG_ORDER,
                            ParseFailure, ingest_log, ingest_transcript_file,
@@ -98,7 +100,7 @@ class TestIngestLog:
         result = ingest_log([(turn % "SWITCH", 0.0, False),
                              (turn % "KEEP", 1.0, True)])
         traj = result.trajectory
-        validate_trajectory(traj)
+        TurnTable.from_trajectories([traj])
         assert segment_boundaries(traj) == [0, 2]
         assert all(v.valid for v in result.verdicts)
 
@@ -115,7 +117,7 @@ class TestIngestLog:
         assert traj.turns[1].reward == pytest.approx(1.0 - FORMAT_PENALTY)
         assert traj.turns[1].raw_reward == 1.0
         assert not traj.turns[1].format_valid
-        validate_trajectory(traj)
+        TurnTable.from_trajectories([traj])
 
     def test_missing_switch_resolved_by_subgoal_match(self):
         keep_line = "<subgoal>same</subgoal><action>a</action>"
@@ -163,7 +165,7 @@ class TestTranscriptFixtures:
         assert traj.turns[9].raw_reward == 10.0
         assert traj.turns[9].reward == pytest.approx(10.0 - FORMAT_PENALTY)
         assert traj.terminated
-        validate_trajectory(traj)
+        TurnTable.from_trajectories([traj])
 
     def test_clean_knife_boundary_structure(self):
         result = ingest_transcript_file(DATA / "transcript_clean_knife.txt")
@@ -173,7 +175,7 @@ class TestTranscriptFixtures:
         assert result.total_penalty == 0.0
         assert segment_boundaries(traj) == [0, 3, 5, 7]
         assert len(result.subgoal_ids) == 3
-        validate_trajectory(traj)
+        TurnTable.from_trajectories([traj])
 
     def test_shopping_boundary_structure(self):
         result = ingest_transcript_file(DATA / "transcript_shopping_shirt.txt")
@@ -181,7 +183,7 @@ class TestTranscriptFixtures:
         assert traj.n_turns == 5
         assert all(v.valid for v in result.verdicts)
         assert segment_boundaries(traj) == [0, 2, 5]
-        validate_trajectory(traj)
+        TurnTable.from_trajectories([traj])
 
 
 class TestTranscriptReader:
@@ -193,3 +195,22 @@ class TestTranscriptReader:
     def test_final_record_closes_episode(self):
         records = read_transcript("only turn\n")
         assert records == [("only turn", 0.0, True)]
+
+    @given(st.lists(st.lists(st.one_of(
+        st.sampled_from(["<switch>SWITCH</switch>", "<switch>KEEP</switch>",
+                         "<switch>x</switch>", "<subgoal>a</subgoal>",
+                         "<subgoal>b</subgoal>", "<action>go</action>", "<action>",
+                         "@done", "@reward", "@reward 1.5", "@reward -2",
+                         "@reward nan", "@reward inf", "@reward 1e999",
+                         "@reward two", "@rewards 3", "", " "]),
+        st.text(max_size=12)), max_size=5).map("\n".join), max_size=5).map("\n\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_ingests_to_a_valid_episode_or_an_input_error(self, text):
+        try:
+            result = ingest_log(read_transcript(text))
+        except InputError:
+            return
+        traj = result.trajectory
+        tt = TurnTable.from_trajectories([traj])
+        assert np.isfinite(tt.reward[tt.mask]).all()
+        assert traj.n_turns == len(result.verdicts) >= 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segrl.batch import TurnTable, gather_rows, record_behavior, rollout_batch
-from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, validate_trajectory
+from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import enumerate_trajectories, random_trajectory
@@ -199,7 +199,7 @@ class TestRollout:
         for u in traj.turns:
             expected = u.raw_reward - (0.3 if u.q == KEEP else 0.0)
             assert u.reward == pytest.approx(expected, abs=1e-12)
-        validate_trajectory(traj)
+        TurnTable.from_trajectories([traj])
 
     def test_behavior_logprob_attachment(self, rng):
         env = FetchChain(3, 6)
