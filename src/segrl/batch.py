@@ -470,9 +470,8 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
         inner = tt.mask & ~sm.is_last
         boot_f[inner] = v_flat[nxt_state[inner]]
         trunc_last = sm.is_last & ~tt.terminated[:, None]
-        if trunc_last.any():
-            rows = np.flatnonzero(trunc_last.any(axis=1))
-            boot_f[trunc_last] = v_flat[tt.final_state[rows]]
+        rows = np.flatnonzero(trunc_last.any(axis=1))
+        boot_f[trunc_last] = v_flat[tt.final_state[rows]]
         d_flat = np.where(tt.mask,
                           tt.reward + gamma_col * boot_f - v_flat[tt.state], 0.0)
         a_flat = np.zeros_like(d_flat)

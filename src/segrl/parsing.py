@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .batch import TurnTable
 from .core import KEEP, SWITCH, InputError, Trajectory, TurnRecord
 
 FORMAT_PENALTY = 0.1
@@ -131,7 +132,9 @@ def ingest_log(lines: Sequence[tuple[str, float, bool]]) -> IngestResult:
     whenever the subgoal string differs from the previous turn's; format
     penalties are folded into the shaped rewards with raw rewards preserved.
     Turn states are synthetic (the turn index): text logs carry no
-    environment state.
+    environment state.  The episode is checked by
+    `TurnTable.from_trajectories`, so `done` before the last turn raises
+    MalformedTrajectory.
     """
     turns: list[TurnRecord] = []
     verdicts: list[FormatVerdict] = []
@@ -180,23 +183,22 @@ def ingest_log(lines: Sequence[tuple[str, float, bool]]) -> IngestResult:
     truncated = not turns[-1].done
     traj = Trajectory(tuple(turns), truncated=truncated,
                       final_state=len(turns) if truncated else None)
+    TurnTable.from_trajectories([traj])
     return IngestResult(traj, verdicts, subgoal_ids, action_ids)
 
 
 # ---------------------------------------------------------------------------
 # Transcript files: one turn per record, records separated by a blank line.
 # A record's metadata lines start with '@': "@reward <finite float>" and
-# "@done", which only the last record may carry.  All other lines are the
-# turn's text.  Without annotations, rewards default to 0 and the final
-# record ends the episode.
+# "@done".  All other lines are the turn's text.  Without annotations,
+# rewards default to 0 and the final record ends the episode.
 # ---------------------------------------------------------------------------
 
 def read_transcript(text: str) -> list[tuple[str, float, bool]]:
     records: list[tuple[str, float, bool]] = []
     chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
     for k, chunk in enumerate(chunks):
-        last = k == len(chunks) - 1
-        reward = 0.0
+        reward, done = 0.0, False
         body: list[str] = []
         for line in chunk.splitlines():
             stripped = line.strip()
@@ -210,11 +212,12 @@ def read_transcript(text: str) -> list[tuple[str, float, bool]]:
                     raise ParseFailure(f"record {k}: @reward takes a finite "
                                        f"number, got {value!r}")
             elif stripped == "@done":
-                if not last:
-                    raise ParseFailure(f"record {k}: @done before the last record")
+                done = True
             else:
                 body.append(line)
-        records.append(("\n".join(body), reward, last))
+        records.append(("\n".join(body), reward, done))
+    if records and not records[-1][2]:
+        records[-1] = (records[-1][0], records[-1][1], True)
     return records
 
 

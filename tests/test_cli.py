@@ -323,16 +323,19 @@ class TestMalformedInputs:
         self._refused(["parse", "--input", str(path), "--out",
                        str(tmp_path / "parsed")], capsys, "action")
 
-    @pytest.mark.parametrize("line", ["@reward", "@reward abc", "@reward nan",
-                                      "@reward -inf", "@reward 1e999", "@done"])
-    def test_transcript_reward_and_done(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, expected", [
+        ("@reward", ("record 0", "@reward")), ("@reward abc", ("record 0", "@reward")),
+        ("@reward nan", ("record 0", "@reward")), ("@reward -inf", ("record 0", "@reward")),
+        ("@reward 1e999", ("record 0", "@reward")),
+        ("@done", ("turn 0", "done before the last turn"))])
+    def test_transcript_reward_and_done(self, tmp_path, capsys, line, expected):
         # record 0 of two: a reward that is not a finite number, or @done
         # before the last record
         path = tmp_path / "bad.txt"
         record = "<switch>SWITCH</switch>\n<subgoal>a</subgoal>\n<action>b</action>\n"
         path.write_text(record + line + "\n\n" + record + "@done\n")
         self._refused(["parse", "--input", str(path), "--out", str(tmp_path / "p")],
-                      capsys, "record 0", line.split()[0])
+                      capsys, *expected)
         assert not (tmp_path / "p" / "trajectory.jsonl").exists()
 
     @pytest.mark.parametrize("line", ["lr_actor = inf", "c_keep = inf",

@@ -3,7 +3,7 @@ import pytest
 
 from segrl.batch import (TurnTable, _bootstrap_next, critic_batch_from_table,
                          flat_batch_from_table, segment_masks)
-from segrl.core import segment_boundaries
+from segrl.core import MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, fit_critic, fit_flat_critic
 from segrl.envs import FetchChain
 from segrl.oracle import (enumerate_trajectories, exact_critic_batch,
@@ -63,11 +63,11 @@ class TestVNext:
         assert v_next(traj, tables, 1) == 1000.0
 
     def test_truncated_requires_final_state(self):
-        tables = sentinel_tables(10, 3)
+        # the kernel has nothing to bootstrap from; the table refuses it
         traj = traj_from([1, 0], [0.0] * 2, done=False)
         object.__setattr__(traj, "final_state", None)
-        with pytest.raises(ValueError):
-            v_next(traj, tables, 1)
+        with pytest.raises(MalformedTrajectory, match="truncated without final_state"):
+            TurnTable.from_trajectories([traj])
 
 
 class TestTargets:
