@@ -19,7 +19,7 @@ from .envs import EnvModel, FetchChain, OneStep, make_env, optimal_return
 from .oracle import (enumerate_trajectories, mc_gradient_hae, objective,
                      oracle_gradient, oracle_values, success_probability,
                      switching_exactness_report, telescope_check,
-                     unbiasedness_report, variance_report)
+                     unbiasedness_report, variance_report, variance_reports)
 from .parsing import (FormatVerdict, ParsedDecision, ParseFailure, ingest_log,
                       parse_blocks, render_decision)
 from .policy import (CheckpointError, GradTables, PolicyParams,

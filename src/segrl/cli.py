@@ -25,10 +25,11 @@ from .critic import ValueTables, fit_critic
 from .envs import FetchChain
 from .oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                      oracle_values, switching_exactness_report,
-                     telescope_check, unbiasedness_report, variance_report)
+                     telescope_check, unbiasedness_report, variance_reports)
 from .parsing import ingest_transcript_file
 from .policy import (CheckpointError, PolicyParams, fetchchain_phased,
                      load_policy, read_checkpoint, save_policy)
+from .rng import SEED_BOUND
 from .training import evaluate, train, train_flat_baseline
 
 CHECKPOINT_EVERY = 50
@@ -56,6 +57,8 @@ def load_values(path) -> ValueTables:
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
+        if not 0 <= args.seed < SEED_BOUND:
+            raise InputError(f"--seed must be in [0, 2**64), got {args.seed}")
         cfg.ppo.seed = args.seed
     return cfg
 
@@ -252,17 +255,18 @@ def cmd_verify(args) -> int:
     if mode == "variance":
         env, params = _verify_env_policy(cfg, 12345)
         values = oracle_values(env, params, 1.0)
-        rows = []
-        ok = True
-        for t in range(env.horizon):
-            rep = variance_report(env, params, values, t=t, n=args.samples, seed=seed)
-            rows.append({"t": t, "var_low": rep.var_low, "var_flat": rep.var_flat,
-                         "ci_diff_upper": rep.ci_diff[1],
-                         "reduced": rep.reduction_confirmed})
-            ok = ok and rep.reduction_confirmed
+        reps = variance_reports(env, params, values, range(env.horizon),
+                                n=args.samples, seed=seed)
+        rows = [{"t": rep.t, "var_low": rep.var_low, "var_flat": rep.var_flat,
+                 "ci_diff_upper": rep.ci_diff[1], "reduced": rep.reduction_confirmed}
+                for rep in reps]
+        ok = all(rep.reduction_confirmed for rep in reps)
+        worst = max(rows, key=lambda r: r["ci_diff_upper"])
         path = out / "variance.json"
         with open(path, "w", encoding="utf-8") as fp:
-            json.dump({"rows": rows, "passed": ok}, fp, indent=2)
+            json.dump({"rows": rows, "worst_t": worst["t"],
+                       "worst_ci_diff_upper": worst["ci_diff_upper"],
+                       "passed": ok}, fp, indent=2)
         for r in rows:
             print(f"[{'PASS' if r['reduced'] else 'FAIL'}] t={r['t']}: "
                   f"var_low={r['var_low']:.4f} var_flat={r['var_flat']:.4f} "

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from .core import InputError
 from .envs import EnvModel, make_env
+from .rng import SEED_BOUND
 from .training import PPOConfig
 
 
@@ -41,7 +42,7 @@ _RANGES = {
     "iterations": (lambda v: v >= 1, ">= 1"),
     "episodes_per_iter": (lambda v: v >= 1, ">= 1"),
     "eval_episodes": (lambda v: v >= 1, ">= 1"),
-    "seed": (lambda v: v >= 0, ">= 0"),
+    "seed": (lambda v: 0 <= v < SEED_BOUND, "in [0, 2**64)"),
     "env.L": (lambda v: v >= 2, ">= 2"),
     "env.H": (lambda v: v >= 1, ">= 1"),
     "n_options": (lambda v: v >= 1, ">= 1"),

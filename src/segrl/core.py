@@ -126,7 +126,8 @@ def turn_to_json(u: TurnRecord) -> dict:
 
 # the Python types `json` decodes each kind of field to; exact types, since
 # bool is a subclass of int
-_JSON_TYPES = {"an integer": (int,), "a finite number": (int, float), "a boolean": (bool,)}
+_JSON_TYPES = {"an integer": (int,), "a finite number": (int, float), "a boolean": (bool,),
+               "a string": (str,)}
 
 
 def _json_field(obj: dict, name: str, what: str):
@@ -142,8 +143,8 @@ def _json_field(obj: dict, name: str, what: str):
 def turn_from_json(obj: dict) -> TurnRecord:
     """A turn from its JSON object; KeyError on a missing key, ValueError
     naming the field on a value of the wrong JSON type (a bool or a float
-    where an integer belongs, a bool where a number belongs) or on a reward
-    that is not finite."""
+    where an integer belongs, a bool where a number belongs, anything but a
+    string or null as subgoal_text) or on a reward that is not finite."""
     return TurnRecord(
         t=_json_field(obj, "t", "an integer"),
         state=_json_field(obj, "state", "an integer"),
@@ -155,7 +156,8 @@ def turn_from_json(obj: dict) -> TurnRecord:
         reward=float(_json_field(obj, "reward", "a finite number")),
         raw_reward=float(_json_field(obj, "raw_reward", "a finite number")),
         done=_json_field(obj, "done", "a boolean"),
-        subgoal_text=obj.get("subgoal_text"),
+        subgoal_text=(None if obj.get("subgoal_text") is None
+                      else _json_field(obj, "subgoal_text", "a string")),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .batch import (TurnRows, TurnTable, advantage_arrays, gather_rows,
                     policy_pass, record_behavior, score_tables)
 from .critic import ValueTables
-from .oracle import random_tables, random_trajectory
+from .oracle import random_table, random_tables
 from .policy import GradTables, PolicyParams, split_tables
 from .training import PPOConfig, total_loss
 
@@ -85,9 +85,9 @@ def random_case(rng: np.random.Generator) -> GradCheckCase:
         params_old.subgoal + 0.3 * rng.standard_normal(params_old.subgoal.shape),
         params_old.action + 0.3 * rng.standard_normal(params_old.action.shape))
     ref = PolicyParams.random(rng, n_s, n_o, n_a, scale=0.5)
-    trajs = [random_trajectory(rng, n_s, n_o, n_a, max_turns=6)
-             for _ in range(int(rng.integers(2, 5)))]
-    table = record_behavior(TurnTable.from_trajectories(trajs), params_old)
+    table = record_behavior(
+        random_table(rng, int(rng.integers(2, 5)), n_s, n_o, n_a, max_turns=6),
+        params_old)
     tables = random_tables(rng, n_s, n_o)
     cfg = PPOConfig(gamma=float(rng.uniform(0.5, 1.0)), clip_eps=0.2,
                     c_v=float(rng.uniform(0.2, 2.0)),
@@ -106,13 +106,12 @@ def turn_log_likelihood(rows: TurnRows, params: PolicyParams) -> np.ndarray:
 
 def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
                          h: float = DEFAULT_H) -> float:
-    """Max relative error, over the turns of a random trajectory, of the
+    """Max relative error, over the turns of a random episode, of the
     score kernel's per-turn scores vs central differences of the per-turn
     log-likelihood (one bump evaluates every turn)."""
     n_s, n_o, n_a = 4, 3, 3
     params = PolicyParams.random(rng, n_s, n_o, n_a)
-    traj = random_trajectory(rng, n_s, n_o, n_a, max_turns=n_turns)
-    rows = gather_rows(TurnTable.from_trajectories([traj]))
+    rows = gather_rows(random_table(rng, 1, n_s, n_o, n_a, max_turns=n_turns))
     one = np.ones(len(rows))
     analytic = score_tables(params, policy_pass(rows, params), (one,) * 3,
                             group=np.arange(len(rows)), n_groups=len(rows))

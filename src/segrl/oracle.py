@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import (HEADS, TurnTable, _advantage_arrays, advantage_arrays,
-                    gather_rows, policy_pass, returns_matrix, rollout_batch,
-                    score_sums, score_tables, segment_masks)
+from .batch import (HEADS, TurnTable, _advantage_arrays, _empty_table,
+                    advantage_arrays, gather_rows, policy_pass, returns_matrix,
+                    rollout_batch, score_sums, score_tables, segment_masks)
 from .core import KEEP, SWITCH, Trajectory, TurnRecord
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
@@ -632,7 +632,7 @@ def unbiasedness_report(env: EnvModel, params: PolicyParams, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Variance comparison at a fixed turn
+# Variance comparison per turn
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -654,81 +654,143 @@ class VarianceReport:
         return not (self.ci_low[1] < self.ci_flat[0] or self.ci_flat[1] < self.ci_low[0])
 
 
+def variance_reports(env: EnvModel, params: PolicyParams, values: OracleValues,
+                     turns, n: int, seed: int, n_boot: int = 1000,
+                     max_rounds: int = 50) -> list[VarianceReport]:
+    """Sample variances of the two advantage estimators at each of the
+    distinct `turns`, one report per turn, in order.
+
+    Rollouts are restricted to episodes that reach the turn; both estimators
+    run with mixing weights 1 and the exact baselines, matching the
+    variance-ordering claim's assumptions.  Episodes are rolled in the
+    order of their ids until every turn has n reaching episodes, at most
+    max_rounds * n episodes; each turn takes its first n, so its report does
+    not depend on which other turns are asked for.
+
+    Memory: the turns' samples at 16 bytes per episode each, the episodes
+    rolled 2000 at a time, and for the bootstrap an index block of about
+    256 KB (with the resampled values and their deviations, under 1 MB),
+    whatever n_boot is: drawn at once, the (n_boot, n) index matrix takes
+    80 MB at n = 10^4.  The bootstrap draws and variances equal that
+    one-shot form bit for bit.
+    """
+    reports = []
+    for t, (a_low, a_flat) in _reaching_samples(env, params, values, turns, n, seed,
+                                                max_rounds).items():
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 101, t)))
+        bl, bf = _bootstrap_variances(rng, (a_low, a_flat), n_boot)
+        reports.append(VarianceReport(
+            t=t, n=n,
+            var_low=float(a_low.var(ddof=1)), var_flat=float(a_flat.var(ddof=1)),
+            ci_low=_ci(bl), ci_flat=_ci(bf), ci_diff=_ci(bl - bf)))
+    return reports
+
+
+def _reaching_samples(env, params, values, turns, n, seed, max_rounds):
+    """Each distinct turn t's (A_low, A_flat) at t over the first n rolled
+    episodes that reach it; RuntimeError naming a turn that fewer reach."""
+    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
+    got = dict.fromkeys(turns, 0)
+    lows: dict[int, list[np.ndarray]] = {t: [] for t in got}
+    flats: dict[int, list[np.ndarray]] = {t: [] for t in got}
+    limit, chunk = max_rounds * n, 2000
+    for offset in range(0, limit, chunk):
+        open_turns = [t for t, k in got.items() if k < n]
+        if not open_turns:
+            break
+        tt = rollout_batch(env, params, min(chunk, limit - offset), seed,
+                           episode_offset=offset)
+        adv = advantage_arrays(tt, values.tables, cfg, v_flat=values.v_flat)
+        for t in open_turns:
+            if t >= tt.max_turns:
+                continue
+            reach = tt.length > t
+            lows[t].append(adv.a_low[reach, t])
+            flats[t].append(adv.a_flat[reach, t])
+            got[t] += int(reach.sum())
+    for t, k in got.items():
+        if k < n:
+            raise RuntimeError(f"turn {t} unreachable often enough ({k}/{n} episodes)")
+    return {t: (np.concatenate(lows[t])[:n], np.concatenate(flats[t])[:n]) for t in got}
+
+
 def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
                     t: int, n: int, seed: int, n_boot: int = 1000,
                     max_rounds: int = 50) -> VarianceReport:
-    """Sample variances of the two advantage estimators at a fixed turn.
+    """`variance_reports` at the one turn t."""
+    return variance_reports(env, params, values, [t], n, seed, n_boot, max_rounds)[0]
 
-    Rollouts are restricted to episodes that reach turn t; both estimators
-    run with mixing weights 1 and the exact baselines, matching the
-    variance-ordering claim's assumptions.
-    """
-    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
-    tables = values.tables
-    lows: list[np.ndarray] = []
-    flats: list[np.ndarray] = []
-    got, offset = 0, 0
-    for _ in range(max_rounds):
-        tt = rollout_batch(env, params, n, seed, episode_offset=offset)
-        offset += n
-        if t >= tt.max_turns:
-            continue
-        adv = advantage_arrays(tt, tables, cfg, v_flat=values.v_flat)
-        reach = tt.length > t
-        lows.append(adv.a_low[reach, t])
-        flats.append(adv.a_flat[reach, t])
-        got += int(reach.sum())
-        if got >= n:
-            break
-    if got < n:
-        raise RuntimeError(f"turn {t} unreachable often enough ({got}/{n} episodes)")
-    a_low = np.concatenate(lows)[:n]
-    a_flat = np.concatenate(flats)[:n]
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 101, t)))
-    idx = rng.integers(0, n, size=(n_boot, n))
-    bl = a_low[idx].var(axis=1, ddof=1)
-    bf = a_flat[idx].var(axis=1, ddof=1)
-    diff = bl - bf
 
-    def ci(x):
-        return (float(np.quantile(x, 0.025)), float(np.quantile(x, 0.975)))
+def _bootstrap_variances(rng: np.random.Generator, samples, n_boot: int):
+    """Sample variances (ddof 1) of n_boot resamples of each of the
+    equal-length `samples`, all resampled with the same indices: the rows of
+    rng.integers(0, n, (n_boot, n)), drawn about 256 KB at a time.  Blocks
+    of 1 MB and more ran up to twice as slow (2-core Xeon, numpy 2.4): each
+    one page-faults its temporaries in afresh and spills the L2 cache."""
+    n = samples[0].size
+    rows = max(1, (256 << 10) // (8 * n))
+    out = [np.empty(n_boot) for _ in samples]
+    for lo in range(0, n_boot, rows):
+        idx = rng.integers(0, n, size=(min(rows, n_boot - lo), n))
+        for x, var in zip(samples, out):
+            var[lo:lo + len(idx)] = x[idx].var(axis=1, ddof=1)
+    return out
 
-    return VarianceReport(
-        t=t, n=n,
-        var_low=float(a_low.var(ddof=1)), var_flat=float(a_flat.var(ddof=1)),
-        ci_low=ci(bl), ci_flat=ci(bf), ci_diff=ci(diff))
+
+def _ci(x: np.ndarray) -> tuple[float, float]:
+    return (float(np.quantile(x, 0.025)), float(np.quantile(x, 0.975)))
 
 
 # ---------------------------------------------------------------------------
 # Telescoping identities on random trajectories and random tables
 # ---------------------------------------------------------------------------
 
+def random_table(rng: np.random.Generator, n: int, n_states: int, n_options: int,
+                 n_actions: int, max_turns: int = 10,
+                 p_truncated: float = 0.3) -> TurnTable:
+    """n structurally valid random episodes as one table, each with recorded
+    switch log-probs and a final state.
+
+    Per episode: a length uniform on 1..max_turns, a switch probability
+    uniform on [0.1, 0.9), and truncation with probability p_truncated
+    (else done at the last turn).  Per turn: uniform state and action, a
+    standard-normal reward, and from turn 1 on a SWITCH with the episode's
+    switch probability and a beta uniform on [0.05, 0.95) recorded as
+    lp_switch = log(beta) on a SWITCH, log(1 - beta) on a KEEP.  The first
+    turn switches; a SWITCH draws a uniform subgoal, a KEEP carries the last
+    one.
+    """
+    length = rng.integers(1, max_turns + 1, size=n)
+    p_switch = rng.uniform(0.1, 0.9, size=n)
+    terminated = rng.random(n) > p_truncated
+    final_state = rng.integers(n_states, size=n)
+    tt = _empty_table(n, int(length.max(initial=0)))
+    shape, cols, m = tt.mask.shape, np.arange(tt.max_turns), tt.mask
+    m[:] = cols < length[:, None]
+    switch = (cols == 0) | (rng.random(shape) < p_switch[:, None])
+    beta = rng.uniform(0.05, 0.95, size=shape)
+    lp_switch = np.where(switch, np.log(beta), np.log(1.0 - beta))
+    lp_switch[:, 0] = np.nan
+    last_switch = np.maximum.accumulate(np.where(switch, cols, 0), axis=1)
+    subgoal = rng.integers(n_options, size=shape)[np.arange(n)[:, None], last_switch]
+    for name, x in (("state", rng.integers(n_states, size=shape)),
+                    ("q", np.where(switch, SWITCH, KEEP)), ("subgoal", subgoal),
+                    ("action", rng.integers(n_actions, size=shape)),
+                    ("reward", rng.standard_normal(shape)), ("lp_switch", lp_switch)):
+        getattr(tt, name)[m] = x[m]
+    tt.prev_subgoal[:, 1:][m[:, 1:]] = subgoal[:, :-1][m[:, 1:]]
+    tt.length[:] = length
+    tt.terminated[:] = terminated
+    tt.final_state[:] = final_state
+    return tt
+
+
 def random_trajectory(rng: np.random.Generator, n_states: int, n_options: int,
                       n_actions: int, max_turns: int = 10,
                       p_truncated: float = 0.3) -> Trajectory:
-    """Structurally valid random trajectory with recorded switch log-probs."""
-    t_total = int(rng.integers(1, max_turns + 1))
-    p_switch = float(rng.uniform(0.1, 0.9))
-    turns = []
-    prev = None
-    for t in range(t_total):
-        if t == 0:
-            q, lp_sw = SWITCH, None
-        else:
-            beta = float(np.clip(rng.uniform(0.05, 0.95), 1e-6, 1 - 1e-6))
-            q = SWITCH if rng.random() < p_switch else KEEP
-            lp_sw = math.log(beta) if q == SWITCH else math.log(1.0 - beta)
-        o = int(rng.integers(n_options)) if q == SWITCH else prev
-        done = t == t_total - 1 and rng.random() > p_truncated
-        turns.append(TurnRecord(
-            t=t, state=int(rng.integers(n_states)), prev_subgoal=prev, q=q,
-            subgoal=o, action=int(rng.integers(n_actions)),
-            reward=float(rng.normal()), raw_reward=0.0, done=done,
-            lp_switch=lp_sw))
-        prev = o
-    truncated = not turns[-1].done
-    return Trajectory(tuple(turns), truncated=truncated,
-                      final_state=int(rng.integers(n_states)))
+    """One `random_table` episode as a trajectory."""
+    return random_table(rng, 1, n_states, n_options, n_actions, max_turns,
+                        p_truncated).to_trajectories()[0]
 
 
 def random_tables(rng: np.random.Generator, n_states: int, n_options: int,
@@ -759,26 +821,33 @@ def telescope_check(trials: int, seed: int, n_states: int = 12, n_options: int =
           + gamma^(end-t) * V_boundary(end) - v_low(s_t, o_t)
     high: bootstrapped return from the boundary - v_high(s_boundary)
 
-    Each trial draws a trajectory, its own tables and its own gamma.  All
-    trials run as one table through one kernel pass, trial i's states
-    offset by n_states * i into the stacked tables.
+    Each trial is an episode of a `random_table`, with its own n_states rows
+    of a stack of random tables and its own gamma.  Trials run 1000 at a
+    time (about 3 MB of padded arrays), each block as one table through one
+    kernel pass, trial i's states offset by n_states * i into the block's
+    stacked tables.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    trajs, v_high, v_low, gammas = [], [], [], []
-    for _ in range(trials):
-        trajs.append(random_trajectory(rng, n_states, n_options, n_actions, max_turns))
-        tables = random_tables(rng, n_states, n_options)
-        v_high.append(tables.v_high)
-        v_low.append(tables.v_low)
-        gammas.append(float(rng.uniform(0.2, 1.0)))
-    tt = TurnTable.from_trajectories(trajs)
+    dev_low = dev_high = 0.0
+    for lo in range(0, trials, 1000):
+        low, high = _telescope_deviations(rng, min(1000, trials - lo), n_states,
+                                          n_options, n_actions, max_turns)
+        dev_low, dev_high = max(dev_low, low), max(dev_high, high)
+    return TelescopeReport(trials=trials, max_dev_low=dev_low,
+                           max_dev_high=dev_high, tol=tol)
+
+
+def _telescope_deviations(rng, trials, n_states, n_options, n_actions, max_turns):
+    """The largest deviations of the kernel's low and high advantages from
+    their closed forms over `trials` fresh trials."""
+    tt = random_table(rng, trials, n_states, n_options, n_actions, max_turns)
+    tables = random_tables(rng, trials * n_states, n_options)
+    gamma = rng.uniform(0.2, 1.0, size=trials)
     offset = n_states * np.arange(trials)
     tt.state += offset[:, None]
-    tt.final_state += offset     # a random trajectory always records one
-    tables = ValueTables(np.concatenate(v_high), np.concatenate(v_low))
-    gamma = np.array(gammas)
+    tt.final_state += offset     # a random episode always records one
     adv = _advantage_arrays(tt, tables, GAEConfig(lambda_low=1.0, lambda_high=1.0),
                             gamma)
 
@@ -800,5 +869,4 @@ def telescope_check(trials: int, seed: int, n_states: int = 12, n_options: int =
     closed_high = g + to_final * v_final - tables.v_high[tt.state]
     dev_low = np.abs(adv.a_low - closed_low)[tt.mask]
     dev_high = np.abs(adv.a_high - closed_high)[sm.is_boundary]
-    return TelescopeReport(trials=trials, max_dev_low=float(dev_low.max()),
-                           max_dev_high=float(dev_high.max()), tol=tol)
+    return float(dev_low.max()), float(dev_high.max())

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# seeds are hashed as one uint64 word: 0 <= seed < SEED_BOUND
+SEED_BOUND = 2 ** 64
+
 HEAD_SWITCH = 0
 HEAD_SUBGOAL = 1
 HEAD_ACTION = 2

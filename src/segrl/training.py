@@ -23,7 +23,7 @@ from .batch import (HEADS, HeadPass, TurnRows, TurnTable, advantage_arrays,
 from .critic import ValueTables, fit_critic, fit_flat_critic, unstacked
 from .envs import EnvModel
 from .policy import GradTables, PolicyParams, log_softmax, softmax
-from .rng import derive_seed
+from .rng import SEED_BOUND, derive_seed
 
 METRICS_HEADER = ("iter,mean_return,success,mean_segments,mean_seg_len,"
                   "switch_rate,actor_loss,critic_loss,kl")
@@ -72,6 +72,8 @@ class PPOConfig:
                      "episodes_per_iter", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         # GAEConfig validates gamma and the lambdas
         self.gae()
 

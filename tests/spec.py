@@ -23,7 +23,10 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   time, for `batch.policy_pass`, `batch.score_tables` and
   `batch.record_behavior`;
 * `mc_gradient_hae` (with `scatter_episode_grads`, a dense per-episode
-  `np.add.at` scatter) for `oracle.mc_gradient_hae`.
+  `np.add.at` scatter) for `oracle.mc_gradient_hae`;
+* `variance_report`, one turn with its own rollout loop and the one-shot
+  bootstrap (the whole (n_boot, n) index matrix drawn at once), for
+  `oracle.variance_reports`.
 
 The library has one implementation of each estimator; `oracle.telescope_check`
 verifies that one, `batch.advantage_arrays`, against its closed forms.
@@ -43,9 +46,10 @@ from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
 from segrl.critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
                           single_coupling_rows)
 from segrl.envs import EnvModel
+from segrl.oracle import OracleValues, VarianceReport
 from segrl.policy import (GradTables, PolicyParams, log_softmax, softmax,
                           split_tables)
-from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng
+from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng, derive_seed
 from segrl.training import _clipped_surrogate
 
 
@@ -525,6 +529,44 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
     se = np.sqrt(var / n)
     return (GradTables(*split_tables(mean, params)),
             GradTables(*split_tables(se, params)))
+
+
+def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
+                    t: int, n: int, seed: int, n_boot: int = 1000,
+                    max_rounds: int = 50) -> VarianceReport:
+    """Sample variances of both estimators over the first n episodes that
+    reach turn t, with 95% bootstrap intervals from one dense resample."""
+    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
+    lows, flats = [], []
+    got, offset = 0, 0
+    for _ in range(max_rounds):
+        tt = rollout_batch(env, params, n, seed, episode_offset=offset)
+        offset += n
+        if t >= tt.max_turns:
+            continue
+        adv = advantage_arrays(tt, values.tables, cfg, v_flat=values.v_flat)
+        reach = tt.length > t
+        lows.append(adv.a_low[reach, t])
+        flats.append(adv.a_flat[reach, t])
+        got += int(reach.sum())
+        if got >= n:
+            break
+    if got < n:
+        raise RuntimeError(f"turn {t} unreachable often enough ({got}/{n} episodes)")
+    a_low = np.concatenate(lows)[:n]
+    a_flat = np.concatenate(flats)[:n]
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 101, t)))
+    idx = rng.integers(0, n, size=(n_boot, n))
+    bl = a_low[idx].var(axis=1, ddof=1)
+    bf = a_flat[idx].var(axis=1, ddof=1)
+
+    def ci(x):
+        return (float(np.quantile(x, 0.025)), float(np.quantile(x, 0.975)))
+
+    return VarianceReport(
+        t=t, n=n,
+        var_low=float(a_low.var(ddof=1)), var_flat=float(a_flat.var(ddof=1)),
+        ci_low=ci(bl), ci_flat=ci(bf), ci_diff=ci(bl - bf))
 
 
 # -- PPO ratios ---------------------------------------------------------------

@@ -267,6 +267,19 @@ class TestTelescoping:
         rep = telescope_check(trials=2000, seed=11)
         assert rep.passed, (rep.max_dev_low, rep.max_dev_high)
 
+    def test_reports_the_worst_of_its_blocks(self, monkeypatch):
+        # 2500 trials run as blocks of 1000, 1000 and 500
+        sizes, devs = [], iter([(1.0, 0.0), (0.0, 2.0), (0.5, 0.5)])
+
+        def block(rng, trials, *dims):
+            sizes.append(trials)
+            return next(devs)
+
+        monkeypatch.setattr(oracle, "_telescope_deviations", block)
+        rep = telescope_check(trials=2500, seed=0)
+        assert sizes == [1000, 1000, 500]
+        assert (rep.max_dev_low, rep.max_dev_high) == (1.0, 2.0)
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             telescope_check(trials=0, seed=0)

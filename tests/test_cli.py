@@ -22,9 +22,11 @@ from segrl.config import _FLOAT_KEYS, KNOWN_KEYS, ConfigError, parse_config_text
 from segrl.core import InputError, load_trajectories, write_trajectories
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain
+from segrl.oracle import oracle_values, variance_report
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
                           load_policy, save_policy)
 from segrl.rng import CounterRng
+from segrl.training import PPOConfig
 
 import spec
 
@@ -347,6 +349,18 @@ class TestMalformedInputs:
                       capsys, "line 2", line.split()[0], "finite")
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**29)])
+    def test_seed_outside_uint64(self, tmp_path, capsys, seed):
+        self._refused(["rollout", "--episodes", "1", "--seed", seed,
+                       "--out", str(tmp_path / "roll")], capsys, "--seed", seed)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"iterations = 1\nseed = {seed}\n")
+        self._refused(["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                      capsys, "line 2", "'seed'", seed)
+        assert not (tmp_path / "roll").exists() and not (tmp_path / "t").exists()
+        with pytest.raises(ValueError, match="seed"):
+            PPOConfig(seed=int(seed))
+
     def test_negative_episode_count(self, tmp_path, capsys):
         self._refused(["rollout", "--episodes", "-1", "--out",
                        str(tmp_path / "roll")], capsys, "--episodes")
@@ -371,6 +385,10 @@ class TestMalformedInputs:
         ([json.dumps(BAD_EPISODE[0]), '{"truncated":1,"final_state":3}'], "truncated 1"),
         ([json.dumps(dict(BAD_EPISODE[0], done=True, truncated=False))], "truncated"),
         (['{"t":0,"state":' + "1" * 5000 + "}"], "JSON"),
+        ([json.dumps(dict(BAD_EPISODE[0], done=True, subgoal_text=[1, {"a": 2}]))],
+         "field 'subgoal_text'"),
+        ([json.dumps(dict(BAD_EPISODE[0], done=True, subgoal_text={"a": "b"}))],
+         "field 'subgoal_text'"),
     ])
     def test_malformed_json_line(self, tmp_path, capsys, lines, word):
         (tmp_path / "cut.jsonl").write_text("\n".join(lines) + "\n")
@@ -571,6 +589,24 @@ class TestValueCheckpoint:
 
 
 class TestVerifyReports:
+    def test_variance_all_turns_equal_the_per_turn_reports(self, tmp_path):
+        assert dispatch(["verify", "variance", "--samples", "2000", "--seed", "5",
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "variance.json").read_text())
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        values = oracle_values(env, params, 1.0)
+        rows = []
+        for t in range(env.horizon):
+            rep = variance_report(env, params, values, t=t, n=2000, seed=5)
+            rows.append({"t": t, "var_low": rep.var_low, "var_flat": rep.var_flat,
+                         "ci_diff_upper": rep.ci_diff[1],
+                         "reduced": rep.reduction_confirmed})
+        assert report["rows"] == rows
+        worst = max(rows, key=lambda r: r["ci_diff_upper"])
+        assert (report["worst_t"], report["worst_ci_diff_upper"]) == (
+            worst["t"], worst["ci_diff_upper"])
+
     def test_unbiased_records_bootstrapped_bias(self, tmp_path):
         code = dispatch(["verify", "unbiased", "--samples", "30000",
                          "--out", str(tmp_path)])

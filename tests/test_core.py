@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segrl.advantages import GAEConfig
@@ -188,9 +188,11 @@ class TestPartitionProperties:
 
 
 _TURN_FIELDS = ("t", "state", "prev_subgoal", "q", "subgoal", "action", "reward",
-                "raw_reward", "done")
+                "raw_reward", "done", "subgoal_text")
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.integers(),
-                         st.floats(), st.text(max_size=2))
+                         st.floats(), st.text(max_size=2),
+                         st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
 
 
 @st.composite
@@ -239,12 +241,18 @@ class TestValidation:
             TurnTable.from_trajectories([traj])
 
     @given(_jsonl_text())
+    @example(json.dumps({"t": 0, "state": 0, "prev_subgoal": None, "q": 1, "subgoal": 0,
+                         "action": 0, "reward": 0.0, "raw_reward": 0.0, "done": True,
+                         "subgoal_text": [1, {"a": 2}]}))
     @settings(max_examples=200, deadline=None)
     def test_any_text_reads_to_a_valid_table_or_an_input_error(self, text):
         try:
-            tt = TurnTable.from_trajectories(read_trajectories(io.StringIO(text)))
+            trajs = list(read_trajectories(io.StringIO(text)))
+            tt = TurnTable.from_trajectories(trajs)
         except InputError:
             return
+        assert all(type(u.subgoal_text) in (str, type(None))
+                   for tr in trajs for u in tr.turns)
         for ids in (tt.state, tt.subgoal, tt.action):
             assert (ids[tt.mask] >= 0).all()
         n_s, n_o, n_a = (int(np.max(x, initial=0)) + 1 for x in

@@ -13,10 +13,12 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           oracle_gradient_enumerated, oracle_values,
                           oracle_values_enumerated, score_expectation_enumerated,
                           solve_dp, success_probability,
-                          switching_exactness_report, unbiasedness_report,
-                          variance_report)
+                          random_table, switching_exactness_report,
+                          unbiasedness_report, variance_report,
+                          variance_reports)
 from segrl.policy import PolicyParams, fetchchain_phased
 
+import spec
 from conftest import weighted_target_maps
 
 
@@ -329,3 +331,63 @@ class TestMonteCarloHarnesses:
         adv = advantage_arrays(tt, vals.tables, cfg, v_flat=vals.v_flat)
         sel = tt.mask
         assert np.allclose(adv.a_low[sel], adv.a_flat[sel], atol=1e-10)
+
+
+class TestVarianceReports:
+    @pytest.fixture(scope="class")
+    def phased(self):
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        return env, params, oracle_values(env, params, 1.0)
+
+    @pytest.mark.parametrize("n,t", [(3000, 4), (10000, 1)])
+    def test_equals_the_dense_one_shot_bootstrap(self, phased, n, t):
+        env, params, vals = phased
+        assert (variance_report(env, params, vals, t=t, n=n, seed=3)
+                == spec.variance_report(env, params, vals, t=t, n=n, seed=3))
+
+    def test_an_unreachable_turn_is_named(self, phased):
+        env, params, vals = phased
+        with pytest.raises(RuntimeError, match="turn 6 "):
+            variance_reports(env, params, vals, [1, 6], n=100, seed=0, max_rounds=2)
+
+
+class TestRandomTable:
+    @staticmethod
+    def assert_round_trips(tt):
+        back = TurnTable.from_trajectories(tt.to_trajectories())
+        for name, value in vars(tt).items():
+            assert np.array_equal(getattr(back, name), value, equal_nan=True), name
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trips_through_the_validator(self, seed):
+        rng = np.random.default_rng(seed)
+        tt = random_table(rng, 300, 6, 3, 4, max_turns=int(rng.integers(2, 12)))
+        assert (tt.length == 1).any() and (~tt.terminated).any()
+        assert (tt.terminated & (tt.length > 1)).any()
+        # the forced first switch records no switch log-prob; later turns
+        # record log(beta) or log(1 - beta) with beta in [0.05, 0.95)
+        assert np.isnan(tt.lp_switch[:, 0]).all() and (tt.q[:, 0] == 1).all()
+        p = np.exp(tt.lp_switch[:, 1:][tt.mask[:, 1:]])
+        beta = np.where(tt.q[:, 1:][tt.mask[:, 1:]] == 1, p, 1.0 - p)
+        assert ((beta >= 0.05 - 1e-12) & (beta < 0.95 + 1e-12)).all()
+        self.assert_round_trips(tt)
+
+    def test_one_episode_is_as_wide_as_it_is_long(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            tt = random_table(rng, 1, 6, 3, 4)
+            assert tt.max_turns == tt.length[0]
+            self.assert_round_trips(tt)
+
+    def test_frequencies(self):
+        n, max_turns, p_truncated = 20000, 8, 0.3
+        tt = random_table(np.random.default_rng(11), n, 6, 3, 4, max_turns, p_truncated)
+        # each count within 5 binomial standard deviations of its expectation
+        lengths = np.bincount(tt.length, minlength=max_turns + 1)
+        assert lengths[0] == 0 and lengths.size == max_turns + 1
+        p = 1.0 / max_turns
+        assert np.all(np.abs(lengths[1:] - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
+        truncated = int((~tt.terminated).sum())
+        assert abs(truncated - n * p_truncated) <= 5 * np.sqrt(
+            n * p_truncated * (1 - p_truncated))
