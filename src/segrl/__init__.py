@@ -13,8 +13,7 @@ from .batch import TurnTable, advantage_arrays, rollout_batch
 from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
                    TurnRecord, load_trajectories, save_trajectories,
                    segment_boundaries)
-from .critic import (CriticBatch, FlatCriticBatch, ValueTables, fit_critic,
-                     fit_flat_critic)
+from .critic import CriticBatch, ValueTables, fit_critic
 from .envs import EnvModel, FetchChain, OneStep, make_env, optimal_return
 from .oracle import (enumerate_trajectories, mc_gradient_hae, objective,
                      oracle_gradient, oracle_values, success_probability,

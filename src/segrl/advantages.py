@@ -11,8 +11,13 @@ baseline.
 All four are computed over a padded batch by `batch.advantage_arrays`, the
 one implementation: the trainer and every oracle run it, and
 `oracle.telescope_check` verifies it against its closed forms on random
-trajectories, tables and discounts.  The one-episode recursions survive only
-as the test-side reference (`tests/spec.py`).
+trajectories, tables and discounts.  The low and high TD residuals it
+accumulates are the errors of the critic's regression rows (each row's
+target minus the value of its cell, one row per turn and one per segment),
+so the bootstrap rule and the segment's macro reward and duration discount
+are written once, in `batch`'s row builder, for the critic and the
+estimators alike.  The one-episode recursions survive only as the test-side
+reference (`tests/spec.py`).
 """
 
 from __future__ import annotations

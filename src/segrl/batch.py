@@ -5,9 +5,12 @@ arrays.  The kernels here are the one implementation of the rollout, the
 segment-aware advantage estimators, the critic regression rows and the
 per-head policy pass with its score sums (the trainer, the Monte-Carlo and
 enumerated oracles and gradcheck all run it); the tests check them against
-per-episode and per-turn reference forms.  Because every random draw is
-keyed by (seed, episode, turn, head), a batch reproduces any of its
-sub-batches, rolled at the matching `episode_offset`, bit for bit.
+per-episode and per-turn reference forms.  One row builder writes every
+sampled value target: the critic regresses on its rows, and the advantage
+kernel takes its low and high TD residuals as those rows' errors.  Because
+every random draw is keyed by (seed, episode, turn, head), a batch
+reproduces any of its sub-batches, rolled at the matching
+`episode_offset`, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .advantages import GAEConfig, whiten
 from .core import KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord
-from .critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
-                     single_coupling_rows)
+from .critic import (CriticBatch, ValueTables, low_cell, row_targets,
+                     single_coupling_rows, stacked)
 from .envs import EnvModel, transition_tables
 from .policy import GradTables, PolicyParams, log_softmax, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
@@ -219,27 +222,25 @@ def _start_states(env: EnvModel, seed: int, ep_ids: np.ndarray) -> np.ndarray:
 
 
 def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: int,
-                  horizon: int | None = None, c_keep: float = 0.0,
-                  episode_offset: int = 0, greedy: bool = False) -> TurnTable:
-    """Collect a batch of episodes in lockstep across vectorized turns.
+                  c_keep: float = 0.0, episode_offset: int = 0,
+                  greedy: bool = False) -> TurnTable:
+    """Collect a batch of episodes in lockstep across vectorized turns; an
+    episode not done by `env.horizon` is truncated there.
 
     Greedy episodes are a function of their start state, so a greedy batch
     rolls one episode per distinct start and copies it to every episode
     that starts there.
     """
-    horizon = env.horizon if horizon is None else horizon
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if c_keep < 0:
         raise ValueError("c_keep must be >= 0")
     ep_ids = episode_offset + np.arange(int(n_episodes), dtype=np.int64)
     start = _start_states(env, seed, ep_ids)
     if greedy:
         distinct, which = np.unique(start, return_inverse=True)
-        once = _roll(env, params, distinct, horizon, seed, None)
+        once = _roll(env, params, distinct, seed, None)
         tt = TurnTable(**{k: v[which] for k, v in vars(once).items()})
     else:
-        tt = _roll(env, params, start, horizon, seed, ep_ids)
+        tt = _roll(env, params, start, seed, ep_ids)
     if c_keep > 0.0:
         keeps = tt.mask & (tt.q == KEEP)
         tt.reward[keeps] -= c_keep
@@ -249,18 +250,18 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
 _HEAD_KEYS = np.array([HEAD_SWITCH, HEAD_SUBGOAL, HEAD_ACTION])[:, None]
 
 
-def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, horizon: int,
-          seed: int, ep_ids: np.ndarray | None) -> TurnTable:
+def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, seed: int,
+          ep_ids: np.ndarray | None) -> TurnTable:
     """Episodes from the given start states: sampled with the streams of
     `ep_ids`, or greedy (argmax, no log-probs) when `ep_ids` is None."""
     greedy = ep_ids is None
     nxt_tab, rew_tab, done_tab = transition_tables(env)
     n = state.size
-    tt = _empty_table(n, horizon)
+    tt = _empty_table(n, env.horizon)
     state = state.copy()
     prev = np.full(n, -1, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    for t in range(horizon):
+    for t in range(env.horizon):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
@@ -364,25 +365,6 @@ def returns_matrix(tt: TurnTable, gamma: float | np.ndarray,
     return out
 
 
-def _bootstrap_next(tt: TurnTable, tables: ValueTables, sm: SegmentMasks) -> np.ndarray:
-    """Bootstrap value per turn: low head inside a segment, high head at boundaries,
-    zero past terminal states, table value at truncation."""
-    n, t_max = tt.mask.shape
-    out = np.zeros((n, t_max))
-    nxt_state = np.zeros((n, t_max), dtype=np.int64)
-    if t_max > 1:
-        nxt_state[:, :-1] = tt.state[:, 1:]
-    interior = tt.mask & ~sm.seg_final
-    out[interior] = tables.v_low[nxt_state[interior], tt.subgoal[interior]]
-    mid_boundary = sm.seg_final & ~sm.is_last
-    out[mid_boundary] = tables.v_high[nxt_state[mid_boundary]]
-    trunc_last = sm.is_last & ~tt.terminated[:, None]
-    rows = np.flatnonzero(trunc_last.any(axis=1))
-    out[trunc_last] = tables.v_high[tt.final_state[rows]]
-    # terminal last turns keep 0
-    return out
-
-
 @dataclass
 class BatchAdvantages:
     """Padded advantage arrays; entries outside their mask are zero/NaN."""
@@ -417,11 +399,18 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     gamma_col = gamma if np.ndim(gamma) == 0 else np.asarray(gamma)[:, None]
     cols = np.arange(t_max)
 
+    # TD residuals: each critic row's target minus the value of its cell,
+    # per turn (low) and per boundary turn (high)
+    rows, lo, hi, gtilde_hi = _critic_rows(tt, gamma, sm, tables.n_states,
+                                           tables.n_options)
+    v = stacked(tables)
+    delta = row_targets(rows, v) - v[rows["cell"]]
+    d_low, d_high, gtilde = (np.zeros((n, t_max)) for _ in range(3))
+    d_low[lo] = delta[:lo[0].size]
+    d_high[hi] = delta[lo[0].size:]
+    gtilde[hi] = gtilde_hi
+
     # low level
-    boot = _bootstrap_next(tt, tables, sm)
-    d_low = np.where(tt.mask,
-                     tt.reward + gamma_col * boot - tables.v_low[tt.state, tt.subgoal],
-                     0.0)
     a_low = np.zeros_like(d_low)
     carry = np.zeros(n)
     decay = gamma * cfg.lambda_low
@@ -431,21 +420,6 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
         carry = np.where(tt.mask[:, t], carry, 0.0)
 
     # high level (per boundary turn)
-    g = returns_matrix(tt, gamma)
-    seg_len = np.where(sm.is_boundary, sm.seg_end - cols[None, :], 0)
-    gtilde = np.where(sm.is_boundary, gamma_col ** seg_len.astype(np.float64), 0.0)
-    g_at_end = np.zeros((n, t_max))
-    in_range = sm.is_boundary & (sm.seg_end < tt.length[:, None])
-    rows, ts = np.nonzero(in_range)
-    g_at_end[rows, ts] = g[rows, sm.seg_end[rows, ts]]
-    rtilde = np.where(sm.is_boundary, g - gtilde * g_at_end, 0.0)
-    boot_high = np.zeros((n, t_max))
-    rows, ts = np.nonzero(in_range)
-    boot_high[rows, ts] = tables.v_high[tt.state[rows, sm.seg_end[rows, ts]]]
-    closing = sm.is_boundary & (sm.seg_end >= tt.length[:, None]) & ~tt.terminated[:, None]
-    boot_high[closing] = tables.v_high[tt.final_state[np.nonzero(closing)[0]]]
-    d_high = np.where(sm.is_boundary,
-                      rtilde + gtilde * boot_high - tables.v_high[tt.state], 0.0)
     a_high = np.zeros_like(d_high)
     carry = np.zeros(n)
     for t in range(t_max - 1, -1, -1):
@@ -521,12 +495,19 @@ def _v_low_prev(tt: TurnTable, tables: ValueTables) -> np.ndarray:
 # Critic batch construction from a TurnTable (vectorized)
 # ---------------------------------------------------------------------------
 
-def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
-                            n_options: int) -> CriticBatch:
-    """One single-coupling row per turn (low head) and per segment (high
-    head); see CriticBatch for the stacked cell indexing."""
-    sm = segment_masks(tt)
+def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
+                 n_states: int, n_options: int):
+    """The two-head critic's regression rows: one per turn (low head), then
+    one per segment (high head), each coupled to at most one table entry
+    (see CriticBatch for the stacked cell indexing).  `gamma` is one
+    discount or one per episode.
+
+    Also returns where the rows sit: the (episodes, turns) of the low rows
+    and of the high rows (each at its segment's boundary turn), and each
+    high row's duration discount g~.
+    """
     n, t_max = tt.mask.shape
+    per_episode = np.ndim(gamma) > 0
     nxt_state = np.zeros((n, t_max), dtype=np.int64)
     if t_max > 1:
         nxt_state[:, :-1] = tt.state[:, 1:]
@@ -541,12 +522,14 @@ def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
     segf = sm.seg_final[rows_i, ts]
     lo_boot[segf] = np.where(sm.is_last[rows_i[segf], ts[segf]], end[rows_i[segf]],
                              nxt_state[rows_i[segf], ts[segf]])
+    lo_coef = gamma[rows_i] if per_episode else np.full(lo_cell.size, gamma)
 
     # high head: macro reward r~ and duration discount g~ per segment
     b_rows, b_ts = np.nonzero(sm.is_boundary)
     g = returns_matrix(tt, gamma)
     ends = sm.seg_end[b_rows, b_ts]
-    gtilde = gamma ** (ends - b_ts).astype(np.float64)
+    gamma_b = gamma[b_rows] if per_episode else gamma
+    gtilde = gamma_b ** (ends - b_ts).astype(np.float64)
     open_end = ends < tt.length[b_rows]
     g_end = np.where(open_end, g[b_rows, np.minimum(ends, t_max - 1)], 0.0)
     rtilde = g[b_rows, b_ts] - gtilde * g_end
@@ -558,16 +541,28 @@ def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
         np.concatenate([tt.weight[rows_i], tt.weight[b_rows]]),
         np.concatenate([tt.reward[rows_i, ts], rtilde]),
         np.concatenate([lo_boot, hi_boot]),
-        np.concatenate([np.full(lo_cell.size, gamma), gtilde]))
+        np.concatenate([lo_coef, gtilde]))
+    return rows, (rows_i, ts), (b_rows, b_ts), gtilde
+
+
+def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
+                            n_options: int) -> CriticBatch:
+    """One single-coupling row per turn (low head) and per segment (high
+    head); see CriticBatch for the stacked cell indexing."""
+    rows = _critic_rows(tt, gamma, segment_masks(tt), n_states, n_options)[0]
     return CriticBatch.from_rows(rows, gamma, n_states, n_options)
 
 
-def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> FlatCriticBatch:
+def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> CriticBatch:
+    """The flat baseline's rows: one per turn, regressing v_flat[state] (the
+    high head of a batch without options) toward the observed return-to-go,
+    with no bootstrap coupling."""
     g = returns_matrix(tt, gamma)
     rows_i, ts = np.nonzero(tt.mask)
-    return FlatCriticBatch.from_rows(
-        {"state": tt.state[rows_i, ts], "g": g[rows_i, ts], "w": tt.weight[rows_i]},
-        n_states)
+    rows = single_coupling_rows(tt.state[rows_i, ts], tt.weight[rows_i],
+                                g[rows_i, ts], np.full(rows_i.size, -1),
+                                np.zeros(rows_i.size))
+    return CriticBatch.from_rows(rows, gamma, n_states, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def cmd_advantages(args) -> int:
     params = load_policy(args.policy) if args.policy else None
     _check_advantage_inputs(tt, tables, params)
     cfg = GAEConfig(gamma=args.gamma, lambda_low=args.lambda_low,
-                    lambda_high=args.lambda_high, lambda_flat=args.lambda_flat)
+                    lambda_high=args.lambda_high)
     adv = advantage_arrays(tt, tables, cfg, params=params)
     out = _out_dir(args, "runs/advantages")
     path = out / "advantages.jsonl"
@@ -211,7 +211,7 @@ def _report(out: Path, name: str, payload: dict, passed: bool) -> int:
     return 0 if passed else 1
 
 
-def _verify_env_policy(cfg: RunConfig, seed: int):
+def _verify_env_policy(seed: int):
     env = FetchChain(3, 6)
     params = fetchchain_phased(env, np.random.default_rng(seed))
     return env, params
@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
     seed = cfg.ppo.seed
     if mode == "telescope":
         rep = telescope_check(trials=args.trials, seed=seed)
-        env, params = _verify_env_policy(cfg, 12345)
+        env, params = _verify_env_policy(12345)
         sw = switching_exactness_report(env, params, gamma=1.0)
         return _report(out, "telescope", {
             "trials": rep.trials, "max_dev_low": rep.max_dev_low,
@@ -236,7 +236,7 @@ def cmd_verify(args) -> int:
             "switching_contexts": sw.n_contexts, "tol": rep.tol,
         }, rep.passed and sw.passed)
     if mode == "unbiased":
-        env, params = _verify_env_policy(cfg, 12345)
+        env, params = _verify_env_policy(12345)
         rep = unbiasedness_report(env, params, n=args.samples, seed=seed)
         # bootstrapped estimator (mixing weight 0.95): bias recorded only
         mixed = mc_gradient_hae(
@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
             "gate": rep.gate, "recorded_bias_lambda_095": bias95,
         }, rep.passed)
     if mode == "variance":
-        env, params = _verify_env_policy(cfg, 12345)
+        env, params = _verify_env_policy(12345)
         values = oracle_values(env, params, 1.0)
         reps = variance_reports(env, params, values, range(env.horizon),
                                 n=args.samples, seed=seed)
@@ -281,7 +281,7 @@ def cmd_verify(args) -> int:
             "tol": rep["tol"],
         }, rep["max_rel_err"] <= rep["tol"])
     if mode == "critic-fixpoint":
-        env, params = _verify_env_policy(cfg, 12345)
+        env, params = _verify_env_policy(12345)
         gamma = cfg.ppo.gamma
         values = oracle_values(env, params, gamma)
         batch = exact_critic_batch(env, params, gamma)
@@ -303,10 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def out_only(p):
+        p.add_argument("--out", help="output directory")
+
     def common(p):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--out", help="output directory")
+        out_only(p)
 
     p = sub.add_parser("train", help="run the hierarchical trainer")
     common(p)
@@ -325,18 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["greedy", "sample"], default="greedy")
 
     p = sub.add_parser("parse", help="parse a transcript file to JSON-Lines")
-    common(p)
+    out_only(p)
     p.add_argument("--input", required=True, help="transcript file")
 
     p = sub.add_parser("advantages", help="compute per-turn advantages")
-    common(p)
+    out_only(p)
     p.add_argument("--input", required=True, help="trajectory JSON-Lines file")
     p.add_argument("--values", required=True, help="value-table checkpoint")
     p.add_argument("--policy", help="policy checkpoint for switch probabilities")
     p.add_argument("--gamma", type=float, default=0.99)
     p.add_argument("--lambda-low", dest="lambda_low", type=float, default=0.95)
     p.add_argument("--lambda-high", dest="lambda_high", type=float, default=0.95)
-    p.add_argument("--lambda-flat", dest="lambda_flat", type=float, default=0.95)
 
     p = sub.add_parser("verify", help="run a verification gate")
     common(p)

@@ -36,7 +36,7 @@ _RANGES = {
     "kl_beta": (lambda v: v >= 0.0, ">= 0"),
     "c_keep": (lambda v: v >= 0.0, ">= 0"),
     "lr_actor": (lambda v: v >= 0.0, ">= 0"),
-    "lr_critic": (lambda v: v >= 0.0, ">= 0"),
+    "lr_critic": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "epochs": (lambda v: v >= 1, ">= 1"),
     "minibatch": (lambda v: v >= 1, ">= 1"),
     "iterations": (lambda v: v >= 1, ">= 1"),

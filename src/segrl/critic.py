@@ -7,6 +7,18 @@ boundary, so low-level estimates stay consistent with boundary-to-boundary
 progress.  Fitting is full-batch tabular regression: every visited cell takes
 a gradient step on the mean squared error of its own visits, with targets
 recomputed from the updated tables each epoch (fitted value iteration).
+
+A row's target minus the value of its cell is its TD residual; the
+advantage kernel (`batch.advantage_arrays`) reads its low and high residuals
+off the sampled rows through `row_targets`, so each target is written once.
+
+The flat baseline is the same regression without options: a batch with
+`n_options = 0` over v_flat, held as the high head of ValueTables with an
+(S, 0) low table, one row per turn toward its observed return-to-go and no
+coupling.  Monte-Carlo targets match the definition of the flat baseline
+(the state-conditional expected return): under the hierarchical policy the
+state alone is not Markov, so a bootstrapped flat fixed point would
+systematically miss that conditional mean.  `fit_critic` fits both.
 """
 
 from __future__ import annotations
@@ -67,7 +79,8 @@ class CriticBatch:
     a terminal row has no coupling, and each cell's mean target is the
     w-weighted mean of its rows' targets.  Sampled batches hold one row per
     turn (low head, coef gamma) and per segment (high head, coef the
-    duration discount); exact batches hold one row per visited cell.
+    duration discount); exact batches hold one row per visited cell; flat
+    batches (`n_options = 0`) one uncoupled row per turn.
     """
 
     n_states: int
@@ -90,10 +103,7 @@ class CriticBatch:
 
     def row_targets(self, tables: ValueTables) -> np.ndarray:
         """y per row: its reward plus its discounted bootstrap lookups."""
-        r = self.rows
-        v = stacked(tables)
-        return r["r"] + np.bincount(r["row"], weights=r["coef"] * v[r["boot"]],
-                                    minlength=r["r"].size)
+        return row_targets(self.rows, stacked(tables))
 
     def mean_targets(self, tables: ValueTables) -> np.ndarray:
         """Per-cell w-weighted mean target over the stacked tables (0 where
@@ -132,6 +142,13 @@ class CriticBatch:
         return lo, hi
 
 
+def row_targets(rows: dict, v: np.ndarray) -> np.ndarray:
+    """y per row of `rows` (see CriticBatch), with lookups into the stacked
+    tables `v`."""
+    return rows["r"] + np.bincount(rows["row"], weights=rows["coef"] * v[rows["boot"]],
+                                   minlength=rows["r"].size)
+
+
 def stacked(tables: ValueTables) -> np.ndarray:
     """The tables as one vector [v_high, v_low.ravel()]."""
     return np.concatenate([tables.v_high, tables.v_low.ravel()])
@@ -167,16 +184,14 @@ class CriticFitReport:
 
 
 def fit_critic(tables: ValueTables, batch: CriticBatch, gamma: float, lr: float,
-               epochs: int, refresh_targets: bool = True) -> tuple[ValueTables, CriticFitReport]:
+               epochs: int) -> tuple[ValueTables, CriticFitReport]:
     """Regress both heads toward their bootstrapped targets.
 
-    By default the targets are recomputed from the updated tables at the
-    start of every epoch (fitted value iteration, converging to the
-    bootstrapped fixed point); with refresh_targets=False they are frozen
-    once for the whole fit, which makes the batch squared error strictly
-    decrease for per-cell steps lr < 0.5.  Within an epoch targets are
-    constants either way.  Each visited cell moves by
-    v <- v - 2*lr*(v - mean target); unvisited cells are untouched.
+    The targets are recomputed from the updated tables at the start of
+    every epoch (fitted value iteration, converging to the bootstrapped
+    fixed point) and are constants within it.  Each visited cell moves by
+    v <- v - 2*lr*(v - mean target), which shrinks its error against the
+    epoch's targets for lr < 1; unvisited cells are untouched.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
@@ -184,66 +199,12 @@ def fit_critic(tables: ValueTables, batch: CriticBatch, gamma: float, lr: float,
         raise ValueError("batch was digested with a different gamma")
     v = stacked(tables)
     out = unstacked(v, tables.n_states)    # views: they follow updates of v
-    target_tables = out if refresh_targets else out.copy()
     vis = batch.w > 0
     report = CriticFitReport([], [])
     for _ in range(epochs):
-        mse_lo, mse_hi = batch.batch_mse(out, target_tables)
+        mse_lo, mse_hi = batch.batch_mse(out)
         report.mse_low.append(mse_lo)
         report.mse_high.append(mse_hi)
-        ybar = batch.mean_targets(target_tables)
+        ybar = batch.mean_targets(out)
         v[vis] -= 2.0 * lr * (v[vis] - ybar[vis])
     return out, report
-
-
-# ---------------------------------------------------------------------------
-# Flat (state-only) critic, fitted by Monte-Carlo return regression
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FlatCriticBatch:
-    """Per-state regression of observed returns-to-go.
-
-    Monte-Carlo targets match the definition of the flat baseline (the
-    state-conditional expected return): under the hierarchical policy the
-    state alone is not Markov, so a bootstrapped flat fixed point would
-    systematically miss that conditional mean.
-    """
-
-    n_states: int
-    w: np.ndarray
-    g: np.ndarray
-    rows: dict | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_rows(cls, rows: dict, n_states: int) -> "FlatCriticBatch":
-        """Aggregate per-turn rows `state`, `g` (return-to-go), `w`."""
-        w = np.bincount(rows["state"], weights=rows["w"], minlength=n_states)
-        g = np.bincount(rows["state"], weights=rows["w"] * rows["g"],
-                        minlength=n_states)
-        return cls(n_states, w, g, rows=rows)
-
-    def mean_targets(self) -> np.ndarray:
-        return np.divide(self.g, self.w, out=np.zeros_like(self.g),
-                         where=self.w > 0)
-
-
-def fit_flat_critic(v_flat: np.ndarray, batch: FlatCriticBatch, lr: float,
-                    epochs: int) -> tuple[np.ndarray, list[float]]:
-    """Fit a state-only table toward per-state mean observed returns."""
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
-    out = np.asarray(v_flat, dtype=np.float64).copy()
-    vis = batch.w > 0
-    ybar = batch.mean_targets()
-    mses = []
-    for _ in range(epochs):
-        if batch.rows is not None:
-            pred = out[batch.rows["state"]]
-            mses.append(float(np.average((pred - batch.rows["g"]) ** 2,
-                                         weights=batch.rows["w"])))
-        else:
-            mses.append(float(np.average((out[vis] - ybar[vis]) ** 2,
-                                         weights=batch.w[vis])))
-        out[vis] -= 2.0 * lr * (out[vis] - ybar[vis])
-    return out, mses

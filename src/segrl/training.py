@@ -20,7 +20,7 @@ from .batch import (HEADS, HeadPass, TurnRows, TurnTable, advantage_arrays,
                     batch_stats, cell_rows, critic_batch_from_table,
                     flat_batch_from_table, gather_rows, policy_pass,
                     rollout_batch, row_sums, score_sums)
-from .critic import ValueTables, fit_critic, fit_flat_critic, unstacked
+from .critic import ValueTables, fit_critic, unstacked
 from .envs import EnvModel
 from .policy import GradTables, PolicyParams, log_softmax, softmax
 from .rng import SEED_BOUND, derive_seed
@@ -68,6 +68,9 @@ class PPOConfig:
         for name in ("c_v", "kl_beta", "c_keep", "lr_actor", "lr_critic"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # a critic step scales a cell's error by 1 - 2 * lr_critic
+        if self.lr_critic > 1:
+            raise ValueError(f"lr_critic must be <= 1, got {self.lr_critic}")
         for name in ("epochs", "minibatch", "iterations",
                      "episodes_per_iter", "eval_episodes"):
             if getattr(self, name) < 1:
@@ -378,7 +381,8 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
                        tables=ValueTables.zeros(env.n_states, params.n_options))
     ref_lp = _ref_log_probs(state.params_ref)  # the reference stays frozen
     rollout_seed = derive_seed(cfg.seed, _TRAIN_STREAM)
-    v_flat = np.zeros(env.n_states)
+    # the flat baseline's v_flat is the high head of tables without options
+    critic = ValueTables.zeros(env.n_states, 0) if flat else state.tables
     metrics: list[MetricsRow] = []
     goal = getattr(env, "goal_state", None)
     for it in range(cfg.iterations):
@@ -386,27 +390,20 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         it_seed = derive_seed(rollout_seed, _policy_fingerprint(state.params))
         tt = rollout_batch(env, state.params, cfg.episodes_per_iter,
                            it_seed, c_keep=cfg.c_keep)
-        if flat:
-            fb = flat_batch_from_table(tt, cfg.gamma, env.n_states)
-            if cfg.lr_critic > 0:
-                v_flat, mses = fit_flat_critic(v_flat, fb, cfg.lr_critic, cfg.epochs)
-                critic_mse = mses[-1]
-            else:
-                critic_mse = 0.0
-            critic = (v_flat,)
+        cb = (flat_batch_from_table(tt, cfg.gamma, env.n_states) if flat else
+              critic_batch_from_table(tt, cfg.gamma, env.n_states,
+                                      critic.n_options))
+        if cfg.lr_critic > 0:
+            critic, rep = fit_critic(critic, cb, cfg.gamma, cfg.lr_critic,
+                                     cfg.epochs)
+            critic_mse = rep.final_mse
         else:
-            cb = critic_batch_from_table(tt, cfg.gamma, env.n_states,
-                                         state.tables.n_options)
-            if cfg.lr_critic > 0:
-                state.tables, rep = fit_critic(state.tables, cb, cfg.gamma,
-                                               cfg.lr_critic, cfg.epochs)
-                critic_mse = rep.final_mse
-            else:
-                critic_mse = sum(cb.batch_mse(state.tables))
-            critic = (state.tables.v_high, state.tables.v_low)
-        _check_finite("critic", it, critic_mse, *critic)
+            critic_mse = sum(cb.batch_mse(critic))
+        _check_finite("critic", it, critic_mse, critic.v_high, critic.v_low)
+        if not flat:
+            state.tables = critic
         adv = advantage_arrays(tt, state.tables, cfg.gae(),
-                               v_flat=v_flat if flat else None)
+                               v_flat=critic.v_high if flat else None)
         rows = gather_rows(tt, adv)
 
         surrogate_sum, turn_count = 0.0, 0
@@ -449,4 +446,4 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         if on_iteration is not None:
             on_iteration(state, row)
     return TrainResult(params=state.params, tables=state.tables, metrics=metrics,
-                       flat_values=v_flat if flat else None)
+                       flat_values=critic.v_high if flat else None)

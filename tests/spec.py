@@ -43,8 +43,7 @@ import numpy as np
 from segrl.advantages import GAEConfig, whiten
 from segrl.batch import advantage_arrays, rollout_batch
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
-from segrl.critic import (CriticBatch, FlatCriticBatch, ValueTables, low_cell,
-                          single_coupling_rows)
+from segrl.critic import CriticBatch, ValueTables, low_cell, single_coupling_rows
 from segrl.envs import EnvModel
 from segrl.oracle import OracleValues, VarianceReport
 from segrl.policy import (GradTables, PolicyParams, log_softmax, softmax,
@@ -392,8 +391,9 @@ def critic_batch(trajectories, gamma: float, n_states: int, n_options: int,
 
 
 def flat_critic_batch(trajectories, gamma: float, n_states: int,
-                      weights=None) -> FlatCriticBatch:
-    """Per-turn (state, return-to-go) rows, built episode by episode."""
+                      weights=None) -> CriticBatch:
+    """Per-turn (state, return-to-go) rows without options or couplings,
+    built episode by episode."""
     states, gs, ws = [], [], []
     for i, traj in enumerate(trajectories):
         wi = 1.0 if weights is None else float(weights[i])
@@ -402,9 +402,11 @@ def flat_critic_batch(trajectories, gamma: float, n_states: int,
             states.append(turn.state)
             gs.append(g[t])
             ws.append(wi)
-    return FlatCriticBatch.from_rows({"state": np.array(states, dtype=np.int64),
-                                      "g": np.array(gs, dtype=np.float64),
-                                      "w": np.array(ws, dtype=np.float64)}, n_states)
+    rows = single_coupling_rows(
+        np.array(states, dtype=np.int64), np.array(ws, dtype=np.float64),
+        np.array(gs, dtype=np.float64), np.full(len(states), -1),
+        np.zeros(len(states)))
+    return CriticBatch.from_rows(rows, gamma, n_states, 0)
 
 
 # -- per-turn log-density and score -------------------------------------------

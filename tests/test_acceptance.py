@@ -18,7 +18,8 @@ import pytest
 
 from segrl.batch import batch_stats, rollout_batch
 from segrl.core import segment_boundaries
-from segrl.critic import ValueTables, fit_critic, fit_flat_critic, FlatCriticBatch
+from segrl.critic import (CriticBatch, ValueTables, fit_critic,
+                          single_coupling_rows)
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import gradcheck_report
 from segrl.oracle import (oracle_values, exact_critic_batch,
@@ -147,10 +148,15 @@ def test_c07_critic_fixed_point(bench):
     dp = solve_dp(env, params, gamma)
     w = dp.occ.sum(axis=(0, 2))
     g = np.sum(dp.occ * dp.g_low, axis=(0, 2))
-    flat_batch = FlatCriticBatch(env.n_states, w, g)
-    v_flat, _ = fit_flat_critic(np.zeros(env.n_states), flat_batch,
-                                lr=0.5, epochs=500)
-    dev_flat = np.max(np.abs(v_flat - values.v_flat)[values.flat_defined])
+    # one uncoupled row per state toward its mean return (a flat batch)
+    mean_g = np.divide(g, w, out=np.zeros_like(g), where=w > 0)
+    states = np.arange(env.n_states)
+    flat_batch = CriticBatch.from_rows(
+        single_coupling_rows(states, w, mean_g, np.full(env.n_states, -1),
+                             np.zeros(env.n_states)), gamma, env.n_states, 0)
+    flat, _ = fit_critic(ValueTables.zeros(env.n_states, 0), flat_batch, gamma,
+                         lr=0.5, epochs=500)
+    dev_flat = np.max(np.abs(flat.v_high - values.v_flat)[values.flat_defined])
     assert dev_flat <= 1e-3, dev_flat
     elapsed = time.time() - start
     assert elapsed < 60.0

@@ -285,21 +285,25 @@ class TestTelescoping:
             telescope_check(trials=0, seed=0)
 
     def test_catches_a_dropped_truncation_bootstrap(self, monkeypatch):
-        original = batch._bootstrap_next
+        original = batch._critic_rows
 
-        def no_final_state(tt, tables, sm):
-            out = original(tt, tables, sm)
-            out[sm.is_last & ~tt.terminated[:, None]] = 0.0
-            return out
+        def no_final_state(tt, gamma, sm, *dims):
+            # the low rows of truncated last turns lose their coupling
+            rows, lo, hi, gtilde = original(tt, gamma, sm, *dims)
+            cut = np.flatnonzero((sm.is_last & ~tt.terminated[:, None])[lo])
+            keep = ~np.isin(rows["row"], cut)
+            for key in ("row", "boot", "coef"):
+                rows[key] = rows[key][keep]
+            return rows, lo, hi, gtilde
 
-        monkeypatch.setattr(batch, "_bootstrap_next", no_final_state)
+        monkeypatch.setattr(batch, "_critic_rows", no_final_state)
         rep = telescope_check(trials=300, seed=0)
         assert not rep.passed and rep.max_dev_low > 1e-3
 
     def test_catches_a_shifted_duration_discount(self, monkeypatch):
-        shifted = mutated(batch._advantage_arrays, "gamma_col ** seg_len.astype",
-                          "gamma_col ** (seg_len + 1).astype")
-        monkeypatch.setattr(oracle, "_advantage_arrays", shifted)
+        shifted = mutated(batch._critic_rows, "gamma_b ** (ends - b_ts).astype",
+                          "gamma_b ** (ends - b_ts + 1).astype")
+        monkeypatch.setattr(batch, "_critic_rows", shifted)
         rep = telescope_check(trials=300, seed=0)
         assert not rep.passed and rep.max_dev_high > 1e-3
 

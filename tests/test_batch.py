@@ -10,6 +10,7 @@ from segrl.batch import (TurnTable, _advantage_arrays, advantage_arrays,
                          flat_batch_from_table, gather_rows, record_behavior,
                          returns_matrix, rollout_batch, segment_masks)
 from segrl.core import KEEP, MalformedTrajectory, segment_boundaries
+from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import (mc_gradient_hae, oracle_values, random_tables,
@@ -18,7 +19,8 @@ from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.rng import CounterRng
 
 import spec
-from conftest import head_ratios, kernel_scores, traj_from, weighted_target_maps
+from conftest import (Walk, head_ratios, kernel_scores, traj_from,
+                      weighted_target_maps)
 
 
 class _TwoStarts(FetchChain):
@@ -245,7 +247,28 @@ class TestCriticBatchesFromTable:
         tt = rollout_batch(env, params, 40, seed=9)
         a = flat_batch_from_table(tt, 0.9, env.n_states)
         b = spec.flat_critic_batch(tt.to_trajectories(), 0.9, env.n_states)
-        assert np.allclose(a.w, b.w) and np.allclose(a.g, b.g)
+        # per state: the weight and the weighted sum of returns-to-go
+        a_g, b_g = (x.w * x.mean_targets(ValueTables.zeros(env.n_states, 0))
+                    for x in (a, b))
+        assert np.allclose(a.w, b.w) and np.allclose(a_g, b_g)
+
+    def test_advantage_residuals_are_row_errors(self):
+        # with lambda 0 and no whitening the advantages are the one-step
+        # residuals, each exactly a critic row's target minus its cell's value
+        env = Walk()
+        params = PolicyParams.random(np.random.default_rng(4), env.n_states, 2,
+                                     env.n_actions, scale=0.8)
+        tt = rollout_batch(env, params, 200, seed=8, c_keep=0.1)
+        assert tt.terminated.any() and not tt.terminated.all()
+        tables = random_tables(np.random.default_rng(5), env.n_states, 2)
+        gamma = 0.9
+        adv = advantage_arrays(tt, tables, GAEConfig(gamma=gamma, lambda_low=0.0,
+                                                     lambda_high=0.0))
+        cb = critic_batch_from_table(tt, gamma, env.n_states, 2)
+        errors = cb.row_targets(tables) - stacked(tables)[cb.rows["cell"]]
+        n_low = tt.total_turns
+        assert np.array_equal(adv.a_low[tt.mask], errors[:n_low])
+        assert np.array_equal(adv.a_high[adv.masks.is_boundary], errors[n_low:])
 
 
 class TestRatios:

@@ -125,6 +125,28 @@ class TestDispatch:
         assert dispatch(["train", "--config", str(cfg)]) == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--seed", "-1"], ["--seed", "3"],
+                                       ["--config", "run.cfg"],
+                                       ["--lambda-flat", "0.5"]])
+    def test_parse_and_advantages_take_no_unused_flags(self, tmp_path, capsys,
+                                                        extra):
+        # neither command reads a seed, a config or a flat mixing weight
+        episode = tmp_path / "ep.jsonl"
+        episode.write_text(json.dumps(dict(BAD_EPISODE[0], done=True)) + "\n")
+        save_values(tmp_path / "values.txt", ValueTables.zeros(14, 2))
+        save_policy(tmp_path / "policy.txt", PolicyParams.uniform(14, 2, 4))
+        transcript = Path(__file__).parent / "data" / "transcript_cool_cup.txt"
+        commands = [["advantages", "--input", str(episode),
+                     "--values", str(tmp_path / "values.txt"),
+                     "--policy", str(tmp_path / "policy.txt")]]
+        if extra[0] != "--lambda-flat":
+            commands.append(["parse", "--input", str(transcript)])
+        for argv in commands:
+            out = ["--out", str(tmp_path / argv[0])]
+            assert dispatch(argv + out) == 0
+            assert dispatch(argv + extra + out) == 2
+            assert extra[0] in capsys.readouterr().err
+
     def test_verify_telescope_pass_exit_0(self, tmp_path, capsys):
         code = dispatch(["verify", "telescope", "--trials", "300",
                          "--out", str(tmp_path)])
@@ -347,6 +369,13 @@ class TestMalformedInputs:
         cfg.write_text("iterations = 2\n" + line + "\n")
         self._refused(["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
                       capsys, "line 2", line.split()[0], "finite")
+        assert not (tmp_path / "t").exists()
+
+    def test_diverging_lr_critic_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 2\nlr_critic = 5\n")
+        self._refused(["train-flat", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                      capsys, "line 2", "'lr_critic'", "in [0, 1]")
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**29)])

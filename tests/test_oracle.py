@@ -19,7 +19,7 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
 from segrl.policy import PolicyParams, fetchchain_phased
 
 import spec
-from conftest import weighted_target_maps
+from conftest import Walk, weighted_target_maps
 
 
 @pytest.fixture(scope="module")
@@ -90,33 +90,10 @@ class TestDualRoutes:
             assert val == pytest.approx(expect, abs=1e-10)
 
 
-class _Walk:
-    """Three cells and a goal, with no clock in the state: action 0 steps
-    forward (from cell 2 into the goal, reward 1), action 1 waits (reward
-    -0.1).  An episode that has not reached the goal by the horizon is cut
-    there, which never happens in the shipped envs: with two subgoals, 864
-    of the enumeration's 1248 leaves are truncated."""
-
-    n_states, n_actions, horizon, goal_state = 4, 2, 4, 3
-
-    def initial_states(self):
-        return [(0, 0.4), (1, 0.6)]
-
-    def is_terminal(self, s):
-        return s == self.goal_state
-
-    def transition(self, s, a):
-        if a == 1:
-            return s, -0.1, False
-        if s == 2:
-            return self.goal_state, 1.0, True
-        return s + 1, 0.0, False
-
-
 class TestTruncatedLeaves:
     @pytest.fixture(scope="class")
     def walk(self):
-        env = _Walk()
+        env = Walk()
         rng = np.random.default_rng(7)
         return env, PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.8)
 

@@ -11,7 +11,7 @@ from segrl.oracle import enumerate_trajectories, random_trajectory
 from segrl.policy import (PolicyParams, fetchchain_expert, load_policy,
                           save_policy, switch_prob)
 
-from conftest import kernel_log_probs, kernel_scores, one_turn
+from conftest import Walk, kernel_log_probs, kernel_scores, one_turn
 
 
 def small_params(rng, n_s=5, n_o=3, n_a=4, scale=1.0):
@@ -167,9 +167,10 @@ class TestGradLogProb:
 
 class TestRollout:
     def test_single_turn_horizon(self, rng):
-        env = FetchChain(3, 6)
+        # an env without a clock is cut by the sampler at its horizon
+        env = Walk(horizon=1)
         p = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        traj = rollout(env, p, seed=0, horizon=1)
+        traj = rollout(env, p, seed=0)
         assert traj.n_turns == 1 and traj.turns[0].q == SWITCH
         assert traj.truncated and traj.final_state is not None
 

@@ -319,13 +319,27 @@ class TestTrainLoop:
             train(cfg, env)
 
     @pytest.mark.parametrize("driver", [train, train_flat_baseline])
-    def test_critic_divergence_raises(self, driver):
-        # per-cell steps with lr > 1 overshoot and blow the critic up
-        cfg = PPOConfig(lr_critic=5.0, iterations=60, episodes_per_iter=16,
-                        seed=0)
-        with np.errstate(over="ignore"), \
-                pytest.raises(TrainingDiverged, match="critic at iteration"):
+    def test_critic_divergence_raises(self, driver, monkeypatch):
+        # both trainers fit their critic with `fit_critic`; poison its tables
+        import segrl.training as tr
+        real = tr.fit_critic
+
+        def blown(*args, **kwargs):
+            tables, rep = real(*args, **kwargs)
+            tables.v_high[0] = np.inf
+            return tables, rep
+
+        monkeypatch.setattr(tr, "fit_critic", blown)
+        cfg = PPOConfig(iterations=2, episodes_per_iter=8, seed=0)
+        with pytest.raises(TrainingDiverged, match="critic at iteration 0"):
             driver(cfg, FetchChain(3, 6))
+
+    @pytest.mark.parametrize("lr", [1.0 + 1e-9, 5.0])
+    def test_diverging_critic_step_refused(self, lr):
+        # a step scales a cell's error by 1 - 2 * lr_critic
+        with pytest.raises(ValueError, match="lr_critic"):
+            PPOConfig(lr_critic=lr)
+        PPOConfig(lr_critic=1.0)
 
     def test_flat_baseline_runs_and_reports(self):
         env = FetchChain(3, 8)
