@@ -9,7 +9,8 @@ estimator identities on exactly enumerable toy environments.
 __version__ = "0.1.0"
 
 from .advantages import GAEConfig
-from .batch import TurnTable, advantage_arrays, rollout_batch
+from .batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
+                    rollout_batch)
 from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
                    TurnRecord, load_trajectories, save_trajectories,
                    segment_boundaries)

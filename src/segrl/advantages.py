@@ -8,16 +8,17 @@ binary policy-gradient signal (q - beta) * (v_high - v_low), and the flat
 comparator runs ordinary GAE across the whole episode with a state-only
 baseline.
 
-All four are computed over a padded batch by `batch.advantage_arrays`, the
-one implementation: the trainer and every oracle run it, and
-`oracle.telescope_check` verifies it against its closed forms on random
-trajectories, tables and discounts.  The low and high TD residuals it
-accumulates are the errors of the critic's regression rows (each row's
-target minus the value of its cell, one row per turn and one per segment),
-so the bootstrap rule and the segment's macro reward and duration discount
-are written once, in `batch`'s row builder, for the critic and the
-estimators alike.  The one-episode recursions survive only as the test-side
-reference (`tests/spec.py`).
+The three hierarchical levels are computed over a padded batch by
+`batch.advantage_arrays`, the one implementation: the trainer and every
+oracle run it, and `oracle.telescope_check` verifies it against its closed
+forms on random trajectories, tables and discounts.  Its low and high TD
+residuals are the errors of the critic's regression rows (one row per turn
+and one per segment), so the segment's macro reward and duration discount
+are written once, in `batch`'s row builder.  The flat comparator is its own
+kernel, `batch.flat_advantage_arrays`, run by the flat trainer and the
+variance gate; both kernels bootstrap at one grid of closing states.  The
+one-episode recursions survive only as the test-side reference
+(`tests/spec.py`).
 """
 
 from __future__ import annotations

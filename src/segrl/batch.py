@@ -7,7 +7,8 @@ per-head policy pass with its score sums (the trainer, the Monte-Carlo and
 enumerated oracles and gradcheck all run it); the tests check them against
 per-episode and per-turn reference forms.  One row builder writes every
 sampled value target: the critic regresses on its rows, and the advantage
-kernel takes its low and high TD residuals as those rows' errors.  Because
+kernel takes its low and high TD residuals as those rows' errors; the flat
+comparator's own kernel bootstraps at the same closing states.  Because
 every random draw is keyed by (seed, episode, turn, head), a batch
 reproduces any of its sub-batches, rolled at the matching
 `episode_offset`, bit for bit.
@@ -356,12 +357,18 @@ def returns_matrix(tt: TurnTable, gamma: float | np.ndarray,
     """Per-turn return-to-go, zero beyond episode length; `gamma` is one
     discount or one per episode."""
     r = np.where(tt.mask, tt.raw_reward if raw else tt.reward, 0.0)
-    out = np.zeros_like(r)
-    carry = np.zeros(tt.n_episodes)
-    for t in range(tt.max_turns - 1, -1, -1):
-        carry = r[:, t] + gamma * carry
-        out[:, t] = np.where(tt.mask[:, t], carry, 0.0)
-        carry = np.where(tt.mask[:, t], carry, 0.0)
+    return _backward_sums(r, tt.mask, gamma, np.zeros_like(tt.mask))
+
+
+def _backward_sums(x: np.ndarray, mask: np.ndarray, decay, restart: np.ndarray):
+    """S_t = x_t + decay * S_{t+1} over each row's `mask` (zero outside it),
+    with S_t = x_t at `restart` turns; `decay` is one factor or one per row."""
+    out = np.zeros_like(x)
+    carry = np.zeros(x.shape[0])
+    for t in range(x.shape[1] - 1, -1, -1):
+        carry = np.where(restart[:, t], x[:, t], x[:, t] + decay * carry)
+        out[:, t] = np.where(mask[:, t], carry, 0.0)
+        carry = np.where(mask[:, t], carry, 0.0)
     return out
 
 
@@ -372,31 +379,27 @@ class BatchAdvantages:
     a_low: np.ndarray        # (n, T)
     a_high: np.ndarray       # (n, T), nonzero only at boundary turns
     a_switch: np.ndarray     # (n, T), NaN at t = 0 and outside mask
-    a_flat: np.ndarray | None
     masks: SegmentMasks
 
 
 def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
-                     params: PolicyParams | None = None,
-                     v_flat: np.ndarray | None = None) -> BatchAdvantages:
-    """Low, high, switching (and, given `v_flat`, flat) advantages per turn.
+                     params: PolicyParams | None = None) -> BatchAdvantages:
+    """Low, high and switching advantages per turn.
 
     Switching advantages take beta from the recorded behavior log-probs,
     or from `params` on turns that have none.
     """
-    return _advantage_arrays(tt, tables, cfg, cfg.gamma, params, v_flat)
+    return _advantage_arrays(tt, tables, cfg, cfg.gamma, params)
 
 
 def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
                       gamma: float | np.ndarray,
-                      params: PolicyParams | None = None,
-                      v_flat: np.ndarray | None = None) -> BatchAdvantages:
+                      params: PolicyParams | None = None) -> BatchAdvantages:
     """`advantage_arrays` with `gamma` in place of cfg.gamma: one discount,
-    or one per episode (an (n,) array, broadcast as (n, 1) over turns).  A
-    scalar takes the same arithmetic as a per-episode entry."""
+    or one per episode (an (n,) array).  A scalar takes the same arithmetic
+    as a per-episode entry."""
     sm = segment_masks(tt)
     n, t_max = tt.mask.shape
-    gamma_col = gamma if np.ndim(gamma) == 0 else np.asarray(gamma)[:, None]
     cols = np.arange(t_max)
 
     # TD residuals: each critic row's target minus the value of its cell,
@@ -410,14 +413,7 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     d_high[hi] = delta[lo[0].size:]
     gtilde[hi] = gtilde_hi
 
-    # low level
-    a_low = np.zeros_like(d_low)
-    carry = np.zeros(n)
-    decay = gamma * cfg.lambda_low
-    for t in range(t_max - 1, -1, -1):
-        carry = np.where(sm.seg_final[:, t], d_low[:, t], d_low[:, t] + decay * carry)
-        a_low[:, t] = np.where(tt.mask[:, t], carry, 0.0)
-        carry = np.where(tt.mask[:, t], carry, 0.0)
+    a_low = _backward_sums(d_low, tt.mask, gamma * cfg.lambda_low, sm.seg_final)
 
     # high level (per boundary turn)
     a_high = np.zeros_like(d_high)
@@ -433,38 +429,32 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     a_switch = np.where(tt.mask & (cols[None, :] > 0),
                         (tt.q - beta) * gain, np.nan)
 
-    # flat comparator
-    a_flat = None
-    if v_flat is not None:
-        v_flat = np.asarray(v_flat, dtype=np.float64)
-        nxt_state = np.zeros((n, t_max), dtype=np.int64)
-        if t_max > 1:
-            nxt_state[:, :-1] = tt.state[:, 1:]
-        boot_f = np.zeros((n, t_max))
-        inner = tt.mask & ~sm.is_last
-        boot_f[inner] = v_flat[nxt_state[inner]]
-        trunc_last = sm.is_last & ~tt.terminated[:, None]
-        rows = np.flatnonzero(trunc_last.any(axis=1))
-        boot_f[trunc_last] = v_flat[tt.final_state[rows]]
-        d_flat = np.where(tt.mask,
-                          tt.reward + gamma_col * boot_f - v_flat[tt.state], 0.0)
-        a_flat = np.zeros_like(d_flat)
-        carry = np.zeros(n)
-        decay = gamma * cfg.lambda_flat
-        for t in range(t_max - 1, -1, -1):
-            carry = d_flat[:, t] + decay * carry
-            a_flat[:, t] = np.where(tt.mask[:, t], carry, 0.0)
-            carry = np.where(tt.mask[:, t], carry, 0.0)
-
     if cfg.whiten:
         a_low[tt.mask] = whiten(a_low[tt.mask])
         a_high[sm.is_boundary] = whiten(a_high[sm.is_boundary])
         sw_mask = tt.mask & (cols[None, :] > 0)
         a_switch[sw_mask] = whiten(a_switch[sw_mask])
-        if a_flat is not None:
-            a_flat[tt.mask] = whiten(a_flat[tt.mask])
 
-    return BatchAdvantages(a_low, a_high, a_switch, a_flat, sm)
+    return BatchAdvantages(a_low, a_high, a_switch, sm)
+
+
+def flat_advantage_arrays(tt: TurnTable, v_flat: np.ndarray,
+                          cfg: GAEConfig) -> np.ndarray:
+    """The flat comparator's (n, T) advantages: GAE(lambda_flat) across the
+    whole episode on the state-only baseline v_flat, its residuals the
+    errors of one-step rows, one per turn bootstrapping at its closing state."""
+    sm = segment_masks(tt)
+    eps, ts = np.nonzero(tt.mask)
+    rows = single_coupling_rows(tt.state[eps, ts], tt.weight[eps],
+                                tt.reward[eps, ts],
+                                _closing_states(tt, sm)[eps, ts],
+                                np.full(eps.size, cfg.gamma))
+    d_flat = np.zeros(tt.mask.shape)
+    d_flat[eps, ts] = row_targets(rows, v_flat) - v_flat[rows["cell"]]
+    a_flat = _backward_sums(d_flat, tt.mask, cfg.gamma * cfg.lambda_flat, sm.is_last)
+    if cfg.whiten:
+        a_flat[tt.mask] = whiten(a_flat[tt.mask])
+    return a_flat
 
 
 def _behavior_beta(tt: TurnTable, params: PolicyParams | None) -> np.ndarray:
@@ -495,6 +485,16 @@ def _v_low_prev(tt: TurnTable, tables: ValueTables) -> np.ndarray:
 # Critic batch construction from a TurnTable (vectorized)
 # ---------------------------------------------------------------------------
 
+def _closing_states(tt: TurnTable, sm: SegmentMasks) -> np.ndarray:
+    """(n, T): per turn, the state whose v_high a target closing after it
+    bootstraps at: the next turn's state, and after the last turn a truncated
+    episode's final state or -1 (no bootstrap) after a terminal one."""
+    nxt = np.zeros_like(tt.state)
+    nxt[:, :-1] = tt.state[:, 1:]
+    end = np.where(tt.terminated, -1, tt.final_state)
+    return np.where(sm.is_last, end[:, None], nxt)
+
+
 def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
                  n_states: int, n_options: int):
     """The two-head critic's regression rows: one per turn (low head), then
@@ -506,22 +506,16 @@ def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
     and of the high rows (each at its segment's boundary turn), and each
     high row's duration discount g~.
     """
-    n, t_max = tt.mask.shape
     per_episode = np.ndim(gamma) > 0
-    nxt_state = np.zeros((n, t_max), dtype=np.int64)
-    if t_max > 1:
-        nxt_state[:, :-1] = tt.state[:, 1:]
-    # the closing boundary: none after a terminal state, else the final state
-    end = np.where(tt.terminated, -1, tt.final_state)
+    close = _closing_states(tt, sm)
 
     # low head: v_low inside a segment, v_high at its closing boundary
     rows_i, ts = np.nonzero(tt.mask)
     o = tt.subgoal[rows_i, ts]
     lo_cell = low_cell(tt.state[rows_i, ts], o, n_states, n_options)
-    lo_boot = low_cell(nxt_state[rows_i, ts], o, n_states, n_options)
-    segf = sm.seg_final[rows_i, ts]
-    lo_boot[segf] = np.where(sm.is_last[rows_i[segf], ts[segf]], end[rows_i[segf]],
-                             nxt_state[rows_i[segf], ts[segf]])
+    nxt = close[rows_i, ts]
+    lo_boot = np.where(sm.seg_final[rows_i, ts], nxt,
+                       low_cell(nxt, o, n_states, n_options))
     lo_coef = gamma[rows_i] if per_episode else np.full(lo_cell.size, gamma)
 
     # high head: macro reward r~ and duration discount g~ per segment
@@ -531,10 +525,9 @@ def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
     gamma_b = gamma[b_rows] if per_episode else gamma
     gtilde = gamma_b ** (ends - b_ts).astype(np.float64)
     open_end = ends < tt.length[b_rows]
-    g_end = np.where(open_end, g[b_rows, np.minimum(ends, t_max - 1)], 0.0)
+    g_end = np.where(open_end, g[b_rows, np.minimum(ends, tt.max_turns - 1)], 0.0)
     rtilde = g[b_rows, b_ts] - gtilde * g_end
-    hi_boot = np.where(open_end, tt.state[b_rows, np.minimum(ends, t_max - 1)],
-                       end[b_rows])
+    hi_boot = close[b_rows, ends - 1]
 
     rows = single_coupling_rows(
         np.concatenate([lo_cell, tt.state[b_rows, b_ts]]),
@@ -603,8 +596,7 @@ def gather_rows(tt: TurnTable, adv: BatchAdvantages | None = None) -> TurnRows:
     eps, ts = np.nonzero(tt.mask)
     advs = {} if adv is None else dict(
         adv_low=adv.a_low[eps, ts], adv_high=adv.a_high[eps, ts],
-        adv_switch=adv.a_switch[eps, ts],
-        adv_flat=None if adv.a_flat is None else adv.a_flat[eps, ts])
+        adv_switch=adv.a_switch[eps, ts])
     return TurnRows(
         state=tt.state[eps, ts],
         prev_subgoal=tt.prev_subgoal[eps, ts],

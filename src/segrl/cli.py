@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .advantages import GAEConfig
 from .batch import TurnTable, advantage_arrays, rollout_batch
-from .config import RunConfig, load_config
+from .config import RANGES, RunConfig, load_config
 from .core import (InputError, MalformedTrajectory, load_trajectories,
                    save_trajectories)
 from .critic import ValueTables, fit_critic
@@ -173,6 +173,10 @@ def _check_advantage_inputs(tt: TurnTable, tables: ValueTables,
 
 
 def cmd_advantages(args) -> int:
+    for key in ("gamma", "lambda_low", "lambda_high"):
+        ok, desc = RANGES[key]
+        if not ok(value := getattr(args, key)):
+            raise InputError(f"--{key.replace('_', '-')} must be {desc}, got {value}")
     tt = TurnTable.from_trajectories(load_trajectories(args.input))
     tables = load_values(args.values)
     params = load_policy(args.policy) if args.policy else None
@@ -241,8 +245,7 @@ def cmd_verify(args) -> int:
         # bootstrapped estimator (mixing weight 0.95): bias recorded only
         mixed = mc_gradient_hae(
             env, params, oracle_values(env, params, 1.0).tables,
-            GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95,
-                      lambda_flat=0.95),
+            GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95),
             n=min(args.samples, 20000), seed=seed)
         exact = oracle_gradient(env, params, 1.0)
         bias95 = float(np.max(np.abs(mixed.mean.as_vector()

@@ -26,7 +26,7 @@ _INT_KEYS = {
 _STR_KEYS = {"env"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
-_RANGES = {
+RANGES = {
     "gamma": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "lambda_low": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "lambda_high": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -85,8 +85,8 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: cannot parse value for '{key}': {val!r}")
         if key in _FLOAT_KEYS and not math.isfinite(parsed):
             raise ConfigError(f"line {line_no}: '{key}' must be finite, got {val}")
-        if key in _RANGES:
-            ok, desc = _RANGES[key]
+        if key in RANGES:
+            ok, desc = RANGES[key]
             if not ok(parsed):
                 raise ConfigError(f"line {line_no}: '{key}' must be {desc}, got {val}")
         values[key] = parsed

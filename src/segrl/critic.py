@@ -8,9 +8,9 @@ progress.  Fitting is full-batch tabular regression: every visited cell takes
 a gradient step on the mean squared error of its own visits, with targets
 recomputed from the updated tables each epoch (fitted value iteration).
 
-A row's target minus the value of its cell is its TD residual; the
-advantage kernel (`batch.advantage_arrays`) reads its low and high residuals
-off the sampled rows through `row_targets`, so each target is written once.
+A row's target minus the value of its cell is its TD residual; both
+advantage kernels read their residuals off rows through `row_targets`, so
+each target is written once.
 
 The flat baseline is the same regression without options: a batch with
 `n_options = 0` over v_flat, held as the high head of ValueTables with an

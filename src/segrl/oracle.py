@@ -24,8 +24,9 @@ import numpy as np
 
 from .advantages import GAEConfig
 from .batch import (HEADS, TurnTable, _advantage_arrays, _empty_table,
-                    advantage_arrays, gather_rows, policy_pass, returns_matrix,
-                    rollout_batch, score_sums, score_tables, segment_masks)
+                    advantage_arrays, flat_advantage_arrays, gather_rows,
+                    policy_pass, returns_matrix, rollout_batch, score_sums,
+                    score_tables, segment_masks)
 from .core import KEEP, SWITCH, Trajectory, TurnRecord
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
@@ -618,7 +619,7 @@ def unbiasedness_report(env: EnvModel, params: PolicyParams, n: int, seed: int,
     `gate` standard errors of the enumerated gradient (coordinates with
     zero sampling variance must match outright).
     """
-    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
+    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
     tables = oracle_values(env, params, cfg.gamma).tables
     mc = mc_gradient_hae(env, params, tables, cfg, n, seed)
     exact = oracle_gradient(env, params, cfg.gamma)
@@ -700,13 +701,14 @@ def _reaching_samples(env, params, values, turns, n, seed, max_rounds):
             break
         tt = rollout_batch(env, params, min(chunk, limit - offset), seed,
                            episode_offset=offset)
-        adv = advantage_arrays(tt, values.tables, cfg, v_flat=values.v_flat)
+        a_low = advantage_arrays(tt, values.tables, cfg).a_low
+        a_flat = flat_advantage_arrays(tt, values.v_flat, cfg)
         for t in open_turns:
             if t >= tt.max_turns:
                 continue
             reach = tt.length > t
-            lows[t].append(adv.a_low[reach, t])
-            flats[t].append(adv.a_flat[reach, t])
+            lows[t].append(a_low[reach, t])
+            flats[t].append(a_flat[reach, t])
             got[t] += int(reach.sum())
     for t, k in got.items():
         if k < n:

@@ -4,8 +4,8 @@ Each iteration freezes the behavior policy, collects a batch of episodes,
 fits the two-head critic, computes the segment-aware advantages once, and
 then runs several epochs of clipped-surrogate minibatch ascent with an
 exact-KL penalty toward the reference (initial) policy.  A flat baseline
-trainer shares the loop but uses a state-only critic, whole-episode GAE and
-a single joint ratio per turn.
+trainer shares the loop but fits a state-only critic (tables without
+options), runs only `flat_advantage_arrays` and takes one joint ratio a turn.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from .advantages import GAEConfig
 from .batch import (HEADS, HeadPass, TurnRows, TurnTable, advantage_arrays,
                     batch_stats, cell_rows, critic_batch_from_table,
-                    flat_batch_from_table, gather_rows, policy_pass,
-                    rollout_batch, row_sums, score_sums)
+                    flat_advantage_arrays, flat_batch_from_table, gather_rows,
+                    policy_pass, rollout_batch, row_sums, score_sums)
 from .critic import ValueTables, fit_critic, unstacked
 from .envs import EnvModel
 from .policy import GradTables, PolicyParams, log_softmax, softmax
@@ -118,7 +118,6 @@ class TrainResult:
     params: PolicyParams
     tables: ValueTables
     metrics: list[MetricsRow]
-    flat_values: np.ndarray | None = None
 
     def metrics_csv(self) -> str:
         buf = io.StringIO()
@@ -377,12 +376,12 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
               n_options: int, on_iteration, flat: bool) -> TrainResult:
     params = (init_params.copy() if init_params is not None
               else PolicyParams.uniform(env.n_states, n_options, env.n_actions))
+    # the flat baseline's v_flat is the high head of tables without options
     state = TrainState(params=params, params_ref=params.copy(),
-                       tables=ValueTables.zeros(env.n_states, params.n_options))
+                       tables=ValueTables.zeros(env.n_states,
+                                                0 if flat else params.n_options))
     ref_lp = _ref_log_probs(state.params_ref)  # the reference stays frozen
     rollout_seed = derive_seed(cfg.seed, _TRAIN_STREAM)
-    # the flat baseline's v_flat is the high head of tables without options
-    critic = ValueTables.zeros(env.n_states, 0) if flat else state.tables
     metrics: list[MetricsRow] = []
     goal = getattr(env, "goal_state", None)
     for it in range(cfg.iterations):
@@ -392,19 +391,21 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
                            it_seed, c_keep=cfg.c_keep)
         cb = (flat_batch_from_table(tt, cfg.gamma, env.n_states) if flat else
               critic_batch_from_table(tt, cfg.gamma, env.n_states,
-                                      critic.n_options))
+                                      state.tables.n_options))
         if cfg.lr_critic > 0:
-            critic, rep = fit_critic(critic, cb, cfg.gamma, cfg.lr_critic,
-                                     cfg.epochs)
+            state.tables, rep = fit_critic(state.tables, cb, cfg.gamma,
+                                           cfg.lr_critic, cfg.epochs)
             critic_mse = rep.final_mse
         else:
-            critic_mse = sum(cb.batch_mse(critic))
-        _check_finite("critic", it, critic_mse, critic.v_high, critic.v_low)
-        if not flat:
-            state.tables = critic
-        adv = advantage_arrays(tt, state.tables, cfg.gae(),
-                               v_flat=critic.v_high if flat else None)
-        rows = gather_rows(tt, adv)
+            critic_mse = sum(cb.batch_mse(state.tables))
+        _check_finite("critic", it, critic_mse, state.tables.v_high,
+                      state.tables.v_low)
+        if flat:
+            rows = gather_rows(tt)
+            rows.adv_flat = flat_advantage_arrays(tt, state.tables.v_high,
+                                                  cfg.gae())[tt.mask]
+        else:
+            rows = gather_rows(tt, advantage_arrays(tt, state.tables, cfg.gae()))
 
         surrogate_sum, turn_count = 0.0, 0
         shuffle = np.random.Generator(np.random.PCG64(
@@ -445,5 +446,4 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         metrics.append(row)
         if on_iteration is not None:
             on_iteration(state, row)
-    return TrainResult(params=state.params, tables=state.tables, metrics=metrics,
-                       flat_values=critic.v_high if flat else None)
+    return TrainResult(params=state.params, tables=state.tables, metrics=metrics)

@@ -12,7 +12,8 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   for `rollout_batch`;
 * `estimate_batch` for `advantage_arrays`: the segment recursions
   `low_td_residuals` (with `v_next`), `low_advantages` and
-  `high_advantages`, plus `switch_advantages` and `flat_gae`;
+  `high_advantages`, plus `switch_advantages`; `flat_gae` for
+  `flat_advantage_arrays`;
 * `critic_batch` and `flat_critic_batch` for `critic_batch_from_table` and
   `flat_batch_from_table`;
 * `ppo_ratios` for the per-head ratios inside `training.actor_loss`;
@@ -29,7 +30,8 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   `oracle.variance_reports`.
 
 The library has one implementation of each estimator; `oracle.telescope_check`
-verifies that one, `batch.advantage_arrays`, against its closed forms.
+verifies the hierarchical one, `batch.advantage_arrays`, against its closed
+forms.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from segrl.advantages import GAEConfig, whiten
-from segrl.batch import advantage_arrays, rollout_batch
+from segrl.batch import advantage_arrays, flat_advantage_arrays, rollout_batch
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
 from segrl.critic import CriticBatch, ValueTables, low_cell, single_coupling_rows
 from segrl.envs import EnvModel
@@ -195,13 +197,12 @@ def rollout(env: EnvModel, params: PolicyParams, horizon: int, rng: CounterRng,
 @dataclass
 class HierarchicalAdvantages:
     """a_low has length T, a_high one entry per segment, a_switch length
-    T-1 (the first switch is forced); a_flat when a flat table was given."""
+    T-1 (the first switch is forced)."""
 
     a_low: np.ndarray
     a_high: np.ndarray
     a_switch: np.ndarray
     boundaries: list[int]
-    a_flat: np.ndarray | None = None
 
 
 def switch_advantages(traj: Trajectory, tables: ValueTables,
@@ -320,27 +321,22 @@ def high_advantages(traj: Trajectory, tables: ValueTables, cfg: GAEConfig
 
 
 def estimate_all(traj: Trajectory, tables: ValueTables, cfg: GAEConfig,
-                 params: PolicyParams | None = None,
-                 v_flat: np.ndarray | None = None) -> HierarchicalAdvantages:
+                 params: PolicyParams | None = None) -> HierarchicalAdvantages:
     boundaries = segment_boundaries(traj)
     deltas = low_td_residuals(traj, tables, cfg.gamma)
     a_low = low_advantages(deltas, boundaries, cfg)
     _, a_high = high_advantages(traj, tables, cfg)
     a_switch = switch_advantages(traj, tables, params)
-    a_flat = flat_gae(traj, v_flat, cfg) if v_flat is not None else None
-    return HierarchicalAdvantages(a_low, a_high, a_switch, boundaries, a_flat)
+    return HierarchicalAdvantages(a_low, a_high, a_switch, boundaries)
 
 
 def estimate_batch(trajectories, tables: ValueTables, cfg: GAEConfig,
-                   params: PolicyParams | None = None,
-                   v_flat: np.ndarray | None = None) -> list[HierarchicalAdvantages]:
+                   params: PolicyParams | None = None) -> list[HierarchicalAdvantages]:
     """Per-trajectory estimates with optional per-level batch whitening."""
-    items = [estimate_all(traj, tables, cfg, params, v_flat) for traj in trajectories]
+    items = [estimate_all(traj, tables, cfg, params) for traj in trajectories]
     if cfg.whiten and items:
-        for name in ("a_low", "a_high", "a_switch", "a_flat"):
+        for name in ("a_low", "a_high", "a_switch"):
             parts = [getattr(it, name) for it in items]
-            if any(p is None for p in parts):
-                continue
             white = whiten(np.concatenate(parts))
             pos = 0
             for it, part in zip(items, parts):
@@ -546,10 +542,9 @@ def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
         offset += n
         if t >= tt.max_turns:
             continue
-        adv = advantage_arrays(tt, values.tables, cfg, v_flat=values.v_flat)
         reach = tt.length > t
-        lows.append(adv.a_low[reach, t])
-        flats.append(adv.a_flat[reach, t])
+        lows.append(advantage_arrays(tt, values.tables, cfg).a_low[reach, t])
+        flats.append(flat_advantage_arrays(tt, values.v_flat, cfg)[reach, t])
         got += int(reach.sum())
         if got >= n:
             break

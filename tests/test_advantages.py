@@ -7,7 +7,7 @@ import pytest
 
 from segrl import batch, oracle
 from segrl.advantages import GAEConfig, whiten
-from segrl.batch import TurnTable, advantage_arrays
+from segrl.batch import TurnTable, advantage_arrays, flat_advantage_arrays
 from segrl.core import segment_boundaries
 from segrl.critic import ValueTables
 from segrl.oracle import random_tables, random_trajectory, telescope_check
@@ -23,16 +23,14 @@ def cfg_with(**kw):
     return GAEConfig(**base)
 
 
-def one_episode(traj, tables, cfg, params=None, v_flat=None):
+def one_episode(traj, tables, cfg, params=None):
     """`advantage_arrays` on a one-episode TurnTable, unpadded: a_low per
-    turn, a_high per segment, a_switch for t = 1 .. T-1, a_flat per turn
-    (None without v_flat)."""
+    turn, a_high per segment, a_switch for t = 1 .. T-1."""
     adv = advantage_arrays(TurnTable.from_trajectories([traj]), tables, cfg,
-                           params=params, v_flat=v_flat)
+                           params=params)
     n = traj.n_turns
     a_high = adv.a_high[0, :n][adv.masks.is_boundary[0, :n]]
-    a_flat = None if adv.a_flat is None else adv.a_flat[0, :n]
-    return adv.a_low[0, :n], a_high, adv.a_switch[0, 1:n], a_flat
+    return adv.a_low[0, :n], a_high, adv.a_switch[0, 1:n]
 
 
 def switch_advantages(traj, tables, params=None):
@@ -40,10 +38,9 @@ def switch_advantages(traj, tables, params=None):
 
 
 def flat_gae(traj, v_flat, cfg):
-    # the other levels need tables and switch probabilities; any will do
-    n_s, n_o = len(v_flat), max(u.subgoal for u in traj.turns) + 1
-    return one_episode(traj, ValueTables.zeros(n_s, n_o), cfg,
-                       params=PolicyParams.uniform(n_s, n_o, 1), v_flat=v_flat)[3]
+    """`flat_advantage_arrays` on a one-episode TurnTable, unpadded."""
+    tt = TurnTable.from_trajectories([traj])
+    return flat_advantage_arrays(tt, v_flat, cfg)[0, :traj.n_turns]
 
 
 def low_high(traj, tables, cfg):
@@ -186,7 +183,7 @@ class TestEstimateAll:
         traj = random_trajectory(rng, 8, 3, 4)
         tables = random_tables(rng, 8, 3)
         cfg = GAEConfig(gamma=0.9, lambda_low=0.7, lambda_high=0.6)
-        a_low, a_high, a_switch, _ = one_episode(traj, tables, cfg)
+        a_low, a_high, a_switch = one_episode(traj, tables, cfg)
         bounds = segment_boundaries(traj)
         d = spec.low_td_residuals(traj, tables, 0.9)
         assert np.allclose(a_low, spec.low_advantages(d, bounds, cfg))
@@ -238,8 +235,8 @@ class TestSegmentLocality:
                 turns=tuple(u._replace(reward=u.reward + 1.0) if u.t == t_hit else u
                             for u in traj.turns),
                 truncated=traj.truncated, final_state=traj.final_state)
-            base_low, base_high, _, _ = one_episode(traj, tables, cfg)
-            bump_low, bump_high, _, _ = one_episode(bumped, tables, cfg)
+            base_low, base_high, _ = one_episode(traj, tables, cfg)
+            bump_low, bump_high, _ = one_episode(bumped, tables, cfg)
             diff_low = bump_low - base_low
             # later segments untouched; the perturbed segment feels it only
             # at or before the perturbed turn

@@ -7,8 +7,9 @@ import pytest
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, _advantage_arrays, advantage_arrays,
                          batch_stats, critic_batch_from_table,
-                         flat_batch_from_table, gather_rows, record_behavior,
-                         returns_matrix, rollout_batch, segment_masks)
+                         flat_advantage_arrays, flat_batch_from_table,
+                         gather_rows, record_behavior, returns_matrix,
+                         rollout_batch, segment_masks)
 from segrl.core import KEEP, MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
@@ -178,9 +179,11 @@ class TestBatchAdvantages:
         v_flat = rng.standard_normal(env.n_states)
         cfg = GAEConfig(gamma=0.92, lambda_low=0.8, lambda_high=0.7,
                         lambda_flat=0.9)
-        arr = advantage_arrays(tt, tables, cfg, v_flat=v_flat)
-        ref = spec.estimate_batch(tt.to_trajectories(), tables, cfg, v_flat=v_flat)
-        for i, h in enumerate(ref):
+        arr = advantage_arrays(tt, tables, cfg)
+        a_flat = flat_advantage_arrays(tt, v_flat, cfg)
+        trajs = tt.to_trajectories()
+        ref = spec.estimate_batch(trajs, tables, cfg)
+        for i, (traj, h) in enumerate(zip(trajs, ref)):
             t_total = int(tt.length[i])
             assert np.allclose(arr.a_low[i, :t_total], h.a_low, atol=1e-11)
             bmask = arr.masks.is_boundary[i, :t_total]
@@ -188,7 +191,8 @@ class TestBatchAdvantages:
             if t_total > 1:
                 assert np.allclose(arr.a_switch[i, 1:t_total], h.a_switch,
                                    atol=1e-11)
-            assert np.allclose(arr.a_flat[i, :t_total], h.a_flat, atol=1e-11)
+            assert np.allclose(a_flat[i, :t_total], spec.flat_gae(traj, v_flat, cfg),
+                               atol=1e-11)
 
     def test_per_episode_gamma_is_one_scalar_call_per_episode(self, rng):
         # bit for bit: the telescope gate runs every trial's own gamma
@@ -196,15 +200,14 @@ class TestBatchAdvantages:
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(40)]
         gammas = rng.uniform(0.2, 1.0, size=40)
         tables = random_tables(rng, 8, 3)
-        v_flat = rng.standard_normal(8)
-        cfg = GAEConfig(lambda_low=0.8, lambda_high=0.7, lambda_flat=0.9)
+        cfg = GAEConfig(lambda_low=0.8, lambda_high=0.7)
         joint = _advantage_arrays(TurnTable.from_trajectories(trajs), tables, cfg,
-                                  gammas, v_flat=v_flat)
+                                  gammas)
         for i, (traj, gamma) in enumerate(zip(trajs, gammas)):
             one = advantage_arrays(TurnTable.from_trajectories([traj]), tables,
-                                   replace(cfg, gamma=float(gamma)), v_flat=v_flat)
+                                   replace(cfg, gamma=float(gamma)))
             n = traj.n_turns
-            for name in ("a_low", "a_high", "a_switch", "a_flat"):
+            for name in ("a_low", "a_high", "a_switch"):
                 assert np.array_equal(getattr(joint, name)[i, :n],
                                       getattr(one, name)[0], equal_nan=True), (i, name)
 
@@ -269,6 +272,18 @@ class TestCriticBatchesFromTable:
         n_low = tt.total_turns
         assert np.array_equal(adv.a_low[tt.mask], errors[:n_low])
         assert np.array_equal(adv.a_high[adv.masks.is_boundary], errors[n_low:])
+        # the flat level: each turn's one-step row bootstraps v_flat at the
+        # next state, at a truncated episode's final state, or nowhere
+        v_flat = np.random.default_rng(6).standard_normal(env.n_states)
+        a_flat = flat_advantage_arrays(tt, v_flat, GAEConfig(gamma=gamma,
+                                                             lambda_flat=0.0))
+        eps, ts = np.nonzero(tt.mask)
+        last = ts == tt.length[eps] - 1
+        nxt = np.where(last, tt.final_state[eps],
+                       tt.state[eps, np.minimum(ts + 1, tt.max_turns - 1)])
+        boot = np.where(last & tt.terminated[eps], 0.0, v_flat[nxt])
+        target = tt.reward[eps, ts] + gamma * boot
+        assert np.array_equal(a_flat[tt.mask], target - v_flat[tt.state[eps, ts]])
 
 
 class TestRatios:

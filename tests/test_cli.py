@@ -26,7 +26,7 @@ from segrl.oracle import oracle_values, variance_report
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
                           load_policy, save_policy)
 from segrl.rng import CounterRng
-from segrl.training import PPOConfig
+from segrl.training import PPOConfig, train_flat_baseline
 
 import spec
 
@@ -390,6 +390,20 @@ class TestMalformedInputs:
         with pytest.raises(ValueError, match="seed"):
             PPOConfig(seed=int(seed))
 
+    @pytest.mark.parametrize("flag,value,words", [
+        ("--gamma", "2", ("in (0, 1]", "got 2.0")), ("--gamma", "0", ("got 0.0",)),
+        ("--gamma", "nan", ("got nan",)),
+        ("--lambda-low", "1.5", ("in [0, 1]", "got 1.5")),
+        ("--lambda-high", "-0.5", ("got -0.5",))])
+    def test_advantage_flag_out_of_range(self, tmp_path, capsys, flag, value, words):
+        path = tmp_path / "ep.jsonl"
+        path.write_text(json.dumps(dict(BAD_EPISODE[0], done=True)) + "\n")
+        save_values(tmp_path / "values.txt", ValueTables.zeros(14, 2))
+        self._refused(["advantages", "--input", str(path),
+                       "--values", str(tmp_path / "values.txt"), flag, value,
+                       "--out", str(tmp_path / "adv")], capsys, f"{flag} must be", *words)
+        assert not (tmp_path / "adv").exists()
+
     def test_negative_episode_count(self, tmp_path, capsys):
         self._refused(["rollout", "--episodes", "-1", "--out",
                        str(tmp_path / "roll")], capsys, "--episodes")
@@ -561,21 +575,32 @@ class TestCheckpointErrors:
 
 
 class TestBitIdentity:
-    """The bytes of `metrics.csv` for 20 iterations on FetchChain(5, 20) at
-    seed 0 (numpy 2.4, x86-64).  Rollout streams are keyed by a hash of the
-    parameter bytes, so any last-bit change to an update re-rolls every later
-    batch; a change that reorders the arithmetic re-pins these digests and
-    says so."""
+    """The bytes of `metrics.csv` and `values-final.txt` for 20 iterations on
+    FetchChain(5, 20) at seed 0 (numpy 2.4, x86-64).  Rollout streams are
+    keyed by a hash of the parameter bytes, so any last-bit change to an
+    update re-rolls every later batch; a change that reorders the arithmetic
+    re-pins these digests and says so."""
+
+    @staticmethod
+    def _digest(tmp_path, command, file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 20\nseed = 0\n")
+        assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        return hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("command,digest", [
         ("train", "03d9fb7eca32c7f1bd61b1e46763ab13717642cf246841d0b181938cc341a469"),
         ("train-flat", "7ee2586aad626cfc28e1ea120bd91d58e0d811143e5aa331d59d0340261af247"),
     ])
     def test_metrics_csv_digest(self, tmp_path, command, digest):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("iterations = 20\nseed = 0\n")
-        assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
+        assert self._digest(tmp_path, command, "metrics.csv") == digest
+
+    @pytest.mark.parametrize("command,digest", [
+        ("train", "e8b91d56a2137d114f3dffdcfc568dda63916157145809d7a89754c38de20550"),
+        ("train-flat", "c020ac129388031dbb657b1129b8b47d15eebc0c2f46478d0af9820656d7f01e"),
+    ])
+    def test_values_final_digest(self, tmp_path, command, digest):
+        assert self._digest(tmp_path, command, "values-final.txt") == digest
 
 
 class TestDemos:
@@ -615,6 +640,19 @@ class TestValueCheckpoint:
         back = load_values(path)
         assert np.array_equal(back.v_high, tables.v_high)
         assert np.array_equal(back.v_low, tables.v_low)
+
+    def test_flat_run_writes_its_fitted_critic(self, tmp_path):
+        # v_flat is the high head of a value file with 0 options
+        text = "iterations = 3\nepisodes_per_iter = 16\nenv.L = 3\nenv.H = 6\n"
+        (tmp_path / "run.cfg").write_text(text)
+        assert dispatch(["train-flat", "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(tmp_path)]) == 0
+        back = load_values(tmp_path / "values-final.txt")
+        cfg = parse_config_text(text)
+        res = train_flat_baseline(cfg.ppo, cfg.make_env(), n_options=cfg.n_options)
+        assert back.v_low.shape == (res.tables.n_states, 0)
+        assert np.array_equal(back.v_high, res.tables.v_high)
+        assert np.abs(back.v_high).max() > 0
 
 
 class TestVerifyReports:

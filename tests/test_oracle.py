@@ -3,7 +3,7 @@ import pytest
 
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
-                         rollout_batch)
+                         flat_advantage_arrays, rollout_batch)
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           conditional_switch_values_enumerated,
@@ -305,9 +305,10 @@ class TestMonteCarloHarnesses:
         cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
         tt = rollout_batch(env, params, 2000, seed=6)
-        adv = advantage_arrays(tt, vals.tables, cfg, v_flat=vals.v_flat)
+        a_low = advantage_arrays(tt, vals.tables, cfg).a_low
+        a_flat = flat_advantage_arrays(tt, vals.v_flat, cfg)
         sel = tt.mask
-        assert np.allclose(adv.a_low[sel], adv.a_flat[sel], atol=1e-10)
+        assert np.allclose(a_low[sel], a_flat[sel], atol=1e-10)
 
 
 class TestVarianceReports:

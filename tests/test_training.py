@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
-from segrl.batch import (TurnTable, advantage_arrays, gather_rows, policy_pass,
-                         rollout_batch)
+from segrl.batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
+                         gather_rows, policy_pass, rollout_batch)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
@@ -169,10 +169,11 @@ def shared_pass_case():
     rng = np.random.default_rng(11)
     behavior = fetchchain_phased(env, rng)
     tt = rollout_batch(env, behavior, 40, seed=9, c_keep=0.1)
-    adv = advantage_arrays(tt, random_tables(rng, env.n_states, 2),
-                           GAEConfig(gamma=0.95),
-                           v_flat=rng.standard_normal(env.n_states))
-    rows = gather_rows(tt, adv)
+    cfg = GAEConfig(gamma=0.95)
+    rows = gather_rows(tt, advantage_arrays(tt, random_tables(rng, env.n_states, 2),
+                                            cfg))
+    rows.adv_flat = flat_advantage_arrays(tt, rng.standard_normal(env.n_states),
+                                          cfg)[tt.mask]
     rows.format_ok = rng.random(len(rows)) > 0.3
     live = PolicyParams(*[t + 0.6 * rng.standard_normal(t.shape) for t in
                           (behavior.switch, behavior.subgoal, behavior.action)])
@@ -243,9 +244,8 @@ class TestTotalLoss:
             behavior.action + 0.2 * rng.standard_normal(behavior.action.shape))
         tt = rollout_batch(env, behavior, 12, seed=5)
         v_flat = rng.standard_normal(env.n_states)
-        adv = advantage_arrays(tt, ValueTables.zeros(env.n_states, 2),
-                               GAEConfig(gamma=0.95), v_flat=v_flat)
-        rows = gather_rows(tt, adv)
+        rows = gather_rows(tt)
+        rows.adv_flat = flat_advantage_arrays(tt, v_flat, GAEConfig(gamma=0.95))[tt.mask]
         _, analytic = flat_actor_loss(rows, params, eps=0.2)
 
         def f(p):
@@ -334,6 +334,20 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="critic at iteration 0"):
             driver(cfg, FetchChain(3, 6))
 
+    @pytest.mark.parametrize("trainer,other", [
+        (train, "flat_advantage_arrays"), (train_flat_baseline, "advantage_arrays")])
+    def test_each_trainer_runs_only_its_own_estimator(self, trainer, other,
+                                                      monkeypatch):
+        import segrl.training as tr
+
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{trainer.__name__} called {other}")
+
+        monkeypatch.setattr(tr, other, refused)
+        res = trainer(PPOConfig(iterations=2, episodes_per_iter=8, seed=0),
+                      FetchChain(3, 6))
+        assert len(res.metrics) == 2
+
     @pytest.mark.parametrize("lr", [1.0 + 1e-9, 5.0])
     def test_diverging_critic_step_refused(self, lr):
         # a step scales a cell's error by 1 - 2 * lr_critic
@@ -345,7 +359,7 @@ class TestTrainLoop:
         env = FetchChain(3, 8)
         cfg = PPOConfig(seed=0, iterations=30, episodes_per_iter=64, c_keep=0.0)
         res = train_flat_baseline(cfg, env)
-        assert res.flat_values is not None
+        assert res.tables.n_options == 0
         assert len(res.metrics) == 30
         assert res.metrics[-1].success >= 0.9
 
