@@ -1,13 +1,13 @@
 """Exact expectation engines: enumeration, value tables, exact gradients.
 
 Everything here is computed twice, through independent routes, and agrees
-to float precision: literal trajectory enumeration on one side, a layered
+to float precision: the enumeration of every episode as one weighted table on one side, a layered
 dynamic program over (state, subgoal) occupancies on the other.
 """
 
 import numpy as np
 
-from segrl import FetchChain, OneStep, PolicyParams, enumerate_trajectories
+from segrl import FetchChain, OneStep, PolicyParams, enumeration_table
 from segrl.oracle import (objective, objective_enumerated, oracle_gradient,
                           oracle_gradient_enumerated, oracle_values,
                           oracle_values_enumerated, success_probability)
@@ -16,9 +16,9 @@ rng = np.random.default_rng(3)
 
 one = OneStep(n_actions=2, reward=10.0)
 params = PolicyParams.uniform(one.n_states, n_options=2, n_actions=2)
-dist = enumerate_trajectories(one, params)
-print(f"single-decision env: {len(dist)} trajectories, "
-      f"total probability {dist.total_probability:.12f}")
+tt = enumeration_table(one, params)
+print(f"single-decision env: {tt.n_episodes} trajectories, "
+      f"total probability {tt.weight.sum():.12f}")
 vals = oracle_values(one, params, gamma=1.0)
 print(f"constant reward 10 -> every defined value is 10: "
       f"v_high={vals.v_high[0]:.6f} v_low={vals.v_low[0].tolist()}")

@@ -14,7 +14,7 @@ import numpy as np
 from segrl import FetchChain, fetchchain_phased
 from segrl.oracle import (oracle_values, switching_exactness_report,
                           telescope_check, unbiasedness_report,
-                          variance_report)
+                          variance_reports)
 
 env = FetchChain(length=3, horizon=6)
 params = fetchchain_phased(env, np.random.default_rng(12345))
@@ -35,8 +35,8 @@ print(f"max |z| = {ub.max_z:.2f} over {ub.n_coords} coordinates "
 print("\n-- variance: segment-aware vs whole-episode advantages --")
 values = oracle_values(env, params, gamma=1.0)
 print(" t   var(segment)  var(flat)   95% CI of the difference")
-for t in range(env.horizon):
-    vr = variance_report(env, params, values, t=t, n=8000, seed=2)
-    print(f" {t}    {vr.var_low:9.4f}  {vr.var_flat:9.4f}   "
+for vr in variance_reports(env, params, values, range(env.horizon), n=8000,
+                           seed=2):
+    print(f" {vr.t}    {vr.var_low:9.4f}  {vr.var_flat:9.4f}   "
           f"[{vr.ci_diff[0]:+.4f}, {vr.ci_diff[1]:+.4f}]")
 print("negative upper bounds: the reduction is statistically unambiguous")

@@ -16,10 +16,10 @@ from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
                    segment_boundaries)
 from .critic import CriticBatch, ValueTables, fit_critic
 from .envs import EnvModel, FetchChain, OneStep, make_env, optimal_return
-from .oracle import (enumerate_trajectories, mc_gradient_hae, objective,
+from .oracle import (enumeration_table, mc_gradient_hae, objective,
                      oracle_gradient, oracle_values, success_probability,
                      switching_exactness_report, telescope_check,
-                     unbiasedness_report, variance_report, variance_reports)
+                     unbiasedness_report, variance_reports)
 from .parsing import (FormatVerdict, ParsedDecision, ParseFailure, ingest_log,
                       parse_blocks, render_decision)
 from .policy import (CheckpointError, GradTables, PolicyParams,

@@ -147,10 +147,15 @@ def cmd_parse(args) -> int:
 
 def _check_advantage_inputs(tt: TurnTable, tables: ValueTables,
                             params: PolicyParams | None) -> None:
-    """Reject episodes that index outside the value tables, a policy over
-    other dimensions than the tables, and a missing policy where the
-    episodes record no behavior switch log-probs."""
+    """Reject flat-baseline tables (no subgoals), episodes that index outside
+    the value tables, a policy over other dimensions than the tables, and a
+    missing policy where the episodes record no behavior switch log-probs."""
     n_s, n_o = tables.n_states, tables.n_options
+    if n_o == 0:
+        raise CheckpointError(
+            "the value tables hold a flat baseline without subgoals (0 options, "
+            "as `segrl train-flat` writes); advantages need the hierarchical "
+            "tables of `segrl train`")
     if params is not None and (params.n_states, params.n_options) != (n_s, n_o):
         raise CheckpointError(
             f"the policy has {params.n_states} states x {params.n_options} "

@@ -3,9 +3,9 @@
 Two exact computation routes are provided and cross-checked against each
 other in the tests:
 
-* literal trajectory enumeration (`enumerate_trajectories` and the
-  `*_enumerated` functions), which materializes every trajectory with its
-  probability and averages over leaves; and
+* exact enumeration (`enumeration_table` and the `*_enumerated`
+  functions), which expands every episode as arrays into one `TurnTable`
+  weighted by the episodes' probabilities and averages over it; and
 * an exact dynamic program over turn-layered (state, subgoal) occupancies
   (`solve_dp`), which computes the same expectations by sharing common
   prefixes.  The two agree to float precision; the DP route is the one fast
@@ -27,7 +27,7 @@ from .batch import (HEADS, TurnTable, _advantage_arrays, _empty_table,
                     advantage_arrays, flat_advantage_arrays, gather_rows,
                     policy_pass, returns_matrix, rollout_batch, score_sums,
                     score_tables, segment_masks)
-from .core import KEEP, SWITCH, Trajectory, TurnRecord
+from .core import KEEP, SWITCH
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
 from .policy import GradTables, PolicyParams, log_softmax, softmax
@@ -45,97 +45,97 @@ def branching_bound(n_options: int, n_actions: int, horizon: int) -> int:
     return first * (rest ** max(horizon - 1, 0))
 
 
-@dataclass
-class TrajectoryDistribution:
-    """Every trajectory of an enumerable environment with its probability."""
+def enumeration_table(env: EnvModel, params: PolicyParams,
+                      cap: float = 1e8) -> TurnTable:
+    """Every episode of an enumerable environment as one table, each weighted
+    by its probability P(tau), with the behavior log-probs a rollout records.
 
-    items: list[tuple[Trajectory, float]]
-
-    @property
-    def total_probability(self) -> float:
-        return float(sum(p for _, p in self.items))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-
-def enumerate_trajectories(env: EnvModel, params: PolicyParams,
-                           cap: float = 1e8) -> TrajectoryDistribution:
-    """Depth-first expansion over (q, o-if-switch, a) choices.
-
-    Only meant for small instances; the bound check refuses anything whose
-    branching product exceeds `cap`.  Behavior log-probs are recorded on
-    every turn, exactly as a rollout would have stored them.
+    Expanded turn by turn as arrays: each live prefix branches into (KEEP,
+    SWITCH to each subgoal) x actions, only the switches at turn 0;
+    zero-mass branches are dropped, finished ones become leaves, and the
+    prefixes still live at the horizon become truncated leaves.  The leaves
+    come in depth-first order (by start state, then by the branch taken at
+    each turn).  Each weight is (P(prefix) * p(q, o)) * p(a), with the
+    subgoal and action factors from `math.exp` and the switch rows from
+    `np.exp`, so the table holds the same floats as a turn-by-turn
+    depth-first recursion would.  Refuses (EnumerationCapExceeded) an
+    expansion whose branching bound exceeds `cap`.
     """
-    if branching_bound(params.n_options, params.n_actions, env.horizon) > cap:
+    n_o, n_a, horizon = params.n_options, params.n_actions, env.horizon
+    if branching_bound(n_o, n_a, horizon) > cap:
         raise EnumerationCapExceeded(
-            f"branching bound exceeds cap ({cap:g}) for horizon {env.horizon}")
-    items: list[tuple[Trajectory, float]] = []
-    lsw = log_softmax(params.switch, axis=-1)
-    lhi = log_softmax(params.subgoal, axis=-1)
-    llo = log_softmax(params.action, axis=-1)
+            f"branching bound exceeds cap ({cap:g}) for horizon {horizon}")
+    nxt, rew, done = transition_tables(env)
+    lsw, lhi, llo = (log_softmax(x, axis=-1)
+                     for x in (params.switch, params.subgoal, params.action))
+    p_hi, p_lo = (np.array([math.exp(x) for x in lp.flat]).reshape(lp.shape)
+                  for lp in (lhi, llo))
+    starts = env.initial_states()
+    state = np.array([s for s, _ in starts], dtype=np.int64)
+    prob = np.array([p for _, p in starts], dtype=np.float64)
+    parent, prev = np.arange(state.size), np.full(state.size, -1)
+    layers, leaves = [], []   # per turn: its branches (parent: start, then branch)
+    for t in range(horizon):
+        q = np.array([KEEP] * (t > 0) + [SWITCH] * n_o)     # the choices (q, o)
+        o = np.broadcast_to(np.arange(n_o), (state.size, n_o))
+        p_qo, lp_sw = p_hi[state], np.full(o.shape, np.nan)
+        if t > 0:
+            sw = np.exp(lsw[state, prev])
+            o = np.hstack([prev[:, None], o])
+            p_qo = np.hstack([sw[:, KEEP, None], sw[:, SWITCH, None] * p_qo])
+            lp_sw = lsw[state, prev][:, q]
+        lp_hi = np.where(q == SWITCH, lhi[state[:, None], o], np.nan)
+        p = ((prob[:, None, None] * p_qo[:, :, None])
+             * p_lo[state[:, None], o]).ravel()
+        kept = np.flatnonzero(p)
+        at, branch = np.divmod(kept, q.size * n_a)
+        c, a = np.divmod(branch, n_a)
+        s, o, p = state[at], o[at, c], p[kept]
+        layers.append({"parent": parent[at], "branch": branch, "state": s,
+                       "q": q[c], "subgoal": o, "action": a, "reward": rew[s, a],
+                       "lp_switch": lp_sw[at, c], "lp_subgoal": lp_hi[at, c],
+                       "lp_action": llo[s, o, a]})
+        ended = done[s, a] | (t == horizon - 1)
+        leaves.append((np.full(ended.sum(), t + 1), np.flatnonzero(ended),
+                       done[s, a][ended], nxt[s, a][ended], p[ended]))
+        parent = np.flatnonzero(~ended)
+        state, prev, prob = nxt[s, a][parent], o[parent], p[parent]
+    length, cur, terminated, final_state, weight = (
+        np.concatenate(col) for col in zip(*leaves))
 
-    def expand(t, state, prev, prob, turns):
-        if t == env.horizon:
-            items.append((Trajectory(tuple(turns), truncated=True,
-                                     final_state=state), prob))
-            return
-        choices: list[tuple[int, int, float, float | None, float | None]] = []
-        if t == 0:
-            for o in range(params.n_options):
-                choices.append((SWITCH, o, math.exp(lhi[state, o]),
-                                None, float(lhi[state, o])))
-        else:
-            p_sw = np.exp(lsw[state, prev])
-            choices.append((KEEP, prev, float(p_sw[KEEP]),
-                            float(lsw[state, prev, KEEP]), None))
-            for o in range(params.n_options):
-                choices.append((SWITCH, o,
-                                float(p_sw[SWITCH] * math.exp(lhi[state, o])),
-                                float(lsw[state, prev, SWITCH]), float(lhi[state, o])))
-        for q, o, p_qo, lp_sw, lp_hi in choices:
-            if p_qo == 0.0:
-                continue
-            for a in range(params.n_actions):
-                p = prob * p_qo * math.exp(llo[state, o, a])
-                if p == 0.0:
-                    continue
-                nxt, r, done = env.transition(state, a)
-                turn = TurnRecord(
-                    t=t, state=state, prev_subgoal=prev if t > 0 else None,
-                    q=q, subgoal=o, action=a, reward=r, raw_reward=r, done=done,
-                    lp_switch=lp_sw, lp_subgoal=lp_hi,
-                    lp_action=float(llo[state, o, a]))
-                turns.append(turn)
-                if done:
-                    items.append((Trajectory(tuple(turns), final_state=nxt), p))
-                else:
-                    expand(t + 1, nxt, o, p, turns)
-                turns.pop()
-
-    for s0, p0 in env.initial_states():
-        expand(0, s0, None, p0, [])
-    return TrajectoryDistribution(items)
+    # walk each leaf back to its start: its branch per turn, for the
+    # depth-first order and the columns
+    n, n_turns = length.size, int(length.max(initial=0))
+    anc = np.zeros((n_turns, n), dtype=np.int64)
+    for t in range(n_turns - 1, -1, -1):
+        live = length > t
+        anc[t] = np.where(live, cur, 0)
+        cur[live] = layers[t]["parent"][cur[live]]
+    mask = np.arange(n_turns)[:, None] < length
+    keys = [np.where(mask[t], layers[t]["branch"][anc[t]], -1) for t in range(n_turns)]
+    order = np.lexsort(keys[::-1] + [cur])          # cur: each leaf's start
+    tt = _empty_table(n, n_turns)
+    tt.length[:], tt.terminated[:] = length[order], terminated[order]
+    tt.final_state[:], tt.weight[:] = final_state[order], weight[order]
+    tt.mask[:] = mask[:, order].T
+    for t, layer in enumerate(layers[:n_turns]):
+        rows = tt.mask[:, t]
+        at = anc[t, order][rows]
+        for name in ("state", "q", "subgoal", "action", "reward", "lp_switch",
+                     "lp_subgoal", "lp_action"):
+            getattr(tt, name)[rows, t] = layer[name][at]
+    tt.raw_reward[:] = tt.reward
+    tt.prev_subgoal[:, 1:][tt.mask[:, 1:]] = tt.subgoal[:, :-1][tt.mask[:, 1:]]
+    return tt
 
 
 # ---------------------------------------------------------------------------
 # Leaf-averaging oracles (small instances; cross-checks for the DP route)
 # ---------------------------------------------------------------------------
 
-def _enumeration_table(env, params, cap) -> TurnTable:
-    """The whole enumeration as one table, each episode weighted by its
-    probability P(tau)."""
-    dist = enumerate_trajectories(env, params, cap)
-    return TurnTable.from_trajectories([traj for traj, _ in dist],
-                                       weights=[p for _, p in dist])
-
-
 def objective_enumerated(env, params, gamma, cap=1e8) -> float:
     """J = E[sum_t gamma^t r_t] by direct leaf averaging."""
-    tt = _enumeration_table(env, params, cap)
+    tt = enumeration_table(env, params, cap)
     return float(np.dot(tt.weight, returns_matrix(tt, gamma)[:, 0]))
 
 
@@ -152,7 +152,7 @@ def score_expectation_enumerated(env, params, cap=1e8) -> GradTables:
 def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
     """The score kernel over the whole enumeration as one table, each turn
     weighted by its trajectory's P(tau), times R_tau when `gamma` is given."""
-    tt = _enumeration_table(env, params, cap)
+    tt = enumeration_table(env, params, cap)
     w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
     rows = gather_rows(tt)
     w = w[rows.episode]
@@ -162,7 +162,7 @@ def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
 def _enumerated_turns(env, params, gamma, cap):
     """Every turn of the enumeration with its return-to-go and its
     trajectory's probability."""
-    tt = _enumeration_table(env, params, cap)
+    tt = enumeration_table(env, params, cap)
     rows = gather_rows(tt)
     return (rows, returns_matrix(tt, gamma)[rows.episode, rows.t],
             tt.weight[rows.episode])
@@ -260,11 +260,12 @@ def solve_dp(env: EnvModel, params: PolicyParams, gamma: float) -> DpSolution:
     for s0, p0 in env.initial_states():
         occ_boundary[0, s0] += p0
         occ[0, s0] += p0 * pi_hi[s0]
+    # each layer's live mass (action, state, option) flows to (next state, option)
+    into = (nxt.T[:, :, None] * n_o + np.arange(n_o)).ravel()
+    pi_live = pi_lo.transpose(2, 0, 1) * (~done.T)[:, :, None]
     for t in range(horizon - 1):
-        inflow = np.zeros((n_s, n_o))
-        for a in range(n_a):
-            mass = occ[t] * pi_lo[:, :, a] * (~done[:, a])[:, None]
-            np.add.at(inflow, nxt[:, a], mass)
+        inflow = np.bincount(into, (occ[t] * pi_live).ravel(), n_s * n_o)
+        inflow = inflow.reshape(n_s, n_o)
         occ_switch[t + 1] = inflow
         switched = (inflow * beta).sum(axis=1)
         occ_boundary[t + 1] = switched
@@ -716,13 +717,6 @@ def _reaching_samples(env, params, values, turns, n, seed, max_rounds):
     return {t: (np.concatenate(lows[t])[:n], np.concatenate(flats[t])[:n]) for t in got}
 
 
-def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
-                    t: int, n: int, seed: int, n_boot: int = 1000,
-                    max_rounds: int = 50) -> VarianceReport:
-    """`variance_reports` at the one turn t."""
-    return variance_reports(env, params, values, [t], n, seed, n_boot, max_rounds)[0]
-
-
 def _bootstrap_variances(rng: np.random.Generator, samples, n_boot: int):
     """Sample variances (ddof 1) of n_boot resamples of each of the
     equal-length `samples`, all resampled with the same indices: the rows of
@@ -785,14 +779,6 @@ def random_table(rng: np.random.Generator, n: int, n_states: int, n_options: int
     tt.terminated[:] = terminated
     tt.final_state[:] = final_state
     return tt
-
-
-def random_trajectory(rng: np.random.Generator, n_states: int, n_options: int,
-                      n_actions: int, max_turns: int = 10,
-                      p_truncated: float = 0.3) -> Trajectory:
-    """One `random_table` episode as a trajectory."""
-    return random_table(rng, 1, n_states, n_options, n_actions, max_turns,
-                        p_truncated).to_trajectories()[0]
 
 
 def random_tables(rng: np.random.Generator, n_states: int, n_options: int,

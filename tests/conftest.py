@@ -5,6 +5,7 @@ import pytest
 
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import unstacked
+from segrl.oracle import random_table
 
 
 def traj_from(qs, rewards, done=True, states=None, subgoals=None, actions=None,
@@ -40,6 +41,14 @@ def traj_from(qs, rewards, done=True, states=None, subgoals=None, actions=None,
         prev = o
     return Trajectory(tuple(turns), truncated=not done,
                       final_state=None if done else final_state)
+
+
+def random_trajectory(rng: np.random.Generator, n_states: int, n_options: int,
+                      n_actions: int, max_turns: int = 10,
+                      p_truncated: float = 0.3) -> Trajectory:
+    """One `oracle.random_table` episode as a trajectory."""
+    return random_table(rng, 1, n_states, n_options, n_actions, max_turns,
+                        p_truncated).to_trajectories()[0]
 
 
 class Walk:

@@ -27,7 +27,9 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   `np.add.at` scatter) for `oracle.mc_gradient_hae`;
 * `variance_report`, one turn with its own rollout loop and the one-shot
   bootstrap (the whole (n_boot, n) index matrix drawn at once), for
-  `oracle.variance_reports`.
+  `oracle.variance_reports`;
+* `enumerate_trajectories`, a depth-first recursion that builds one
+  `Trajectory` per leaf, for `oracle.enumeration_table`.
 
 The library has one implementation of each estimator; `oracle.telescope_check`
 verifies the hierarchical one, `batch.advantage_arrays`, against its closed
@@ -565,6 +567,59 @@ def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
         var_low=float(a_low.var(ddof=1)), var_flat=float(a_flat.var(ddof=1)),
         ci_low=ci(bl), ci_flat=ci(bf), ci_diff=ci(bl - bf))
 
+
+
+# -- exact enumeration ----------------------------------------------------------
+
+def enumerate_trajectories(env: EnvModel, params: PolicyParams):
+    """Every trajectory with its probability, as (trajectory, P) pairs in
+    depth-first order over (q, o-if-switch, a) choices; behavior log-probs
+    recorded on every turn, exactly as a rollout would have stored them."""
+    items = []
+    lsw = log_softmax(params.switch, axis=-1)
+    lhi = log_softmax(params.subgoal, axis=-1)
+    llo = log_softmax(params.action, axis=-1)
+
+    def expand(t, state, prev, prob, turns):
+        if t == env.horizon:
+            items.append((Trajectory(tuple(turns), truncated=True,
+                                     final_state=state), prob))
+            return
+        choices = []
+        if t == 0:
+            for o in range(params.n_options):
+                choices.append((SWITCH, o, math.exp(lhi[state, o]),
+                                None, float(lhi[state, o])))
+        else:
+            p_sw = np.exp(lsw[state, prev])
+            choices.append((KEEP, prev, float(p_sw[KEEP]),
+                            float(lsw[state, prev, KEEP]), None))
+            for o in range(params.n_options):
+                choices.append((SWITCH, o,
+                                float(p_sw[SWITCH] * math.exp(lhi[state, o])),
+                                float(lsw[state, prev, SWITCH]), float(lhi[state, o])))
+        for q, o, p_qo, lp_sw, lp_hi in choices:
+            if p_qo == 0.0:
+                continue
+            for a in range(params.n_actions):
+                p = prob * p_qo * math.exp(llo[state, o, a])
+                if p == 0.0:
+                    continue
+                nxt, r, done = env.transition(state, a)
+                turns.append(TurnRecord(
+                    t=t, state=state, prev_subgoal=prev if t > 0 else None,
+                    q=q, subgoal=o, action=a, reward=r, raw_reward=r, done=done,
+                    lp_switch=lp_sw, lp_subgoal=lp_hi,
+                    lp_action=float(llo[state, o, a])))
+                if done:
+                    items.append((Trajectory(tuple(turns), final_state=nxt), p))
+                else:
+                    expand(t + 1, nxt, o, p, turns)
+                turns.pop()
+
+    for s0, p0 in env.initial_states():
+        expand(0, s0, None, p0, [])
+    return items
 
 # -- PPO ratios ---------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from segrl.gradcheck import gradcheck_report
 from segrl.oracle import (oracle_values, exact_critic_batch,
                           score_expectation_enumerated, solve_dp,
                           switching_exactness_report, telescope_check,
-                          unbiasedness_report, variance_report)
+                          unbiasedness_report, variance_reports)
 from segrl.parsing import (FORMAT_PENALTY, ingest_log, ingest_transcript_file,
                            parse_blocks, read_transcript)
 from segrl.policy import PolicyParams, fetchchain_phased
@@ -100,9 +100,9 @@ def test_c05_variance_reduction(bench):
     start = time.time()
     worst_upper = -np.inf
     for seed in (1, 2, 3):
-        for t in range(env.horizon):
-            rep = variance_report(env, params, values, t=t, n=10000, seed=seed)
-            assert rep.reduction_confirmed, (seed, t, rep.ci_diff)
+        for rep in variance_reports(env, params, values, range(env.horizon),
+                                    n=10000, seed=seed):
+            assert rep.reduction_confirmed, (seed, rep.t, rep.ci_diff)
             worst_upper = max(worst_upper, rep.ci_diff[1])
     # equality case: a single subgoal that is never switched away carries no
     # information, and the two estimators coincide
@@ -110,8 +110,8 @@ def test_c05_variance_reduction(bench):
     eq_params.switch[:, :, 0] = 30.0
     eq_values = oracle_values(env, params=eq_params, gamma=1.0)
     overlaps = []
-    for t in range(env.horizon):
-        rep = variance_report(env, eq_params, eq_values, t=t, n=10000, seed=4)
+    for rep in variance_reports(env, eq_params, eq_values, range(env.horizon),
+                                n=10000, seed=4):
         overlaps.append(rep.overlapping)
         assert abs(rep.var_low - rep.var_flat) < 1e-10
     assert all(overlaps)

@@ -10,11 +10,11 @@ from segrl.advantages import GAEConfig, whiten
 from segrl.batch import TurnTable, advantage_arrays, flat_advantage_arrays
 from segrl.core import segment_boundaries
 from segrl.critic import ValueTables
-from segrl.oracle import random_tables, random_trajectory, telescope_check
+from segrl.oracle import random_tables, telescope_check
 from segrl.policy import PolicyParams
 
 import spec
-from conftest import traj_from
+from conftest import random_trajectory, traj_from
 
 
 def cfg_with(**kw):

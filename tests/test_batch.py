@@ -14,13 +14,12 @@ from segrl.core import KEEP, MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
-from segrl.oracle import (mc_gradient_hae, oracle_values, random_tables,
-                          random_trajectory)
+from segrl.oracle import mc_gradient_hae, oracle_values, random_tables
 from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.rng import CounterRng
 
 import spec
-from conftest import (Walk, head_ratios, kernel_scores, traj_from,
+from conftest import (Walk, head_ratios, kernel_scores, random_trajectory, traj_from,
                       weighted_target_maps)
 
 

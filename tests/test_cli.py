@@ -22,7 +22,7 @@ from segrl.config import _FLOAT_KEYS, KNOWN_KEYS, ConfigError, parse_config_text
 from segrl.core import InputError, load_trajectories, write_trajectories
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain
-from segrl.oracle import oracle_values, variance_report
+from segrl.oracle import oracle_values
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
                           load_policy, save_policy)
 from segrl.rng import CounterRng
@@ -338,6 +338,21 @@ class TestMalformedInputs:
                        "--policy", str(tmp_path / "policy.txt"),
                        "--out", str(tmp_path / "adv")], capsys, "policy")
 
+    def test_flat_baseline_values_are_named(self, tmp_path, capsys):
+        # a train-flat run's values-final.txt has 0 options
+        (tmp_path / "run.cfg").write_text("iterations = 2\nepisodes_per_iter = 8\n"
+                                          "env.L = 3\nenv.H = 6\n")
+        assert dispatch(["train-flat", "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(tmp_path / "flat")]) == 0
+        path = tmp_path / "ep.jsonl"
+        path.write_text(json.dumps(dict(BAD_EPISODE[0], done=True)) + "\n")
+        capsys.readouterr()
+        self._refused(["advantages", "--input", str(path),
+                       "--values", str(tmp_path / "flat" / "values-final.txt"),
+                       "--out", str(tmp_path / "adv")], capsys,
+                      "flat baseline", "0 options")
+        assert not (tmp_path / "adv").exists()
+
     def test_transcript_without_action(self, tmp_path, capsys):
         path = tmp_path / "no-action.txt"
         path.write_text("<switch>SWITCH</switch>\n<subgoal>find a knife</subgoal>\n"
@@ -604,15 +619,22 @@ class TestBitIdentity:
 
 
 class TestDemos:
-    def test_segments_demo_runs(self):
+    @staticmethod
+    def _runs(demo):
         done = subprocess.run(
-            [sys.executable, str(ROOT / "demos" / "01_segments_and_returns.py")],
+            [sys.executable, str(ROOT / "demos" / demo)],
             capture_output=True, text=True, env=_subprocess_env(), timeout=60)
         assert done.returncode == 0, done.stderr
 
+    def test_segments_demo_runs(self):
+        self._runs("01_segments_and_returns.py")
+
+    def test_exact_oracles_demo_runs(self):
+        self._runs("02_exact_oracles.py")
+
     def test_demo_and_readme_imports_resolve(self):
-        # only demo 01 runs here: every segrl name the other demos and the
-        # README's Python blocks import must still exist
+        # only demos 01 and 02 run here: every segrl name the other demos and
+        # the README's Python blocks import must still exist
         sources = [(path.name, path.read_text())
                    for path in sorted((ROOT / "demos").glob("*.py"))]
         sources += [("README.md", block) for block in re.findall(
@@ -665,7 +687,7 @@ class TestVerifyReports:
         values = oracle_values(env, params, 1.0)
         rows = []
         for t in range(env.horizon):
-            rep = variance_report(env, params, values, t=t, n=2000, seed=5)
+            rep = spec.variance_report(env, params, values, t=t, n=2000, seed=5)
             rows.append({"t": t, "var_low": rep.var_low, "var_flat": rep.var_flat,
                          "ci_diff_upper": rep.ci_diff[1],
                          "reduced": rep.reduction_confirmed})

@@ -13,11 +13,11 @@ from segrl.core import (KEEP, InputError, MalformedTrajectory, load_trajectories
                         read_trajectories, segment_boundaries,
                         write_trajectories)
 from segrl.envs import FetchChain
-from segrl.oracle import random_tables, random_trajectory
+from segrl.oracle import random_tables
 from segrl.policy import PolicyParams
 
 import spec
-from conftest import traj_from
+from conftest import random_trajectory, traj_from
 
 
 def returns(traj, gamma):

@@ -6,11 +6,11 @@ from segrl.batch import (TurnTable, _critic_rows, critic_batch_from_table,
 from segrl.core import MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, fit_critic, stacked
 from segrl.envs import FetchChain
-from segrl.oracle import (enumerate_trajectories, exact_critic_batch,
-                          oracle_values, random_tables, random_trajectory)
+from segrl.oracle import (enumeration_table, exact_critic_batch,
+                          oracle_values, random_tables)
 from segrl.policy import PolicyParams, fetchchain_phased
 
-from conftest import traj_from, weighted_target_maps
+from conftest import random_trajectory, traj_from, weighted_target_maps
 
 
 def sentinel_tables(n_states, n_options, high=1000.0, low=-7.0):
@@ -193,8 +193,7 @@ class TestFitCritic:
         env = FetchChain(2, 3)
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.6)
         gamma = 0.9
-        dist = enumerate_trajectories(env, p)
-        tt = TurnTable.from_trajectories([t for t, _ in dist], [w for _, w in dist])
+        tt = enumeration_table(env, p)
         cb_t = critic_batch_from_table(tt, gamma, env.n_states, 2)
         cb_e = exact_critic_batch(env, p, gamma)
         assert np.allclose(cb_t.w, cb_e.w, atol=1e-12)
@@ -222,8 +221,7 @@ class TestFlatCritic:
         env = FetchChain(2, 3)
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.6)
         gamma = 0.9
-        dist = enumerate_trajectories(env, p)
-        tt = TurnTable.from_trajectories([t for t, _ in dist], [w for _, w in dist])
+        tt = enumeration_table(env, p)
         batch = flat_batch_from_table(tt, gamma, env.n_states)
         v, _ = fit_flat_critic(np.zeros(env.n_states), batch, lr=0.5, epochs=5)
         vals = oracle_values(env, p, gamma)

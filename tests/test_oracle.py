@@ -1,21 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
                          flat_advantage_arrays, rollout_batch)
+from segrl.core import KEEP
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           conditional_switch_values_enumerated,
-                          enumerate_trajectories, exact_critic_batch,
+                          enumeration_table, exact_critic_batch,
                           mc_gradient_hae, objective,
                           objective_enumerated, oracle_gradient,
                           oracle_gradient_enumerated, oracle_values,
                           oracle_values_enumerated, score_expectation_enumerated,
                           solve_dp, success_probability,
                           random_table, switching_exactness_report,
-                          unbiasedness_report, variance_report,
-                          variance_reports)
+                          unbiasedness_report, variance_reports)
 from segrl.policy import PolicyParams, fetchchain_phased
 
 import spec
@@ -34,28 +36,72 @@ class TestEnumeration:
     def test_onestep_leaf_count_and_probability(self):
         env = OneStep(n_actions=3, reward=10.0)
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        dist = enumerate_trajectories(env, params)
+        tt = enumeration_table(env, params)
         # the forced first switch leaves |O| * |A| leaves
-        assert len(dist) == 2 * 3
-        assert dist.total_probability == pytest.approx(1.0, abs=1e-9)
-        for traj, p in dist:
+        assert tt.n_episodes == 2 * 3
+        assert tt.weight.sum() == pytest.approx(1.0, abs=1e-9)
+        for p, n_turns, terminated in zip(tt.weight, tt.length, tt.terminated):
             assert p == pytest.approx(1.0 / 6.0)
-            assert traj.n_turns == 1 and traj.terminated
+            assert n_turns == 1 and terminated
 
     def test_fetchchain_leaf_count_matches_branching_product(self):
         env = FetchChain(3, 4)
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        dist = enumerate_trajectories(env, params)
+        tt = enumeration_table(env, params)
         # no episode can terminate early within 4 turns, so the count is the
         # full product: (O*A) * ((1+O)*A)^(H-1)
-        assert len(dist) == branching_bound(2, 4, 4) == 8 * 12 ** 3
-        assert dist.total_probability == pytest.approx(1.0, abs=1e-9)
+        assert tt.n_episodes == branching_bound(2, 4, 4) == 8 * 12 ** 3
+        assert tt.weight.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_cap_enforced(self):
         env = FetchChain(5, 20)
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_trajectories(env, params, cap=1e6)
+            enumeration_table(env, params, cap=1e6)
+
+
+def _zero_branch_policy():
+    """FetchChain(2, 3) with some -1e3 logits: their branches have mass 0."""
+    env = FetchChain(2, 3)
+    params = PolicyParams.random(np.random.default_rng(9), env.n_states, 2,
+                                 env.n_actions, scale=0.8)
+    params.action[::2, :, 0] = -1e3
+    params.subgoal[1::3, 1] = -1e3
+    params.switch[::2, 0, KEEP] = -1e3
+    return env, params
+
+
+class TestEnumerationTable:
+    """`enumeration_table` against the depth-first recursion of the spec,
+    validated through `TurnTable.from_trajectories`: equal column by column,
+    bit for bit, in the same leaf order."""
+
+    @pytest.mark.parametrize("case", ["onestep", "chain23", "chain34", "walk",
+                                      "zero_branches"])
+    def test_equals_the_recursion(self, case):
+        if case == "zero_branches":
+            env, params = _zero_branch_policy()
+        else:
+            env = {"onestep": lambda: OneStep(n_actions=3, reward=10.0),
+                   "chain23": lambda: FetchChain(2, 3),
+                   "chain34": lambda: FetchChain(3, 4), "walk": Walk}[case]()
+            params = PolicyParams.random(np.random.default_rng(7), env.n_states, 2,
+                                         env.n_actions, scale=0.8)
+        items = spec.enumerate_trajectories(env, params)
+        want = TurnTable.from_trajectories([traj for traj, _ in items],
+                                           weights=[p for _, p in items])
+        got = enumeration_table(env, params)
+        for field in dataclasses.fields(TurnTable):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and np.array_equal(
+                a, b, equal_nan=a.dtype.kind == "f"), field.name
+
+    def test_zero_mass_branches_are_dropped(self):
+        env, params = _zero_branch_policy()
+        tt = enumeration_table(env, params)
+        assert tt.n_episodes < branching_bound(2, env.n_actions, env.horizon)
+        assert (tt.weight > 0).all()
+        assert not (tt.mask & (tt.action == 0) & (tt.state % 2 == 0)).any()
 
 
 class TestDualRoutes:
@@ -98,10 +144,10 @@ class TestTruncatedLeaves:
         return env, PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.8)
 
     def test_enumeration_cuts_at_the_horizon(self, walk):
-        dist = enumerate_trajectories(*walk)
-        assert len(dist) == 1248
-        assert sum(traj.truncated for traj, _ in dist) == 864
-        assert dist.total_probability == pytest.approx(1.0, abs=1e-12)
+        tt = enumeration_table(*walk)
+        assert tt.n_episodes == 1248
+        assert np.sum(~tt.terminated) == 864
+        assert tt.weight.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dual_routes(self, walk):
         env, params = walk
@@ -115,16 +161,15 @@ class TestTruncatedLeaves:
             leaf = oracle_values_enumerated(env, params, gamma)
             for name in ("v_high", "v_low", "v_flat"):
                 assert np.allclose(getattr(dp, name), getattr(leaf, name), atol=1e-11)
-        mass = sum(p for traj, p in enumerate_trajectories(env, params)
-                   if traj.terminated and traj.final_state == env.goal_state)
+        tt = enumeration_table(env, params)
+        mass = tt.weight[tt.terminated & (tt.final_state == env.goal_state)].sum()
         assert 0.0 < mass < 1.0
         assert success_probability(env, params) == pytest.approx(mass, abs=1e-12)
 
     def test_exact_critic_batch_matches_the_enumeration(self, walk):
         env, params = walk
         gamma = 0.9
-        dist = enumerate_trajectories(env, params)
-        tt = TurnTable.from_trajectories([t for t, _ in dist], [w for _, w in dist])
+        tt = enumeration_table(env, params)
         cb_t = critic_batch_from_table(tt, gamma, env.n_states, 2)
         cb_e = exact_critic_batch(env, params, gamma)
         assert np.allclose(cb_t.w, cb_e.w, atol=1e-12)
@@ -248,9 +293,8 @@ class TestSuccessProbability:
         env = FetchChain(2, 5)
         rng = np.random.default_rng(8)
         params = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.5)
-        dist = enumerate_trajectories(env, params)
-        mass = sum(p for traj, p in dist
-                   if traj.terminated and traj.final_state == env.goal_state)
+        tt = enumeration_table(env, params)
+        mass = tt.weight[tt.terminated & (tt.final_state == env.goal_state)].sum()
         assert success_probability(env, params) == pytest.approx(mass, abs=1e-12)
 
 
@@ -285,8 +329,8 @@ class TestMonteCarloHarnesses:
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
         vals = oracle_values(env, params, 1.0)
-        small = variance_report(env, params, vals, t=2, n=400, seed=2)
-        large = variance_report(env, params, vals, t=2, n=8000, seed=2)
+        small, = variance_reports(env, params, vals, [2], n=400, seed=2)
+        large, = variance_reports(env, params, vals, [2], n=8000, seed=2)
         width = lambda ci: ci[1] - ci[0]
         assert width(small.ci_diff) > width(large.ci_diff)
 
@@ -295,7 +339,7 @@ class TestMonteCarloHarnesses:
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
         vals = oracle_values(env, params, 1.0)
         with pytest.raises(RuntimeError):
-            variance_report(env, params, vals, t=7, n=100, seed=0, max_rounds=2)
+            variance_reports(env, params, vals, [7], n=100, seed=0, max_rounds=2)
 
     def test_equality_case_single_subgoal_never_switching(self):
         env = FetchChain(3, 6)
@@ -321,8 +365,8 @@ class TestVarianceReports:
     @pytest.mark.parametrize("n,t", [(3000, 4), (10000, 1)])
     def test_equals_the_dense_one_shot_bootstrap(self, phased, n, t):
         env, params, vals = phased
-        assert (variance_report(env, params, vals, t=t, n=n, seed=3)
-                == spec.variance_report(env, params, vals, t=t, n=n, seed=3))
+        assert (variance_reports(env, params, vals, [t], n=n, seed=3)
+                == [spec.variance_report(env, params, vals, t=t, n=n, seed=3)])
 
     def test_an_unreachable_turn_is_named(self, phased):
         env, params, vals = phased

@@ -7,11 +7,12 @@ from segrl.batch import TurnTable, gather_rows, record_behavior, rollout_batch
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.gradcheck import turn_log_likelihood
-from segrl.oracle import enumerate_trajectories, random_trajectory
+from segrl.oracle import enumeration_table
 from segrl.policy import (PolicyParams, fetchchain_expert, load_policy,
                           save_policy, switch_prob)
 
-from conftest import Walk, kernel_log_probs, kernel_scores, one_turn
+from conftest import (Walk, kernel_log_probs, kernel_scores, one_turn,
+                      random_trajectory)
 
 
 def small_params(rng, n_s=5, n_o=3, n_a=4, scale=1.0):
@@ -108,10 +109,10 @@ class TestLogProb:
     def test_density_matches_enumeration(self, rng):
         env = FetchChain(2, 3)
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.8)
-        dist = enumerate_trajectories(env, p)
-        rows = gather_rows(TurnTable.from_trajectories([traj for traj, _ in dist]))
+        tt = enumeration_table(env, p)
+        rows = gather_rows(tt)
         total = np.bincount(rows.episode, turn_log_likelihood(rows, p))
-        for got, (_, prob) in zip(total, dist):
+        for got, prob in zip(total, tt.weight):
             assert got == pytest.approx(math.log(prob), abs=1e-10)
 
     def test_head_normalization(self, rng):
