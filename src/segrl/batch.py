@@ -3,9 +3,10 @@
 TurnTable stores a batch of episodes as padded (n_episodes, max_turns)
 arrays.  The kernels here are the one implementation of the rollout, the
 segment-aware advantage estimators, the critic regression rows and the
-per-head policy pass with its score sums (the trainer, the Monte-Carlo and
-enumerated oracles and gradcheck all run it); the tests check them against
-per-episode and per-turn reference forms.  One row builder writes every
+per-head policy pass with its score sums (the Monte-Carlo and enumerated
+oracles and gradcheck run it; the trainer's minibatch step stacks the same
+sites); the tests check them against per-episode and per-turn reference
+forms.  One row builder writes every
 sampled value target: the critic regresses on its rows, and the advantage
 kernel takes its low and high TD residuals as those rows' errors; the flat
 comparator's own kernel bootstraps at the same closing states.  Because
@@ -192,34 +193,38 @@ def _empty_table(n: int, t_max: int) -> TurnTable:
     )
 
 
-def _sample_rows(logits: np.ndarray, u: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF draws over explicitly normalized softmax rows: the first
-    index whose CDF exceeds u (ties go right), clamped to the last; and the
-    log-softmax of the drawn index.  Both come from one max/exp/sum."""
-    z = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(z)
-    total = np.sum(e, axis=1, keepdims=True)
-    cdf = np.cumsum(e / total, axis=1)
-    cdf /= cdf[:, -1:]
-    idx = np.sum(cdf <= u[:, None], axis=1)
-    idx = np.minimum(idx, logits.shape[1] - 1).astype(np.int64)
-    rows = np.arange(idx.size)
-    return idx, z[rows, idx] - np.log(total[:, 0])
+def _head_tables(params: PolicyParams, greedy: bool) -> list:
+    """Per head in stream order (switch, subgoal, action), over every cell
+    of its table: the argmax when greedy; else the explicitly normalized
+    softmax CDF without its last entry, so that an inverse-CDF draw is the
+    count of entries <= u (ties go right, the last index takes the rest),
+    and the log-softmax.  Both come from one max/exp/sum per row."""
+    out = []
+    for table in (params.switch, params.subgoal, params.action):
+        x = cell_rows(table)
+        if greedy:
+            out.append(np.argmax(x, axis=1))
+            continue
+        z = x - np.max(x, axis=1, keepdims=True)
+        e = np.exp(z)
+        total = np.sum(e, axis=1, keepdims=True)
+        cdf = np.cumsum(e / total, axis=1)
+        cdf /= cdf[:, -1:]
+        out.append((cdf[:, :-1].copy(), z - np.log(total)))
+    return out
 
 
 def _start_states(env: EnvModel, seed: int, ep_ids: np.ndarray) -> np.ndarray:
     """Each episode's start state, drawn from its stream (head 3) when the
     env has more than one."""
     starts = env.initial_states()
+    ids = np.array([s for s, _ in starts], dtype=np.int64)
     if len(starts) == 1:
-        return np.full(ep_ids.size, starts[0][0], dtype=np.int64)
-    u0 = counter_uniform(seed, ep_ids, 0, 3)
+        return np.full(ep_ids.size, ids[0])
     cdf = np.cumsum([p for _, p in starts])
-    cdf = cdf / cdf[-1]
-    pick = np.searchsorted(cdf, u0, side="right")
-    return np.array([starts[int(min(k, len(starts) - 1))][0] for k in pick],
-                    dtype=np.int64)
+    pick = np.searchsorted(cdf / cdf[-1], counter_uniform(seed, ep_ids, 0, 3),
+                           side="right")
+    return ids[np.minimum(pick, len(starts) - 1)]
 
 
 def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: int,
@@ -238,10 +243,16 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
     start = _start_states(env, seed, ep_ids)
     if greedy:
         distinct, which = np.unique(start, return_inverse=True)
-        once = _roll(env, params, distinct, seed, None)
+        once = _roll(env, params, distinct, seed, None,
+                     _empty_table(distinct.size, env.horizon))
         tt = TurnTable(**{k: v[which] for k, v in vars(once).items()})
     else:
-        tt = _roll(env, params, start, seed, ep_ids)
+        tt = _empty_table(ep_ids.size, env.horizon)
+        # blocks of episodes bound the draws and turn columns held at once
+        step = max(1, _ROLL_SLOTS // env.horizon)
+        for lo in range(0, ep_ids.size, step):
+            part = TurnTable(**{k: v[lo:lo + step] for k, v in vars(tt).items()})
+            _roll(env, params, start[lo:lo + step], seed, ep_ids[lo:lo + step], part)
     if c_keep > 0.0:
         keeps = tt.mask & (tt.q == KEEP)
         tt.reward[keeps] -= c_keep
@@ -249,77 +260,67 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
 
 
 _HEAD_KEYS = np.array([HEAD_SWITCH, HEAD_SUBGOAL, HEAD_ACTION])[:, None]
+_ROLL_SLOTS = 2 ** 16  # (episode, turn) slots per rolled block
+_ROLLED = ("mask", "state", "prev_subgoal", "q", "subgoal", "action", "reward",
+           "lp_switch", "lp_subgoal", "lp_action")
 
 
 def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, seed: int,
-          ep_ids: np.ndarray | None) -> TurnTable:
-    """Episodes from the given start states: sampled with the streams of
-    `ep_ids`, or greedy (argmax, no log-probs) when `ep_ids` is None."""
+          ep_ids: np.ndarray | None, tt: TurnTable) -> TurnTable:
+    """Episodes from the given start states, written into the empty table
+    `tt`: sampled with the streams of `ep_ids`, or greedy (argmax, no
+    log-probs) when `ep_ids` is None.
+
+    The policy is frozen for the whole batch, so each head's draw table is
+    computed once over all its cells and every (turn, head, episode) draw
+    is hashed in one call; a turn only gathers and compares.  Every episode
+    steps until all are done, and the turns after its end are reset to the
+    padding at the end."""
     greedy = ep_ids is None
     nxt_tab, rew_tab, done_tab = transition_tables(env)
-    n = state.size
-    tt = _empty_table(n, env.horizon)
-    state = state.copy()
-    prev = np.full(n, -1, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    for t in range(env.horizon):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        s = state[idx]
-        p = prev[idx]
-        if not greedy:
-            # one draw per head per live episode
-            u = counter_uniform(seed, ep_ids[idx], t, _HEAD_KEYS)
-        if t == 0:
-            q = np.ones(idx.size, dtype=np.int64)
-            lp_sw = np.full(idx.size, np.nan)
-        elif greedy:
-            q = np.argmax(params.switch[s, p], axis=1).astype(np.int64)
-        else:
-            q, lp_sw = _sample_rows(params.switch[s, p], u[HEAD_SWITCH])
-        sw = np.flatnonzero(q == SWITCH)
-        o = p.copy()
-        lp_hi = np.full(idx.size, np.nan)
-        if sw.size:
-            logits = params.subgoal[s[sw]]
-            if greedy:
-                o[sw] = np.argmax(logits, axis=1)
-            else:
-                o[sw], lp_hi[sw] = _sample_rows(logits, u[HEAD_SUBGOAL][sw])
-        logits = params.action[s, o]
+    n, n_o = state.size, params.n_options
+    heads = _head_tables(params, greedy)
+    if not greedy:
+        u = counter_uniform(seed, ep_ids, np.arange(env.horizon)[:, None, None],
+                            _HEAD_KEYS)
+
+    def choose(head: int, cell: np.ndarray, t: int):
         if greedy:
-            a = np.argmax(logits, axis=1).astype(np.int64)
+            return heads[head][cell], None
+        cdf, lp = heads[head]
+        k = np.count_nonzero(cdf[cell] <= u[t, head, :, None], axis=1)
+        return k, lp[cell, k]
+
+    turns = []
+    s, prev = state, np.full(n, -1, dtype=np.int64)
+    alive, final = np.ones(n, dtype=bool), np.full(n, -1, dtype=np.int64)
+    for t in range(env.horizon):
+        if not alive.any():
+            break
+        if t == 0:  # the first turn always switches, with no log-prob
+            q, lp_sw = np.full(n, SWITCH, dtype=np.int64), np.full(n, np.nan)
         else:
-            a, lp_lo = _sample_rows(logits, u[HEAD_ACTION])
-            tt.lp_switch[idx, t] = lp_sw
-            tt.lp_subgoal[idx, t] = lp_hi
-            tt.lp_action[idx, t] = lp_lo
-
-        s2 = nxt_tab[s, a]
-        r = rew_tab[s, a]
+            q, lp_sw = choose(HEAD_SWITCH, s * n_o + prev, t)
+        o, lp_hi = choose(HEAD_SUBGOAL, s, t)
+        o = np.where(q == KEEP, prev, o)
+        a, lp_lo = choose(HEAD_ACTION, s * n_o + o, t)
         d = done_tab[s, a]
+        turns.append((alive, s, prev, q, o, a, rew_tab[s, a], lp_sw, lp_hi, lp_lo))
+        s, prev = nxt_tab[s, a], o
+        final = np.where(alive & d, s, final)
+        alive = alive & ~d
 
-        tt.state[idx, t] = s
-        tt.prev_subgoal[idx, t] = p
-        tt.q[idx, t] = q
-        tt.subgoal[idx, t] = o
-        tt.action[idx, t] = a
-        tt.reward[idx, t] = r
-        tt.raw_reward[idx, t] = r
-        tt.mask[idx, t] = True
-        tt.length[idx] += 1
-
-        fin = idx[d]
-        tt.terminated[fin] = True
-        tt.final_state[fin] = s2[d]
-        cont = idx[~d]
-        state[cont] = s2[~d]
-        prev[cont] = o[~d]
-        alive[fin] = False
-
-    still = np.flatnonzero(alive)
-    tt.final_state[still] = state[still]  # truncated at the horizon
+    if turns:
+        mask = np.stack([turn[0] for turn in turns], axis=1)
+        for name, col in zip(_ROLLED, zip(*turns)):
+            if col[-1] is not None:  # greedy turns draw no log-probs
+                pad = getattr(tt, name)[:, :mask.shape[1]]
+                pad[...] = np.where(mask, np.stack(col, axis=1), pad)
+    tt.lp_subgoal[tt.q == KEEP] = np.nan
+    tt.raw_reward[:] = tt.reward
+    tt.length[:] = tt.mask.sum(axis=1)
+    tt.terminated[:] = final >= 0
+    tt.final_state[:] = np.where(alive, s, final)  # truncated at the horizon
     return tt
 
 
@@ -394,18 +395,21 @@ def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
 
 def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
                       gamma: float | np.ndarray,
-                      params: PolicyParams | None = None) -> BatchAdvantages:
+                      params: PolicyParams | None = None,
+                      built: tuple | None = None) -> BatchAdvantages:
     """`advantage_arrays` with `gamma` in place of cfg.gamma: one discount,
     or one per episode (an (n,) array).  A scalar takes the same arithmetic
-    as a per-episode entry."""
-    sm = segment_masks(tt)
+    as a per-episode entry.  `built` holds the table's critic rows, as
+    `_critic_batch` returns them, when they were built at `gamma` already."""
+    if built is None:
+        sm = segment_masks(tt)
+        built = (sm, *_critic_rows(tt, gamma, sm, tables.n_states, tables.n_options))
+    sm, rows, lo, hi, gtilde_hi = built
     n, t_max = tt.mask.shape
     cols = np.arange(t_max)
 
     # TD residuals: each critic row's target minus the value of its cell,
     # per turn (low) and per boundary turn (high)
-    rows, lo, hi, gtilde_hi = _critic_rows(tt, gamma, sm, tables.n_states,
-                                           tables.n_options)
     v = stacked(tables)
     delta = row_targets(rows, v) - v[rows["cell"]]
     d_low, d_high, gtilde = (np.zeros((n, t_max)) for _ in range(3))
@@ -542,8 +546,15 @@ def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
                             n_options: int) -> CriticBatch:
     """One single-coupling row per turn (low head) and per segment (high
     head); see CriticBatch for the stacked cell indexing."""
-    rows = _critic_rows(tt, gamma, segment_masks(tt), n_states, n_options)[0]
-    return CriticBatch.from_rows(rows, gamma, n_states, n_options)
+    return _critic_batch(tt, gamma, n_states, n_options)[0]
+
+
+def _critic_batch(tt: TurnTable, gamma: float, n_states: int, n_options: int):
+    """`critic_batch_from_table`, and its rows as the advantage kernel reads
+    them: (segment masks, rows, low and high row positions, g~)."""
+    sm = segment_masks(tt)
+    built = (sm, *_critic_rows(tt, gamma, sm, n_states, n_options))
+    return CriticBatch.from_rows(built[1], gamma, n_states, n_options), built
 
 
 def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> CriticBatch:
@@ -586,10 +597,6 @@ class TurnRows:
     def __len__(self) -> int:
         return len(self.state)
 
-    def take(self, idx: np.ndarray) -> "TurnRows":
-        return TurnRows(*[None if v is None else v[idx]
-                          for v in self.__dict__.values()])
-
 
 def gather_rows(tt: TurnTable, adv: BatchAdvantages | None = None) -> TurnRows:
     """The table's turns in row-major order, with `adv`'s advantages."""
@@ -631,13 +638,6 @@ class HeadPass:
     lp: np.ndarray
     p: np.ndarray
 
-    def take(self, keep: np.ndarray) -> "HeadPass":
-        """The pass restricted to the present turns where `keep` holds."""
-        at = self.at.copy()
-        at[at] = keep
-        return HeadPass(at, self.cell[keep], self.chosen[keep], self.lp[keep],
-                        self.p[keep])
-
     def live(self) -> np.ndarray:
         return self.lp[np.arange(len(self.cell)), self.chosen]
 
@@ -647,17 +647,20 @@ def cell_rows(table: np.ndarray) -> np.ndarray:
     return table.reshape(-1, table.shape[-1])
 
 
+def head_sites(rows: TurnRows, n_options: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per head in `HEADS` order, over every row: whether the head is
+    present (the action head at every turn, the subgoal head at switch
+    turns, the switch head from t = 1 on), its cell and the index chosen."""
+    return ((np.ones(len(rows), dtype=bool), rows.state * n_options + rows.subgoal,
+             rows.action),
+            (rows.q == SWITCH, rows.state, rows.subgoal),
+            (rows.t > 0, rows.state * n_options + rows.prev_subgoal, rows.q))
+
+
 def policy_pass(rows: TurnRows, params: PolicyParams) -> tuple[HeadPass, ...]:
-    """Per head in `HEADS` order: the action head at every turn, the
-    subgoal head at switch turns, the switch head from t = 1 on."""
-    n_o = params.n_options
-    sites = (
-        (np.ones(len(rows), dtype=bool), rows.state * n_o + rows.subgoal, rows.action),
-        (rows.q == SWITCH, rows.state, rows.subgoal),
-        (rows.t > 0, rows.state * n_o + rows.prev_subgoal, rows.q),
-    )
+    """Per head in `HEADS` order, at the turns it is present at."""
     out = []
-    for name, (at, cell, chosen) in zip(HEADS, sites):
+    for name, (at, cell, chosen) in zip(HEADS, head_sites(rows, params.n_options)):
         cell = cell[at]
         lp = log_softmax(cell_rows(getattr(params, name))[cell], axis=1)
         out.append(HeadPass(at, cell, chosen[at], lp, np.exp(lp)))

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import (HEADS, HeadPass, TurnRows, TurnTable, advantage_arrays,
+from .batch import (HEADS, TurnRows, TurnTable, _advantage_arrays, _critic_batch,
                     batch_stats, cell_rows, critic_batch_from_table,
                     flat_advantage_arrays, flat_batch_from_table, gather_rows,
-                    policy_pass, rollout_batch, row_sums, score_sums)
+                    head_sites, rollout_batch)
 from .critic import ValueTables, fit_critic, unstacked
 from .envs import EnvModel
-from .policy import GradTables, PolicyParams, log_softmax, softmax
+from .policy import (GradTables, PolicyParams, log_softmax, params_as_vector,
+                     split_tables)
 from .rng import SEED_BOUND, derive_seed
 
 METRICS_HEADER = ("iter,mean_return,success,mean_segments,mean_seg_len,"
@@ -128,14 +129,15 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# One log-softmax pass per head (`batch.policy_pass`); the surrogates and
-# the KL read it
+# The minibatch step: one log-softmax per head over the minibatch's sites,
+# then the surrogate and the KL gradients with one bincount each
 # ---------------------------------------------------------------------------
 
-def _ref_log_probs(ref: PolicyParams) -> tuple[np.ndarray, ...]:
-    """Log-softmax of every cell of the reference policy, per head."""
-    return tuple(log_softmax(cell_rows(getattr(ref, name)), axis=1)
-                 for name in HEADS)
+def _ref_log_probs(ref: PolicyParams) -> np.ndarray:
+    """Log-softmax of every cell of the reference policy, laid out as
+    `params_as_vector`."""
+    return np.concatenate([log_softmax(cell_rows(getattr(ref, name)), axis=1).ravel()
+                           for name in ("switch", "subgoal", "action")])
 
 
 def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
@@ -151,119 +153,116 @@ def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
     alt = clipped * adv
     take_raw = raw <= alt
     value = np.where(take_raw, raw, alt)
-    grad_w = np.where(take_raw, ratio * adv, 0.0)
+    grad_w = np.where(take_raw, raw, 0.0)
     return value, grad_w
 
 
-def _grad_tables(params: PolicyParams, parts: dict) -> GradTables:
-    """GradTables from the heads in `parts`, zero for the others."""
-    return GradTables(*[parts[name] if name in parts
-                        else np.zeros_like(getattr(params, name))
-                        for name in ("switch", "subgoal", "action")])
+@dataclass
+class _Sites:
+    """A batch's (head, turn) sites, head-major in `HEADS` order: site
+    h * n + i is head h at turn row i (see `batch.head_sites`).  `first`
+    indexes the site's first logit in `params_as_vector` order.  The
+    hierarchical trainer's `adv` and `beh` (behavior log-prob) are per site,
+    and `scored` drops the switch sites the parser flagged malformed from
+    its surrogate; the flat trainer's are per row (its advantage and joint
+    behavior log-prob), and `scored` is None."""
+
+    present: np.ndarray           # (3, n) bool
+    first: np.ndarray             # (3n,) int64
+    chosen: np.ndarray            # (3n,) int64
+    adv: np.ndarray
+    beh: np.ndarray
+    scored: np.ndarray | None     # (3n,) bool
+    widths: np.ndarray            # (3,) choices per head
 
 
-def _surrogate(rows: TurnRows, heads: tuple[HeadPass, ...],
-               params: PolicyParams, eps: float) -> tuple[float, GradTables]:
-    """Summed clipped surrogate of the three levels over one pass."""
-    total = 0.0
-    parts = {}
-    # the switch surrogate skips turns the parser flagged malformed
-    act, sub, sw = heads
-    sw = sw.take(rows.format_ok[sw.at])
-    for name, h, adv, lp_beh in (
-            ("action", act, rows.adv_low, rows.lp_action),
-            ("subgoal", sub, rows.adv_high, rows.lp_subgoal),
-            ("switch", sw, rows.adv_switch, rows.lp_switch)):
-        if name != "action" and not h.at.any():
-            continue
-        ratio = np.exp(h.live() - lp_beh[h.at])
-        value, w = _clipped_surrogate(ratio, adv[h.at], eps)
-        total += float(value.sum())
-        parts[name] = score_sums(getattr(params, name), h, w)
-    return total, _grad_tables(params, parts)
+def _sites(rows: TurnRows, params: PolicyParams, flat: bool) -> _Sites:
+    present, cell, chosen = (np.stack(x) for x in
+                             zip(*head_sites(rows, params.n_options)))
+    widths = np.array([getattr(params, name).shape[-1] for name in HEADS])
+    # params_as_vector lays the tables out as switch, subgoal, action
+    offsets = np.array([params.switch.size + params.subgoal.size,
+                        params.switch.size, 0])
+    first = (offsets[:, None] + cell * widths[:, None]).ravel()
+    if flat:
+        beh = rows.lp_action.copy()
+        beh[present[1]] += rows.lp_subgoal[present[1]]
+        beh[present[2]] += rows.lp_switch[present[2]]
+        return _Sites(present, first, chosen.ravel(), rows.adv_flat, beh, None, widths)
+    scored = present.copy()
+    scored[2] &= rows.format_ok
+    return _Sites(present, first, chosen.ravel(),
+                  np.concatenate([rows.adv_low, rows.adv_high, rows.adv_switch]),
+                  np.concatenate([rows.lp_action, rows.lp_subgoal, rows.lp_switch]),
+                  scored.ravel(), widths)
 
 
-def _flat_surrogate(rows: TurnRows, heads: tuple[HeadPass, ...],
-                    params: PolicyParams, eps: float
-                    ) -> tuple[float, GradTables]:
-    """Single-level surrogate on the joint turn ratio over one pass."""
-    act, sub, sw = heads
-    n = len(rows)
-    live = act.live()
-    beh = rows.lp_action.copy()
-    live_hi = np.zeros(n)
-    live_hi[sub.at] = sub.live()
-    live = live + live_hi
-    beh[sub.at] += rows.lp_subgoal[sub.at]
-    live_sw = np.zeros(n)
-    live_sw[sw.at] = sw.live()
-    live = live + live_sw
-    beh[sw.at] += rows.lp_switch[sw.at]
-    ratio = np.exp(live - beh)
-    value, w = _clipped_surrogate(ratio, rows.adv_flat, eps)
-    # the action head weighs with the explicitly normalized softmax; exp(lp)
-    # differs from it in the last bits, which would change every run
-    probs = softmax(cell_rows(params.action)[act.cell], axis=1)
-    parts = {"action": score_sums(params.action, act, w, probs)}
-    for name, h in (("subgoal", sub), ("switch", sw)):
-        if h.at.any():
-            parts[name] = score_sums(getattr(params, name), h, w[h.at])
-    return float(value.sum()), _grad_tables(params, parts)
+def _step(sites: _Sites, idx: np.ndarray, theta: np.ndarray, ref_lp: np.ndarray,
+          eps: float, grad: bool = True):
+    """The minibatch of turn rows `idx`, in that order, under the live
+    logits `theta` (laid out as `params_as_vector`): the clipped surrogate
+    summed over its sites and the exact KL(live || ref) averaged over its
+    rows, each with its gradient wrt `theta` (None without `grad`).
 
-
-def _kl(rows: TurnRows, heads: tuple[HeadPass, ...], ref_lp: tuple,
-        params: PolicyParams, grad: bool = True
-        ) -> tuple[float, GradTables | None]:
-    """Exact categorical KL(live || ref) averaged over turns, and (with
-    `grad`) its gradient wrt the live logits."""
-    n = len(rows)
+    The flat surrogate takes one joint ratio per row, its score the sum of
+    the present heads' scores; the action head's weighs with the explicitly
+    normalized softmax, as a last-bit change would re-roll every later
+    batch.  Each table entry adds its gradient terms row by row, chosen
+    terms first, so the sums do not depend on how heads are batched."""
+    n = len(idx)
     if n == 0:
-        return 0.0, _grad_tables(params, {}) if grad else None
-    total = 0.0
-    parts = {}
-    for name, h, lq in zip(HEADS, heads, ref_lp):
-        if name != "action" and not h.at.any():
-            continue
-        diff = h.lp - lq[h.cell]
-        kl = np.sum(h.p * diff, axis=1)
-        total += float(kl.sum())
-        if grad:
-            parts[name] = row_sums(getattr(params, name), h.cell,
-                                   h.p * (diff - kl[:, None]))
+        zeros = np.zeros_like(theta) if grad else None
+        return 0.0, zeros, 0.0, zeros
+    head, pos = np.nonzero(sites.present[:, idx])
+    site = head * sites.present.shape[1] + idx[pos]
+    width = sites.widths[head]
+    first = sites.first[site]
+    ends = np.cumsum(np.bincount(head, minlength=len(HEADS))).tolist()
+    bounds = list(zip([0] + ends, ends))
+    ent, lp = [], []
+    for h, ((lo, hi), k) in enumerate(zip(bounds, sites.widths.tolist())):
+        ent.append(first[lo:hi, None] + np.arange(k))
+        z = theta[ent[-1]]
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        total = e.sum(axis=1, keepdims=True)
+        lp.append(z - np.log(total))
+        if h == 0 and sites.scored is None:
+            soft = e / total  # the flat action head weighs with the softmax
+    ent = np.concatenate([x.ravel() for x in ent])
+    lp_rows, lp = lp, np.concatenate([x.ravel() for x in lp])
+    p = np.exp(lp)
+    diff = lp - ref_lp[ent]
+    pd, kl, kl_sum, lo = p * diff, [], 0.0, 0
+    for x in lp_rows:
+        kl.append(pd[lo:lo + x.size].reshape(x.shape).sum(axis=1))
+        kl_sum += float(kl[-1].sum())
+        lo += x.size
+    kl, probs = np.concatenate(kl), p
+    if sites.scored is None:
+        probs = np.concatenate([soft.ravel(), p[soft.size:]])
+    live = lp[np.cumsum(width) - width + sites.chosen[site]]
+    if sites.scored is None:
+        joint = np.bincount(pos, live, minlength=n)  # action, subgoal, switch
+        value, w = _clipped_surrogate(np.exp(joint - sites.beh[idx]),
+                                      sites.adv[idx], eps)
+        surrogate, w = float(value.sum()), w[pos]
+    else:
+        value, w = _clipped_surrogate(np.exp(live - sites.beh[site]),
+                                      sites.adv[site], eps)
+        scored = sites.scored[site]
+        surrogate = 0.0
+        for lo, hi in bounds:
+            surrogate += float(value[lo:hi][scored[lo:hi]].sum())
+        w = np.where(scored, w, 0.0)
     if not grad:
-        return total / n, None
-    return total / n, _grad_tables(params, parts).scale(1.0 / n)
-
-
-def actor_loss(rows: TurnRows, params: PolicyParams, eps: float
-               ) -> tuple[float, GradTables]:
-    """Summed clipped surrogate over the three levels, with its gradient.
-
-    The subgoal surrogate is gated on switch turns; the switch surrogate
-    skips the forced first turn and any turn flagged malformed by the
-    parser.
-    """
-    return _surrogate(rows, policy_pass(rows, params), params, eps)
-
-
-def flat_actor_loss(rows: TurnRows, params: PolicyParams, eps: float
-                    ) -> tuple[float, GradTables]:
-    """Single-level surrogate on the joint turn ratio, flat advantages.
-
-    The ratio multiplies the product of present-head likelihoods; its score
-    is the sum of the per-head scores, all weighted by the same advantage.
-    """
-    return _flat_surrogate(rows, policy_pass(rows, params), params, eps)
-
-
-def kl_penalty(rows: TurnRows, params: PolicyParams, ref: PolicyParams
-               ) -> tuple[float, GradTables]:
-    """Exact categorical KL to the reference policy, averaged over turns.
-
-    Heads present at each turn contribute: the action head always, the
-    subgoal head on switch turns, the switch head from t = 1 on.
-    """
-    return _kl(rows, policy_pass(rows, params), _ref_log_probs(ref), params)
+        return surrogate, None, kl_sum / n, None
+    g_sur = np.bincount(np.concatenate([first + sites.chosen[site], ent]),
+                        np.concatenate([w, -np.repeat(w, width) * probs]),
+                        minlength=theta.size)
+    g_kl = np.bincount(ent, p * (diff - np.repeat(kl, width)), minlength=theta.size)
+    g_kl *= 1.0 / n
+    return surrogate, g_sur, kl_sum / n, g_kl
 
 
 def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
@@ -279,16 +278,18 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     checks and diagnostics; `train` takes the equivalent staged steps.
     """
     rows = gather_rows(tt, adv)
-    heads = policy_pass(rows, params)
-    surrogate, g_actor = _surrogate(rows, heads, params, cfg.clip_eps)
-    kl, g_kl = _kl(rows, heads, _ref_log_probs(ref), params)
+    theta = params_as_vector(params)
+    surrogate, g_actor, kl, g_kl = _step(_sites(rows, params, flat=False),
+                                         np.arange(len(rows)), theta,
+                                         _ref_log_probs(ref), cfg.clip_eps)
     cb = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
     mse_lo, mse_hi, g_v = cb.mse_and_grad(tables, target_tables)
     value = -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
-    g_theta = GradTables.zeros_like(params)
-    g_theta.add(g_actor, weight=-1.0)
-    g_theta.add(g_kl, weight=cfg.kl_beta)
-    return value, g_theta, unstacked(cfg.c_v * g_v, tables.n_states)
+    g_theta = np.zeros_like(theta)
+    g_theta += -1.0 * g_actor
+    g_theta += cfg.kl_beta * g_kl
+    return (value, GradTables(*split_tables(g_theta, params)),
+            unstacked(cfg.c_v * g_v, tables.n_states))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,7 @@ def evaluate(params: PolicyParams, env: EnvModel, episodes: int,
 
 def _check_finite(name: str, it: int, *values) -> None:
     """Raise TrainingDiverged unless every value or array is finite."""
-    if not all(np.all(np.isfinite(v)) for v in values):
+    if not all(np.isfinite(v).all() for v in values):
         raise TrainingDiverged(f"non-finite {name} at iteration {it}")
 
 
@@ -337,26 +338,16 @@ def _minibatches(n_rows: int, size: int, rng: np.random.Generator):
         yield order[lo:lo + size]
 
 
-def _ascent_step(params: PolicyParams, g_actor: GradTables, g_kl: GradTables,
-                 lr: float, kl_beta: float) -> None:
-    params.switch += lr * (g_actor.switch - kl_beta * g_kl.switch)
-    params.subgoal += lr * (g_actor.subgoal - kl_beta * g_kl.subgoal)
-    params.action += lr * (g_actor.action - kl_beta * g_kl.action)
-
-
-def _policy_fingerprint(params: PolicyParams) -> int:
-    """64-bit digest of the parameter bytes.
+def _policy_fingerprint(theta: np.ndarray) -> int:
+    """64-bit digest of the parameter bytes, laid out as `params_as_vector`.
 
     Rollout streams are keyed by (seed, fingerprint): identical policies
     reproduce identical batches (so zero learning rates are an exact no-op)
     while any parameter update refreshes the exploration stream.
     """
     import hashlib
-    h = hashlib.blake2b(digest_size=8)
-    h.update(params.switch.tobytes())
-    h.update(params.subgoal.tobytes())
-    h.update(params.action.tobytes())
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(hashlib.blake2b(theta.tobytes(), digest_size=8).digest(),
+                          "little")
 
 
 def train(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None = None,
@@ -374,8 +365,11 @@ def train_flat_baseline(cfg: PPOConfig, env: EnvModel,
 
 def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
               n_options: int, on_iteration, flat: bool) -> TrainResult:
-    params = (init_params.copy() if init_params is not None
+    params = (init_params if init_params is not None
               else PolicyParams.uniform(env.n_states, n_options, env.n_actions))
+    # the tables are views of one vector, which each step updates at once
+    theta = params_as_vector(params)
+    params = PolicyParams(*split_tables(theta, params))
     # the flat baseline's v_flat is the high head of tables without options
     state = TrainState(params=params, params_ref=params.copy(),
                        tables=ValueTables.zeros(env.n_states,
@@ -386,12 +380,15 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
     goal = getattr(env, "goal_state", None)
     for it in range(cfg.iterations):
         state.iteration = it
-        it_seed = derive_seed(rollout_seed, _policy_fingerprint(state.params))
+        it_seed = derive_seed(rollout_seed, _policy_fingerprint(theta))
         tt = rollout_batch(env, state.params, cfg.episodes_per_iter,
                            it_seed, c_keep=cfg.c_keep)
-        cb = (flat_batch_from_table(tt, cfg.gamma, env.n_states) if flat else
-              critic_batch_from_table(tt, cfg.gamma, env.n_states,
-                                      state.tables.n_options))
+        if flat:
+            cb = flat_batch_from_table(tt, cfg.gamma, env.n_states)
+        else:
+            # the critic batch and the advantages' TD residuals read one set of rows
+            cb, built = _critic_batch(tt, cfg.gamma, env.n_states,
+                                      state.tables.n_options)
         if cfg.lr_critic > 0:
             state.tables, rep = fit_critic(state.tables, cb, cfg.gamma,
                                            cfg.lr_critic, cfg.epochs)
@@ -405,30 +402,27 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
             rows.adv_flat = flat_advantage_arrays(tt, state.tables.v_high,
                                                   cfg.gae())[tt.mask]
         else:
-            rows = gather_rows(tt, advantage_arrays(tt, state.tables, cfg.gae()))
+            rows = gather_rows(tt, _advantage_arrays(tt, state.tables, cfg.gae(),
+                                                     cfg.gamma, built=built))
+        sites = _sites(rows, state.params, flat)
 
         surrogate_sum, turn_count = 0.0, 0
         shuffle = np.random.Generator(np.random.PCG64(
             derive_seed(cfg.seed, 23, it)))
-        surrogate = _flat_surrogate if flat else _surrogate
         for _ in range(cfg.epochs):
             for idx in _minibatches(len(rows), cfg.minibatch, shuffle):
-                mb = rows.take(idx)
-                heads = policy_pass(mb, state.params)
-                value, g_actor = surrogate(mb, heads, state.params, cfg.clip_eps)
-                kl, g_kl = _kl(mb, heads, ref_lp, state.params)
+                value, g_actor, kl, g_kl = _step(sites, idx, theta, ref_lp,
+                                                 cfg.clip_eps)
                 _check_finite("actor surrogate", it, value, kl)
                 # the surrogate is a sum over minibatch turns while the KL is
                 # a per-turn mean; scale the KL gradient to the same footing
-                _ascent_step(state.params, g_actor, g_kl, cfg.lr_actor,
-                             cfg.kl_beta * len(idx))
+                theta += cfg.lr_actor * (g_actor - cfg.kl_beta * len(idx) * g_kl)
                 surrogate_sum += value
                 turn_count += len(idx)
-        _check_finite("policy parameters", it, state.params.switch,
-                      state.params.subgoal, state.params.action)
+        _check_finite("policy parameters", it, theta)
 
-        kl_now, _ = _kl(rows, policy_pass(rows, state.params), ref_lp,
-                        state.params, grad=False)
+        kl_now = _step(sites, np.arange(len(rows)), theta, ref_lp, cfg.clip_eps,
+                       grad=False)[2]
         st = batch_stats(tt, goal_state=goal)
         greedy = evaluate(state.params, env, cfg.eval_episodes, "greedy",
                           seed=derive_seed(cfg.seed, 31, it))

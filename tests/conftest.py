@@ -92,22 +92,76 @@ def weighted_target_maps(batch):
             for u in units]
 
 
+def take(rows, idx):
+    """The turn rows `idx` of a `batch.TurnRows`, in that order."""
+    from segrl.batch import TurnRows
+
+    return TurnRows(*[None if v is None else v[idx] for v in vars(rows).values()])
+
+
+def minibatch_step(rows, params, ref, eps, flat=False, idx=None, grad=True):
+    """The trainer's minibatch step over the rows `idx` (default: all) of the
+    batch `rows`, whose sites it builds once as the trainer does: the
+    hierarchical (or, with `flat`, the flat) surrogate, its gradient, the KL
+    to `ref` and its gradient; the gradients as GradTables, None without
+    `grad`."""
+    from segrl.policy import GradTables, params_as_vector, split_tables
+    from segrl.training import _ref_log_probs, _sites, _step
+
+    idx = np.arange(len(rows)) if idx is None else idx
+    value, g_sur, kl, g_kl = _step(_sites(rows, params, flat), idx,
+                                   params_as_vector(params), _ref_log_probs(ref),
+                                   eps, grad)
+    return tuple(GradTables(*split_tables(x, params)) if isinstance(x, np.ndarray)
+                 else x for x in (value, g_sur, kl, g_kl))
+
+
+def actor_loss(rows, params, eps):
+    """Summed clipped surrogate over the three levels, with its gradient.
+
+    The subgoal surrogate is gated on switch turns; the switch surrogate
+    skips the forced first turn and any turn flagged malformed by the
+    parser.
+    """
+    value, grads, _, _ = minibatch_step(rows, params, params, eps)
+    return value, grads
+
+
+def flat_actor_loss(rows, params, eps):
+    """Single-level surrogate on the joint turn ratio, flat advantages.
+
+    The ratio multiplies the product of present-head likelihoods; its score
+    is the sum of the per-head scores, all weighted by the same advantage.
+    """
+    value, grads, _, _ = minibatch_step(rows, params, params, eps, flat=True)
+    return value, grads
+
+
+def kl_penalty(rows, params, ref):
+    """Exact categorical KL to the reference policy, averaged over turns.
+
+    Heads present at each turn contribute: the action head always, the
+    subgoal head on switch turns, the switch head from t = 1 on.
+    """
+    _, _, kl, grads = minibatch_step(rows, params, ref, 0.2)
+    return kl, grads
+
+
 def head_ratios(tt, params):
-    """Per-turn (switch, subgoal, action) ratios live/behavior as
-    `training.actor_loss` forms them, in `gather_rows` order.
+    """Per-turn (switch, subgoal, action) ratios live/behavior as the
+    trainer's minibatch step forms them, in `gather_rows` order.
 
     With one head's advantage 1, the others 0 and no clipping, the surrogate
     of a one-turn minibatch is that head's ratio; a head the turn lacks (the
     switch at t = 0, the subgoal on KEEP turns) contributes 0.
     """
     from segrl.batch import gather_rows
-    from segrl.training import actor_loss
 
     rows = gather_rows(tt)
     heads = ("adv_switch", "adv_high", "adv_low")
     out = np.empty((len(rows), 3))
     for i in range(len(rows)):
-        row = rows.take(np.array([i]))
+        row = take(rows, np.array([i]))
         for k, head in enumerate(heads):
             for name in heads:
                 setattr(row, name, np.full(1, float(name == head)))

@@ -16,10 +16,11 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   `flat_advantage_arrays`;
 * `critic_batch` and `flat_critic_batch` for `critic_batch_from_table` and
   `flat_batch_from_table`;
-* `ppo_ratios` for the per-head ratios inside `training.actor_loss`;
-* `actor_loss`, `flat_actor_loss` and `kl_penalty` for the trainer's
-  shared per-head pass: each head's log-softmax computed separately by the
-  surrogate and by the KL, gradients summed with `np.add.at`;
+* `ppo_ratios` for the per-head ratios inside the trainer's minibatch step;
+* `actor_loss`, `flat_actor_loss` and `kl_penalty` for that step
+  (`training._step`, over the three heads' stacked sites): each head's
+  log-softmax computed separately by the surrogate and by the KL,
+  gradients summed with `np.add.at`;
 * `log_prob`, `grad_log_prob` and `with_behavior_logprobs`, one turn at a
   time, for `batch.policy_pass`, `batch.score_tables` and
   `batch.record_behavior`;

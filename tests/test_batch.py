@@ -37,24 +37,74 @@ def env_and_params():
     return env, params
 
 
+def _assert_matches_single_rollouts(env, params, tt, seed, c_keep, offset=0):
+    trajs = tt.to_trajectories()
+    for ep, traj in enumerate(trajs):
+        single = spec.rollout(env, params, env.horizon, CounterRng(seed, offset + ep),
+                              c_keep=c_keep)
+        assert len(single.turns) == len(traj.turns)
+        for a, b in zip(single.turns, traj.turns):
+            assert a.state == b.state and a.q == b.q
+            assert a.subgoal == b.subgoal and a.action == b.action
+            assert a.reward == b.reward and a.raw_reward == b.raw_reward
+            assert (a.lp_action == b.lp_action
+                    and a.lp_switch == b.lp_switch
+                    and a.lp_subgoal == b.lp_subgoal)
+        assert single.truncated == traj.truncated
+        assert single.final_state == traj.final_state
+
+
+def _tied_params(env, scale=1e3):
+    """Logits of 0 or +-`scale`: exact ties, and entries whose probability
+    underflows to zero, so CDF rows hold repeated values."""
+    rng = np.random.default_rng(21)
+    shapes = ((env.n_states, 2, 2), (env.n_states, 2), (env.n_states, 2, env.n_actions))
+    return PolicyParams(*[scale * rng.integers(-1, 2, size=s) for s in shapes])
+
+
 class TestRolloutBatch:
     def test_matches_single_rollouts_bitwise(self, env_and_params):
         env, params = env_and_params
         tt = rollout_batch(env, params, 32, seed=13, c_keep=0.2)
-        trajs = tt.to_trajectories()
-        for ep in range(32):
-            single = spec.rollout(env, params, env.horizon, CounterRng(13, ep),
-                                  c_keep=0.2)
-            assert len(single.turns) == len(trajs[ep].turns)
-            for a, b in zip(single.turns, trajs[ep].turns):
-                assert a.state == b.state and a.q == b.q
-                assert a.subgoal == b.subgoal and a.action == b.action
-                assert a.reward == b.reward and a.raw_reward == b.raw_reward
-                assert (a.lp_action == b.lp_action
-                        and a.lp_switch == b.lp_switch
-                        and a.lp_subgoal == b.lp_subgoal)
-            assert single.truncated == trajs[ep].truncated
-            assert single.final_state == trajs[ep].final_state
+        _assert_matches_single_rollouts(env, params, tt, 13, 0.2)
+
+    @pytest.mark.parametrize("case", ["walk", "one-step", "tied-logits", "ragged"])
+    def test_more_envs_match_single_rollouts_bitwise(self, case):
+        if case == "walk":  # clockless, truncated at the horizon
+            env = Walk()
+            params = PolicyParams.random(np.random.default_rng(4), env.n_states, 2,
+                                         env.n_actions, scale=0.8)
+        elif case == "one-step":
+            env = OneStep()
+            params = PolicyParams.random(np.random.default_rng(5), env.n_states, 2,
+                                         env.n_actions)
+        elif case == "tied-logits":
+            env = FetchChain(3, 6)
+            params = _tied_params(env)
+        else:  # episodes end at different turns: success or the clock
+            env = _TwoStarts(3, 7)
+            params = fetchchain_phased(env, np.random.default_rng(6))
+        tt = rollout_batch(env, params, 48, seed=17, c_keep=0.1, episode_offset=2)
+        _assert_matches_single_rollouts(env, params, tt, 17, 0.1, offset=2)
+        if case == "walk":
+            assert tt.terminated.any() and not tt.terminated.all()
+        if case == "tied-logits":
+            probs = np.exp(tt.lp_action[tt.mask])
+            assert (probs == 1.0).any() and (probs < 1.0).any()
+        if case == "ragged":
+            assert tt.length.min() < tt.length.max()
+
+    def test_blocks_leave_the_batch_unchanged(self, env_and_params, monkeypatch):
+        # a large batch is rolled in blocks of episodes; 7 episodes a block
+        # here, the last one short
+        import segrl.batch as batch
+
+        env, params = env_and_params
+        whole = rollout_batch(env, params, 40, seed=3, c_keep=0.2, episode_offset=1)
+        monkeypatch.setattr(batch, "_ROLL_SLOTS", 7 * env.horizon)
+        blocks = rollout_batch(env, params, 40, seed=3, c_keep=0.2, episode_offset=1)
+        for name, col in vars(whole).items():
+            assert col.tobytes() == getattr(blocks, name).tobytes(), name
 
     def test_greedy_batch_is_constant(self, env_and_params):
         env, params = env_and_params

@@ -5,19 +5,18 @@ import pytest
 
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
-                         gather_rows, policy_pass, rollout_batch)
+                         gather_rows, rollout_batch)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, success_probability
 from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
-                            _kl, _ref_log_probs, actor_loss, evaluate,
-                            flat_actor_loss, kl_penalty, total_loss, train,
-                            train_flat_baseline)
+                            evaluate, total_loss, train, train_flat_baseline)
 
 import spec
-from conftest import head_ratios
+from conftest import (actor_loss, flat_actor_loss, head_ratios, kl_penalty,
+                      minibatch_step, take)
 
 
 def make_rows(env, params, seed=7, n=24, c_keep=0.0, tables=None, cfg=None):
@@ -108,7 +107,7 @@ class TestActorLoss:
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, rng)
         _, _, rows = make_rows(env, params)
-        keep_rows = rows.take(np.flatnonzero(rows.q == KEEP))
+        keep_rows = take(rows, np.flatnonzero(rows.q == KEEP))
         keep_rows.adv_high[:] = 99.0
         _, grads = actor_loss(keep_rows, params, eps=0.2)
         assert np.max(np.abs(grads.subgoal)) == 0.0
@@ -117,7 +116,7 @@ class TestActorLoss:
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, rng)
         _, _, rows = make_rows(env, params)
-        first = rows.take(np.flatnonzero(rows.t == 0))
+        first = take(rows, np.flatnonzero(rows.t == 0))
         _, grads = actor_loss(first, params, eps=0.2)
         assert np.max(np.abs(grads.switch)) == 0.0
 
@@ -125,7 +124,7 @@ class TestActorLoss:
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, rng)
         _, _, rows = make_rows(env, params)
-        later = rows.take(np.flatnonzero(rows.t > 0))
+        later = take(rows, np.flatnonzero(rows.t > 0))
         later.format_ok[:] = False
         _, grads = actor_loss(later, params, eps=0.2)
         assert np.max(np.abs(grads.switch)) == 0.0
@@ -205,7 +204,7 @@ class TestSharedPass:
                                       "empty"])
     def test_matches_spec_bitwise(self, shared_pass_case, pick):
         rows, live, ref, picks = shared_pass_case
-        mb = rows.take(picks[pick])
+        mb = take(rows, picks[pick])
         if pick != "empty":
             assert len(mb) > 0
         for fn, ref_fn, args in ((actor_loss, spec.actor_loss, (live, 0.2)),
@@ -216,9 +215,25 @@ class TestSharedPass:
             assert value == want, fn.__name__
             assert _same(grads, want_grads), fn.__name__
         # the trainer's iteration-end KL builds no gradient
-        kl, none = _kl(mb, policy_pass(mb, live), _ref_log_probs(ref), live,
-                       grad=False)
+        kl, none = minibatch_step(mb, live, ref, 0.2, grad=False)[2:]
         assert none is None and kl == spec.kl_penalty(mb, live, ref)[0]
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("pick", ["all", "random", "no-switch", "first-turns",
+                                      "keep-row", "malformed-row", "empty"])
+    def test_minibatch_of_the_batch_matches_spec_bitwise(self, shared_pass_case,
+                                                         pick, flat):
+        # the trainer builds the batch's sites once and steps on minibatches
+        # of their rows, in shuffled order
+        rows, live, ref, picks = shared_pass_case
+        mb = take(rows, picks[pick])
+        value, grads, kl, kl_grads = minibatch_step(rows, live, ref, 0.2, flat=flat,
+                                                    idx=picks[pick])
+        want, want_grads = (spec.flat_actor_loss if flat else spec.actor_loss)(
+            mb, live, 0.2)
+        want_kl, want_kl_grads = spec.kl_penalty(mb, live, ref)
+        assert value == want and _same(grads, want_grads)
+        assert kl == want_kl and _same(kl_grads, want_kl_grads)
 
     def test_cases_cover_what_they_name(self, shared_pass_case):
         rows, _, _, picks = shared_pass_case
@@ -305,14 +320,14 @@ class TestTrainLoop:
     def test_divergence_raises(self, monkeypatch):
         # poison the advantages so the surrogate goes non-finite
         import segrl.training as tr
-        real = tr.advantage_arrays
+        real = tr._advantage_arrays
 
         def poisoned(*args, **kwargs):
             adv = real(*args, **kwargs)
             adv.a_low[:] = np.nan
             return adv
 
-        monkeypatch.setattr(tr, "advantage_arrays", poisoned)
+        monkeypatch.setattr(tr, "_advantage_arrays", poisoned)
         env = FetchChain(3, 6)
         cfg = PPOConfig(seed=0, iterations=2, episodes_per_iter=8)
         with pytest.raises(TrainingDiverged):
@@ -335,7 +350,9 @@ class TestTrainLoop:
             driver(cfg, FetchChain(3, 6))
 
     @pytest.mark.parametrize("trainer,other", [
-        (train, "flat_advantage_arrays"), (train_flat_baseline, "advantage_arrays")])
+        (train, "flat_advantage_arrays"),
+        pytest.param(train_flat_baseline, "_advantage_arrays",
+                     id="train_flat_baseline-advantage_arrays")])
     def test_each_trainer_runs_only_its_own_estimator(self, trainer, other,
                                                       monkeypatch):
         import segrl.training as tr
