@@ -3,13 +3,13 @@
 TurnTable stores a batch of episodes as padded (n_episodes, max_turns)
 arrays.  The kernels here are the one implementation of the rollout, the
 segment-aware advantage estimators, the critic regression rows and the
-per-head policy pass with its score sums (the Monte-Carlo and enumerated
-oracles and gradcheck run it; the trainer's minibatch step stacks the same
-sites); the tests check them against per-episode and per-turn reference
-forms.  One row builder writes every
-sampled value target: the critic regresses on its rows, and the advantage
-kernel takes its low and high TD residuals as those rows' errors; the flat
-comparator's own kernel bootstraps at the same closing states.  Because
+score function: the stacked site pass and its score sum, which the
+trainer's minibatch step, the Monte-Carlo and enumerated oracles and
+gradcheck all run.  The tests check them against per-episode and per-turn
+reference forms.  One row builder writes every sampled value target: the
+critic regresses on its rows, and the advantage kernel takes its low and
+high TD residuals as those rows' errors; the flat comparator's own kernel
+bootstraps at the same closing states.  Because
 every random draw is keyed by (seed, episode, turn, head), a batch
 reproduces any of its sub-batches, rolled at the matching
 `episode_offset`, bit for bit.
@@ -26,7 +26,7 @@ from .core import KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord
 from .critic import (CriticBatch, ValueTables, low_cell, row_targets,
                      single_coupling_rows, stacked)
 from .envs import EnvModel, transition_tables
-from .policy import GradTables, PolicyParams, log_softmax, softmax
+from .policy import PolicyParams, params_as_vector, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
 
 
@@ -353,23 +353,23 @@ def segment_masks(tt: TurnTable) -> SegmentMasks:
     return SegmentMasks(is_boundary, seg_final, seg_end, is_last)
 
 
-def returns_matrix(tt: TurnTable, gamma: float | np.ndarray,
-                   raw: bool = False) -> np.ndarray:
+def returns_matrix(tt: TurnTable, gamma: float | np.ndarray) -> np.ndarray:
     """Per-turn return-to-go, zero beyond episode length; `gamma` is one
     discount or one per episode."""
-    r = np.where(tt.mask, tt.raw_reward if raw else tt.reward, 0.0)
-    return _backward_sums(r, tt.mask, gamma, np.zeros_like(tt.mask))
+    r = np.where(tt.mask, tt.reward, 0.0)
+    return _backward_sums(r, tt.mask, np.reshape(gamma, (-1, 1)), np.zeros_like(tt.mask))
 
 
 def _backward_sums(x: np.ndarray, mask: np.ndarray, decay, restart: np.ndarray):
-    """S_t = x_t + decay * S_{t+1} over each row's `mask` (zero outside it),
-    with S_t = x_t at `restart` turns; `decay` is one factor or one per row."""
+    """S_t = x_t + decay_t * S_{t+1} over each row's `mask` (zero outside
+    it), with S_t = x_t at `restart` turns; `decay` broadcasts to the (n, T)
+    grid of `x` (one factor per row as an (n, 1) column)."""
     out = np.zeros_like(x)
     carry = np.zeros(x.shape[0])
+    decay = np.broadcast_to(decay, x.shape)
     for t in range(x.shape[1] - 1, -1, -1):
-        carry = np.where(restart[:, t], x[:, t], x[:, t] + decay * carry)
-        out[:, t] = np.where(mask[:, t], carry, 0.0)
-        carry = np.where(mask[:, t], carry, 0.0)
+        carry = np.where(restart[:, t], x[:, t], x[:, t] + decay[:, t] * carry)
+        out[:, t] = carry = np.where(mask[:, t], carry, 0.0)
     return out
 
 
@@ -417,15 +417,13 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     d_high[hi] = delta[lo[0].size:]
     gtilde[hi] = gtilde_hi
 
-    a_low = _backward_sums(d_low, tt.mask, gamma * cfg.lambda_low, sm.seg_final)
-
-    # high level (per boundary turn)
-    a_high = np.zeros_like(d_high)
-    carry = np.zeros(n)
-    for t in range(t_max - 1, -1, -1):
-        fresh = d_high[:, t] + gtilde[:, t] * cfg.lambda_high * carry
-        a_high[:, t] = np.where(sm.is_boundary[:, t], fresh, 0.0)
-        carry = np.where(sm.is_boundary[:, t], fresh, carry)
+    a_low = _backward_sums(d_low, tt.mask, np.reshape(gamma * cfg.lambda_low, (-1, 1)),
+                           sm.seg_final)
+    # high level: one macro-step per segment, carried unchanged in between
+    a_high = _backward_sums(d_high, tt.mask,
+                            np.where(sm.is_boundary, gtilde * cfg.lambda_high, 1.0),
+                            np.zeros_like(tt.mask))
+    a_high[~sm.is_boundary] = 0.0
 
     # switching level
     beta = _behavior_beta(tt, params)
@@ -554,7 +552,7 @@ def _critic_batch(tt: TurnTable, gamma: float, n_states: int, n_options: int):
     them: (segment masks, rows, low and high row positions, g~)."""
     sm = segment_masks(tt)
     built = (sm, *_critic_rows(tt, gamma, sm, n_states, n_options))
-    return CriticBatch.from_rows(built[1], gamma, n_states, n_options), built
+    return CriticBatch.from_rows(built[1], n_states, n_options), built
 
 
 def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> CriticBatch:
@@ -566,11 +564,11 @@ def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> CriticB
     rows = single_coupling_rows(tt.state[rows_i, ts], tt.weight[rows_i],
                                 g[rows_i, ts], np.full(rows_i.size, -1),
                                 np.zeros(rows_i.size))
-    return CriticBatch.from_rows(rows, gamma, n_states, 0)
+    return CriticBatch.from_rows(rows, n_states, 0)
 
 
 # ---------------------------------------------------------------------------
-# Turn rows and the per-head policy pass: the one score-function kernel
+# Turn rows and the stacked site pass: the one score-function kernel
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -624,103 +622,131 @@ def gather_rows(tt: TurnTable, adv: BatchAdvantages | None = None) -> TurnRows:
 HEADS = ("action", "subgoal", "switch")
 
 
-@dataclass
-class HeadPass:
-    """Log-probabilities of one head at the turns it is present at.
-
-    `at` marks those turns; `cell` is the row of the head's table viewed as
-    (cells, choices) and `chosen` the index taken there.  `p` = exp(`lp`).
-    """
-
-    at: np.ndarray
-    cell: np.ndarray
-    chosen: np.ndarray
-    lp: np.ndarray
-    p: np.ndarray
-
-    def live(self) -> np.ndarray:
-        return self.lp[np.arange(len(self.cell)), self.chosen]
-
-
 def cell_rows(table: np.ndarray) -> np.ndarray:
     """A logit table viewed as (cells, choices)."""
     return table.reshape(-1, table.shape[-1])
 
 
-def head_sites(rows: TurnRows, n_options: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per head in `HEADS` order, over every row: whether the head is
-    present (the action head at every turn, the subgoal head at switch
-    turns, the switch head from t = 1 on), its cell and the index chosen."""
-    return ((np.ones(len(rows), dtype=bool), rows.state * n_options + rows.subgoal,
-             rows.action),
-            (rows.q == SWITCH, rows.state, rows.subgoal),
-            (rows.t > 0, rows.state * n_options + rows.prev_subgoal, rows.q))
+@dataclass
+class Sites:
+    """A batch's (head, turn) sites, head-major in `HEADS` order: site
+    h * n + i is head h at turn row i.  `first` indexes the site's first
+    logit in `params_as_vector` order and `chosen` the index taken there;
+    `spans` holds each head's (start, stop) in that order."""
+
+    present: np.ndarray           # (3, n) bool
+    first: np.ndarray             # (3n,) int64
+    chosen: np.ndarray            # (3n,) int64
+    widths: np.ndarray            # (3,) choices per head
+    spans: list
 
 
-def policy_pass(rows: TurnRows, params: PolicyParams) -> tuple[HeadPass, ...]:
-    """Per head in `HEADS` order, at the turns it is present at."""
-    out = []
-    for name, (at, cell, chosen) in zip(HEADS, head_sites(rows, params.n_options)):
-        cell = cell[at]
-        lp = log_softmax(cell_rows(getattr(params, name))[cell], axis=1)
-        out.append(HeadPass(at, cell, chosen[at], lp, np.exp(lp)))
-    return tuple(out)
+def head_sites(rows: TurnRows, params: PolicyParams) -> Sites:
+    """The rows' sites: the action head is present at every turn, the
+    subgoal head at switch turns, the switch head from t = 1 on."""
+    n_o = params.n_options
+    present = np.stack([np.ones(len(rows), dtype=bool), rows.q == SWITCH, rows.t > 0])
+    cell = np.stack([rows.state * n_o + rows.subgoal, rows.state,
+                     rows.state * n_o + rows.prev_subgoal])
+    tables = [getattr(params, name) for name in HEADS]
+    widths = np.array([t.shape[-1] for t in tables])
+    # params_as_vector lays the tables out as switch, subgoal, action
+    starts = np.array([params.switch.size + params.subgoal.size, params.switch.size, 0])
+    return Sites(present, (starts[:, None] + cell * widths[:, None]).ravel(),
+                 np.concatenate([rows.action, rows.subgoal, rows.q]), widths,
+                 [(s, s + t.size) for s, t in zip(starts.tolist(), tables)])
 
 
-def row_sums(table: np.ndarray, cell: np.ndarray, rows: np.ndarray,
-             chosen: np.ndarray | None = None,
-             weight: np.ndarray | None = None,
-             group: np.ndarray | None = None, n_groups: int = 1) -> np.ndarray:
-    """The (m, K) `rows` summed into a zero table shaped like `table`, at
-    rows `cell` of its (cells, K) view; with `chosen`, weight[i] goes in at
-    (cell[i], chosen[i]) first.  With `group`, row i goes into table
-    group[i] of `n_groups` stacked on a leading axis.  Each entry adds its
-    terms in that fixed order, turn by turn, so the sums do not depend on
-    how they are batched; a last-bit change would re-roll every later
-    training batch."""
-    k = table.shape[-1]
+@dataclass
+class SitePass:
+    """The present sites of some turn rows, head-major, under a logit vector;
+    `bounds` and `ent_bounds` hold each head's (lo, hi) among the sites and
+    the entries, and `span` the (start, stop) of the vector the sites' logits
+    fall in.  `soft`, when asked for, is the action head's explicitly
+    normalized softmax."""
+
+    site: np.ndarray              # index in the Sites
+    pos: np.ndarray               # position among the rows passed
+    width: np.ndarray             # choices
+    chosen: np.ndarray            # index of the chosen logit in the vector
+    live: np.ndarray              # its log-prob
+    ent: np.ndarray               # per entry of the sites' cells: its index,
+    lp: np.ndarray                # log-prob
+    p: np.ndarray                 # and exp(lp)
+    soft: np.ndarray | None
+    bounds: list
+    ent_bounds: list
+    span: tuple
+
+
+def site_pass(sites: Sites, theta: np.ndarray, idx: np.ndarray | None = None,
+              head: int | None = None, soft: bool = False) -> SitePass:
+    """The sites of the turn rows `idx` (default: all), in that order, and of
+    every head or only `head`, under the logits `theta` (laid out as
+    `params_as_vector`): one log-softmax per head over its stacked sites.
+    With `soft`, also the action head's softmax, as the flat trainer weighs
+    its scores."""
+    present = sites.present if idx is None else sites.present[:, idx]
+    if head is None:
+        heads, pos = np.nonzero(present)
+    else:
+        pos = np.flatnonzero(present[head])
+        heads = np.full(pos.size, head)
+    site = heads * sites.present.shape[1] + (pos if idx is None else idx[pos])
+    width = sites.widths[heads]
+    first = sites.first[site]
+    chosen = sites.chosen[site]
+    counts = np.bincount(heads, minlength=len(HEADS))
+    ends, ent_ends = (np.cumsum(x).tolist() for x in (counts, counts * sites.widths))
+    bounds, ent_bounds = (list(zip([0] + x, x)) for x in (ends, ent_ends))
+    ent, lp, probs = [], [], None
+    for h in range(len(HEADS)) if head is None else (head,):
+        (lo, hi), k = bounds[h], sites.widths[h]
+        ent.append(first[lo:hi, None] + np.arange(k))
+        z = theta[ent[-1]]
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        total = e.sum(axis=1, keepdims=True)
+        lp.append((z - np.log(total)).ravel())
+        if h == 0 and soft:
+            probs = (e / total).ravel()
+    lp = np.concatenate(lp)
+    return SitePass(site, pos, width, first + chosen, lp[np.cumsum(width) - width + chosen],
+                    np.concatenate([x.ravel() for x in ent]), lp, np.exp(lp), probs,
+                    bounds, ent_bounds,
+                    (0, theta.size) if head is None else sites.spans[head])
+
+
+def site_scores(sp: SitePass, weight: np.ndarray, probs: np.ndarray | None = None,
+                group: np.ndarray | None = None, n_groups: int = 1) -> np.ndarray:
+    """sum_i weight_i * (e_chosen_i - probs_i) over the pass's sites, laid
+    out as its span of the vector (one head's table for a one-head pass),
+    `probs` defaulting to p.  Each entry adds its chosen terms first, then
+    its probability rows, site by site, so the sums do not depend on how
+    sites are batched (a last-bit change would re-roll every later training
+    batch).  With `group` (per site), one span per group, stacked on a
+    leading axis."""
+    probs = sp.p if probs is None else probs
+    start, stop = sp.span
+    idx = np.concatenate([sp.chosen, sp.ent]) - start
     if group is not None:
-        cell = group * (table.size // k) + cell
-    idx = [(cell[:, None] * k + np.arange(k)).ravel()]
-    vals = [rows.ravel()]
-    if chosen is not None:
-        idx.insert(0, cell * k + chosen)
-        vals.insert(0, weight)
-    out = np.bincount(np.concatenate(idx), np.concatenate(vals),
-                      minlength=n_groups * table.size)
-    return out.reshape(table.shape if group is None else (n_groups,) + table.shape)
-
-
-def score_sums(table: np.ndarray, h: HeadPass, weight: np.ndarray,
-               probs: np.ndarray | None = None, group: np.ndarray | None = None,
-               n_groups: int = 1) -> np.ndarray:
-    """sum_i weight_i * (e_chosen_i - probs_i) on the head's table, over the
-    turns the head is present at; `probs` defaults to the pass's exp(lp).
-    With `group` (per present turn), one table per group."""
-    probs = h.p if probs is None else probs
-    return row_sums(table, h.cell, -weight[:, None] * probs, h.chosen, weight,
-                    group, n_groups)
-
-
-def score_tables(params: PolicyParams, heads: tuple[HeadPass, ...], weights,
-                 group: np.ndarray | None = None, n_groups: int = 1) -> GradTables:
-    """Every head's score sum; `weights` (one array per head in `HEADS`
-    order) and `group` are per row of the pass."""
-    parts = {name: score_sums(getattr(params, name), h, w[h.at],
-                              group=None if group is None else group[h.at],
-                              n_groups=n_groups)
-             for name, h, w in zip(HEADS, heads, weights)}
-    return GradTables(parts["switch"], parts["subgoal"], parts["action"])
+        idx += (stop - start) * np.concatenate([group, np.repeat(group, sp.width)])
+    out = np.bincount(idx, np.concatenate([weight, -np.repeat(weight, sp.width) * probs]),
+                      minlength=n_groups * (stop - start))
+    return out if group is None else out.reshape(n_groups, -1)
 
 
 def record_behavior(tt: TurnTable, params: PolicyParams) -> TurnTable:
     """Replace the table's behavior log-probs, in place, by those `params`
     gives each present head (NaN where a head is absent); returns `tt`."""
     rows = gather_rows(tt)
-    for h, lp in zip(policy_pass(rows, params),
-                     (tt.lp_action, tt.lp_subgoal, tt.lp_switch)):
+    sp = site_pass(head_sites(rows, params), params_as_vector(params))
+    live = np.full(len(HEADS) * len(rows), np.nan)
+    live[sp.site] = sp.live
+    for lp, col in zip((tt.lp_action, tt.lp_subgoal, tt.lp_switch),
+                       live.reshape(len(HEADS), -1)):
         lp.fill(np.nan)
-        lp[rows.episode[h.at], rows.t[h.at]] = h.live()
+        lp[rows.episode, rows.t] = col
     return tt
 
 

@@ -228,6 +228,8 @@ def _verify_env_policy(seed: int):
 
 def cmd_verify(args) -> int:
     mode = args.mode
+    if args.trials is None:  # the acceptance sizes
+        args.trials = 100 if mode == "gradcheck" else 10000
     flag = "samples" if mode in ("unbiased", "variance") else "trials"
     if getattr(args, flag) < 1:
         raise InputError(f"--{flag} must be >= 1")
@@ -294,7 +296,7 @@ def cmd_verify(args) -> int:
         values = oracle_values(env, params, gamma)
         batch = exact_critic_batch(env, params, gamma)
         tables = ValueTables.zeros(env.n_states, params.n_options)
-        fitted, _ = fit_critic(tables, batch, gamma, lr=0.5, epochs=args.trials)
+        fitted, _ = fit_critic(tables, batch, lr=0.5, epochs=args.trials)
         dev_hi = float(np.max(np.abs(fitted.v_high - values.v_high)[values.high_defined]))
         dev_lo = float(np.max(np.abs(fitted.v_low - values.v_low)[values.low_defined]))
         return _report(out, "critic-fixpoint", {
@@ -352,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("mode", choices=["telescope", "unbiased", "variance",
                                     "gradcheck", "critic-fixpoint"])
-    p.add_argument("--trials", type=int, default=10000,
-                   help="trials / configs / fit epochs, depending on the mode")
+    p.add_argument("--trials", type=int, default=None,
+                   help="trials / configs / fit epochs, depending on the mode "
+                        "(default: 100 for gradcheck, else 10000)")
     p.add_argument("--samples", type=int, default=10000,
                    help="Monte-Carlo sample count for unbiased / variance")
     return parser

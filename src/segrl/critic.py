@@ -85,7 +85,6 @@ class CriticBatch:
 
     n_states: int
     n_options: int
-    gamma: float
     rows: dict = field(repr=False)
     w: np.ndarray = field(init=False, repr=False)
 
@@ -95,9 +94,8 @@ class CriticBatch:
                              minlength=self.n_states * (1 + self.n_options))
 
     @classmethod
-    def from_rows(cls, rows: dict, gamma: float, n_states: int,
-                  n_options: int) -> "CriticBatch":
-        return cls(n_states, n_options, gamma, rows)
+    def from_rows(cls, rows: dict, n_states: int, n_options: int) -> "CriticBatch":
+        return cls(n_states, n_options, rows)
 
     # -- target evaluation ---------------------------------------------------
 
@@ -183,7 +181,7 @@ class CriticFitReport:
                (self.mse_high[-1] if self.mse_high else 0.0)
 
 
-def fit_critic(tables: ValueTables, batch: CriticBatch, gamma: float, lr: float,
+def fit_critic(tables: ValueTables, batch: CriticBatch, lr: float,
                epochs: int) -> tuple[ValueTables, CriticFitReport]:
     """Regress both heads toward their bootstrapped targets.
 
@@ -195,8 +193,6 @@ def fit_critic(tables: ValueTables, batch: CriticBatch, gamma: float, lr: float,
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    if abs(batch.gamma - gamma) > 1e-12:
-        raise ValueError("batch was digested with a different gamma")
     v = stacked(tables)
     out = unstacked(v, tables.n_states)    # views: they follow updates of v
     vis = batch.w > 0

@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .batch import (TurnRows, TurnTable, advantage_arrays, gather_rows,
-                    policy_pass, record_behavior, score_tables)
+from .batch import (Sites, TurnTable, advantage_arrays, gather_rows, head_sites,
+                    record_behavior, site_pass, site_scores)
 from .critic import ValueTables
 from .oracle import random_table, random_tables
-from .policy import GradTables, PolicyParams, split_tables
+from .policy import GradTables, PolicyParams, params_as_vector, split_tables
 from .training import PPOConfig, total_loss
 
 DEFAULT_H = 1e-5
@@ -95,13 +95,12 @@ def random_case(rng: np.random.Generator) -> GradCheckCase:
     return GradCheckCase(params, params_old, ref, tables, table, cfg)
 
 
-def turn_log_likelihood(rows: TurnRows, params: PolicyParams) -> np.ndarray:
-    """Each turn's log-likelihood under `params`: its present heads' summed
-    log-probabilities from the policy pass."""
-    out = np.zeros(len(rows))
-    for h in policy_pass(rows, params):
-        out[h.at] += h.live()
-    return out
+def turn_log_likelihood(sites: Sites, theta: np.ndarray) -> np.ndarray:
+    """Each turn's log-likelihood under the logits `theta`: its present
+    heads' summed log-probabilities from the stacked site pass, as the flat
+    trainer's joint ratio sums them."""
+    sp = site_pass(sites, theta)
+    return np.bincount(sp.pos, sp.live, minlength=sites.present.shape[1])
 
 
 def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
@@ -112,11 +111,14 @@ def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
     n_s, n_o, n_a = 4, 3, 3
     params = PolicyParams.random(rng, n_s, n_o, n_a)
     rows = gather_rows(random_table(rng, 1, n_s, n_o, n_a, max_turns=n_turns))
-    one = np.ones(len(rows))
-    analytic = score_tables(params, policy_pass(rows, params), (one,) * 3,
-                            group=np.arange(len(rows)), n_groups=len(rows))
-    numeric = fd_params_grad(lambda p: turn_log_likelihood(rows, p), params, h)
-    return rel_err(analytic.as_vector(), numeric.as_vector())
+    sites = head_sites(rows, params)
+    sp = site_pass(sites, params_as_vector(params))
+    analytic = site_scores(sp, np.ones(sp.site.size), group=sp.pos,
+                           n_groups=len(rows))
+    numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, params_as_vector(p)),
+                             params, h)
+    return rel_err(GradTables(*split_tables(analytic, params)).as_vector(),
+                   numeric.as_vector())
 
 
 def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:

@@ -25,12 +25,13 @@ import numpy as np
 from .advantages import GAEConfig
 from .batch import (HEADS, TurnTable, _advantage_arrays, _empty_table,
                     advantage_arrays, flat_advantage_arrays, gather_rows,
-                    policy_pass, returns_matrix, rollout_batch, score_sums,
-                    score_tables, segment_masks)
+                    head_sites, returns_matrix, rollout_batch, segment_masks,
+                    site_pass, site_scores)
 from .core import KEEP, SWITCH
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
-from .policy import GradTables, PolicyParams, log_softmax, softmax
+from .policy import (GradTables, PolicyParams, log_softmax, params_as_vector,
+                     softmax, split_tables)
 from .rng import derive_seed
 
 
@@ -155,8 +156,8 @@ def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
     tt = enumeration_table(env, params, cap)
     w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
     rows = gather_rows(tt)
-    w = w[rows.episode]
-    return score_tables(params, policy_pass(rows, params), (w, w, w))
+    sp = site_pass(head_sites(rows, params), params_as_vector(params))
+    return GradTables(*split_tables(site_scores(sp, w[rows.episode[sp.pos]]), params))
 
 
 def _enumerated_turns(env, params, gamma, cap):
@@ -539,7 +540,7 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float) -> Cri
     rows = {"cell": cell, "w": mass_w[cell], "r": mass_r[cell] / mass_w[cell],
             "row": row_of[k_cell], "boot": k_boot,
             "coef": np.bincount(inv, weights=c_mass[nz]) / mass_w[k_cell]}
-    return CriticBatch.from_rows(rows, gamma, n_s, n_o)
+    return CriticBatch.from_rows(rows, n_s, n_o)
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +571,14 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
     Per-head contributions: the switch score weighted by the switching
     advantage (t >= 1), the subgoal score weighted by the segment advantage
     at boundary turns, and the action score weighted by the within-segment
-    advantage.  Each episode's sums come from the trainer's per-head pass,
-    grouped by episode, `chunk` episodes at a time: a head's per-episode
-    tables hold chunk x table-size floats (2.4 MB for the action head of
-    the phased FetchChain(3, 6) policy).  Returns the per-coordinate mean
-    and standard error over episodes.
+    advantage.  Each episode's sums come from the trainer's kernel
+    (`batch.site_pass`, `batch.site_scores`), one head at a time and grouped
+    by episode, `chunk` episodes at a time: a head's per-episode tables hold
+    chunk x table-size floats (2.4 MB for the action head of the phased
+    FetchChain(3, 6) policy).  Returns the per-coordinate mean and standard
+    error over episodes.
     """
+    theta = params_as_vector(params)
     sum_x = {name: np.zeros_like(getattr(params, name)) for name in HEADS}
     sum_x2 = {name: np.zeros_like(getattr(params, name)) for name in HEADS}
     done_eps = 0
@@ -583,11 +586,13 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
         m = min(chunk, n - done_eps)
         tt = rollout_batch(env, params, m, seed, episode_offset=done_eps)
         rows = gather_rows(tt, advantage_arrays(tt, tables, cfg))
-        for name, h, adv in zip(HEADS, policy_pass(rows, params),
-                                (rows.adv_low, rows.adv_high, rows.adv_switch)):
-            # one head's per-episode tables at a time, squared in place
-            x = score_sums(getattr(params, name), h, adv[h.at],
-                           group=rows.episode[h.at], n_groups=m)
+        sites = head_sites(rows, params)
+        for h, (name, adv) in enumerate(zip(HEADS, (rows.adv_low, rows.adv_high,
+                                                    rows.adv_switch))):
+            # one head's pass and per-episode tables at a time, squared in place
+            sp = site_pass(sites, theta, head=h)
+            x = site_scores(sp, adv[sp.pos], group=rows.episode[sp.pos],
+                            n_groups=m).reshape((m,) + getattr(params, name).shape)
             sum_x[name] += x.sum(axis=0)
             sum_x2[name] += np.square(x, out=x).sum(axis=0)
         done_eps += m

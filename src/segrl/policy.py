@@ -4,8 +4,8 @@ The switch head decides whether to terminate the active subgoal, the
 subgoal head proposes a fresh subgoal on switch turns, and the action head
 picks a primitive action conditioned on (state, subgoal).  All heads have
 exact log-probabilities and analytic score-function gradients (computed
-per head over a batch of turns by `batch.policy_pass`), which is what
-makes the brute-force verification suites possible.
+over a batch of turns by `batch.site_pass` and `batch.site_scores`), which
+is what makes the brute-force verification suites possible.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ class GradTables:
     def zeros_like(cls, params: PolicyParams) -> "GradTables":
         return cls(np.zeros_like(params.switch), np.zeros_like(params.subgoal),
                    np.zeros_like(params.action))
-
-    def add(self, other: "GradTables", weight: float = 1.0) -> "GradTables":
-        self.switch += weight * other.switch
-        self.subgoal += weight * other.subgoal
-        self.action += weight * other.action
-        return self
 
     def scale(self, c: float) -> "GradTables":
         self.switch *= c

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import (HEADS, TurnRows, TurnTable, _advantage_arrays, _critic_batch,
+from .batch import (Sites, TurnRows, TurnTable, _advantage_arrays, _critic_batch,
                     batch_stats, cell_rows, critic_batch_from_table,
                     flat_advantage_arrays, flat_batch_from_table, gather_rows,
-                    head_sites, rollout_batch)
+                    head_sites, rollout_batch, site_pass, site_scores)
 from .critic import ValueTables, fit_critic, unstacked
 from .envs import EnvModel
 from .policy import (GradTables, PolicyParams, log_softmax, params_as_vector,
@@ -129,8 +129,8 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# The minibatch step: one log-softmax per head over the minibatch's sites,
-# then the surrogate and the KL gradients with one bincount each
+# The minibatch step: the stacked site pass over the minibatch's sites, then
+# the surrogate and the KL gradients with one bincount each
 # ---------------------------------------------------------------------------
 
 def _ref_log_probs(ref: PolicyParams) -> np.ndarray:
@@ -159,42 +159,32 @@ def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
 
 @dataclass
 class _Sites:
-    """A batch's (head, turn) sites, head-major in `HEADS` order: site
-    h * n + i is head h at turn row i (see `batch.head_sites`).  `first`
-    indexes the site's first logit in `params_as_vector` order.  The
-    hierarchical trainer's `adv` and `beh` (behavior log-prob) are per site,
-    and `scored` drops the switch sites the parser flagged malformed from
-    its surrogate; the flat trainer's are per row (its advantage and joint
-    behavior log-prob), and `scored` is None."""
+    """A batch's sites (`batch.head_sites`) with what the trainer weighs
+    them by.  The hierarchical trainer's `adv` and `beh` (behavior log-prob)
+    are per site, and `scored` drops the switch sites the parser flagged
+    malformed from its surrogate; the flat trainer's are per row (its
+    advantage and joint behavior log-prob), and `scored` is None."""
 
-    present: np.ndarray           # (3, n) bool
-    first: np.ndarray             # (3n,) int64
-    chosen: np.ndarray            # (3n,) int64
+    layout: Sites
     adv: np.ndarray
     beh: np.ndarray
     scored: np.ndarray | None     # (3n,) bool
-    widths: np.ndarray            # (3,) choices per head
 
 
 def _sites(rows: TurnRows, params: PolicyParams, flat: bool) -> _Sites:
-    present, cell, chosen = (np.stack(x) for x in
-                             zip(*head_sites(rows, params.n_options)))
-    widths = np.array([getattr(params, name).shape[-1] for name in HEADS])
-    # params_as_vector lays the tables out as switch, subgoal, action
-    offsets = np.array([params.switch.size + params.subgoal.size,
-                        params.switch.size, 0])
-    first = (offsets[:, None] + cell * widths[:, None]).ravel()
+    layout = head_sites(rows, params)
+    present = layout.present
     if flat:
         beh = rows.lp_action.copy()
         beh[present[1]] += rows.lp_subgoal[present[1]]
         beh[present[2]] += rows.lp_switch[present[2]]
-        return _Sites(present, first, chosen.ravel(), rows.adv_flat, beh, None, widths)
+        return _Sites(layout, rows.adv_flat, beh, None)
     scored = present.copy()
     scored[2] &= rows.format_ok
-    return _Sites(present, first, chosen.ravel(),
+    return _Sites(layout,
                   np.concatenate([rows.adv_low, rows.adv_high, rows.adv_switch]),
                   np.concatenate([rows.lp_action, rows.lp_subgoal, rows.lp_switch]),
-                  scored.ravel(), widths)
+                  scored.ravel())
 
 
 def _step(sites: _Sites, idx: np.ndarray, theta: np.ndarray, ref_lp: np.ndarray,
@@ -202,67 +192,46 @@ def _step(sites: _Sites, idx: np.ndarray, theta: np.ndarray, ref_lp: np.ndarray,
     """The minibatch of turn rows `idx`, in that order, under the live
     logits `theta` (laid out as `params_as_vector`): the clipped surrogate
     summed over its sites and the exact KL(live || ref) averaged over its
-    rows, each with its gradient wrt `theta` (None without `grad`).
+    rows, each with its gradient wrt `theta` (None without `grad`).  The
+    log-probs come from `batch.site_pass` and the surrogate gradient from
+    `batch.site_scores`.
 
     The flat surrogate takes one joint ratio per row, its score the sum of
     the present heads' scores; the action head's weighs with the explicitly
     normalized softmax, as a last-bit change would re-roll every later
-    batch.  Each table entry adds its gradient terms row by row, chosen
-    terms first, so the sums do not depend on how heads are batched."""
+    batch."""
     n = len(idx)
     if n == 0:
         zeros = np.zeros_like(theta) if grad else None
         return 0.0, zeros, 0.0, zeros
-    head, pos = np.nonzero(sites.present[:, idx])
-    site = head * sites.present.shape[1] + idx[pos]
-    width = sites.widths[head]
-    first = sites.first[site]
-    ends = np.cumsum(np.bincount(head, minlength=len(HEADS))).tolist()
-    bounds = list(zip([0] + ends, ends))
-    ent, lp = [], []
-    for h, ((lo, hi), k) in enumerate(zip(bounds, sites.widths.tolist())):
-        ent.append(first[lo:hi, None] + np.arange(k))
-        z = theta[ent[-1]]
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        total = e.sum(axis=1, keepdims=True)
-        lp.append(z - np.log(total))
-        if h == 0 and sites.scored is None:
-            soft = e / total  # the flat action head weighs with the softmax
-    ent = np.concatenate([x.ravel() for x in ent])
-    lp_rows, lp = lp, np.concatenate([x.ravel() for x in lp])
-    p = np.exp(lp)
-    diff = lp - ref_lp[ent]
-    pd, kl, kl_sum, lo = p * diff, [], 0.0, 0
-    for x in lp_rows:
-        kl.append(pd[lo:lo + x.size].reshape(x.shape).sum(axis=1))
+    sp = site_pass(sites.layout, theta, idx, soft=sites.scored is None)
+    diff = sp.lp - ref_lp[sp.ent]
+    pd, kl, kl_sum = sp.p * diff, [], 0.0
+    for (lo, hi), (a, b), k in zip(sp.bounds, sp.ent_bounds,
+                                   sites.layout.widths.tolist()):
+        kl.append(pd[a:b].reshape(hi - lo, k).sum(axis=1))
         kl_sum += float(kl[-1].sum())
-        lo += x.size
-    kl, probs = np.concatenate(kl), p
+    kl, probs = np.concatenate(kl), None
     if sites.scored is None:
-        probs = np.concatenate([soft.ravel(), p[soft.size:]])
-    live = lp[np.cumsum(width) - width + sites.chosen[site]]
-    if sites.scored is None:
-        joint = np.bincount(pos, live, minlength=n)  # action, subgoal, switch
+        joint = np.bincount(sp.pos, sp.live, minlength=n)  # action, subgoal, switch
         value, w = _clipped_surrogate(np.exp(joint - sites.beh[idx]),
                                       sites.adv[idx], eps)
-        surrogate, w = float(value.sum()), w[pos]
+        surrogate, w = float(value.sum()), w[sp.pos]
+        probs = np.concatenate([sp.soft, sp.p[sp.soft.size:]])
     else:
-        value, w = _clipped_surrogate(np.exp(live - sites.beh[site]),
-                                      sites.adv[site], eps)
-        scored = sites.scored[site]
+        value, w = _clipped_surrogate(np.exp(sp.live - sites.beh[sp.site]),
+                                      sites.adv[sp.site], eps)
+        scored = sites.scored[sp.site]
         surrogate = 0.0
-        for lo, hi in bounds:
+        for lo, hi in sp.bounds:
             surrogate += float(value[lo:hi][scored[lo:hi]].sum())
         w = np.where(scored, w, 0.0)
     if not grad:
         return surrogate, None, kl_sum / n, None
-    g_sur = np.bincount(np.concatenate([first + sites.chosen[site], ent]),
-                        np.concatenate([w, -np.repeat(w, width) * probs]),
-                        minlength=theta.size)
-    g_kl = np.bincount(ent, p * (diff - np.repeat(kl, width)), minlength=theta.size)
+    g_kl = np.bincount(sp.ent, sp.p * (diff - np.repeat(kl, sp.width)),
+                       minlength=theta.size)
     g_kl *= 1.0 / n
-    return surrogate, g_sur, kl_sum / n, g_kl
+    return surrogate, site_scores(sp, w, probs), kl_sum / n, g_kl
 
 
 def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
@@ -390,8 +359,8 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
             cb, built = _critic_batch(tt, cfg.gamma, env.n_states,
                                       state.tables.n_options)
         if cfg.lr_critic > 0:
-            state.tables, rep = fit_critic(state.tables, cb, cfg.gamma,
-                                           cfg.lr_critic, cfg.epochs)
+            state.tables, rep = fit_critic(state.tables, cb, cfg.lr_critic,
+                                           cfg.epochs)
             critic_mse = rep.final_mse
         else:
             critic_mse = sum(cb.batch_mse(state.tables))

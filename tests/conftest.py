@@ -176,7 +176,7 @@ def one_turn(turn):
 
 def kernel_log_probs(params, trajectories):
     """Per turn, in `gather_rows` order, the (lp_switch, lp_subgoal,
-    lp_action) that `batch.record_behavior` takes from the policy pass;
+    lp_action) that `batch.record_behavior` takes from the site pass;
     None where the turn lacks the head."""
     from segrl.batch import TurnTable, gather_rows, record_behavior
 
@@ -189,9 +189,12 @@ def kernel_log_probs(params, trajectories):
 def kernel_scores(params, trajectories):
     """The score kernel's per-turn score tables, one per turn in
     `gather_rows` order on a leading axis."""
-    from segrl.batch import TurnTable, gather_rows, policy_pass, score_tables
+    from segrl.batch import (TurnTable, gather_rows, head_sites, site_pass,
+                             site_scores)
+    from segrl.policy import GradTables, params_as_vector, split_tables
 
     rows = gather_rows(TurnTable.from_trajectories(trajectories))
-    one = np.ones(len(rows))
-    return score_tables(params, policy_pass(rows, params), (one,) * 3,
-                        group=np.arange(len(rows)), n_groups=len(rows))
+    sp = site_pass(head_sites(rows, params), params_as_vector(params))
+    return GradTables(*split_tables(
+        site_scores(sp, np.ones(sp.site.size), group=sp.pos, n_groups=len(rows)),
+        params))

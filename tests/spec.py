@@ -22,7 +22,7 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   log-softmax computed separately by the surrogate and by the KL,
   gradients summed with `np.add.at`;
 * `log_prob`, `grad_log_prob` and `with_behavior_logprobs`, one turn at a
-  time, for `batch.policy_pass`, `batch.score_tables` and
+  time, for `batch.site_pass`, `batch.site_scores` and
   `batch.record_behavior`;
 * `mc_gradient_hae` (with `scatter_episode_grads`, a dense per-episode
   `np.add.at` scatter) for `oracle.mc_gradient_hae`;
@@ -386,7 +386,7 @@ def critic_batch(trajectories, gamma: float, n_states: int, n_options: int,
         np.array(cell, dtype=np.int64), np.array(w, dtype=np.float64),
         np.array(r, dtype=np.float64), np.array(boot, dtype=np.int64),
         np.array(coef, dtype=np.float64))
-    return CriticBatch.from_rows(rows, gamma, n_states, n_options)
+    return CriticBatch.from_rows(rows, n_states, n_options)
 
 
 def flat_critic_batch(trajectories, gamma: float, n_states: int,
@@ -405,7 +405,7 @@ def flat_critic_batch(trajectories, gamma: float, n_states: int,
         np.array(states, dtype=np.int64), np.array(ws, dtype=np.float64),
         np.array(gs, dtype=np.float64), np.full(len(states), -1),
         np.zeros(len(states)))
-    return CriticBatch.from_rows(rows, gamma, n_states, 0)
+    return CriticBatch.from_rows(rows, n_states, 0)
 
 
 # -- per-turn log-density and score -------------------------------------------

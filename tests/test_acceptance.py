@@ -140,7 +140,7 @@ def test_c07_critic_fixed_point(bench):
     values = oracle_values(env, params, gamma)
     batch = exact_critic_batch(env, params, gamma)
     tables = ValueTables.zeros(env.n_states, params.n_options)
-    fitted, _ = fit_critic(tables, batch, gamma, lr=0.5, epochs=500)
+    fitted, _ = fit_critic(tables, batch, lr=0.5, epochs=500)
     dev_hi = np.max(np.abs(fitted.v_high - values.v_high)[values.high_defined])
     dev_lo = np.max(np.abs(fitted.v_low - values.v_low)[values.low_defined])
     assert dev_hi <= 1e-3 and dev_lo <= 1e-3, (dev_hi, dev_lo)
@@ -153,9 +153,9 @@ def test_c07_critic_fixed_point(bench):
     states = np.arange(env.n_states)
     flat_batch = CriticBatch.from_rows(
         single_coupling_rows(states, w, mean_g, np.full(env.n_states, -1),
-                             np.zeros(env.n_states)), gamma, env.n_states, 0)
-    flat, _ = fit_critic(ValueTables.zeros(env.n_states, 0), flat_batch, gamma,
-                         lr=0.5, epochs=500)
+                             np.zeros(env.n_states)), env.n_states, 0)
+    flat, _ = fit_critic(ValueTables.zeros(env.n_states, 0), flat_batch, lr=0.5,
+                         epochs=500)
     dev_flat = np.max(np.abs(flat.v_high - values.v_flat)[values.flat_defined])
     assert dev_flat <= 1e-3, dev_flat
     elapsed = time.time() - start

@@ -8,14 +8,14 @@ from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, _advantage_arrays, advantage_arrays,
                          batch_stats, critic_batch_from_table,
                          flat_advantage_arrays, flat_batch_from_table,
-                         gather_rows, record_behavior, returns_matrix,
+                         gather_rows, head_sites, record_behavior, returns_matrix,
                          rollout_batch, segment_masks)
 from segrl.core import KEEP, MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import mc_gradient_hae, oracle_values, random_tables
-from segrl.policy import PolicyParams, fetchchain_phased
+from segrl.policy import PolicyParams, fetchchain_phased, params_as_vector, softmax
 from segrl.rng import CounterRng
 
 import spec
@@ -105,6 +105,26 @@ class TestRolloutBatch:
         blocks = rollout_batch(env, params, 40, seed=3, c_keep=0.2, episode_offset=1)
         for name, col in vars(whole).items():
             assert col.tobytes() == getattr(blocks, name).tobytes(), name
+
+    def test_draws_use_the_renormalized_cdf(self, monkeypatch):
+        # these logits' softmax cumsum ends one ulp below 1.0, so dividing by
+        # its last entry moves the first entry up by one ulp; a uniform equal
+        # to the unnormalized entry then draws action 0 only when the sampler
+        # renormalizes, as the per-turn spec does
+        import segrl.batch as batch
+
+        logits = np.array([1.3, 0.95, -0.7])
+        raw = np.cumsum(softmax(logits))
+        u = raw[0]
+        assert raw[-1] != 1.0 and np.count_nonzero(raw[:-1] <= u) == 1
+        env = OneStep(n_actions=3)
+        params = PolicyParams.uniform(env.n_states, 1, env.n_actions)
+        params.action[0, 0] = logits
+        monkeypatch.setattr(batch, "counter_uniform",
+                            lambda *key: np.full(np.broadcast(*key).shape, u))
+        tt = rollout_batch(env, params, 2, seed=0)
+        assert spec._sample_row(logits, u) == 0
+        assert (tt.action[:, 0] == 0).all()
 
     def test_greedy_batch_is_constant(self, env_and_params):
         env, params = env_and_params
@@ -388,8 +408,8 @@ class TestScoreKernel:
     def test_log_likelihoods_match_per_turn_reference(self, rng):
         params = PolicyParams.random(rng, 6, 3, 4)
         trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
-        got = turn_log_likelihood(gather_rows(TurnTable.from_trajectories(trajs)),
-                                  params)
+        rows = gather_rows(TurnTable.from_trajectories(trajs))
+        got = turn_log_likelihood(head_sites(rows, params), params_as_vector(params))
         want = [sum(lp for lp in spec.log_prob(params, u) if lp is not None)
                 for traj in trajs for u in traj.turns]
         assert np.allclose(got, want, atol=1e-12)

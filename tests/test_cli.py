@@ -155,6 +155,27 @@ class TestDispatch:
         assert report["passed"] is True
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode,trials", [("gradcheck", 100), ("telescope", 10000),
+                                             ("critic-fixpoint", 10000)])
+    def test_verify_trials_default_to_the_acceptance_sizes(self, tmp_path,
+                                                           monkeypatch, mode, trials):
+        # the gate functions are stubbed: only the count they receive matters
+        import segrl.cli as cli
+        import segrl.gradcheck as gradcheck
+
+        class Seen(Exception):
+            pass
+
+        def seen(*args, **kwargs):
+            raise Seen(kwargs)
+
+        monkeypatch.setattr(gradcheck, "gradcheck_report", seen)
+        monkeypatch.setattr(cli, "telescope_check", seen)
+        monkeypatch.setattr(cli, "fit_critic", seen)
+        with pytest.raises(Seen) as got:
+            dispatch(["verify", mode, "--out", str(tmp_path)])
+        assert trials in got.value.args[0].values()
+
     def test_verify_critic_fixpoint(self, tmp_path):
         code = dispatch(["verify", "critic-fixpoint", "--trials", "40",
                          "--out", str(tmp_path)])
@@ -651,6 +672,24 @@ class TestDemos:
         for where, module, name in names:
             mod = importlib.import_module(module)
             assert name is None or hasattr(mod, name), f"{where}: {module}.{name}"
+
+    def test_backticked_module_names_resolve(self):
+        # every `module.name` the README, the library's docstrings and the
+        # test-side spec name must exist
+        src = ROOT / "src" / "segrl"
+        modules = "|".join(p.stem for p in sorted(src.glob("*.py")) if p.stem != "__init__")
+        pattern = re.compile(rf"`(segrl|(?:segrl\.)?(?:{modules}))\.([A-Za-z_][\w.]*)`")
+        refs = [(path.name, m.group(1), m.group(2))
+                for path in [ROOT / "README.md", ROOT / "tests" / "spec.py",
+                             *sorted(src.glob("*.py"))]
+                for m in pattern.finditer(path.read_text())]
+        assert len(refs) > 20
+        for where, module, name in refs:
+            obj = importlib.import_module(module if module.startswith("segrl")
+                                          else f"segrl.{module}")
+            for part in name.split("."):
+                assert hasattr(obj, part), f"{where}: `{module}.{name}`"
+                obj = getattr(obj, part)
 
 
 class TestValueCheckpoint:

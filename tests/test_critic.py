@@ -46,7 +46,7 @@ def v_next(traj, tables, t):
 def fit_flat_critic(v_flat, batch, lr, epochs):
     """`fit_critic` on a flat batch: the fitted v_flat and the per-epoch MSEs."""
     fitted, rep = fit_critic(ValueTables(v_flat, np.zeros((v_flat.size, 0))),
-                             batch, batch.gamma, lr, epochs)
+                             batch, lr, epochs)
     return fitted.v_high, rep.mse_high
 
 
@@ -148,7 +148,7 @@ class TestFitCritic:
         gamma = 0.9
         vals = oracle_values(env, p, gamma)
         batch = exact_critic_batch(env, p, gamma)
-        fitted, rep = fit_critic(vals.tables, batch, gamma, lr=0.3, epochs=5)
+        fitted, rep = fit_critic(vals.tables, batch, lr=0.3, epochs=5)
         assert np.allclose(fitted.v_high, vals.v_high, atol=1e-12)
         assert np.allclose(fitted.v_low, vals.v_low, atol=1e-12)
         assert rep.mse_low[0] == pytest.approx(0.0, abs=1e-20)
@@ -158,9 +158,9 @@ class TestFitCritic:
         traj = traj_from([1], [5.0], states=[0])
         tables = ValueTables.zeros(1, 1)
         batch = one_episode_batch(traj, 1.0, 1, 1)
-        fitted, _ = fit_critic(tables, batch, gamma=1.0, lr=0.25, epochs=1)
+        fitted, _ = fit_critic(tables, batch, lr=0.25, epochs=1)
         assert fitted.v_low[0, 0] == pytest.approx(0.0 - 2 * 0.25 * (0.0 - 5.0))
-        fitted, _ = fit_critic(tables, batch, gamma=1.0, lr=0.25, epochs=50)
+        fitted, _ = fit_critic(tables, batch, lr=0.25, epochs=50)
         assert fitted.v_low[0, 0] == pytest.approx(5.0, abs=1e-9)
 
     def test_converges_to_oracle_values(self, rng):
@@ -170,7 +170,7 @@ class TestFitCritic:
         vals = oracle_values(env, p, gamma)
         batch = exact_critic_batch(env, p, gamma)
         tables = ValueTables.zeros(env.n_states, 2)
-        fitted, _ = fit_critic(tables, batch, gamma, lr=0.5, epochs=30)
+        fitted, _ = fit_critic(tables, batch, lr=0.5, epochs=30)
         assert np.max(np.abs(fitted.v_high - vals.v_high)[vals.high_defined]) < 1e-10
         assert np.max(np.abs(fitted.v_low - vals.v_low)[vals.low_defined]) < 1e-10
 
@@ -184,7 +184,7 @@ class TestFitCritic:
         # against the targets it starts from, an epoch's step with per-cell
         # lr < 0.5 never raises the batch squared error
         for _ in range(40):
-            new, _ = fit_critic(tables, cb, 0.95, lr=0.1, epochs=1)
+            new, _ = fit_critic(tables, cb, lr=0.1, epochs=1)
             assert sum(cb.batch_mse(new, target_tables=tables)) <= \
                 sum(cb.batch_mse(tables, target_tables=tables)) + 1e-12
             tables = new
@@ -200,13 +200,6 @@ class TestFitCritic:
         for j, (a, b) in enumerate(zip(weighted_target_maps(cb_t),
                                        weighted_target_maps(cb_e))):
             assert np.allclose(a, b, atol=1e-12), j
-
-    def test_gamma_mismatch_rejected(self, rng):
-        env = FetchChain(2, 3)
-        p = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        batch = exact_critic_batch(env, p, 0.9)
-        with pytest.raises(ValueError):
-            fit_critic(ValueTables.zeros(env.n_states, 2), batch, 0.8, 0.1, 1)
 
 
 class TestFlatCritic:

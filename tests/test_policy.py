@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from segrl.batch import TurnTable, gather_rows, record_behavior, rollout_batch
+from segrl.batch import (TurnTable, gather_rows, head_sites, record_behavior,
+                         rollout_batch)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import enumeration_table
 from segrl.policy import (PolicyParams, fetchchain_expert, load_policy,
-                          save_policy, switch_prob)
+                          params_as_vector, save_policy, switch_prob)
 
 from conftest import (Walk, kernel_log_probs, kernel_scores, one_turn,
                       random_trajectory)
@@ -111,7 +112,8 @@ class TestLogProb:
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.8)
         tt = enumeration_table(env, p)
         rows = gather_rows(tt)
-        total = np.bincount(rows.episode, turn_log_likelihood(rows, p))
+        total = np.bincount(rows.episode, turn_log_likelihood(head_sites(rows, p),
+                                                              params_as_vector(p)))
         for got, prob in zip(total, tt.weight):
             assert got == pytest.approx(math.log(prob), abs=1e-10)
 

@@ -5,14 +5,17 @@ import pytest
 
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
-                         gather_rows, rollout_batch)
+                         gather_rows, record_behavior, rollout_batch, site_pass,
+                         site_scores)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, success_probability
-from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
+from segrl.policy import (PolicyParams, fetchchain_expert, fetchchain_phased,
+                          params_as_vector)
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
-                            evaluate, total_loss, train, train_flat_baseline)
+                            _ref_log_probs, _sites, _step, evaluate, total_loss,
+                            train, train_flat_baseline)
 
 import spec
 from conftest import (actor_loss, flat_actor_loss, head_ratios, kl_penalty,
@@ -241,6 +244,50 @@ class TestSharedPass:
         assert (~rows.format_ok[picks["random"]]).any()
         assert (rows.q[picks["random"]] == SWITCH).any()
         assert not rows.format_ok[picks["malformed-row"]].any()
+
+
+class TestOneKernel:
+    """The trainer's step and the oracles run one score-function kernel."""
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_surrogate_gradient_at_ratio_one_is_the_shared_score_sum(self, flat):
+        # behavior recorded from the live policy: every ratio is exactly 1,
+        # so the surrogate gradient is the score sum of the advantages, also
+        # as the oracles take it, one head's pass at a time into its table
+        env = FetchChain(3, 6)
+        rng = np.random.default_rng(3)
+        params = fetchchain_phased(env, rng)
+        tt = record_behavior(rollout_batch(env, params, 40, seed=9), params)
+        tt.format_ok[:] = rng.random(tt.mask.shape) > 0.3
+        cfg = GAEConfig(gamma=0.95)
+        rows = gather_rows(tt, advantage_arrays(tt, random_tables(rng, env.n_states, 2),
+                                                cfg))
+        rows.adv_flat = flat_advantage_arrays(tt, rng.standard_normal(env.n_states),
+                                              cfg)[tt.mask]
+        sites = _sites(rows, params, flat)
+        theta = params_as_vector(params)
+        idx = rng.permutation(len(rows))[:57]
+        _, g_sur, _, _ = _step(sites, idx, theta, _ref_log_probs(params), 0.2)
+
+        sp = site_pass(sites.layout, theta, idx, soft=flat)
+        if flat:
+            joint = np.bincount(sp.pos, sp.live, minlength=len(idx))
+            assert (np.exp(joint - sites.beh[idx]) == 1.0).all()
+            weight, probs = sites.adv[idx][sp.pos], np.concatenate(
+                [sp.soft, sp.p[sp.soft.size:]])
+        else:
+            assert (np.exp(sp.live - sites.beh[sp.site]) == 1.0).all()
+            assert not sites.scored[sp.site].all()
+            weight = np.where(sites.scored[sp.site], sites.adv[sp.site], 0.0)
+            probs = None
+        assert np.array_equal(g_sur, site_scores(sp, weight, probs))
+        for h, ((lo, hi), (a, b)) in enumerate(zip(sp.bounds, sp.ent_bounds)):
+            one = site_pass(sites.layout, theta, idx, head=h)
+            start, stop = one.span
+            assert np.array_equal(one.lp, sp.lp[a:b])
+            assert np.array_equal(g_sur[start:stop],
+                                  site_scores(one, weight[lo:hi],
+                                              None if probs is None else probs[a:b]))
 
 
 class TestTotalLoss:
