@@ -15,7 +15,7 @@ from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
                    TurnRecord, load_trajectories, save_trajectories,
                    segment_boundaries)
 from .critic import CriticBatch, ValueTables, fit_critic
-from .envs import EnvModel, FetchChain, OneStep, make_env, optimal_return
+from .envs import EnvModel, FetchChain, OneStep, make_env
 from .oracle import (enumeration_table, mc_gradient_hae, objective,
                      oracle_gradient, oracle_values, success_probability,
                      switching_exactness_report, telescope_check,

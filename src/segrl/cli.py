@@ -245,6 +245,7 @@ def cmd_verify(args) -> int:
             "max_dev_high": rep.max_dev_high,
             "switching_max_dev": sw.max_abs_dev,
             "switching_contexts": sw.n_contexts, "tol": rep.tol,
+            "switching_worst": sw.worst,
         }, rep.passed and sw.passed)
     if mode == "unbiased":
         env, params = _verify_env_policy(12345)
@@ -297,11 +298,15 @@ def cmd_verify(args) -> int:
         batch = exact_critic_batch(env, params, gamma)
         tables = ValueTables.zeros(env.n_states, params.n_options)
         fitted, _ = fit_critic(tables, batch, lr=0.5, epochs=args.trials)
-        dev_hi = float(np.max(np.abs(fitted.v_high - values.v_high)[values.high_defined]))
-        dev_lo = float(np.max(np.abs(fitted.v_low - values.v_low)[values.low_defined]))
+        dev_hi = np.where(values.high_defined, np.abs(fitted.v_high - values.v_high), -1.0)
+        dev_lo = np.where(values.low_defined, np.abs(fitted.v_low - values.v_low), -1.0)
+        worst_hi = int(np.argmax(dev_hi))
+        worst_lo = np.unravel_index(np.argmax(dev_lo), dev_lo.shape)
+        dev_hi, dev_lo = float(dev_hi[worst_hi]), float(dev_lo[worst_lo])
         return _report(out, "critic-fixpoint", {
             "epochs": args.trials, "dev_high": dev_hi, "dev_low": dev_lo,
-            "tol": 1e-3,
+            "tol": 1e-3, "worst_high_state": worst_hi,
+            "worst_low_cell": [int(x) for x in worst_lo],
         }, max(dev_hi, dev_lo) <= 1e-3)
     raise AssertionError(f"unhandled verify mode {mode}")
 

@@ -193,29 +193,6 @@ def _dense_tables(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nxt, rew, done
 
 
-def optimal_return(env: EnvModel, gamma: float = 1.0) -> float:
-    """Best achievable discounted return, by exhaustive backward induction.
-
-    Works for any deterministic env whose live states strictly advance an
-    internal clock (both shipped environments do).
-    """
-    best = np.zeros(env.n_states, dtype=np.float64)
-    # iterate until fixed point; the clock structure makes this terminate
-    for _ in range(env.horizon + 1):
-        updated = best.copy()
-        for s in range(env.n_states):
-            if env.is_terminal(s):
-                continue
-            vals = []
-            for a in range(env.n_actions):
-                s2, r, done = env.transition(s, a)
-                vals.append(r + (0.0 if done else gamma * best[s2]))
-            updated[s] = max(vals)
-        best = updated
-    start = env.initial_states()
-    return float(sum(p * best[s] for s, p in start))
-
-
 def make_env(name: str, length: int = 3, horizon: int = 6, n_actions: int = 2) -> EnvModel:
     name = name.strip().lower()
     if name == "fetchchain":

@@ -11,6 +11,13 @@ other in the tests:
   prefixes.  The two agree to float precision; the DP route is the one fast
   enough for the larger verification runs.
 
+`solve_dp` makes one backward pass for the action values `q` and the
+values `g_low`, `g_high`, and one forward pass for the occupancies; each
+DP oracle is then array contractions of what it stored, with no loop over
+actions, contexts or (for the gradient) turns.  No DP array is dense in
+pairs of states: `exact_critic_batch` carries its segments forward as a
+sparse flow instead of per-turn (state, subgoal, state) tables.  The enumeration refuses tables bounded above `cap` cells.
+
 All oracles evaluate the raw environment reward process (no KEEP shaping):
 the estimator identities under test concern the unshaped returns.
 """
@@ -36,7 +43,7 @@ from .rng import derive_seed
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The branching bound of the requested enumeration exceeds the cap."""
+    """The requested enumeration could hold more cells than the cap."""
 
 
 def branching_bound(n_options: int, n_actions: int, horizon: int) -> int:
@@ -47,7 +54,7 @@ def branching_bound(n_options: int, n_actions: int, horizon: int) -> int:
 
 
 def enumeration_table(env: EnvModel, params: PolicyParams,
-                      cap: float = 1e8) -> TurnTable:
+                      cap: float = 1e7) -> TurnTable:
     """Every episode of an enumerable environment as one table, each weighted
     by its probability P(tau), with the behavior log-probs a rollout records.
 
@@ -59,13 +66,20 @@ def enumeration_table(env: EnvModel, params: PolicyParams,
     each turn).  Each weight is (P(prefix) * p(q, o)) * p(a), with the
     subgoal and action factors from `math.exp` and the switch rows from
     `np.exp`, so the table holds the same floats as a turn-by-turn
-    depth-first recursion would.  Refuses (EnumerationCapExceeded) an
-    expansion whose branching bound exceeds `cap`.
+    depth-first recursion would.
+
+    Refuses (EnumerationCapExceeded), before expanding anything, a table
+    whose bound on cells (the branching bound on leaves times the horizon)
+    exceeds `cap`.  A bound cell cost 150-160 bytes of peak traced memory at
+    FetchChain (3, 4) and (3, 5), so the default 1e7 bounds the expansion
+    near 1.5 GB: it admits (3, 5) (0.83M cells) and refuses (3, 6) (11.9M).
     """
     n_o, n_a, horizon = params.n_options, params.n_actions, env.horizon
-    if branching_bound(n_o, n_a, horizon) > cap:
+    cells = branching_bound(n_o, n_a, horizon) * horizon
+    if cells > cap:
         raise EnumerationCapExceeded(
-            f"branching bound exceeds cap ({cap:g}) for horizon {horizon}")
+            f"enumeration bound of {cells:,} cells (leaves x {horizon} turns) "
+            f"exceeds the cap ({cap:g})")
     nxt, rew, done = transition_tables(env)
     lsw, lhi, llo = (log_softmax(x, axis=-1)
                      for x in (params.switch, params.subgoal, params.action))
@@ -134,18 +148,18 @@ def enumeration_table(env: EnvModel, params: PolicyParams,
 # Leaf-averaging oracles (small instances; cross-checks for the DP route)
 # ---------------------------------------------------------------------------
 
-def objective_enumerated(env, params, gamma, cap=1e8) -> float:
+def objective_enumerated(env, params, gamma, cap=1e7) -> float:
     """J = E[sum_t gamma^t r_t] by direct leaf averaging."""
     tt = enumeration_table(env, params, cap)
     return float(np.dot(tt.weight, returns_matrix(tt, gamma)[:, 0]))
 
 
-def oracle_gradient_enumerated(env, params, gamma, cap=1e8) -> GradTables:
+def oracle_gradient_enumerated(env, params, gamma, cap=1e7) -> GradTables:
     """Exact policy gradient as sum_tau P(tau) (sum_t scores) R_tau."""
     return _enumerated_scores(env, params, cap, gamma)
 
 
-def score_expectation_enumerated(env, params, cap=1e8) -> GradTables:
+def score_expectation_enumerated(env, params, cap=1e7) -> GradTables:
     """E[sum_t grad log pi] over the full enumeration (zero in theory)."""
     return _enumerated_scores(env, params, cap)
 
@@ -160,19 +174,13 @@ def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
     return GradTables(*split_tables(site_scores(sp, w[rows.episode[sp.pos]]), params))
 
 
-def _enumerated_turns(env, params, gamma, cap):
-    """Every turn of the enumeration with its return-to-go and its
-    trajectory's probability."""
-    tt = enumeration_table(env, params, cap)
-    rows = gather_rows(tt)
-    return (rows, returns_matrix(tt, gamma)[rows.episode, rows.t],
-            tt.weight[rows.episode])
-
-
-def oracle_values_enumerated(env, params, gamma, cap=1e8):
+def oracle_values_enumerated(env, params, gamma, cap=1e7):
     """Leaf-averaged conditional values; cross-check for `oracle_values`."""
     n_s, n_o = params.n_states, params.n_options
-    rows, g, p = _enumerated_turns(env, params, gamma, cap)
+    tt = enumeration_table(env, params, cap)
+    rows = gather_rows(tt)
+    g = returns_matrix(tt, gamma)[rows.episode, rows.t]
+    p = tt.weight[rows.episode]
     low = rows.state * n_o + rows.subgoal
     num_low = np.bincount(low, p * g, n_s * n_o).reshape(n_s, n_o)
     den_low = np.bincount(low, p, n_s * n_o).reshape(n_s, n_o)
@@ -189,18 +197,6 @@ def oracle_values_enumerated(env, params, gamma, cap=1e8):
                         flat_defined=den_flat > 0)
 
 
-def conditional_switch_values_enumerated(env, params, gamma, cap=1e8):
-    """Leaf-averaged E[G_t | t, s, o_prev, q] as {(t, s, o_prev, q): value}."""
-    rows, g, p = _enumerated_turns(env, params, gamma, cap)
-    later = rows.t > 0
-    keys = np.stack([rows.t, rows.state, rows.prev_subgoal, rows.q], axis=1)[later]
-    keys, ctx = np.unique(keys, axis=0, return_inverse=True)
-    ctx = ctx.ravel()
-    num = np.bincount(ctx, p[later] * g[later])
-    den = np.bincount(ctx, p[later])
-    return {tuple(k): float(v) for k, v in zip(keys.tolist(), num / den)}
-
-
 # ---------------------------------------------------------------------------
 # Exact dynamic program over turn layers
 # ---------------------------------------------------------------------------
@@ -209,6 +205,7 @@ def conditional_switch_values_enumerated(env, params, gamma, cap=1e8):
 class DpSolution:
     """Turn-indexed conditional values and occupancies under a fixed policy.
 
+    q[t, s, o, a]   = E[r_t + gamma * G_{t+1} | s_t = s, o_t = o, a_t = a]
     g_low[t, s, o]  = E[G_t | s_t = s, o_t = o]
     g_high[t, s]    = E[G_t | s_t = s, q_t = 1]
     occ[t, s, o]    = P(turn t exists with (s_t, o_t) = (s, o))
@@ -218,6 +215,7 @@ class DpSolution:
 
     gamma: float
     horizon: int
+    q: np.ndarray
     g_low: np.ndarray
     g_high: np.ndarray
     occ: np.ndarray
@@ -243,6 +241,7 @@ def solve_dp(env: EnvModel, params: PolicyParams, gamma: float) -> DpSolution:
     beta = pi_sw[:, :, SWITCH]
 
     dp = DpSolution(gamma=gamma, horizon=horizon,
+                    q=np.zeros((horizon, n_s, n_o, n_a)),
                     g_low=np.zeros((horizon, n_s, n_o)),
                     g_high=np.zeros((horizon, n_s)),
                     occ=np.zeros((horizon, n_s, n_o)),
@@ -250,42 +249,34 @@ def solve_dp(env: EnvModel, params: PolicyParams, gamma: float) -> DpSolution:
                     occ_switch=np.zeros((horizon, n_s, n_o)),
                     beta=beta, pi_hi=pi_hi, pi_lo=pi_lo, pi_sw=pi_sw,
                     nxt=nxt, rew=rew, done=done)
+    # (s, o, a) -> the flat (next state, o) cell its live mass moves into
+    into = nxt[:, None, :] * n_o + np.arange(n_o)[:, None]
+    alive = ~done[:, None, :]
+    cont = np.zeros(n_s * n_o)    # E[G_{t+1} | s_{t+1}, o_t]; 0 past the horizon
     for t in range(horizon - 1, -1, -1):
+        dp.q[t] = rew[:, None, :] + gamma * np.where(alive, cont[into], 0.0)
         acc = np.zeros((n_s, n_o))
         for a in range(n_a):
-            acc += pi_lo[:, :, a] * _action_value(dp, t, a)
+            acc += pi_lo[:, :, a] * dp.q[t, :, :, a]
         dp.g_low[t] = acc
         dp.g_high[t] = np.sum(pi_hi * acc, axis=1)
+        cont = (beta * dp.g_high[t][:, None] + (1.0 - beta) * acc).ravel()
 
     occ, occ_boundary, occ_switch = dp.occ, dp.occ_boundary, dp.occ_switch
     for s0, p0 in env.initial_states():
         occ_boundary[0, s0] += p0
         occ[0, s0] += p0 * pi_hi[s0]
     # each layer's live mass (action, state, option) flows to (next state, option)
-    into = (nxt.T[:, :, None] * n_o + np.arange(n_o)).ravel()
-    pi_live = pi_lo.transpose(2, 0, 1) * (~done.T)[:, :, None]
+    into_a = into.transpose(2, 0, 1).ravel()
+    pi_live = (pi_lo * alive).transpose(2, 0, 1)
     for t in range(horizon - 1):
-        inflow = np.bincount(into, (occ[t] * pi_live).ravel(), n_s * n_o)
+        inflow = np.bincount(into_a, (occ[t] * pi_live).ravel(), n_s * n_o)
         inflow = inflow.reshape(n_s, n_o)
         occ_switch[t + 1] = inflow
         switched = (inflow * beta).sum(axis=1)
         occ_boundary[t + 1] = switched
         occ[t + 1] = inflow * (1.0 - beta) + switched[:, None] * pi_hi
     return dp
-
-
-def _action_value(dp: DpSolution, t: int, a: int) -> np.ndarray:
-    """E[r_t + gamma * G_{t+1} | s_t = s, o_t = o, a_t = a] per (s, o); reads
-    the layer t + 1 of g_low and g_high."""
-    n_s, n_o = dp.g_low.shape[1:]
-    val = np.broadcast_to(dp.rew[:, a][:, None], (n_s, n_o)).copy()
-    if t + 1 < dp.horizon:
-        s2 = dp.nxt[:, a]
-        alive = ~dp.done[:, a]
-        cont = (dp.beta[s2] * dp.g_high[t + 1, s2][:, None]
-                + (1.0 - dp.beta[s2]) * dp.g_low[t + 1, s2])
-        val += dp.gamma * np.where(alive[:, None], cont, 0.0)
-    return val
 
 
 def objective(env: EnvModel, params: PolicyParams, gamma: float) -> float:
@@ -342,32 +333,25 @@ def _values_from_dp(dp: DpSolution) -> OracleValues:
 def oracle_gradient(env: EnvModel, params: PolicyParams, gamma: float) -> GradTables:
     """Exact gradient of the discounted objective.
 
-    Computed as sum_t gamma^t E[score_t * G_t] layer by layer; this equals
-    the leaf-enumerated sum_tau P (sum_t scores) R_tau because each
-    decision's score has zero conditional mean against its prefix return.
+    Computed as sum_t gamma^t E[score_t * G_t] over all layers at once;
+    this equals the leaf-enumerated sum_tau P (sum_t scores) R_tau because
+    each decision's score has zero conditional mean against its prefix
+    return.
     """
     dp = solve_dp(env, params, gamma)
-    out = GradTables.zeros_like(params)
-    disc = 1.0
-    for t in range(dp.horizon):
-        w = disc * dp.occ_switch[t]
-        if t > 0 and w.any():
-            v_keep = dp.g_low[t]
-            v_choice = np.stack(
-                [v_keep, np.broadcast_to(dp.g_high[t][:, None], v_keep.shape)], axis=-1)
-            v_mean = np.sum(dp.pi_sw * v_choice, axis=-1, keepdims=True)
-            out.switch += w[:, :, None] * dp.pi_sw * (v_choice - v_mean)
-        wb = disc * dp.occ_boundary[t]
-        if wb.any():
-            out.subgoal += wb[:, None] * dp.pi_hi * (dp.g_low[t] - dp.g_high[t][:, None])
-        wa = disc * dp.occ[t]
-        if wa.any():
-            v_choice = np.stack([_action_value(dp, t, a)
-                                 for a in range(params.n_actions)], axis=-1)
-            v_mean = np.sum(dp.pi_lo * v_choice, axis=-1, keepdims=True)
-            out.action += wa[:, :, None] * dp.pi_lo * (v_choice - v_mean)
-        disc *= gamma
-    return out
+    disc = np.cumprod(np.r_[1.0, np.full(dp.horizon - 1, gamma)])[:, None, None]
+    v_switch = np.stack([dp.g_low, np.broadcast_to(dp.g_high[..., None],
+                                                    dp.g_low.shape)], axis=-1)
+    return GradTables(_score_term(disc * dp.occ_switch, dp.pi_sw, v_switch),
+                      _score_term(disc[:, 0] * dp.occ_boundary, dp.pi_hi, dp.g_low),
+                      _score_term(disc * dp.occ, dp.pi_lo, dp.q))
+
+
+def _score_term(w: np.ndarray, pi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_t w_t * pi * (v_t - E_pi[v_t]): one head's expected score times
+    the value of each choice, over the layers t of the leading axis."""
+    v_mean = np.sum(pi * v, axis=-1, keepdims=True)
+    return (w[..., None] * pi * (v - v_mean)).sum(axis=0)
 
 
 def success_probability(env: EnvModel, params: PolicyParams) -> float:
@@ -376,12 +360,7 @@ def success_probability(env: EnvModel, params: PolicyParams) -> float:
     if goal is None:
         raise ValueError("environment does not declare a goal_state")
     dp = solve_dp(env, params, 1.0)
-    total = 0.0
-    for a in range(params.n_actions):
-        hits = dp.nxt[:, a] == goal
-        if hits.any():
-            total += float(np.sum(dp.occ[:, hits, :] * dp.pi_lo[hits, :, a][None]))
-    return total
+    return float(np.sum(dp.occ[..., None] * dp.pi_lo * (dp.nxt == goal)[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +369,13 @@ def success_probability(env: EnvModel, params: PolicyParams) -> float:
 
 @dataclass
 class SwitchingReport:
+    """`worst` is the (t, state, o_prev, q) context of `max_abs_dev`, None
+    without contexts."""
+
     max_abs_dev: float
     n_contexts: int
     tol: float
+    worst: tuple[int, int, int, int] | None = None
 
     @property
     def passed(self) -> bool:
@@ -413,21 +396,19 @@ def switching_exactness_report(env: EnvModel, params: PolicyParams, gamma: float
     dp = solve_dp(env, params, gamma)
     if values is None:
         values = _values_from_dp(dp)
-    max_dev = 0.0
-    n_ctx = 0
-    for t in range(1, dp.horizon):
-        for s, o_prev in np.argwhere(dp.occ_switch[t] > 0):
-            q_keep = dp.g_low[t, s, o_prev]
-            q_switch = dp.g_high[t, s]
-            beta = dp.beta[s, o_prev]
-            v_sw = (1.0 - beta) * q_keep + beta * q_switch
-            gain = values.v_high[s] - values.v_low[s, o_prev]
-            for q in (KEEP, SWITCH):
-                brute = (q_keep if q == KEEP else q_switch) - v_sw
-                est = (q - beta) * gain
-                max_dev = max(max_dev, abs(brute - est))
-                n_ctx += 1
-    return SwitchingReport(max_abs_dev=float(max_dev), n_contexts=n_ctx, tol=tol)
+    t, s, o_prev = np.nonzero(dp.occ_switch[1:] > 0)
+    t += 1
+    q_keep, q_switch, beta = dp.g_low[t, s, o_prev], dp.g_high[t, s], dp.beta[s, o_prev]
+    v_sw = (1.0 - beta) * q_keep + beta * q_switch
+    gain = values.v_high[s] - values.v_low[s, o_prev]
+    q = np.array([KEEP, SWITCH])
+    brute = np.stack([q_keep, q_switch], axis=1) - v_sw[:, None]
+    dev = np.abs(brute - (q - beta[:, None]) * gain[:, None])
+    if dev.size == 0:
+        return SwitchingReport(max_abs_dev=0.0, n_contexts=0, tol=tol)
+    i, j = np.unravel_index(np.argmax(dev), dev.shape)
+    return SwitchingReport(max_abs_dev=float(dev[i, j]), n_contexts=dev.size, tol=tol,
+                           worst=(int(t[i]), int(s[i]), int(o_prev[i]), int(q[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -441,91 +422,63 @@ def exact_critic_batch(env: EnvModel, params: PolicyParams, gamma: float) -> Cri
     bootstrap couplings normalised by that mass, so fitting against this
     batch is fitting against the entire trajectory distribution at once,
     with zero sampling noise, and its MSE is the per-cell (reducible) error.
+    No array is dense in pairs of states: the low head is summed over the
+    (t, s, o, a) layers, and the high head's segments are carried forward
+    as a sparse flow of mass per (start state, state, subgoal).
     """
     dp = solve_dp(env, params, gamma)
-    n_s, n_o, n_a = params.n_states, params.n_options, params.n_actions
-    horizon = dp.horizon
+    n_s, n_o = params.n_states, params.n_options
     n_v = n_s * (1 + n_o)
     mass_w = np.zeros(n_v)           # occupancy mass per stacked cell
     mass_r = np.zeros(n_v)           # reward mass per stacked cell
-    c_cell, c_boot, c_mass = [], [], []
 
-    def couple(cell, boot, mass):
-        c_cell.append(cell)
-        c_boot.append(boot)
-        c_mass.append(mass)
+    # low head: the (t, s, o, a) masses summed over t and a.  Live mass
+    # bootstraps the high head at the next state where the carried subgoal
+    # terminates or the enumeration horizon cuts the episode (truncation
+    # rule), and the low head there where the segment continues
+    o = np.arange(n_o)[:, None]
+    mass = dp.occ[..., None] * dp.pi_lo
+    mass_w[n_s:] = mass.sum(axis=(0, 3)).ravel()
+    mass_r[n_s:] = (mass * dp.rew[:, None]).sum(axis=(0, 3)).ravel()
+    go = gamma * mass * ~dp.done[:, None]
+    inside = go[:-1].sum(axis=0)                          # (S, O, A)
+    s2 = np.broadcast_to(dp.nxt[:, None], inside.shape)
+    beta_next = dp.beta[s2, o]
+    cells = np.broadcast_to(low_cell(np.arange(n_s)[:, None, None], o, n_s, n_o),
+                            inside.shape).ravel()
+    c_cell, c_boot = [cells, cells], [s2.ravel(), low_cell(s2, o, n_s, n_o).ravel()]
+    c_mass = [(inside * beta_next + go[-1]).ravel(),
+              (inside * (1.0 - beta_next)).ravel()]
 
-    # low head: one mass bundle per (t, s, o, a), split over the next switch
-    o_cols = np.arange(n_o)[None, :]
-    cells = low_cell(np.arange(n_s)[:, None], o_cols, n_s, n_o).ravel()
-    for t in range(horizon):
-        layer = dp.occ[t]
-        if not layer.any():
-            continue
-        for a in range(n_a):
-            mass = layer * dp.pi_lo[:, :, a]
-            if not mass.any():
-                continue
-            s2 = dp.nxt[:, a]
-            mass_w[cells] += mass.ravel()
-            mass_r[cells] += (mass * dp.rew[:, a][:, None]).ravel()
-            live = mass * (~dp.done[:, a])[:, None]
-            if t + 1 >= horizon:
-                # enumeration horizon: non-terminal rows bootstrap the high
-                # head at the final state (truncation rule)
-                couple(cells, np.repeat(s2, n_o), gamma * live.ravel())
-                continue
-            beta_next = dp.beta[s2]              # (S, O): switch prob at s2
-            # the carried subgoal terminates, or the segment continues at s2
-            couple(cells, np.repeat(s2, n_o), gamma * (live * beta_next).ravel())
-            couple(cells, low_cell(s2[:, None], o_cols, n_s, n_o).ravel(),
-                   gamma * (live * (1.0 - beta_next)).ravel())
-
-    # high head: within-segment recursion gives E[r~] and E[g~ 1{end at s'}]
-    # per segment started at (t, s, o); both are affine in v_high.
-    seg_c_next = np.zeros((n_s, n_o))
-    seg_w_next = np.zeros((n_s, n_o, n_s))
-    seg_c = np.zeros((horizon, n_s, n_o))
-    seg_w_by_t: list[np.ndarray] = [None] * horizon  # type: ignore[list-item]
-    for t in range(horizon - 1, -1, -1):
-        c = np.zeros((n_s, n_o))
-        w = np.zeros((n_s, n_o, n_s))
-        for a in range(n_a):
-            pa = dp.pi_lo[:, :, a]
-            c += pa * dp.rew[:, a][:, None]
-            s2 = dp.nxt[:, a]
-            alive = np.flatnonzero(~dp.done[:, a])
-            if alive.size == 0:
-                continue
-            if t + 1 >= horizon:
-                # segment cut by the enumeration horizon: target bootstraps
-                # the high head at the final state
-                stop = gamma * pa[alive]
-                w[alive[:, None], o_cols, s2[alive][:, None]] += stop
-                continue
-            beta_next = dp.beta[s2[alive]]
-            keep = gamma * pa[alive] * (1.0 - beta_next)
-            stop = gamma * pa[alive] * beta_next
-            c[alive] += keep * seg_c_next[s2[alive]]
-            w[alive] += keep[:, :, None] * seg_w_next[s2[alive]]
-            w[alive[:, None], o_cols, s2[alive][:, None]] += stop
-        seg_c[t] = c
-        seg_w_by_t[t] = w
-        seg_c_next, seg_w_next = c, w
-
-    to_boundary = np.zeros((n_s, n_s))
-    for t in range(horizon):
-        h = dp.occ_boundary[t]
-        live = h > 0
-        if not live.any():
-            continue
-        mix_c = np.sum(dp.pi_hi * seg_c[t], axis=1)
-        mix_w = np.einsum("so,sou->su", dp.pi_hi, seg_w_by_t[t])
-        mass_w[:n_s][live] += h[live]
-        mass_r[:n_s][live] += h[live] * mix_c[live]
-        to_boundary[live] += h[live, None] * mix_w[live]
-    src, dst = np.nonzero(to_boundary)
-    couple(src, dst, to_boundary[src, dst])
+    # high head: each segment's mass flows forward, keyed by (start state,
+    # state, subgoal) and discounted since the segment's boundary; it pays
+    # its rewards to the start state's row, and where it ends (a switch at
+    # the next state, or the horizon) couples that row to the next state
+    mass_w[:n_s] = dp.occ_boundary.sum(axis=0)
+    start = state = sub = np.zeros(0, dtype=np.int64)
+    m = np.zeros(0)
+    for t in range(dp.horizon):
+        new = np.flatnonzero(dp.occ_boundary[t])
+        start = np.concatenate([start, np.repeat(new, n_o)])
+        state = np.concatenate([state, np.repeat(new, n_o)])
+        sub = np.concatenate([sub, np.tile(np.arange(n_o), new.size)])
+        m = np.concatenate([m, (dp.occ_boundary[t, new, None] * dp.pi_hi[new]).ravel()])
+        pa = m[:, None] * dp.pi_lo[state, sub]                # (n, A)
+        mass_r[:n_s] += np.bincount(start, (pa * dp.rew[state]).sum(axis=1), n_s)
+        s2 = dp.nxt[state]
+        go = gamma * pa * ~dp.done[state]
+        beta_next = dp.beta[s2, sub[:, None]] if t + 1 < dp.horizon else 1.0
+        pair = start[:, None] * n_s + s2                      # (start, next state)
+        key, inv = np.unique(pair.ravel(), return_inverse=True)
+        c_cell.append(key // n_s)
+        c_boot.append(key % n_s)
+        c_mass.append(np.bincount(inv, (go * beta_next).ravel(), key.size))
+        keep = go * (1.0 - beta_next)
+        live = keep > 0
+        key, inv = np.unique((pair * n_o + sub[:, None])[live], return_inverse=True)
+        m = np.bincount(inv, keep[live], key.size)
+        start, key = np.divmod(key, n_s * n_o)
+        state, sub = np.divmod(key, n_o)
 
     # one row per visited cell; duplicate couplings merged
     cell = np.flatnonzero(mass_w > 0)

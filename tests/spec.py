@@ -30,7 +30,11 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   bootstrap (the whole (n_boot, n) index matrix drawn at once), for
   `oracle.variance_reports`;
 * `enumerate_trajectories`, a depth-first recursion that builds one
-  `Trajectory` per leaf, for `oracle.enumeration_table`.
+  `Trajectory` per leaf, for `oracle.enumeration_table`;
+* `conditional_switch_values_enumerated`, leaf-averaged switch-context
+  values, for the layered DP's `g_low` and `g_high`;
+* `optimal_return`, backward induction over the env's own transitions,
+  for the shipped environments' reward structure.
 
 The library has one implementation of each estimator; `oracle.telescope_check`
 verifies the hierarchical one, `batch.advantage_arrays`, against its closed
@@ -46,11 +50,12 @@ from typing import NamedTuple
 import numpy as np
 
 from segrl.advantages import GAEConfig, whiten
-from segrl.batch import advantage_arrays, flat_advantage_arrays, rollout_batch
+from segrl.batch import (advantage_arrays, flat_advantage_arrays, gather_rows,
+                         returns_matrix, rollout_batch)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
 from segrl.critic import CriticBatch, ValueTables, low_cell, single_coupling_rows
 from segrl.envs import EnvModel
-from segrl.oracle import OracleValues, VarianceReport
+from segrl.oracle import OracleValues, VarianceReport, enumeration_table
 from segrl.policy import (GradTables, PolicyParams, log_softmax, softmax,
                           split_tables)
 from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng, derive_seed
@@ -621,6 +626,44 @@ def enumerate_trajectories(env: EnvModel, params: PolicyParams):
     for s0, p0 in env.initial_states():
         expand(0, s0, None, p0, [])
     return items
+
+
+def conditional_switch_values_enumerated(env, params, gamma):
+    """Leaf-averaged E[G_t | t, s, o_prev, q] as {(t, s, o_prev, q): value}."""
+    tt = enumeration_table(env, params)
+    rows = gather_rows(tt)
+    g = returns_matrix(tt, gamma)[rows.episode, rows.t]
+    p = tt.weight[rows.episode]
+    later = rows.t > 0
+    keys = np.stack([rows.t, rows.state, rows.prev_subgoal, rows.q], axis=1)[later]
+    keys, ctx = np.unique(keys, axis=0, return_inverse=True)
+    ctx = ctx.ravel()
+    num = np.bincount(ctx, p[later] * g[later])
+    den = np.bincount(ctx, p[later])
+    return {tuple(k): float(v) for k, v in zip(keys.tolist(), num / den)}
+
+
+def optimal_return(env: EnvModel, gamma: float = 1.0) -> float:
+    """Best achievable discounted return, by exhaustive backward induction.
+
+    Works for any deterministic env whose live states strictly advance an
+    internal clock (both shipped environments do).
+    """
+    best = np.zeros(env.n_states, dtype=np.float64)
+    # iterate until fixed point; the clock structure makes this terminate
+    for _ in range(env.horizon + 1):
+        updated = best.copy()
+        for s in range(env.n_states):
+            if env.is_terminal(s):
+                continue
+            vals = []
+            for a in range(env.n_actions):
+                s2, r, done = env.transition(s, a)
+                vals.append(r + (0.0 if done else gamma * best[s2]))
+            updated[s] = max(vals)
+        best = updated
+    start = env.initial_states()
+    return float(sum(p * best[s] for s, p in start))
 
 # -- PPO ratios ---------------------------------------------------------------
 

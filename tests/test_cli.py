@@ -20,9 +20,9 @@ from segrl.advantages import GAEConfig
 from segrl.cli import dispatch, load_values, save_values
 from segrl.config import _FLOAT_KEYS, KNOWN_KEYS, ConfigError, parse_config_text
 from segrl.core import InputError, load_trajectories, write_trajectories
-from segrl.critic import ValueTables
+from segrl.critic import ValueTables, fit_critic
 from segrl.envs import FetchChain
-from segrl.oracle import oracle_values
+from segrl.oracle import exact_critic_batch, oracle_values, solve_dp
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
                           load_policy, save_policy)
 from segrl.rng import CounterRng
@@ -734,6 +734,40 @@ class TestVerifyReports:
         worst = max(rows, key=lambda r: r["ci_diff_upper"])
         assert (report["worst_t"], report["worst_ci_diff_upper"]) == (
             worst["t"], worst["ci_diff_upper"])
+
+    def test_telescope_names_its_worst_switching_context(self, tmp_path):
+        assert dispatch(["verify", "telescope", "--trials", "10",
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "telescope.json").read_text())
+        t, s, o_prev, q = report["switching_worst"]
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        dp = solve_dp(env, params, 1.0)
+        values = oracle_values(env, params, 1.0)
+        assert t >= 1 and dp.occ_switch[t, s, o_prev] > 0
+        beta = dp.beta[s, o_prev]
+        q_keep, q_switch = dp.g_low[t, s, o_prev], dp.g_high[t, s]
+        brute = (q_switch if q == 1 else q_keep) - ((1.0 - beta) * q_keep
+                                                   + beta * q_switch)
+        est = (q - beta) * (values.v_high[s] - values.v_low[s, o_prev])
+        assert abs(brute - est) == report["switching_max_dev"]
+
+    def test_critic_fixpoint_names_its_worst_cells(self, tmp_path):
+        assert dispatch(["verify", "critic-fixpoint", "--trials", "40",
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "critic-fixpoint.json").read_text())
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        gamma = PPOConfig().gamma
+        values = oracle_values(env, params, gamma)
+        fitted, _ = fit_critic(ValueTables.zeros(env.n_states, params.n_options),
+                               exact_critic_batch(env, params, gamma),
+                               lr=0.5, epochs=40)
+        s = report["worst_high_state"]
+        s_low, o = report["worst_low_cell"]
+        assert values.high_defined[s] and values.low_defined[s_low, o]
+        assert abs(fitted.v_high[s] - values.v_high[s]) == report["dev_high"]
+        assert abs(fitted.v_low[s_low, o] - values.v_low[s_low, o]) == report["dev_low"]
 
     def test_unbiased_records_bootstrapped_bias(self, tmp_path):
         code = dispatch(["verify", "unbiased", "--samples", "30000",

@@ -1,7 +1,9 @@
 import pytest
 
 from segrl.envs import (DROP, LEFT, PICKUP, RIGHT, FetchChain, OneStep,
-                        make_env, optimal_return, transition_tables)
+                        make_env, transition_tables)
+
+from spec import optimal_return
 
 
 class TestFetchChain:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
 from segrl.core import KEEP
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import (EnumerationCapExceeded, branching_bound,
-                          conditional_switch_values_enumerated,
                           enumeration_table, exact_critic_batch,
                           mc_gradient_hae, objective,
                           objective_enumerated, oracle_gradient,
@@ -58,6 +58,13 @@ class TestEnumeration:
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
         with pytest.raises(EnumerationCapExceeded):
             enumeration_table(env, params, cap=1e6)
+
+    def test_default_cap_bounds_the_cells(self):
+        # FetchChain(3, 7): 23.9M leaves x 7 turns, refused before expanding
+        env = FetchChain(3, 7)
+        params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
+        with pytest.raises(EnumerationCapExceeded, match="167,215,104 cells"):
+            enumeration_table(env, params)
 
 
 def _zero_branch_policy():
@@ -130,7 +137,7 @@ class TestDualRoutes:
     def test_switch_conditionals(self, small_env_policy):
         env, params = small_env_policy
         dp = solve_dp(env, params, 0.9)
-        leaf = conditional_switch_values_enumerated(env, params, 0.9)
+        leaf = spec.conditional_switch_values_enumerated(env, params, 0.9)
         for (t, s, o_prev, q), val in leaf.items():
             expect = dp.g_low[t, s, o_prev] if q == 0 else dp.g_high[t, s]
             assert val == pytest.approx(expect, abs=1e-10)
@@ -166,9 +173,14 @@ class TestTruncatedLeaves:
         assert 0.0 < mass < 1.0
         assert success_probability(env, params) == pytest.approx(mass, abs=1e-12)
 
-    def test_exact_critic_batch_matches_the_enumeration(self, walk):
-        env, params = walk
-        gamma = 0.9
+    @pytest.mark.parametrize("gamma", [1.0, 0.9])
+    @pytest.mark.parametrize("horizon", [4, 6])
+    def test_exact_critic_batch_matches_the_enumeration(self, horizon, gamma):
+        # no clock in the state: segments started on different turns meet at
+        # one (start, state, subgoal) and must merge in the high head's flow
+        env = Walk(horizon)
+        params = PolicyParams.random(np.random.default_rng(7), env.n_states, 2,
+                                     env.n_actions, scale=0.8)
         tt = enumeration_table(env, params)
         cb_t = critic_batch_from_table(tt, gamma, env.n_states, 2)
         cb_e = exact_critic_batch(env, params, gamma)
@@ -176,6 +188,18 @@ class TestTruncatedLeaves:
         for j, (a, b) in enumerate(zip(weighted_target_maps(cb_t),
                                        weighted_target_maps(cb_e))):
             assert np.allclose(a, b, atol=1e-12), j
+
+    def test_exact_critic_batch_holds_no_dense_state_pairs(self):
+        # 514 states: one dense (S, O, S) array per turn would take 135 MB
+        env = FetchChain(8, 32)
+        params = fetchchain_phased(env, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            exact_critic_batch(env, params, 0.97)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, peak
 
 
 class TestOracleValues:
@@ -193,6 +217,9 @@ class TestOracleValues:
         # mixing the subgoal head over the low values gives the high value
         mix = np.sum(dp.pi_hi[None] * dp.g_low, axis=2)
         assert np.allclose(mix, dp.g_high, atol=1e-12)
+        # and the action head over the action values gives the low value
+        mix = np.sum(dp.pi_lo[None] * dp.q, axis=3)
+        assert np.allclose(mix, dp.g_low, atol=1e-12)
 
     def test_values_match_monte_carlo(self):
         env = FetchChain(3, 6)
