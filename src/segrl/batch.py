@@ -621,6 +621,10 @@ def gather_rows(tt: TurnTable, adv: BatchAdvantages | None = None) -> TurnRows:
 # head order of every pass: the order the trainer sums the heads in
 HEADS = ("action", "subgoal", "switch")
 
+# the pad logit of a slab: below every real logit, so its exp underflows to
+# exactly 0, yet every difference it enters stays finite
+_PAD = -1e300
+
 
 def cell_rows(table: np.ndarray) -> np.ndarray:
     """A logit table viewed as (cells, choices)."""
@@ -630,15 +634,32 @@ def cell_rows(table: np.ndarray) -> np.ndarray:
 @dataclass
 class Sites:
     """A batch's (head, turn) sites, head-major in `HEADS` order: site
-    h * n + i is head h at turn row i.  `first` indexes the site's first
-    logit in `params_as_vector` order and `chosen` the index taken there;
-    `spans` holds each head's (start, stop) in that order."""
+    h * n + i is head h at turn row i.  The present sites' cells hold the
+    entries `cells` of a logit vector laid out as `params_as_vector`; a pass
+    reads a slab, those entries and one pad (`slab`).  `block` holds one
+    column of slab indices per site: its cell's entries, then the pad below
+    a head narrower than the widest (an absent site's column is all pad).
+    `chosen` is the index taken within the site's cell; `widths` holds each
+    head's choices and `spans` the (start, stop) of the slab its cells fill."""
 
     present: np.ndarray           # (3, n) bool
-    first: np.ndarray             # (3n,) int64
+    block: np.ndarray             # (max width, 3n) int64
     chosen: np.ndarray            # (3n,) int64
-    widths: np.ndarray            # (3,) choices per head
+    cells: np.ndarray             # (c,) sorted entries of the vector
+    size: int                     # of the vector
+    widths: list
     spans: list
+
+    def slab(self, theta: np.ndarray) -> np.ndarray:
+        """The entries `cells` of `theta`, then the pad."""
+        return np.append(theta[self.cells], _PAD)
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        """A slab-layout `x` (leading axes kept) laid out as the vector,
+        zero outside `cells`; the pad is dropped."""
+        out = np.zeros(x.shape[:-1] + (self.size,))
+        out[..., self.cells] = x[..., :-1]
+        return out
 
 
 def head_sites(rows: TurnRows, params: PolicyParams) -> Sites:
@@ -650,88 +671,95 @@ def head_sites(rows: TurnRows, params: PolicyParams) -> Sites:
                      rows.state * n_o + rows.prev_subgoal])
     tables = [getattr(params, name) for name in HEADS]
     widths = np.array([t.shape[-1] for t in tables])
+    size = sum(t.size for t in tables)
     # params_as_vector lays the tables out as switch, subgoal, action
     starts = np.array([params.switch.size + params.subgoal.size, params.switch.size, 0])
-    return Sites(present, (starts[:, None] + cell * widths[:, None]).ravel(),
-                 np.concatenate([rows.action, rows.subgoal, rows.q]), widths,
-                 [(s, s + t.size) for s, t in zip(starts.tolist(), tables)])
+    k = np.arange(widths.max())[:, None]
+    # entries past a head's width and every entry of an absent site are the
+    # pad (entry `size`): the switch head's cell at t = 0 (prev subgoal -1)
+    # would start before its table and is never indexed
+    ent = np.where((k < np.repeat(widths, len(rows))) & present.ravel(),
+                   (starts[:, None] + cell * widths[:, None]).ravel() + k, size)
+    hit = np.zeros(size + 1, dtype=bool)
+    hit[ent] = True
+    cells = np.flatnonzero(hit[:size])
+    slot = np.full(size + 1, cells.size)
+    slot[cells] = np.arange(cells.size)
+    edges = np.searchsorted(cells, [starts, starts + [t.size for t in tables]]).tolist()
+    return Sites(present, slot[ent], np.concatenate([rows.action, rows.subgoal, rows.q]),
+                 cells, size, widths.tolist(), list(zip(*edges)))
 
 
 @dataclass
 class SitePass:
-    """The present sites of some turn rows, head-major, under a logit vector;
-    `bounds` and `ent_bounds` hold each head's (lo, hi) among the sites and
-    the entries, and `span` the (start, stop) of the vector the sites' logits
-    fall in.  `soft`, when asked for, is the action head's explicitly
+    """The present sites of some turn rows, head-major, under a slab: one
+    column per site holding its cell's slab indices, log-probs and
+    probabilities (pad rows below a narrower head hold a log-prob near
+    -1e300 and a probability of 0); `bounds` holds each head's (lo, hi) among
+    the columns, and `span` the (start, stop) of the slab the sites' cells
+    fill.  `soft`, when asked for, is the action head's explicitly
     normalized softmax."""
 
-    site: np.ndarray              # index in the Sites
-    pos: np.ndarray               # position among the rows passed
-    width: np.ndarray             # choices
-    chosen: np.ndarray            # index of the chosen logit in the vector
-    live: np.ndarray              # its log-prob
-    ent: np.ndarray               # per entry of the sites' cells: its index,
-    lp: np.ndarray                # log-prob
+    site: np.ndarray              # (m,) index in the Sites
+    pos: np.ndarray               # (m,) position among the rows passed
+    chosen: np.ndarray            # (m,) slab index of the chosen logit
+    live: np.ndarray              # (m,) its log-prob
+    ent: np.ndarray               # (width, m) slab indices,
+    lp: np.ndarray                # log-probs
     p: np.ndarray                 # and exp(lp)
-    soft: np.ndarray | None
+    soft: np.ndarray | None       # (width, action sites)
     bounds: list
-    ent_bounds: list
     span: tuple
 
 
-def site_pass(sites: Sites, theta: np.ndarray, idx: np.ndarray | None = None,
+def site_pass(sites: Sites, slab: np.ndarray, idx: np.ndarray | None = None,
               head: int | None = None, soft: bool = False) -> SitePass:
     """The sites of the turn rows `idx` (default: all), in that order, and of
-    every head or only `head`, under the logits `theta` (laid out as
-    `params_as_vector`): one log-softmax per head over its stacked sites.
-    With `soft`, also the action head's softmax, as the flat trainer weighs
-    its scores."""
+    every head or only `head` (without pad rows), under the logits `slab`
+    (`Sites.slab`): one log-softmax over their columns, each max and sum
+    one reduce over the outer axis.  That sums a column left to right, the
+    order numpy sums a row of up to 7 choices in, so a head of up to 7
+    choices has the bits a per-row softmax gives it.  With `soft`, also the
+    action head's softmax, as the flat trainer weighs its scores."""
     present = sites.present if idx is None else sites.present[:, idx]
     if head is None:
         heads, pos = np.nonzero(present)
+        block, span = sites.block, (0, slab.size)
     else:
         pos = np.flatnonzero(present[head])
         heads = np.full(pos.size, head)
+        block, span = sites.block[:sites.widths[head]], sites.spans[head]
     site = heads * sites.present.shape[1] + (pos if idx is None else idx[pos])
-    width = sites.widths[heads]
-    first = sites.first[site]
-    chosen = sites.chosen[site]
-    counts = np.bincount(heads, minlength=len(HEADS))
-    ends, ent_ends = (np.cumsum(x).tolist() for x in (counts, counts * sites.widths))
-    bounds, ent_bounds = (list(zip([0] + x, x)) for x in (ends, ent_ends))
-    ent, lp, probs = [], [], None
-    for h in range(len(HEADS)) if head is None else (head,):
-        (lo, hi), k = bounds[h], sites.widths[h]
-        ent.append(first[lo:hi, None] + np.arange(k))
-        z = theta[ent[-1]]
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        total = e.sum(axis=1, keepdims=True)
-        lp.append((z - np.log(total)).ravel())
-        if h == 0 and soft:
-            probs = (e / total).ravel()
-    lp = np.concatenate(lp)
-    return SitePass(site, pos, width, first + chosen, lp[np.cumsum(width) - width + chosen],
-                    np.concatenate([x.ravel() for x in ent]), lp, np.exp(lp), probs,
-                    bounds, ent_bounds,
-                    (0, theta.size) if head is None else sites.spans[head])
+    ends = np.cumsum(np.bincount(heads, minlength=len(HEADS))).tolist()
+    # np.take keeps C order, where the outer-axis reduces run whole rows at once
+    ent = np.take(block, site, axis=1)
+    z = np.take(slab, ent)
+    z -= z.max(axis=0)
+    e = np.exp(z)
+    total = e.sum(axis=0)
+    lp = z - np.log(total)
+    at = np.take(sites.chosen, site) * site.size + np.arange(site.size)
+    return SitePass(site, pos, np.take(ent, at), np.take(lp, at), ent, lp, np.exp(lp),
+                    e[:, :ends[0]] / total[:ends[0]] if soft else None,
+                    list(zip([0] + ends, ends)), span)
 
 
 def site_scores(sp: SitePass, weight: np.ndarray, probs: np.ndarray | None = None,
                 group: np.ndarray | None = None, n_groups: int = 1) -> np.ndarray:
     """sum_i weight_i * (e_chosen_i - probs_i) over the pass's sites, laid
-    out as its span of the vector (one head's table for a one-head pass),
-    `probs` defaulting to p.  Each entry adds its chosen terms first, then
-    its probability rows, site by site, so the sums do not depend on how
-    sites are batched (a last-bit change would re-roll every later training
-    batch).  With `group` (per site), one span per group, stacked on a
-    leading axis."""
+    out as its span of the slab (one head's span for a one-head pass),
+    `probs` (one column per site) defaulting to p.  Each entry adds its
+    chosen terms first, then its probability terms, site by site, so the
+    sums do not depend on how sites are batched (a last-bit change would
+    re-roll every later training batch).  With `group` (per site), one span
+    per group, stacked on a leading axis."""
     probs = sp.p if probs is None else probs
     start, stop = sp.span
-    idx = np.concatenate([sp.chosen, sp.ent]) - start
+    idx = np.concatenate([sp.chosen, sp.ent.ravel()]) - start
     if group is not None:
-        idx += (stop - start) * np.concatenate([group, np.repeat(group, sp.width)])
-    out = np.bincount(idx, np.concatenate([weight, -np.repeat(weight, sp.width) * probs]),
+        idx += (stop - start) * np.concatenate(
+            [group, np.broadcast_to(group, sp.ent.shape).ravel()])
+    out = np.bincount(idx, np.concatenate([weight, (-weight * probs).ravel()]),
                       minlength=n_groups * (stop - start))
     return out if group is None else out.reshape(n_groups, -1)
 
@@ -740,7 +768,8 @@ def record_behavior(tt: TurnTable, params: PolicyParams) -> TurnTable:
     """Replace the table's behavior log-probs, in place, by those `params`
     gives each present head (NaN where a head is absent); returns `tt`."""
     rows = gather_rows(tt)
-    sp = site_pass(head_sites(rows, params), params_as_vector(params))
+    sites = head_sites(rows, params)
+    sp = site_pass(sites, sites.slab(params_as_vector(params)))
     live = np.full(len(HEADS) * len(rows), np.nan)
     live[sp.site] = sp.live
     for lp, col in zip((tt.lp_action, tt.lp_subgoal, tt.lp_switch),

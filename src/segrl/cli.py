@@ -230,9 +230,10 @@ def cmd_verify(args) -> int:
     mode = args.mode
     if args.trials is None:  # the acceptance sizes
         args.trials = 100 if mode == "gradcheck" else 10000
-    flag = "samples" if mode in ("unbiased", "variance") else "trials"
-    if getattr(args, flag) < 1:
-        raise InputError(f"--{flag} must be >= 1")
+    # the Monte-Carlo gates' standard errors and variances divide by n - 1
+    flag, least = ("samples", 2) if mode in ("unbiased", "variance") else ("trials", 1)
+    if getattr(args, flag) < least:
+        raise InputError(f"--{flag} must be >= {least}")
     cfg = _load_run_config(args)
     out = _out_dir(args, "runs/verify")
     seed = cfg.ppo.seed
@@ -262,6 +263,7 @@ def cmd_verify(args) -> int:
             "n": rep.n, "max_z": rep.max_z, "n_failed": rep.n_failed,
             "n_coords": rep.n_coords, "max_abs_dev": rep.max_abs_dev,
             "gate": rep.gate, "recorded_bias_lambda_095": bias95,
+            **rep.worst,
         }, rep.passed)
     if mode == "variance":
         env, params = _verify_env_policy(12345)

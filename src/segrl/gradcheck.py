@@ -99,7 +99,7 @@ def turn_log_likelihood(sites: Sites, theta: np.ndarray) -> np.ndarray:
     """Each turn's log-likelihood under the logits `theta`: its present
     heads' summed log-probabilities from the stacked site pass, as the flat
     trainer's joint ratio sums them."""
-    sp = site_pass(sites, theta)
+    sp = site_pass(sites, sites.slab(theta))
     return np.bincount(sp.pos, sp.live, minlength=sites.present.shape[1])
 
 
@@ -112,9 +112,9 @@ def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
     params = PolicyParams.random(rng, n_s, n_o, n_a)
     rows = gather_rows(random_table(rng, 1, n_s, n_o, n_a, max_turns=n_turns))
     sites = head_sites(rows, params)
-    sp = site_pass(sites, params_as_vector(params))
-    analytic = site_scores(sp, np.ones(sp.site.size), group=sp.pos,
-                           n_groups=len(rows))
+    sp = site_pass(sites, sites.slab(params_as_vector(params)))
+    analytic = sites.spread(site_scores(sp, np.ones(sp.site.size), group=sp.pos,
+                                        n_groups=len(rows)))
     numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, params_as_vector(p)),
                              params, h)
     return rel_err(GradTables(*split_tables(analytic, params)).as_vector(),

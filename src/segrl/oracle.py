@@ -25,12 +25,12 @@ the estimator identities under test concern the unshaped returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import (HEADS, TurnTable, _advantage_arrays, _empty_table,
+from .batch import (TurnTable, _advantage_arrays, _empty_table,
                     advantage_arrays, flat_advantage_arrays, gather_rows,
                     head_sites, returns_matrix, rollout_batch, segment_masks,
                     site_pass, site_scores)
@@ -170,8 +170,10 @@ def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
     tt = enumeration_table(env, params, cap)
     w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
     rows = gather_rows(tt)
-    sp = site_pass(head_sites(rows, params), params_as_vector(params))
-    return GradTables(*split_tables(site_scores(sp, w[rows.episode[sp.pos]]), params))
+    sites = head_sites(rows, params)
+    sp = site_pass(sites, sites.slab(params_as_vector(params)))
+    return GradTables(*split_tables(sites.spread(site_scores(sp, w[rows.episode[sp.pos]])),
+                                    params))
 
 
 def oracle_values_enumerated(env, params, gamma, cap=1e7):
@@ -526,33 +528,32 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
     at boundary turns, and the action score weighted by the within-segment
     advantage.  Each episode's sums come from the trainer's kernel
     (`batch.site_pass`, `batch.site_scores`), one head at a time and grouped
-    by episode, `chunk` episodes at a time: a head's per-episode tables hold
-    chunk x table-size floats (2.4 MB for the action head of the phased
-    FetchChain(3, 6) policy).  Returns the per-coordinate mean and standard
-    error over episodes.
+    by episode, `chunk` episodes at a time: a head's per-episode sums hold
+    chunk x (its cells the chunk touches) floats, at most 2.4 MB for the
+    action head of the phased FetchChain(3, 6) policy.  Returns the
+    per-coordinate mean and standard error over episodes.
     """
     theta = params_as_vector(params)
-    sum_x = {name: np.zeros_like(getattr(params, name)) for name in HEADS}
-    sum_x2 = {name: np.zeros_like(getattr(params, name)) for name in HEADS}
+    sum_x, sum_x2 = np.zeros_like(theta), np.zeros_like(theta)
     done_eps = 0
     while done_eps < n:
         m = min(chunk, n - done_eps)
         tt = rollout_batch(env, params, m, seed, episode_offset=done_eps)
         rows = gather_rows(tt, advantage_arrays(tt, tables, cfg))
         sites = head_sites(rows, params)
-        for h, (name, adv) in enumerate(zip(HEADS, (rows.adv_low, rows.adv_high,
-                                                    rows.adv_switch))):
-            # one head's pass and per-episode tables at a time, squared in place
-            sp = site_pass(sites, theta, head=h)
-            x = site_scores(sp, adv[sp.pos], group=rows.episode[sp.pos],
-                            n_groups=m).reshape((m,) + getattr(params, name).shape)
-            sum_x[name] += x.sum(axis=0)
-            sum_x2[name] += np.square(x, out=x).sum(axis=0)
+        slab = sites.slab(theta)
+        for h, adv in enumerate((rows.adv_low, rows.adv_high, rows.adv_switch)):
+            # one head's pass and per-episode sums at a time, squared in place
+            sp = site_pass(sites, slab, head=h)
+            x = site_scores(sp, adv[sp.pos], group=rows.episode[sp.pos], n_groups=m)
+            cells = sites.cells[slice(*sp.span)]
+            sum_x[cells] += x.sum(axis=0)
+            sum_x2[cells] += np.square(x, out=x).sum(axis=0)
         done_eps += m
-    mean = {name: sum_x[name] / n for name in HEADS}
-    se = {name: np.sqrt(np.maximum(sum_x2[name] - n * mean[name] ** 2, 0.0)
-                        / max(n - 1, 1) / n) for name in HEADS}
-    return McGradient(mean=GradTables(**mean), se=GradTables(**se), n=n)
+    mean = sum_x / n
+    se = np.sqrt(np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1) / n)
+    return McGradient(mean=GradTables(*split_tables(mean, params)),
+                      se=GradTables(*split_tables(se, params)), n=n)
 
 
 @dataclass
@@ -563,6 +564,9 @@ class UnbiasednessReport:
     n_coords: int
     max_abs_dev: float
     gate: float = 4.0
+    # the coordinate of max_z: worst_head, worst_cell, worst_choice, worst_z
+    # and worst_dev (its |mean - exact|); empty without a finite z
+    worst: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -581,14 +585,33 @@ def unbiasedness_report(env: EnvModel, params: PolicyParams, n: int, seed: int,
     cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
     tables = oracle_values(env, params, cfg.gamma).tables
     mc = mc_gradient_hae(env, params, tables, cfg, n, seed)
-    exact = oracle_gradient(env, params, cfg.gamma)
+    return unbiasedness(mc, oracle_gradient(env, params, cfg.gamma), gate)
+
+
+def unbiasedness(mc: McGradient, exact: GradTables, gate: float = 4.0
+                 ) -> UnbiasednessReport:
+    """`mc` against `exact`, per coordinate: a coordinate fails once when its
+    z-score exceeds `gate` (an infinite z, a deviation at zero standard
+    error, included)."""
     z = mc.z_scores(exact)
     dev = np.abs(mc.mean.as_vector() - exact.as_vector())
-    finite = z[np.isfinite(z)]
+    worst = {}
+    if np.isfinite(z).any():
+        i = int(np.argmax(np.where(np.isfinite(z), z, -1.0)))  # every z >= 0
+        worst = dict(_coordinate(exact, i), worst_z=float(z[i]), worst_dev=float(dev[i]))
     return UnbiasednessReport(
-        n=n, max_z=float(finite.max()) if finite.size else 0.0,
-        n_failed=int(np.sum(z > gate) + np.sum(np.isinf(z))),
-        n_coords=z.size, max_abs_dev=float(dev.max()), gate=gate)
+        n=mc.n, max_z=worst.get("worst_z", 0.0), n_failed=int(np.sum(z > gate)),
+        n_coords=z.size, max_abs_dev=float(dev.max()), gate=gate, worst=worst)
+
+
+def _coordinate(grad: GradTables, i: int) -> dict:
+    """The head, cell and choice of entry `i` of `grad.as_vector()`."""
+    for name in ("switch", "subgoal", "action"):
+        table = getattr(grad, name)
+        if i < table.size:
+            *cell, choice = (int(x) for x in np.unravel_index(i, table.shape))
+            return dict(worst_head=name, worst_cell=cell, worst_choice=choice)
+        i -= table.size
 
 
 # ---------------------------------------------------------------------------

@@ -160,40 +160,44 @@ def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
 @dataclass
 class _Sites:
     """A batch's sites (`batch.head_sites`) with what the trainer weighs
-    them by.  The hierarchical trainer's `adv` and `beh` (behavior log-prob)
-    are per site, and `scored` drops the switch sites the parser flagged
-    malformed from its surrogate; the flat trainer's are per row (its
-    advantage and joint behavior log-prob), and `scored` is None."""
+    them by and the reference log-probs, in the layout's block.  The
+    hierarchical trainer's `adv` and `beh` (behavior log-prob) are per site,
+    and `scored` drops the switch sites the parser flagged malformed from its
+    surrogate; the flat trainer's are per row (its advantage and joint
+    behavior log-prob), and `scored` is None."""
 
     layout: Sites
+    ref: np.ndarray               # (max width, 3n)
     adv: np.ndarray
     beh: np.ndarray
     scored: np.ndarray | None     # (3n,) bool
 
 
-def _sites(rows: TurnRows, params: PolicyParams, flat: bool) -> _Sites:
+def _sites(rows: TurnRows, params: PolicyParams, flat: bool,
+           ref_lp: np.ndarray) -> _Sites:
     layout = head_sites(rows, params)
+    ref = np.take(layout.slab(ref_lp), layout.block)
     present = layout.present
     if flat:
         beh = rows.lp_action.copy()
         beh[present[1]] += rows.lp_subgoal[present[1]]
         beh[present[2]] += rows.lp_switch[present[2]]
-        return _Sites(layout, rows.adv_flat, beh, None)
+        return _Sites(layout, ref, rows.adv_flat, beh, None)
     scored = present.copy()
     scored[2] &= rows.format_ok
-    return _Sites(layout,
+    return _Sites(layout, ref,
                   np.concatenate([rows.adv_low, rows.adv_high, rows.adv_switch]),
                   np.concatenate([rows.lp_action, rows.lp_subgoal, rows.lp_switch]),
                   scored.ravel())
 
 
-def _step(sites: _Sites, idx: np.ndarray, theta: np.ndarray, ref_lp: np.ndarray,
-          eps: float, grad: bool = True):
+def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
+          grad: bool = True):
     """The minibatch of turn rows `idx`, in that order, under the live
-    logits `theta` (laid out as `params_as_vector`): the clipped surrogate
-    summed over its sites and the exact KL(live || ref) averaged over its
-    rows, each with its gradient wrt `theta` (None without `grad`).  The
-    log-probs come from `batch.site_pass` and the surrogate gradient from
+    logits `slab` (`Sites.slab` of the layout): the clipped surrogate summed
+    over its sites and the exact KL(live || ref) averaged over its rows, each
+    with its gradient wrt `slab` (None without `grad`).  The log-probs come
+    from `batch.site_pass` and the surrogate gradient from
     `batch.site_scores`.
 
     The flat surrogate takes one joint ratio per row, its score the sum of
@@ -202,22 +206,21 @@ def _step(sites: _Sites, idx: np.ndarray, theta: np.ndarray, ref_lp: np.ndarray,
     batch."""
     n = len(idx)
     if n == 0:
-        zeros = np.zeros_like(theta) if grad else None
+        zeros = np.zeros_like(slab) if grad else None
         return 0.0, zeros, 0.0, zeros
-    sp = site_pass(sites.layout, theta, idx, soft=sites.scored is None)
-    diff = sp.lp - ref_lp[sp.ent]
-    pd, kl, kl_sum = sp.p * diff, [], 0.0
-    for (lo, hi), (a, b), k in zip(sp.bounds, sp.ent_bounds,
-                                   sites.layout.widths.tolist()):
-        kl.append(pd[a:b].reshape(hi - lo, k).sum(axis=1))
-        kl_sum += float(kl[-1].sum())
-    kl, probs = np.concatenate(kl), None
+    sp = site_pass(sites.layout, slab, idx, soft=sites.scored is None)
+    diff = sp.lp - np.take(sites.ref, sp.site, axis=1)
+    # a pad row adds p * diff = 0 * (finite) to its column's KL
+    kl = (sp.p * diff).sum(axis=0)
+    kl_sum, probs = 0.0, None
+    for lo, hi in sp.bounds:
+        kl_sum += float(kl[lo:hi].sum())
     if sites.scored is None:
         joint = np.bincount(sp.pos, sp.live, minlength=n)  # action, subgoal, switch
         value, w = _clipped_surrogate(np.exp(joint - sites.beh[idx]),
                                       sites.adv[idx], eps)
         surrogate, w = float(value.sum()), w[sp.pos]
-        probs = np.concatenate([sp.soft, sp.p[sp.soft.size:]])
+        probs = np.concatenate([sp.soft, sp.p[:, sp.soft.shape[1]:]], axis=1)
     else:
         value, w = _clipped_surrogate(np.exp(sp.live - sites.beh[sp.site]),
                                       sites.adv[sp.site], eps)
@@ -228,8 +231,7 @@ def _step(sites: _Sites, idx: np.ndarray, theta: np.ndarray, ref_lp: np.ndarray,
         w = np.where(scored, w, 0.0)
     if not grad:
         return surrogate, None, kl_sum / n, None
-    g_kl = np.bincount(sp.ent, sp.p * (diff - np.repeat(kl, sp.width)),
-                       minlength=theta.size)
+    g_kl = np.bincount(sp.ent.ravel(), (sp.p * (diff - kl)).ravel(), minlength=slab.size)
     g_kl *= 1.0 / n
     return surrogate, site_scores(sp, w, probs), kl_sum / n, g_kl
 
@@ -247,17 +249,17 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     checks and diagnostics; `train` takes the equivalent staged steps.
     """
     rows = gather_rows(tt, adv)
-    theta = params_as_vector(params)
-    surrogate, g_actor, kl, g_kl = _step(_sites(rows, params, flat=False),
-                                         np.arange(len(rows)), theta,
-                                         _ref_log_probs(ref), cfg.clip_eps)
+    sites = _sites(rows, params, False, _ref_log_probs(ref))
+    slab = sites.layout.slab(params_as_vector(params))
+    surrogate, g_actor, kl, g_kl = _step(sites, np.arange(len(rows)), slab,
+                                         cfg.clip_eps)
     cb = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
     mse_lo, mse_hi, g_v = cb.mse_and_grad(tables, target_tables)
     value = -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
-    g_theta = np.zeros_like(theta)
-    g_theta += -1.0 * g_actor
-    g_theta += cfg.kl_beta * g_kl
-    return (value, GradTables(*split_tables(g_theta, params)),
+    g_slab = np.zeros_like(slab)
+    g_slab += -1.0 * g_actor
+    g_slab += cfg.kl_beta * g_kl
+    return (value, GradTables(*split_tables(sites.layout.spread(g_slab), params)),
             unstacked(cfg.c_v * g_v, tables.n_states))
 
 
@@ -373,24 +375,31 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         else:
             rows = gather_rows(tt, _advantage_arrays(tt, state.tables, cfg.gae(),
                                                      cfg.gamma, built=built))
-        sites = _sites(rows, state.params, flat)
+        # the steps read and update the slab of the entries the batch's
+        # sites touch, written back once
+        sites = _sites(rows, state.params, flat, ref_lp)
+        slab = sites.layout.slab(theta)
 
         surrogate_sum, turn_count = 0.0, 0
         shuffle = np.random.Generator(np.random.PCG64(
             derive_seed(cfg.seed, 23, it)))
         for _ in range(cfg.epochs):
             for idx in _minibatches(len(rows), cfg.minibatch, shuffle):
-                value, g_actor, kl, g_kl = _step(sites, idx, theta, ref_lp,
-                                                 cfg.clip_eps)
+                value, g_actor, kl, g_kl = _step(sites, idx, slab, cfg.clip_eps)
                 _check_finite("actor surrogate", it, value, kl)
                 # the surrogate is a sum over minibatch turns while the KL is
                 # a per-turn mean; scale the KL gradient to the same footing
-                theta += cfg.lr_actor * (g_actor - cfg.kl_beta * len(idx) * g_kl)
+                slab += cfg.lr_actor * (g_actor - cfg.kl_beta * len(idx) * g_kl)
                 surrogate_sum += value
                 turn_count += len(idx)
+        # as a step over the whole vector would, turn each -0.0 logit outside
+        # the slab into +0.0: the rollout streams hash the logits' bytes (an
+        # episode has at least one turn, so a step ran)
+        theta += 0.0
+        theta[sites.layout.cells] = slab[:-1]
         _check_finite("policy parameters", it, theta)
 
-        kl_now = _step(sites, np.arange(len(rows)), theta, ref_lp, cfg.clip_eps,
+        kl_now = _step(sites, np.arange(len(rows)), slab, cfg.clip_eps,
                        grad=False)[2]
         st = batch_stats(tt, goal_state=goal)
         greedy = evaluate(state.params, env, cfg.eval_episodes, "greedy",

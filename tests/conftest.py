@@ -109,11 +109,11 @@ def minibatch_step(rows, params, ref, eps, flat=False, idx=None, grad=True):
     from segrl.training import _ref_log_probs, _sites, _step
 
     idx = np.arange(len(rows)) if idx is None else idx
-    value, g_sur, kl, g_kl = _step(_sites(rows, params, flat), idx,
-                                   params_as_vector(params), _ref_log_probs(ref),
+    sites = _sites(rows, params, flat, _ref_log_probs(ref))
+    value, g_sur, kl, g_kl = _step(sites, idx, sites.layout.slab(params_as_vector(params)),
                                    eps, grad)
-    return tuple(GradTables(*split_tables(x, params)) if isinstance(x, np.ndarray)
-                 else x for x in (value, g_sur, kl, g_kl))
+    return tuple(GradTables(*split_tables(sites.layout.spread(x), params))
+                 if isinstance(x, np.ndarray) else x for x in (value, g_sur, kl, g_kl))
 
 
 def actor_loss(rows, params, eps):
@@ -194,7 +194,8 @@ def kernel_scores(params, trajectories):
     from segrl.policy import GradTables, params_as_vector, split_tables
 
     rows = gather_rows(TurnTable.from_trajectories(trajectories))
-    sp = site_pass(head_sites(rows, params), params_as_vector(params))
-    return GradTables(*split_tables(
-        site_scores(sp, np.ones(sp.site.size), group=sp.pos, n_groups=len(rows)),
+    sites = head_sites(rows, params)
+    sp = site_pass(sites, sites.slab(params_as_vector(params)))
+    return GradTables(*split_tables(sites.spread(
+        site_scores(sp, np.ones(sp.site.size), group=sp.pos, n_groups=len(rows))),
         params))

@@ -10,12 +10,13 @@ from segrl.batch import (TurnTable, _advantage_arrays, advantage_arrays,
                          flat_advantage_arrays, flat_batch_from_table,
                          gather_rows, head_sites, record_behavior, returns_matrix,
                          rollout_batch, segment_masks)
-from segrl.core import KEEP, MalformedTrajectory, segment_boundaries
+from segrl.core import KEEP, SWITCH, MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import mc_gradient_hae, oracle_values, random_tables
-from segrl.policy import PolicyParams, fetchchain_phased, params_as_vector, softmax
+from segrl.policy import (PolicyParams, fetchchain_phased, params_as_vector, softmax,
+                          split_tables)
 from segrl.rng import CounterRng
 
 import spec
@@ -424,6 +425,35 @@ class TestScoreKernel:
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(np.isnan(a), np.isnan(b)), name
             assert np.allclose(a[~np.isnan(a)], b[~np.isnan(b)], atol=1e-12), name
+
+    def test_sites_lay_out_only_present_cells(self, rng):
+        # per site, the block column holds its cell's entries of the vector,
+        # then the pad; an absent site's column is all pad.  The first turns
+        # start at state 0, where the absent switch site's cell (prev subgoal
+        # -1) starts two entries before the vector: a wrap-around would touch
+        # the last action cell, which no turn here visits
+        params = PolicyParams.random(rng, 6, 3, 4)
+        trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
+        rows = gather_rows(TurnTable.from_trajectories(trajs))
+        rows.state[rows.state == 5] = 4
+        rows.state[rows.t == 0] = 0
+        sites = head_sites(rows, params)
+        switch, subgoal, action = split_tables(
+            np.arange(params_as_vector(params).size), params)
+        want = ([action[s, o] for s, o in zip(rows.state, rows.subgoal)]
+                + [subgoal[s] if q == SWITCH else None
+                   for s, q in zip(rows.state, rows.q)]
+                + [switch[s, o] if t > 0 else None
+                   for s, o, t in zip(rows.state, rows.prev_subgoal, rows.t)])
+        cells = np.unique(np.concatenate([w for w in want if w is not None]))
+        assert np.array_equal(sites.cells, cells)
+        assert not np.isin(action[-1, -1], cells).any()
+        assert np.array_equal(sites.present.ravel(), [w is not None for w in want])
+        for site, w in enumerate(want):
+            w = np.array([], dtype=int) if w is None else w
+            column = sites.block[:, site]
+            assert np.array_equal(cells[column[:w.size]], w)
+            assert (column[w.size:] == cells.size).all()
 
     def test_mc_gradient_matches_dense_scatter(self):
         env = FetchChain(3, 6)

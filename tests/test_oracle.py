@@ -17,8 +17,9 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           oracle_values_enumerated, score_expectation_enumerated,
                           solve_dp, success_probability,
                           random_table, switching_exactness_report,
-                          unbiasedness_report, variance_reports)
-from segrl.policy import PolicyParams, fetchchain_phased
+                          McGradient, unbiasedness, unbiasedness_report,
+                          variance_reports)
+from segrl.policy import GradTables, PolicyParams, fetchchain_phased
 
 import spec
 from conftest import Walk, weighted_target_maps
@@ -339,6 +340,21 @@ class TestMonteCarloHarnesses:
         params = fetchchain_phased(env, np.random.default_rng(12345))
         rep = unbiasedness_report(env, params, n=30000, seed=4)
         assert rep.passed, (rep.max_z, rep.n_failed)
+
+    def test_failed_coordinates_counted_once(self):
+        # coordinate 0 deviates with zero standard error (z = inf), 1 sits
+        # at z = 5 and 2 at z = 3: two of three fail the 4-SE gate
+        exact = GradTables(np.zeros((1, 1, 2)), np.zeros((1, 1)), np.zeros((1, 1, 1)))
+        mc = McGradient(
+            mean=GradTables(np.array([[[0.5, 1.0]]]), np.array([[0.3]]),
+                            np.zeros((1, 1, 1))),
+            se=GradTables(np.array([[[0.0, 0.2]]]), np.array([[0.1]]),
+                          np.zeros((1, 1, 1))), n=100)
+        rep = unbiasedness(mc, exact)
+        assert (rep.n_failed, rep.n_coords) == (2, 4)
+        assert rep.max_z == 5.0 and not rep.passed
+        assert rep.worst == dict(worst_head="switch", worst_cell=[0, 0], worst_choice=1,
+                                 worst_z=5.0, worst_dev=1.0)
 
     def test_deterministic_gradient_equals_its_mean(self):
         # near-deterministic policy and env: a single sample is its own mean

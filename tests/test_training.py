@@ -5,8 +5,8 @@ import pytest
 
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
-                         gather_rows, record_behavior, rollout_batch, site_pass,
-                         site_scores)
+                         gather_rows, head_sites, record_behavior, rollout_batch,
+                         site_pass, site_scores)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
@@ -253,7 +253,8 @@ class TestOneKernel:
     def test_surrogate_gradient_at_ratio_one_is_the_shared_score_sum(self, flat):
         # behavior recorded from the live policy: every ratio is exactly 1,
         # so the surrogate gradient is the score sum of the advantages, also
-        # as the oracles take it, one head's pass at a time into its table
+        # as the oracles take it: one head's pass at a time into its span of
+        # the slab, or over a layout of the minibatch's rows alone
         env = FetchChain(3, 6)
         rng = np.random.default_rng(3)
         params = fetchchain_phased(env, rng)
@@ -264,30 +265,36 @@ class TestOneKernel:
                                                 cfg))
         rows.adv_flat = flat_advantage_arrays(tt, rng.standard_normal(env.n_states),
                                               cfg)[tt.mask]
-        sites = _sites(rows, params, flat)
+        sites = _sites(rows, params, flat, _ref_log_probs(params))
         theta = params_as_vector(params)
+        slab = sites.layout.slab(theta)
         idx = rng.permutation(len(rows))[:57]
-        _, g_sur, _, _ = _step(sites, idx, theta, _ref_log_probs(params), 0.2)
+        _, g_sur, _, _ = _step(sites, idx, slab, 0.2)
 
-        sp = site_pass(sites.layout, theta, idx, soft=flat)
+        sp = site_pass(sites.layout, slab, idx, soft=flat)
         if flat:
             joint = np.bincount(sp.pos, sp.live, minlength=len(idx))
             assert (np.exp(joint - sites.beh[idx]) == 1.0).all()
-            weight, probs = sites.adv[idx][sp.pos], np.concatenate(
-                [sp.soft, sp.p[sp.soft.size:]])
+            weight = sites.adv[idx][sp.pos]
+            probs = lambda sp: np.concatenate([sp.soft, sp.p[:, sp.soft.shape[1]:]], axis=1)
         else:
             assert (np.exp(sp.live - sites.beh[sp.site]) == 1.0).all()
             assert not sites.scored[sp.site].all()
             weight = np.where(sites.scored[sp.site], sites.adv[sp.site], 0.0)
-            probs = None
-        assert np.array_equal(g_sur, site_scores(sp, weight, probs))
-        for h, ((lo, hi), (a, b)) in enumerate(zip(sp.bounds, sp.ent_bounds)):
-            one = site_pass(sites.layout, theta, idx, head=h)
+            probs = lambda sp: None
+        assert np.array_equal(g_sur, site_scores(sp, weight, probs(sp)))
+        for h, (lo, hi) in enumerate(sp.bounds):
+            one, k = site_pass(sites.layout, slab, idx, head=h), sites.layout.widths[h]
             start, stop = one.span
-            assert np.array_equal(one.lp, sp.lp[a:b])
-            assert np.array_equal(g_sur[start:stop],
-                                  site_scores(one, weight[lo:hi],
-                                              None if probs is None else probs[a:b]))
+            assert np.array_equal(one.lp, sp.lp[:k, lo:hi])
+            assert np.array_equal(g_sur[start:stop], site_scores(
+                one, weight[lo:hi], probs(sp)[:k, lo:hi] if flat else None))
+        alone = head_sites(take(rows, idx), params)
+        assert alone.cells.size < sites.layout.cells.size
+        one = site_pass(alone, alone.slab(theta), soft=flat)
+        assert np.array_equal(one.lp, sp.lp) and np.array_equal(one.live, sp.live)
+        assert np.array_equal(sites.layout.spread(g_sur),
+                              alone.spread(site_scores(one, weight, probs(one))))
 
 
 class TestTotalLoss:
@@ -328,6 +335,20 @@ class TestTrainLoop:
         assert np.array_equal(res.params.switch, p0.switch)
         assert np.array_equal(res.params.action, p0.action)
         assert len({r.mean_return for r in res.metrics}) == 1
+
+    @pytest.mark.parametrize("trainer", [train, train_flat_baseline])
+    def test_no_logit_stays_negative_zero(self, trainer):
+        # a step of the whole vector adds +0.0 to each logit it does not
+        # touch, which turns -0.0 into +0.0, inside the batch's slab or not
+        env = FetchChain(5, 20)
+        init = PolicyParams.uniform(env.n_states, 2, env.n_actions)
+        for table in (init.switch, init.subgoal, init.action):
+            table[...] = -0.0
+        cfg = PPOConfig(seed=0, iterations=1, episodes_per_iter=8)
+        theta = params_as_vector(trainer(cfg, env, init_params=init).params)
+        # most logits lie outside the slab of 8 episodes and stay zero
+        assert (theta == 0).sum() > theta.size // 2
+        assert not np.signbit(theta[theta == 0]).any()
 
     def test_deterministic_metrics(self):
         env = FetchChain(3, 8)
