@@ -24,7 +24,7 @@ from .parsing import (FormatVerdict, ParsedDecision, ParseFailure, ingest_log,
                       parse_blocks, render_decision)
 from .policy import (CheckpointError, GradTables, PolicyParams,
                      fetchchain_expert, fetchchain_phased, load_policy,
-                     save_policy, switch_prob)
+                     save_policy)
 from .rng import CounterRng, counter_uniform, derive_seed
 from .training import (PPOConfig, TrainResult, evaluate, train,
                        train_flat_baseline)

@@ -141,34 +141,26 @@ class TurnTable:
         return tt
 
     def to_trajectories(self) -> list[Trajectory]:
+        """The episodes as records, each column converted by one `tolist`;
+        a negative prev_subgoal or final_state and a NaN log-prob read as
+        None."""
+        def none_where(bad, x):
+            return np.where(bad, None, x).tolist()
+
+        rows = zip(self.state.tolist(), none_where(self.prev_subgoal < 0, self.prev_subgoal),
+                   self.q.tolist(), self.subgoal.tolist(), self.action.tolist(),
+                   self.reward.tolist(), self.raw_reward.tolist(),
+                   *(none_where(np.isnan(x), x)
+                     for x in (self.lp_switch, self.lp_subgoal, self.lp_action)),
+                   self.format_ok.tolist())
         out = []
-        for i in range(self.n_episodes):
-            turns = []
-            for t in range(int(self.length[i])):
-                done = self.terminated[i] and t == self.length[i] - 1
-                turns.append(TurnRecord(
-                    t=t,
-                    state=int(self.state[i, t]),
-                    prev_subgoal=None if self.prev_subgoal[i, t] < 0 else int(self.prev_subgoal[i, t]),
-                    q=int(self.q[i, t]),
-                    subgoal=int(self.subgoal[i, t]),
-                    action=int(self.action[i, t]),
-                    reward=float(self.reward[i, t]),
-                    raw_reward=float(self.raw_reward[i, t]),
-                    done=bool(done),
-                    lp_switch=_none_if_nan(self.lp_switch[i, t]),
-                    lp_subgoal=_none_if_nan(self.lp_subgoal[i, t]),
-                    lp_action=_none_if_nan(self.lp_action[i, t]),
-                    format_valid=bool(self.format_ok[i, t]),
-                ))
-            fs = int(self.final_state[i])
-            out.append(Trajectory(tuple(turns), truncated=not bool(self.terminated[i]),
-                                  final_state=None if fs < 0 else fs))
+        for n, term, fs, (s, p, q, o, a, r, raw, lp_s, lp_o, lp_a, ok) in zip(
+                self.length.tolist(), self.terminated.tolist(), self.final_state.tolist(), rows):
+            turns = tuple(TurnRecord(t, s[t], p[t], q[t], o[t], a[t], r[t], raw[t],
+                                     term and t == n - 1, None, lp_s[t], lp_o[t], lp_a[t],
+                                     ok[t]) for t in range(n))
+            out.append(Trajectory(turns, truncated=not term, final_state=None if fs < 0 else fs))
         return out
-
-
-def _none_if_nan(x: float):
-    return None if np.isnan(x) else float(x)
 
 
 def _empty_table(n: int, t_max: int) -> TurnTable:

@@ -9,6 +9,7 @@ checkpoint or a transcript) or a missing file.  All outputs land under the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .advantages import GAEConfig
-from .batch import TurnTable, advantage_arrays, rollout_batch
+from .batch import BatchAdvantages, TurnTable, advantage_arrays, rollout_batch
 from .config import RANGES, RunConfig, load_config
 from .core import (InputError, MalformedTrajectory, load_trajectories,
                    save_trajectories)
@@ -177,6 +178,29 @@ def _check_advantage_inputs(tt: TurnTable, tables: ValueTables,
                          "behavior log-probs for the switch probabilities")
 
 
+_ADVANTAGE_LINE = '{"t": %s, "A_low": %s, "A_switch": %s, "A_high": %s, "A_flat": null}\n'
+
+
+def advantage_lines(tt: TurnTable, adv: BatchAdvantages) -> str:
+    """The per-turn records of `segrl advantages`, each line the bytes of
+    `json.dumps(record)` (floats as `float.__repr__`).  Refuses an advantage
+    that is not finite, naming its episode, turn and level."""
+    episode, turn = np.nonzero(tt.mask)
+    a_low, a_switch, a_high = adv.a_low[tt.mask], adv.a_switch[tt.mask], adv.a_high[tt.mask]
+    boundary = adv.masks.is_boundary[tt.mask]
+    for level, values, written in (("A_low", a_low, True), ("A_switch", a_switch, turn > 0),
+                                   ("A_high", a_high, boundary)):
+        if (bad := written & ~np.isfinite(values)).any():
+            k = int(np.argmax(bad))
+            raise InputError(f"episode {episode[k]}, turn {turn[k]}: {level} is "
+                             f"{values[k]}, not a finite number: the value tables "
+                             f"overflow the float range")
+    return "".join(_ADVANTAGE_LINE % (t, lo, "null" if t == 0 else sw, hi if b else "null")
+                   for t, lo, sw, hi, b in zip(turn.tolist(), a_low.tolist(),
+                                               a_switch.tolist(), a_high.tolist(),
+                                               boundary.tolist()))
+
+
 def cmd_advantages(args) -> int:
     for key in ("gamma", "lambda_low", "lambda_high"):
         ok, desc = RANGES[key]
@@ -188,21 +212,11 @@ def cmd_advantages(args) -> int:
     _check_advantage_inputs(tt, tables, params)
     cfg = GAEConfig(gamma=args.gamma, lambda_low=args.lambda_low,
                     lambda_high=args.lambda_high)
-    adv = advantage_arrays(tt, tables, cfg, params=params)
-    out = _out_dir(args, "runs/advantages")
-    path = out / "advantages.jsonl"
+    with np.errstate(over="ignore", invalid="ignore"):  # advantage_lines refuses overflow
+        text = advantage_lines(tt, advantage_arrays(tt, tables, cfg, params=params))
+    path = _out_dir(args, "runs/advantages") / "advantages.jsonl"
     with open(path, "w", encoding="utf-8") as fp:
-        for i, n in enumerate(tt.length.tolist()):
-            a_low = adv.a_low[i, :n].tolist()
-            a_high = adv.a_high[i, :n].tolist()
-            a_switch = adv.a_switch[i, :n].tolist()
-            boundary = adv.masks.is_boundary[i, :n].tolist()
-            for t in range(n):
-                rec = {"t": t, "A_low": a_low[t],
-                       "A_switch": None if t == 0 else a_switch[t],
-                       "A_high": a_high[t] if boundary[t] else None,
-                       "A_flat": None}
-                fp.write(json.dumps(rec) + "\n")
+        fp.write(text)
     print(f"wrote per-turn advantages for {tt.n_episodes} episodes to {path}")
     return 0
 
@@ -289,10 +303,7 @@ def cmd_verify(args) -> int:
     if mode == "gradcheck":
         from .gradcheck import gradcheck_report
         rep = gradcheck_report(n_configs=args.trials, seed=seed)
-        return _report(out, "gradcheck", {
-            "configs": rep["configs"], "max_rel_err": rep["max_rel_err"],
-            "tol": rep["tol"],
-        }, rep["max_rel_err"] <= rep["tol"])
+        return _report(out, "gradcheck", rep, rep["max_rel_err"] <= rep["tol"])
     if mode == "critic-fixpoint":
         env, params = _verify_env_policy(12345)
         gamma = cfg.ppo.gamma
@@ -313,7 +324,10 @@ def cmd_verify(args) -> int:
     raise AssertionError(f"unhandled verify mode {mode}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (`parse_args` makes a
+    fresh namespace on every call)."""
     parser = argparse.ArgumentParser(
         prog="segrl",
         description="Tabular subgoal-switching RL with verification oracles")

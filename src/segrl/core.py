@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator, NamedTuple
 
 KEEP = 0
@@ -109,67 +110,72 @@ def segment_boundaries(traj: Trajectory) -> list[int]:
 # "final_state"); `truncated` takes no other value.
 # ---------------------------------------------------------------------------
 
-def turn_to_json(u: TurnRecord) -> dict:
-    return {
-        "t": u.t,
-        "state": u.state,
-        "prev_subgoal": u.prev_subgoal,
-        "q": u.q,
-        "subgoal": u.subgoal,
-        "subgoal_text": u.subgoal_text,
-        "action": u.action,
-        "reward": u.reward,
-        "raw_reward": u.raw_reward,
-        "done": u.done,
-    }
-
-
-# the Python types `json` decodes each kind of field to; exact types, since
-# bool is a subclass of int
-_JSON_TYPES = {"an integer": (int,), "a finite number": (int, float), "a boolean": (bool,),
-               "a string": (str,)}
-
-
-def _json_field(obj: dict, name: str, what: str):
-    """obj[name] if it holds a JSON value of the kind `what`; KeyError when
-    missing, ValueError naming the field otherwise."""
-    value = obj[name]
-    if type(value) not in _JSON_TYPES[what] or (
-            what == "a finite number" and not abs(value) <= sys.float_info.max):
-        raise ValueError(f"field {name!r} is not {what}: {value!r}")
-    return value
+def _not_a(name: str, what: str, value) -> ValueError:
+    return ValueError(f"field {name!r} is not {what}: {value!r}")
 
 
 def turn_from_json(obj: dict) -> TurnRecord:
     """A turn from its JSON object; KeyError on a missing key, ValueError
     naming the field on a value of the wrong JSON type (a bool or a float
     where an integer belongs, a bool where a number belongs, anything but a
-    string or null as subgoal_text) or on a reward that is not finite."""
-    return TurnRecord(
-        t=_json_field(obj, "t", "an integer"),
-        state=_json_field(obj, "state", "an integer"),
-        prev_subgoal=(None if obj["prev_subgoal"] is None
-                      else _json_field(obj, "prev_subgoal", "an integer")),
-        q=_json_field(obj, "q", "an integer"),
-        subgoal=_json_field(obj, "subgoal", "an integer"),
-        action=_json_field(obj, "action", "an integer"),
-        reward=float(_json_field(obj, "reward", "a finite number")),
-        raw_reward=float(_json_field(obj, "raw_reward", "a finite number")),
-        done=_json_field(obj, "done", "a boolean"),
-        subgoal_text=(None if obj.get("subgoal_text") is None
-                      else _json_field(obj, "subgoal_text", "a string")),
-    )
+    string or null as subgoal_text) or on a reward that is not finite.  The
+    fields are checked in order and the first fault is reported; `type(x)
+    is int` is exact, since bool is a subclass of int."""
+    t = obj["t"]
+    if type(t) is not int:
+        raise _not_a("t", "an integer", t)
+    state = obj["state"]
+    if type(state) is not int:
+        raise _not_a("state", "an integer", state)
+    prev = obj["prev_subgoal"]
+    if prev is not None and type(prev) is not int:
+        raise _not_a("prev_subgoal", "an integer", prev)
+    q = obj["q"]
+    if type(q) is not int:
+        raise _not_a("q", "an integer", q)
+    subgoal = obj["subgoal"]
+    if type(subgoal) is not int:
+        raise _not_a("subgoal", "an integer", subgoal)
+    action = obj["action"]
+    if type(action) is not int:
+        raise _not_a("action", "an integer", action)
+    reward = obj["reward"]
+    if type(reward) not in (float, int) or not abs(reward) <= sys.float_info.max:
+        raise _not_a("reward", "a finite number", reward)
+    raw = obj["raw_reward"]
+    if type(raw) not in (float, int) or not abs(raw) <= sys.float_info.max:
+        raise _not_a("raw_reward", "a finite number", raw)
+    done = obj["done"]
+    if type(done) is not bool:
+        raise _not_a("done", "a boolean", done)
+    text = obj.get("subgoal_text")
+    if text is not None and type(text) is not str:
+        raise _not_a("subgoal_text", "a string", text)
+    return TurnRecord(t, state, prev, q, subgoal, action, float(reward), float(raw),
+                      done, text)
+
+
+_TURN_LINE = ('{"t":%s,"state":%s,"prev_subgoal":%s,"q":%s,"subgoal":%s,'
+              '"subgoal_text":%s,"action":%s,"reward":%s,"raw_reward":%s,"done":%s}\n')
 
 
 def write_trajectories(fp: IO[str], trajectories: Iterable[Trajectory]) -> None:
+    """The episodes in one write, each line the bytes of `json.dumps(obj,
+    separators=(",", ":"))`: strings escaped by json's own ASCII encoder,
+    ints and (finite) floats as `str`, which is the `int.__repr__` and
+    `float.__repr__` json uses."""
+    text = encode_basestring_ascii
+    lines = []
     for traj in trajectories:
-        for u in traj.turns:
-            fp.write(json.dumps(turn_to_json(u), separators=(",", ":")) + "\n")
+        lines += [_TURN_LINE % (
+            u.t, u.state, "null" if u.prev_subgoal is None else u.prev_subgoal, u.q,
+            u.subgoal, "null" if u.subgoal_text is None else text(u.subgoal_text),
+            u.action, u.reward, u.raw_reward, "true" if u.done else "false")
+            for u in traj.turns]
         if traj.truncated:
-            sentinel: dict = {"truncated": True}
-            if traj.final_state is not None:
-                sentinel["final_state"] = traj.final_state
-            fp.write(json.dumps(sentinel, separators=(",", ":")) + "\n")
+            lines.append('{"truncated":true}\n' if traj.final_state is None else
+                         '{"truncated":true,"final_state":%s}\n' % traj.final_state)
+    fp.write("".join(lines))
 
 
 def read_trajectories(fp: IO[str]) -> Iterator[Trajectory]:

@@ -150,12 +150,17 @@ def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
 
 def gradcheck_report(n_configs: int = 100, seed: int = 0,
                      h: float = DEFAULT_H, tol: float = DEFAULT_TOL) -> dict:
-    """Run `n_configs` randomized cases; half score checks, half full-loss."""
+    """Run `n_configs` randomized cases; even ones score checks, odd ones
+    full-loss checks.  Names the first configuration with the largest error
+    and its kind."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
+    worst, worst_i = 0.0, 0
     for i in range(n_configs):
         if i % 2 == 0:
-            worst = max(worst, check_log_prob_grads(rng, h=h))
+            err = check_log_prob_grads(rng, h=h)
         else:
-            worst = max(worst, check_total_loss_grads(random_case(rng), h=h))
-    return {"configs": n_configs, "max_rel_err": worst, "tol": tol}
+            err = check_total_loss_grads(random_case(rng), h=h)
+        if err > worst:
+            worst, worst_i = err, i
+    return {"configs": n_configs, "max_rel_err": worst, "tol": tol,
+            "worst_config": worst_i, "worst_kind": ("score", "loss")[worst_i % 2]}

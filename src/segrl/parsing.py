@@ -9,10 +9,11 @@ and a flat 0.1 penalty applies to the turn's reward.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .batch import TurnTable
 from .core import KEEP, SWITCH, InputError, Trajectory, TurnRecord
@@ -26,20 +27,18 @@ WRONG_ORDER = "wrong-order"
 BAD_SWITCH_VALUE = "bad-switch-value"
 KEEP_CHANGED_SUBGOAL = "keep-changed-subgoal"
 
-_BLOCK_RES = {
-    "switch": re.compile(r"<switch>(.*?)</switch>", re.DOTALL),
-    "subgoal": re.compile(r"<subgoal>(.*?)</subgoal>", re.DOTALL),
-    "action": re.compile(r"<action>(.*?)</action>", re.DOTALL),
-}
+_SWITCH_RE = re.compile(r"<switch>(.*?)</switch>", re.DOTALL)
+_SUBGOAL_RE = re.compile(r"<subgoal>(.*?)</subgoal>", re.DOTALL)
+_ACTION_RE = re.compile(r"<action>(.*?)</action>", re.DOTALL)
+_RECORD_SEP_RE = re.compile(r"\n\s*\n")
 
 
 class ParseFailure(InputError):
     """A transcript record is unusable: no action block could be recovered,
-    or its `@reward` is not a finite number."""
+    or its `@reward` line is not one finite number given once."""
 
 
-@dataclass(frozen=True)
-class ParsedDecision:
+class ParsedDecision(NamedTuple):
     """Decision extracted from one turn of agent text.
 
     `q` is None when the switch block was missing or unreadable; the
@@ -60,12 +59,18 @@ class FormatVerdict:
     penalty: float
 
     @classmethod
-    def from_violations(cls, violations: Sequence[str]) -> "FormatVerdict":
-        v = tuple(violations)
-        return cls(valid=not v, violations=v, penalty=FORMAT_PENALTY if v else 0.0)
+    @functools.cache
+    def from_violations(cls, violations: tuple[str, ...]) -> "FormatVerdict":
+        """The verdict for a tuple of violations, one shared (frozen)
+        instance per tuple."""
+        return cls(valid=not violations, violations=violations,
+                   penalty=FORMAT_PENALTY if violations else 0.0)
 
-    def merged(self, extra: Sequence[str]) -> "FormatVerdict":
-        return FormatVerdict.from_violations(self.violations + tuple(extra))
+    def merged(self, extra: tuple[str, ...]) -> "FormatVerdict":
+        return FormatVerdict.from_violations(self.violations + extra)
+
+
+_SWITCH_TOKENS = {"KEEP": KEEP, "SWITCH": SWITCH}
 
 
 def parse_blocks(text: str) -> tuple[ParsedDecision, FormatVerdict]:
@@ -76,32 +81,27 @@ def parse_blocks(text: str) -> tuple[ParsedDecision, FormatVerdict]:
     cross-turn rule (KEEP must copy the previous subgoal) is checked by
     `ingest_log`.  Raises ParseFailure when no action block exists.
     """
-    matches = {name: rx.search(text) for name, rx in _BLOCK_RES.items()}
-    if matches["action"] is None:
+    action = _ACTION_RE.search(text)
+    if action is None:
         raise ParseFailure("no <action> block found")
-    violations: list[str] = []
-    if matches["switch"] is None:
-        violations.append(MISSING_SWITCH)
-    if matches["subgoal"] is None:
-        violations.append(MISSING_SUBGOAL)
-    present = [m.start() for m in (matches["switch"], matches["subgoal"],
-                                   matches["action"]) if m is not None]
-    if present != sorted(present):
-        violations.append(WRONG_ORDER)
-    q: int | None = None
-    if matches["switch"] is not None:
-        token = matches["switch"].group(1).strip()
-        if token == "KEEP":
-            q = KEEP
-        elif token == "SWITCH":
-            q = SWITCH
-        else:
-            violations.append(BAD_SWITCH_VALUE)
-    subgoal_text = None
-    if matches["subgoal"] is not None:
-        subgoal_text = matches["subgoal"].group(1).strip()
-    decision = ParsedDecision(q=q, subgoal_text=subgoal_text,
-                              action_text=matches["action"].group(1).strip())
+    switch = _SWITCH_RE.search(text)
+    subgoal = _SUBGOAL_RE.search(text)
+    violations: tuple[str, ...] = ()
+    if switch is None:
+        violations += (MISSING_SWITCH,)
+    if subgoal is None:
+        violations += (MISSING_SUBGOAL,)
+    # the blocks present start in switch, subgoal, action order
+    at_subgoal = action.start() if subgoal is None else subgoal.start()
+    if at_subgoal > action.start() or (switch is not None and switch.start() > at_subgoal):
+        violations += (WRONG_ORDER,)
+    q = None
+    if switch is not None:
+        q = _SWITCH_TOKENS.get(switch.group(1).strip())
+        if q is None:
+            violations += (BAD_SWITCH_VALUE,)
+    decision = ParsedDecision(q, None if subgoal is None else subgoal.group(1).strip(),
+                              action.group(1).strip())
     return decision, FormatVerdict.from_violations(violations)
 
 
@@ -144,40 +144,24 @@ def ingest_log(lines: Sequence[tuple[str, float, bool]]) -> IngestResult:
     prev_id: int | None = None
     for t, (text, reward, done) in enumerate(lines):
         try:
-            decision, verdict = parse_blocks(text)
+            (q, sub_text, action_text), verdict = parse_blocks(text)
         except ParseFailure as exc:
             raise ParseFailure(f"turn {t}: {exc}") from exc
-        sub_text = decision.subgoal_text
         if sub_text is None:
             # missing subgoal block: carry the previous subgoal forward
             sub_text = prev_text if prev_text is not None else ""
-        extra: list[str] = []
-        if decision.q is None:
+        if q is None:
             q = KEEP if sub_text == prev_text else SWITCH
-        else:
-            q = decision.q
-        if t == 0:
-            if q == KEEP:
-                extra.append(KEEP_CHANGED_SUBGOAL)
+        elif q == KEEP and sub_text != prev_text:  # every KEEP on the first turn
+            verdict = verdict.merged((KEEP_CHANGED_SUBGOAL,))
             q = SWITCH
-        elif q == KEEP and sub_text != prev_text:
-            extra.append(KEEP_CHANGED_SUBGOAL)
-            q = SWITCH
-        if extra:
-            verdict = verdict.merged(extra)
-        if sub_text not in subgoal_ids:
-            subgoal_ids[sub_text] = len(subgoal_ids)
-        if decision.action_text not in action_ids:
-            action_ids[decision.action_text] = len(action_ids)
+        sub_id = subgoal_ids.setdefault(sub_text, len(subgoal_ids))
         turns.append(TurnRecord(
-            t=t, state=t, prev_subgoal=prev_id, q=q,
-            subgoal=subgoal_ids[sub_text], action=action_ids[decision.action_text],
-            reward=reward - verdict.penalty, raw_reward=reward, done=done,
-            subgoal_text=sub_text, format_valid=verdict.valid,
-        ))
+            t, t, prev_id, q, sub_id, action_ids.setdefault(action_text, len(action_ids)),
+            reward - verdict.penalty, reward, done, sub_text, None, None, None,
+            verdict.valid))
         verdicts.append(verdict)
-        prev_text = sub_text
-        prev_id = subgoal_ids[sub_text]
+        prev_text, prev_id = sub_text, sub_id
     if not turns:
         raise ParseFailure("empty episode")
     truncated = not turns[-1].done
@@ -189,33 +173,44 @@ def ingest_log(lines: Sequence[tuple[str, float, bool]]) -> IngestResult:
 
 # ---------------------------------------------------------------------------
 # Transcript files: one turn per record, records separated by a blank line.
-# A record's metadata lines start with '@': "@reward <finite float>" and
-# "@done".  All other lines are the turn's text.  Without annotations,
-# rewards default to 0 and the final record ends the episode.
+# A record's metadata lines are "@reward <finite float>", whose first word
+# must be exactly "@reward" and which a record holds at most once (another
+# line starting "@reward", such as "@rewards 3", is refused), and "@done".
+# All other lines are the turn's text.  Without annotations, rewards default
+# to 0 and the final record ends the episode.
 # ---------------------------------------------------------------------------
 
 def read_transcript(text: str) -> list[tuple[str, float, bool]]:
     records: list[tuple[str, float, bool]] = []
-    chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
+    chunks = [c for c in _RECORD_SEP_RE.split(text) if c.strip()]
     for k, chunk in enumerate(chunks):
-        reward, done = 0.0, False
-        body: list[str] = []
-        for line in chunk.splitlines():
-            stripped = line.strip()
-            if stripped.startswith("@reward"):
-                value = (stripped.split(None, 1) + [""])[1]
-                try:
-                    reward = float(value)
-                except ValueError:
-                    reward = math.nan
-                if not math.isfinite(reward):
-                    raise ParseFailure(f"record {k}: @reward takes a finite "
-                                       f"number, got {value!r}")
-            elif stripped == "@done":
-                done = True
-            else:
-                body.append(line)
-        records.append(("\n".join(body), reward, done))
+        reward, done = None, False
+        body = chunk.splitlines()
+        if "@" in chunk:
+            lines, body = body, []
+            for line in lines:
+                if "@" not in line:
+                    body.append(line)
+                    continue
+                stripped = line.strip()
+                if stripped == "@done":
+                    done = True
+                elif stripped.startswith("@reward"):
+                    key, value, *_ = stripped.split(None, 1) + [""]
+                    if key != "@reward":
+                        raise ParseFailure(f"record {k}: unknown metadata key {key!r}")
+                    if reward is not None:
+                        raise ParseFailure(f"record {k}: a second @reward line")
+                    try:
+                        reward = float(value)
+                    except ValueError:
+                        reward = math.nan
+                    if not math.isfinite(reward):
+                        raise ParseFailure(f"record {k}: @reward takes a finite "
+                                           f"number, got {value!r}")
+                else:
+                    body.append(line)
+        records.append(("\n".join(body), 0.0 if reward is None else reward, done))
     if records and not records[-1][2]:
         records[-1] = (records[-1][0], records[-1][1], True)
     return records

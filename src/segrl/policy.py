@@ -136,11 +136,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
-def switch_prob(params: PolicyParams, state: int, prev_subgoal: int) -> float:
-    """Probability of SWITCH at (state, previous subgoal)."""
-    return float(softmax(params.switch[state, prev_subgoal])[SWITCH])
-
-
 def fetchchain_expert(env: FetchChain, n_options: int = 2,
                       sharpness: float = 20.0) -> PolicyParams:
     """Hand-coded near-deterministic params that solve FetchChain optimally.

@@ -34,7 +34,12 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
 * `conditional_switch_values_enumerated`, leaf-averaged switch-context
   values, for the layered DP's `g_low` and `g_high`;
 * `optimal_return`, backward induction over the env's own transitions,
-  for the shipped environments' reward structure.
+  for the shipped environments' reward structure;
+* `switch_prob`, one switch-head softmax, for the switch probabilities
+  the kernels take from `policy.softmax`;
+* `write_trajectories` (with `turn_to_json`), one `json.dumps` per line,
+  for `core.write_trajectories`' line template, and `advantage_records`,
+  one dict per turn, for the lines of `segrl advantages`.
 
 The library has one implementation of each estimator; `oracle.telescope_check`
 verifies the hierarchical one, `batch.advantage_arrays`, against its closed
@@ -43,6 +48,7 @@ forms.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -787,3 +793,54 @@ def kl_penalty(rows, params: PolicyParams, ref: PolicyParams):
         np.add.at(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]), g)
     grads.scale(1.0 / n)
     return total / n, grads
+
+
+# -- switch probabilities and the JSON-Lines writers ------------------------------
+
+def switch_prob(params: PolicyParams, state: int, prev_subgoal: int) -> float:
+    """Probability of SWITCH at (state, previous subgoal)."""
+    return float(softmax(params.switch[state, prev_subgoal])[SWITCH])
+
+
+def turn_to_json(u: TurnRecord) -> dict:
+    return {
+        "t": u.t,
+        "state": u.state,
+        "prev_subgoal": u.prev_subgoal,
+        "q": u.q,
+        "subgoal": u.subgoal,
+        "subgoal_text": u.subgoal_text,
+        "action": u.action,
+        "reward": u.reward,
+        "raw_reward": u.raw_reward,
+        "done": u.done,
+    }
+
+
+def write_trajectories(fp, trajectories) -> None:
+    """The trajectory JSON-Lines format, one `json.dumps` per line."""
+    for traj in trajectories:
+        for u in traj.turns:
+            fp.write(json.dumps(turn_to_json(u), separators=(",", ":")) + "\n")
+        if traj.truncated:
+            sentinel: dict = {"truncated": True}
+            if traj.final_state is not None:
+                sentinel["final_state"] = traj.final_state
+            fp.write(json.dumps(sentinel, separators=(",", ":")) + "\n")
+
+
+def advantage_lines(tt, adv) -> str:
+    """The lines `segrl advantages` writes, one `json.dumps` per turn."""
+    lines = []
+    for i, n in enumerate(tt.length.tolist()):
+        a_low = adv.a_low[i, :n].tolist()
+        a_high = adv.a_high[i, :n].tolist()
+        a_switch = adv.a_switch[i, :n].tolist()
+        boundary = adv.masks.is_boundary[i, :n].tolist()
+        for t in range(n):
+            rec = {"t": t, "A_low": a_low[t],
+                   "A_switch": None if t == 0 else a_switch[t],
+                   "A_high": a_high[t] if boundary[t] else None,
+                   "A_flat": None}
+            lines.append(json.dumps(rec) + "\n")
+    return "".join(lines)

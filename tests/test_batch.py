@@ -168,6 +168,27 @@ class TestTableConversions:
                 assert ua.state == ub.state and ua.q == ub.q
                 assert ua.subgoal == ub.subgoal and ua.reward == ub.reward
 
+    def test_round_trip_keeps_every_field_as_a_python_value(self, rng):
+        # behavior log-probs of the heads each turn ran: none for the first
+        # turn's switch or a KEEP turn's subgoal (NaN, read back as None)
+        tt = record_behavior(TurnTable.from_trajectories(
+            [random_trajectory(rng, 8, 3, 4) for _ in range(20)]),
+            PolicyParams.random(rng, 8, 3, 4))
+        back = tt.to_trajectories()
+        again = TurnTable.from_trajectories(back)
+        for name in ("state", "prev_subgoal", "q", "subgoal", "action", "reward",
+                     "raw_reward", "lp_switch", "lp_subgoal", "lp_action", "format_ok",
+                     "mask", "length", "terminated", "final_state"):
+            assert np.array_equal(getattr(again, name), getattr(tt, name),
+                                  equal_nan=getattr(tt, name).dtype == float), name
+        for traj in back:
+            assert type(traj.final_state) in (int, type(None))
+            for u in traj.turns:
+                assert [type(x) for x in u] == [
+                    int, int, type(None) if u.t == 0 else int, int, int, int, float,
+                    float, bool, type(None), type(None) if u.t == 0 else float,
+                    type(None) if u.q == KEEP else float, float, bool]
+
     @pytest.mark.parametrize("field", ["state", "subgoal", "action",
                                        "prev_subgoal", "final_state"])
     def test_negative_ids_rejected(self, field):

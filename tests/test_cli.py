@@ -17,13 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrl.advantages import GAEConfig
-from segrl.cli import dispatch, load_values, save_values
+from segrl.batch import (BatchAdvantages, SegmentMasks, TurnTable,
+                         advantage_arrays)
+from segrl.cli import advantage_lines, dispatch, load_values, save_values
 from segrl.config import _FLOAT_KEYS, KNOWN_KEYS, ConfigError, parse_config_text
-from segrl.core import InputError, load_trajectories, write_trajectories
+from segrl.core import InputError, load_trajectories
 from segrl.critic import ValueTables, fit_critic
 from segrl.envs import FetchChain
+from segrl.gradcheck import check_log_prob_grads, check_total_loss_grads, random_case
 from segrl.oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                           oracle_values, solve_dp)
+from segrl.parsing import ingest_transcript_file
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
                           load_policy, save_policy)
 from segrl.rng import CounterRng
@@ -230,6 +234,41 @@ class TestDispatch:
         assert len(lines) == 7
         assert json.loads(lines[-1])["done"] is True
 
+    def test_cached_parser_keeps_no_verify_counts(self, tmp_path, monkeypatch):
+        # the gate is stubbed: only the count the report records matters
+        import segrl.gradcheck as gradcheck
+        monkeypatch.setattr(gradcheck, "gradcheck_report", lambda n_configs, seed: {
+            "configs": n_configs, "max_rel_err": 0.0, "tol": 1e-6})
+        configs = []
+        for argv in (["--trials", "2"], []):
+            assert dispatch(["verify", "gradcheck", *argv, "--out", str(tmp_path)]) == 0
+            configs.append(json.loads((tmp_path / "gradcheck.json").read_text())["configs"])
+        assert configs == [2, 100]
+
+    def test_cached_parser_keeps_no_seed(self, tmp_path):
+        env = FetchChain(3, 6)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env.L = 3\nenv.H = 6\nc_keep = 0.3\nseed = 3\n")
+        params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
+        for seed, argv in ((5, ["--seed", "5"]), (3, [])):
+            assert dispatch(["rollout", "--config", str(cfg), "--episodes", "4", *argv,
+                             "--out", str(tmp_path / "roll")]) == 0
+            want = io.StringIO()
+            spec.write_trajectories(want, [spec.rollout(env, params, env.horizon,
+                                                        CounterRng(seed, ep), c_keep=0.3)
+                                           for ep in range(4)])
+            assert (tmp_path / "roll" / "trajectories.jsonl").read_text() == want.getvalue()
+
+    @pytest.mark.parametrize("name", ["transcript_clean_knife.txt",
+                                      "transcript_cool_cup.txt",
+                                      "transcript_shopping_shirt.txt"])
+    def test_parse_writes_spec_bytes(self, tmp_path, name):
+        path = ROOT / "tests" / "data" / name
+        assert dispatch(["parse", "--input", str(path), "--out", str(tmp_path)]) == 0
+        want = io.StringIO()
+        spec.write_trajectories(want, [ingest_transcript_file(path).trajectory])
+        assert (tmp_path / "trajectory.jsonl").read_text() == want.getvalue()
+
     def test_module_entry_point_prints_version(self):
         import segrl
         done = subprocess.run([sys.executable, "-m", "segrl.cli", "--version"],
@@ -265,9 +304,9 @@ class TestRolloutAndAdvantages:
                          str(tmp_path / "policy.txt"), "--out",
                          str(tmp_path / "roll")]) == 0
         buf = io.StringIO()
-        write_trajectories(buf, [spec.rollout(env, params, env.horizon,
-                                              CounterRng(11, ep), c_keep=0.3)
-                                 for ep in range(24)])
+        spec.write_trajectories(buf, [spec.rollout(env, params, env.horizon,
+                                                   CounterRng(11, ep), c_keep=0.3)
+                                      for ep in range(24)])
         assert (tmp_path / "roll" / "trajectories.jsonl").read_text() == buf.getvalue()
 
     def test_advantages_match_spec(self, tmp_path, inputs):
@@ -285,6 +324,9 @@ class TestRolloutAndAdvantages:
         got = [json.loads(line) for line in
                (tmp_path / "adv" / "advantages.jsonl").read_text().splitlines()]
         cfg = GAEConfig(gamma=0.9, lambda_low=0.8, lambda_high=0.7)
+        tt = TurnTable.from_trajectories(load_trajectories(jsonl))
+        assert ((tmp_path / "adv" / "advantages.jsonl").read_text()
+                == spec.advantage_lines(tt, advantage_arrays(tt, tables, cfg, params=params)))
         want = []
         for traj in load_trajectories(jsonl):
             est = spec.estimate_all(traj, tables, cfg, params=params)
@@ -302,6 +344,31 @@ class TestRolloutAndAdvantages:
                 assert (g[key] is None) == (w[key] is None), (key, w["t"])
                 if w[key] is not None:
                     assert abs(g[key] - w[key]) <= 1e-12, (key, w["t"])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_advantage_lines_equal_json_dumps(self, data):
+        # random finite records; NaN where no record reads (t = 0's switch
+        # advantage, the padding) must not be refused
+        lengths = data.draw(st.lists(st.integers(1, 5), max_size=4))
+        shape = (len(lengths), max(lengths, default=0))
+        mask = np.arange(shape[1]) < np.array(lengths, dtype=int).reshape(-1, 1)
+        finite = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+        def table():
+            values = data.draw(st.lists(finite, min_size=mask.size, max_size=mask.size))
+            return np.where(mask, np.array(values, dtype=float).reshape(shape), np.nan)
+
+        a_switch = table()
+        a_switch[:, :1] = np.nan
+        boundary = mask & np.array(data.draw(st.lists(
+            st.booleans(), min_size=mask.size, max_size=mask.size)), dtype=bool).reshape(shape)
+        tt = TurnTable.from_trajectories([])
+        tt.mask, tt.length = mask, np.array(lengths, dtype=np.int64)
+        adv = BatchAdvantages(table(), table(), a_switch,
+                              SegmentMasks(boundary, None, None, None))
+        assert advantage_lines(tt, adv) == spec.advantage_lines(tt, adv)
 
     def test_empty_input_writes_empty_output(self, tmp_path, inputs):
         (tmp_path / "empty.jsonl").write_text("")
@@ -388,7 +455,10 @@ class TestMalformedInputs:
         ("@reward", ("record 0", "@reward")), ("@reward abc", ("record 0", "@reward")),
         ("@reward nan", ("record 0", "@reward")), ("@reward -inf", ("record 0", "@reward")),
         ("@reward 1e999", ("record 0", "@reward")),
-        ("@done", ("turn 0", "done before the last turn"))])
+        ("@done", ("turn 0", "done before the last turn")),
+        ("@rewards 3", ("record 0", "unknown metadata key '@rewards'")),
+        ("@rewardx 5", ("record 0", "unknown metadata key '@rewardx'")),
+        ("@reward 1\n@reward 2", ("record 0", "a second @reward line"))])
     def test_transcript_reward_and_done(self, tmp_path, capsys, line, expected):
         # record 0 of two: a reward that is not a finite number, or @done
         # before the last record
@@ -516,6 +586,26 @@ class TestMalformedInputs:
                 ["advantages", "--input", str(tmp_path / "ep.jsonl"),
                  "--values", str(path), "--out", str(tmp_path / "adv")])
         self._refused(argv, capsys, "line 7", "finite")
+
+    def test_overflowing_advantages_refused(self, tmp_path, capsys):
+        # finite value tables whose differences overflow: the advantages are
+        # not numbers JSON can hold
+        env = FetchChain(5, 20)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env.L = 5\nenv.H = 20\n")
+        save_policy(tmp_path / "policy.txt",
+                    PolicyParams.uniform(env.n_states, 2, env.n_actions))
+        save_values(tmp_path / "values.txt",
+                    ValueTables(np.full(env.n_states, 1.7e308),
+                                np.full((env.n_states, 2), -1.7e308)))
+        assert dispatch(["rollout", "--config", str(cfg), "--episodes", "2",
+                         "--out", str(tmp_path / "roll")]) == 0
+        self._refused(["advantages", "--input", str(tmp_path / "roll" / "trajectories.jsonl"),
+                       "--values", str(tmp_path / "values.txt"),
+                       "--policy", str(tmp_path / "policy.txt"),
+                       "--out", str(tmp_path / "adv")],
+                      capsys, "episode 0, turn 0: A_low is inf", "not a finite number")
+        assert not (tmp_path / "adv").exists()
 
     def test_advantages_need_a_policy_for_multi_turn_episodes(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -811,6 +901,18 @@ class TestVerifyReports:
                   - getattr(oracle_gradient(env, params, 1.0), head)[at])
         assert dev == report["worst_dev"]
         assert dev / getattr(mc.se, head)[at] == report["worst_z"] == report["max_z"]
+
+    def test_gradcheck_names_its_worst_configuration(self, tmp_path):
+        assert dispatch(["verify", "gradcheck", "--trials", "4", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "gradcheck.json").read_text())
+        rng = np.random.Generator(np.random.PCG64(3))
+        errs = [check_log_prob_grads(rng) if i % 2 == 0
+                else check_total_loss_grads(random_case(rng)) for i in range(4)]
+        worst = int(np.argmax(errs))
+        assert report["max_rel_err"] == errs[worst] == max(errs)
+        assert (report["worst_config"], report["worst_kind"]) == (
+            worst, ("score", "loss")[worst % 2])
 
     def test_unbiased_records_bootstrapped_bias(self, tmp_path):
         code = dispatch(["verify", "unbiased", "--samples", "30000",

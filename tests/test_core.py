@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
                          returns_matrix, rollout_batch, segment_masks)
-from segrl.core import (KEEP, InputError, MalformedTrajectory, load_trajectories,
-                        read_trajectories, segment_boundaries,
-                        write_trajectories)
+from segrl.core import (KEEP, InputError, MalformedTrajectory, Trajectory,
+                        TurnRecord, load_trajectories, read_trajectories,
+                        segment_boundaries, write_trajectories)
 from segrl.envs import FetchChain
 from segrl.oracle import random_tables
 from segrl.policy import PolicyParams
@@ -295,6 +295,30 @@ class TestJsonl:
         buf_nofinal = io.StringIO()
         write_trajectories(buf_nofinal, trajs)
         assert buf2.getvalue() == buf_nofinal.getvalue()
+
+    # the writer's template against `json.dumps`, on the values where their
+    # rules could part: escapes, float extremes, 64-bit ids and null
+    _ids = st.integers(0, 2**63 - 1)
+    _numbers = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308,
+                                          -1.7976931348623157e308, 1e16, 1e-05]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    _texts = st.one_of(st.none(), st.text(), st.sampled_from(
+        ['', 'say "hi"', 'C:\\dir\\', '\x00\t\n\x1f\x7f', 'line\u2028sep\u2029',
+         'naïve — ☃ 𝄞', '</subgoal>']))
+    _turns = st.builds(TurnRecord, t=_ids, state=_ids, prev_subgoal=st.none() | _ids,
+                       q=_ids, subgoal=_ids, action=_ids, reward=_numbers,
+                       raw_reward=_numbers, done=st.booleans(), subgoal_text=_texts)
+    _episodes = st.builds(lambda turns, truncated, final_state: Trajectory(
+        tuple(turns), truncated=truncated, final_state=final_state),
+        st.lists(_turns, max_size=4), st.booleans(), st.none() | _ids)
+
+    @given(st.lists(_episodes, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_bytes_equal_json_dumps(self, trajs):
+        got, want = io.StringIO(), io.StringIO()
+        write_trajectories(got, trajs)
+        spec.write_trajectories(want, trajs)
+        assert got.getvalue() == want.getvalue()
 
     def test_dangling_turns_rejected(self):
         buf = io.StringIO('{"t":0,"state":0,"prev_subgoal":null,"q":1,'

@@ -196,6 +196,23 @@ class TestTranscriptReader:
         records = read_transcript("only turn\n")
         assert records == [("only turn", 0.0, True)]
 
+    @pytest.mark.parametrize("line", ["@reward 2.5", "  @reward\t2.5  ", "@reward   2.5"])
+    def test_reward_key_then_any_whitespace(self, line):
+        assert read_transcript("turn\n" + line + "\n") == [("turn", 2.5, True)]
+
+    @pytest.mark.parametrize("lines, words", [
+        ("@rewards 3", "record 1: unknown metadata key '@rewards'"),
+        ("@rewardx 5", "record 1: unknown metadata key '@rewardx'"),
+        ("@reward=5", "record 1: unknown metadata key '@reward=5'"),
+        ("@reward 1\n@reward 1", "record 1: a second @reward line")])
+    def test_reward_key_is_exact_and_single(self, lines, words):
+        with pytest.raises(ParseFailure, match=words):
+            read_transcript("turn a\n@reward 1\n\nturn b\n" + lines + "\n")
+
+    def test_other_at_lines_are_text(self):
+        text = "@done later\n@foo 1\nbody\n@reward 1"
+        assert read_transcript(text) == [("@done later\n@foo 1\nbody", 1.0, True)]
+
     @given(st.lists(st.lists(st.one_of(
         st.sampled_from(["<switch>SWITCH</switch>", "<switch>KEEP</switch>",
                          "<switch>x</switch>", "<subgoal>a</subgoal>",

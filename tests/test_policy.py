@@ -10,10 +10,11 @@ from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import enumeration_table
 from segrl.policy import (PolicyParams, fetchchain_expert, load_policy,
-                          params_as_vector, save_policy, switch_prob)
+                          params_as_vector, save_policy)
 
 from conftest import (Walk, kernel_log_probs, kernel_scores, one_turn,
                       random_trajectory)
+from spec import switch_prob
 
 
 def small_params(rng, n_s=5, n_o=3, n_a=4, scale=1.0):
