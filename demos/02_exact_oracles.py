@@ -35,7 +35,7 @@ print(f"\nfetch chain objective: leaf route {j_leaf:+.12f}  "
 g_leaf = oracle_gradient_enumerated(env, params, gamma)
 g_dp = oracle_gradient(env, params, gamma)
 print(f"exact gradient, max coordinate gap between routes: "
-      f"{np.max(np.abs(g_leaf.as_vector() - g_dp.as_vector())):.2e}")
+      f"{np.max(np.abs(g_leaf.theta - g_dp.theta)):.2e}")
 
 v_leaf = oracle_values_enumerated(env, params, gamma)
 v_dp = oracle_values(env, params, gamma)

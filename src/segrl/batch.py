@@ -26,7 +26,7 @@ from .core import KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord
 from .critic import (CriticBatch, ValueTables, low_cell, row_targets,
                      single_coupling_rows, stacked)
 from .envs import EnvModel, transition_tables
-from .policy import PolicyParams, params_as_vector, softmax
+from .policy import PolicyParams, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
 
 
@@ -627,10 +627,10 @@ def cell_rows(table: np.ndarray) -> np.ndarray:
 class Sites:
     """A batch's (head, turn) sites, head-major in `HEADS` order: site
     h * n + i is head h at turn row i.  The present sites' cells hold the
-    entries `cells` of a logit vector laid out as `params_as_vector`; a pass
-    reads a slab, those entries and one pad (`slab`).  `block` holds one
-    column of slab indices per site: its cell's entries, then the pad below
-    a head narrower than the widest (an absent site's column is all pad).
+    entries `cells` of a policy's `theta`; a pass reads a slab, those entries
+    and one pad (`slab`).  `block` holds one column of slab indices per
+    site: its cell's entries, then the pad below a head narrower than the
+    widest (an absent site's column is all pad).
     `chosen` is the index taken within the site's cell; `widths` holds each
     head's choices and `spans` the (start, stop) of the slab its cells fill."""
 
@@ -663,9 +663,8 @@ def head_sites(rows: TurnRows, params: PolicyParams) -> Sites:
                      rows.state * n_o + rows.prev_subgoal])
     tables = [getattr(params, name) for name in HEADS]
     widths = np.array([t.shape[-1] for t in tables])
-    size = sum(t.size for t in tables)
-    # params_as_vector lays the tables out as switch, subgoal, action
-    starts = np.array([params.switch.size + params.subgoal.size, params.switch.size, 0])
+    size = params.theta.size
+    starts = np.array([params.offsets[name] for name in HEADS])
     k = np.arange(widths.max())[:, None]
     # entries past a head's width and every entry of an absent site are the
     # pad (entry `size`): the switch head's cell at t = 0 (prev subgoal -1)
@@ -761,7 +760,7 @@ def record_behavior(tt: TurnTable, params: PolicyParams) -> TurnTable:
     gives each present head (NaN where a head is absent); returns `tt`."""
     rows = gather_rows(tt)
     sites = head_sites(rows, params)
-    sp = site_pass(sites, sites.slab(params_as_vector(params)))
+    sp = site_pass(sites, sites.slab(params.theta))
     live = np.full(len(HEADS) * len(rows), np.nan)
     live[sp.site] = sp.live
     for lp, col in zip((tt.lp_action, tt.lp_subgoal, tt.lp_switch),

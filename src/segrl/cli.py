@@ -26,10 +26,11 @@ from .critic import ValueTables, fit_critic
 from .envs import FetchChain
 from .oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                      oracle_values, switching_exactness_report,
-                     telescope_check, unbiasedness_report, variance_reports)
+                     telescope_check, unbiasedness, variance_reports)
 from .parsing import ingest_transcript_file
 from .policy import (CheckpointError, PolicyParams, fetchchain_phased,
-                     load_policy, read_checkpoint, save_policy)
+                     load_policy, read_checkpoint, save_policy,
+                     write_checkpoint)
 from .rng import SEED_BOUND
 from .training import evaluate, train, train_flat_baseline
 
@@ -38,15 +39,8 @@ VALUES_MAGIC = "segrl-values v1"
 
 
 def save_values(path, tables: ValueTables) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(VALUES_MAGIC + "\n")
-        fp.write(f"{tables.n_states} {tables.n_options}\n")
-        fp.write(f"table v_high {tables.v_high.size}\n")
-        for v in tables.v_high:
-            fp.write(repr(float(v)) + "\n")
-        fp.write(f"table v_low {tables.v_low.size}\n")
-        for v in tables.v_low.ravel():
-            fp.write(repr(float(v)) + "\n")
+    write_checkpoint(path, VALUES_MAGIC, (tables.n_states, tables.n_options),
+                     {"v_high": tables.v_high, "v_low": tables.v_low})
 
 
 def load_values(path) -> ValueTables:
@@ -264,15 +258,16 @@ def cmd_verify(args) -> int:
         }, rep.passed and sw.passed)
     if mode == "unbiased":
         env, params = _verify_env_policy(12345)
-        rep = unbiasedness_report(env, params, n=args.samples, seed=seed)
+        tables = oracle_values(env, params, 1.0).tables
+        exact = oracle_gradient(env, params, 1.0)
+        rep = unbiasedness(mc_gradient_hae(
+            env, params, tables, GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0),
+            n=args.samples, seed=seed), exact)
         # bootstrapped estimator (mixing weight 0.95): bias recorded only
         mixed = mc_gradient_hae(
-            env, params, oracle_values(env, params, 1.0).tables,
-            GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95),
+            env, params, tables, GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95),
             n=min(args.samples, 20000), seed=seed)
-        exact = oracle_gradient(env, params, 1.0)
-        bias95 = float(np.max(np.abs(mixed.mean.as_vector()
-                                     - exact.as_vector())))
+        bias95 = float(np.max(np.abs(mixed.mean.theta - exact.theta)))
         return _report(out, "unbiased", {
             "n": rep.n, "max_z": rep.max_z, "n_failed": rep.n_failed,
             "n_coords": rep.n_coords, "max_abs_dev": rep.max_abs_dev,

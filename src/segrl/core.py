@@ -9,7 +9,9 @@ whose `from_trajectories` checks the turn-structure invariants.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -162,11 +164,17 @@ _TURN_LINE = ('{"t":%s,"state":%s,"prev_subgoal":%s,"q":%s,"subgoal":%s,'
 def write_trajectories(fp: IO[str], trajectories: Iterable[Trajectory]) -> None:
     """The episodes in one write, each line the bytes of `json.dumps(obj,
     separators=(",", ":"))`: strings escaped by json's own ASCII encoder,
-    ints and (finite) floats as `str`, which is the `int.__repr__` and
-    `float.__repr__` json uses."""
+    ints and floats as `str`, which is the `int.__repr__` and
+    `float.__repr__` json uses.  Refuses, before writing anything, a turn
+    whose reward or raw_reward is not finite, which JSON cannot hold."""
     text = encode_basestring_ascii
     lines = []
-    for traj in trajectories:
+    for i, traj in enumerate(trajectories):
+        for u in traj.turns:
+            if not (math.isfinite(u.reward) and math.isfinite(u.raw_reward)):
+                name = "reward" if not math.isfinite(u.reward) else "raw_reward"
+                raise ValueError(f"episode {i}, turn {u.t}: {name} is "
+                                 f"{getattr(u, name)}, not a finite number")
         lines += [_TURN_LINE % (
             u.t, u.state, "null" if u.prev_subgoal is None else u.prev_subgoal, u.q,
             u.subgoal, "null" if u.subgoal_text is None else text(u.subgoal_text),
@@ -219,8 +227,10 @@ def read_trajectories(fp: IO[str]) -> Iterator[Trajectory]:
 
 
 def save_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
+    buf = io.StringIO()
+    write_trajectories(buf, trajectories)  # a refused turn leaves no file
     with open(path, "w", encoding="utf-8") as fp:
-        write_trajectories(fp, trajectories)
+        fp.write(buf.getvalue())
 
 
 def load_trajectories(path) -> list[Trajectory]:

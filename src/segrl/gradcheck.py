@@ -17,7 +17,7 @@ from .batch import (Sites, TurnTable, advantage_arrays, gather_rows, head_sites,
                     record_behavior, site_pass, site_scores)
 from .critic import ValueTables
 from .oracle import random_table, random_tables
-from .policy import GradTables, PolicyParams, params_as_vector, split_tables
+from .policy import GradTables, PolicyParams
 from .training import PPOConfig, total_loss
 
 DEFAULT_H = 1e-5
@@ -31,19 +31,18 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def fd_params_grad(fn, params: PolicyParams, h: float = DEFAULT_H) -> GradTables:
     """Central differences of a function of the policy logits, bumping and
-    restoring each entry of the live tables in place.  A vector-valued `fn`
+    restoring each entry of `params.theta` in place.  A vector-valued `fn`
     gives one table per output entry, stacked on a leading axis."""
-    cols = []
-    for arr in (params.switch, params.subgoal, params.action):
-        for i in np.ndindex(arr.shape):
-            orig = arr[i]
-            arr[i] = orig + h
-            hi = fn(params)
-            arr[i] = orig - h
-            lo = fn(params)
-            arr[i] = orig
-            cols.append((np.asarray(hi) - lo) / (2 * h))
-    return GradTables(*split_tables(np.moveaxis(np.array(cols), 0, -1), params))
+    theta, cols = params.theta, []
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        hi = fn(params)
+        theta[i] = orig - h
+        lo = fn(params)
+        theta[i] = orig
+        cols.append((np.asarray(hi) - lo) / (2 * h))
+    return GradTables.wrap(np.moveaxis(np.array(cols), 0, -1), params)
 
 
 def fd_tables_grad(fn, tables: ValueTables, h: float = DEFAULT_H) -> ValueTables:
@@ -80,10 +79,8 @@ def random_case(rng: np.random.Generator) -> GradCheckCase:
     params_old = PolicyParams.random(rng, n_s, n_o, n_a, scale=0.8)
     # live params perturbed off the behavior point so the surrogate ratio
     # sits away from its clipping kinks almost surely
-    params = PolicyParams(
-        params_old.switch + 0.3 * rng.standard_normal(params_old.switch.shape),
-        params_old.subgoal + 0.3 * rng.standard_normal(params_old.subgoal.shape),
-        params_old.action + 0.3 * rng.standard_normal(params_old.action.shape))
+    params = PolicyParams.wrap(
+        params_old.theta + 0.3 * rng.standard_normal(params_old.theta.size), params_old)
     ref = PolicyParams.random(rng, n_s, n_o, n_a, scale=0.5)
     table = record_behavior(
         random_table(rng, int(rng.integers(2, 5)), n_s, n_o, n_a, max_turns=6),
@@ -112,13 +109,11 @@ def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
     params = PolicyParams.random(rng, n_s, n_o, n_a)
     rows = gather_rows(random_table(rng, 1, n_s, n_o, n_a, max_turns=n_turns))
     sites = head_sites(rows, params)
-    sp = site_pass(sites, sites.slab(params_as_vector(params)))
+    sp = site_pass(sites, sites.slab(params.theta))
     analytic = sites.spread(site_scores(sp, np.ones(sp.site.size), group=sp.pos,
                                         n_groups=len(rows)))
-    numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, params_as_vector(p)),
-                             params, h)
-    return rel_err(GradTables(*split_tables(analytic, params)).as_vector(),
-                   numeric.as_vector())
+    numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, p.theta), params, h)
+    return rel_err(analytic, numeric.theta)
 
 
 def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
@@ -142,7 +137,7 @@ def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
 
     num_theta = fd_params_grad(f_theta, case.params, h)
     num_tab = fd_tables_grad(f_tables, case.tables, h)
-    worst = rel_err(g_theta.as_vector(), num_theta.as_vector())
+    worst = rel_err(g_theta.theta, num_theta.theta)
     worst = max(worst, rel_err(g_tab.v_high, num_tab.v_high))
     worst = max(worst, rel_err(g_tab.v_low, num_tab.v_low))
     return worst

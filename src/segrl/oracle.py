@@ -37,8 +37,7 @@ from .batch import (TurnTable, _advantage_arrays, _empty_table,
 from .core import KEEP, SWITCH
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
-from .policy import (GradTables, PolicyParams, log_softmax, params_as_vector,
-                     softmax, split_tables)
+from .policy import GradTables, PolicyParams, log_softmax, softmax
 from .rng import derive_seed
 
 
@@ -171,9 +170,8 @@ def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
     w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
     rows = gather_rows(tt)
     sites = head_sites(rows, params)
-    sp = site_pass(sites, sites.slab(params_as_vector(params)))
-    return GradTables(*split_tables(sites.spread(site_scores(sp, w[rows.episode[sp.pos]])),
-                                    params))
+    sp = site_pass(sites, sites.slab(params.theta))
+    return GradTables.wrap(sites.spread(site_scores(sp, w[rows.episode[sp.pos]])), params)
 
 
 def oracle_values_enumerated(env, params, gamma, cap=1e7):
@@ -344,9 +342,10 @@ def oracle_gradient(env: EnvModel, params: PolicyParams, gamma: float) -> GradTa
     disc = np.cumprod(np.r_[1.0, np.full(dp.horizon - 1, gamma)])[:, None, None]
     v_switch = np.stack([dp.g_low, np.broadcast_to(dp.g_high[..., None],
                                                     dp.g_low.shape)], axis=-1)
-    return GradTables(_score_term(disc * dp.occ_switch, dp.pi_sw, v_switch),
-                      _score_term(disc[:, 0] * dp.occ_boundary, dp.pi_hi, dp.g_low),
-                      _score_term(disc * dp.occ, dp.pi_lo, dp.q))
+    return GradTables.wrap(np.concatenate([
+        _score_term(disc * dp.occ_switch, dp.pi_sw, v_switch).ravel(),
+        _score_term(disc[:, 0] * dp.occ_boundary, dp.pi_hi, dp.g_low).ravel(),
+        _score_term(disc * dp.occ, dp.pi_lo, dp.q).ravel()]), params)
 
 
 def _score_term(w: np.ndarray, pi: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -508,15 +507,6 @@ class McGradient:
     se: GradTables
     n: int
 
-    def z_scores(self, reference: GradTables) -> np.ndarray:
-        dev = np.abs(self.mean.as_vector() - reference.as_vector())
-        se = self.se.as_vector()
-        z = np.zeros_like(dev)
-        pos = se > 0
-        z[pos] = dev[pos] / se[pos]
-        z[~pos] = np.where(dev[~pos] <= 1e-12, 0.0, np.inf)
-        return z
-
 
 def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
                     cfg: GAEConfig, n: int, seed: int,
@@ -533,7 +523,7 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
     action head of the phased FetchChain(3, 6) policy.  Returns the
     per-coordinate mean and standard error over episodes.
     """
-    theta = params_as_vector(params)
+    theta = params.theta
     sum_x, sum_x2 = np.zeros_like(theta), np.zeros_like(theta)
     done_eps = 0
     while done_eps < n:
@@ -552,8 +542,7 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
         done_eps += m
     mean = sum_x / n
     se = np.sqrt(np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1) / n)
-    return McGradient(mean=GradTables(*split_tables(mean, params)),
-                      se=GradTables(*split_tables(se, params)), n=n)
+    return McGradient(GradTables.wrap(mean, params), GradTables.wrap(se, params), n)
 
 
 @dataclass
@@ -593,25 +582,17 @@ def unbiasedness(mc: McGradient, exact: GradTables, gate: float = 4.0
     """`mc` against `exact`, per coordinate: a coordinate fails once when its
     z-score exceeds `gate` (an infinite z, a deviation at zero standard
     error, included)."""
-    z = mc.z_scores(exact)
-    dev = np.abs(mc.mean.as_vector() - exact.as_vector())
+    dev, se = np.abs(mc.mean.theta - exact.theta), mc.se.theta
+    z = np.divide(dev, se, out=np.where(dev <= 1e-12, 0.0, np.inf), where=se > 0)
     worst = {}
     if np.isfinite(z).any():
         i = int(np.argmax(np.where(np.isfinite(z), z, -1.0)))  # every z >= 0
-        worst = dict(_coordinate(exact, i), worst_z=float(z[i]), worst_dev=float(dev[i]))
+        name, (*cell, choice) = exact.locate(i)
+        worst = dict(worst_head=name, worst_cell=cell, worst_choice=choice,
+                     worst_z=float(z[i]), worst_dev=float(dev[i]))
     return UnbiasednessReport(
         n=mc.n, max_z=worst.get("worst_z", 0.0), n_failed=int(np.sum(z > gate)),
         n_coords=z.size, max_abs_dev=float(dev.max()), gate=gate, worst=worst)
-
-
-def _coordinate(grad: GradTables, i: int) -> dict:
-    """The head, cell and choice of entry `i` of `grad.as_vector()`."""
-    for name in ("switch", "subgoal", "action"):
-        table = getattr(grad, name)
-        if i < table.size:
-            *cell, choice = (int(x) for x in np.unravel_index(i, table.shape))
-            return dict(worst_head=name, worst_cell=cell, worst_choice=choice)
-        i -= table.size
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ is what makes the brute-force verification suites possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,108 +18,89 @@ from .core import KEEP, SWITCH, InputError
 from .envs import FetchChain, DROP, LEFT, PICKUP, RIGHT
 
 CHECKPOINT_MAGIC = "segrl-policy v1"
+TABLES = ("switch", "subgoal", "action")  # their order in `theta`
 
 
-@dataclass
-class PolicyParams:
-    """Logit tables: switch[s, o_prev, 2], subgoal[s, |O|], action[s, o, |A|]."""
+def _table_shapes(n_states: int, n_options: int, n_actions: int) -> tuple:
+    """The shapes of the switch, subgoal and action tables."""
+    return (n_states, n_options, 2), (n_states, n_options), (n_states, n_options, n_actions)
 
-    switch: np.ndarray
-    subgoal: np.ndarray
-    action: np.ndarray
 
-    def __post_init__(self):
-        self.switch = np.asarray(self.switch, dtype=np.float64)
-        self.subgoal = np.asarray(self.subgoal, dtype=np.float64)
-        self.action = np.asarray(self.action, dtype=np.float64)
-        s, o = self.subgoal.shape
-        if self.switch.shape != (s, o, 2):
-            raise ValueError(f"switch table shape {self.switch.shape} != {(s, o, 2)}")
-        if self.action.shape[:2] != (s, o):
+class _HeadTables:
+    """The switch[s, o_prev, 2], subgoal[s, |O|] and action[s, o, |A|]
+    tables as views of one float64 vector `theta`, laid out switch, subgoal,
+    action, each row-major.  The constructor copies three tables into a
+    fresh `theta`; `wrap` shares an existing vector, whose leading axes stay
+    in front of every table."""
+
+    def __init__(self, switch, subgoal, action):
+        switch, subgoal, action = (np.asarray(x, dtype=np.float64)
+                                   for x in (switch, subgoal, action))
+        s, o = subgoal.shape
+        if switch.shape != (s, o, 2):
+            raise ValueError(f"switch table shape {switch.shape} != {(s, o, 2)}")
+        if action.shape[:-1] != (s, o):
             raise ValueError("action table must be indexed by (state, subgoal)")
-        for name, table in (("switch", self.switch), ("subgoal", self.subgoal),
-                            ("action", self.action)):
-            if not np.all(np.isfinite(table)):
-                raise ValueError(f"non-finite entries in {name} logits")
+        self._bind(np.concatenate([switch.ravel(), subgoal.ravel(), action.ravel()]),
+                   s, o, action.shape[-1])
 
-    @property
-    def n_states(self) -> int:
-        return self.subgoal.shape[0]
+    @classmethod
+    def wrap(cls, theta: np.ndarray, like: "_HeadTables"):
+        """The tables of `theta`, laid out as `like.theta` (leading axes
+        allowed), sharing its memory."""
+        out = cls.__new__(cls)
+        out._bind(np.asarray(theta, dtype=np.float64), like.n_states, like.n_options,
+                  like.n_actions)
+        return out
 
-    @property
-    def n_options(self) -> int:
-        return self.subgoal.shape[1]
+    def _bind(self, theta: np.ndarray, *sizes: int) -> None:
+        shapes = _table_shapes(*sizes)
+        stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        if theta.shape[-1:] != (stops[-1],):
+            raise ValueError(f"a vector of shape {theta.shape} does not hold {stops[-1]} logits")
+        self.theta, (self.n_states, self.n_options, self.n_actions) = theta, sizes
+        self.offsets = dict(zip(TABLES, [0] + stops[:-1]))
+        for name, shape, start, stop in zip(TABLES, shapes, self.offsets.values(), stops):
+            setattr(self, name, theta[..., start:stop].reshape(theta.shape[:-1] + shape))
 
-    @property
-    def n_actions(self) -> int:
-        return self.action.shape[2]
+    def locate(self, i: int) -> tuple[str, tuple[int, ...]]:
+        """The table and the index within it of entry `i` of `theta`'s last
+        axis."""
+        name = [n for n in TABLES if self.offsets[n] <= i][-1]
+        shape = getattr(self, name).shape[self.theta.ndim - 1:]
+        return name, tuple(int(x) for x in np.unravel_index(i - self.offsets[name], shape))
+
+    def copy(self):
+        return self.wrap(self.theta.copy(), self)
+
+
+class PolicyParams(_HeadTables):
+    """Logit tables of a policy with at least one subgoal and one action,
+    every entry finite."""
+
+    def _bind(self, theta: np.ndarray, *sizes: int) -> None:
+        super()._bind(theta, *sizes)
+        if self.n_options < 1 or self.n_actions < 1:
+            raise ValueError(f"a policy needs at least one subgoal and one action, "
+                             f"got {self.n_options} subgoals and {self.n_actions} actions")
+        finite = np.isfinite(self.theta)
+        if not finite.all():
+            name, _ = self.locate(int(np.nonzero(~finite)[-1].min()))
+            raise ValueError(f"non-finite entries in {name} logits")
 
     @classmethod
     def uniform(cls, n_states: int, n_options: int, n_actions: int) -> "PolicyParams":
-        return cls(
-            switch=np.zeros((n_states, n_options, 2)),
-            subgoal=np.zeros((n_states, n_options)),
-            action=np.zeros((n_states, n_options, n_actions)),
-        )
+        return cls(*map(np.zeros, _table_shapes(n_states, n_options, n_actions)))
 
     @classmethod
     def random(cls, rng: np.random.Generator, n_states: int, n_options: int,
                n_actions: int, scale: float = 1.0) -> "PolicyParams":
-        return cls(
-            switch=scale * rng.standard_normal((n_states, n_options, 2)),
-            subgoal=scale * rng.standard_normal((n_states, n_options)),
-            action=scale * rng.standard_normal((n_states, n_options, n_actions)),
-        )
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(self.switch.copy(), self.subgoal.copy(), self.action.copy())
+        return cls(*(scale * rng.standard_normal(shape)
+                     for shape in _table_shapes(n_states, n_options, n_actions)))
 
 
-@dataclass
-class GradTables:
-    """Gradient accumulator with the same shapes as PolicyParams."""
-
-    switch: np.ndarray
-    subgoal: np.ndarray
-    action: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: PolicyParams) -> "GradTables":
-        return cls(np.zeros_like(params.switch), np.zeros_like(params.subgoal),
-                   np.zeros_like(params.action))
-
-    def scale(self, c: float) -> "GradTables":
-        self.switch *= c
-        self.subgoal *= c
-        self.action *= c
-        return self
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.switch.ravel(), self.subgoal.ravel(),
-                               self.action.ravel()])
-
-    def max_abs(self) -> float:
-        return max(np.max(np.abs(self.switch), initial=0.0),
-                   np.max(np.abs(self.subgoal), initial=0.0),
-                   np.max(np.abs(self.action), initial=0.0))
-
-
-def params_as_vector(params: PolicyParams) -> np.ndarray:
-    return np.concatenate([params.switch.ravel(), params.subgoal.ravel(),
-                           params.action.ravel()])
-
-
-def split_tables(vec: np.ndarray, like: PolicyParams) -> tuple[np.ndarray, ...]:
-    """The switch, subgoal and action tables of a vector laid out as
-    `params_as_vector`; leading axes of `vec` stay in front."""
-    tables = (like.switch, like.subgoal, like.action)
-    parts = np.split(vec, np.cumsum([t.size for t in tables])[:-1], axis=-1)
-    return tuple(part.reshape(vec.shape[:-1] + t.shape)
-                 for part, t in zip(parts, tables))
-
-
-def params_from_vector(vec: np.ndarray, like: PolicyParams) -> PolicyParams:
-    return PolicyParams(*split_tables(np.asarray(vec, dtype=np.float64), like))
+class GradTables(_HeadTables):
+    """A gradient wrt the logits, laid out as PolicyParams."""
 
 
 # -- softmax helpers --------------------------------------------------------
@@ -136,28 +116,30 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
-def fetchchain_expert(env: FetchChain, n_options: int = 2,
-                      sharpness: float = 20.0) -> PolicyParams:
-    """Hand-coded near-deterministic params that solve FetchChain optimally.
-
-    Subgoal 0 is used while fetching, subgoal 1 (when available) while
-    returning; the switch head flips exactly when carrying status changes.
-    """
-    params = PolicyParams.uniform(env.n_states, n_options, env.n_actions)
+def _fetchchain_moves(env: FetchChain, n_options: int):
+    """(state, the phase's subgoal, the optimal action) at each non-terminal
+    state: subgoal 0 while fetching, subgoal 1 (when available) while
+    returning."""
     fetch, deliver = 0, min(1, n_options - 1)
     for s in range(env.n_states):
         if env.is_terminal(s):
             continue
         pos, carrying, _ = env.decode(s)
-        want = deliver if carrying else fetch
+        if carrying:
+            yield s, deliver, DROP if pos == 0 else LEFT
+        else:
+            yield s, fetch, PICKUP if pos == env.length - 1 else RIGHT
+
+
+def fetchchain_expert(env: FetchChain, n_options: int = 2,
+                      sharpness: float = 20.0) -> PolicyParams:
+    """Hand-coded near-deterministic params that solve FetchChain optimally:
+    the switch head flips exactly when carrying status changes."""
+    params = PolicyParams.uniform(env.n_states, n_options, env.n_actions)
+    for s, want, best in _fetchchain_moves(env, n_options):
         params.subgoal[s, want] = sharpness
         for o_prev in range(n_options):
-            q = SWITCH if o_prev != want else KEEP
-            params.switch[s, o_prev, q] = sharpness
-        if carrying:
-            best = DROP if pos == 0 else LEFT
-        else:
-            best = PICKUP if pos == env.length - 1 else RIGHT
+            params.switch[s, o_prev, SWITCH if o_prev != want else KEEP] = sharpness
         params.action[s, :, best] = sharpness
     return params
 
@@ -177,21 +159,11 @@ def fetchchain_phased(env: FetchChain, rng: np.random.Generator,
     """
     params = PolicyParams.random(rng, env.n_states, n_options, env.n_actions,
                                  scale=noise)
-    fetch, deliver = 0, min(1, n_options - 1)
-    for s in range(env.n_states):
-        if env.is_terminal(s):
-            continue
-        pos, carrying, _ = env.decode(s)
-        phase = deliver if carrying else fetch
-        if carrying:
-            best = DROP if pos == 0 else LEFT
-        else:
-            best = PICKUP if pos == env.length - 1 else RIGHT
+    for s, phase, best in _fetchchain_moves(env, n_options):
         params.action[s, phase, best] += base
         params.subgoal[s, phase] += 0.5
         for o_prev in range(n_options):
-            good = SWITCH if o_prev != phase else KEEP
-            params.switch[s, o_prev, good] += 0.3
+            params.switch[s, o_prev, SWITCH if o_prev != phase else KEEP] += 0.3
     return params
 
 
@@ -207,19 +179,18 @@ def fetchchain_phased(env: FetchChain, rng: np.random.Generator,
 # magic "segrl-values v1", sizes "<n_states> <n_options>" and the tables
 # v_high / v_low.
 
-def save_policy(path, params: PolicyParams) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(CHECKPOINT_MAGIC + "\n")
-        fp.write(f"{params.n_states} {params.n_options} {params.n_actions}\n")
-        for name in ("switch", "subgoal", "action"):
-            table = getattr(params, name)
-            fp.write(f"table {name} {table.size}\n")
-            for v in table.ravel():
-                fp.write(repr(float(v)) + "\n")
-
-
 class CheckpointError(InputError):
     """A policy or value-table checkpoint is truncated or does not parse."""
+
+
+def write_checkpoint(path, magic: str, sizes, tables: dict[str, np.ndarray]) -> None:
+    """A text checkpoint in the layout above: `sizes` on the sizes line, then
+    `tables` in order."""
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(f"{magic}\n{' '.join(map(str, sizes))}\n")
+        for name, table in tables.items():
+            fp.write(f"table {name} {table.size}\n")
+            fp.writelines(f"{v!r}\n" for v in table.ravel().tolist())
 
 
 def read_checkpoint(path, magic: str, shapes) -> dict[str, np.ndarray]:
@@ -286,8 +257,17 @@ def _expect(ok: bool) -> None:
         raise ValueError("unexpected line")
 
 
+def save_policy(path, params: PolicyParams) -> None:
+    write_checkpoint(path, CHECKPOINT_MAGIC,
+                     (params.n_states, params.n_options, params.n_actions),
+                     {name: getattr(params, name) for name in TABLES})
+
+
+def _policy_shapes(n_s: int, n_o: int, n_a: int) -> dict:
+    if n_o < 1 or n_a < 1:
+        raise ValueError("a policy needs at least one subgoal and one action")
+    return dict(zip(TABLES, _table_shapes(n_s, n_o, n_a)))
+
+
 def load_policy(path) -> PolicyParams:
-    return PolicyParams(**read_checkpoint(
-        path, CHECKPOINT_MAGIC,
-        lambda n_s, n_o, n_a: {"switch": (n_s, n_o, 2), "subgoal": (n_s, n_o),
-                               "action": (n_s, n_o, n_a)}))
+    return PolicyParams(**read_checkpoint(path, CHECKPOINT_MAGIC, _policy_shapes))

@@ -22,8 +22,7 @@ from .batch import (Sites, TurnRows, TurnTable, _advantage_arrays, _critic_batch
                     head_sites, rollout_batch, site_pass, site_scores)
 from .critic import ValueTables, fit_critic, unstacked
 from .envs import EnvModel
-from .policy import (GradTables, PolicyParams, log_softmax, params_as_vector,
-                     split_tables)
+from .policy import TABLES, GradTables, PolicyParams, log_softmax
 from .rng import SEED_BOUND, derive_seed
 
 METRICS_HEADER = ("iter,mean_return,success,mean_segments,mean_seg_len,"
@@ -134,10 +133,10 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 def _ref_log_probs(ref: PolicyParams) -> np.ndarray:
-    """Log-softmax of every cell of the reference policy, laid out as
-    `params_as_vector`."""
+    """Log-softmax of every cell of the reference policy, laid out as its
+    `theta`."""
     return np.concatenate([log_softmax(cell_rows(getattr(ref, name)), axis=1).ravel()
-                           for name in ("switch", "subgoal", "action")])
+                           for name in TABLES])
 
 
 def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
@@ -250,17 +249,14 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     """
     rows = gather_rows(tt, adv)
     sites = _sites(rows, params, False, _ref_log_probs(ref))
-    slab = sites.layout.slab(params_as_vector(params))
+    slab = sites.layout.slab(params.theta)
     surrogate, g_actor, kl, g_kl = _step(sites, np.arange(len(rows)), slab,
                                          cfg.clip_eps)
     cb = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
     mse_lo, mse_hi, g_v = cb.mse_and_grad(tables, target_tables)
     value = -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
-    g_slab = np.zeros_like(slab)
-    g_slab += -1.0 * g_actor
-    g_slab += cfg.kl_beta * g_kl
-    return (value, GradTables(*split_tables(sites.layout.spread(g_slab), params)),
-            unstacked(cfg.c_v * g_v, tables.n_states))
+    g_theta = sites.layout.spread(cfg.kl_beta * g_kl - g_actor)
+    return value, GradTables.wrap(g_theta, params), unstacked(cfg.c_v * g_v, tables.n_states)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,7 @@ def _minibatches(n_rows: int, size: int, rng: np.random.Generator):
 
 
 def _policy_fingerprint(theta: np.ndarray) -> int:
-    """64-bit digest of the parameter bytes, laid out as `params_as_vector`.
+    """64-bit digest of the parameter bytes, a policy's `theta`.
 
     Rollout streams are keyed by (seed, fingerprint): identical policies
     reproduce identical batches (so zero learning rates are an exact no-op)
@@ -336,11 +332,10 @@ def train_flat_baseline(cfg: PPOConfig, env: EnvModel,
 
 def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
               n_options: int, on_iteration, flat: bool) -> TrainResult:
-    params = (init_params if init_params is not None
+    # a copy, as the steps update its `theta` in place
+    params = (init_params.copy() if init_params is not None
               else PolicyParams.uniform(env.n_states, n_options, env.n_actions))
-    # the tables are views of one vector, which each step updates at once
-    theta = params_as_vector(params)
-    params = PolicyParams(*split_tables(theta, params))
+    theta = params.theta
     # the flat baseline's v_flat is the high head of tables without options
     state = TrainState(params=params, params_ref=params.copy(),
                        tables=ValueTables.zeros(env.n_states,

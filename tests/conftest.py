@@ -105,14 +105,13 @@ def minibatch_step(rows, params, ref, eps, flat=False, idx=None, grad=True):
     hierarchical (or, with `flat`, the flat) surrogate, its gradient, the KL
     to `ref` and its gradient; the gradients as GradTables, None without
     `grad`."""
-    from segrl.policy import GradTables, params_as_vector, split_tables
+    from segrl.policy import GradTables
     from segrl.training import _ref_log_probs, _sites, _step
 
     idx = np.arange(len(rows)) if idx is None else idx
     sites = _sites(rows, params, flat, _ref_log_probs(ref))
-    value, g_sur, kl, g_kl = _step(sites, idx, sites.layout.slab(params_as_vector(params)),
-                                   eps, grad)
-    return tuple(GradTables(*split_tables(sites.layout.spread(x), params))
+    value, g_sur, kl, g_kl = _step(sites, idx, sites.layout.slab(params.theta), eps, grad)
+    return tuple(GradTables.wrap(sites.layout.spread(x), params)
                  if isinstance(x, np.ndarray) else x for x in (value, g_sur, kl, g_kl))
 
 
@@ -191,11 +190,10 @@ def kernel_scores(params, trajectories):
     `gather_rows` order on a leading axis."""
     from segrl.batch import (TurnTable, gather_rows, head_sites, site_pass,
                              site_scores)
-    from segrl.policy import GradTables, params_as_vector, split_tables
+    from segrl.policy import GradTables
 
     rows = gather_rows(TurnTable.from_trajectories(trajectories))
     sites = head_sites(rows, params)
-    sp = site_pass(sites, sites.slab(params_as_vector(params)))
-    return GradTables(*split_tables(sites.spread(
-        site_scores(sp, np.ones(sp.site.size), group=sp.pos, n_groups=len(rows))),
-        params))
+    sp = site_pass(sites, sites.slab(params.theta))
+    return GradTables.wrap(sites.spread(
+        site_scores(sp, np.ones(sp.site.size), group=sp.pos, n_groups=len(rows))), params)

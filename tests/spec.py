@@ -62,8 +62,7 @@ from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
 from segrl.critic import CriticBatch, ValueTables, low_cell, single_coupling_rows
 from segrl.envs import EnvModel
 from segrl.oracle import OracleValues, VarianceReport, enumeration_table
-from segrl.policy import (GradTables, PolicyParams, log_softmax, softmax,
-                          split_tables)
+from segrl.policy import GradTables, PolicyParams, log_softmax, softmax
 from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng, derive_seed
 from segrl.training import _clipped_surrogate
 
@@ -442,6 +441,11 @@ def log_prob(params: PolicyParams, turn: TurnRecord
     return lp_sw, lp_hi, lp_lo
 
 
+def zero_grads(params: PolicyParams) -> GradTables:
+    """A zero gradient laid out as `params`."""
+    return GradTables.wrap(np.zeros_like(params.theta), params)
+
+
 def grad_log_prob(params: PolicyParams, turn: TurnRecord,
                   out: GradTables | None = None) -> GradTables:
     """Score-function gradient of the turn's log-density.
@@ -450,7 +454,7 @@ def grad_log_prob(params: PolicyParams, turn: TurnRecord,
     gradient is e_i - p; heads absent from the turn contribute zero.
     """
     if out is None:
-        out = GradTables.zeros_like(params)
+        out = zero_grads(params)
     if turn.t > 0:
         if turn.q == KEEP and turn.subgoal != turn.prev_subgoal:
             raise ValueError(f"turn {turn.t}: KEEP with a changed subgoal")
@@ -481,7 +485,7 @@ def with_behavior_logprobs(traj: Trajectory, params: PolicyParams) -> Trajectory
 def scatter_episode_grads(dense, tt, adv, params: PolicyParams,
                           off_sub: int, off_act: int) -> None:
     """Add each episode's advantage-weighted scores into its row of `dense`
-    (episodes x params_as_vector coordinates)."""
+    (episodes x `theta` coordinates)."""
     n_o, n_a = params.n_options, params.n_actions
     eps, ts = np.nonzero(tt.mask)
     s = tt.state[eps, ts]
@@ -539,8 +543,7 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
     mean = sum_x / n
     var = np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1)
     se = np.sqrt(var / n)
-    return (GradTables(*split_tables(mean, params)),
-            GradTables(*split_tables(se, params)))
+    return GradTables.wrap(mean, params), GradTables.wrap(se, params)
 
 
 def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
@@ -694,7 +697,7 @@ def _scatter_head(grad_table, rows_idx, chosen, probs, weight):
 
 def actor_loss(rows, params: PolicyParams, eps: float):
     """Summed clipped surrogate over the three levels, one head at a time."""
-    grads = GradTables.zeros_like(params)
+    grads = zero_grads(params)
     total = 0.0
     logits = params.action[rows.state, rows.subgoal]
     lp = log_softmax(logits, axis=1)
@@ -729,7 +732,7 @@ def actor_loss(rows, params: PolicyParams, eps: float):
 
 def flat_actor_loss(rows, params: PolicyParams, eps: float):
     """Single-level surrogate on the joint turn ratio, flat advantages."""
-    grads = GradTables.zeros_like(params)
+    grads = zero_grads(params)
     n = len(rows)
     lp_lo = log_softmax(params.action[rows.state, rows.subgoal], axis=1)
     live = lp_lo[np.arange(n), rows.action]
@@ -771,7 +774,7 @@ def _kl_rows(live_logits, ref_logits):
 
 def kl_penalty(rows, params: PolicyParams, ref: PolicyParams):
     """Exact categorical KL to the reference policy, averaged over turns."""
-    grads = GradTables.zeros_like(params)
+    grads = zero_grads(params)
     n = len(rows)
     if n == 0:
         return 0.0, grads
@@ -791,7 +794,7 @@ def kl_penalty(rows, params: PolicyParams, ref: PolicyParams):
                          ref.switch[rows.state[sw], rows.prev_subgoal[sw]])
         total += float(kl.sum())
         np.add.at(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]), g)
-    grads.scale(1.0 / n)
+    grads.theta *= 1.0 / n
     return total / n, grads
 
 

@@ -15,8 +15,7 @@ from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import mc_gradient_hae, oracle_values, random_tables
-from segrl.policy import (PolicyParams, fetchchain_phased, params_as_vector, softmax,
-                          split_tables)
+from segrl.policy import GradTables, PolicyParams, fetchchain_phased, softmax
 from segrl.rng import CounterRng
 
 import spec
@@ -431,7 +430,7 @@ class TestScoreKernel:
         params = PolicyParams.random(rng, 6, 3, 4)
         trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
         rows = gather_rows(TurnTable.from_trajectories(trajs))
-        got = turn_log_likelihood(head_sites(rows, params), params_as_vector(params))
+        got = turn_log_likelihood(head_sites(rows, params), params.theta)
         want = [sum(lp for lp in spec.log_prob(params, u) if lp is not None)
                 for traj in trajs for u in traj.turns]
         assert np.allclose(got, want, atol=1e-12)
@@ -459,8 +458,8 @@ class TestScoreKernel:
         rows.state[rows.state == 5] = 4
         rows.state[rows.t == 0] = 0
         sites = head_sites(rows, params)
-        switch, subgoal, action = split_tables(
-            np.arange(params_as_vector(params).size), params)
+        index = GradTables.wrap(np.arange(params.theta.size), params)
+        switch, subgoal, action = index.switch, index.subgoal, index.action
         want = ([action[s, o] for s, o in zip(rows.state, rows.subgoal)]
                 + [subgoal[s] if q == SWITCH else None
                    for s, q in zip(rows.state, rows.q)]
@@ -487,5 +486,5 @@ class TestScoreKernel:
         mean, se = spec.mc_gradient_hae(env, params, tables, cfg, n=2000, seed=3,
                                         chunk=700)
         assert got.n == 2000
-        assert np.allclose(got.mean.as_vector(), mean.as_vector(), rtol=0, atol=1e-12)
-        assert np.allclose(got.se.as_vector(), se.as_vector(), rtol=0, atol=1e-12)
+        assert np.allclose(got.mean.theta, mean.theta, rtol=0, atol=1e-12)
+        assert np.allclose(got.se.theta, se.theta, rtol=0, atol=1e-12)

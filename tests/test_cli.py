@@ -640,6 +640,15 @@ class TestMalformedInputs:
                             capsys, "202 states")
         assert "success" not in out
 
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_policy_without_subgoals(self, tmp_path, capsys, command):
+        path = tmp_path / "policy.txt"
+        path.write_text("segrl-policy v1\n202 0 4\ntable switch 0\ntable subgoal 0\n"
+                        "table action 0\n")
+        self._refused([command, "--policy", str(path), "--episodes", "2",
+                       "--out", str(tmp_path / "o")], capsys, "line 2", "table sizes")
+        assert not (tmp_path / "o").exists()
+
     def test_truncated_policy(self, tmp_path, capsys):
         save_policy(tmp_path / "policy.txt", PolicyParams.uniform(202, 2, 4))
         lines = (tmp_path / "policy.txt").read_text().splitlines(keepends=True)
@@ -913,6 +922,16 @@ class TestVerifyReports:
         assert report["max_rel_err"] == errs[worst] == max(errs)
         assert (report["worst_config"], report["worst_kind"]) == (
             worst, ("score", "loss")[worst % 2])
+
+    def test_unbiased_solves_the_exact_dp_once_per_quantity(self, tmp_path, monkeypatch):
+        import segrl.oracle
+        calls = []
+        monkeypatch.setattr(segrl.oracle, "solve_dp",
+                            lambda *args: calls.append(1) or solve_dp(*args))
+        assert dispatch(["verify", "unbiased", "--samples", "200",
+                         "--out", str(tmp_path)]) in (0, 1)
+        # the exact values and the exact gradient, one solve each
+        assert len(calls) == 2
 
     def test_unbiased_records_bootstrapped_bias(self, tmp_path):
         code = dispatch(["verify", "unbiased", "--samples", "30000",

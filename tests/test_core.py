@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
                          returns_matrix, rollout_batch, segment_masks)
-from segrl.core import (KEEP, InputError, MalformedTrajectory, Trajectory,
+from segrl.core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
                         TurnRecord, load_trajectories, read_trajectories,
-                        segment_boundaries, write_trajectories)
+                        save_trajectories, segment_boundaries, write_trajectories)
 from segrl.envs import FetchChain
 from segrl.oracle import random_tables
 from segrl.policy import PolicyParams
@@ -357,3 +357,18 @@ class TestJsonl:
                         + json.dumps(sentinel) + "\n")
         with pytest.raises(MalformedTrajectory, match="line 2: final_state"):
             load_trajectories(path)
+
+    @pytest.mark.parametrize("field", ["reward", "raw_reward"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_writer_refuses_a_non_finite_reward(self, tmp_path, field, value):
+        # JSON holds no nan or infinity: the reader would refuse the line
+        ok = TurnRecord(0, 0, None, SWITCH, 0, 1, 0.0, 0.0, False)
+        bad = ok._replace(t=1, prev_subgoal=0, q=KEEP, done=True, **{field: value})
+        trajs = [Trajectory((ok._replace(done=True),)), Trajectory((ok, bad))]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"episode 1, turn 1: {field} is {value}"):
+            write_trajectories(buf, trajs)
+        assert buf.getvalue() == ""
+        with pytest.raises(ValueError, match=field):
+            save_trajectories(tmp_path / "out.jsonl", trajs)
+        assert not (tmp_path / "out.jsonl").exists()

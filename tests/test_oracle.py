@@ -124,7 +124,7 @@ class TestDualRoutes:
         for gamma in (1.0, 0.8):
             dp = oracle_gradient(env, params, gamma)
             leaf = oracle_gradient_enumerated(env, params, gamma)
-            assert np.max(np.abs(dp.as_vector() - leaf.as_vector())) < 1e-12
+            assert np.max(np.abs(dp.theta - leaf.theta)) < 1e-12
 
     def test_values(self, small_env_policy):
         env, params = small_env_policy
@@ -164,7 +164,7 @@ class TestTruncatedLeaves:
                 objective_enumerated(env, params, gamma), abs=1e-12)
             dp = oracle_gradient(env, params, gamma)
             leaf = oracle_gradient_enumerated(env, params, gamma)
-            assert np.max(np.abs(dp.as_vector() - leaf.as_vector())) < 1e-12
+            assert np.max(np.abs(dp.theta - leaf.theta)) < 1e-12
             dp = oracle_values(env, params, gamma)
             leaf = oracle_values_enumerated(env, params, gamma)
             for name in ("v_high", "v_low", "v_flat"):
@@ -260,7 +260,7 @@ class TestOracleGradient:
         env = OneStep(n_actions=3, reward=0.0)
         params = PolicyParams.random(rng, env.n_states, 2, env.n_actions)
         g = oracle_gradient(env, params, 1.0)
-        assert g.max_abs() < 1e-15
+        assert np.abs(g.theta).max() < 1e-15
 
     def test_matches_finite_differences_of_objective(self, small_env_policy):
         env, params = small_env_policy
@@ -268,16 +268,15 @@ class TestOracleGradient:
         g = oracle_gradient(env, params, gamma)
         h = 1e-5
         rng = np.random.default_rng(3)
-        from segrl.policy import params_as_vector, params_from_vector
-        vec = params_as_vector(params)
+        vec = params.theta
         for i in rng.choice(vec.size, size=25, replace=False):
             bump = vec.copy()
             bump[i] = vec[i] + h
-            hi = objective(env, params_from_vector(bump, params), gamma)
+            hi = objective(env, PolicyParams.wrap(bump, params), gamma)
             bump[i] = vec[i] - h
-            lo = objective(env, params_from_vector(bump, params), gamma)
+            lo = objective(env, PolicyParams.wrap(bump, params), gamma)
             numeric = (hi - lo) / (2 * h)
-            analytic = g.as_vector()[i]
+            analytic = g.theta[i]
             assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(analytic))
 
     def test_reward_shift_linearity(self, small_env_policy):
@@ -302,13 +301,13 @@ class TestOracleGradient:
         gc = oracle_gradient(Shifted(env, c), params, gamma)
         g1 = oracle_gradient(Shifted(env, 1.0), params, gamma)  # rewards + 1
         # gradient shifts by c * gradient of E[sum gamma^t * 1]
-        lhs = gc.as_vector() - g0.as_vector()
-        rhs = c * (g1.as_vector() - g0.as_vector())
+        lhs = gc.theta - g0.theta
+        rhs = c * (g1.theta - g0.theta)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_score_identity(self, small_env_policy):
         env, params = small_env_policy
-        assert score_expectation_enumerated(env, params).max_abs() < 1e-10
+        assert np.abs(score_expectation_enumerated(env, params).theta).max() < 1e-10
 
 
 class TestSuccessProbability:
@@ -366,7 +365,7 @@ class TestMonteCarloHarnesses:
         tables = oracle_values(env, params, 1.0).tables
         one = mc_gradient_hae(env, params, tables, cfg, n=1, seed=0)
         many = mc_gradient_hae(env, params, tables, cfg, n=64, seed=1)
-        assert np.max(np.abs(one.mean.as_vector() - many.mean.as_vector())) < 1e-9
+        assert np.max(np.abs(one.mean.theta - many.mean.theta)) < 1e-9
 
     def test_variance_ci_width_shrinks_with_n(self):
         env = FetchChain(3, 6)

@@ -9,8 +9,9 @@ from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import enumeration_table
-from segrl.policy import (PolicyParams, fetchchain_expert, load_policy,
-                          params_as_vector, save_policy)
+from segrl.policy import (CheckpointError, GradTables, PolicyParams, fetchchain_expert,
+                          load_policy, save_policy)
+from segrl.training import PPOConfig, train, train_flat_baseline
 
 from conftest import (Walk, kernel_log_probs, kernel_scores, one_turn,
                       random_trajectory)
@@ -113,8 +114,7 @@ class TestLogProb:
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.8)
         tt = enumeration_table(env, p)
         rows = gather_rows(tt)
-        total = np.bincount(rows.episode, turn_log_likelihood(head_sites(rows, p),
-                                                              params_as_vector(p)))
+        total = np.bincount(rows.episode, turn_log_likelihood(head_sites(rows, p), p.theta))
         for got, prob in zip(total, tt.weight):
             assert got == pytest.approx(math.log(prob), abs=1e-10)
 
@@ -166,7 +166,7 @@ class TestGradLogProb:
         env = FetchChain(2, 3)
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.9)
         zero = score_expectation_enumerated(env, p)
-        assert zero.max_abs() < 1e-10
+        assert np.abs(zero.theta).max() < 1e-10
 
 
 class TestRollout:
@@ -232,4 +232,97 @@ class TestCheckpoint:
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
+            load_policy(path)
+
+
+class TestParameterVector:
+    """The three tables are views of one vector `theta`, laid out switch,
+    subgoal, action, each row-major."""
+
+    def test_layout(self, rng):
+        p = small_params(rng)
+        assert np.array_equal(p.theta, np.concatenate(
+            [p.switch.ravel(), p.subgoal.ravel(), p.action.ravel()]))
+        assert p.offsets == {"switch": 0, "subgoal": p.switch.size,
+                             "action": p.switch.size + p.subgoal.size}
+
+    def test_edits_show_both_ways(self, rng):
+        p = small_params(rng)
+        p.subgoal[2, 1] = 7.0
+        assert p.theta[p.offsets["subgoal"] + 2 * p.n_options + 1] == 7.0
+        p.theta[-1] = -3.0
+        assert p.action[-1, -1, -1] == -3.0
+        p.theta[1] += 0.5
+        assert p.switch[0, 0, 1] == p.theta[1]
+
+    def test_copy_shares_no_memory(self, rng):
+        p = small_params(rng)
+        q = p.copy()
+        assert np.array_equal(q.theta, p.theta)
+        for name in ("theta", "switch", "subgoal", "action"):
+            assert not np.shares_memory(getattr(p, name), getattr(q, name)), name
+
+    def test_wrap_shares_the_vector(self, rng):
+        p = small_params(rng)
+        vec = rng.standard_normal(p.theta.size)
+        q = PolicyParams.wrap(vec, p)
+        assert q.theta is vec
+        for name in ("switch", "subgoal", "action"):
+            assert np.shares_memory(getattr(q, name), vec), name
+        vec[p.offsets["action"]] = 11.0
+        assert q.action[0, 0, 0] == 11.0
+
+    def test_grad_tables_with_a_leading_axis(self, rng):
+        p = small_params(rng)
+        stack = rng.standard_normal((4, p.theta.size))
+        g = GradTables.wrap(stack, p)
+        assert g.switch.shape == (4,) + p.switch.shape
+        assert g.action.shape == (4,) + p.action.shape
+        for k in range(4):
+            one = GradTables.wrap(stack[k], p)
+            for name in ("switch", "subgoal", "action"):
+                assert np.array_equal(getattr(g, name)[k], getattr(one, name)), (k, name)
+                assert np.shares_memory(getattr(g, name), stack)
+        assert g.locate(p.offsets["action"] + 5) == ("action", (0, 1, 1))
+
+    @pytest.mark.parametrize("trainer", [train, train_flat_baseline])
+    def test_training_leaves_init_params_alone(self, rng, trainer):
+        env = FetchChain(3, 6)
+        init = small_params(rng, env.n_states, 2, env.n_actions, scale=0.3)
+        before = init.theta.copy()
+        res = trainer(PPOConfig(seed=0, iterations=2, episodes_per_iter=8), env,
+                      init_params=init)
+        assert np.array_equal(init.theta, before)
+        assert not np.array_equal(res.params.theta, before)
+        assert not np.shares_memory(res.params.theta, init.theta)
+
+    def test_shape_refusals_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"switch table shape \(3, 2, 3\) != \(3, 2, 2\)"):
+            PolicyParams(np.zeros((3, 2, 3)), np.zeros((3, 2)), np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError, match="action table must be indexed by"):
+            PolicyParams(np.zeros((3, 2, 2)), np.zeros((3, 2)), np.zeros((3, 1, 4)))
+        with pytest.raises(ValueError, match="action table must be indexed by"):
+            PolicyParams(np.zeros((3, 2, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("name", ["switch", "subgoal", "action"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_name_their_table(self, rng, name, value):
+        p = small_params(rng)
+        getattr(p, name).flat[-1] = value
+        with pytest.raises(ValueError, match=f"non-finite entries in {name} logits"):
+            PolicyParams(p.switch, p.subgoal, p.action)
+        with pytest.raises(ValueError, match=f"non-finite entries in {name} logits"):
+            p.copy()
+
+    @pytest.mark.parametrize("sizes", [(4, 0, 3), (4, 2, 0)])
+    def test_no_subgoals_or_no_actions_refused(self, tmp_path, sizes):
+        with pytest.raises(ValueError, match="at least one subgoal and one action"):
+            PolicyParams.uniform(*sizes)
+        n_s, n_o, n_a = sizes
+        path = tmp_path / "policy.txt"
+        path.write_text(f"segrl-policy v1\n{n_s} {n_o} {n_a}\n"
+                        f"table switch {n_s * n_o * 2}\n" + "0.0\n" * (n_s * n_o * 2)
+                        + f"table subgoal {n_s * n_o}\n" + "0.0\n" * (n_s * n_o)
+                        + f"table action {n_s * n_o * n_a}\n" + "0.0\n" * (n_s * n_o * n_a))
+        with pytest.raises(CheckpointError, match="line 2"):
             load_policy(path)

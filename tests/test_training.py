@@ -11,8 +11,7 @@ from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, success_probability
-from segrl.policy import (PolicyParams, fetchchain_expert, fetchchain_phased,
-                          params_as_vector)
+from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
                             _ref_log_probs, _sites, _step, evaluate, total_loss,
                             train, train_flat_baseline)
@@ -104,7 +103,7 @@ class TestActorLoss:
         _, _, rows = make_rows(env, params, tables=tables)
         _, g_clipped = actor_loss(rows, params, eps=0.2)
         _, g_free = actor_loss(rows, params, eps=1e9)
-        assert np.allclose(g_clipped.as_vector(), g_free.as_vector(), atol=1e-12)
+        assert np.allclose(g_clipped.theta, g_free.theta, atol=1e-12)
 
     def test_high_gradient_only_at_switch_turns(self, rng):
         env = FetchChain(3, 6)
@@ -140,7 +139,7 @@ class TestKlPenalty:
         _, _, rows = make_rows(env, params)
         kl, grads = kl_penalty(rows, params, params)
         assert kl == pytest.approx(0.0, abs=1e-14)
-        assert grads.max_abs() < 1e-14
+        assert np.abs(grads.theta).max() < 1e-14
 
     def test_closed_form_two_way(self):
         params = PolicyParams.uniform(1, 1, 2)
@@ -266,7 +265,7 @@ class TestOneKernel:
         rows.adv_flat = flat_advantage_arrays(tt, rng.standard_normal(env.n_states),
                                               cfg)[tt.mask]
         sites = _sites(rows, params, flat, _ref_log_probs(params))
-        theta = params_as_vector(params)
+        theta = params.theta
         slab = sites.layout.slab(theta)
         idx = rng.permutation(len(rows))[:57]
         _, g_sur, _, _ = _step(sites, idx, slab, 0.2)
@@ -322,7 +321,7 @@ class TestTotalLoss:
             return value
 
         numeric = fd_params_grad(f, params)
-        assert rel_err(analytic.as_vector(), numeric.as_vector()) < 1e-6
+        assert rel_err(analytic.theta, numeric.theta) < 1e-6
 
 
 class TestTrainLoop:
@@ -345,7 +344,7 @@ class TestTrainLoop:
         for table in (init.switch, init.subgoal, init.action):
             table[...] = -0.0
         cfg = PPOConfig(seed=0, iterations=1, episodes_per_iter=8)
-        theta = params_as_vector(trainer(cfg, env, init_params=init).params)
+        theta = trainer(cfg, env, init_params=init).params.theta
         # most logits lie outside the slab of 8 episodes and stay zero
         assert (theta == 0).sum() > theta.size // 2
         assert not np.signbit(theta[theta == 0]).any()
