@@ -252,6 +252,8 @@ def cmd_verify(args) -> int:
         return _report(out, "telescope", {
             "trials": rep.trials, "max_dev_low": rep.max_dev_low,
             "max_dev_high": rep.max_dev_high,
+            "worst_trial_low": rep.worst_trial_low,
+            "worst_trial_high": rep.worst_trial_high,
             "switching_max_dev": sw.max_abs_dev,
             "switching_contexts": sw.n_contexts, "tol": rep.tol,
             "switching_worst": sw.worst,

@@ -25,7 +25,9 @@ the estimator identities under test concern the unshaped returns.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -518,31 +520,66 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
     at boundary turns, and the action score weighted by the within-segment
     advantage.  Each episode's sums come from the trainer's kernel
     (`batch.site_pass`, `batch.site_scores`), one head at a time and grouped
-    by episode, `chunk` episodes at a time: a head's per-episode sums hold
-    chunk x (its cells the chunk touches) floats, at most 2.4 MB for the
-    action head of the phased FetchChain(3, 6) policy.  Returns the
-    per-coordinate mean and standard error over episodes.
+    by episode, `chunk` episodes at a time.  Returns the per-coordinate mean
+    and standard error over episodes.
+
+    The chunks run, ten consecutive ones per job, on every CPU the process
+    may use (`_fork_map`); each rolls its own counter-keyed episodes, and
+    their per-head sums are added in chunk order, so the result is
+    bit-identical to a one-CPU run.  Memory per worker: one chunk's arrays
+    and what its predecessor still holds, the largest being a head's
+    per-episode sums of chunk x (its cells the chunk touches) floats, at
+    most 2.4 MB for the action head of the phased FetchChain(3, 6) policy;
+    a job of ten chunks of 1000 there peaks at 5.3 MB traced.  The parent
+    holds only the chunks' per-head sums, under 5 KB per chunk there.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     theta = params.theta
     sum_x, sum_x2 = np.zeros_like(theta), np.zeros_like(theta)
-    done_eps = 0
-    while done_eps < n:
-        m = min(chunk, n - done_eps)
-        tt = rollout_batch(env, params, m, seed, episode_offset=done_eps)
+    starts = range(0, n, chunk)
+    runs = [starts[i:i + _CHUNKS_PER_JOB] for i in range(0, len(starts), _CHUNKS_PER_JOB)]
+    job = partial(_hae_chunk_sums, env, params, tables, cfg, seed, n, chunk)
+    for sums in _fork_map(job, runs):
+        for heads in sums:
+            for cells, x, x2 in heads:
+                sum_x[cells] += x
+                sum_x2[cells] += x2
+    mean = sum_x / n
+    se = np.sqrt(np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1) / n)
+    return McGradient(GradTables.wrap(mean, params), GradTables.wrap(se, params), n)
+
+
+# Chunks one worker job rolls in one loop.  Each chunk's arrays are then
+# allocated while its predecessor's are still held, so glibc reuses that heap
+# instead of trimming it and faulting it back in: one chunk per job cost the
+# workers about 300k minor page faults per `verify unbiased` at 200000
+# samples (2-core Xeon), ten about 75k.
+_CHUNKS_PER_JOB = 10
+
+
+def _hae_chunk_sums(env, params, tables, cfg, seed, n, chunk, offsets):
+    """Per chunk of episodes offset .. offset + chunk - 1 (at most n), for
+    each offset in `offsets`: per head, its cells with the sums over
+    episodes of each cell's per-episode score sum and of its square."""
+    out = []
+    for offset in offsets:
+        m = min(chunk, n - offset)
+        tt = rollout_batch(env, params, m, seed, episode_offset=offset)
         rows = gather_rows(tt, advantage_arrays(tt, tables, cfg))
         sites = head_sites(rows, params)
-        slab = sites.slab(theta)
+        slab = sites.slab(params.theta)
+        heads = []
         for h, adv in enumerate((rows.adv_low, rows.adv_high, rows.adv_switch)):
             # one head's pass and per-episode sums at a time, squared in place
             sp = site_pass(sites, slab, head=h)
             x = site_scores(sp, adv[sp.pos], group=rows.episode[sp.pos], n_groups=m)
-            cells = sites.cells[slice(*sp.span)]
-            sum_x[cells] += x.sum(axis=0)
-            sum_x2[cells] += np.square(x, out=x).sum(axis=0)
-        done_eps += m
-    mean = sum_x / n
-    se = np.sqrt(np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1) / n)
-    return McGradient(GradTables.wrap(mean, params), GradTables.wrap(se, params), n)
+            heads.append((sites.cells[slice(*sp.span)], x.sum(axis=0),
+                          np.square(x, out=x).sum(axis=0)))
+        out.append(heads)
+    return out
 
 
 @dataclass
@@ -631,23 +668,33 @@ def variance_reports(env: EnvModel, params: PolicyParams, values: OracleValues,
     max_rounds * n episodes; each turn takes its first n, so its report does
     not depend on which other turns are asked for.
 
-    Memory: the turns' samples at 16 bytes per episode each, the episodes
-    rolled 2000 at a time, and for the bootstrap an index block of about
-    256 KB (with the resampled values and their deviations, under 1 MB),
-    whatever n_boot is: drawn at once, the (n_boot, n) index matrix takes
-    80 MB at n = 10^4.  The bootstrap draws and variances equal that
-    one-shot form bit for bit.
+    The turns' bootstraps run on every CPU the process may use
+    (`_fork_map`), each from its own stream, so the reports equal a one-CPU
+    run's.  Memory: in the parent, the turns' samples at 16 bytes per
+    episode each and the episodes rolled 2000 at a time; per worker, one
+    turn's bootstrap: an index block of about 256 KB with the resampled
+    values and their deviations, and 16 bytes per resample, 1.2 MB traced
+    peak at n = 10^4 whatever n_boot is: drawn at once, the (n_boot, n)
+    index matrix takes 80 MB there.  The bootstrap draws and variances
+    equal that one-shot form bit for bit.
     """
-    reports = []
-    for t, (a_low, a_flat) in _reaching_samples(env, params, values, turns, n, seed,
-                                                max_rounds).items():
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 101, t)))
-        bl, bf = _bootstrap_variances(rng, (a_low, a_flat), n_boot)
-        reports.append(VarianceReport(
-            t=t, n=n,
-            var_low=float(a_low.var(ddof=1)), var_flat=float(a_flat.var(ddof=1)),
-            ci_low=_ci(bl), ci_flat=_ci(bf), ci_diff=_ci(bl - bf)))
-    return reports
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n_boot < 1:
+        raise ValueError("n_boot must be >= 1")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    samples = _reaching_samples(env, params, values, turns, n, seed, max_rounds)
+    return _fork_map(lambda t: _turn_report(t, *samples[t], seed, n_boot), list(samples))
+
+
+def _turn_report(t, a_low, a_flat, seed, n_boot) -> VarianceReport:
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 101, t)))
+    bl, bf = _bootstrap_variances(rng, (a_low, a_flat), n_boot)
+    return VarianceReport(
+        t=t, n=a_low.size,
+        var_low=float(a_low.var(ddof=1)), var_flat=float(a_flat.var(ddof=1)),
+        ci_low=_ci(bl), ci_flat=_ci(bf), ci_diff=_ci(bl - bf))
 
 
 def _reaching_samples(env, params, values, turns, n, seed, max_rounds):
@@ -697,6 +744,49 @@ def _bootstrap_variances(rng: np.random.Generator, samples, n_boot: int):
 
 def _ci(x: np.ndarray) -> tuple[float, float]:
     return (float(np.quantile(x, 0.025)), float(np.quantile(x, 0.975)))
+
+
+# ---------------------------------------------------------------------------
+# Independent Monte-Carlo work on every CPU
+# ---------------------------------------------------------------------------
+
+_job = None   # the function a forked worker maps, inherited through the fork
+
+
+def _fork_map(fn, jobs) -> list:
+    """[fn(job) for job in jobs], on as many forked workers as the process
+    may use CPUs (at most one per job).
+
+    The workers inherit `fn` through the fork, so it need not pickle; each
+    job and each result is pickled.  The pool forks every worker before it
+    starts its own thread and is joined before this returns, also when a
+    worker raises (the parent re-raises that exception).  With one worker,
+    or where `fork` is unavailable, it is the builtin `map` in this process.
+    """
+    jobs = list(jobs)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(jobs))
+    if workers > 1:
+        # imported here, so that `import segrl` does not pay for them
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_set_job, initargs=(fn,)) as pool:
+                return list(pool.map(_run_job, jobs))
+    return list(map(fn, jobs))
+
+
+def _set_job(fn) -> None:
+    global _job
+    _job = fn
+
+
+def _run_job(job):
+    return _job(job)
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +841,15 @@ def random_tables(rng: np.random.Generator, n_states: int, n_options: int,
 
 @dataclass
 class TelescopeReport:
+    """`worst_trial_low` / `worst_trial_high` are the indices (from 0) of the
+    trials where `max_dev_low` / `max_dev_high` occur, the first on a tie."""
+
     trials: int
     max_dev_low: float
     max_dev_high: float
     tol: float
+    worst_trial_low: int
+    worst_trial_high: int
 
     @property
     def passed(self) -> bool:
@@ -780,18 +875,19 @@ def telescope_check(trials: int, seed: int, n_states: int = 12, n_options: int =
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    dev_low = dev_high = 0.0
-    for lo in range(0, trials, 1000):
-        low, high = _telescope_deviations(rng, min(1000, trials - lo), n_states,
-                                          n_options, n_actions, max_turns)
-        dev_low, dev_high = max(dev_low, low), max(dev_high, high)
-    return TelescopeReport(trials=trials, max_dev_low=dev_low,
-                           max_dev_high=dev_high, tol=tol)
+    blocks = [_telescope_deviations(rng, min(1000, trials - lo), n_states,
+                                    n_options, n_actions, max_turns)
+              for lo in range(0, trials, 1000)]
+    dev_low, dev_high = (np.hstack(devs) for devs in zip(*blocks))
+    worst_low, worst_high = int(np.argmax(dev_low)), int(np.argmax(dev_high))
+    return TelescopeReport(trials=trials, max_dev_low=float(dev_low[worst_low]),
+                           max_dev_high=float(dev_high[worst_high]), tol=tol,
+                           worst_trial_low=worst_low, worst_trial_high=worst_high)
 
 
 def _telescope_deviations(rng, trials, n_states, n_options, n_actions, max_turns):
-    """The largest deviations of the kernel's low and high advantages from
-    their closed forms over `trials` fresh trials."""
+    """Per trial of `trials` fresh trials, the largest deviations of the
+    kernel's low and high advantages from their closed forms."""
     tt = random_table(rng, trials, n_states, n_options, n_actions, max_turns)
     tables = random_tables(rng, trials * n_states, n_options)
     gamma = rng.uniform(0.2, 1.0, size=trials)
@@ -817,6 +913,7 @@ def _telescope_deviations(rng, trials, n_states, n_options, n_actions, max_turns
                   - tables.v_low[tt.state, tt.subgoal])
     to_final = gamma[:, None] ** (tt.length[:, None] - cols).astype(np.float64)
     closed_high = g + to_final * v_final - tables.v_high[tt.state]
-    dev_low = np.abs(adv.a_low - closed_low)[tt.mask]
-    dev_high = np.abs(adv.a_high - closed_high)[sm.is_boundary]
-    return float(dev_low.max()), float(dev_high.max())
+    # every trial has a turn, and its first turn is a boundary
+    dev_low = np.where(tt.mask, np.abs(adv.a_low - closed_low), 0.0)
+    dev_high = np.where(sm.is_boundary, np.abs(adv.a_high - closed_high), 0.0)
+    return dev_low.max(axis=1), dev_high.max(axis=1)

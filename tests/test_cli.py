@@ -25,6 +25,7 @@ from segrl.core import InputError, load_trajectories
 from segrl.critic import ValueTables, fit_critic
 from segrl.envs import FetchChain
 from segrl.gradcheck import check_log_prob_grads, check_total_loss_grads, random_case
+from segrl import oracle
 from segrl.oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                           oracle_values, solve_dp)
 from segrl.parsing import ingest_transcript_file
@@ -276,6 +277,15 @@ class TestDispatch:
                               env=_subprocess_env(), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == segrl.__version__
+
+    def test_import_loads_no_process_pool(self):
+        # the Monte-Carlo gates import them when they fork, not at start-up
+        code = ("import segrl, segrl.cli, sys; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_subprocess_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_missing_file_exit_2(self, capsys):
         assert dispatch(["parse", "--input", "/nonexistent/file.txt"]) == 2
@@ -876,6 +886,27 @@ class TestVerifyReports:
                                                    + beta * q_switch)
         est = (q - beta) * (values.v_high[s] - values.v_low[s, o_prev])
         assert abs(brute - est) == report["switching_max_dev"]
+
+    def test_telescope_names_its_worst_random_trials(self, tmp_path):
+        # 2500 trials run as blocks of 1000, 1000 and 500 from one stream
+        assert dispatch(["verify", "telescope", "--trials", "2500", "--seed", "4",
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "telescope.json").read_text())
+        rng = np.random.Generator(np.random.PCG64(4))
+        starts, blocks = [], []
+        for size in (1000, 1000, 500):
+            starts.append(rng.bit_generator.state)
+            blocks.append(oracle._telescope_deviations(rng, size, 12, 3, 4, 10))
+        for k, head in enumerate(("low", "high")):
+            i = report[f"worst_trial_{head}"]
+            devs = np.concatenate([block[k] for block in blocks])
+            assert devs[i] == report[f"max_dev_{head}"] == devs.max()
+            assert (devs[:i] < devs[i]).all()
+            # that trial's block again, from the stream's state at its start
+            b, at = divmod(i, 1000)
+            rng.bit_generator.state = starts[b]
+            again = oracle._telescope_deviations(rng, len(blocks[b][k]), 12, 3, 4, 10)
+            assert again[k][at] == report[f"max_dev_{head}"]
 
     def test_critic_fixpoint_names_its_worst_cells(self, tmp_path):
         assert dispatch(["verify", "critic-fixpoint", "--trials", "40",

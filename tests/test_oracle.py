@@ -1,13 +1,17 @@
 import dataclasses
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from segrl import oracle
 from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
                          flat_advantage_arrays, rollout_batch)
 from segrl.core import KEEP
+from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           enumeration_table, exact_critic_batch,
@@ -414,6 +418,116 @@ class TestVarianceReports:
         env, params, vals = phased
         with pytest.raises(RuntimeError, match="turn 6 "):
             variance_reports(env, params, vals, [1, 6], n=100, seed=0, max_rounds=2)
+
+
+def _cpus(monkeypatch, n):
+    """Let the Monte-Carlo gates see n CPUs: 1 runs their work in this
+    process, 2 on a pool of forked workers whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+class TestForkedWorkers:
+    """The Monte-Carlo gates on a pool of forked workers: the same bits as in
+    one process, and no process left behind."""
+
+    CFG = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+
+    @pytest.fixture(scope="class")
+    def phased(self):
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        return env, params, oracle_values(env, params, 1.0)
+
+    def test_mc_gradient_is_bit_identical_to_one_process(self, phased, monkeypatch):
+        env, params, vals = phased
+        runs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            # 20 chunks: two jobs of ten, and so two workers
+            runs.append(mc_gradient_hae(env, params, vals.tables, self.CFG,
+                                        n=5000, seed=7, chunk=250))
+            assert multiprocessing.active_children() == []
+        one, pooled = runs
+        assert np.array_equal(one.mean.theta, pooled.mean.theta)
+        assert np.array_equal(one.se.theta, pooled.se.theta)
+
+    def test_variance_reports_equal_one_process(self, phased, monkeypatch):
+        env, params, vals = phased
+        runs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            runs.append(variance_reports(env, params, vals, range(6), n=2000, seed=3))
+            assert multiprocessing.active_children() == []
+        assert runs[0] == runs[1] and [r.t for r in runs[0]] == list(range(6))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_worker_error_reaches_the_caller(self, phased, monkeypatch, cpus):
+        env, params, _ = phased
+        _cpus(monkeypatch, cpus)
+        # value tables with one state: the chunks index past them
+        short = ValueTables(np.zeros(1), np.zeros((1, params.n_options)))
+        with pytest.raises(IndexError):
+            mc_gradient_hae(env, params, short, self.CFG, n=3000, seed=0, chunk=100)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_bootstrap_error_reaches_the_caller(self, phased, monkeypatch, cpus):
+        env, params, vals = phased
+        _cpus(monkeypatch, cpus)
+
+        def fails(rng, samples, n_boot):
+            raise FloatingPointError("bootstrap")
+
+        monkeypatch.setattr(oracle, "_bootstrap_variances", fails)
+        with pytest.raises(FloatingPointError, match="bootstrap"):
+            variance_reports(env, params, vals, range(3), n=100, seed=0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_map_keeps_job_order(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        got = oracle._fork_map(lambda x: (x * x, os.getpid()), range(7))
+        assert [y for y, _ in got] == [x * x for x in range(7)]
+        in_process = {pid for _, pid in got} == {os.getpid()}
+        assert in_process == (cpus == 1)
+        assert oracle._fork_map(lambda x: x, []) == []
+        assert multiprocessing.active_children() == []
+
+
+class TestDegenerateSizes:
+    """Sizes with no meaningful estimate are refused by name, before any
+    rollout."""
+
+    @pytest.fixture
+    def phased(self, monkeypatch):
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        vals = oracle_values(env, params, 1.0)
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("rolled episodes")
+
+        monkeypatch.setattr(oracle, "rollout_batch", no_rollout)
+        return env, params, vals
+
+    @pytest.mark.parametrize("n,chunk,name", [(0, 1000, "n"), (-3, 1000, "n"),
+                                              (100, 0, "chunk"), (100, -5, "chunk")])
+    def test_mc_gradient(self, phased, n, chunk, name):
+        env, params, vals = phased
+        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            mc_gradient_hae(env, params, vals.tables, cfg, n=n, seed=0, chunk=chunk)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n=1), "n must be >= 2"), (dict(n=0), "n must be >= 2"),
+        (dict(n=100, n_boot=0), "n_boot must be >= 1"),
+        (dict(n=100, max_rounds=0), "max_rounds must be >= 1")])
+    def test_variance_reports(self, phased, kwargs, message):
+        env, params, vals = phased
+        with pytest.raises(ValueError, match=f"^{message}"):
+            variance_reports(env, params, vals, [1], seed=0, **kwargs)
 
 
 class TestRandomTable:
