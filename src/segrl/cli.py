@@ -262,13 +262,13 @@ def cmd_verify(args) -> int:
         env, params = _verify_env_policy(12345)
         tables = oracle_values(env, params, 1.0).tables
         exact = oracle_gradient(env, params, 1.0)
-        rep = unbiasedness(mc_gradient_hae(
-            env, params, tables, GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0),
-            n=args.samples, seed=seed), exact)
-        # bootstrapped estimator (mixing weight 0.95): bias recorded only
-        mixed = mc_gradient_hae(
-            env, params, tables, GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95),
-            n=min(args.samples, 20000), seed=seed)
+        # the gated estimator (mixing weight 1) and, over the first 20000 of
+        # the same episodes, the bootstrapped one (0.95): its bias is recorded only
+        mc, mixed = mc_gradient_hae(env, params, tables, [
+            (GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0), args.samples),
+            (GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95),
+             min(args.samples, 20000))], seed=seed)
+        rep = unbiasedness(mc, exact)
         bias95 = float(np.max(np.abs(mixed.mean.theta - exact.theta)))
         return _report(out, "unbiased", {
             "n": rep.n, "max_z": rep.max_z, "n_failed": rep.n_failed,
@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
             "epochs": args.trials, "dev_high": dev_hi, "dev_low": dev_lo,
             "tol": 1e-3, "worst_high_state": worst_hi,
             "worst_low_cell": [int(x) for x in worst_lo],
-        }, max(dev_hi, dev_lo) <= 1e-3)
+        }, dev_hi <= 1e-3 and dev_lo <= 1e-3)   # a NaN deviation fails
     raise AssertionError(f"unhandled verify mode {mode}")
 
 

@@ -16,9 +16,9 @@ import numpy as np
 from .batch import (Sites, TurnTable, advantage_arrays, gather_rows, head_sites,
                     record_behavior, site_pass, site_scores)
 from .critic import ValueTables
-from .oracle import random_table, random_tables
+from .oracle import _fork_map, random_table, random_tables
 from .policy import GradTables, PolicyParams
-from .training import PPOConfig, total_loss
+from .training import PPOConfig, loss_plan
 
 DEFAULT_H = 1e-5
 DEFAULT_TOL = 1e-6
@@ -29,37 +29,28 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def _central_differences(fn, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of `fn()` wrt each entry of the 1-d array `x`,
+    bumped and restored in place; a vector-valued `fn` gives its entries on
+    the last axis."""
+    cols = []
+    for i in range(x.size):
+        orig = x[i]
+        x[i] = orig + h
+        hi = fn()
+        x[i] = orig - h
+        lo = fn()
+        x[i] = orig
+        cols.append((np.asarray(hi) - lo) / (2 * h))
+    return np.moveaxis(np.array(cols), 0, -1)
+
+
 def fd_params_grad(fn, params: PolicyParams, h: float = DEFAULT_H) -> GradTables:
     """Central differences of a function of the policy logits, bumping and
     restoring each entry of `params.theta` in place.  A vector-valued `fn`
     gives one table per output entry, stacked on a leading axis."""
-    theta, cols = params.theta, []
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + h
-        hi = fn(params)
-        theta[i] = orig - h
-        lo = fn(params)
-        theta[i] = orig
-        cols.append((np.asarray(hi) - lo) / (2 * h))
-    return GradTables.wrap(np.moveaxis(np.array(cols), 0, -1), params)
-
-
-def fd_tables_grad(fn, tables: ValueTables, h: float = DEFAULT_H) -> ValueTables:
-    """Central differences of a scalar function of the value tables."""
-    out = ValueTables.zeros(tables.n_states, tables.n_options)
-    for arr, g in ((tables.v_high, out.v_high), (tables.v_low, out.v_low)):
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = fn(tables)
-            flat[i] = orig - h
-            lo = fn(tables)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * h)
-    return out
+    return GradTables.wrap(_central_differences(lambda: fn(params), params.theta, h),
+                           params)
 
 
 @dataclass
@@ -100,62 +91,87 @@ def turn_log_likelihood(sites: Sites, theta: np.ndarray) -> np.ndarray:
     return np.bincount(sp.pos, sp.live, minlength=sites.present.shape[1])
 
 
+def _score_case(rng: np.random.Generator, n_turns: int = 20):
+    """The draws of one score check: a policy and the sites of a random
+    episode."""
+    n_s, n_o, n_a = 4, 3, 3
+    params = PolicyParams.random(rng, n_s, n_o, n_a)
+    rows = gather_rows(random_table(rng, 1, n_s, n_o, n_a, max_turns=n_turns))
+    return params, head_sites(rows, params)
+
+
+def _check_scores(params: PolicyParams, sites: Sites, h: float) -> float:
+    sp = site_pass(sites, sites.slab(params.theta))
+    n_rows = sites.present.shape[1]
+    analytic = sites.spread(site_scores(sp, np.ones(sp.site.size), group=sp.pos,
+                                        n_groups=n_rows))
+    numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, p.theta), params, h)
+    return rel_err(analytic, numeric.theta)
+
+
 def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
                          h: float = DEFAULT_H) -> float:
     """Max relative error, over the turns of a random episode, of the
     score kernel's per-turn scores vs central differences of the per-turn
     log-likelihood (one bump evaluates every turn)."""
-    n_s, n_o, n_a = 4, 3, 3
-    params = PolicyParams.random(rng, n_s, n_o, n_a)
-    rows = gather_rows(random_table(rng, 1, n_s, n_o, n_a, max_turns=n_turns))
-    sites = head_sites(rows, params)
-    sp = site_pass(sites, sites.slab(params.theta))
-    analytic = sites.spread(site_scores(sp, np.ones(sp.site.size), group=sp.pos,
-                                        n_groups=len(rows)))
-    numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, p.theta), params, h)
-    return rel_err(analytic, numeric.theta)
+    return _check_scores(*_score_case(rng, n_turns), h)
 
 
 def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
-    """Max relative error of the combined-loss gradients (policy and critic)."""
+    """Max relative error of the combined-loss gradients (policy and critic).
+
+    The plan is built once, and each bump re-evaluates only the part of the
+    loss it changes, the other part keeping its value: a logit bump the
+    actor part on the bumped slab (the loss reads no logit outside it, so
+    every other logit's difference is 0), a table bump the critic part."""
     adv = advantage_arrays(case.table, case.tables,
                            replace(case.cfg.gae(), whiten=False))
     frozen = case.tables.copy()
-    value, g_theta, g_tab = total_loss(case.params, case.ref, case.tables,
-                                       case.table, adv, case.cfg,
-                                       target_tables=frozen)
+    plan = loss_plan(case.params, case.ref, case.tables, case.table, adv, case.cfg)
+    _, g_theta, g_tab = plan.loss(case.params, case.tables, frozen)
+    slab = plan.sites.layout.slab(case.params.theta)
+    surrogate, _, kl, _ = plan.actor(slab, grad=False)
+    mse = plan.critic.mse_and_grad(case.tables, frozen)[:2]
 
-    def f_theta(p):
-        v, _, _ = total_loss(p, case.ref, case.tables, case.table, adv,
-                             case.cfg, target_tables=frozen)
-        return v
+    def f_slab():
+        surrogate, _, kl, _ = plan.actor(slab, grad=False)
+        return plan.value(surrogate, kl, *mse)
 
-    def f_tables(tb):
-        v, _, _ = total_loss(case.params, case.ref, tb, case.table, adv,
-                             case.cfg, target_tables=frozen)
-        return v
+    def f_tables():
+        return plan.value(surrogate, kl,
+                          *plan.critic.mse_and_grad(case.tables, frozen)[:2])
 
-    num_theta = fd_params_grad(f_theta, case.params, h)
-    num_tab = fd_tables_grad(f_tables, case.tables, h)
-    worst = rel_err(g_theta.theta, num_theta.theta)
-    worst = max(worst, rel_err(g_tab.v_high, num_tab.v_high))
-    worst = max(worst, rel_err(g_tab.v_low, num_tab.v_low))
-    return worst
+    num_theta = np.zeros_like(case.params.theta)
+    num_theta[plan.sites.layout.cells] = _central_differences(f_slab, slab[:-1], h)
+    errs = [rel_err(g_theta.theta, num_theta)]
+    for got, arr in ((g_tab.v_high, case.tables.v_high), (g_tab.v_low, case.tables.v_low)):
+        errs.append(rel_err(got, _central_differences(
+            f_tables, arr.reshape(-1), h).reshape(arr.shape)))
+    return float(np.max(errs))   # a NaN error stays NaN
 
 
 def gradcheck_report(n_configs: int = 100, seed: int = 0,
                      h: float = DEFAULT_H, tol: float = DEFAULT_TOL) -> dict:
     """Run `n_configs` randomized cases; even ones score checks, odd ones
     full-loss checks.  Names the first configuration with the largest error
-    and its kind."""
+    and its kind; a NaN error is the largest, and fails the gate.
+
+    Every case is drawn here, in order, from one stream seeded by `seed`;
+    the checks then run on every CPU the process may use
+    (`oracle._fork_map`, the cases reaching the workers through the fork),
+    so the report equals a one-CPU run's."""
+    if n_configs < 1:
+        raise ValueError("n_configs must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst, worst_i = 0.0, 0
-    for i in range(n_configs):
+    cases = [_score_case(rng) if i % 2 == 0 else random_case(rng)
+             for i in range(n_configs)]
+
+    def check(i):
         if i % 2 == 0:
-            err = check_log_prob_grads(rng, h=h)
-        else:
-            err = check_total_loss_grads(random_case(rng), h=h)
-        if err > worst:
-            worst, worst_i = err, i
-    return {"configs": n_configs, "max_rel_err": worst, "tol": tol,
-            "worst_config": worst_i, "worst_kind": ("score", "loss")[worst_i % 2]}
+            return _check_scores(*cases[i], h)
+        return check_total_loss_grads(cases[i], h)
+
+    errs = np.array(_fork_map(check, range(n_configs)))
+    worst = int(np.argmax(errs))   # the first NaN, else the first largest
+    return {"configs": n_configs, "max_rel_err": float(errs[worst]), "tol": tol,
+            "worst_config": worst, "worst_kind": ("score", "loss")[worst % 2]}

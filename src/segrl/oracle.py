@@ -511,17 +511,21 @@ class McGradient:
 
 
 def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
-                    cfg: GAEConfig, n: int, seed: int,
-                    chunk: int = 1000) -> McGradient:
-    """Sampled policy gradient using the segment-aware advantage estimates.
+                    runs, seed: int, chunk: int = 1000) -> list[McGradient]:
+    """Sampled policy gradients using the segment-aware advantage estimates,
+    one per run `(cfg, n)` of `runs`, each over the first n episodes of one
+    counter-keyed stream.
 
     Per-head contributions: the switch score weighted by the switching
     advantage (t >= 1), the subgoal score weighted by the segment advantage
     at boundary turns, and the action score weighted by the within-segment
     advantage.  Each episode's sums come from the trainer's kernel
     (`batch.site_pass`, `batch.site_scores`), one head at a time and grouped
-    by episode, `chunk` episodes at a time.  Returns the per-coordinate mean
-    and standard error over episodes.
+    by episode, `chunk` episodes at a time.  Each chunk is rolled, laid out
+    and passed once for every run; a run whose n reaches into the chunk adds
+    the scores under its own advantages over the chunk's episodes it covers.
+    Returns, per run, the per-coordinate mean and standard error over its
+    episodes, bit-identical to a call with that run alone.
 
     The chunks run, ten consecutive ones per job, on every CPU the process
     may use (`_fork_map`); each rolls its own counter-keyed episodes, and
@@ -531,25 +535,34 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
     per-episode sums of chunk x (its cells the chunk touches) floats, at
     most 2.4 MB for the action head of the phased FetchChain(3, 6) policy;
     a job of ten chunks of 1000 there peaks at 5.3 MB traced.  The parent
-    holds only the chunks' per-head sums, under 5 KB per chunk there.
+    holds only the chunks' per-head sums, under 5 KB per chunk and run
+    there.
     """
-    if n < 1:
+    runs = list(runs)
+    if not runs:
+        raise ValueError("runs must not be empty")
+    if min(n for _, n in runs) < 1:
         raise ValueError("n must be >= 1")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     theta = params.theta
-    sum_x, sum_x2 = np.zeros_like(theta), np.zeros_like(theta)
-    starts = range(0, n, chunk)
-    runs = [starts[i:i + _CHUNKS_PER_JOB] for i in range(0, len(starts), _CHUNKS_PER_JOB)]
-    job = partial(_hae_chunk_sums, env, params, tables, cfg, seed, n, chunk)
-    for sums in _fork_map(job, runs):
-        for heads in sums:
-            for cells, x, x2 in heads:
-                sum_x[cells] += x
-                sum_x2[cells] += x2
-    mean = sum_x / n
-    se = np.sqrt(np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1) / n)
-    return McGradient(GradTables.wrap(mean, params), GradTables.wrap(se, params), n)
+    sums = [(np.zeros_like(theta), np.zeros_like(theta)) for _ in runs]
+    starts = range(0, max(n for _, n in runs), chunk)
+    jobs = [starts[i:i + _CHUNKS_PER_JOB] for i in range(0, len(starts), _CHUNKS_PER_JOB)]
+    job = partial(_hae_chunk_sums, env, params, tables, runs, seed, chunk)
+    for out in _fork_map(job, jobs):
+        for heads in out:
+            for cells, per_run in heads:
+                for r, x, x2 in per_run:
+                    sum_x, sum_x2 = sums[r]
+                    sum_x[cells] += x
+                    sum_x2[cells] += x2
+    grads = []
+    for (sum_x, sum_x2), (_, n) in zip(sums, runs):
+        mean = sum_x / n
+        se = np.sqrt(np.maximum(sum_x2 - n * mean ** 2, 0.0) / max(n - 1, 1) / n)
+        grads.append(McGradient(GradTables.wrap(mean, params), GradTables.wrap(se, params), n))
+    return grads
 
 
 # Chunks one worker job rolls in one loop.  Each chunk's arrays are then
@@ -560,24 +573,33 @@ def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
 _CHUNKS_PER_JOB = 10
 
 
-def _hae_chunk_sums(env, params, tables, cfg, seed, n, chunk, offsets):
-    """Per chunk of episodes offset .. offset + chunk - 1 (at most n), for
-    each offset in `offsets`: per head, its cells with the sums over
-    episodes of each cell's per-episode score sum and of its square."""
+def _hae_chunk_sums(env, params, tables, runs, seed, chunk, offsets):
+    """Per chunk of episodes offset .. offset + chunk - 1 (at most the
+    longest run's n), for each offset in `offsets`: per head, its cells and,
+    for each run (index r) that covers k > 0 of the chunk's episodes, the
+    sums over its first k episodes of each cell's per-episode score sum and
+    of its square."""
+    n = max(n for _, n in runs)
     out = []
     for offset in offsets:
         m = min(chunk, n - offset)
         tt = rollout_batch(env, params, m, seed, episode_offset=offset)
-        rows = gather_rows(tt, advantage_arrays(tt, tables, cfg))
+        rows = gather_rows(tt)
+        covered = [(r, min(m, n_r - offset), advantage_arrays(tt, tables, cfg))
+                   for r, (cfg, n_r) in enumerate(runs) if n_r > offset]
         sites = head_sites(rows, params)
         slab = sites.slab(params.theta)
         heads = []
-        for h, adv in enumerate((rows.adv_low, rows.adv_high, rows.adv_switch)):
-            # one head's pass and per-episode sums at a time, squared in place
+        for h, level in enumerate(("a_low", "a_high", "a_switch")):
+            # one head's pass, then per run its per-episode sums, squared in place
             sp = site_pass(sites, slab, head=h)
-            x = site_scores(sp, adv[sp.pos], group=rows.episode[sp.pos], n_groups=m)
-            heads.append((sites.cells[slice(*sp.span)], x.sum(axis=0),
-                          np.square(x, out=x).sum(axis=0)))
+            eps, ts = rows.episode[sp.pos], rows.t[sp.pos]
+            per_run = []
+            for r, k, adv in covered:
+                x = site_scores(sp, getattr(adv, level)[eps, ts], group=eps,
+                                n_groups=m)[:k]
+                per_run.append((r, x.sum(axis=0), np.square(x, out=x).sum(axis=0)))
+            heads.append((sites.cells[slice(*sp.span)], per_run))
         out.append(heads)
     return out
 
@@ -610,7 +632,7 @@ def unbiasedness_report(env: EnvModel, params: PolicyParams, n: int, seed: int,
     """
     cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
     tables = oracle_values(env, params, cfg.gamma).tables
-    mc = mc_gradient_hae(env, params, tables, cfg, n, seed)
+    mc, = mc_gradient_hae(env, params, tables, [(cfg, n)], seed)
     return unbiasedness(mc, oracle_gradient(env, params, cfg.gamma), gate)
 
 

@@ -48,10 +48,18 @@ class _HeadTables:
     def wrap(cls, theta: np.ndarray, like: "_HeadTables"):
         """The tables of `theta`, laid out as `like.theta` (leading axes
         allowed), sharing its memory."""
+        return cls._of(np.asarray(theta, dtype=np.float64), like.n_states, like.n_options,
+                       like.n_actions)
+
+    @classmethod
+    def _of(cls, theta: np.ndarray, *sizes: int):
         out = cls.__new__(cls)
-        out._bind(np.asarray(theta, dtype=np.float64), like.n_states, like.n_options,
-                  like.n_actions)
+        out._bind(theta, *sizes)
         return out
+
+    def __reduce__(self):
+        # pickle `theta` alone, so that the tables come back as views of it
+        return self._of, (self.theta, self.n_states, self.n_options, self.n_actions)
 
     def _bind(self, theta: np.ndarray, *sizes: int) -> None:
         shapes = _table_shapes(*sizes)

@@ -20,7 +20,7 @@ from .batch import (Sites, TurnRows, TurnTable, _advantage_arrays, _critic_batch
                     batch_stats, cell_rows, critic_batch_from_table,
                     flat_advantage_arrays, flat_batch_from_table, gather_rows,
                     head_sites, rollout_batch, site_pass, site_scores)
-from .critic import ValueTables, fit_critic, unstacked
+from .critic import CriticBatch, ValueTables, fit_critic, unstacked
 from .envs import EnvModel
 from .policy import TABLES, GradTables, PolicyParams, log_softmax
 from .rng import SEED_BOUND, derive_seed
@@ -235,6 +235,51 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
     return surrogate, site_scores(sp, w, probs), kl_sum / n, g_kl
 
 
+@dataclass
+class LossPlan:
+    """What `total_loss` reads that depends on neither the logits' nor the
+    tables' values: the batch's sites (with the reference block) and its
+    critic batch.  The actor part is a function of the slab
+    (`sites.layout.slab`), the critic part of the tables, and `value` adds
+    the two."""
+
+    sites: _Sites
+    critic: CriticBatch
+    cfg: PPOConfig
+
+    def actor(self, slab: np.ndarray, grad: bool = True):
+        """(surrogate, its gradient, KL, its gradient) over every row, the
+        gradients wrt `slab` (None without `grad`)."""
+        return _step(self.sites, np.arange(self.sites.layout.present.shape[1]), slab,
+                     self.cfg.clip_eps, grad)
+
+    def value(self, surrogate: float, kl: float, mse_lo: float, mse_hi: float) -> float:
+        """The objective from its actor part (surrogate, KL) and its critic
+        part (the two heads' MSE)."""
+        cfg = self.cfg
+        return -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
+
+    def loss(self, params: PolicyParams, tables: ValueTables,
+             target_tables: ValueTables | None = None
+             ) -> tuple[float, GradTables, ValueTables]:
+        """`total_loss` at the logits of `params` and at `tables`."""
+        layout = self.sites.layout
+        surrogate, g_actor, kl, g_kl = self.actor(layout.slab(params.theta))
+        mse_lo, mse_hi, g_v = self.critic.mse_and_grad(tables, target_tables)
+        g_theta = layout.spread(self.cfg.kl_beta * g_kl - g_actor)
+        return (self.value(surrogate, kl, mse_lo, mse_hi), GradTables.wrap(g_theta, params),
+                unstacked(self.cfg.c_v * g_v, tables.n_states))
+
+
+def loss_plan(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
+              tt: TurnTable, adv, cfg: PPOConfig) -> LossPlan:
+    """The plan of `total_loss` over `tt` with the advantages `adv`, for
+    policies shaped as `params` and tables shaped as `tables`."""
+    sites = _sites(gather_rows(tt, adv), params, False, _ref_log_probs(ref))
+    return LossPlan(sites, critic_batch_from_table(tt, cfg.gamma, tables.n_states,
+                                                   tables.n_options), cfg)
+
+
 def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
                tt: TurnTable, adv, cfg: PPOConfig,
                target_tables: ValueTables | None = None
@@ -247,16 +292,7 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     semantics of the bootstrapped regression.  Used by the finite-difference
     checks and diagnostics; `train` takes the equivalent staged steps.
     """
-    rows = gather_rows(tt, adv)
-    sites = _sites(rows, params, False, _ref_log_probs(ref))
-    slab = sites.layout.slab(params.theta)
-    surrogate, g_actor, kl, g_kl = _step(sites, np.arange(len(rows)), slab,
-                                         cfg.clip_eps)
-    cb = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
-    mse_lo, mse_hi, g_v = cb.mse_and_grad(tables, target_tables)
-    value = -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
-    g_theta = sites.layout.spread(cfg.kl_beta * g_kl - g_actor)
-    return value, GradTables.wrap(g_theta, params), unstacked(cfg.c_v * g_v, tables.n_states)
+    return loss_plan(params, ref, tables, tt, adv, cfg).loss(params, tables, target_tables)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ class Walk:
         if s == 2:
             return self.goal_state, 1.0, True
         return s + 1, 0.0, False
+
+
+def cpus(monkeypatch, n):
+    """Let the gates that fork workers see n CPUs: 1 runs their work in this
+    process, 2 on a pool of forked workers whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
 @pytest.fixture

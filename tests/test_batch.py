@@ -482,7 +482,7 @@ class TestScoreKernel:
                         lambda_flat=1.0)
         tables = oracle_values(env, params, 1.0).tables
         # chunks of 700 leave a short last chunk
-        got = mc_gradient_hae(env, params, tables, cfg, n=2000, seed=3, chunk=700)
+        got, = mc_gradient_hae(env, params, tables, [(cfg, 2000)], seed=3, chunk=700)
         mean, se = spec.mc_gradient_hae(env, params, tables, cfg, n=2000, seed=3,
                                         chunk=700)
         assert got.n == 2000

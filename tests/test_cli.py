@@ -925,6 +925,22 @@ class TestVerifyReports:
         assert abs(fitted.v_high[s] - values.v_high[s]) == report["dev_high"]
         assert abs(fitted.v_low[s_low, o] - values.v_low[s_low, o]) == report["dev_low"]
 
+    def test_critic_fixpoint_fails_on_a_nan_deviation(self, tmp_path, monkeypatch, capsys):
+        import segrl.cli as cli
+
+        def nan_low(*args, **kwargs):
+            fitted, rep = fit_critic(*args, **kwargs)
+            fitted.v_low[:] = np.nan
+            return fitted, rep
+
+        monkeypatch.setattr(cli, "fit_critic", nan_low)
+        assert dispatch(["verify", "critic-fixpoint", "--trials", "40",
+                         "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "critic-fixpoint.json").read_text())
+        assert math.isnan(report["dev_low"]) and report["dev_high"] <= report["tol"]
+        assert report["passed"] is False
+        assert "[FAIL] critic-fixpoint" in capsys.readouterr().out
+
     def test_unbiased_names_its_worst_coordinate(self, tmp_path):
         # the 4-SE gate's verdict is not what this checks
         assert dispatch(["verify", "unbiased", "--samples", "3000", "--seed", "2",
@@ -932,9 +948,9 @@ class TestVerifyReports:
         report = json.loads((tmp_path / "unbiased.json").read_text())
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        mc = mc_gradient_hae(env, params, oracle_values(env, params, 1.0).tables,
-                             GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0),
-                             n=3000, seed=2)
+        mc, = mc_gradient_hae(env, params, oracle_values(env, params, 1.0).tables,
+                              [(GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0), 3000)],
+                              seed=2)
         at = (*report["worst_cell"], report["worst_choice"])
         head = report["worst_head"]
         dev = abs(getattr(mc.mean, head)[at]

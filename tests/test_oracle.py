@@ -26,7 +26,7 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased
 
 import spec
-from conftest import Walk, weighted_target_maps
+from conftest import Walk, cpus as _cpus, weighted_target_maps
 
 
 @pytest.fixture(scope="module")
@@ -367,8 +367,8 @@ class TestMonteCarloHarnesses:
         cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
         tables = oracle_values(env, params, 1.0).tables
-        one = mc_gradient_hae(env, params, tables, cfg, n=1, seed=0)
-        many = mc_gradient_hae(env, params, tables, cfg, n=64, seed=1)
+        one, = mc_gradient_hae(env, params, tables, [(cfg, 1)], seed=0)
+        many, = mc_gradient_hae(env, params, tables, [(cfg, 64)], seed=1)
         assert np.max(np.abs(one.mean.theta - many.mean.theta)) < 1e-9
 
     def test_variance_ci_width_shrinks_with_n(self):
@@ -420,14 +420,6 @@ class TestVarianceReports:
             variance_reports(env, params, vals, [1, 6], n=100, seed=0, max_rounds=2)
 
 
-def _cpus(monkeypatch, n):
-    """Let the Monte-Carlo gates see n CPUs: 1 runs their work in this
-    process, 2 on a pool of forked workers whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
 class TestForkedWorkers:
     """The Monte-Carlo gates on a pool of forked workers: the same bits as in
     one process, and no process left behind."""
@@ -446,12 +438,29 @@ class TestForkedWorkers:
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
             # 20 chunks: two jobs of ten, and so two workers
-            runs.append(mc_gradient_hae(env, params, vals.tables, self.CFG,
-                                        n=5000, seed=7, chunk=250))
+            runs.extend(mc_gradient_hae(env, params, vals.tables, [(self.CFG, 5000)],
+                                        seed=7, chunk=250))
             assert multiprocessing.active_children() == []
         one, pooled = runs
         assert np.array_equal(one.mean.theta, pooled.mean.theta)
         assert np.array_equal(one.se.theta, pooled.se.theta)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_runs_equal_separate_calls(self, phased, monkeypatch, cpus):
+        env, params, vals = phased
+        _cpus(monkeypatch, cpus)
+        # 13 chunks of 150 (two jobs): 1900 and 620 end inside a chunk, and
+        # 90 inside the first one
+        runs = [(self.CFG, 1900),
+                (GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95), 620),
+                (GAEConfig(gamma=0.9, lambda_low=0.5, lambda_high=0.8), 90)]
+        together = mc_gradient_hae(env, params, vals.tables, runs, seed=4, chunk=150)
+        assert [mc.n for mc in together] == [1900, 620, 90]
+        for run, got in zip(runs, together):
+            alone, = mc_gradient_hae(env, params, vals.tables, [run], seed=4, chunk=150)
+            assert np.array_equal(got.mean.theta, alone.mean.theta)
+            assert np.array_equal(got.se.theta, alone.se.theta)
+        assert multiprocessing.active_children() == []
 
     def test_variance_reports_equal_one_process(self, phased, monkeypatch):
         env, params, vals = phased
@@ -469,7 +478,7 @@ class TestForkedWorkers:
         # value tables with one state: the chunks index past them
         short = ValueTables(np.zeros(1), np.zeros((1, params.n_options)))
         with pytest.raises(IndexError):
-            mc_gradient_hae(env, params, short, self.CFG, n=3000, seed=0, chunk=100)
+            mc_gradient_hae(env, params, short, [(self.CFG, 3000)], seed=0, chunk=100)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -518,7 +527,15 @@ class TestDegenerateSizes:
         env, params, vals = phased
         cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
         with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
-            mc_gradient_hae(env, params, vals.tables, cfg, n=n, seed=0, chunk=chunk)
+            mc_gradient_hae(env, params, vals.tables, [(cfg, n)], seed=0, chunk=chunk)
+
+    def test_mc_gradient_runs(self, phased):
+        env, params, vals = phased
+        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+        with pytest.raises(ValueError, match="^runs must not be empty"):
+            mc_gradient_hae(env, params, vals.tables, [], seed=0)
+        with pytest.raises(ValueError, match="^n must be >= 1"):
+            mc_gradient_hae(env, params, vals.tables, [(cfg, 100), (cfg, 0)], seed=0)
 
     @pytest.mark.parametrize("kwargs,message", [
         (dict(n=1), "n must be >= 2"), (dict(n=0), "n must be >= 2"),

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -284,6 +285,18 @@ class TestParameterVector:
                 assert np.array_equal(getattr(g, name)[k], getattr(one, name)), (k, name)
                 assert np.shares_memory(getattr(g, name), stack)
         assert g.locate(p.offsets["action"] + 5) == ("action", (0, 1, 1))
+
+    @pytest.mark.parametrize("cls,lead", [(PolicyParams, ()), (GradTables, ()),
+                                          (GradTables, (3,))])
+    def test_pickling_keeps_the_views(self, rng, cls, lead):
+        p = small_params(rng)
+        q = pickle.loads(pickle.dumps(cls.wrap(rng.standard_normal(lead + p.theta.shape), p)))
+        assert type(q) is cls and q.offsets == p.offsets
+        for name in ("switch", "subgoal", "action"):
+            assert np.shares_memory(getattr(q, name), q.theta), name
+        q.theta[..., p.offsets["action"]] = 5.0
+        q.theta[..., 1] = -2.0
+        assert (q.action[..., 0, 0, 0] == 5.0).all() and (q.switch[..., 0, 0, 1] == -2.0).all()
 
     @pytest.mark.parametrize("trainer", [train, train_flat_baseline])
     def test_training_leaves_init_params_alone(self, rng, trainer):
