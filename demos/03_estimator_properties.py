@@ -11,29 +11,32 @@
 
 import numpy as np
 
-from segrl import FetchChain, fetchchain_phased
-from segrl.oracle import (oracle_values, switching_exactness_report,
-                          telescope_check, unbiasedness_report,
-                          variance_reports)
+from segrl import FetchChain, GAEConfig, fetchchain_phased
+from segrl.oracle import (mc_gradient_hae, oracle_gradient, oracle_values,
+                          solve_dp, switching_exactness_report,
+                          telescope_check, unbiasedness, variance_reports)
 
 env = FetchChain(length=3, horizon=6)
 params = fetchchain_phased(env, np.random.default_rng(12345))
+dp = solve_dp(env, params, gamma=1.0)   # one exact solve serves every oracle below
+values = oracle_values(dp)
 
 print("-- telescoping identities on 2000 random trajectories --")
 rep = telescope_check(trials=2000, seed=0)
 print(f"max deviation: low {rep.max_dev_low:.2e}  high {rep.max_dev_high:.2e}")
 
 print("\n-- switching advantage equals its brute-force definition --")
-sw = switching_exactness_report(env, params, gamma=1.0)
+sw = switching_exactness_report(dp)
 print(f"max deviation {sw.max_abs_dev:.2e} over {sw.n_contexts} contexts")
 
 print("\n-- unbiasedness of the sampled gradient (50k episodes) --")
-ub = unbiasedness_report(env, params, n=50000, seed=1)
+cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+mc, = mc_gradient_hae(env, params, values.tables, [(cfg, 50000)], seed=1)
+ub = unbiasedness(mc, oracle_gradient(dp))
 print(f"max |z| = {ub.max_z:.2f} over {ub.n_coords} coordinates "
       f"(gate {ub.gate} SE): {'OK' if ub.passed else 'FAILED'}")
 
 print("\n-- variance: segment-aware vs whole-episode advantages --")
-values = oracle_values(env, params, gamma=1.0)
 print(" t   var(segment)  var(flat)   95% CI of the difference")
 for vr in variance_reports(env, params, values, range(env.horizon), n=8000,
                            seed=2):

@@ -17,9 +17,9 @@ from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
 from .critic import CriticBatch, ValueTables, fit_critic
 from .envs import EnvModel, FetchChain, OneStep, make_env
 from .oracle import (enumeration_table, mc_gradient_hae, objective,
-                     oracle_gradient, oracle_values, success_probability,
-                     switching_exactness_report, telescope_check,
-                     unbiasedness_report, variance_reports)
+                     oracle_gradient, oracle_values, solve_dp,
+                     success_probability, switching_exactness_report,
+                     telescope_check, unbiasedness, variance_reports)
 from .parsing import (FormatVerdict, ParsedDecision, ParseFailure, ingest_log,
                       parse_blocks, render_decision)
 from .policy import (CheckpointError, GradTables, PolicyParams,

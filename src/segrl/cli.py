@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .core import (InputError, MalformedTrajectory, load_trajectories,
 from .critic import ValueTables, fit_critic
 from .envs import FetchChain
 from .oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
-                     oracle_values, switching_exactness_report,
+                     oracle_values, solve_dp, switching_exactness_report,
                      telescope_check, unbiasedness, variance_reports)
 from .parsing import ingest_transcript_file
 from .policy import (CheckpointError, PolicyParams, fetchchain_phased,
@@ -215,11 +216,31 @@ def cmd_advantages(args) -> int:
     return 0
 
 
-def _report(out: Path, name: str, payload: dict, passed: bool) -> int:
-    payload = dict(payload, passed=bool(passed))
-    path = out / f"{name}.json"
+def _write_report(path: Path, payload: dict) -> None:
+    """`payload` as strict JSON: each non-finite float is written as null, its
+    key (as `rows[2].var_low` in a list) listed under "nonfinite"."""
+    nonfinite = []
+
+    def strict(x, key):
+        if isinstance(x, dict):
+            return {k: strict(v, f"{key}.{k}" if key else k) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(v, f"{key}[{i}]") for i, v in enumerate(x)]
+        if isinstance(x, float) and not math.isfinite(x):
+            nonfinite.append(key)
+            return None
+        return x
+
+    payload = strict(payload, "")
+    if nonfinite:
+        payload["nonfinite"] = nonfinite
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2)
+        json.dump(payload, fp, indent=2, allow_nan=False)
+
+
+def _report(out: Path, name: str, payload: dict, passed: bool) -> int:
+    payload, path = dict(payload, passed=bool(passed)), out / f"{name}.json"
+    _write_report(path, payload)
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] {name}: " + ", ".join(
         f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
@@ -248,7 +269,7 @@ def cmd_verify(args) -> int:
     if mode == "telescope":
         rep = telescope_check(trials=args.trials, seed=seed)
         env, params = _verify_env_policy(12345)
-        sw = switching_exactness_report(env, params, gamma=1.0)
+        sw = switching_exactness_report(solve_dp(env, params, 1.0))
         return _report(out, "telescope", {
             "trials": rep.trials, "max_dev_low": rep.max_dev_low,
             "max_dev_high": rep.max_dev_high,
@@ -260,8 +281,8 @@ def cmd_verify(args) -> int:
         }, rep.passed and sw.passed)
     if mode == "unbiased":
         env, params = _verify_env_policy(12345)
-        tables = oracle_values(env, params, 1.0).tables
-        exact = oracle_gradient(env, params, 1.0)
+        dp = solve_dp(env, params, 1.0)
+        tables, exact = oracle_values(dp).tables, oracle_gradient(dp)
         # the gated estimator (mixing weight 1) and, over the first 20000 of
         # the same episodes, the bootstrapped one (0.95): its bias is recorded only
         mc, mixed = mc_gradient_hae(env, params, tables, [
@@ -278,19 +299,18 @@ def cmd_verify(args) -> int:
         }, rep.passed)
     if mode == "variance":
         env, params = _verify_env_policy(12345)
-        values = oracle_values(env, params, 1.0)
+        values = oracle_values(solve_dp(env, params, 1.0))
         reps = variance_reports(env, params, values, range(env.horizon),
                                 n=args.samples, seed=seed)
         rows = [{"t": rep.t, "var_low": rep.var_low, "var_flat": rep.var_flat,
                  "ci_diff_upper": rep.ci_diff[1], "reduced": rep.reduction_confirmed}
                 for rep in reps]
         ok = all(rep.reduction_confirmed for rep in reps)
-        worst = max(rows, key=lambda r: r["ci_diff_upper"])
+        # a NaN bound is the worst
+        worst = max(rows, key=lambda r: (math.isnan(r["ci_diff_upper"]), r["ci_diff_upper"]))
         path = out / "variance.json"
-        with open(path, "w", encoding="utf-8") as fp:
-            json.dump({"rows": rows, "worst_t": worst["t"],
-                       "worst_ci_diff_upper": worst["ci_diff_upper"],
-                       "passed": ok}, fp, indent=2)
+        _write_report(path, {"rows": rows, "worst_t": worst["t"],
+                             "worst_ci_diff_upper": worst["ci_diff_upper"], "passed": ok})
         for r in rows:
             print(f"[{'PASS' if r['reduced'] else 'FAIL'}] t={r['t']}: "
                   f"var_low={r['var_low']:.4f} var_flat={r['var_flat']:.4f} "
@@ -303,9 +323,8 @@ def cmd_verify(args) -> int:
         return _report(out, "gradcheck", rep, rep["max_rel_err"] <= rep["tol"])
     if mode == "critic-fixpoint":
         env, params = _verify_env_policy(12345)
-        gamma = cfg.ppo.gamma
-        values = oracle_values(env, params, gamma)
-        batch = exact_critic_batch(env, params, gamma)
+        dp = solve_dp(env, params, cfg.ppo.gamma)
+        values, batch = oracle_values(dp), exact_critic_batch(dp)
         tables = ValueTables.zeros(env.n_states, params.n_options)
         fitted, _ = fit_critic(tables, batch, lr=0.5, epochs=args.trials)
         dev_hi = np.where(values.high_defined, np.abs(fitted.v_high - values.v_high), -1.0)

@@ -22,10 +22,11 @@ from segrl.critic import (CriticBatch, ValueTables, fit_critic,
                           single_coupling_rows)
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import gradcheck_report
-from segrl.oracle import (oracle_values, exact_critic_batch,
-                          score_expectation_enumerated, solve_dp,
+from segrl.advantages import GAEConfig
+from segrl.oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
+                          oracle_values, score_expectation_enumerated, solve_dp,
                           switching_exactness_report, telescope_check,
-                          unbiasedness_report, variance_reports)
+                          unbiasedness, variance_reports)
 from segrl.parsing import (FORMAT_PENALTY, ingest_log, ingest_transcript_file,
                            parse_blocks, read_transcript)
 from segrl.policy import PolicyParams, fetchchain_phased
@@ -43,7 +44,7 @@ def report(criterion: str, detail: str) -> None:
 def bench():
     env = FetchChain(3, 6)
     params = fetchchain_phased(env, np.random.default_rng(POLICY_SEED))
-    values = oracle_values(env, params, gamma=1.0)
+    values = oracle_values(solve_dp(env, params, gamma=1.0))
     return env, params, values
 
 
@@ -70,10 +71,9 @@ def test_c02_telescoping_high():
 
 
 def test_c03_switching_exactness(bench):
-    env, params, values = bench
+    env, params, _ = bench
     start = time.time()
-    rep = switching_exactness_report(env, params, gamma=1.0, values=values,
-                                     tol=1e-10)
+    rep = switching_exactness_report(solve_dp(env, params, gamma=1.0), tol=1e-10)
     elapsed = time.time() - start
     assert rep.passed, rep.max_abs_dev
     assert rep.n_contexts >= 50
@@ -86,7 +86,12 @@ def test_c03_switching_exactness(bench):
 def test_c04_gradient_unbiasedness(bench):
     env, params, _ = bench
     start = time.time()
-    rep = unbiasedness_report(env, params, n=200000, seed=11, gate=4.0)
+    # the pair `segrl verify unbiased` runs, on one solve
+    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+    dp = solve_dp(env, params, cfg.gamma)
+    mc, = mc_gradient_hae(env, params, oracle_values(dp).tables, [(cfg, 200000)],
+                          seed=11)
+    rep = unbiasedness(mc, oracle_gradient(dp), gate=4.0)
     elapsed = time.time() - start
     assert rep.passed, (rep.max_z, rep.n_failed)
     assert elapsed < 300.0
@@ -108,7 +113,7 @@ def test_c05_variance_reduction(bench):
     # information, and the two estimators coincide
     eq_params = PolicyParams.uniform(env.n_states, 1, env.n_actions)
     eq_params.switch[:, :, 0] = 30.0
-    eq_values = oracle_values(env, params=eq_params, gamma=1.0)
+    eq_values = oracle_values(solve_dp(env, params=eq_params, gamma=1.0))
     overlaps = []
     for rep in variance_reports(env, eq_params, eq_values, range(env.horizon),
                                 n=10000, seed=4):
@@ -137,15 +142,14 @@ def test_c07_critic_fixed_point(bench):
     env, params, _ = bench
     gamma = 0.97
     start = time.time()
-    values = oracle_values(env, params, gamma)
-    batch = exact_critic_batch(env, params, gamma)
+    dp = solve_dp(env, params, gamma)
+    values, batch = oracle_values(dp), exact_critic_batch(dp)
     tables = ValueTables.zeros(env.n_states, params.n_options)
     fitted, _ = fit_critic(tables, batch, lr=0.5, epochs=500)
     dev_hi = np.max(np.abs(fitted.v_high - values.v_high)[values.high_defined])
     dev_lo = np.max(np.abs(fitted.v_low - values.v_low)[values.low_defined])
     assert dev_hi <= 1e-3 and dev_lo <= 1e-3, (dev_hi, dev_lo)
     # flat critic: regression on observed returns over the exact measure
-    dp = solve_dp(env, params, gamma)
     w = dp.occ.sum(axis=(0, 2))
     g = np.sum(dp.occ * dp.g_low, axis=(0, 2))
     # one uncoupled row per state toward its mean return (a flat batch)

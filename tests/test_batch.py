@@ -14,7 +14,7 @@ from segrl.core import KEEP, SWITCH, MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
-from segrl.oracle import mc_gradient_hae, oracle_values, random_tables
+from segrl.oracle import mc_gradient_hae, oracle_values, random_tables, solve_dp
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased, softmax
 from segrl.rng import CounterRng
 
@@ -480,7 +480,7 @@ class TestScoreKernel:
         params = fetchchain_phased(env, np.random.default_rng(12345))
         cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
-        tables = oracle_values(env, params, 1.0).tables
+        tables = oracle_values(solve_dp(env, params, 1.0)).tables
         # chunks of 700 leave a short last chunk
         got, = mc_gradient_hae(env, params, tables, [(cfg, 2000)], seed=3, chunk=700)
         mean, se = spec.mc_gradient_hae(env, params, tables, cfg, n=2000, seed=3,

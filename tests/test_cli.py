@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -788,9 +789,12 @@ class TestDemos:
     def test_exact_oracles_demo_runs(self):
         self._runs("02_exact_oracles.py")
 
+    def test_estimator_properties_demo_runs(self):
+        self._runs("03_estimator_properties.py")
+
     def test_demo_and_readme_imports_resolve(self):
-        # only demos 01 and 02 run here: every segrl name the other demos and
-        # the README's Python blocks import must still exist
+        # only demos 01, 02 and 03 run here: every segrl name the other demos
+        # and the README's Python blocks import must still exist
         sources = [(path.name, path.read_text())
                    for path in sorted((ROOT / "demos").glob("*.py"))]
         sources += [("README.md", block) for block in re.findall(
@@ -851,6 +855,13 @@ class TestValueCheckpoint:
         assert np.abs(back.v_high).max() > 0
 
 
+def _strict_report(path: Path) -> dict:
+    """A report read back by a reader that refuses NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestVerifyReports:
     def test_variance_all_turns_equal_the_per_turn_reports(self, tmp_path):
         assert dispatch(["verify", "variance", "--samples", "2000", "--seed", "5",
@@ -858,7 +869,7 @@ class TestVerifyReports:
         report = json.loads((tmp_path / "variance.json").read_text())
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        values = oracle_values(env, params, 1.0)
+        values = oracle_values(solve_dp(env, params, 1.0))
         rows = []
         for t in range(env.horizon):
             rep = spec.variance_report(env, params, values, t=t, n=2000, seed=5)
@@ -878,7 +889,7 @@ class TestVerifyReports:
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
         dp = solve_dp(env, params, 1.0)
-        values = oracle_values(env, params, 1.0)
+        values = oracle_values(dp)
         assert t >= 1 and dp.occ_switch[t, s, o_prev] > 0
         beta = dp.beta[s, o_prev]
         q_keep, q_switch = dp.g_low[t, s, o_prev], dp.g_high[t, s]
@@ -915,9 +926,10 @@ class TestVerifyReports:
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
         gamma = PPOConfig().gamma
-        values = oracle_values(env, params, gamma)
+        dp = solve_dp(env, params, gamma)
+        values = oracle_values(dp)
         fitted, _ = fit_critic(ValueTables.zeros(env.n_states, params.n_options),
-                               exact_critic_batch(env, params, gamma),
+                               exact_critic_batch(dp),
                                lr=0.5, epochs=40)
         s = report["worst_high_state"]
         s_low, o = report["worst_low_cell"]
@@ -936,10 +948,56 @@ class TestVerifyReports:
         monkeypatch.setattr(cli, "fit_critic", nan_low)
         assert dispatch(["verify", "critic-fixpoint", "--trials", "40",
                          "--out", str(tmp_path)]) == 1
-        report = json.loads((tmp_path / "critic-fixpoint.json").read_text())
-        assert math.isnan(report["dev_low"]) and report["dev_high"] <= report["tol"]
+        report = _strict_report(tmp_path / "critic-fixpoint.json")
+        assert report["dev_low"] is None and report["nonfinite"] == ["dev_low"]
+        assert report["dev_high"] <= report["tol"]
         assert report["passed"] is False
         assert "[FAIL] critic-fixpoint" in capsys.readouterr().out
+
+    def test_telescope_fails_on_a_nan_deviation(self, tmp_path, monkeypatch, capsys):
+        deviations = oracle._telescope_deviations
+
+        def nan_high(rng, trials, *args):
+            low, high = deviations(rng, trials, *args)
+            high[5] = np.nan    # trial 5, and 1005 in the second block
+            return low, high
+
+        monkeypatch.setattr(oracle, "_telescope_deviations", nan_high)
+        assert dispatch(["verify", "telescope", "--trials", "1500",
+                         "--out", str(tmp_path)]) == 1
+        report = _strict_report(tmp_path / "telescope.json")
+        assert report["max_dev_high"] is None and report["nonfinite"] == ["max_dev_high"]
+        assert report["worst_trial_high"] == 5 and report["max_dev_low"] <= report["tol"]
+        assert report["passed"] is False
+        assert "[FAIL] telescope" in capsys.readouterr().out
+
+    def test_gradcheck_writes_a_nan_error_as_null(self, tmp_path, monkeypatch):
+        import segrl.gradcheck as gradcheck
+        monkeypatch.setattr(gradcheck, "check_total_loss_grads", lambda case, h: np.nan)
+        assert dispatch(["verify", "gradcheck", "--trials", "2",
+                         "--out", str(tmp_path)]) == 1
+        report = _strict_report(tmp_path / "gradcheck.json")
+        assert report["max_rel_err"] is None and report["nonfinite"] == ["max_rel_err"]
+        assert (report["worst_config"], report["passed"]) == (1, False)
+
+    def test_variance_names_a_nan_bound_in_its_rows(self, tmp_path, monkeypatch):
+        import segrl.cli as cli
+        reports = cli.variance_reports
+
+        def nan_turn_3(*args, **kwargs):
+            reps = reports(*args, **kwargs)
+            reps[3] = dataclasses.replace(reps[3], ci_diff=(np.nan, np.nan))
+            return reps
+
+        monkeypatch.setattr(cli, "variance_reports", nan_turn_3)
+        assert dispatch(["verify", "variance", "--samples", "500",
+                         "--out", str(tmp_path)]) == 1
+        report = _strict_report(tmp_path / "variance.json")
+        assert report["rows"][3]["ci_diff_upper"] is None
+        assert report["rows"][3]["reduced"] is False
+        assert (report["worst_t"], report["worst_ci_diff_upper"]) == (3, None)
+        assert report["nonfinite"] == ["rows[3].ci_diff_upper", "worst_ci_diff_upper"]
+        assert report["passed"] is False
 
     def test_unbiased_names_its_worst_coordinate(self, tmp_path):
         # the 4-SE gate's verdict is not what this checks
@@ -948,13 +1006,14 @@ class TestVerifyReports:
         report = json.loads((tmp_path / "unbiased.json").read_text())
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        mc, = mc_gradient_hae(env, params, oracle_values(env, params, 1.0).tables,
+        dp = solve_dp(env, params, 1.0)
+        mc, = mc_gradient_hae(env, params, oracle_values(dp).tables,
                               [(GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0), 3000)],
                               seed=2)
         at = (*report["worst_cell"], report["worst_choice"])
         head = report["worst_head"]
         dev = abs(getattr(mc.mean, head)[at]
-                  - getattr(oracle_gradient(env, params, 1.0), head)[at])
+                  - getattr(oracle_gradient(dp), head)[at])
         assert dev == report["worst_dev"]
         assert dev / getattr(mc.se, head)[at] == report["worst_z"] == report["max_z"]
 
@@ -970,15 +1029,28 @@ class TestVerifyReports:
         assert (report["worst_config"], report["worst_kind"]) == (
             worst, ("score", "loss")[worst % 2])
 
-    def test_unbiased_solves_the_exact_dp_once_per_quantity(self, tmp_path, monkeypatch):
-        import segrl.oracle
+    def test_each_gate_solves_the_exact_dp_once(self, tmp_path, monkeypatch):
+        import segrl.cli as cli
         calls = []
-        monkeypatch.setattr(segrl.oracle, "solve_dp",
-                            lambda *args: calls.append(1) or solve_dp(*args))
-        assert dispatch(["verify", "unbiased", "--samples", "200",
-                         "--out", str(tmp_path)]) in (0, 1)
-        # the exact values and the exact gradient, one solve each
-        assert len(calls) == 2
+
+        def counted(*args):
+            calls.append(1)
+            return solve_dp(*args)
+
+        monkeypatch.setattr(oracle, "solve_dp", counted)
+        monkeypatch.setattr(cli, "solve_dp", counted)
+        solves = {}
+        for mode, *size in (("telescope", "--trials", "200"),
+                            ("unbiased", "--samples", "200"),
+                            ("variance", "--samples", "200"),
+                            ("gradcheck", "--trials", "2"),
+                            ("critic-fixpoint", "--trials", "200")):
+            calls.clear()
+            assert dispatch(["verify", mode, *size, "--out", str(tmp_path)]) in (0, 1)
+            solves[mode] = len(calls)
+        # every exact quantity of a gate reads one solution; gradcheck has none
+        assert solves == {"telescope": 1, "unbiased": 1, "variance": 1,
+                          "gradcheck": 0, "critic-fixpoint": 1}
 
     def test_unbiased_records_bootstrapped_bias(self, tmp_path):
         code = dispatch(["verify", "unbiased", "--samples", "30000",

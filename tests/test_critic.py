@@ -7,7 +7,7 @@ from segrl.core import MalformedTrajectory, segment_boundaries
 from segrl.critic import ValueTables, fit_critic, stacked
 from segrl.envs import FetchChain
 from segrl.oracle import (enumeration_table, exact_critic_batch,
-                          oracle_values, random_tables)
+                          oracle_values, random_tables, solve_dp)
 from segrl.policy import PolicyParams, fetchchain_phased
 
 from conftest import random_trajectory, traj_from, weighted_target_maps
@@ -146,8 +146,8 @@ class TestFitCritic:
         env = FetchChain(2, 4)
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.5)
         gamma = 0.9
-        vals = oracle_values(env, p, gamma)
-        batch = exact_critic_batch(env, p, gamma)
+        dp = solve_dp(env, p, gamma)
+        vals, batch = oracle_values(dp), exact_critic_batch(dp)
         fitted, rep = fit_critic(vals.tables, batch, lr=0.3, epochs=5)
         assert np.allclose(fitted.v_high, vals.v_high, atol=1e-12)
         assert np.allclose(fitted.v_low, vals.v_low, atol=1e-12)
@@ -167,8 +167,8 @@ class TestFitCritic:
         env = FetchChain(3, 6)
         p = fetchchain_phased(env, rng)
         gamma = 0.97
-        vals = oracle_values(env, p, gamma)
-        batch = exact_critic_batch(env, p, gamma)
+        dp = solve_dp(env, p, gamma)
+        vals, batch = oracle_values(dp), exact_critic_batch(dp)
         tables = ValueTables.zeros(env.n_states, 2)
         fitted, _ = fit_critic(tables, batch, lr=0.5, epochs=30)
         assert np.max(np.abs(fitted.v_high - vals.v_high)[vals.high_defined]) < 1e-10
@@ -195,7 +195,7 @@ class TestFitCritic:
         gamma = 0.9
         tt = enumeration_table(env, p)
         cb_t = critic_batch_from_table(tt, gamma, env.n_states, 2)
-        cb_e = exact_critic_batch(env, p, gamma)
+        cb_e = exact_critic_batch(solve_dp(env, p, gamma))
         assert np.allclose(cb_t.w, cb_e.w, atol=1e-12)
         for j, (a, b) in enumerate(zip(weighted_target_maps(cb_t),
                                        weighted_target_maps(cb_e))):
@@ -217,5 +217,5 @@ class TestFlatCritic:
         tt = enumeration_table(env, p)
         batch = flat_batch_from_table(tt, gamma, env.n_states)
         v, _ = fit_flat_critic(np.zeros(env.n_states), batch, lr=0.5, epochs=5)
-        vals = oracle_values(env, p, gamma)
+        vals = oracle_values(solve_dp(env, p, gamma))
         assert np.max(np.abs(v - vals.v_flat)[vals.flat_defined]) < 1e-12

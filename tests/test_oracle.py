@@ -21,7 +21,7 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           oracle_values_enumerated, score_expectation_enumerated,
                           solve_dp, success_probability,
                           random_table, switching_exactness_report,
-                          McGradient, unbiasedness, unbiasedness_report,
+                          McGradient, unbiasedness,
                           variance_reports)
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased
 
@@ -126,13 +126,13 @@ class TestDualRoutes:
     def test_gradient(self, small_env_policy):
         env, params = small_env_policy
         for gamma in (1.0, 0.8):
-            dp = oracle_gradient(env, params, gamma)
+            dp = oracle_gradient(solve_dp(env, params, gamma))
             leaf = oracle_gradient_enumerated(env, params, gamma)
             assert np.max(np.abs(dp.theta - leaf.theta)) < 1e-12
 
     def test_values(self, small_env_policy):
         env, params = small_env_policy
-        dp = oracle_values(env, params, 0.9)
+        dp = oracle_values(solve_dp(env, params, 0.9))
         leaf = oracle_values_enumerated(env, params, 0.9)
         for name in ("v_high", "v_low", "v_flat"):
             assert np.allclose(getattr(dp, name), getattr(leaf, name), atol=1e-11)
@@ -166,17 +166,17 @@ class TestTruncatedLeaves:
         for gamma in (1.0, 0.9):
             assert objective(env, params, gamma) == pytest.approx(
                 objective_enumerated(env, params, gamma), abs=1e-12)
-            dp = oracle_gradient(env, params, gamma)
+            dp = oracle_gradient(solve_dp(env, params, gamma))
             leaf = oracle_gradient_enumerated(env, params, gamma)
             assert np.max(np.abs(dp.theta - leaf.theta)) < 1e-12
-            dp = oracle_values(env, params, gamma)
+            dp = oracle_values(solve_dp(env, params, gamma))
             leaf = oracle_values_enumerated(env, params, gamma)
             for name in ("v_high", "v_low", "v_flat"):
                 assert np.allclose(getattr(dp, name), getattr(leaf, name), atol=1e-11)
         tt = enumeration_table(env, params)
         mass = tt.weight[tt.terminated & (tt.final_state == env.goal_state)].sum()
         assert 0.0 < mass < 1.0
-        assert success_probability(env, params) == pytest.approx(mass, abs=1e-12)
+        assert success_probability(solve_dp(env, params, 1.0)) == pytest.approx(mass, abs=1e-12)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.9])
     @pytest.mark.parametrize("horizon", [4, 6])
@@ -188,7 +188,7 @@ class TestTruncatedLeaves:
                                      env.n_actions, scale=0.8)
         tt = enumeration_table(env, params)
         cb_t = critic_batch_from_table(tt, gamma, env.n_states, 2)
-        cb_e = exact_critic_batch(env, params, gamma)
+        cb_e = exact_critic_batch(solve_dp(env, params, gamma))
         assert np.allclose(cb_t.w, cb_e.w, atol=1e-12)
         for j, (a, b) in enumerate(zip(weighted_target_maps(cb_t),
                                        weighted_target_maps(cb_e))):
@@ -200,7 +200,7 @@ class TestTruncatedLeaves:
         params = fetchchain_phased(env, np.random.default_rng(0))
         tracemalloc.start()
         try:
-            exact_critic_batch(env, params, 0.97)
+            exact_critic_batch(solve_dp(env, params, 0.97))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -211,7 +211,7 @@ class TestOracleValues:
     def test_onestep_constant_reward(self):
         env = OneStep(n_actions=2, reward=10.0)
         params = PolicyParams.uniform(env.n_states, 3, env.n_actions)
-        vals = oracle_values(env, params, 0.9)
+        vals = oracle_values(solve_dp(env, params, 0.9))
         assert np.allclose(vals.v_high[vals.high_defined], 10.0)
         assert np.allclose(vals.v_low[vals.low_defined], 10.0)
         assert np.allclose(vals.v_flat[vals.flat_defined], 10.0)
@@ -230,7 +230,7 @@ class TestOracleValues:
         env = FetchChain(3, 6)
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
         gamma = 1.0
-        vals = oracle_values(env, params, gamma)
+        vals = oracle_values(solve_dp(env, params, gamma))
         tt = rollout_batch(env, params, 200000, seed=3)
         from segrl.batch import returns_matrix
         g = returns_matrix(tt, gamma)
@@ -252,7 +252,7 @@ class TestOracleValues:
     def test_undefined_cells_flagged(self):
         env = FetchChain(3, 6)
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        vals = oracle_values(env, params, 1.0)
+        vals = oracle_values(solve_dp(env, params, 1.0))
         # carrying at clock 0 is impossible
         impossible = env.encode(1, True, 0)
         assert not vals.low_defined[impossible].any()
@@ -263,13 +263,13 @@ class TestOracleGradient:
     def test_zero_reward_env_zero_gradient(self, rng):
         env = OneStep(n_actions=3, reward=0.0)
         params = PolicyParams.random(rng, env.n_states, 2, env.n_actions)
-        g = oracle_gradient(env, params, 1.0)
+        g = oracle_gradient(solve_dp(env, params, 1.0))
         assert np.abs(g.theta).max() < 1e-15
 
     def test_matches_finite_differences_of_objective(self, small_env_policy):
         env, params = small_env_policy
         gamma = 0.9
-        g = oracle_gradient(env, params, gamma)
+        g = oracle_gradient(solve_dp(env, params, gamma))
         h = 1e-5
         rng = np.random.default_rng(3)
         vec = params.theta
@@ -301,9 +301,9 @@ class TestOracleGradient:
 
         gamma = 0.9
         c = 0.7
-        g0 = oracle_gradient(env, params, gamma)
-        gc = oracle_gradient(Shifted(env, c), params, gamma)
-        g1 = oracle_gradient(Shifted(env, 1.0), params, gamma)  # rewards + 1
+        g0 = oracle_gradient(solve_dp(env, params, gamma))
+        gc = oracle_gradient(solve_dp(Shifted(env, c), params, gamma))
+        g1 = oracle_gradient(solve_dp(Shifted(env, 1.0), params, gamma))  # rewards + 1
         # gradient shifts by c * gradient of E[sum gamma^t * 1]
         lhs = gc.theta - g0.theta
         rhs = c * (g1.theta - g0.theta)
@@ -318,7 +318,8 @@ class TestSuccessProbability:
     def test_expert_reaches_goal_surely(self):
         from segrl.policy import fetchchain_expert
         env = FetchChain(3, 8)
-        assert success_probability(env, fetchchain_expert(env)) == pytest.approx(1.0, abs=1e-8)
+        dp = solve_dp(env, fetchchain_expert(env), 1.0)
+        assert success_probability(dp) == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_enumeration_mass(self, small_env_policy):
         env = FetchChain(2, 5)
@@ -326,14 +327,44 @@ class TestSuccessProbability:
         params = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.5)
         tt = enumeration_table(env, params)
         mass = tt.weight[tt.terminated & (tt.final_state == env.goal_state)].sum()
-        assert success_probability(env, params) == pytest.approx(mass, abs=1e-12)
+        assert success_probability(solve_dp(env, params, 1.0)) == pytest.approx(mass, abs=1e-12)
+
+
+class TestOneSolution:
+    """Every DP oracle reads one `solve_dp` solution and leaves it as it was."""
+
+    def test_oracles_leave_the_solution_bitwise_unchanged(self):
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        dp = solve_dp(env, params, 0.97)
+
+        def snapshot():
+            arrays = {name: x for name, x in vars(dp).items() if isinstance(x, np.ndarray)}
+            arrays["params.theta"] = dp.params.theta
+            return {name: (x.dtype, x.shape, x.tobytes()) for name, x in arrays.items()}
+
+        before = snapshot()
+        assert len(before) == 14
+        oracle_values(dp)
+        oracle_gradient(dp)
+        success_probability(dp)
+        switching_exactness_report(dp)
+        exact_critic_batch(dp)
+        assert snapshot() == before
+
+    def test_success_probability_does_not_depend_on_gamma(self):
+        env = FetchChain(3, 6)
+        params = fetchchain_phased(env, np.random.default_rng(12345))
+        p = success_probability(solve_dp(env, params, 1.0))
+        assert 0.0 < p < 1.0
+        assert success_probability(solve_dp(env, params, 0.9)) == p
 
 
 class TestSwitchingExactness:
     def test_exact_on_phased_policy(self):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        rep = switching_exactness_report(env, params, 1.0)
+        rep = switching_exactness_report(solve_dp(env, params, 1.0))
         assert rep.passed and rep.n_contexts > 0
 
 
@@ -341,7 +372,10 @@ class TestMonteCarloHarnesses:
     def test_unbiasedness_smoke(self):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        rep = unbiasedness_report(env, params, n=30000, seed=4)
+        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+        dp = solve_dp(env, params, cfg.gamma)
+        mc, = mc_gradient_hae(env, params, oracle_values(dp).tables, [(cfg, 30000)], seed=4)
+        rep = unbiasedness(mc, oracle_gradient(dp))
         assert rep.passed, (rep.max_z, rep.n_failed)
 
     def test_failed_coordinates_counted_once(self):
@@ -366,7 +400,7 @@ class TestMonteCarloHarnesses:
         params = fetchchain_expert(env, sharpness=40.0)
         cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
-        tables = oracle_values(env, params, 1.0).tables
+        tables = oracle_values(solve_dp(env, params, 1.0)).tables
         one, = mc_gradient_hae(env, params, tables, [(cfg, 1)], seed=0)
         many, = mc_gradient_hae(env, params, tables, [(cfg, 64)], seed=1)
         assert np.max(np.abs(one.mean.theta - many.mean.theta)) < 1e-9
@@ -374,7 +408,7 @@ class TestMonteCarloHarnesses:
     def test_variance_ci_width_shrinks_with_n(self):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        vals = oracle_values(env, params, 1.0)
+        vals = oracle_values(solve_dp(env, params, 1.0))
         small, = variance_reports(env, params, vals, [2], n=400, seed=2)
         large, = variance_reports(env, params, vals, [2], n=8000, seed=2)
         width = lambda ci: ci[1] - ci[0]
@@ -383,7 +417,7 @@ class TestMonteCarloHarnesses:
     def test_unreachable_turn_rejected(self):
         env = FetchChain(2, 3)
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        vals = oracle_values(env, params, 1.0)
+        vals = oracle_values(solve_dp(env, params, 1.0))
         with pytest.raises(RuntimeError):
             variance_reports(env, params, vals, [7], n=100, seed=0, max_rounds=2)
 
@@ -391,7 +425,7 @@ class TestMonteCarloHarnesses:
         env = FetchChain(3, 6)
         params = PolicyParams.uniform(env.n_states, 1, env.n_actions)
         params.switch[:, :, 0] = 30.0   # never switch after the forced first
-        vals = oracle_values(env, params, 1.0)
+        vals = oracle_values(solve_dp(env, params, 1.0))
         cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
         tt = rollout_batch(env, params, 2000, seed=6)
@@ -406,7 +440,7 @@ class TestVarianceReports:
     def phased(self):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        return env, params, oracle_values(env, params, 1.0)
+        return env, params, oracle_values(solve_dp(env, params, 1.0))
 
     @pytest.mark.parametrize("n,t", [(3000, 4), (10000, 1)])
     def test_equals_the_dense_one_shot_bootstrap(self, phased, n, t):
@@ -430,7 +464,7 @@ class TestForkedWorkers:
     def phased(self):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        return env, params, oracle_values(env, params, 1.0)
+        return env, params, oracle_values(solve_dp(env, params, 1.0))
 
     def test_mc_gradient_is_bit_identical_to_one_process(self, phased, monkeypatch):
         env, params, vals = phased
@@ -513,7 +547,7 @@ class TestDegenerateSizes:
     def phased(self, monkeypatch):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        vals = oracle_values(env, params, 1.0)
+        vals = oracle_values(solve_dp(env, params, 1.0))
 
         def no_rollout(*args, **kwargs):
             raise AssertionError("rolled episodes")

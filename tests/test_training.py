@@ -10,7 +10,7 @@ from segrl.batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
-from segrl.oracle import random_tables, success_probability
+from segrl.oracle import random_tables, solve_dp, success_probability
 from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
                             _ref_log_probs, _sites, _step, evaluate, total_loss,
@@ -464,7 +464,7 @@ class TestEvaluate:
     def test_sampled_success_matches_exact_probability(self):
         env = FetchChain(5, 20)
         params = PolicyParams.uniform(env.n_states, 2, env.n_actions)
-        p_exact = success_probability(env, params)
+        p_exact = success_probability(solve_dp(env, params, 1.0))
         n = 60000
         rep = evaluate(params, env, episodes=n, mode="sample", seed=5)
         se = math.sqrt(p_exact * (1 - p_exact) / n)
