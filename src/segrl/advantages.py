@@ -1,4 +1,4 @@
-"""Estimator configuration and per-level whitening.
+"""Estimator configuration and the trainer's whitening step.
 
 Execution (low) advantages accumulate TD residuals within each segment only,
 with the segment-final residual bootstrapping to the high-head value at the
@@ -16,9 +16,10 @@ residuals are the errors of the critic's regression rows (one row per turn
 and one per segment), so the segment's macro reward and duration discount
 are written once, in `batch`'s row builder.  The flat comparator is its own
 kernel, `batch.flat_advantage_arrays`, run by the flat trainer and the
-variance gate; both kernels bootstrap at one grid of closing states.  The
-one-episode recursions survive only as the test-side reference
-(`tests/spec.py`).
+variance gate; both kernels bootstrap at one grid of closing states.  Both
+return raw advantages: whitening them per batch is the trainer's one step
+(`training._whiten_sites`).  The one-episode recursions survive only as the
+test-side reference (`tests/spec.py`).
 """
 
 from __future__ import annotations
@@ -30,18 +31,12 @@ import numpy as np
 
 @dataclass
 class GAEConfig:
-    """Discount and per-level mixing parameters.
-
-    whiten is off by default (identity checks need raw values); the trainer
-    turns it on, normalizing each level to zero mean and unit variance
-    across the batch.
-    """
+    """Discount and per-level mixing parameters of the raw advantages."""
 
     gamma: float = 0.99
     lambda_low: float = 0.95
     lambda_high: float = 0.95
     lambda_flat: float = 0.95
-    whiten: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -50,8 +45,6 @@ class GAEConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not isinstance(self.whiten, bool):
-            raise ValueError(f"whiten must be a bool, got {self.whiten!r}")
 
 
 def whiten(values: np.ndarray) -> np.ndarray:

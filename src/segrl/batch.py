@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advantages import GAEConfig, whiten
+from .advantages import GAEConfig
 from .core import KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord
 from .critic import (CriticBatch, ValueTables, low_cell, row_targets,
                      single_coupling_rows, stacked)
@@ -229,8 +229,8 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
     rolls one episode per distinct start and copies it to every episode
     that starts there.
     """
-    if c_keep < 0:
-        raise ValueError("c_keep must be >= 0")
+    if not 0.0 <= c_keep < np.inf:
+        raise ValueError(f"c_keep must be finite and >= 0, got {c_keep}")
     ep_ids = episode_offset + np.arange(int(n_episodes), dtype=np.int64)
     start = _start_states(env, seed, ep_ids)
     if greedy:
@@ -423,12 +423,6 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     a_switch = np.where(tt.mask & (cols[None, :] > 0),
                         (tt.q - beta) * gain, np.nan)
 
-    if cfg.whiten:
-        a_low[tt.mask] = whiten(a_low[tt.mask])
-        a_high[sm.is_boundary] = whiten(a_high[sm.is_boundary])
-        sw_mask = tt.mask & (cols[None, :] > 0)
-        a_switch[sw_mask] = whiten(a_switch[sw_mask])
-
     return BatchAdvantages(a_low, a_high, a_switch, sm)
 
 
@@ -445,10 +439,7 @@ def flat_advantage_arrays(tt: TurnTable, v_flat: np.ndarray,
                                 np.full(eps.size, cfg.gamma))
     d_flat = np.zeros(tt.mask.shape)
     d_flat[eps, ts] = row_targets(rows, v_flat) - v_flat[rows["cell"]]
-    a_flat = _backward_sums(d_flat, tt.mask, cfg.gamma * cfg.lambda_flat, sm.is_last)
-    if cfg.whiten:
-        a_flat[tt.mask] = whiten(a_flat[tt.mask])
-    return a_flat
+    return _backward_sums(d_flat, tt.mask, cfg.gamma * cfg.lambda_flat, sm.is_last)
 
 
 def _behavior_beta(tt: TurnTable, params: PolicyParams | None) -> np.ndarray:
@@ -500,7 +491,7 @@ def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
     and of the high rows (each at its segment's boundary turn), and each
     high row's duration discount g~.
     """
-    per_episode = np.ndim(gamma) > 0
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (tt.n_episodes,))
     close = _closing_states(tt, sm)
 
     # low head: v_low inside a segment, v_high at its closing boundary
@@ -510,14 +501,12 @@ def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
     nxt = close[rows_i, ts]
     lo_boot = np.where(sm.seg_final[rows_i, ts], nxt,
                        low_cell(nxt, o, n_states, n_options))
-    lo_coef = gamma[rows_i] if per_episode else np.full(lo_cell.size, gamma)
 
     # high head: macro reward r~ and duration discount g~ per segment
     b_rows, b_ts = np.nonzero(sm.is_boundary)
     g = returns_matrix(tt, gamma)
     ends = sm.seg_end[b_rows, b_ts]
-    gamma_b = gamma[b_rows] if per_episode else gamma
-    gtilde = gamma_b ** (ends - b_ts).astype(np.float64)
+    gtilde = gamma[b_rows] ** (ends - b_ts).astype(np.float64)
     open_end = ends < tt.length[b_rows]
     g_end = np.where(open_end, g[b_rows, np.minimum(ends, tt.max_turns - 1)], 0.0)
     rtilde = g[b_rows, b_ts] - gtilde * g_end
@@ -528,7 +517,7 @@ def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
         np.concatenate([tt.weight[rows_i], tt.weight[b_rows]]),
         np.concatenate([tt.reward[rows_i, ts], rtilde]),
         np.concatenate([lo_boot, hi_boot]),
-        np.concatenate([lo_coef, gtilde]))
+        np.concatenate([gamma[rows_i], gtilde]))
     return rows, (rows_i, ts), (b_rows, b_ts), gtilde
 
 
@@ -777,7 +766,6 @@ def record_behavior(tt: TurnTable, params: PolicyParams) -> TurnTable:
 @dataclass
 class BatchStats:
     mean_return: float        # undiscounted raw return per episode
-    mean_shaped_return: float
     success_rate: float
     mean_segments: float
     mean_seg_len: float       # total turns / total segments
@@ -787,7 +775,6 @@ class BatchStats:
 
 def batch_stats(tt: TurnTable, goal_state: int | None = None) -> BatchStats:
     raw = np.where(tt.mask, tt.raw_reward, 0.0).sum(axis=1)
-    shaped = np.where(tt.mask, tt.reward, 0.0).sum(axis=1)
     switches = (tt.mask & (tt.q == SWITCH)).sum(axis=1)
     total_turns = int(tt.length.sum())
     total_segments = int(switches.sum())
@@ -797,7 +784,6 @@ def batch_stats(tt: TurnTable, goal_state: int | None = None) -> BatchStats:
         success = tt.terminated & (tt.final_state == goal_state)
     return BatchStats(
         mean_return=float(raw.mean()),
-        mean_shaped_return=float(shaped.mean()),
         success_rate=float(success.mean()),
         mean_segments=float(switches.mean()),
         mean_seg_len=float(total_turns / total_segments) if total_segments else 0.0,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .core import InputError
 from .envs import EnvModel, make_env
-from .rng import SEED_BOUND
+from . import training
 from .training import PPOConfig
 
 
@@ -27,22 +27,7 @@ _STR_KEYS = {"env"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 RANGES = {
-    "gamma": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "lambda_low": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "lambda_high": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "lambda_flat": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "clip_eps": (lambda v: v > 0.0, "> 0"),
-    "c_v": (lambda v: v >= 0.0, ">= 0"),
-    "kl_beta": (lambda v: v >= 0.0, ">= 0"),
-    "c_keep": (lambda v: v >= 0.0, ">= 0"),
-    "lr_actor": (lambda v: v >= 0.0, ">= 0"),
-    "lr_critic": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "epochs": (lambda v: v >= 1, ">= 1"),
-    "minibatch": (lambda v: v >= 1, ">= 1"),
-    "iterations": (lambda v: v >= 1, ">= 1"),
-    "episodes_per_iter": (lambda v: v >= 1, ">= 1"),
-    "eval_episodes": (lambda v: v >= 1, ">= 1"),
-    "seed": (lambda v: 0 <= v < SEED_BOUND, "in [0, 2**64)"),
+    **training.RANGES,
     "env.L": (lambda v: v >= 2, ">= 2"),
     "env.H": (lambda v: v >= 1, ">= 1"),
     "n_options": (lambda v: v >= 1, ">= 1"),

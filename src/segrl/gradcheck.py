@@ -9,7 +9,7 @@ relative comparison with a unit floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,8 +124,7 @@ def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
     loss it changes, the other part keeping its value: a logit bump the
     actor part on the bumped slab (the loss reads no logit outside it, so
     every other logit's difference is 0), a table bump the critic part."""
-    adv = advantage_arrays(case.table, case.tables,
-                           replace(case.cfg.gae(), whiten=False))
+    adv = advantage_arrays(case.table, case.tables, case.cfg.gae())
     frozen = case.tables.copy()
     plan = loss_plan(case.params, case.ref, case.tables, case.table, adv, case.cfg)
     _, g_theta, g_tab = plan.loss(case.params, case.tables, frozen)

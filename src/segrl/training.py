@@ -11,13 +11,14 @@ options), runs only `flat_advantage_arrays` and takes one joint ratio a turn.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .advantages import GAEConfig
-from .batch import (Sites, TurnRows, TurnTable, _advantage_arrays, _critic_batch,
-                    batch_stats, cell_rows, critic_batch_from_table,
+from .advantages import GAEConfig, whiten
+from .batch import (BatchStats, Sites, TurnRows, TurnTable, _advantage_arrays,
+                    _critic_batch, batch_stats, cell_rows, critic_batch_from_table,
                     flat_advantage_arrays, flat_batch_from_table, gather_rows,
                     head_sites, rollout_batch, site_pass, site_scores)
 from .critic import CriticBatch, ValueTables, fit_critic, unstacked
@@ -36,14 +37,33 @@ class TrainingDiverged(RuntimeError):
     """A loss or parameter became non-finite during training."""
 
 
+# each hyperparameter's range: PPOConfig checks its fields against it, and the
+# config reader its values (`config.RANGES`)
+RANGES = {
+    "gamma": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "lambda_low": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "lambda_high": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "lambda_flat": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "clip_eps": (lambda v: v > 0.0, "> 0"),
+    "c_v": (lambda v: v >= 0.0, ">= 0"),
+    "kl_beta": (lambda v: v >= 0.0, ">= 0"),
+    "c_keep": (lambda v: v >= 0.0, ">= 0"),
+    "lr_actor": (lambda v: v >= 0.0, ">= 0"),
+    # a critic step scales a cell's error by 1 - 2 * lr_critic
+    "lr_critic": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "epochs": (lambda v: v >= 1, ">= 1"),
+    "minibatch": (lambda v: v >= 1, ">= 1"),
+    "iterations": (lambda v: v >= 1, ">= 1"),
+    "episodes_per_iter": (lambda v: v >= 1, ">= 1"),
+    "eval_episodes": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: 0 <= v < SEED_BOUND, "in [0, 2**64)"),
+}
+
+
 @dataclass
 class PPOConfig:
-    """Hyperparameters of the training loop.
-
-    Learning rates are tabular-scale.  Training whitens the advantages per
-    level (`gae`); verification code paths construct their own GAEConfig
-    with whitening off.
-    """
+    """Hyperparameters of the training loop; learning rates are
+    tabular-scale."""
 
     gamma: float = 0.99
     lambda_low: float = 0.95
@@ -63,27 +83,16 @@ class PPOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clip_eps <= 0:
-            raise ValueError("clip_eps must be > 0")
-        for name in ("c_v", "kl_beta", "c_keep", "lr_actor", "lr_critic"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        # a critic step scales a cell's error by 1 - 2 * lr_critic
-        if self.lr_critic > 1:
-            raise ValueError(f"lr_critic must be <= 1, got {self.lr_critic}")
-        for name in ("epochs", "minibatch", "iterations",
-                     "episodes_per_iter", "eval_episodes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0 <= self.seed < SEED_BOUND:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        # GAEConfig validates gamma and the lambdas
-        self.gae()
+        for name, (ok, desc) in RANGES.items():
+            v = getattr(self, name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+            if not ok(v):
+                raise ValueError(f"{name} must be {desc}, got {v}")
 
     def gae(self) -> GAEConfig:
         return GAEConfig(gamma=self.gamma, lambda_low=self.lambda_low,
-                         lambda_high=self.lambda_high, lambda_flat=self.lambda_flat,
-                         whiten=True)
+                         lambda_high=self.lambda_high, lambda_flat=self.lambda_flat)
 
 
 @dataclass
@@ -170,6 +179,14 @@ class _Sites:
     adv: np.ndarray
     beh: np.ndarray
     scored: np.ndarray | None     # (3n,) bool
+
+
+def _whiten_sites(sites: _Sites) -> None:
+    """Whiten the advantages in place, each head's over its present sites
+    (the flat trainer's one row over every turn)."""
+    for adv, present in zip(sites.adv.reshape(-1, sites.layout.present.shape[1]),
+                            sites.layout.present):
+        adv[present] = whiten(adv[present])
 
 
 def _sites(rows: TurnRows, params: PolicyParams, flat: bool,
@@ -299,17 +316,8 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalReport:
-    success_rate: float
-    mean_return: float      # raw, undiscounted
-    switch_rate: float
-    mean_segments: float
-    mean_seg_len: float
-
-
 def evaluate(params: PolicyParams, env: EnvModel, episodes: int,
-             mode: str = "greedy", seed: int = 0) -> EvalReport:
+             mode: str = "greedy", seed: int = 0) -> BatchStats:
     """Roll out without reward shaping; success is the raw goal outcome.
 
     Greedy mode is deterministic (argmax, ties to the lowest index), so
@@ -319,10 +327,7 @@ def evaluate(params: PolicyParams, env: EnvModel, episodes: int,
         raise ValueError("mode must be 'greedy' or 'sample'")
     tt = rollout_batch(env, params, episodes, derive_seed(seed, _EVAL_STREAM),
                        greedy=(mode == "greedy"))
-    st = batch_stats(tt, goal_state=getattr(env, "goal_state", None))
-    return EvalReport(success_rate=st.success_rate, mean_return=st.mean_return,
-                      switch_rate=st.switch_rate, mean_segments=st.mean_segments,
-                      mean_seg_len=st.mean_seg_len)
+    return batch_stats(tt, goal_state=getattr(env, "goal_state", None))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +414,7 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         # the steps read and update the slab of the entries the batch's
         # sites touch, written back once
         sites = _sites(rows, state.params, flat, ref_lp)
+        _whiten_sites(sites)
         slab = sites.layout.slab(theta)
 
         surrogate_sum, turn_count = 0.0, 0

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from segrl.advantages import GAEConfig, whiten
+from segrl.advantages import GAEConfig
 from segrl.batch import (advantage_arrays, flat_advantage_arrays, gather_rows,
                          returns_matrix, rollout_batch)
 from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
@@ -345,17 +345,8 @@ def estimate_all(traj: Trajectory, tables: ValueTables, cfg: GAEConfig,
 
 def estimate_batch(trajectories, tables: ValueTables, cfg: GAEConfig,
                    params: PolicyParams | None = None) -> list[HierarchicalAdvantages]:
-    """Per-trajectory estimates with optional per-level batch whitening."""
-    items = [estimate_all(traj, tables, cfg, params) for traj in trajectories]
-    if cfg.whiten and items:
-        for name in ("a_low", "a_high", "a_switch"):
-            parts = [getattr(it, name) for it in items]
-            white = whiten(np.concatenate(parts))
-            pos = 0
-            for it, part in zip(items, parts):
-                setattr(it, name, white[pos:pos + len(part)])
-                pos += len(part)
-    return items
+    """Per-trajectory estimates."""
+    return [estimate_all(traj, tables, cfg, params) for traj in trajectories]
 
 
 # -- critic regression rows ---------------------------------------------------

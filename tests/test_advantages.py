@@ -7,11 +7,12 @@ import pytest
 
 from segrl import batch, oracle
 from segrl.advantages import GAEConfig, whiten
-from segrl.batch import TurnTable, advantage_arrays, flat_advantage_arrays
+from segrl.batch import TurnTable, advantage_arrays, flat_advantage_arrays, gather_rows
 from segrl.core import segment_boundaries
 from segrl.critic import ValueTables
 from segrl.oracle import random_tables, telescope_check
 from segrl.policy import PolicyParams
+from segrl.training import _ref_log_probs, _sites, _whiten_sites
 
 import spec
 from conftest import random_trajectory, traj_from
@@ -194,14 +195,23 @@ class TestEstimateAll:
         assert len(a_switch) == traj.n_turns - 1
 
     def test_batch_whitening_moments(self, rng):
+        # the kernel returns raw advantages; the trainer whitens each head's
+        # over its present sites: every turn, the switch turns, turns t >= 1
         trajs = [random_trajectory(rng, 8, 3, 4, max_turns=8) for _ in range(40)]
         tables = random_tables(rng, 8, 3)
-        cfg = GAEConfig(gamma=0.9, whiten=True)
+        cfg = GAEConfig(gamma=0.9)
         tt = TurnTable.from_trajectories(trajs)
         adv = advantage_arrays(tt, tables, cfg)
+        params = PolicyParams.uniform(8, 3, 4)
+        sites = _sites(gather_rows(tt, adv), params, False, _ref_log_probs(params))
+        _whiten_sites(sites)
         later = tt.mask & (np.arange(tt.max_turns) > 0)
-        for flat in (adv.a_low[tt.mask], adv.a_high[adv.masks.is_boundary],
-                     adv.a_switch[later]):
+        for white, present, raw in zip(
+                sites.adv.reshape(3, -1), sites.layout.present,
+                (adv.a_low[tt.mask], adv.a_high[adv.masks.is_boundary],
+                 adv.a_switch[later])):
+            flat = white[present]
+            assert np.array_equal(flat, whiten(raw))
             assert abs(flat.mean()) < 1e-10
             assert flat.var() == pytest.approx(1.0, abs=1e-6)
 
@@ -298,8 +308,8 @@ class TestTelescoping:
         assert not rep.passed and rep.max_dev_low > 1e-3
 
     def test_catches_a_shifted_duration_discount(self, monkeypatch):
-        shifted = mutated(batch._critic_rows, "gamma_b ** (ends - b_ts).astype",
-                          "gamma_b ** (ends - b_ts + 1).astype")
+        shifted = mutated(batch._critic_rows, "gamma[b_rows] ** (ends - b_ts).astype",
+                          "gamma[b_rows] ** (ends - b_ts + 1).astype")
         monkeypatch.setattr(batch, "_critic_rows", shifted)
         rep = telescope_check(trials=300, seed=0)
         assert not rep.passed and rep.max_dev_high > 1e-3
@@ -313,6 +323,4 @@ class TestConfigValidation:
             GAEConfig(gamma=1.2)
         with pytest.raises(ValueError):
             GAEConfig(lambda_low=1.5)
-        with pytest.raises(ValueError):
-            GAEConfig(whiten="sometimes")
         GAEConfig(gamma=1.0, lambda_low=1.0)  # boundary values accepted

@@ -17,6 +17,7 @@ from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import mc_gradient_hae, oracle_values, random_tables, solve_dp
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased, softmax
 from segrl.rng import CounterRng
+from segrl.training import _ref_log_probs, _sites, _whiten_sites
 
 import spec
 from conftest import (Walk, head_ratios, kernel_scores, random_trajectory, traj_from,
@@ -302,15 +303,27 @@ class TestBatchAdvantages:
                                       getattr(one, name)[0], equal_nan=True), (i, name)
 
     def test_whitened_moments(self, env_and_params):
+        # the trainer's whitening: per head over its present sites, and the
+        # flat trainer's over every turn
         env, params = env_and_params
         tt = rollout_batch(env, params, 100, seed=3)
         tables = random_tables(np.random.default_rng(1), env.n_states, 2)
-        cfg = GAEConfig(gamma=0.95, whiten=True)
-        arr = advantage_arrays(tt, tables, cfg)
-        low = arr.a_low[tt.mask]
+        cfg = GAEConfig(gamma=0.95)
+        ref_lp = _ref_log_probs(params)
+        sites = _sites(gather_rows(tt, advantage_arrays(tt, tables, cfg)), params,
+                       False, ref_lp)
+        _whiten_sites(sites)
+        low, high = (adv[present] for adv, present in
+                     zip(sites.adv.reshape(3, -1), sites.layout.present[:2]))
         assert abs(low.mean()) < 1e-10 and low.var() == pytest.approx(1.0, abs=1e-6)
-        high = arr.a_high[arr.masks.is_boundary]
         assert abs(high.mean()) < 1e-10
+        rows = gather_rows(tt)
+        rows.adv_flat = flat_advantage_arrays(tt, tables.v_high, cfg)[tt.mask]
+        flat = _sites(rows, params, True, ref_lp)
+        _whiten_sites(flat)
+        assert flat.adv.size == tt.mask.sum()
+        assert abs(flat.adv.mean()) < 1e-10
+        assert flat.adv.var() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestCriticBatchesFromTable:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,12 @@ class TestKeepPenalty:
             rollout_batch(*env_params, 1, seed=0, c_keep=-0.1)
         with pytest.raises(ValueError):
             spec.apply_keep_penalty(traj_from([1], [0.0]), -0.1)
+
+    @pytest.mark.parametrize("c_keep", [math.nan, math.inf])
+    def test_rejects_non_finite(self, env_params, c_keep):
+        # a NaN fails every comparison, so `c_keep > 0` would skip the penalty
+        with pytest.raises(ValueError, match="c_keep"):
+            rollout_batch(*env_params, 1, seed=0, c_keep=c_keep)
 
 
 class TestPartitionProperties:

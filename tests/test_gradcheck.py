@@ -1,5 +1,4 @@
 import multiprocessing
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +19,7 @@ class TestLossPlan:
     @pytest.mark.parametrize("seed", range(4))
     def test_value_equals_total_loss_at_every_bump(self, seed):
         case = random_case(np.random.Generator(np.random.PCG64(seed)))
-        adv = advantage_arrays(case.table, case.tables,
-                               replace(case.cfg.gae(), whiten=False))
+        adv = advantage_arrays(case.table, case.tables, case.cfg.gae())
         frozen = case.tables.copy()
         plan = loss_plan(case.params, case.ref, case.tables, case.table, adv, case.cfg)
         layout = plan.sites.layout

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -431,6 +432,14 @@ class TestTrainLoop:
         res = trainer(PPOConfig(iterations=2, episodes_per_iter=8, seed=0),
                       FetchChain(3, 6))
         assert len(res.metrics) == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PPOConfig)
+                                      if isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_hyperparameter_refused(self, name, value):
+        # a NaN passes no range test, so it is refused rather than dropped
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            PPOConfig(**{name: value})
 
     @pytest.mark.parametrize("lr", [1.0 + 1e-9, 5.0])
     def test_diverging_critic_step_refused(self, lr):
