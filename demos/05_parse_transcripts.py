@@ -1,14 +1,16 @@
-"""Ingest logged agent transcripts into trajectories.
+"""Ingest logged agent transcripts into episode tables.
 
 Each turn of a transcript carries three tagged blocks: a KEEP/SWITCH
 decision, the current subgoal, and a primitive action.  Parsing interns the
 subgoal strings, repairs inconsistent KEEP turns, and folds format
-penalties into the shaped rewards.
+penalties into the shaped rewards.  A segment starts at every SWITCH turn.
 """
 
 from pathlib import Path
 
-from segrl import segment_boundaries
+import numpy as np
+
+from segrl import SWITCH
 from segrl.parsing import ingest_transcript_file, parse_blocks, render_decision
 
 data = Path(__file__).parent.parent / "tests" / "data"
@@ -16,10 +18,11 @@ data = Path(__file__).parent.parent / "tests" / "data"
 for name in ("transcript_clean_knife.txt", "transcript_cool_cup.txt",
              "transcript_shopping_shirt.txt"):
     result = ingest_transcript_file(data / name)
-    traj = result.trajectory
+    tt = result.table  # one episode
+    bounds = np.flatnonzero(tt.q[0] == SWITCH).tolist() + [tt.total_turns]
     bad = [v for v in result.verdicts if not v.valid]
-    print(f"{name}: {traj.n_turns} turns, boundaries "
-          f"{segment_boundaries(traj)}, {len(bad)} malformed, "
+    print(f"{name}: {tt.total_turns} turns, boundaries "
+          f"{bounds}, {len(bad)} malformed, "
           f"total penalty {result.total_penalty:.1f}")
     for text, sid in result.subgoal_ids.items():
         print(f"    subgoal {sid}: {text!r}")
@@ -40,6 +43,6 @@ lines = [
      "<action>open shelf 2</action>", 0.0, True),
 ]
 result = ingest_log(lines)
-turn = result.trajectory.turns[1]
-print(f"turn 1: q repaired to {turn.q}, shaped reward {turn.reward:+.1f}, "
+tt = result.table
+print(f"turn 1: q repaired to {tt.q[0, 1]}, shaped reward {tt.reward[0, 1]:+.1f}, "
       f"violations {result.verdicts[1].violations}")

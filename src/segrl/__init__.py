@@ -9,11 +9,9 @@ estimator identities on exactly enumerable toy environments.
 __version__ = "0.1.0"
 
 from .advantages import GAEConfig
-from .batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
-                    rollout_batch)
-from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
-                   TurnRecord, load_trajectories, save_trajectories,
-                   segment_boundaries)
+from .batch import advantage_arrays, flat_advantage_arrays, rollout_batch
+from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, TurnTable,
+                   load_trajectories, save_trajectories)
 from .critic import CriticBatch, ValueTables, fit_critic
 from .envs import EnvModel, FetchChain, OneStep, make_env
 from .oracle import (enumeration_table, mc_gradient_hae, objective,
@@ -23,9 +21,8 @@ from .oracle import (enumeration_table, mc_gradient_hae, objective,
 from .parsing import (FormatVerdict, ParsedDecision, ParseFailure, ingest_log,
                       parse_blocks, render_decision)
 from .policy import (CheckpointError, GradTables, PolicyParams,
-                     fetchchain_expert, fetchchain_phased, load_policy,
-                     save_policy)
-from .rng import CounterRng, counter_uniform, derive_seed
+                     fetchchain_phased, load_policy, save_policy)
+from .rng import counter_uniform, derive_seed
 from .training import (PPOConfig, TrainResult, evaluate, train,
                        train_flat_baseline)
 

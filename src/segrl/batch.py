@@ -1,6 +1,6 @@
-"""Columnar episode buffers and the vectorized rollout / advantage kernels.
+"""The vectorized rollout / advantage kernels over `core.TurnTable`.
 
-TurnTable stores a batch of episodes as padded (n_episodes, max_turns)
+A TurnTable stores a batch of episodes as padded (n_episodes, max_turns)
 arrays.  The kernels here are the one implementation of the rollout, the
 segment-aware advantage estimators, the critic regression rows and the
 score function: the stacked site pass and its score sum, which the
@@ -22,167 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig
-from .core import KEEP, SWITCH, MalformedTrajectory, Trajectory, TurnRecord
+from .core import KEEP, SWITCH, TurnTable, _empty_table
 from .critic import (CriticBatch, ValueTables, low_cell, row_targets,
                      single_coupling_rows, stacked)
 from .envs import EnvModel, transition_tables
 from .policy import PolicyParams, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
-
-
-@dataclass
-class TurnTable:
-    """Padded columnar batch of episodes; `mask` marks real turns."""
-
-    state: np.ndarray          # (n, T) int64
-    prev_subgoal: np.ndarray   # (n, T) int64, -1 where absent
-    q: np.ndarray              # (n, T) int64
-    subgoal: np.ndarray        # (n, T) int64
-    action: np.ndarray         # (n, T) int64
-    reward: np.ndarray         # (n, T) float64 (shaped)
-    raw_reward: np.ndarray     # (n, T) float64
-    lp_switch: np.ndarray      # (n, T) float64, NaN where absent
-    lp_subgoal: np.ndarray     # (n, T) float64, NaN where absent
-    lp_action: np.ndarray      # (n, T) float64, NaN where absent
-    format_ok: np.ndarray      # (n, T) bool
-    mask: np.ndarray           # (n, T) bool
-    length: np.ndarray         # (n,) int64
-    terminated: np.ndarray     # (n,) bool
-    final_state: np.ndarray    # (n,) int64, -1 when unknown
-    weight: np.ndarray         # (n,) float64
-
-    @property
-    def n_episodes(self) -> int:
-        return self.state.shape[0]
-
-    @property
-    def max_turns(self) -> int:
-        return self.state.shape[1]
-
-    @property
-    def total_turns(self) -> int:
-        return int(self.length.sum())
-
-    @classmethod
-    def from_trajectories(cls, trajectories, weights=None) -> "TurnTable":
-        """The episodes as one table; the one place that validates episode
-        structure.  Raises MalformedTrajectory, naming the episode and the
-        turn where there is one, at the first rule broken, in this order.
-
-        Ids: an integer field beyond int64; a negative state, subgoal,
-        action, prev_subgoal or final_state.  Structure: an episode without
-        turns; a first turn that is not a SWITCH or carries a prev_subgoal;
-        a `t` other than the turn's position; a q other than KEEP or SWITCH;
-        a prev_subgoal other than the previous turn's subgoal; a KEEP turn
-        that changes the subgoal; `done` before the last turn; an episode
-        both done and truncated, or neither; a truncated episode without
-        final_state.
-        """
-        trajs = list(trajectories)
-        length = np.array([tr.n_turns for tr in trajs], dtype=np.int64)
-        tt = _empty_table(len(trajs), int(length.max(initial=0)))
-        cols = np.arange(tt.max_turns)
-        tt.length[:] = length
-        tt.mask[:] = cols < length[:, None]
-        tt.terminated[:] = [not tr.truncated for tr in trajs]
-        tt.weight[:] = 1.0 if weights is None else weights
-        col = dict(zip(TurnRecord._fields, zip(*[u for tr in trajs for u in tr.turns])))
-        col = {f: col.get(f, ()) for f in TurnRecord._fields}
-        at_turn = "episode {}, turn {}"
-
-        def ids(name, values, where=lambda k: at_turn.format(*np.argwhere(tt.mask)[k])):
-            try:
-                return np.array([-1 if v is None else v for v in values], dtype=np.int64)
-            except OverflowError:
-                k = next(k for k, v in enumerate(values) if not -2**63 <= (v or 0) < 2**63)
-                raise MalformedTrajectory(
-                    f"{where(k)}: {name} {values[k]} is beyond int64") from None
-
-        fs = [tr.final_state for tr in trajs]
-        tt.final_state[:] = ids("final_state", fs, "episode {}".format)
-        t_of, done, has_prev = (np.zeros(tt.mask.shape, dtype) for dtype in (np.int64, bool, bool))
-        t_of[tt.mask] = ids("t", col["t"])
-        for name in ("state", "prev_subgoal", "q", "subgoal", "action"):
-            getattr(tt, name)[tt.mask] = ids(name, col[name])
-        for name in ("reward", "raw_reward", "lp_switch", "lp_subgoal", "lp_action"):
-            getattr(tt, name)[tt.mask] = np.array(col[name], dtype=np.float64)
-        tt.format_ok[tt.mask] = col["format_valid"]
-        done[tt.mask] = col["done"]
-        has_prev[tt.mask] = [p is not None for p in col["prev_subgoal"]]
-        has_fs = np.array([x is not None for x in fs], dtype=bool)
-        prev_o = np.full_like(tt.subgoal, -1)
-        prev_o[:, 1:] = tt.subgoal[:, :-1]
-        last = cols == (length - 1)[:, None]
-        done_last = (done & last).any(axis=1)
-        for bad, what, value in (
-                (tt.state < 0, "state is", tt.state),
-                (tt.subgoal < 0, "subgoal is", tt.subgoal),
-                (tt.action < 0, "action is", tt.action),
-                (has_prev & (tt.prev_subgoal < 0), "prev_subgoal is", tt.prev_subgoal),
-                (has_fs & (tt.final_state < 0), "final_state is", tt.final_state),
-                (length == 0, "no turns", None),
-                ((cols == 0) & (tt.q != SWITCH), "the first turn does not switch: q is", tt.q),
-                ((cols == 0) & has_prev, "the first turn carries prev_subgoal", tt.prev_subgoal),
-                (t_of != cols, "t is", t_of),
-                ((tt.q != KEEP) & (tt.q != SWITCH), "q is", tt.q),
-                ((cols > 0) & (tt.prev_subgoal != prev_o),
-                 "prev_subgoal is not the previous subgoal", prev_o),
-                ((tt.q == KEEP) & (tt.subgoal != tt.prev_subgoal),
-                 "KEEP changes the subgoal to", tt.subgoal),
-                (done & ~last, "done before the last turn", None),
-                (done_last & ~tt.terminated, "done on the last turn, yet truncated", None),
-                (~done_last & tt.terminated, "neither done nor truncated", None),
-                (~tt.terminated & ~has_fs, "truncated without final_state", None)):
-            if (bad := bad & tt.mask if bad.ndim == 2 else bad).any():
-                at = tuple(np.argwhere(bad)[0])
-                where = (at_turn if len(at) == 2 else "episode {}").format(*at)
-                shown = "" if value is None else f" {value[at]}"
-                raise MalformedTrajectory(f"{where}: {what}{shown}")
-        return tt
-
-    def to_trajectories(self) -> list[Trajectory]:
-        """The episodes as records, each column converted by one `tolist`;
-        a negative prev_subgoal or final_state and a NaN log-prob read as
-        None."""
-        def none_where(bad, x):
-            return np.where(bad, None, x).tolist()
-
-        rows = zip(self.state.tolist(), none_where(self.prev_subgoal < 0, self.prev_subgoal),
-                   self.q.tolist(), self.subgoal.tolist(), self.action.tolist(),
-                   self.reward.tolist(), self.raw_reward.tolist(),
-                   *(none_where(np.isnan(x), x)
-                     for x in (self.lp_switch, self.lp_subgoal, self.lp_action)),
-                   self.format_ok.tolist())
-        out = []
-        for n, term, fs, (s, p, q, o, a, r, raw, lp_s, lp_o, lp_a, ok) in zip(
-                self.length.tolist(), self.terminated.tolist(), self.final_state.tolist(), rows):
-            turns = tuple(TurnRecord(t, s[t], p[t], q[t], o[t], a[t], r[t], raw[t],
-                                     term and t == n - 1, None, lp_s[t], lp_o[t], lp_a[t],
-                                     ok[t]) for t in range(n))
-            out.append(Trajectory(turns, truncated=not term, final_state=None if fs < 0 else fs))
-        return out
-
-
-def _empty_table(n: int, t_max: int) -> TurnTable:
-    shape = (n, t_max)
-    return TurnTable(
-        state=np.zeros(shape, dtype=np.int64),
-        prev_subgoal=np.full(shape, -1, dtype=np.int64),
-        q=np.zeros(shape, dtype=np.int64),
-        subgoal=np.zeros(shape, dtype=np.int64),
-        action=np.zeros(shape, dtype=np.int64),
-        reward=np.zeros(shape, dtype=np.float64),
-        raw_reward=np.zeros(shape, dtype=np.float64),
-        lp_switch=np.full(shape, np.nan),
-        lp_subgoal=np.full(shape, np.nan),
-        lp_action=np.full(shape, np.nan),
-        format_ok=np.ones(shape, dtype=bool),
-        mask=np.zeros(shape, dtype=bool),
-        length=np.zeros(n, dtype=np.int64),
-        terminated=np.zeros(n, dtype=bool),
-        final_state=np.full(n, -1, dtype=np.int64),
-        weight=np.ones(n, dtype=np.float64),
-    )
 
 
 def _head_tables(params: PolicyParams, greedy: bool) -> list:

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .advantages import GAEConfig
-from .batch import BatchAdvantages, TurnTable, advantage_arrays, rollout_batch
+from .batch import BatchAdvantages, advantage_arrays, rollout_batch
 from .config import RANGES, RunConfig, load_config
-from .core import (InputError, MalformedTrajectory, load_trajectories,
+from .core import (InputError, MalformedTrajectory, TurnTable, load_trajectories,
                    save_trajectories)
 from .critic import ValueTables, fit_critic
 from .envs import FetchChain
@@ -108,11 +108,10 @@ def cmd_rollout(args) -> int:
     if args.episodes < 0:
         raise InputError("--episodes must be >= 0")
     out = _out_dir(args, "runs/rollout")
-    trajs = rollout_batch(env, params, args.episodes, cfg.ppo.seed,
-                          c_keep=cfg.ppo.c_keep).to_trajectories()
+    tt = rollout_batch(env, params, args.episodes, cfg.ppo.seed, c_keep=cfg.ppo.c_keep)
     path = out / "trajectories.jsonl"
-    save_trajectories(path, trajs)
-    print(f"wrote {len(trajs)} episodes to {path}")
+    save_trajectories(path, tt)
+    print(f"wrote {tt.n_episodes} episodes to {path}")
     return 0
 
 
@@ -134,9 +133,10 @@ def cmd_parse(args) -> int:
     result = ingest_transcript_file(args.input)
     out = _out_dir(args, "runs/parse")
     path = out / "trajectory.jsonl"
-    save_trajectories(path, [result.trajectory])
+    texts = list(result.subgoal_ids)  # ids are interned in order, one per text
+    save_trajectories(path, result.table, [texts[o] for o in result.table.subgoal[0].tolist()])
     bad = sum(1 for v in result.verdicts if not v.valid)
-    print(f"parsed {result.trajectory.n_turns} turns, {bad} malformed, "
+    print(f"parsed {result.table.total_turns} turns, {bad} malformed, "
           f"total penalty {result.total_penalty:.1f}; wrote {path}")
     return 0
 
@@ -201,7 +201,7 @@ def cmd_advantages(args) -> int:
         ok, desc = RANGES[key]
         if not ok(value := getattr(args, key)):
             raise InputError(f"--{key.replace('_', '-')} must be {desc}, got {value}")
-    tt = TurnTable.from_trajectories(load_trajectories(args.input))
+    tt, _ = load_trajectories(args.input)
     tables = load_values(args.values)
     params = load_policy(args.policy) if args.policy else None
     _check_advantage_inputs(tt, tables, params)

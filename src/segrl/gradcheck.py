@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import (Sites, TurnTable, advantage_arrays, gather_rows, head_sites,
+from .batch import (Sites, advantage_arrays, gather_rows, head_sites,
                     record_behavior, site_pass, site_scores)
+from .core import TurnTable
 from .critic import ValueTables
 from .oracle import _fork_map, random_table, random_tables
 from .policy import GradTables, PolicyParams
@@ -107,14 +108,6 @@ def _check_scores(params: PolicyParams, sites: Sites, h: float) -> float:
                                         n_groups=n_rows))
     numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, p.theta), params, h)
     return rel_err(analytic, numeric.theta)
-
-
-def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
-                         h: float = DEFAULT_H) -> float:
-    """Max relative error, over the turns of a random episode, of the
-    score kernel's per-turn scores vs central differences of the per-turn
-    log-likelihood (one bump evaluates every turn)."""
-    return _check_scores(*_score_case(rng, n_turns), h)
 
 
 def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:

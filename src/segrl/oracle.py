@@ -36,11 +36,10 @@ from functools import partial
 import numpy as np
 
 from .advantages import GAEConfig
-from .batch import (TurnTable, _advantage_arrays, _empty_table,
-                    advantage_arrays, flat_advantage_arrays, gather_rows,
-                    head_sites, returns_matrix, rollout_batch, segment_masks,
-                    site_pass, site_scores)
-from .core import KEEP, SWITCH
+from .batch import (_advantage_arrays, advantage_arrays, flat_advantage_arrays,
+                    gather_rows, head_sites, returns_matrix, rollout_batch,
+                    segment_masks, site_pass, site_scores)
+from .core import KEEP, SWITCH, TurnTable, _empty_table
 from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
 from .policy import GradTables, PolicyParams, log_softmax, softmax

@@ -4,7 +4,8 @@ A well-formed turn contains, in order, a `<switch>` block holding KEEP or
 SWITCH, a `<subgoal>` block, and an `<action>` block.  Malformed turns are
 penalized rather than discarded: a best-effort decision is still extracted
 whenever an action block exists, the verdict records every violated rule,
-and a flat 0.1 penalty applies to the turn's reward.
+and a flat 0.1 penalty applies to the turn's reward.  `ingest_log` reads an
+episode of turn texts into the columns of a one-episode `TurnTable`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .batch import TurnTable
-from .core import KEEP, SWITCH, InputError, Trajectory, TurnRecord
+from .core import KEEP, SWITCH, InputError, TurnTable
 
 FORMAT_PENALTY = 0.1
 
@@ -114,7 +114,7 @@ def render_decision(q: int, subgoal_text: str, action_text: str) -> str:
 
 @dataclass
 class IngestResult:
-    trajectory: Trajectory
+    table: TurnTable
     verdicts: list[FormatVerdict]
     subgoal_ids: dict[str, int]
     action_ids: dict[str, int]
@@ -125,18 +125,20 @@ class IngestResult:
 
 
 def ingest_log(lines: Sequence[tuple[str, float, bool]]) -> IngestResult:
-    """Turn an ordered episode of (turn text, reward, done) into a Trajectory.
+    """Turn an ordered episode of (turn text, reward, done) into a
+    one-episode TurnTable.
 
     Subgoal strings are interned to ids by exact string equality (after
-    trimming outer whitespace).  The switch decision is repaired to SWITCH
-    whenever the subgoal string differs from the previous turn's; format
-    penalties are folded into the shaped rewards with raw rewards preserved.
-    Turn states are synthetic (the turn index): text logs carry no
-    environment state.  The episode is checked by
-    `TurnTable.from_trajectories`, so `done` before the last turn raises
+    trimming outer whitespace), each string to exactly one id.  The switch
+    decision is repaired to SWITCH whenever the subgoal string differs from
+    the previous turn's; format penalties are folded into the shaped rewards
+    with raw rewards preserved.  Turn states are synthetic (the turn index):
+    text logs carry no environment state.  The episode is checked by
+    `TurnTable.from_columns`, so `done` before the last turn raises
     MalformedTrajectory.
     """
-    turns: list[TurnRecord] = []
+    cols = {name: [] for name in ("prev_subgoal", "q", "subgoal", "action", "reward",
+                                  "raw_reward", "done")}
     verdicts: list[FormatVerdict] = []
     subgoal_ids: dict[str, int] = {}
     action_ids: dict[str, int] = {}
@@ -156,19 +158,20 @@ def ingest_log(lines: Sequence[tuple[str, float, bool]]) -> IngestResult:
             verdict = verdict.merged((KEEP_CHANGED_SUBGOAL,))
             q = SWITCH
         sub_id = subgoal_ids.setdefault(sub_text, len(subgoal_ids))
-        turns.append(TurnRecord(
-            t, t, prev_id, q, sub_id, action_ids.setdefault(action_text, len(action_ids)),
-            reward - verdict.penalty, reward, done, sub_text, None, None, None,
-            verdict.valid))
+        for col, v in zip(cols.values(), (
+                prev_id, q, sub_id, action_ids.setdefault(action_text, len(action_ids)),
+                reward - verdict.penalty, reward, done)):
+            col.append(v)
         verdicts.append(verdict)
         prev_text, prev_id = sub_text, sub_id
-    if not turns:
+    n = len(verdicts)
+    if not n:
         raise ParseFailure("empty episode")
-    truncated = not turns[-1].done
-    traj = Trajectory(tuple(turns), truncated=truncated,
-                      final_state=len(turns) if truncated else None)
-    TurnTable.from_trajectories([traj])
-    return IngestResult(traj, verdicts, subgoal_ids, action_ids)
+    terminated = bool(cols["done"][-1])
+    table = TurnTable.from_columns(
+        dict(cols, t=range(n), state=range(n), format_ok=[v.valid for v in verdicts]),
+        [n], [terminated], [None if terminated else n])
+    return IngestResult(table, verdicts, subgoal_ids, action_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -139,19 +139,6 @@ def _fetchchain_moves(env: FetchChain, n_options: int):
             yield s, fetch, PICKUP if pos == env.length - 1 else RIGHT
 
 
-def fetchchain_expert(env: FetchChain, n_options: int = 2,
-                      sharpness: float = 20.0) -> PolicyParams:
-    """Hand-coded near-deterministic params that solve FetchChain optimally:
-    the switch head flips exactly when carrying status changes."""
-    params = PolicyParams.uniform(env.n_states, n_options, env.n_actions)
-    for s, want, best in _fetchchain_moves(env, n_options):
-        params.subgoal[s, want] = sharpness
-        for o_prev in range(n_options):
-            params.switch[s, o_prev, SWITCH if o_prev != want else KEEP] = sharpness
-        params.action[s, :, best] = sharpness
-    return params
-
-
 def fetchchain_phased(env: FetchChain, rng: np.random.Generator,
                       n_options: int = 2, base: float = 2.5,
                       noise: float = 0.3) -> PolicyParams:

@@ -67,17 +67,3 @@ def derive_seed(seed: int, *words: int) -> int:
     for w in words:
         h = _absorb(h, np.asarray([w], dtype=np.uint64))
     return int(h[0])
-
-
-class CounterRng:
-    """Per-episode view over the counter stream used by a single rollout."""
-
-    def __init__(self, seed: int, episode: int = 0):
-        self.seed = int(seed)
-        self.episode = int(episode)
-
-    def uniform(self, turn: int, head: int) -> float:
-        return counter_uniform(self.seed, self.episode, turn, head)
-
-    def __repr__(self) -> str:
-        return f"CounterRng(seed={self.seed}, episode={self.episode})"

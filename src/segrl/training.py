@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig, whiten
-from .batch import (BatchStats, Sites, TurnRows, TurnTable, _advantage_arrays,
+from .batch import (BatchStats, Sites, TurnRows, _advantage_arrays,
                     _critic_batch, batch_stats, cell_rows, critic_batch_from_table,
                     flat_advantage_arrays, flat_batch_from_table, gather_rows,
                     head_sites, rollout_batch, site_pass, site_scores)
+from .core import TurnTable
 from .critic import CriticBatch, ValueTables, fit_critic, unstacked
 from .envs import EnvModel
 from .policy import TABLES, GradTables, PolicyParams, log_softmax
@@ -58,6 +59,9 @@ RANGES = {
     "eval_episodes": (lambda v: v >= 1, ">= 1"),
     "seed": (lambda v: 0 <= v < SEED_BOUND, "in [0, 2**64)"),
 }
+# the fields that count or seed: Python or numpy integers, never bool
+_INTEGERS = ("epochs", "minibatch", "iterations", "episodes_per_iter", "eval_episodes",
+             "seed")
 
 
 @dataclass
@@ -85,6 +89,9 @@ class PPOConfig:
     def __post_init__(self):
         for name, (ok, desc) in RANGES.items():
             v = getattr(self, name)
+            if name in _INTEGERS and (isinstance(v, bool)
+                                      or not isinstance(v, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
             if not ok(v):

@@ -5,9 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
 from segrl.critic import unstacked
+from segrl.core import KEEP, SWITCH
 from segrl.oracle import random_table
+
+import spec
+from spec import Trajectory, TurnRecord
 
 
 def traj_from(qs, rewards, done=True, states=None, subgoals=None, actions=None,
@@ -49,8 +52,8 @@ def random_trajectory(rng: np.random.Generator, n_states: int, n_options: int,
                       n_actions: int, max_turns: int = 10,
                       p_truncated: float = 0.3) -> Trajectory:
     """One `oracle.random_table` episode as a trajectory."""
-    return random_table(rng, 1, n_states, n_options, n_actions, max_turns,
-                        p_truncated).to_trajectories()[0]
+    return spec.records(random_table(rng, 1, n_states, n_options, n_actions, max_turns,
+                                     p_truncated))[0]
 
 
 class Walk:
@@ -187,10 +190,9 @@ def kernel_log_probs(params, trajectories):
     """Per turn, in `gather_rows` order, the (lp_switch, lp_subgoal,
     lp_action) that `batch.record_behavior` takes from the site pass;
     None where the turn lacks the head."""
-    from segrl.batch import TurnTable, gather_rows, record_behavior
+    from segrl.batch import gather_rows, record_behavior
 
-    rows = gather_rows(record_behavior(TurnTable.from_trajectories(trajectories),
-                                       params))
+    rows = gather_rows(record_behavior(spec.table(trajectories), params))
     return [tuple(None if np.isnan(x) else float(x) for x in lps)
             for lps in zip(rows.lp_switch, rows.lp_subgoal, rows.lp_action)]
 
@@ -198,11 +200,10 @@ def kernel_log_probs(params, trajectories):
 def kernel_scores(params, trajectories):
     """The score kernel's per-turn score tables, one per turn in
     `gather_rows` order on a leading axis."""
-    from segrl.batch import (TurnTable, gather_rows, head_sites, site_pass,
-                             site_scores)
+    from segrl.batch import gather_rows, head_sites, site_pass, site_scores
     from segrl.policy import GradTables
 
-    rows = gather_rows(TurnTable.from_trajectories(trajectories))
+    rows = gather_rows(spec.table(trajectories))
     sites = head_sites(rows, params)
     sp = site_pass(sites, sites.slab(params.theta))
     return GradTables.wrap(sites.spread(

@@ -5,11 +5,15 @@ vectorized kernel in `segrl.batch` or `segrl.training` computes over a
 padded `TurnTable`.  They are the specification the kernels are tested
 against (`tests/test_batch.py` and the estimator tests), not library code:
 
+* `TurnRecord` and `Trajectory`, an episode as records, with
+  `segment_boundaries`; `table` (the records' fields transposed, then
+  `TurnTable.from_columns`) and `records` (its inverse) convert between
+  them and the padded table;
 * `segment_views` (macro-reward and duration discount per segment) and
   `returns_to_go` for `batch.segment_masks` / `returns_matrix` and the
   high-head rows of `critic_batch_from_table`;
-* `rollout` (with `sample_turn`, `greedy_turn` and `apply_keep_penalty`)
-  for `rollout_batch`;
+* `rollout` (with `CounterRng`, `sample_turn`, `greedy_turn` and
+  `apply_keep_penalty`) for `rollout_batch`;
 * `estimate_batch` for `advantage_arrays`: the segment recursions
   `low_td_residuals` (with `v_next`), `low_advantages` and
   `high_advantages`, plus `switch_advantages`; `flat_gae` for
@@ -23,7 +27,8 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   gradients summed with `np.add.at`;
 * `log_prob`, `grad_log_prob` and `with_behavior_logprobs`, one turn at a
   time, for `batch.site_pass`, `batch.site_scores` and
-  `batch.record_behavior`;
+  `batch.record_behavior`; `check_log_prob_grads`, gradcheck's score check
+  on one random episode;
 * `mc_gradient_hae` (with `scatter_episode_grads`, a dense per-episode
   `np.add.at` scatter) for `oracle.mc_gradient_hae`;
 * `variance_report`, one turn with its own rollout loop and the one-shot
@@ -34,11 +39,12 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
 * `conditional_switch_values_enumerated`, leaf-averaged switch-context
   values, for the layered DP's `g_low` and `g_high`;
 * `optimal_return`, backward induction over the env's own transitions,
-  for the shipped environments' reward structure;
+  for the shipped environments' reward structure, and `fetchchain_expert`,
+  a hand-coded policy that attains it on FetchChain;
 * `switch_prob`, one switch-head softmax, for the switch probabilities
   the kernels take from `policy.softmax`;
 * `write_trajectories` (with `turn_to_json`), one `json.dumps` per line,
-  for `core.write_trajectories`' line template, and `advantage_records`,
+  for `core.write_trajectories`' line template, and `advantage_lines`,
   one dict per turn, for the lines of `segrl advantages`.
 
 The library has one implementation of each estimator; `oracle.telescope_check`
@@ -55,16 +61,102 @@ from typing import NamedTuple
 
 import numpy as np
 
+from segrl import gradcheck
 from segrl.advantages import GAEConfig
 from segrl.batch import (advantage_arrays, flat_advantage_arrays, gather_rows,
                          returns_matrix, rollout_batch)
-from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord, segment_boundaries
+from segrl.core import KEEP, SWITCH, MalformedTrajectory, TurnTable
 from segrl.critic import CriticBatch, ValueTables, low_cell, single_coupling_rows
-from segrl.envs import EnvModel
+from segrl.envs import EnvModel, FetchChain
 from segrl.oracle import OracleValues, VarianceReport, enumeration_table
-from segrl.policy import GradTables, PolicyParams, log_softmax, softmax
-from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, CounterRng, derive_seed
+from segrl.policy import GradTables, PolicyParams, _fetchchain_moves, log_softmax, softmax
+from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform, derive_seed
 from segrl.training import _clipped_surrogate
+
+
+# -- episode records ----------------------------------------------------------
+
+class TurnRecord(NamedTuple):
+    """One turn: a `TurnTable` row's fields, None where the table holds -1
+    or NaN."""
+
+    t: int
+    state: int
+    prev_subgoal: int | None
+    q: int
+    subgoal: int
+    action: int
+    reward: float
+    raw_reward: float
+    done: bool
+    subgoal_text: str | None = None
+    lp_switch: float | None = None
+    lp_subgoal: float | None = None
+    lp_action: float | None = None
+    format_valid: bool = True
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """An episode of turns, ending either terminally or by truncation."""
+
+    turns: tuple[TurnRecord, ...]
+    truncated: bool = False
+    final_state: int | None = None
+
+    @property
+    def n_turns(self) -> int:
+        return len(self.turns)
+
+    @property
+    def terminated(self) -> bool:
+        return not self.truncated
+
+
+def segment_boundaries(traj: Trajectory) -> list[int]:
+    """Boundary indices [b_0 .. b_K]: b_0 = 0, the turns t > 0 with q_t = 1,
+    and b_K = T whether or not a switch occurred there."""
+    if not traj.turns or traj.turns[0].q != SWITCH:
+        raise MalformedTrajectory("an episode starts with a switching turn")
+    return [0] + [u.t for u in traj.turns[1:] if u.q == SWITCH] + [traj.n_turns]
+
+
+def table(trajectories, weights=None) -> TurnTable:
+    """The records as one validated table: their fields transposed into
+    columns, then `TurnTable.from_columns`."""
+    trajs = list(trajectories)
+    turns = [u for tr in trajs for u in tr.turns]
+    cols = {f: [getattr(u, f) for u in turns] for f in TurnRecord._fields}
+    cols["format_ok"] = cols.pop("format_valid")
+    tt = TurnTable.from_columns(cols, [tr.n_turns for tr in trajs],
+                                [tr.terminated for tr in trajs],
+                                [tr.final_state for tr in trajs])
+    tt.weight[:] = 1.0 if weights is None else weights
+    return tt
+
+
+def records(tt: TurnTable, texts=None) -> list[Trajectory]:
+    """The table's episodes as records, each column converted by one
+    `tolist`; a negative prev_subgoal or final_state and a NaN log-prob read
+    as None, and `texts` (one per turn, in row-major mask order) fill
+    subgoal_text."""
+    def none_where(bad, x):
+        return np.where(bad, None, x).tolist()
+
+    text = iter([None] * tt.total_turns if texts is None else texts)
+    rows = zip(tt.state.tolist(), none_where(tt.prev_subgoal < 0, tt.prev_subgoal),
+               tt.q.tolist(), tt.subgoal.tolist(), tt.action.tolist(),
+               tt.reward.tolist(), tt.raw_reward.tolist(),
+               *(none_where(np.isnan(x), x) for x in (tt.lp_switch, tt.lp_subgoal, tt.lp_action)),
+               tt.format_ok.tolist())
+    out = []
+    for n, term, fs, (s, p, q, o, a, r, raw, lp_s, lp_o, lp_a, ok) in zip(
+            tt.length.tolist(), tt.terminated.tolist(), tt.final_state.tolist(), rows):
+        turns = tuple(TurnRecord(t, s[t], p[t], q[t], o[t], a[t], r[t], raw[t],
+                                 term and t == n - 1, next(text), lp_s[t], lp_o[t], lp_a[t],
+                                 ok[t]) for t in range(n))
+        out.append(Trajectory(turns, truncated=not term, final_state=None if fs < 0 else fs))
+    return out
 
 
 # -- segments, returns and reward shaping ---------------------------------------
@@ -123,6 +215,16 @@ def apply_keep_penalty(traj: Trajectory, c_keep: float) -> Trajectory:
 
 
 # -- rollout ------------------------------------------------------------------
+
+class CounterRng(NamedTuple):
+    """Per-episode view over the counter stream used by a single rollout."""
+
+    seed: int
+    episode: int = 0
+
+    def uniform(self, turn: int, head: int) -> float:
+        return counter_uniform(self.seed, self.episode, turn, head)
+
 
 def _sample_row(logits: np.ndarray, u: float) -> int:
     """Inverse-CDF draw over an explicitly normalized softmax row."""
@@ -200,9 +302,7 @@ def rollout(env: EnvModel, params: PolicyParams, horizon: int, rng: CounterRng,
     else:
         truncated = True
         final_state = state
-    traj = Trajectory(tuple(turns), truncated=truncated, final_state=final_state,
-                      seed=rng.seed)
-    return apply_keep_penalty(traj, c_keep)
+    return apply_keep_penalty(Trajectory(tuple(turns), truncated, final_state), c_keep)
 
 
 # -- advantages ---------------------------------------------------------------
@@ -462,6 +562,14 @@ def grad_log_prob(params: PolicyParams, turn: TurnRecord,
     return out
 
 
+def check_log_prob_grads(rng: np.random.Generator, n_turns: int = 20,
+                         h: float = gradcheck.DEFAULT_H) -> float:
+    """Max relative error, over the turns of a random episode, of the
+    score kernel's per-turn scores vs central differences of the per-turn
+    log-likelihood (one bump evaluates every turn)."""
+    return gradcheck._check_scores(*gradcheck._score_case(rng, n_turns), h)
+
+
 def with_behavior_logprobs(traj: Trajectory, params: PolicyParams) -> Trajectory:
     """A copy whose behavior log-probs come from `params`."""
     turns = []
@@ -665,6 +773,19 @@ def optimal_return(env: EnvModel, gamma: float = 1.0) -> float:
     start = env.initial_states()
     return float(sum(p * best[s] for s, p in start))
 
+
+def fetchchain_expert(env: FetchChain, n_options: int = 2,
+                      sharpness: float = 20.0) -> PolicyParams:
+    """Hand-coded near-deterministic params that solve FetchChain optimally:
+    the switch head flips exactly when carrying status changes."""
+    params = PolicyParams.uniform(env.n_states, n_options, env.n_actions)
+    for s, want, best in _fetchchain_moves(env, n_options):
+        params.subgoal[s, want] = sharpness
+        for o_prev in range(n_options):
+            params.switch[s, o_prev, SWITCH if o_prev != want else KEEP] = sharpness
+        params.action[s, :, best] = sharpness
+    return params
+
 # -- PPO ratios ---------------------------------------------------------------
 
 def ppo_ratios(params: PolicyParams, turn: TurnRecord):
@@ -797,18 +918,9 @@ def switch_prob(params: PolicyParams, state: int, prev_subgoal: int) -> float:
 
 
 def turn_to_json(u: TurnRecord) -> dict:
-    return {
-        "t": u.t,
-        "state": u.state,
-        "prev_subgoal": u.prev_subgoal,
-        "q": u.q,
-        "subgoal": u.subgoal,
-        "subgoal_text": u.subgoal_text,
-        "action": u.action,
-        "reward": u.reward,
-        "raw_reward": u.raw_reward,
-        "done": u.done,
-    }
+    return {key: getattr(u, key) for key in (
+        "t", "state", "prev_subgoal", "q", "subgoal", "subgoal_text", "action", "reward",
+        "raw_reward", "done")}
 
 
 def write_trajectories(fp, trajectories) -> None:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from segrl.batch import batch_stats, rollout_batch
-from segrl.core import segment_boundaries
 from segrl.critic import (CriticBatch, ValueTables, fit_critic,
                           single_coupling_rows)
 from segrl.envs import FetchChain, OneStep
@@ -31,6 +30,9 @@ from segrl.parsing import (FORMAT_PENALTY, ingest_log, ingest_transcript_file,
                            parse_blocks, read_transcript)
 from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.training import PPOConfig, train, train_flat_baseline
+
+import spec
+from spec import segment_boundaries
 
 DATA = Path(__file__).parent / "data"
 POLICY_SEED = 12345
@@ -228,9 +230,9 @@ def test_c10_parser_conformance():
             assert verdict.valid, (name, verdict.violations)
     # and reproduce the switch/keep boundary structure shown
     cool = ingest_transcript_file(DATA / "transcript_cool_cup.txt")
-    assert segment_boundaries(cool.trajectory) == [0, 4, 6, 9, 10]
+    assert segment_boundaries(spec.records(cool.table)[0]) == [0, 4, 6, 9, 10]
     knife = ingest_transcript_file(DATA / "transcript_clean_knife.txt")
-    assert segment_boundaries(knife.trajectory) == [0, 3, 5, 7]
+    assert segment_boundaries(spec.records(knife.table)[0]) == [0, 3, 5, 7]
     # mutated corpus: each violation class costs exactly one 0.1 penalty
     base = read_transcript((DATA / "transcript_clean_knife.txt").read_text())
     mutants = {
@@ -248,7 +250,7 @@ def test_c10_parser_conformance():
         assert not result.verdicts[1].valid, label
         assert result.verdicts[1].penalty == pytest.approx(FORMAT_PENALTY), label
         assert result.total_penalty == pytest.approx(FORMAT_PENALTY), label
-        shaped = result.trajectory.turns[1]
+        shaped = spec.records(result.table)[0].turns[1]
         assert shaped.raw_reward - shaped.reward == pytest.approx(FORMAT_PENALTY)
     elapsed = time.time() - start
     assert elapsed < 1.0
@@ -267,8 +269,8 @@ def test_c11_switching_diagnostics(training_runs):
     # lengths: segments * mean segment length = mean episode length
     tt = rollout_batch(env, hier.params, 256, seed=987, c_keep=0.3)
     st = batch_stats(tt, goal_state=env.goal_state)
-    mean_len = float(np.mean([t.n_turns for t in tt.to_trajectories()]))
-    segs = [len(segment_boundaries(t)) - 1 for t in tt.to_trajectories()]
+    mean_len = float(np.mean([t.n_turns for t in spec.records(tt)]))
+    segs = [len(segment_boundaries(t)) - 1 for t in spec.records(tt)]
     assert st.mean_segments == pytest.approx(np.mean(segs), rel=1e-12)
     product = st.mean_segments * st.mean_seg_len
     assert abs(product - mean_len) / mean_len <= 0.01

@@ -7,14 +7,14 @@ import pytest
 
 from segrl import batch, oracle
 from segrl.advantages import GAEConfig, whiten
-from segrl.batch import TurnTable, advantage_arrays, flat_advantage_arrays, gather_rows
-from segrl.core import segment_boundaries
+from segrl.batch import advantage_arrays, flat_advantage_arrays, gather_rows
 from segrl.critic import ValueTables
 from segrl.oracle import random_tables, telescope_check
 from segrl.policy import PolicyParams
 from segrl.training import _ref_log_probs, _sites, _whiten_sites
 
 import spec
+from spec import segment_boundaries
 from conftest import random_trajectory, traj_from
 
 
@@ -27,8 +27,7 @@ def cfg_with(**kw):
 def one_episode(traj, tables, cfg, params=None):
     """`advantage_arrays` on a one-episode TurnTable, unpadded: a_low per
     turn, a_high per segment, a_switch for t = 1 .. T-1."""
-    adv = advantage_arrays(TurnTable.from_trajectories([traj]), tables, cfg,
-                           params=params)
+    adv = advantage_arrays(spec.table([traj]), tables, cfg, params=params)
     n = traj.n_turns
     a_high = adv.a_high[0, :n][adv.masks.is_boundary[0, :n]]
     return adv.a_low[0, :n], a_high, adv.a_switch[0, 1:n]
@@ -40,7 +39,7 @@ def switch_advantages(traj, tables, params=None):
 
 def flat_gae(traj, v_flat, cfg):
     """`flat_advantage_arrays` on a one-episode TurnTable, unpadded."""
-    tt = TurnTable.from_trajectories([traj])
+    tt = spec.table([traj])
     return flat_advantage_arrays(tt, v_flat, cfg)[0, :traj.n_turns]
 
 
@@ -200,7 +199,7 @@ class TestEstimateAll:
         trajs = [random_trajectory(rng, 8, 3, 4, max_turns=8) for _ in range(40)]
         tables = random_tables(rng, 8, 3)
         cfg = GAEConfig(gamma=0.9)
-        tt = TurnTable.from_trajectories(trajs)
+        tt = spec.table(trajs)
         adv = advantage_arrays(tt, tables, cfg)
         params = PolicyParams.uniform(8, 3, 4)
         sites = _sites(gather_rows(tt, adv), params, False, _ref_log_probs(params))
@@ -219,8 +218,7 @@ class TestEstimateAll:
         traj = random_trajectory(rng, 8, 3, 4)
         tables = random_tables(rng, 8, 3)
         cfg = GAEConfig(gamma=0.9)
-        adv = advantage_arrays(TurnTable.from_trajectories([traj, traj, traj]),
-                               tables, cfg)
+        adv = advantage_arrays(spec.table([traj, traj, traj]), tables, cfg)
         for i in (1, 2):
             assert np.array_equal(adv.a_low[i], adv.a_low[0])
             assert np.array_equal(adv.a_high[i], adv.a_high[0])

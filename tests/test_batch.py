@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
-from segrl.batch import (TurnTable, _advantage_arrays, advantage_arrays,
+from segrl.batch import (_advantage_arrays, advantage_arrays,
                          batch_stats, critic_batch_from_table,
                          flat_advantage_arrays, flat_batch_from_table,
                          gather_rows, head_sites, record_behavior, returns_matrix,
                          rollout_batch, segment_masks)
-from segrl.core import KEEP, SWITCH, MalformedTrajectory, segment_boundaries
+from segrl.core import KEEP, SWITCH, MalformedTrajectory
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import mc_gradient_hae, oracle_values, random_tables, solve_dp
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased, softmax
-from segrl.rng import CounterRng
 from segrl.training import _ref_log_probs, _sites, _whiten_sites
 
 import spec
+from spec import CounterRng, segment_boundaries
 from conftest import (Walk, head_ratios, kernel_scores, random_trajectory, traj_from,
                       weighted_target_maps)
 
@@ -39,7 +39,7 @@ def env_and_params():
 
 
 def _assert_matches_single_rollouts(env, params, tt, seed, c_keep, offset=0):
-    trajs = tt.to_trajectories()
+    trajs = spec.records(tt)
     for ep, traj in enumerate(trajs):
         single = spec.rollout(env, params, env.horizon, CounterRng(seed, offset + ep),
                               c_keep=c_keep)
@@ -142,7 +142,7 @@ class TestRolloutBatch:
                            episode_offset=3, greedy=True)
         assert set(tt.state[:, 0].tolist()) == {0, 1}
         assert np.isnan(tt.lp_switch).all() and np.isnan(tt.lp_action).all()
-        for ep, traj in enumerate(tt.to_trajectories()):
+        for ep, traj in enumerate(spec.records(tt)):
             single = spec.rollout(env, params, env.horizon, CounterRng(5, 3 + ep),
                                   c_keep=0.2, greedy=True)
             assert single.turns == traj.turns
@@ -159,8 +159,8 @@ class TestRolloutBatch:
 class TestTableConversions:
     def test_round_trip(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(20)]
-        tt = TurnTable.from_trajectories(trajs, weights=rng.uniform(0.5, 2, 20))
-        back = tt.to_trajectories()
+        tt = spec.table(trajs, weights=rng.uniform(0.5, 2, 20))
+        back = spec.records(tt)
         for a, b in zip(trajs, back):
             assert a.truncated == b.truncated
             assert a.n_turns == b.n_turns
@@ -171,11 +171,11 @@ class TestTableConversions:
     def test_round_trip_keeps_every_field_as_a_python_value(self, rng):
         # behavior log-probs of the heads each turn ran: none for the first
         # turn's switch or a KEEP turn's subgoal (NaN, read back as None)
-        tt = record_behavior(TurnTable.from_trajectories(
+        tt = record_behavior(spec.table(
             [random_trajectory(rng, 8, 3, 4) for _ in range(20)]),
             PolicyParams.random(rng, 8, 3, 4))
-        back = tt.to_trajectories()
-        again = TurnTable.from_trajectories(back)
+        back = spec.records(tt)
+        again = spec.table(back)
         for name in ("state", "prev_subgoal", "q", "subgoal", "action", "reward",
                      "raw_reward", "lp_switch", "lp_subgoal", "lp_action", "format_ok",
                      "mask", "length", "terminated", "final_state"):
@@ -203,9 +203,9 @@ class TestTableConversions:
             turns[1] = turns[1]._replace(**{field: -1})
             bad = replace(traj, turns=tuple(turns))
             where = "episode 1, turn 1"
-        TurnTable.from_trajectories([traj, traj])
+        spec.table([traj, traj])
         with pytest.raises(MalformedTrajectory, match=where):
-            TurnTable.from_trajectories([traj, bad])
+            spec.table([traj, bad])
 
     # each edit of a valid truncated episode (turns SWITCH, KEEP, SWITCH)
     # breaks one rule of the validator and no other, so the message is that
@@ -236,13 +236,13 @@ class TestTableConversions:
             turns = list(traj.turns)
             turns[turn] = turns[turn]._replace(**edit)
             bad = replace(traj, turns=tuple(turns))
-        TurnTable.from_trajectories([traj, traj])
+        spec.table([traj, traj])
         with pytest.raises(MalformedTrajectory, match=f"^{re.escape(message)}$"):
-            TurnTable.from_trajectories([traj, bad])
+            spec.table([traj, bad])
 
     def test_segment_masks_match_reference(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(30)]
-        tt = TurnTable.from_trajectories(trajs)
+        tt = spec.table(trajs)
         sm = segment_masks(tt)
         for i, traj in enumerate(trajs):
             bounds = segment_boundaries(traj)
@@ -255,7 +255,7 @@ class TestTableConversions:
 
     def test_returns_matrix_matches_reference(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(20)]
-        tt = TurnTable.from_trajectories(trajs)
+        tt = spec.table(trajs)
         g = returns_matrix(tt, 0.9)
         for i, traj in enumerate(trajs):
             ref = spec.returns_to_go(traj, 0.9)
@@ -272,7 +272,7 @@ class TestBatchAdvantages:
                         lambda_flat=0.9)
         arr = advantage_arrays(tt, tables, cfg)
         a_flat = flat_advantage_arrays(tt, v_flat, cfg)
-        trajs = tt.to_trajectories()
+        trajs = spec.records(tt)
         ref = spec.estimate_batch(trajs, tables, cfg)
         for i, (traj, h) in enumerate(zip(trajs, ref)):
             t_total = int(tt.length[i])
@@ -292,10 +292,9 @@ class TestBatchAdvantages:
         gammas = rng.uniform(0.2, 1.0, size=40)
         tables = random_tables(rng, 8, 3)
         cfg = GAEConfig(lambda_low=0.8, lambda_high=0.7)
-        joint = _advantage_arrays(TurnTable.from_trajectories(trajs), tables, cfg,
-                                  gammas)
+        joint = _advantage_arrays(spec.table(trajs), tables, cfg, gammas)
         for i, (traj, gamma) in enumerate(zip(trajs, gammas)):
-            one = advantage_arrays(TurnTable.from_trajectories([traj]), tables,
+            one = advantage_arrays(spec.table([traj]), tables,
                                    replace(cfg, gamma=float(gamma)))
             n = traj.n_turns
             for name in ("a_low", "a_high", "a_switch"):
@@ -330,7 +329,7 @@ class TestCriticBatchesFromTable:
     def test_agree_with_trajectory_construction(self, env_and_params):
         env, params = env_and_params
         tt = rollout_batch(env, params, 40, seed=9, c_keep=0.1)
-        trajs = tt.to_trajectories()
+        trajs = spec.records(tt)
         a = critic_batch_from_table(tt, 0.9, env.n_states, 2)
         b = spec.critic_batch(trajs, 0.9, env.n_states, 2)
         assert np.allclose(a.w, b.w, atol=1e-10)
@@ -352,7 +351,7 @@ class TestCriticBatchesFromTable:
         env, params = env_and_params
         tt = rollout_batch(env, params, 40, seed=9)
         a = flat_batch_from_table(tt, 0.9, env.n_states)
-        b = spec.flat_critic_batch(tt.to_trajectories(), 0.9, env.n_states)
+        b = spec.flat_critic_batch(spec.records(tt), 0.9, env.n_states)
         # per state: the weight and the weighted sum of returns-to-go
         a_g, b_g = (x.w * x.mean_targets(ValueTables.zeros(env.n_states, 0))
                     for x in (a, b))
@@ -396,7 +395,7 @@ class TestRatios:
         live = fetchchain_phased(env, np.random.default_rng(8))
         _, got = head_ratios(tt, live)
         want = [spec.ppo_ratios(live, u)
-                for traj in tt.to_trajectories() for u in traj.turns]
+                for traj in spec.records(tt) for u in traj.turns]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             # an absent head contributes 0 to the surrogate
@@ -442,7 +441,7 @@ class TestScoreKernel:
     def test_log_likelihoods_match_per_turn_reference(self, rng):
         params = PolicyParams.random(rng, 6, 3, 4)
         trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
-        rows = gather_rows(TurnTable.from_trajectories(trajs))
+        rows = gather_rows(spec.table(trajs))
         got = turn_log_likelihood(head_sites(rows, params), params.theta)
         want = [sum(lp for lp in spec.log_prob(params, u) if lp is not None)
                 for traj in trajs for u in traj.turns]
@@ -451,8 +450,8 @@ class TestScoreKernel:
     def test_recorded_behavior_matches_per_turn_reference(self, rng):
         params = PolicyParams.random(rng, 6, 3, 4)
         trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
-        got = record_behavior(TurnTable.from_trajectories(trajs), params)
-        want = TurnTable.from_trajectories(
+        got = record_behavior(spec.table(trajs), params)
+        want = spec.table(
             [spec.with_behavior_logprobs(traj, params) for traj in trajs])
         for name in ("lp_switch", "lp_subgoal", "lp_action"):
             a, b = getattr(got, name), getattr(want, name)
@@ -467,7 +466,7 @@ class TestScoreKernel:
         # the last action cell, which no turn here visits
         params = PolicyParams.random(rng, 6, 3, 4)
         trajs = [random_trajectory(rng, 6, 3, 4) for _ in range(15)]
-        rows = gather_rows(TurnTable.from_trajectories(trajs))
+        rows = gather_rows(spec.table(trajs))
         rows.state[rows.state == 5] = 4
         rows.state[rows.t == 0] = 0
         sites = head_sites(rows, params)

@@ -18,24 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrl.advantages import GAEConfig
-from segrl.batch import (BatchAdvantages, SegmentMasks, TurnTable,
-                         advantage_arrays)
+from segrl.batch import BatchAdvantages, SegmentMasks, advantage_arrays
 from segrl.cli import advantage_lines, dispatch, load_values, save_values
 from segrl.config import _FLOAT_KEYS, KNOWN_KEYS, ConfigError, parse_config_text
 from segrl.core import InputError, load_trajectories
 from segrl.critic import ValueTables, fit_critic
 from segrl.envs import FetchChain
-from segrl.gradcheck import check_log_prob_grads, check_total_loss_grads, random_case
+from segrl.gradcheck import check_total_loss_grads, random_case
 from segrl import oracle
 from segrl.oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                           oracle_values, solve_dp)
 from segrl.parsing import ingest_transcript_file
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
                           load_policy, save_policy)
-from segrl.rng import CounterRng
 from segrl.training import PPOConfig, train_flat_baseline
 
 import spec
+from spec import CounterRng
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -268,7 +267,10 @@ class TestDispatch:
         path = ROOT / "tests" / "data" / name
         assert dispatch(["parse", "--input", str(path), "--out", str(tmp_path)]) == 0
         want = io.StringIO()
-        spec.write_trajectories(want, [ingest_transcript_file(path).trajectory])
+        result = ingest_transcript_file(path)
+        text_of = {i: text for text, i in result.subgoal_ids.items()}
+        texts = [text_of[o] for o in result.table.subgoal[result.table.mask].tolist()]
+        spec.write_trajectories(want, spec.records(result.table, texts))
         assert (tmp_path / "trajectory.jsonl").read_text() == want.getvalue()
 
     def test_module_entry_point_prints_version(self):
@@ -335,11 +337,11 @@ class TestRolloutAndAdvantages:
         got = [json.loads(line) for line in
                (tmp_path / "adv" / "advantages.jsonl").read_text().splitlines()]
         cfg = GAEConfig(gamma=0.9, lambda_low=0.8, lambda_high=0.7)
-        tt = TurnTable.from_trajectories(load_trajectories(jsonl))
+        tt, _ = load_trajectories(jsonl)
         assert ((tmp_path / "adv" / "advantages.jsonl").read_text()
                 == spec.advantage_lines(tt, advantage_arrays(tt, tables, cfg, params=params)))
         want = []
-        for traj in load_trajectories(jsonl):
+        for traj in spec.records(tt):
             est = spec.estimate_all(traj, tables, cfg, params=params)
             starts = est.boundaries[:-1]
             for t in range(traj.n_turns):
@@ -375,7 +377,7 @@ class TestRolloutAndAdvantages:
         a_switch[:, :1] = np.nan
         boundary = mask & np.array(data.draw(st.lists(
             st.booleans(), min_size=mask.size, max_size=mask.size)), dtype=bool).reshape(shape)
-        tt = TurnTable.from_trajectories([])
+        tt = spec.table([])
         tt.mask, tt.length = mask, np.array(lengths, dtype=np.int64)
         adv = BatchAdvantages(table(), table(), a_switch,
                               SegmentMasks(boundary, None, None, None))
@@ -1022,7 +1024,7 @@ class TestVerifyReports:
                          "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "gradcheck.json").read_text())
         rng = np.random.Generator(np.random.PCG64(3))
-        errs = [check_log_prob_grads(rng) if i % 2 == 0
+        errs = [spec.check_log_prob_grads(rng) if i % 2 == 0
                 else check_total_loss_grads(random_case(rng)) for i in range(4)]
         worst = int(np.argmax(errs))
         assert report["max_rel_err"] == errs[worst] == max(errs)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,29 +9,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segrl.advantages import GAEConfig
-from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
+from segrl.batch import (advantage_arrays, critic_batch_from_table,
                          returns_matrix, rollout_batch, segment_masks)
-from segrl.core import (KEEP, SWITCH, InputError, MalformedTrajectory, Trajectory,
-                        TurnRecord, load_trajectories, read_trajectories,
-                        save_trajectories, segment_boundaries, write_trajectories)
+from segrl.cli import dispatch
+from segrl.core import (KEEP, SWITCH, InputError, MalformedTrajectory, _empty_table,
+                        load_trajectories, read_trajectories, save_trajectories,
+                        write_trajectories)
 from segrl.envs import FetchChain
 from segrl.oracle import random_tables
 from segrl.policy import PolicyParams
 
 import spec
-from conftest import random_trajectory, traj_from
+from spec import Trajectory, TurnRecord, segment_boundaries
+from conftest import Walk, random_trajectory, traj_from
+
+DATA = Path(__file__).parent / "data"
 
 
 def returns(traj, gamma):
     """`returns_matrix` on a one-episode table, unpadded."""
-    return returns_matrix(TurnTable.from_trajectories([traj]), gamma)[0, :traj.n_turns]
+    return returns_matrix(spec.table([traj]), gamma)[0, :traj.n_turns]
 
 
 def macro_steps(traj, gamma, n_states=8, n_options=3):
     """(start, stop, macro-reward) per segment, from the kernels: the
     boundaries of `segment_masks` and the rewards of the high-head rows of
     `critic_batch_from_table`, which follow its one row per turn."""
-    tt = TurnTable.from_trajectories([traj])
+    tt = spec.table([traj])
     sm = segment_masks(tt)
     starts = np.flatnonzero(sm.is_boundary[0])
     cb = critic_batch_from_table(tt, gamma, n_states, n_options)
@@ -88,7 +93,7 @@ class TestReturnToGo:
 
     def test_zero_beyond_length(self):
         trajs = [traj_from([1], [4.0]), traj_from([1, 0, 0], [1.0, 2.0, 3.0])]
-        g = returns_matrix(TurnTable.from_trajectories(trajs), 0.9)
+        g = returns_matrix(spec.table(trajs), 0.9)
         assert g.shape == (2, 3) and g[0, 1:].tolist() == [0.0, 0.0]
 
     def test_matches_batch_helper(self, rng):
@@ -239,13 +244,12 @@ def _jsonl_text(draw):
 
 class TestValidation:
     def test_valid_random(self, rng):
-        TurnTable.from_trajectories([random_trajectory(rng, 6, 2, 3)
-                                     for _ in range(50)])
+        spec.table([random_trajectory(rng, 6, 2, 3) for _ in range(50)])
 
     def test_keep_must_retain_subgoal(self):
         traj = traj_from([1, 0], [0, 0], subgoals=[0, 1])
         with pytest.raises(MalformedTrajectory):
-            TurnTable.from_trajectories([traj])
+            spec.table([traj])
 
     @given(_jsonl_text())
     @example(json.dumps({"t": 0, "state": 0, "prev_subgoal": None, "q": 1, "subgoal": 0,
@@ -254,12 +258,11 @@ class TestValidation:
     @settings(max_examples=200, deadline=None)
     def test_any_text_reads_to_a_valid_table_or_an_input_error(self, text):
         try:
-            trajs = list(read_trajectories(io.StringIO(text)))
-            tt = TurnTable.from_trajectories(trajs)
+            tt, texts = read_trajectories(io.StringIO(text))
         except InputError:
             return
-        assert all(type(u.subgoal_text) in (str, type(None))
-                   for tr in trajs for u in tr.turns)
+        assert all(type(x) in (str, type(None)) for x in texts)
+        assert len(texts) == tt.total_turns
         for ids in (tt.state, tt.subgoal, tt.action):
             assert (ids[tt.mask] >= 0).all()
         n_s, n_o, n_a = (int(np.max(x, initial=0)) + 1 for x in
@@ -277,16 +280,16 @@ class TestValidation:
         bad = traj.__class__(
             turns=(traj.turns[0]._replace(done=True), traj.turns[1]))
         with pytest.raises(MalformedTrajectory):
-            TurnTable.from_trajectories([bad])
+            spec.table([bad])
 
 
 class TestJsonl:
     def test_round_trip(self, rng):
         trajs = [random_trajectory(rng, 6, 2, 3) for _ in range(10)]
         buf = io.StringIO()
-        write_trajectories(buf, trajs)
+        write_trajectories(buf, spec.table(trajs))
         buf.seek(0)
-        back = list(read_trajectories(buf))
+        back = spec.records(read_trajectories(buf)[0])
         assert len(back) == len(trajs)
         for a, b in zip(trajs, back):
             assert a.truncated == b.truncated
@@ -298,33 +301,73 @@ class TestJsonl:
                         ub.action, ub.reward, ub.raw_reward, ub.done)
         # serialization is stable
         buf2 = io.StringIO()
-        write_trajectories(buf2, back)
+        write_trajectories(buf2, spec.table(back))
         buf_nofinal = io.StringIO()
-        write_trajectories(buf_nofinal, trajs)
+        write_trajectories(buf_nofinal, spec.table(trajs))
         assert buf2.getvalue() == buf_nofinal.getvalue()
+
+    def test_rollout_file_round_trips(self, tmp_path):
+        # terminal and truncated episodes, each sentinel carrying final_state
+        env = Walk()
+        tt = rollout_batch(env, PolicyParams.uniform(env.n_states, 2, env.n_actions), 64,
+                           seed=3, c_keep=0.3)
+        path = tmp_path / "trajectories.jsonl"
+        save_trajectories(path, tt)
+        text = path.read_text()
+        assert '"done":true' in text and '{"truncated":true,"final_state":' in text
+        buf = io.StringIO()
+        write_trajectories(buf, *load_trajectories(path))
+        assert buf.getvalue() == text
+
+    @pytest.mark.parametrize("name", ["transcript_clean_knife.txt",
+                                      "transcript_cool_cup.txt",
+                                      "transcript_shopping_shirt.txt"])
+    def test_parse_output_round_trips(self, tmp_path, name):
+        assert dispatch(["parse", "--input", str(DATA / name), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "trajectory.jsonl"
+        tt, texts = load_trajectories(path)
+        assert all(type(x) is str for x in texts)
+        buf = io.StringIO()
+        write_trajectories(buf, tt, texts)
+        assert buf.getvalue() == path.read_text()
 
     # the writer's template against `json.dumps`, on the values where their
     # rules could part: escapes, float extremes, 64-bit ids and null
-    _ids = st.integers(0, 2**63 - 1)
+    _ids = st.integers(-2**63, 2**63 - 1)
     _numbers = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308,
                                           -1.7976931348623157e308, 1e16, 1e-05]),
                          st.floats(allow_nan=False, allow_infinity=False))
     _texts = st.one_of(st.none(), st.text(), st.sampled_from(
         ['', 'say "hi"', 'C:\\dir\\', '\x00\t\n\x1f\x7f', 'line\u2028sep\u2029',
          'naïve — ☃ 𝄞', '</subgoal>']))
-    _turns = st.builds(TurnRecord, t=_ids, state=_ids, prev_subgoal=st.none() | _ids,
-                       q=_ids, subgoal=_ids, action=_ids, reward=_numbers,
-                       raw_reward=_numbers, done=st.booleans(), subgoal_text=_texts)
-    _episodes = st.builds(lambda turns, truncated, final_state: Trajectory(
-        tuple(turns), truncated=truncated, final_state=final_state),
-        st.lists(_turns, max_size=4), st.booleans(), st.none() | _ids)
 
-    @given(st.lists(_episodes, max_size=4))
+    @st.composite
+    def _tables(draw, ids=_ids, numbers=_numbers, texts=_texts):
+        """A table of any lengths, truncation and final_state, its turns'
+        fields drawn from the pools, and texts for its turns or None; a
+        negative prev_subgoal or final_state stands for an absent one."""
+        lengths = draw(st.lists(st.integers(0, 4), max_size=4))
+        tt = _empty_table(len(lengths), max(lengths, default=0))
+        tt.length[:] = lengths
+        tt.mask[:] = np.arange(tt.max_turns) < tt.length[:, None]
+        n = tt.total_turns
+        for name, pool in (("state", ids), ("prev_subgoal", ids), ("q", ids),
+                           ("subgoal", ids), ("action", ids), ("reward", numbers),
+                           ("raw_reward", numbers)):
+            getattr(tt, name)[tt.mask] = draw(st.lists(pool, min_size=n, max_size=n))
+        tt.terminated[:] = draw(st.lists(st.booleans(), min_size=tt.n_episodes,
+                                         max_size=tt.n_episodes))
+        tt.final_state[:] = draw(st.lists(ids, min_size=tt.n_episodes,
+                                          max_size=tt.n_episodes))
+        return tt, draw(st.none() | st.lists(texts, min_size=n, max_size=n))
+
+    @given(_tables())
     @settings(max_examples=200, deadline=None)
-    def test_writer_bytes_equal_json_dumps(self, trajs):
+    def test_writer_bytes_equal_json_dumps(self, drawn):
+        tt, texts = drawn
         got, want = io.StringIO(), io.StringIO()
-        write_trajectories(got, trajs)
-        spec.write_trajectories(want, trajs)
+        write_trajectories(got, tt, texts)
+        spec.write_trajectories(want, spec.records(tt, texts))
         assert got.getvalue() == want.getvalue()
 
     def test_dangling_turns_rejected(self):
@@ -341,7 +384,7 @@ class TestJsonl:
     def test_number_fields_take_integers(self, tmp_path):
         path = tmp_path / "one.jsonl"
         path.write_text(json.dumps(self.GOOD_TURN) + "\n")
-        (traj,) = load_trajectories(path)
+        (traj,) = spec.records(load_trajectories(path)[0])
         u = traj.turns[0]
         assert type(u.reward) is float and u.reward == 0.0 and u.done is True
 
@@ -374,8 +417,8 @@ class TestJsonl:
         trajs = [Trajectory((ok._replace(done=True),)), Trajectory((ok, bad))]
         buf = io.StringIO()
         with pytest.raises(ValueError, match=f"episode 1, turn 1: {field} is {value}"):
-            write_trajectories(buf, trajs)
+            write_trajectories(buf, spec.table(trajs))
         assert buf.getvalue() == ""
         with pytest.raises(ValueError, match=field):
-            save_trajectories(tmp_path / "out.jsonl", trajs)
+            save_trajectories(tmp_path / "out.jsonl", spec.table(trajs))
         assert not (tmp_path / "out.jsonl").exists()

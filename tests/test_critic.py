@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from segrl.batch import (TurnTable, _critic_rows, critic_batch_from_table,
-                         flat_batch_from_table, segment_masks)
-from segrl.core import MalformedTrajectory, segment_boundaries
+from segrl.batch import (_critic_rows, critic_batch_from_table, flat_batch_from_table,
+                         segment_masks)
+from segrl.core import MalformedTrajectory
 from segrl.critic import ValueTables, fit_critic, stacked
 from segrl.envs import FetchChain
 from segrl.oracle import (enumeration_table, exact_critic_batch,
                           oracle_values, random_tables, solve_dp)
 from segrl.policy import PolicyParams, fetchchain_phased
 
+import spec
+from spec import segment_boundaries
 from conftest import random_trajectory, traj_from, weighted_target_maps
 
 
@@ -20,8 +22,7 @@ def sentinel_tables(n_states, n_options, high=1000.0, low=-7.0):
 def one_episode_batch(traj, gamma, n_states, n_options):
     """`critic_batch_from_table` on a one-episode TurnTable: rows 0 .. T-1
     are the turns (low head), the rest the segments (high head)."""
-    return critic_batch_from_table(TurnTable.from_trajectories([traj]), gamma,
-                                   n_states, n_options)
+    return critic_batch_from_table(spec.table([traj]), gamma, n_states, n_options)
 
 
 def high_targets(traj, tables, gamma):
@@ -37,7 +38,7 @@ def low_targets(traj, tables, gamma):
 def v_next(traj, tables, t):
     """The table value that turn t's low row (the one the advantage kernel
     takes its residual from) bootstraps to; 0 where it has none."""
-    tt = TurnTable.from_trajectories([traj])
+    tt = spec.table([traj])
     rows = _critic_rows(tt, 1.0, segment_masks(tt), tables.n_states,
                         tables.n_options)[0]
     return stacked(tables)[rows["boot"][rows["row"] == t]].sum()
@@ -82,7 +83,7 @@ class TestVNext:
         traj = traj_from([1, 0], [0.0] * 2, done=False)
         object.__setattr__(traj, "final_state", None)
         with pytest.raises(MalformedTrajectory, match="truncated without final_state"):
-            TurnTable.from_trajectories([traj])
+            spec.table([traj])
 
 
 class TestTargets:
@@ -205,7 +206,7 @@ class TestFitCritic:
 class TestFlatCritic:
     def test_converges_to_per_state_mean_return(self, rng):
         trajs = [random_trajectory(rng, 6, 2, 3) for _ in range(100)]
-        batch = flat_batch_from_table(TurnTable.from_trajectories(trajs), 0.9, 6)
+        batch = flat_batch_from_table(spec.table(trajs), 0.9, 6)
         v, mses = fit_flat_critic(np.zeros(6), batch, lr=0.5, epochs=5)
         assert np.allclose(v[batch.w > 0], flat_mean_targets(batch)[batch.w > 0])
         assert mses[0] >= mses[-1]

@@ -85,7 +85,7 @@ def _zero_branch_policy():
 
 class TestEnumerationTable:
     """`enumeration_table` against the depth-first recursion of the spec,
-    validated through `TurnTable.from_trajectories`: equal column by column,
+    validated through `TurnTable.from_columns`: equal column by column,
     bit for bit, in the same leaf order."""
 
     @pytest.mark.parametrize("case", ["onestep", "chain23", "chain34", "walk",
@@ -100,8 +100,7 @@ class TestEnumerationTable:
             params = PolicyParams.random(np.random.default_rng(7), env.n_states, 2,
                                          env.n_actions, scale=0.8)
         items = spec.enumerate_trajectories(env, params)
-        want = TurnTable.from_trajectories([traj for traj, _ in items],
-                                           weights=[p for _, p in items])
+        want = spec.table([traj for traj, _ in items], weights=[p for _, p in items])
         got = enumeration_table(env, params)
         for field in dataclasses.fields(TurnTable):
             a, b = getattr(got, field.name), getattr(want, field.name)
@@ -316,7 +315,7 @@ class TestOracleGradient:
 
 class TestSuccessProbability:
     def test_expert_reaches_goal_surely(self):
-        from segrl.policy import fetchchain_expert
+        from spec import fetchchain_expert
         env = FetchChain(3, 8)
         dp = solve_dp(env, fetchchain_expert(env), 1.0)
         assert success_probability(dp) == pytest.approx(1.0, abs=1e-8)
@@ -396,7 +395,7 @@ class TestMonteCarloHarnesses:
     def test_deterministic_gradient_equals_its_mean(self):
         # near-deterministic policy and env: a single sample is its own mean
         env = FetchChain(2, 4)
-        from segrl.policy import fetchchain_expert
+        from spec import fetchchain_expert
         params = fetchchain_expert(env, sharpness=40.0)
         cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
@@ -584,7 +583,7 @@ class TestDegenerateSizes:
 class TestRandomTable:
     @staticmethod
     def assert_round_trips(tt):
-        back = TurnTable.from_trajectories(tt.to_trajectories())
+        back = spec.table(spec.records(tt))
         for name, value in vars(tt).items():
             assert np.array_equal(getattr(back, name), value, equal_nan=True), name
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrl.batch import TurnTable
-from segrl.core import KEEP, SWITCH, InputError, segment_boundaries
+from segrl.core import KEEP, SWITCH, InputError
 from segrl.parsing import (BAD_SWITCH_VALUE, FORMAT_PENALTY,
                            KEEP_CHANGED_SUBGOAL, MISSING_SWITCH, WRONG_ORDER,
                            ParseFailure, ingest_log, ingest_transcript_file,
                            parse_blocks, read_transcript, render_decision)
+
+import spec
+from spec import segment_boundaries
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,8 +101,8 @@ class TestIngestLog:
         turn = "<switch>%s</switch><subgoal>reach the shelf</subgoal><action>a</action>"
         result = ingest_log([(turn % "SWITCH", 0.0, False),
                              (turn % "KEEP", 1.0, True)])
-        traj = result.trajectory
-        TurnTable.from_trajectories([traj])
+        traj = spec.records(result.table)[0]
+        spec.table([traj])
         assert segment_boundaries(traj) == [0, 2]
         assert all(v.valid for v in result.verdicts)
 
@@ -110,14 +112,14 @@ class TestIngestLog:
             ("<switch>KEEP</switch><subgoal>two</subgoal><action>b</action>", 1.0, True),
         ]
         result = ingest_log(lines)
-        traj = result.trajectory
+        traj = spec.records(result.table)[0]
         assert traj.turns[1].q == SWITCH
         assert not result.verdicts[1].valid
         assert KEEP_CHANGED_SUBGOAL in result.verdicts[1].violations
         assert traj.turns[1].reward == pytest.approx(1.0 - FORMAT_PENALTY)
         assert traj.turns[1].raw_reward == 1.0
         assert not traj.turns[1].format_valid
-        TurnTable.from_trajectories([traj])
+        spec.table([traj])
 
     def test_missing_switch_resolved_by_subgoal_match(self):
         keep_line = "<subgoal>same</subgoal><action>a</action>"
@@ -127,7 +129,7 @@ class TestIngestLog:
             (keep_line, 0, False),
             (switch_line, 0, True),
         ])
-        traj = result.trajectory
+        traj = spec.records(result.table)[0]
         assert traj.turns[1].q == KEEP
         assert traj.turns[2].q == SWITCH
         assert not result.verdicts[1].valid and not result.verdicts[2].valid
@@ -151,7 +153,7 @@ class TestIngestLog:
 class TestTranscriptFixtures:
     def test_cool_cup_explicit_switches_and_repair(self):
         result = ingest_transcript_file(DATA / "transcript_cool_cup.txt")
-        traj = result.trajectory
+        traj = spec.records(result.table)[0]
         assert traj.n_turns == 10
         # the three explicit SWITCH markers sit at turns 0, 4 and 6
         explicit = [u.t for u, v in zip(traj.turns, result.verdicts)
@@ -165,25 +167,25 @@ class TestTranscriptFixtures:
         assert traj.turns[9].raw_reward == 10.0
         assert traj.turns[9].reward == pytest.approx(10.0 - FORMAT_PENALTY)
         assert traj.terminated
-        TurnTable.from_trajectories([traj])
+        spec.table([traj])
 
     def test_clean_knife_boundary_structure(self):
         result = ingest_transcript_file(DATA / "transcript_clean_knife.txt")
-        traj = result.trajectory
+        traj = spec.records(result.table)[0]
         assert traj.n_turns == 7
         assert all(v.valid for v in result.verdicts)
         assert result.total_penalty == 0.0
         assert segment_boundaries(traj) == [0, 3, 5, 7]
         assert len(result.subgoal_ids) == 3
-        TurnTable.from_trajectories([traj])
+        spec.table([traj])
 
     def test_shopping_boundary_structure(self):
         result = ingest_transcript_file(DATA / "transcript_shopping_shirt.txt")
-        traj = result.trajectory
+        traj = spec.records(result.table)[0]
         assert traj.n_turns == 5
         assert all(v.valid for v in result.verdicts)
         assert segment_boundaries(traj) == [0, 2, 5]
-        TurnTable.from_trajectories([traj])
+        spec.table([traj])
 
 
 class TestTranscriptReader:
@@ -227,7 +229,7 @@ class TestTranscriptReader:
             result = ingest_log(read_transcript(text))
         except InputError:
             return
-        traj = result.trajectory
-        tt = TurnTable.from_trajectories([traj])
+        traj = spec.records(result.table)[0]
+        tt = spec.table([traj])
         assert np.isfinite(tt.reward[tt.mask]).all()
         assert traj.n_turns == len(result.verdicts) >= 1

@@ -4,19 +4,18 @@ import pickle
 import numpy as np
 import pytest
 
-from segrl.batch import (TurnTable, gather_rows, head_sites, record_behavior,
-                         rollout_batch)
-from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
+from segrl.batch import gather_rows, head_sites, record_behavior, rollout_batch
+from segrl.core import KEEP, SWITCH
 from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import enumeration_table
-from segrl.policy import (CheckpointError, GradTables, PolicyParams, fetchchain_expert,
-                          load_policy, save_policy)
+from segrl.policy import CheckpointError, GradTables, PolicyParams, load_policy, save_policy
 from segrl.training import PPOConfig, train, train_flat_baseline
 
 from conftest import (Walk, kernel_log_probs, kernel_scores, one_turn,
                       random_trajectory)
-from spec import switch_prob
+import spec
+from spec import Trajectory, TurnRecord, fetchchain_expert, switch_prob
 
 
 def small_params(rng, n_s=5, n_o=3, n_a=4, scale=1.0):
@@ -26,8 +25,8 @@ def small_params(rng, n_s=5, n_o=3, n_a=4, scale=1.0):
 def rollout(env, params, seed, episode=0, **kw):
     """Episode `episode` of the `rollout_batch` stream `seed`, as a
     Trajectory."""
-    return rollout_batch(env, params, 1, seed, episode_offset=episode,
-                         **kw).to_trajectories()[0]
+    return spec.records(rollout_batch(env, params, 1, seed, episode_offset=episode,
+                                      **kw))[0]
 
 
 class TestSwitchProb:
@@ -159,7 +158,7 @@ class TestGradLogProb:
                     assert abs(g.switch[k, u.state, u.prev_subgoal].sum()) < 1e-12
 
     def test_finite_differences(self, rng):
-        from segrl.gradcheck import check_log_prob_grads
+        from spec import check_log_prob_grads
         assert check_log_prob_grads(rng) < 1e-6
 
     def test_score_expectation_vanishes(self, rng):
@@ -194,7 +193,7 @@ class TestRollout:
         outs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_trajectories(buf, [rollout(env, p, seed=9, episode=4)])
+            write_trajectories(buf, spec.table([rollout(env, p, seed=9, episode=4)]))
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
@@ -205,14 +204,13 @@ class TestRollout:
         for u in traj.turns:
             expected = u.raw_reward - (0.3 if u.q == KEEP else 0.0)
             assert u.reward == pytest.approx(expected, abs=1e-12)
-        TurnTable.from_trajectories([traj])
+        spec.table([traj])
 
     def test_behavior_logprob_attachment(self, rng):
         env = FetchChain(3, 6)
         p = small_params(rng, env.n_states, 2, env.n_actions)
         traj = rollout(env, p, seed=2, episode=1)
-        again = record_behavior(TurnTable.from_trajectories([traj]),
-                                p).to_trajectories()[0]
+        again = spec.records(record_behavior(spec.table([traj]), p))[0]
         for a, b in zip(traj.turns, again.turns):
             if a.lp_switch is not None:
                 assert a.lp_switch == pytest.approx(b.lp_switch, abs=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 
-from segrl.rng import CounterRng, counter_uniform, derive_seed
+from segrl.rng import counter_uniform, derive_seed
+
+from spec import CounterRng
 
 
 def test_scalar_and_vector_agree():

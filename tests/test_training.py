@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
-from segrl.batch import (TurnTable, advantage_arrays, flat_advantage_arrays,
+from segrl.batch import (advantage_arrays, flat_advantage_arrays,
                          gather_rows, head_sites, record_behavior, rollout_batch,
                          site_pass, site_scores)
-from segrl.core import KEEP, SWITCH, Trajectory, TurnRecord
+from segrl.core import KEEP, SWITCH
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, solve_dp, success_probability
-from segrl.policy import PolicyParams, fetchchain_expert, fetchchain_phased
+from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
                             _ref_log_probs, _sites, _step, evaluate, total_loss,
                             train, train_flat_baseline)
 
 import spec
+from spec import Trajectory, TurnRecord, fetchchain_expert
 from conftest import (actor_loss, flat_actor_loss, head_ratios, kl_penalty,
                       minibatch_step, take)
 
@@ -49,8 +50,7 @@ class TestRatios:
         turn = TurnRecord(0, 0, None, SWITCH, 0, 1, 0.0, 0.0, False,
                           lp_switch=None, lp_subgoal=math.log(0.5),
                           lp_action=math.log(0.5))
-        tt = TurnTable.from_trajectories([Trajectory((turn,), truncated=True,
-                                                     final_state=1)])
+        tt = spec.table([Trajectory((turn,), truncated=True, final_state=1)])
         live = PolicyParams.uniform(2, 2, 2)
         live.action[0, 0, 1] += math.log(2.0)
         _, ratios = head_ratios(tt, live)
@@ -60,8 +60,7 @@ class TestRatios:
         # no recorded log-probs: the surrogate is NaN, which the trainer's
         # finite check turns into TrainingDiverged
         turn = TurnRecord(0, 0, None, SWITCH, 0, 1, 0.0, 0.0, False)
-        tt = TurnTable.from_trajectories([Trajectory((turn,), truncated=True,
-                                                     final_state=1)])
+        tt = spec.table([Trajectory((turn,), truncated=True, final_state=1)])
         _, ratios = head_ratios(tt, PolicyParams.uniform(2, 2, 2))
         assert np.isnan(ratios[0, 2]) and np.isnan(ratios[0, 1])
 
@@ -440,6 +439,15 @@ class TestTrainLoop:
         # a NaN passes no range test, so it is refused rather than dropped
         with pytest.raises(ValueError, match=f"^{name} must be"):
             PPOConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["epochs", "minibatch", "iterations",
+                                      "episodes_per_iter", "eval_episodes", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_non_integer_count_refused(self, name, value):
+        # a float seed would train as its truncation, a bool count as 0 or 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            PPOConfig(**{name: value})
+        assert getattr(PPOConfig(**{name: np.int64(2)}), name) == 2
 
     @pytest.mark.parametrize("lr", [1.0 + 1e-9, 5.0])
     def test_diverging_critic_step_refused(self, lr):
