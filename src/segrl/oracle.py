@@ -159,20 +159,11 @@ def objective_enumerated(env, params, gamma, cap=1e7) -> float:
 
 
 def oracle_gradient_enumerated(env, params, gamma, cap=1e7) -> GradTables:
-    """Exact policy gradient as sum_tau P(tau) (sum_t scores) R_tau."""
-    return _enumerated_scores(env, params, cap, gamma)
-
-
-def score_expectation_enumerated(env, params, cap=1e7) -> GradTables:
-    """E[sum_t grad log pi] over the full enumeration (zero in theory)."""
-    return _enumerated_scores(env, params, cap)
-
-
-def _enumerated_scores(env, params, cap, gamma=None) -> GradTables:
-    """The score kernel over the whole enumeration as one table, each turn
-    weighted by its trajectory's P(tau), times R_tau when `gamma` is given."""
+    """Exact policy gradient as sum_tau P(tau) (sum_t scores) R_tau: the score
+    kernel over the whole enumeration as one table, each turn weighted by its
+    trajectory's P(tau) R_tau."""
     tt = enumeration_table(env, params, cap)
-    w = tt.weight if gamma is None else tt.weight * returns_matrix(tt, gamma)[:, 0]
+    w = tt.weight * returns_matrix(tt, gamma)[:, 0]
     rows = gather_rows(tt)
     sites = head_sites(rows, params)
     sp = site_pass(sites, sites.slab(params.theta))

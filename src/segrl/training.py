@@ -25,7 +25,7 @@ from .core import TurnTable
 from .critic import CriticBatch, ValueTables, fit_critic, unstacked
 from .envs import EnvModel
 from .policy import TABLES, GradTables, PolicyParams, log_softmax
-from .rng import SEED_BOUND, derive_seed
+from .rng import SEED_BOUND, _absorb, counter_hash, derive_seed
 
 METRICS_HEADER = ("iter,mean_return,success,mean_segments,mean_seg_len,"
                   "switch_rate,actor_loss,critic_loss,kl")
@@ -347,22 +347,37 @@ def _check_finite(name: str, it: int, *values) -> None:
         raise TrainingDiverged(f"non-finite {name} at iteration {it}")
 
 
-def _minibatches(n_rows: int, size: int, rng: np.random.Generator):
-    order = rng.permutation(n_rows)
-    for lo in range(0, n_rows, size):
-        yield order[lo:lo + size]
+def _minibatch_keys(key: int, n_rows: int, epochs: int) -> np.ndarray:
+    """(epochs, n_rows) sort keys: row i of epoch e takes the counter hash of
+    (key, i, e) with its low bits replaced by i, so the keys are distinct by
+    construction and no sort has a tie to break."""
+    rows = np.arange(n_rows, dtype=np.uint64)
+    low = max(n_rows - 1, 0).bit_length()
+    return counter_hash(key, rows, np.arange(epochs)[:, None]) >> low << low | rows
+
+
+def _minibatches(key: int, n_rows: int, epochs: int, size: int):
+    """Each epoch's minibatches of `size` rows (the last one short), in an
+    order of the rows that is a pure function of (key, epoch, n_rows): the
+    sorted keys' low bits."""
+    mask = (1 << max(n_rows - 1, 0).bit_length()) - 1
+    for order in (np.sort(_minibatch_keys(key, n_rows, epochs), axis=1) & mask).astype(np.intp):
+        for lo in range(0, n_rows, size):
+            yield order[lo:lo + size]
 
 
 def _policy_fingerprint(theta: np.ndarray) -> int:
-    """64-bit digest of the parameter bytes, a policy's `theta`.
+    """64-bit digest of a policy's `theta`: the XOR of the SplitMix
+    finalizer over its 64-bit words, each keyed by its position.
 
     Rollout streams are keyed by (seed, fingerprint): identical policies
     reproduce identical batches (so zero learning rates are an exact no-op)
-    while any parameter update refreshes the exploration stream.
+    while any parameter update refreshes the exploration stream.  The
+    finalizer is a bijection, so a change to any one word (a last-bit update,
+    or -0.0 against +0.0) always changes the digest.
     """
-    import hashlib
-    return int.from_bytes(hashlib.blake2b(theta.tobytes(), digest_size=8).digest(),
-                          "little")
+    pos = np.arange(theta.size, dtype=np.uint64)
+    return int(np.bitwise_xor.reduce(_absorb(theta.view(np.uint64), pos)))
 
 
 def train(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None = None,
@@ -425,17 +440,15 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         slab = sites.layout.slab(theta)
 
         surrogate_sum, turn_count = 0.0, 0
-        shuffle = np.random.Generator(np.random.PCG64(
-            derive_seed(cfg.seed, 23, it)))
-        for _ in range(cfg.epochs):
-            for idx in _minibatches(len(rows), cfg.minibatch, shuffle):
-                value, g_actor, kl, g_kl = _step(sites, idx, slab, cfg.clip_eps)
-                _check_finite("actor surrogate", it, value, kl)
-                # the surrogate is a sum over minibatch turns while the KL is
-                # a per-turn mean; scale the KL gradient to the same footing
-                slab += cfg.lr_actor * (g_actor - cfg.kl_beta * len(idx) * g_kl)
-                surrogate_sum += value
-                turn_count += len(idx)
+        for idx in _minibatches(derive_seed(cfg.seed, 23, it), len(rows), cfg.epochs,
+                                cfg.minibatch):
+            value, g_actor, kl, g_kl = _step(sites, idx, slab, cfg.clip_eps)
+            _check_finite("actor surrogate", it, value, kl)
+            # the surrogate is a sum over minibatch turns while the KL is a
+            # per-turn mean; scale the KL gradient to the same footing
+            slab += cfg.lr_actor * (g_actor - cfg.kl_beta * len(idx) * g_kl)
+            surrogate_sum += value
+            turn_count += len(idx)
         # as a step over the whole vector would, turn each -0.0 logit outside
         # the slab into +0.0: the rollout streams hash the logits' bytes (an
         # episode has at least one turn, so a step ran)

@@ -37,7 +37,9 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
 * `enumerate_trajectories`, a depth-first recursion that builds one
   `Trajectory` per leaf, for `oracle.enumeration_table`;
 * `conditional_switch_values_enumerated`, leaf-averaged switch-context
-  values, for the layered DP's `g_low` and `g_high`;
+  values, for the layered DP's `g_low` and `g_high`, and
+  `score_expectation_enumerated`, the P(tau)-weighted score sum over the
+  enumeration (zero in theory), for the score kernel `batch.site_scores`;
 * `optimal_return`, backward induction over the env's own transitions,
   for the shipped environments' reward structure, and `fetchchain_expert`,
   a hand-coded policy that attains it on FetchChain;
@@ -64,7 +66,8 @@ import numpy as np
 from segrl import gradcheck
 from segrl.advantages import GAEConfig
 from segrl.batch import (advantage_arrays, flat_advantage_arrays, gather_rows,
-                         returns_matrix, rollout_batch)
+                         head_sites, returns_matrix, rollout_batch, site_pass,
+                         site_scores)
 from segrl.core import KEEP, SWITCH, MalformedTrajectory, TurnTable
 from segrl.critic import CriticBatch, ValueTables, low_cell, single_coupling_rows
 from segrl.envs import EnvModel, FetchChain
@@ -749,6 +752,18 @@ def conditional_switch_values_enumerated(env, params, gamma):
     num = np.bincount(ctx, p[later] * g[later])
     den = np.bincount(ctx, p[later])
     return {tuple(k): float(v) for k, v in zip(keys.tolist(), num / den)}
+
+
+def score_expectation_enumerated(env, params, cap=1e7) -> GradTables:
+    """E[sum_t grad log pi] over the full enumeration (zero in theory): the
+    score kernel over the whole enumeration as one table, each turn weighted
+    by its trajectory's P(tau)."""
+    tt = enumeration_table(env, params, cap)
+    rows = gather_rows(tt)
+    sites = head_sites(rows, params)
+    sp = site_pass(sites, sites.slab(params.theta))
+    return GradTables.wrap(sites.spread(site_scores(sp, tt.weight[rows.episode[sp.pos]])),
+                           params)
 
 
 def optimal_return(env: EnvModel, gamma: float = 1.0) -> float:

@@ -23,7 +23,7 @@ from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import gradcheck_report
 from segrl.advantages import GAEConfig
 from segrl.oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
-                          oracle_values, score_expectation_enumerated, solve_dp,
+                          oracle_values, solve_dp,
                           switching_exactness_report, telescope_check,
                           unbiasedness, variance_reports)
 from segrl.parsing import (FORMAT_PENALTY, ingest_log, ingest_transcript_file,
@@ -32,7 +32,7 @@ from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.training import PPOConfig, train, train_flat_baseline
 
 import spec
-from spec import segment_boundaries
+from spec import score_expectation_enumerated, segment_boundaries
 
 DATA = Path(__file__).parent / "data"
 POLICY_SEED = 12345

@@ -18,7 +18,7 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           mc_gradient_hae, objective,
                           objective_enumerated, oracle_gradient,
                           oracle_gradient_enumerated, oracle_values,
-                          oracle_values_enumerated, score_expectation_enumerated,
+                          oracle_values_enumerated,
                           solve_dp, success_probability,
                           random_table, switching_exactness_report,
                           McGradient, unbiasedness,
@@ -310,7 +310,7 @@ class TestOracleGradient:
 
     def test_score_identity(self, small_env_policy):
         env, params = small_env_policy
-        assert np.abs(score_expectation_enumerated(env, params).theta).max() < 1e-10
+        assert np.abs(spec.score_expectation_enumerated(env, params).theta).max() < 1e-10
 
 
 class TestSuccessProbability:

@@ -162,7 +162,7 @@ class TestGradLogProb:
         assert check_log_prob_grads(rng) < 1e-6
 
     def test_score_expectation_vanishes(self, rng):
-        from segrl.oracle import score_expectation_enumerated
+        from spec import score_expectation_enumerated
         env = FetchChain(2, 3)
         p = PolicyParams.random(rng, env.n_states, 2, env.n_actions, scale=0.9)
         zero = score_expectation_enumerated(env, p)

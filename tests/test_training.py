@@ -13,7 +13,9 @@ from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
 from segrl.oracle import random_tables, solve_dp, success_probability
 from segrl.policy import PolicyParams, fetchchain_phased
+from segrl.rng import derive_seed
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
+                            _minibatch_keys, _minibatches, _policy_fingerprint,
                             _ref_log_probs, _sites, _step, evaluate, total_loss,
                             train, train_flat_baseline)
 
@@ -463,6 +465,75 @@ class TestTrainLoop:
         assert res.tables.n_options == 0
         assert len(res.metrics) == 30
         assert res.metrics[-1].success >= 0.9
+
+
+def _orders(seed, it, n_rows, epochs, size=256):
+    """Each epoch's order of the rows, as `_run_loop` draws it at iteration
+    `it`."""
+    batches = list(_minibatches(derive_seed(seed, 23, it), n_rows, epochs, size))
+    per_epoch = len(batches) // epochs
+    return [np.concatenate(batches[e * per_epoch:(e + 1) * per_epoch])
+            for e in range(epochs)]
+
+
+class TestMinibatchOrder:
+    @pytest.mark.parametrize("n_rows,size", [(1000, 256), (1100, 256), (1024, 256),
+                                             (100, 256), (1, 256), (7, 3)])
+    def test_each_epoch_is_a_permutation_with_the_short_batch_last(self, n_rows, size):
+        batches = list(_minibatches(12345, n_rows, 3, size))
+        per_epoch = -(-n_rows // size)
+        assert len(batches) == 3 * per_epoch
+        sizes = [size] * (per_epoch - 1) + [n_rows - size * (per_epoch - 1)]
+        for e in range(3):
+            epoch = batches[e * per_epoch:(e + 1) * per_epoch]
+            assert [len(b) for b in epoch] == sizes
+            assert np.array_equal(np.sort(np.concatenate(epoch)), np.arange(n_rows))
+
+    def test_order_is_a_function_of_seed_iteration_epoch_and_rows(self):
+        base = _orders(0, 5, 1100, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(base, _orders(0, 5, 1100, 4)))
+        # an epoch's order does not depend on how many epochs follow it
+        assert all(np.array_equal(a, b) for a, b in zip(base, _orders(0, 5, 1100, 2)))
+        assert not any(np.array_equal(base[0], other) for other in base[1:])
+        for seed, it in ((0, 6), (1, 5)):
+            assert not np.array_equal(base[0], _orders(seed, it, 1100, 1)[0])
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 1100, 3840])
+    def test_keys_are_distinct_so_any_sort_gives_the_order(self, n_rows):
+        keys = _minibatch_keys(derive_seed(0, 23, 3), n_rows, 4)
+        for k, order in zip(keys, _orders(0, 3, n_rows, 4)):
+            assert np.unique(k).size == n_rows
+            assert np.array_equal(np.argsort(k), order)
+            assert np.array_equal(np.argsort(k, kind="stable"), order)
+
+
+class TestPolicyFingerprint:
+    @pytest.fixture
+    def theta(self, rng):
+        return fetchchain_phased(FetchChain(5, 20), rng).theta
+
+    def test_equal_parameters_give_equal_digests(self, theta):
+        assert _policy_fingerprint(theta.copy()) == _policy_fingerprint(theta)
+
+    def test_any_last_bit_change_refreshes_the_digest(self, theta):
+        digest = _policy_fingerprint(theta)
+        for i in (0, theta.size // 2, theta.size - 1):
+            bumped = theta.copy()
+            bumped[i] = np.nextafter(bumped[i], np.inf)
+            assert _policy_fingerprint(bumped) != digest, i
+
+    def test_a_swap_refreshes_the_digest(self, theta):
+        swapped = theta.copy()
+        i, j = 0, int(np.flatnonzero(theta != theta[0])[0])
+        swapped[[i, j]] = swapped[[j, i]]
+        assert _policy_fingerprint(swapped) != _policy_fingerprint(theta)
+
+    def test_negative_zero_differs_from_zero(self):
+        zeros = np.zeros(40)
+        assert _policy_fingerprint(-zeros) != _policy_fingerprint(zeros)
+        one = zeros.copy()
+        one[17] = -0.0
+        assert _policy_fingerprint(one) != _policy_fingerprint(zeros)
 
 
 class TestEvaluate:
