@@ -17,7 +17,7 @@ class ConfigError(InputError):
 
 _FLOAT_KEYS = {
     "gamma", "lambda_low", "lambda_high", "lambda_flat", "clip_eps",
-    "c_v", "kl_beta", "c_keep", "lr_actor", "lr_critic",
+    "kl_beta", "c_keep", "lr_actor", "lr_critic",
 }
 _INT_KEYS = {
     "epochs", "minibatch", "iterations", "episodes_per_iter",

@@ -189,10 +189,12 @@ def fit_critic(tables: ValueTables, batch: CriticBatch, lr: float,
     every epoch (fitted value iteration, converging to the bootstrapped
     fixed point) and are constants within it.  Each visited cell moves by
     v <- v - 2*lr*(v - mean target), which shrinks its error against the
-    epoch's targets for lr < 1; unvisited cells are untouched.
+    epoch's targets for 0 < lr < 1; unvisited cells are untouched.  At
+    lr = 0 every cell with a finite target keeps its value, and the report
+    holds the tables' MSE, `epochs` times over.
     """
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
+    if not lr >= 0:
+        raise ValueError(f"lr must be >= 0, got {lr}")
     v = stacked(tables)
     out = unstacked(v, tables.n_states)    # views: they follow updates of v
     vis = batch.w > 0

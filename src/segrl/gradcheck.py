@@ -1,10 +1,10 @@
 """Central finite-difference checks for every analytic gradient.
 
-The per-turn score gradients, the clipped-surrogate actor gradient, the
-exact-KL gradient and the critic gradient are all verified against central
-differences on randomized configurations.  A configuration passes when
-|analytic - numeric| <= tol * max(|analytic|, |numeric|, 1), the usual
-relative comparison with a unit floor.
+The per-turn score gradients and the gradients of the trainer's step (the
+clipped surrogate and the exact KL) and of the critic's MSE are verified
+against central differences on randomized configurations.  A configuration
+passes when |analytic - numeric| <= tol * max(|analytic|, |numeric|, 1),
+the usual relative comparison with a unit floor.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import (Sites, advantage_arrays, gather_rows, head_sites,
-                    record_behavior, site_pass, site_scores)
+from .batch import (Sites, advantage_arrays, critic_batch_from_table, gather_rows,
+                    head_sites, record_behavior, site_pass, site_scores)
 from .core import TurnTable
 from .critic import ValueTables
 from .oracle import _fork_map, random_table, random_tables
 from .policy import GradTables, PolicyParams
-from .training import PPOConfig, loss_plan
+from .training import PPOConfig, _ref_log_probs, _sites, _step
 
 DEFAULT_H = 1e-5
 DEFAULT_TOL = 1e-6
@@ -56,12 +56,16 @@ def fd_params_grad(fn, params: PolicyParams, h: float = DEFAULT_H) -> GradTables
 
 @dataclass
 class GradCheckCase:
+    """The draws of one full-loss check.  `c_v` weighs the critic's MSE in
+    the checked loss: the trainer fits its critic apart, with no weight."""
+
     params: PolicyParams
     params_old: PolicyParams
     ref: PolicyParams
     tables: ValueTables
     table: TurnTable
     cfg: PPOConfig
+    c_v: float
 
 
 def random_case(rng: np.random.Generator) -> GradCheckCase:
@@ -78,10 +82,10 @@ def random_case(rng: np.random.Generator) -> GradCheckCase:
         random_table(rng, int(rng.integers(2, 5)), n_s, n_o, n_a, max_turns=6),
         params_old)
     tables = random_tables(rng, n_s, n_o)
-    cfg = PPOConfig(gamma=float(rng.uniform(0.5, 1.0)), clip_eps=0.2,
-                    c_v=float(rng.uniform(0.2, 2.0)),
-                    kl_beta=float(rng.uniform(0.0, 0.1)))
-    return GradCheckCase(params, params_old, ref, tables, table, cfg)
+    gamma = float(rng.uniform(0.5, 1.0))
+    c_v = float(rng.uniform(0.2, 2.0))
+    cfg = PPOConfig(gamma=gamma, clip_eps=0.2, kl_beta=float(rng.uniform(0.0, 0.1)))
+    return GradCheckCase(params, params_old, ref, tables, table, cfg, c_v)
 
 
 def turn_log_likelihood(sites: Sites, theta: np.ndarray) -> np.ndarray:
@@ -111,34 +115,43 @@ def _check_scores(params: PolicyParams, sites: Sites, h: float) -> float:
 
 
 def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
-    """Max relative error of the combined-loss gradients (policy and critic).
+    """Max relative error of the gradients, wrt the logits and the value
+    tables, of -surrogate + c_v * (MSE_low + MSE_high) + kl_beta * KL: the
+    trainer's step over every turn, and the critic batch's MSE with targets
+    from a frozen copy of the tables (the regression's stop-gradient).
 
-    The plan is built once, and each bump re-evaluates only the part of the
-    loss it changes, the other part keeping its value: a logit bump the
-    actor part on the bumped slab (the loss reads no logit outside it, so
-    every other logit's difference is 0), a table bump the critic part."""
-    adv = advantage_arrays(case.table, case.tables, case.cfg.gae())
-    frozen = case.tables.copy()
-    plan = loss_plan(case.params, case.ref, case.tables, case.table, adv, case.cfg)
-    _, g_theta, g_tab = plan.loss(case.params, case.tables, frozen)
-    slab = plan.sites.layout.slab(case.params.theta)
-    surrogate, _, kl, _ = plan.actor(slab, grad=False)
-    mse = plan.critic.mse_and_grad(case.tables, frozen)[:2]
+    Each bump re-evaluates only the part of the loss it changes, the other
+    part keeping its value: a logit bump the actor part on the bumped slab
+    (the loss reads no logit outside it, so every other logit's difference
+    is 0), a table bump the critic part."""
+    cfg, tables = case.cfg, case.tables
+    adv = advantage_arrays(case.table, tables, cfg.gae())
+    frozen = tables.copy()
+    sites = _sites(gather_rows(case.table, adv), case.params, False,
+                   _ref_log_probs(case.ref))
+    critic = critic_batch_from_table(case.table, cfg.gamma, tables.n_states,
+                                     tables.n_options)
+    every = np.arange(sites.layout.present.shape[1])
+    slab = sites.layout.slab(case.params.theta)
+
+    def value(surrogate, kl, mse_lo, mse_hi):
+        return -surrogate + case.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
+
+    surrogate, g_actor, kl, g_kl = _step(sites, every, slab, cfg.clip_eps)
+    mse_lo, mse_hi, g_v = critic.mse_and_grad(tables, frozen)
 
     def f_slab():
-        surrogate, _, kl, _ = plan.actor(slab, grad=False)
-        return plan.value(surrogate, kl, *mse)
+        surrogate, _, kl, _ = _step(sites, every, slab, cfg.clip_eps, grad=False)
+        return value(surrogate, kl, mse_lo, mse_hi)
 
     def f_tables():
-        return plan.value(surrogate, kl,
-                          *plan.critic.mse_and_grad(case.tables, frozen)[:2])
+        return value(surrogate, kl, *critic.mse_and_grad(tables, frozen)[:2])
 
-    num_theta = np.zeros_like(case.params.theta)
-    num_theta[plan.sites.layout.cells] = _central_differences(f_slab, slab[:-1], h)
-    errs = [rel_err(g_theta.theta, num_theta)]
-    for got, arr in ((g_tab.v_high, case.tables.v_high), (g_tab.v_low, case.tables.v_low)):
-        errs.append(rel_err(got, _central_differences(
-            f_tables, arr.reshape(-1), h).reshape(arr.shape)))
+    num_v = [_central_differences(f_tables, arr, h)
+             for arr in (tables.v_high, tables.v_low.reshape(-1))]
+    errs = [rel_err((cfg.kl_beta * g_kl - g_actor)[:-1],
+                    _central_differences(f_slab, slab[:-1], h)),
+            rel_err(case.c_v * g_v, np.concatenate(num_v))]
     return float(np.max(errs))   # a NaN error stays NaN
 
 

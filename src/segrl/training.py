@@ -18,13 +18,12 @@ import numpy as np
 
 from .advantages import GAEConfig, whiten
 from .batch import (BatchStats, Sites, TurnRows, _advantage_arrays,
-                    _critic_batch, batch_stats, cell_rows, critic_batch_from_table,
-                    flat_advantage_arrays, flat_batch_from_table, gather_rows,
-                    head_sites, rollout_batch, site_pass, site_scores)
-from .core import TurnTable
-from .critic import CriticBatch, ValueTables, fit_critic, unstacked
+                    _critic_batch, batch_stats, cell_rows, flat_advantage_arrays,
+                    flat_batch_from_table, gather_rows, head_sites, rollout_batch,
+                    site_pass, site_scores)
+from .critic import ValueTables, fit_critic
 from .envs import EnvModel
-from .policy import TABLES, GradTables, PolicyParams, log_softmax
+from .policy import TABLES, PolicyParams, log_softmax
 from .rng import SEED_BOUND, _absorb, counter_hash, derive_seed
 
 METRICS_HEADER = ("iter,mean_return,success,mean_segments,mean_seg_len,"
@@ -46,7 +45,6 @@ RANGES = {
     "lambda_high": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "lambda_flat": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "clip_eps": (lambda v: v > 0.0, "> 0"),
-    "c_v": (lambda v: v >= 0.0, ">= 0"),
     "kl_beta": (lambda v: v >= 0.0, ">= 0"),
     "c_keep": (lambda v: v >= 0.0, ">= 0"),
     "lr_actor": (lambda v: v >= 0.0, ">= 0"),
@@ -74,7 +72,6 @@ class PPOConfig:
     lambda_high: float = 0.95
     lambda_flat: float = 0.95
     clip_eps: float = 0.2
-    c_v: float = 1.0
     kl_beta: float = 0.01
     c_keep: float = 0.3
     lr_actor: float = 0.05
@@ -259,66 +256,6 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
     return surrogate, site_scores(sp, w, probs), kl_sum / n, g_kl
 
 
-@dataclass
-class LossPlan:
-    """What `total_loss` reads that depends on neither the logits' nor the
-    tables' values: the batch's sites (with the reference block) and its
-    critic batch.  The actor part is a function of the slab
-    (`sites.layout.slab`), the critic part of the tables, and `value` adds
-    the two."""
-
-    sites: _Sites
-    critic: CriticBatch
-    cfg: PPOConfig
-
-    def actor(self, slab: np.ndarray, grad: bool = True):
-        """(surrogate, its gradient, KL, its gradient) over every row, the
-        gradients wrt `slab` (None without `grad`)."""
-        return _step(self.sites, np.arange(self.sites.layout.present.shape[1]), slab,
-                     self.cfg.clip_eps, grad)
-
-    def value(self, surrogate: float, kl: float, mse_lo: float, mse_hi: float) -> float:
-        """The objective from its actor part (surrogate, KL) and its critic
-        part (the two heads' MSE)."""
-        cfg = self.cfg
-        return -surrogate + cfg.c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
-
-    def loss(self, params: PolicyParams, tables: ValueTables,
-             target_tables: ValueTables | None = None
-             ) -> tuple[float, GradTables, ValueTables]:
-        """`total_loss` at the logits of `params` and at `tables`."""
-        layout = self.sites.layout
-        surrogate, g_actor, kl, g_kl = self.actor(layout.slab(params.theta))
-        mse_lo, mse_hi, g_v = self.critic.mse_and_grad(tables, target_tables)
-        g_theta = layout.spread(self.cfg.kl_beta * g_kl - g_actor)
-        return (self.value(surrogate, kl, mse_lo, mse_hi), GradTables.wrap(g_theta, params),
-                unstacked(self.cfg.c_v * g_v, tables.n_states))
-
-
-def loss_plan(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
-              tt: TurnTable, adv, cfg: PPOConfig) -> LossPlan:
-    """The plan of `total_loss` over `tt` with the advantages `adv`, for
-    policies shaped as `params` and tables shaped as `tables`."""
-    sites = _sites(gather_rows(tt, adv), params, False, _ref_log_probs(ref))
-    return LossPlan(sites, critic_batch_from_table(tt, cfg.gamma, tables.n_states,
-                                                   tables.n_options), cfg)
-
-
-def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
-               tt: TurnTable, adv, cfg: PPOConfig,
-               target_tables: ValueTables | None = None
-               ) -> tuple[float, GradTables, ValueTables]:
-    """Combined objective -L_actor + c_v * L_critic + kl_beta * KL.
-
-    Returns the scalar, its gradient wrt the policy logits and the gradient
-    wrt the value tables.  Critic targets are computed from `target_tables`
-    (default: `tables`) and treated as constants, which is the stop-gradient
-    semantics of the bootstrapped regression.  Used by the finite-difference
-    checks and diagnostics; `train` takes the equivalent staged steps.
-    """
-    return loss_plan(params, ref, tables, tt, adv, cfg).loss(params, tables, target_tables)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -418,12 +355,8 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
             # the critic batch and the advantages' TD residuals read one set of rows
             cb, built = _critic_batch(tt, cfg.gamma, env.n_states,
                                       state.tables.n_options)
-        if cfg.lr_critic > 0:
-            state.tables, rep = fit_critic(state.tables, cb, cfg.lr_critic,
-                                           cfg.epochs)
-            critic_mse = rep.final_mse
-        else:
-            critic_mse = sum(cb.batch_mse(state.tables))
+        state.tables, rep = fit_critic(state.tables, cb, cfg.lr_critic, cfg.epochs)
+        critic_mse = rep.final_mse
         _check_finite("critic", it, critic_mse, state.tables.v_high,
                       state.tables.v_low)
         if flat:

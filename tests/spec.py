@@ -25,6 +25,9 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   (`training._step`, over the three heads' stacked sites): each head's
   log-softmax computed separately by the surrogate and by the KL,
   gradients summed with `np.add.at`;
+* `total_loss`, the combined loss of `gradcheck.check_total_loss_grads`
+  with every part (sites, critic batch, step) rebuilt on each call, for
+  that check's shortcut of re-evaluating only the bumped part;
 * `log_prob`, `grad_log_prob` and `with_behavior_logprobs`, one turn at a
   time, for `batch.site_pass`, `batch.site_scores` and
   `batch.record_behavior`; `check_log_prob_grads`, gradcheck's score check
@@ -65,16 +68,17 @@ import numpy as np
 
 from segrl import gradcheck
 from segrl.advantages import GAEConfig
-from segrl.batch import (advantage_arrays, flat_advantage_arrays, gather_rows,
-                         head_sites, returns_matrix, rollout_batch, site_pass,
-                         site_scores)
+from segrl.batch import (advantage_arrays, critic_batch_from_table,
+                         flat_advantage_arrays, gather_rows, head_sites,
+                         returns_matrix, rollout_batch, site_pass, site_scores)
 from segrl.core import KEEP, SWITCH, MalformedTrajectory, TurnTable
-from segrl.critic import CriticBatch, ValueTables, low_cell, single_coupling_rows
+from segrl.critic import (CriticBatch, ValueTables, low_cell, single_coupling_rows,
+                          unstacked)
 from segrl.envs import EnvModel, FetchChain
 from segrl.oracle import OracleValues, VarianceReport, enumeration_table
 from segrl.policy import GradTables, PolicyParams, _fetchchain_moves, log_softmax, softmax
 from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform, derive_seed
-from segrl.training import _clipped_surrogate
+from segrl.training import PPOConfig, _clipped_surrogate, _ref_log_probs, _sites, _step
 
 
 # -- episode records ----------------------------------------------------------
@@ -923,6 +927,25 @@ def kl_penalty(rows, params: PolicyParams, ref: PolicyParams):
         np.add.at(grads.switch, (rows.state[sw], rows.prev_subgoal[sw]), g)
     grads.theta *= 1.0 / n
     return total / n, grads
+
+
+def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
+               tt: TurnTable, adv, cfg: PPOConfig, c_v: float,
+               target_tables: ValueTables | None = None
+               ) -> tuple[float, GradTables, ValueTables]:
+    """-surrogate + c_v * (MSE_low + MSE_high) + kl_beta * KL over every turn
+    of `tt`, with its gradient wrt the logits and wrt the tables.  Critic
+    targets come from `target_tables` (default: `tables`) and are held
+    constant."""
+    sites = _sites(gather_rows(tt, adv), params, False, _ref_log_probs(ref))
+    critic = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
+    layout = sites.layout
+    surrogate, g_actor, kl, g_kl = _step(sites, np.arange(layout.present.shape[1]),
+                                         layout.slab(params.theta), cfg.clip_eps)
+    mse_lo, mse_hi, g_v = critic.mse_and_grad(tables, target_tables)
+    value = -surrogate + c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
+    return (value, GradTables.wrap(layout.spread(cfg.kl_beta * g_kl - g_actor), params),
+            unstacked(c_v * g_v, tables.n_states))
 
 
 # -- switch probabilities and the JSON-Lines writers ------------------------------

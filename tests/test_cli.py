@@ -491,6 +491,14 @@ class TestMalformedInputs:
                       capsys, "line 2", line.split()[0], "finite")
         assert not (tmp_path / "t").exists()
 
+    def test_removed_critic_weight_key(self, tmp_path, capsys):
+        # the critic takes its own steps at lr_critic; no loss weight is read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 2\nc_v = 1.0\n")
+        self._refused(["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                      capsys, "line 2", "unknown key 'c_v'")
+        assert not (tmp_path / "t").exists()
+
     def test_diverging_lr_critic_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("iterations = 2\nlr_critic = 5\n")

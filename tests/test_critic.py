@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from segrl.batch import (_critic_rows, critic_batch_from_table, flat_batch_from_table,
-                         segment_masks)
+                         rollout_batch, segment_masks)
 from segrl.core import MalformedTrajectory
 from segrl.critic import ValueTables, fit_critic, stacked
 from segrl.envs import FetchChain
@@ -163,6 +163,29 @@ class TestFitCritic:
         assert fitted.v_low[0, 0] == pytest.approx(0.0 - 2 * 0.25 * (0.0 - 5.0))
         fitted, _ = fit_critic(tables, batch, lr=0.25, epochs=50)
         assert fitted.v_low[0, 0] == pytest.approx(5.0, abs=1e-9)
+
+    @staticmethod
+    def sampled_batch(rng, episodes=50):
+        env = FetchChain(3, 6)
+        tt = rollout_batch(env, fetchchain_phased(env, rng), episodes, seed=5)
+        return critic_batch_from_table(tt, 0.95, env.n_states, 2)
+
+    def test_zero_step_keeps_the_tables(self, rng):
+        # lr = 0 is a fit that moves nothing, which the trainer runs as it
+        # runs any other step
+        batch = self.sampled_batch(rng)
+        tables = random_tables(rng, batch.n_states, 2)
+        fitted, rep = fit_critic(tables, batch, lr=0.0, epochs=3)
+        assert fitted.v_high.tobytes() == tables.v_high.tobytes()
+        assert fitted.v_low.tobytes() == tables.v_low.tobytes()
+        assert rep.final_mse == sum(batch.batch_mse(tables))
+        assert len(rep.mse_low) == 3
+
+    @pytest.mark.parametrize("lr", [-0.1, float("nan")])
+    def test_negative_step_refused(self, rng, lr):
+        batch = self.sampled_batch(rng, episodes=4)
+        with pytest.raises(ValueError, match="^lr must be >= 0"):
+            fit_critic(ValueTables.zeros(batch.n_states, 2), batch, lr=lr, epochs=1)
 
     def test_converges_to_oracle_values(self, rng):
         env = FetchChain(3, 6)

@@ -4,48 +4,49 @@ import numpy as np
 import pytest
 
 from segrl import gradcheck
-from segrl.batch import advantage_arrays
-from segrl.gradcheck import gradcheck_report, random_case
-from segrl.training import loss_plan, total_loss
+from segrl.batch import advantage_arrays, gather_rows, head_sites
+from segrl.gradcheck import (check_total_loss_grads, fd_params_grad, gradcheck_report,
+                             random_case, rel_err)
 
+import spec
 from conftest import cpus
 
 
-class TestLossPlan:
-    """The plan's parts, added by its one expression, are `total_loss`."""
+class TestFullLossCheck:
+    """The check's shortcut, bumping one part of the loss and keeping the
+    other's value, gives what differences of the whole loss give."""
 
     H = 1e-5
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_value_equals_total_loss_at_every_bump(self, seed):
+    def test_check_equals_differences_of_the_full_loss(self, seed):
         case = random_case(np.random.Generator(np.random.PCG64(seed)))
         adv = advantage_arrays(case.table, case.tables, case.cfg.gae())
         frozen = case.tables.copy()
-        plan = loss_plan(case.params, case.ref, case.tables, case.table, adv, case.cfg)
-        layout = plan.sites.layout
 
-        def both():
-            full, _, _ = total_loss(case.params, case.ref, case.tables, case.table,
-                                    adv, case.cfg, target_tables=frozen)
-            surrogate, _, kl, _ = plan.actor(layout.slab(case.params.theta), grad=False)
-            return full, plan.value(surrogate, kl,
-                                    *plan.critic.mse_and_grad(case.tables, frozen)[:2])
+        def loss(params=case.params):
+            return spec.total_loss(params, case.ref, case.tables, case.table, adv,
+                                   case.cfg, case.c_v, target_tables=frozen)
 
-        full, planned = both()
-        assert planned == full
-        outside = 0
-        for x in (case.params.theta, case.tables.v_high, case.tables.v_low.reshape(-1)):
-            for i in range(x.size):
-                orig = x[i]
-                for bumped in (orig + self.H, orig - self.H):
-                    x[i] = bumped
-                    now, planned = both()
-                    assert planned == now, (i, bumped)
-                    if x is case.params.theta and i not in layout.cells:
-                        # a logit outside the slab leaves the loss as it was
-                        assert now == full
-                        outside += 1
-                x[i] = orig
+        full, g_theta, g_tab = loss()
+        numeric = fd_params_grad(lambda p: loss(p)[0], case.params, self.H)
+        errs = [rel_err(g_theta.theta, numeric.theta)]
+        for got, arr in ((g_tab.v_high, case.tables.v_high),
+                         (g_tab.v_low, case.tables.v_low)):
+            errs.append(rel_err(got, gradcheck._central_differences(
+                lambda: loss()[0], arr.reshape(-1), self.H).reshape(arr.shape)))
+        assert check_total_loss_grads(case, self.H) == float(np.max(errs))
+
+        # a logit outside the batch's cells leaves the loss as it was
+        cells = head_sites(gather_rows(case.table, adv), case.params).cells
+        theta, outside = case.params.theta, 0
+        for i in np.setdiff1d(np.arange(theta.size), cells):
+            orig = theta[i]
+            for bumped in (orig + self.H, orig - self.H):
+                theta[i] = bumped
+                assert loss()[0] == full, (i, bumped)
+            theta[i] = orig
+            outside += 1
         assert outside > 0
 
 

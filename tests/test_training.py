@@ -16,7 +16,7 @@ from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.rng import derive_seed
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
                             _minibatch_keys, _minibatches, _policy_fingerprint,
-                            _ref_log_probs, _sites, _step, evaluate, total_loss,
+                            _ref_log_probs, _sites, _step, evaluate,
                             train, train_flat_baseline)
 
 import spec
@@ -336,6 +336,23 @@ class TestTrainLoop:
         assert np.array_equal(res.params.switch, p0.switch)
         assert np.array_equal(res.params.action, p0.action)
         assert len({r.mean_return for r in res.metrics}) == 1
+
+    def test_every_hyperparameter_is_read(self):
+        # a field that neither trainer reads would be a knob that does nothing
+        names = {f.name for f in fields(PPOConfig)}
+        read = set()
+
+        class Recording(PPOConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        cfg = Recording(seed=0, iterations=1, episodes_per_iter=8)
+        read.clear()   # validation reads every field
+        for trainer in (train, train_flat_baseline):
+            trainer(cfg, FetchChain(3, 6))
+        assert read == names, names - read
 
     @pytest.mark.parametrize("trainer", [train, train_flat_baseline])
     def test_no_logit_stays_negative_zero(self, trainer):
