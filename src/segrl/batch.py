@@ -30,24 +30,21 @@ from .policy import PolicyParams, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
 
 
-def _head_tables(params: PolicyParams, greedy: bool) -> list:
+def _head_tables(params: PolicyParams) -> list:
     """Per head in stream order (switch, subgoal, action), over every cell
-    of its table: the argmax when greedy; else the explicitly normalized
-    softmax CDF without its last entry, so that an inverse-CDF draw is the
-    count of entries <= u (ties go right, the last index takes the rest),
-    and the log-softmax.  Both come from one max/exp/sum per row."""
+    of its table: the explicitly normalized softmax CDF without its last
+    entry, so that an inverse-CDF draw is the count of entries <= u (ties go
+    right, the last index takes the rest), and the log-softmax, flat.  Both
+    come from one max/exp/sum per row."""
     out = []
     for table in (params.switch, params.subgoal, params.action):
         x = cell_rows(table)
-        if greedy:
-            out.append(np.argmax(x, axis=1))
-            continue
         z = x - np.max(x, axis=1, keepdims=True)
         e = np.exp(z)
         total = np.sum(e, axis=1, keepdims=True)
         cdf = np.cumsum(e / total, axis=1)
         cdf /= cdf[:, -1:]
-        out.append((cdf[:, :-1].copy(), z - np.log(total)))
+        out.append((cdf[:, :-1].copy(), (z - np.log(total)).ravel()))
     return out
 
 
@@ -71,17 +68,19 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
     episode not done by `env.horizon` is truncated there.
 
     Greedy episodes are a function of their start state, so a greedy batch
-    rolls one episode per distinct start and copies it to every episode
+    walks one episode per distinct start and copies it to every episode
     that starts there.
     """
     if not 0.0 <= c_keep < np.inf:
         raise ValueError(f"c_keep must be finite and >= 0, got {c_keep}")
+    if n_episodes < 0 or episode_offset < 0:
+        raise ValueError("n_episodes and episode_offset must be >= 0, got "
+                         f"{n_episodes} and {episode_offset}")
     ep_ids = episode_offset + np.arange(int(n_episodes), dtype=np.int64)
     start = _start_states(env, seed, ep_ids)
     if greedy:
         distinct, which = np.unique(start, return_inverse=True)
-        once = _roll(env, params, distinct, seed, None,
-                     _empty_table(distinct.size, env.horizon))
+        once = _walk(env, params, distinct, _empty_table(distinct.size, env.horizon))
         tt = TurnTable(**{k: v[which] for k, v in vars(once).items()})
     else:
         tt = _empty_table(ep_ids.size, env.horizon)
@@ -98,66 +97,98 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
 
 _HEAD_KEYS = np.array([HEAD_SWITCH, HEAD_SUBGOAL, HEAD_ACTION])[:, None]
 _ROLL_SLOTS = 2 ** 16  # (episode, turn) slots per rolled block
-_ROLLED = ("mask", "state", "prev_subgoal", "q", "subgoal", "action", "reward",
-           "lp_switch", "lp_subgoal", "lp_action")
 
 
 def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, seed: int,
-          ep_ids: np.ndarray | None, tt: TurnTable) -> TurnTable:
-    """Episodes from the given start states, written into the empty table
-    `tt`: sampled with the streams of `ep_ids`, or greedy (argmax, no
-    log-probs) when `ep_ids` is None.
+          ep_ids: np.ndarray, tt: TurnTable) -> TurnTable:
+    """Episodes from the given start states, sampled with the streams of
+    `ep_ids`, written into the empty table `tt`.
 
     The policy is frozen for the whole batch, so each head's draw table is
     computed once over all its cells and every (turn, head, episode) draw
-    is hashed in one call; a turn only gathers and compares.  Every episode
-    steps until all are done, and the turns after its end are reset to the
-    padding at the end."""
-    greedy = ep_ids is None
-    nxt_tab, rew_tab, done_tab = transition_tables(env)
-    n, n_o = state.size, params.n_options
-    heads = _head_tables(params, greedy)
-    if not greedy:
-        u = counter_uniform(seed, ep_ids, np.arange(env.horizon)[:, None, None],
-                            _HEAD_KEYS)
+    is hashed in one call; a turn only gathers and compares, and writes its
+    decisions into turn-major columns.  The rewards and log-probs are
+    gathered from those columns after the last turn.  Every episode steps
+    until all are done; the turns after its end keep the table's padding."""
+    nxt_tab, rew_tab, done_tab = (x.ravel() for x in transition_tables(env))
+    n, n_o, n_a = state.size, params.n_options, env.n_actions
+    (cdf_sw, lp_sw), (cdf_hi, lp_hi), (cdf_lo, lp_lo) = _head_tables(params)
+    u = counter_uniform(seed, ep_ids, np.arange(env.horizon)[:, None, None],
+                        _HEAD_KEYS)[..., None]
+    # turn-major: row t holds turn t of every episode; s, o hold one more
+    s, q, o, a = (np.empty((env.horizon + 1, n), dtype=np.int64) for _ in range(4))
+    alive = np.ones((env.horizon + 1, n), dtype=bool)
+    s[0], q[0] = state, SWITCH  # the first turn always switches
+    t = 0
+    while t < env.horizon and alive[t].any():
+        if t > 0:
+            (cdf_sw[s[t] * n_o + o[t - 1]] <= u[t, 0]).sum(axis=1, out=q[t])
+        k = (cdf_hi[s[t]] <= u[t, 1]).sum(axis=1)
+        o[t] = np.where(q[t] == KEEP, o[t - 1], k) if t else k
+        (cdf_lo[s[t] * n_o + o[t]] <= u[t, 2]).sum(axis=1, out=a[t])
+        sa = s[t] * n_a + a[t]
+        s[t + 1] = nxt_tab.take(sa)
+        np.logical_and(alive[t], ~done_tab.take(sa), out=alive[t + 1])
+        t += 1
 
-    def choose(head: int, cell: np.ndarray, t: int):
-        if greedy:
-            return heads[head][cell], None
-        cdf, lp = heads[head]
-        k = np.count_nonzero(cdf[cell] <= u[t, head, :, None], axis=1)
-        return k, lp[cell, k]
-
-    turns = []
-    s, prev = state, np.full(n, -1, dtype=np.int64)
-    alive, final = np.ones(n, dtype=bool), np.full(n, -1, dtype=np.int64)
-    for t in range(env.horizon):
-        if not alive.any():
-            break
-        if t == 0:  # the first turn always switches, with no log-prob
-            q, lp_sw = np.full(n, SWITCH, dtype=np.int64), np.full(n, np.nan)
-        else:
-            q, lp_sw = choose(HEAD_SWITCH, s * n_o + prev, t)
-        o, lp_hi = choose(HEAD_SUBGOAL, s, t)
-        o = np.where(q == KEEP, prev, o)
-        a, lp_lo = choose(HEAD_ACTION, s * n_o + o, t)
-        d = done_tab[s, a]
-        turns.append((alive, s, prev, q, o, a, rew_tab[s, a], lp_sw, lp_hi, lp_lo))
-        s, prev = nxt_tab[s, a], o
-        final = np.where(alive & d, s, final)
-        alive = alive & ~d
-
-    if turns:
-        mask = np.stack([turn[0] for turn in turns], axis=1)
-        for name, col in zip(_ROLLED, zip(*turns)):
-            if col[-1] is not None:  # greedy turns draw no log-probs
-                pad = getattr(tt, name)[:, :mask.shape[1]]
-                pad[...] = np.where(mask, np.stack(col, axis=1), pad)
+    mask, state, q, o, a = alive[:t], s[:t], q[:t], o[:t], a[:t]
+    prev = np.concatenate([np.full((1, n), -1), o[:-1]])
+    # a switch cell holds (KEEP, SWITCH); turn 0 has no switch log-prob
+    lp_sw = np.concatenate([np.full((1, n), np.nan),
+                            lp_sw.take((state[1:] * n_o + prev[1:]) * 2 + q[1:])])
+    cols = {"mask": mask, "state": state, "prev_subgoal": prev, "q": q, "subgoal": o,
+            "action": a, "reward": rew_tab.take(state * n_a + a), "lp_switch": lp_sw,
+            "lp_subgoal": lp_hi.take(state * n_o + o),
+            "lp_action": lp_lo.take((state * n_o + o) * n_a + a)}
+    for name, col in cols.items():
+        np.copyto(getattr(tt, name)[:, :t], col.T, where=mask.T)
     tt.lp_subgoal[tt.q == KEEP] = np.nan
     tt.raw_reward[:] = tt.reward
     tt.length[:] = tt.mask.sum(axis=1)
-    tt.terminated[:] = final >= 0
-    tt.final_state[:] = np.where(alive, s, final)  # truncated at the horizon
+    tt.terminated[:] = ~alive[t]
+    # the state after the last turn: a terminal one, or where the horizon cut
+    tt.final_state[:] = s[tt.length, np.arange(n)]
+    return tt
+
+
+def _walk(env: EnvModel, params: PolicyParams, state: np.ndarray,
+          tt: TurnTable) -> TurnTable:
+    """Greedy episodes (argmax, no log-probs) from the given start states,
+    written into the empty table `tt`.
+
+    A greedy turn is a function of its context (state, previous subgoal), so
+    the argmax turn and successor of every context are built once; each turn
+    is then one gather of the successors.  Context s * (O + 1) + p + 1 holds
+    (s, p), p = -1 standing for turn 0, and one more context stands for an
+    ended episode: it holds the table's padding and is its own successor."""
+    nxt_tab, rew_tab, done_tab = transition_tables(env)
+    n_o, width = params.n_options, params.n_options + 1
+    s, prev = np.divmod(np.arange(env.n_states * width), width)
+    prev -= 1
+    switch, subgoal, action = (np.argmax(cell_rows(x), axis=1)
+                               for x in (params.switch, params.subgoal, params.action))
+    q = np.where(prev < 0, SWITCH, switch[s * n_o + np.maximum(prev, 0)])
+    o = np.where(q == KEEP, prev, subgoal[s])
+    a = action[s * n_o + o]
+    nxt, done = nxt_tab[s, a], done_tab[s, a]
+    end = s.size
+    succ = np.append(np.where(done, end, nxt * width + o + 1), end)
+    path = np.empty((env.horizon + 1, state.size), dtype=np.int64)
+    path[0] = state * width
+    for t in range(env.horizon):
+        path[t + 1] = succ.take(path[t])
+    ctx = path[:-1].T
+    mask = ctx < end
+    live = ctx[mask]
+    tt.mask[:] = mask
+    for name, col in (("state", s), ("prev_subgoal", prev), ("q", q), ("subgoal", o),
+                      ("action", a), ("reward", rew_tab[s, a])):
+        getattr(tt, name)[mask] = col[live]
+    tt.raw_reward[:] = tt.reward
+    tt.length[:] = mask.sum(axis=1)
+    last = ctx[np.arange(state.size), tt.length - 1]
+    tt.terminated[:] = done[last]
+    tt.final_state[:] = nxt[last]
     return tt
 
 
@@ -182,11 +213,12 @@ def segment_masks(tt: TurnTable) -> SegmentMasks:
     if t_max > 1:
         next_boundary[:, :-1] = is_boundary[:, 1:]
     seg_final = tt.mask & (is_last | next_boundary)
-    seg_end = np.zeros((n, t_max), dtype=np.int64)
-    carry = tt.length.copy()
-    for t in range(t_max - 1, -1, -1):
-        seg_end[:, t] = carry
-        carry = np.where(is_boundary[:, t], t, carry)
+    # the first boundary after each turn, else the length: a running minimum
+    # from the right over the boundaries' turn indices
+    seg_end = np.empty((n, t_max), dtype=np.int64)
+    seg_end[:, -1:] = tt.length[:, None]
+    seg_end[:, :-1] = np.where(is_boundary[:, 1:], cols[1:], tt.length[:, None])
+    np.minimum.accumulate(seg_end[:, ::-1], axis=1, out=seg_end[:, ::-1])
     return SegmentMasks(is_boundary, seg_final, seg_end, is_last)
 
 
@@ -254,12 +286,15 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     d_high[hi] = delta[lo[0].size:]
     gtilde[hi] = gtilde_hi
 
-    a_low = _backward_sums(d_low, tt.mask, np.reshape(gamma * cfg.lambda_low, (-1, 1)),
-                           sm.seg_final)
-    # high level: one macro-step per segment, carried unchanged in between
-    a_high = _backward_sums(d_high, tt.mask,
-                            np.where(sm.is_boundary, gtilde * cfg.lambda_high, 1.0),
-                            np.zeros_like(tt.mask))
+    # both levels in one recursion over their stacked grids: the low level
+    # restarts at each segment's last turn; the high level takes one
+    # macro-step per segment, carried unchanged in between
+    decay_low = np.broadcast_to(np.reshape(gamma * cfg.lambda_low, (-1, 1)), (n, t_max))
+    a_low, a_high = _backward_sums(
+        np.concatenate([d_low, d_high]), np.concatenate([tt.mask, tt.mask]),
+        np.concatenate([decay_low,
+                        np.where(sm.is_boundary, gtilde * cfg.lambda_high, 1.0)]),
+        np.concatenate([sm.seg_final, np.zeros_like(tt.mask)])).reshape(2, n, t_max)
     a_high[~sm.is_boundary] = 0.0
 
     # switching level
@@ -544,29 +579,33 @@ def site_pass(sites: Sites, slab: np.ndarray, idx: np.ndarray | None = None,
     (`Sites.slab`): one log-softmax over their columns, each max and sum
     one reduce over the outer axis.  That sums a column left to right, the
     order numpy sums a row of up to 7 choices in, so a head of up to 7
-    choices has the bits a per-row softmax gives it.  With `soft`, also the
-    action head's softmax, as the flat trainer weighs its scores."""
+    choices has the bits a per-row `policy.log_softmax` gives it.  From 8
+    choices numpy sums a row pairwise, and the two differ in the last bits:
+    within 1e-14 up to 64 choices (3.6e-15 at most at logit scale 3).  With
+    `soft`, also the action head's softmax, as the flat trainer weighs its
+    scores."""
     present = sites.present if idx is None else sites.present[:, idx]
     if head is None:
-        heads, pos = np.nonzero(present)
+        heads, pos = present.nonzero()
         block, span = sites.block, (0, slab.size)
     else:
         pos = np.flatnonzero(present[head])
         heads = np.full(pos.size, head)
         block, span = sites.block[:sites.widths[head]], sites.spans[head]
     site = heads * sites.present.shape[1] + (pos if idx is None else idx[pos])
-    ends = np.cumsum(np.bincount(heads, minlength=len(HEADS))).tolist()
-    # np.take keeps C order, where the outer-axis reduces run whole rows at once
-    ent = np.take(block, site, axis=1)
-    z = np.take(slab, ent)
+    ends = np.bincount(heads, minlength=len(HEADS)).cumsum().tolist()
+    # take keeps C order, where the outer-axis reduces run whole rows at once
+    ent = block.take(site, axis=1)
+    z = slab.take(ent)
     z -= z.max(axis=0)
     e = np.exp(z)
     total = e.sum(axis=0)
-    lp = z - np.log(total)
-    at = np.take(sites.chosen, site) * site.size + np.arange(site.size)
-    return SitePass(site, pos, np.take(ent, at), np.take(lp, at), ent, lp, np.exp(lp),
-                    e[:, :ends[0]] / total[:ends[0]] if soft else None,
-                    list(zip([0] + ends, ends)), span)
+    soft = e[:, :ends[0]] / total[:ends[0]] if soft else None
+    # the log-probs overwrite z, and their exp e
+    lp = np.subtract(z, np.log(total), out=z)
+    at = sites.chosen.take(site) * site.size + np.arange(site.size)
+    return SitePass(site, pos, ent.take(at), lp.take(at), ent, lp, np.exp(lp, out=e),
+                    soft, list(zip([0] + ends, ends)), span)
 
 
 def site_scores(sp: SitePass, weight: np.ndarray, probs: np.ndarray | None = None,

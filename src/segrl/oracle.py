@@ -642,10 +642,6 @@ class VarianceReport:
     def reduction_confirmed(self) -> bool:
         return self.ci_diff[1] <= 0.0
 
-    @property
-    def overlapping(self) -> bool:
-        return not (self.ci_low[1] < self.ci_flat[0] or self.ci_flat[1] < self.ci_low[0])
-
 
 def variance_reports(env: EnvModel, params: PolicyParams, values: OracleValues,
                      turns, n: int, seed: int, n_boot: int = 1000,

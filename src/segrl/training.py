@@ -172,17 +172,33 @@ def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
 @dataclass
 class _Sites:
     """A batch's sites (`batch.head_sites`) with what the trainer weighs
-    them by and the reference log-probs, in the layout's block.  The
-    hierarchical trainer's `adv` and `beh` (behavior log-prob) are per site,
-    and `scored` drops the switch sites the parser flagged malformed from its
-    surrogate; the flat trainer's are per row (its advantage and joint
-    behavior log-prob), and `scored` is None."""
+    them by, packed in one block whose site columns a minibatch reads with
+    one `take`: each column holds the reference log-probs of the site's cell
+    (laid out as the layout's block), then a behavior log-prob and an
+    advantage.  The hierarchical trainer's are per site, and `scored` drops
+    the switch sites the parser flagged malformed from its surrogate (None
+    when every site is scored, as in every rollout).  The flat trainer's
+    are per row (its joint behavior log-prob and its advantage), in the
+    action head's columns, which are the rows'."""
 
     layout: Sites
-    ref: np.ndarray               # (max width, 3n)
-    adv: np.ndarray
-    beh: np.ndarray
+    packed: np.ndarray            # (max width + 2, 3n)
     scored: np.ndarray | None     # (3n,) bool
+    flat: bool
+
+    @property
+    def beh(self) -> np.ndarray:
+        """The behavior log-probs, per site (per row when flat); a view."""
+        return self.packed[-2, :self._cols]
+
+    @property
+    def adv(self) -> np.ndarray:
+        """The advantages, per site (per row when flat); a view."""
+        return self.packed[-1, :self._cols]
+
+    @property
+    def _cols(self) -> int:
+        return self.layout.present.shape[1] if self.flat else self.packed.shape[1]
 
 
 def _whiten_sites(sites: _Sites) -> None:
@@ -196,19 +212,24 @@ def _whiten_sites(sites: _Sites) -> None:
 def _sites(rows: TurnRows, params: PolicyParams, flat: bool,
            ref_lp: np.ndarray) -> _Sites:
     layout = head_sites(rows, params)
-    ref = np.take(layout.slab(ref_lp), layout.block)
+    width, n = layout.block.shape[0], len(rows)
+    packed = np.zeros((width + 2, layout.block.shape[1]))
+    # the block is in range: "clip" writes `out` without the copy "raise" makes
+    layout.slab(ref_lp).take(layout.block, out=packed[:width], mode="clip")
     present = layout.present
     if flat:
-        beh = rows.lp_action.copy()
+        beh = packed[width, :n]
+        beh[:] = rows.lp_action
         beh[present[1]] += rows.lp_subgoal[present[1]]
         beh[present[2]] += rows.lp_switch[present[2]]
-        return _Sites(layout, ref, rows.adv_flat, beh, None)
+        packed[-1, :n] = rows.adv_flat
+        return _Sites(layout, packed, None, True)
+    np.concatenate([rows.lp_action, rows.lp_subgoal, rows.lp_switch], out=packed[width])
+    np.concatenate([rows.adv_low, rows.adv_high, rows.adv_switch], out=packed[-1])
     scored = present.copy()
     scored[2] &= rows.format_ok
-    return _Sites(layout, ref,
-                  np.concatenate([rows.adv_low, rows.adv_high, rows.adv_switch]),
-                  np.concatenate([rows.lp_action, rows.lp_subgoal, rows.lp_switch]),
-                  scored.ravel())
+    return _Sites(layout, packed, None if (scored == present).all() else scored.ravel(),
+                  False)
 
 
 def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
@@ -228,30 +249,38 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
     if n == 0:
         zeros = np.zeros_like(slab) if grad else None
         return 0.0, zeros, 0.0, zeros
-    sp = site_pass(sites.layout, slab, idx, soft=sites.scored is None)
-    diff = sp.lp - np.take(sites.ref, sp.site, axis=1)
+    sp = site_pass(sites.layout, slab, idx, soft=sites.flat)
+    # each site's reference log-probs, behavior log-prob and advantage; the
+    # log-prob differences overwrite the reference log-probs, and the KL
+    # terms the log-probs, which nothing reads after
+    packed = sites.packed.take(sp.site, axis=1)
+    diff = np.subtract(sp.lp, packed[:-2], out=packed[:-2])
     # a pad row adds p * diff = 0 * (finite) to its column's KL
-    kl = (sp.p * diff).sum(axis=0)
+    kl = np.multiply(sp.p, diff, out=sp.lp).sum(axis=0)
     kl_sum, probs = 0.0, None
     for lo, hi in sp.bounds:
         kl_sum += float(kl[lo:hi].sum())
-    if sites.scored is None:
+    if sites.flat:
         joint = np.bincount(sp.pos, sp.live, minlength=n)  # action, subgoal, switch
-        value, w = _clipped_surrogate(np.exp(joint - sites.beh[idx]),
-                                      sites.adv[idx], eps)
+        # the action sites come first, one per row in `idx` order
+        value, w = _clipped_surrogate(np.exp(joint - packed[-2, :n]), packed[-1, :n], eps)
         surrogate, w = float(value.sum()), w[sp.pos]
         probs = np.concatenate([sp.soft, sp.p[:, sp.soft.shape[1]:]], axis=1)
     else:
-        value, w = _clipped_surrogate(np.exp(sp.live - sites.beh[sp.site]),
-                                      sites.adv[sp.site], eps)
-        scored = sites.scored[sp.site]
+        value, w = _clipped_surrogate(np.exp(sp.live - packed[-2]), packed[-1], eps)
         surrogate = 0.0
-        for lo, hi in sp.bounds:
-            surrogate += float(value[lo:hi][scored[lo:hi]].sum())
-        w = np.where(scored, w, 0.0)
+        if sites.scored is None:
+            for lo, hi in sp.bounds:
+                surrogate += float(value[lo:hi].sum())
+        else:
+            scored = sites.scored[sp.site]
+            for lo, hi in sp.bounds:
+                surrogate += float(value[lo:hi][scored[lo:hi]].sum())
+            w = np.where(scored, w, 0.0)
     if not grad:
         return surrogate, None, kl_sum / n, None
-    g_kl = np.bincount(sp.ent.ravel(), (sp.p * (diff - kl)).ravel(), minlength=slab.size)
+    terms = np.multiply(sp.p, np.subtract(diff, kl, out=diff), out=diff)
+    g_kl = np.bincount(sp.ent.ravel(), terms.ravel(), minlength=slab.size)
     g_kl *= 1.0 / n
     return surrogate, site_scores(sp, w, probs), kl_sum / n, g_kl
 
@@ -269,6 +298,8 @@ def evaluate(params: PolicyParams, env: EnvModel, episodes: int,
     """
     if mode not in ("greedy", "sample"):
         raise ValueError("mode must be 'greedy' or 'sample'")
+    if episodes < 1:  # zero episodes have no success rate or mean
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     tt = rollout_batch(env, params, episodes, derive_seed(seed, _EVAL_STREAM),
                        greedy=(mode == "greedy"))
     return batch_stats(tt, goal_state=getattr(env, "goal_state", None))
@@ -280,7 +311,8 @@ def evaluate(params: PolicyParams, env: EnvModel, episodes: int,
 
 def _check_finite(name: str, it: int, *values) -> None:
     """Raise TrainingDiverged unless every value or array is finite."""
-    if not all(np.isfinite(v).all() for v in values):
+    if not all(math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
+               for v in values):
         raise TrainingDiverged(f"non-finite {name} at iteration {it}")
 
 

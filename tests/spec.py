@@ -11,9 +11,11 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   them and the padded table;
 * `segment_views` (macro-reward and duration discount per segment) and
   `returns_to_go` for `batch.segment_masks` / `returns_matrix` and the
-  high-head rows of `critic_batch_from_table`;
+  high-head rows of `critic_batch_from_table`, and `seg_end_loop`, the
+  backward loop over turns, for `segment_masks`' running minimum;
 * `rollout` (with `CounterRng`, `sample_turn`, `greedy_turn` and
-  `apply_keep_penalty`) for `rollout_batch`;
+  `apply_keep_penalty`) for `rollout_batch`, sampled or greedy (its walk
+  over the contexts' successors);
 * `estimate_batch` for `advantage_arrays`: the segment recursions
   `low_td_residuals` (with `v_next`), `low_advantages` and
   `high_advantages`, plus `switch_advantages`; `flat_gae` for
@@ -36,7 +38,8 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   `np.add.at` scatter) for `oracle.mc_gradient_hae`;
 * `variance_report`, one turn with its own rollout loop and the one-shot
   bootstrap (the whole (n_boot, n) index matrix drawn at once), for
-  `oracle.variance_reports`;
+  `oracle.variance_reports`, and `overlapping`, whether a report's two
+  intervals overlap;
 * `enumerate_trajectories`, a depth-first recursion that builds one
   `Trajectory` per leaf, for `oracle.enumeration_table`;
 * `conditional_switch_values_enumerated`, leaf-averaged switch-context
@@ -195,6 +198,17 @@ def segment_views(traj: Trajectory, gamma: float) -> list[SegmentView]:
         views.append(SegmentView(k, start, stop, traj.turns[start].subgoal,
                                  acc, gamma ** (stop - start)))
     return views
+
+
+def seg_end_loop(tt: TurnTable) -> np.ndarray:
+    """`segment_masks(tt).seg_end` over the whole padded grid, one turn at a
+    time from the last: the next boundary turn after t, else the length."""
+    out = np.zeros(tt.mask.shape, dtype=np.int64)
+    carry = tt.length.copy()
+    for t in range(tt.max_turns - 1, -1, -1):
+        out[:, t] = carry
+        carry = np.where(tt.mask[:, t] & (tt.q[:, t] == SWITCH), t, carry)
+    return out
 
 
 def returns_to_go(traj: Trajectory, gamma: float) -> np.ndarray:
@@ -687,6 +701,11 @@ def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
         t=t, n=n,
         var_low=float(a_low.var(ddof=1)), var_flat=float(a_flat.var(ddof=1)),
         ci_low=ci(bl), ci_flat=ci(bf), ci_diff=ci(bl - bf))
+
+
+def overlapping(rep: VarianceReport) -> bool:
+    """Whether a variance report's intervals for the two estimators overlap."""
+    return not (rep.ci_low[1] < rep.ci_flat[0] or rep.ci_flat[1] < rep.ci_low[0])
 
 
 

@@ -119,7 +119,7 @@ def test_c05_variance_reduction(bench):
     overlaps = []
     for rep in variance_reports(env, eq_params, eq_values, range(env.horizon),
                                 n=10000, seed=4):
-        overlaps.append(rep.overlapping)
+        overlaps.append(spec.overlapping(rep))
         assert abs(rep.var_low - rep.var_flat) < 1e-10
     assert all(overlaps)
     elapsed = time.time() - start

@@ -9,13 +9,13 @@ from segrl.batch import (_advantage_arrays, advantage_arrays,
                          batch_stats, critic_batch_from_table,
                          flat_advantage_arrays, flat_batch_from_table,
                          gather_rows, head_sites, record_behavior, returns_matrix,
-                         rollout_batch, segment_masks)
+                         rollout_batch, segment_masks, site_pass)
 from segrl.core import KEEP, SWITCH, MalformedTrajectory
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import mc_gradient_hae, oracle_values, random_tables, solve_dp
-from segrl.policy import GradTables, PolicyParams, fetchchain_phased, softmax
+from segrl.policy import GradTables, PolicyParams, fetchchain_phased, log_softmax, softmax
 from segrl.training import _ref_log_probs, _sites, _whiten_sites
 
 import spec
@@ -149,6 +149,55 @@ class TestRolloutBatch:
             assert single.truncated == traj.truncated
             assert single.final_state == traj.final_state
 
+    @pytest.mark.parametrize("case", ["walk", "one-step", "tied-logits"])
+    def test_greedy_walk_matches_single_rollouts_bitwise(self, case):
+        if case == "walk":  # clockless: waiting at cell 0 revisits a context
+            env = Walk(horizon=7)
+            params = PolicyParams.random(np.random.default_rng(4), env.n_states, 2,
+                                         env.n_actions, scale=0.8)
+            params.action[0, :, 1] = params.action[1:3, :, 0] = 5.0
+        elif case == "one-step":
+            env = OneStep()
+            params = PolicyParams.random(np.random.default_rng(5), env.n_states, 2,
+                                         env.n_actions)
+        else:  # argmax ties go to the lowest index
+            env = FetchChain(3, 6)
+            params = _tied_params(env)
+        tt = rollout_batch(env, params, 24, seed=5, c_keep=0.2, episode_offset=3,
+                           greedy=True)
+        for ep, traj in enumerate(spec.records(tt)):
+            single = spec.rollout(env, params, env.horizon, CounterRng(5, 3 + ep),
+                                  c_keep=0.2, greedy=True)
+            assert single.turns == traj.turns
+            assert single.truncated == traj.truncated
+            assert single.final_state == traj.final_state
+        if case == "walk":  # from cell 1 the goal is two steps away
+            from_0 = tt.state[:, 0] == 0
+            assert from_0.any() and not from_0.all()
+            assert (tt.length[from_0] == env.horizon).all()
+            assert not tt.terminated[from_0].any() and tt.terminated[~from_0].all()
+            assert (tt.length[~from_0] == 2).all()
+            ep = np.argmax(from_0)
+            contexts = set(zip(tt.state[ep].tolist(), tt.prev_subgoal[ep].tolist()))
+            assert len(contexts) < env.horizon
+
+    def test_greedy_walk_of_no_episodes(self, env_and_params):
+        env, params = env_and_params
+        sampled = rollout_batch(env, params, 0, seed=5)
+        greedy = rollout_batch(env, params, 0, seed=5, greedy=True)
+        for name, col in vars(sampled).items():
+            got = getattr(greedy, name)
+            assert got.shape == col.shape and got.dtype == col.dtype, name
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("n_episodes, offset", [(-3, 0), (2, -2)])
+    def test_negative_counts_refused(self, env_and_params, n_episodes, offset, greedy):
+        # an offset of -1 would key episode 2**64 - 1's stream
+        env, params = env_and_params
+        with pytest.raises(ValueError, match="n_episodes and episode_offset must be >= 0"):
+            rollout_batch(env, params, n_episodes, seed=0, episode_offset=offset,
+                          greedy=greedy)
+
     def test_episode_offset_changes_draws(self, env_and_params):
         env, params = env_and_params
         a = rollout_batch(env, params, 4, seed=1, episode_offset=0)
@@ -252,6 +301,23 @@ class TestTableConversions:
                 assert sm.seg_end[i, t] == end
                 assert sm.seg_final[i, t] == (t == end - 1)
             assert list(np.nonzero(sm.is_boundary[i, :t_total])[0]) == bounds[:-1]
+
+    @pytest.mark.parametrize("case", ["random", "one turn", "no episodes",
+                                      "one segment"])
+    def test_segment_ends_match_the_loop(self, rng, case):
+        # the whole padded grid, padding included
+        if case == "random":
+            trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(30)]
+        elif case == "one turn":
+            trajs = [traj_from([SWITCH], [1.0]), traj_from([SWITCH], [0.0], done=False)]
+        elif case == "no episodes":
+            trajs = []
+        else:  # no boundary after turn 0, beside a shorter episode
+            trajs = [traj_from([SWITCH, KEEP, KEEP, KEEP], [0, 0, 0, 1]),
+                     traj_from([SWITCH, SWITCH], [0, 1])]
+        tt = spec.table(trajs)
+        assert tt.max_turns == {"one turn": 1, "no episodes": 0}.get(case, tt.max_turns)
+        assert np.array_equal(segment_masks(tt).seg_end, spec.seg_end_loop(tt))
 
     def test_returns_matrix_matches_reference(self, rng):
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(20)]
@@ -457,6 +523,26 @@ class TestScoreKernel:
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(np.isnan(a), np.isnan(b)), name
             assert np.allclose(a[~np.isnan(a)], b[~np.isnan(b)], atol=1e-12), name
+
+    def test_log_probs_by_head_width(self):
+        # the pass sums a column left to right, as numpy sums a row of up to
+        # 7 choices; a wider row numpy sums pairwise
+        for width in range(2, 65):
+            rng = np.random.default_rng(width)
+            params = PolicyParams.random(rng, 5, width, width, scale=3.0)
+            rows = gather_rows(spec.table(
+                [random_trajectory(rng, 5, width, width, max_turns=8) for _ in range(10)]))
+            sites = head_sites(rows, params)
+            sp = site_pass(sites, sites.slab(params.theta))
+            cells = (params.action[rows.state, rows.subgoal], params.subgoal[rows.state],
+                     params.switch[rows.state, rows.prev_subgoal])
+            for h, ((lo, hi), cell) in enumerate(zip(sp.bounds, cells)):
+                want = log_softmax(cell[sp.pos[lo:hi]], axis=1)
+                got = sp.lp[:sites.widths[h], lo:hi].T
+                if width <= 7:
+                    assert np.array_equal(got, want), (width, h)
+                else:
+                    assert np.abs(got - want).max() <= 1e-14, (width, h)
 
     def test_sites_lay_out_only_present_cells(self, rng):
         # per site, the block column holds its cell's entries of the vector,

@@ -575,6 +575,13 @@ class TestEvaluate:
         se = math.sqrt(p_exact * (1 - p_exact) / n)
         assert abs(rep.success_rate - p_exact) <= 3 * se
 
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_no_episodes_refused(self, mode):
+        # zero episodes would report NaN success, return and length
+        env = FetchChain(3, 6)
+        with pytest.raises(ValueError, match="episodes must be >= 1, got 0"):
+            evaluate(PolicyParams.uniform(env.n_states, 2, 4), env, 0, mode)
+
     def test_mode_validation(self, rng):
         env = FetchChain(3, 6)
         with pytest.raises(ValueError):
