@@ -111,6 +111,7 @@ def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, seed: int,
     gathered from those columns after the last turn.  Every episode steps
     until all are done; the turns after its end keep the table's padding."""
     nxt_tab, rew_tab, done_tab = (x.ravel() for x in transition_tables(env))
+    live_tab = ~done_tab
     n, n_o, n_a = state.size, params.n_options, env.n_actions
     (cdf_sw, lp_sw), (cdf_hi, lp_hi), (cdf_lo, lp_lo) = _head_tables(params)
     u = counter_uniform(seed, ep_ids, np.arange(env.horizon)[:, None, None],
@@ -121,14 +122,15 @@ def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, seed: int,
     s[0], q[0] = state, SWITCH  # the first turn always switches
     t = 0
     while t < env.horizon and alive[t].any():
+        cell = s[t] * n_o
         if t > 0:
-            (cdf_sw[s[t] * n_o + o[t - 1]] <= u[t, 0]).sum(axis=1, out=q[t])
+            (cdf_sw[cell + o[t - 1]] <= u[t, 0]).sum(axis=1, out=q[t])
         k = (cdf_hi[s[t]] <= u[t, 1]).sum(axis=1)
         o[t] = np.where(q[t] == KEEP, o[t - 1], k) if t else k
-        (cdf_lo[s[t] * n_o + o[t]] <= u[t, 2]).sum(axis=1, out=a[t])
+        (cdf_lo[cell + o[t]] <= u[t, 2]).sum(axis=1, out=a[t])
         sa = s[t] * n_a + a[t]
-        s[t + 1] = nxt_tab.take(sa)
-        np.logical_and(alive[t], ~done_tab.take(sa), out=alive[t + 1])
+        nxt_tab.take(sa, out=s[t + 1])
+        np.logical_and(alive[t], live_tab.take(sa), out=alive[t + 1])
         t += 1
 
     mask, state, q, o, a = alive[:t], s[:t], q[:t], o[:t], a[:t]
@@ -281,9 +283,10 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     # per turn (low) and per boundary turn (high)
     v = stacked(tables)
     delta = row_targets(rows, v) - v[rows["cell"]]
+    n_lo = delta.size - gtilde_hi.size
     d_low, d_high, gtilde = (np.zeros((n, t_max)) for _ in range(3))
-    d_low[lo] = delta[:lo[0].size]
-    d_high[hi] = delta[lo[0].size:]
+    d_low[lo] = delta[:n_lo]
+    d_high[hi] = delta[n_lo:]
     gtilde[hi] = gtilde_hi
 
     # both levels in one recursion over their stacked grids: the low level
@@ -312,13 +315,12 @@ def flat_advantage_arrays(tt: TurnTable, v_flat: np.ndarray,
     whole episode on the state-only baseline v_flat, its residuals the
     errors of one-step rows, one per turn bootstrapping at its closing state."""
     sm = segment_masks(tt)
-    eps, ts = np.nonzero(tt.mask)
-    rows = single_coupling_rows(tt.state[eps, ts], tt.weight[eps],
-                                tt.reward[eps, ts],
-                                _closing_states(tt, sm)[eps, ts],
-                                np.full(eps.size, cfg.gamma))
+    turns = np.flatnonzero(tt.mask)
+    rows = single_coupling_rows(_at(tt.state, turns), tt.weight.take(turns // tt.max_turns),
+                                _at(tt.reward, turns), _at(_closing_states(tt, sm), turns),
+                                np.full(turns.size, cfg.gamma))
     d_flat = np.zeros(tt.mask.shape)
-    d_flat[eps, ts] = row_targets(rows, v_flat) - v_flat[rows["cell"]]
+    d_flat[tt.mask] = row_targets(rows, v_flat) - v_flat[rows["cell"]]
     return _backward_sums(d_flat, tt.mask, cfg.gamma * cfg.lambda_flat, sm.is_last)
 
 
@@ -341,9 +343,15 @@ def _behavior_beta(tt: TurnTable, params: PolicyParams | None) -> np.ndarray:
 def _v_low_prev(tt: TurnTable, tables: ValueTables) -> np.ndarray:
     """v_low at (state, previous subgoal); zero where no previous subgoal."""
     out = np.zeros(tt.mask.shape)
-    ok = tt.mask & (tt.prev_subgoal >= 0)
-    out[ok] = tables.v_low[tt.state[ok], tt.prev_subgoal[ok]]
+    ok = np.flatnonzero(tt.mask & (tt.prev_subgoal >= 0))
+    out.ravel()[ok] = tables.v_low[_at(tt.state, ok), _at(tt.prev_subgoal, ok)]
     return out
+
+
+def _at(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The entries of the (n, T) grid `x` at the row-major positions `flat`
+    (`np.flatnonzero` of a mask): the order and values of `x[mask]`."""
+    return x.ravel().take(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -367,38 +375,42 @@ def _critic_rows(tt: TurnTable, gamma: float | np.ndarray, sm: SegmentMasks,
     (see CriticBatch for the stacked cell indexing).  `gamma` is one
     discount or one per episode.
 
-    Also returns where the rows sit: the (episodes, turns) of the low rows
-    and of the high rows (each at its segment's boundary turn), and each
-    high row's duration discount g~.
+    Also returns where the rows sit, as masks over the (episode, turn) grid
+    whose row-major order is the rows' order: the low rows' turns and the
+    high rows' (each at its segment's boundary turn); and each high row's
+    duration discount g~.
     """
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (tt.n_episodes,))
     close = _closing_states(tt, sm)
+    t_max = tt.max_turns
 
     # low head: v_low inside a segment, v_high at its closing boundary
-    rows_i, ts = np.nonzero(tt.mask)
-    o = tt.subgoal[rows_i, ts]
-    lo_cell = low_cell(tt.state[rows_i, ts], o, n_states, n_options)
-    nxt = close[rows_i, ts]
-    lo_boot = np.where(sm.seg_final[rows_i, ts], nxt,
+    turns = np.flatnonzero(tt.mask)
+    rows_i = turns // t_max
+    o = _at(tt.subgoal, turns)
+    lo_cell = low_cell(_at(tt.state, turns), o, n_states, n_options)
+    nxt = _at(close, turns)
+    lo_boot = np.where(_at(sm.seg_final, turns), nxt,
                        low_cell(nxt, o, n_states, n_options))
 
     # high head: macro reward r~ and duration discount g~ per segment
-    b_rows, b_ts = np.nonzero(sm.is_boundary)
-    g = returns_matrix(tt, gamma)
-    ends = sm.seg_end[b_rows, b_ts]
+    starts = np.flatnonzero(sm.is_boundary)
+    b_rows, b_ts = np.divmod(starts, t_max)
+    g = returns_matrix(tt, gamma).ravel()
+    ends = _at(sm.seg_end, starts)
     gtilde = gamma[b_rows] ** (ends - b_ts).astype(np.float64)
-    open_end = ends < tt.length[b_rows]
-    g_end = np.where(open_end, g[b_rows, np.minimum(ends, tt.max_turns - 1)], 0.0)
-    rtilde = g[b_rows, b_ts] - gtilde * g_end
-    hi_boot = close[b_rows, ends - 1]
+    open_end = ends < tt.length.take(b_rows)
+    g_end = np.where(open_end, g.take(b_rows * t_max + np.minimum(ends, t_max - 1)), 0.0)
+    rtilde = g.take(starts) - gtilde * g_end
+    hi_boot = close.ravel().take(b_rows * t_max + ends - 1)
 
     rows = single_coupling_rows(
-        np.concatenate([lo_cell, tt.state[b_rows, b_ts]]),
-        np.concatenate([tt.weight[rows_i], tt.weight[b_rows]]),
-        np.concatenate([tt.reward[rows_i, ts], rtilde]),
+        np.concatenate([lo_cell, _at(tt.state, starts)]),
+        np.concatenate([tt.weight.take(rows_i), tt.weight.take(b_rows)]),
+        np.concatenate([_at(tt.reward, turns), rtilde]),
         np.concatenate([lo_boot, hi_boot]),
-        np.concatenate([gamma[rows_i], gtilde]))
-    return rows, (rows_i, ts), (b_rows, b_ts), gtilde
+        np.concatenate([gamma.take(rows_i), gtilde]))
+    return rows, tt.mask, sm.is_boundary, gtilde
 
 
 def critic_batch_from_table(tt: TurnTable, gamma: float, n_states: int,
@@ -421,10 +433,10 @@ def flat_batch_from_table(tt: TurnTable, gamma: float, n_states: int) -> CriticB
     high head of a batch without options) toward the observed return-to-go,
     with no bootstrap coupling."""
     g = returns_matrix(tt, gamma)
-    rows_i, ts = np.nonzero(tt.mask)
-    rows = single_coupling_rows(tt.state[rows_i, ts], tt.weight[rows_i],
-                                g[rows_i, ts], np.full(rows_i.size, -1),
-                                np.zeros(rows_i.size))
+    turns = np.flatnonzero(tt.mask)
+    rows = single_coupling_rows(_at(tt.state, turns), tt.weight.take(turns // tt.max_turns),
+                                _at(g, turns), np.full(turns.size, -1),
+                                np.zeros(turns.size))
     return CriticBatch.from_rows(rows, n_states, 0)
 
 
@@ -459,22 +471,23 @@ class TurnRows:
 
 def gather_rows(tt: TurnTable, adv: BatchAdvantages | None = None) -> TurnRows:
     """The table's turns in row-major order, with `adv`'s advantages."""
-    eps, ts = np.nonzero(tt.mask)
+    turns = np.flatnonzero(tt.mask)
+    eps, ts = np.divmod(turns, tt.max_turns)
     advs = {} if adv is None else dict(
-        adv_low=adv.a_low[eps, ts], adv_high=adv.a_high[eps, ts],
-        adv_switch=adv.a_switch[eps, ts])
+        adv_low=_at(adv.a_low, turns), adv_high=_at(adv.a_high, turns),
+        adv_switch=_at(adv.a_switch, turns))
     return TurnRows(
-        state=tt.state[eps, ts],
-        prev_subgoal=tt.prev_subgoal[eps, ts],
-        q=tt.q[eps, ts],
-        subgoal=tt.subgoal[eps, ts],
-        action=tt.action[eps, ts],
+        state=_at(tt.state, turns),
+        prev_subgoal=_at(tt.prev_subgoal, turns),
+        q=_at(tt.q, turns),
+        subgoal=_at(tt.subgoal, turns),
+        action=_at(tt.action, turns),
         episode=eps,
         t=ts,
-        lp_switch=tt.lp_switch[eps, ts],
-        lp_subgoal=tt.lp_subgoal[eps, ts],
-        lp_action=tt.lp_action[eps, ts],
-        format_ok=tt.format_ok[eps, ts],
+        lp_switch=_at(tt.lp_switch, turns),
+        lp_subgoal=_at(tt.lp_subgoal, turns),
+        lp_action=_at(tt.lp_action, turns),
+        format_ok=_at(tt.format_ok, turns),
         **advs,
     )
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from .core import InputError
 from .envs import EnvModel, make_env
 from . import training
+from .policy import policy_size
 from .training import PPOConfig
 
 
@@ -32,6 +33,14 @@ RANGES = {
     "env.H": (lambda v: v >= 1, ">= 1"),
     "n_options": (lambda v: v >= 1, ">= 1"),
 }
+
+# The most logits a configured policy may hold (128 MiB of float64): a run
+# holds a few copies of the tables (the policy, its reference and the
+# reference's log-probs, the rollout's draw tables), and the critic and
+# transition tables are smaller.  FetchChain(L, H) has 2 * L * H + 2 states
+# and 4 actions, and a policy over S states, O options and A actions holds
+# S * O * (3 + A) logits, so with 2 options L * H may reach about 599,000.
+MAX_POLICY_LOGITS = 2 ** 24
 
 
 @dataclass
@@ -81,6 +90,14 @@ def parse_config_text(text: str) -> RunConfig:
     env_l = int(values.pop("env.L", 5))
     env_h = int(values.pop("env.H", 20))
     n_options = int(values.pop("n_options", 2))
+    # sized from the env's integers alone, before any table is allocated
+    env = make_env(env_name, length=env_l, horizon=env_h)
+    size = policy_size(env.n_states, n_options, env.n_actions)
+    if size > MAX_POLICY_LOGITS:
+        keys = (f"'env.L' = {env_l}, 'env.H' = {env_h}, " if env_name == "fetchchain"
+                else "") + f"'n_options' = {n_options}"
+        raise ConfigError(f"the policy would hold {size} logits, more than "
+                          f"{MAX_POLICY_LOGITS} (2**24): {keys}")
     ppo = PPOConfig(**values)  # type: ignore[arg-type]
     return RunConfig(ppo=ppo, env_name=env_name, env_l=env_l, env_h=env_h,
                      n_options=n_options)

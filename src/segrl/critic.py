@@ -103,13 +103,14 @@ class CriticBatch:
         """y per row: its reward plus its discounted bootstrap lookups."""
         return row_targets(self.rows, stacked(tables))
 
-    def mean_targets(self, tables: ValueTables) -> np.ndarray:
-        """Per-cell w-weighted mean target over the stacked tables (0 where
-        unvisited)."""
-        num = np.bincount(self.rows["cell"],
-                          weights=self.rows["w"] * self.row_targets(tables),
-                          minlength=self.w.size)
-        return np.divide(num, self.w, out=np.zeros_like(num), where=self.w > 0)
+    def head_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: whether it is a high-head row, and its weight over its
+        head's total weight (0 in a head of no weight)."""
+        high = self.rows["cell"] < self.n_states
+        head_w = np.where(high, self.w[:self.n_states].sum(),
+                          self.w[self.n_states:].sum())
+        return high, np.divide(self.rows["w"], head_w, out=np.zeros_like(head_w),
+                               where=head_w > 0)
 
     def mse_and_grad(self, tables: ValueTables,
                      target_tables: ValueTables | None = None
@@ -123,21 +124,11 @@ class CriticBatch:
         r = self.rows
         tgt = tables if target_tables is None else target_tables
         err = stacked(tables)[r["cell"]] - self.row_targets(tgt)
-        high = r["cell"] < self.n_states
-        head_w = np.where(high, self.w[:self.n_states].sum(),
-                          self.w[self.n_states:].sum())
-        wn = np.divide(r["w"], head_w, out=np.zeros_like(head_w),
-                       where=head_w > 0)
+        high, wn = self.head_weights()
         sq = wn * err * err
         grad = np.bincount(r["cell"], weights=2.0 * wn * err,
                            minlength=self.w.size)
         return float(sq[~high].sum()), float(sq[high].sum()), grad
-
-    def batch_mse(self, tables: ValueTables,
-                  target_tables: ValueTables | None = None) -> tuple[float, float]:
-        """Weighted MSE per head, (low, high); see `mse_and_grad`."""
-        lo, hi, _ = self.mse_and_grad(tables, target_tables)
-        return lo, hi
 
 
 def row_targets(rows: dict, v: np.ndarray) -> np.ndarray:
@@ -196,13 +187,24 @@ def fit_critic(tables: ValueTables, batch: CriticBatch, lr: float,
     if not lr >= 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     v = stacked(tables)
+    if v.size != batch.w.size:
+        raise ValueError(f"the tables hold {v.size} cells, the batch {batch.w.size}")
     out = unstacked(v, tables.n_states)    # views: they follow updates of v
-    vis = batch.w > 0
+    r = batch.rows
+    high, wn = batch.head_weights()
+    low = ~high
+    vis = np.flatnonzero(batch.w > 0)
+    w_vis = batch.w[vis]
     report = CriticFitReport([], [])
     for _ in range(epochs):
-        mse_lo, mse_hi = batch.batch_mse(out)
-        report.mse_low.append(mse_lo)
-        report.mse_high.append(mse_hi)
-        ybar = batch.mean_targets(out)
-        v[vis] -= 2.0 * lr * (v[vis] - ybar[vis])
+        # one target pass: the epoch's per-head MSE (`mse_and_grad`'s) and
+        # each visited cell's w-weighted mean target
+        y = row_targets(r, v)
+        err = v[r["cell"]] - y
+        sq = wn * err * err
+        report.mse_low.append(float(sq[low].sum()))
+        report.mse_high.append(float(sq[high].sum()))
+        num = np.bincount(r["cell"], weights=r["w"] * y, minlength=v.size)
+        x = v[vis]
+        v[vis] = x - 2.0 * lr * (x - num[vis] / w_vis)
     return out, report

@@ -43,6 +43,13 @@ class EnvModel(Protocol):
         ...
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class FetchChain:
     """Two-stage pick-and-deliver task on a chain of L cells.
 
@@ -57,6 +64,7 @@ class FetchChain:
     """
 
     def __init__(self, length: int = 3, horizon: int = 6):
+        length, horizon = _integer("length", length), _integer("horizon", horizon)
         if length < 2:
             raise ValueError("FetchChain needs at least 2 cells")
         if horizon < 1:
@@ -129,6 +137,7 @@ class OneStep:
     """
 
     def __init__(self, n_actions: int = 2, reward: float = 10.0):
+        n_actions = _integer("n_actions", n_actions)
         if n_actions < 1:
             raise ValueError("need at least one action")
         self.n_actions = n_actions
@@ -165,7 +174,9 @@ def transition_tables(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     Terminal rows self-loop with zero reward so vectorized rollouts can
     gather unconditionally; callers mask them out via episode liveness.
-    The tables are built once per env object and are read-only.
+    The tables are built once per env object and are read-only.  A
+    FetchChain's come from array arithmetic over its state codec; any
+    other env's from one `env.transition` call per (state, action).
     """
     try:
         return _TABLES[env]
@@ -181,16 +192,49 @@ def _dense_tables(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nxt = np.empty((n_s, n_a), dtype=np.int64)
     rew = np.zeros((n_s, n_a), dtype=np.float64)
     done = np.zeros((n_s, n_a), dtype=bool)
-    for s in range(n_s):
-        if env.is_terminal(s):
-            nxt[s, :] = s
-            done[s, :] = True
-            continue
-        for a in range(n_a):
-            nxt[s, a], rew[s, a], done[s, a] = env.transition(s, a)
+    if isinstance(env, FetchChain):
+        _fetchchain_tables(env, nxt, rew, done)
+    else:
+        for s in range(n_s):
+            if env.is_terminal(s):
+                nxt[s, :] = s
+                done[s, :] = True
+                continue
+            for a in range(n_a):
+                nxt[s, a], rew[s, a], done[s, a] = env.transition(s, a)
     for table in (nxt, rew, done):
         table.flags.writeable = False
     return nxt, rew, done
+
+
+def _fetchchain_tables(env: FetchChain, nxt: np.ndarray, rew: np.ndarray,
+                       done: np.ndarray) -> None:
+    """Fill the zeroed tables with every (state, action) outcome of
+    `FetchChain.transition`, decoded and re-encoded as arrays."""
+    n_l, n_live = env.length, env._n_live
+    clock, rem = np.divmod(np.arange(n_live), 2 * n_l)
+    carrying, pos = np.divmod(rem, n_l)
+    can_pick = (pos == n_l - 1) & (carrying == 0)
+    can_drop = (pos == 0) & (carrying == 1)
+    # per action (columns LEFT, RIGHT, PICKUP, DROP): where in the next clock's
+    # block of 2L states it leads (carrying * L + position), and whether it
+    # was invalid
+    after = np.stack([np.maximum(pos - 1, 0), np.minimum(pos + 1, n_l - 1), pos, pos],
+                     axis=1)
+    after += np.stack([carrying, carrying, carrying | can_pick, carrying], axis=1) * n_l
+    valid = np.ones(n_live, dtype=bool)
+    invalid = ~np.stack([valid, valid, can_pick, can_drop], axis=1)
+    expired = (clock + 1 >= env.horizon)[:, None]
+    nxt[:n_live] = np.where(expired, env.halt_state, (clock[:, None] + 1) * 2 * n_l + after)
+    rew[:n_live] = np.where(invalid, -INVALID_ACTION_PENALTY, 0.0)
+    done[:n_live] = expired
+    # a valid drop delivers whatever the clock reads
+    nxt[:n_live, DROP][can_drop] = env.goal_state
+    rew[:n_live, DROP][can_drop] = SUCCESS_REWARD
+    done[:n_live, DROP] |= can_drop
+    # terminal rows self-loop with zero reward
+    nxt[n_live:] = np.arange(n_live, env.n_states)[:, None]
+    done[n_live:] = True
 
 
 def make_env(name: str, length: int = 3, horizon: int = 6, n_actions: int = 2) -> EnvModel:

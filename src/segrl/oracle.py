@@ -574,14 +574,15 @@ def _hae_chunk_sums(env, params, tables, runs, seed, chunk, offsets):
                    for r, (cfg, n_r) in enumerate(runs) if n_r > offset]
         sites = head_sites(rows, params)
         slab = sites.slab(params.theta)
+        turns = np.flatnonzero(tt.mask)   # the rows' places in the table
         heads = []
         for h, level in enumerate(("a_low", "a_high", "a_switch")):
             # one head's pass, then per run its per-episode sums, squared in place
             sp = site_pass(sites, slab, head=h)
-            eps, ts = rows.episode[sp.pos], rows.t[sp.pos]
+            eps, at = rows.episode.take(sp.pos), turns.take(sp.pos)
             per_run = []
             for r, k, adv in covered:
-                x = site_scores(sp, getattr(adv, level)[eps, ts], group=eps,
+                x = site_scores(sp, getattr(adv, level).ravel().take(at), group=eps,
                                 n_groups=m)[:k]
                 per_run.append((r, x.sum(axis=0), np.square(x, out=x).sum(axis=0)))
             heads.append((sites.cells[slice(*sp.span)], per_run))

@@ -26,6 +26,11 @@ def _table_shapes(n_states: int, n_options: int, n_actions: int) -> tuple:
     return (n_states, n_options, 2), (n_states, n_options), (n_states, n_options, n_actions)
 
 
+def policy_size(n_states: int, n_options: int, n_actions: int) -> int:
+    """The number of logits of a policy of these sizes: its `theta`'s length."""
+    return sum(math.prod(shape) for shape in _table_shapes(n_states, n_options, n_actions))
+
+
 class _HeadTables:
     """The switch[s, o_prev, 2], subgoal[s, |O|] and action[s, o, |A|]
     tables as views of one float64 vector `theta`, laid out switch, subgoal,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advantages import GAEConfig, whiten
-from .batch import (BatchStats, Sites, TurnRows, _advantage_arrays,
+from .batch import (BatchStats, Sites, SitePass, TurnRows, _advantage_arrays,
                     _critic_batch, batch_stats, cell_rows, flat_advantage_arrays,
                     flat_batch_from_table, gather_rows, head_sites, rollout_batch,
                     site_pass, site_scores)
@@ -154,19 +154,29 @@ def _ref_log_probs(ref: PolicyParams) -> np.ndarray:
 
 def _clipped_surrogate(ratio: np.ndarray, adv: np.ndarray, eps: float
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row surrogate min(r*A, clip(r)*A) and the active-branch weight.
+    """Per-row surrogate min(r*A, clip(r)*A) and the active-branch weight;
+    the weight overwrites `ratio`.
 
     The gradient flows through the unclipped branch whenever it attains the
     min (ties included), so at ratio 1 the clipped and unclipped gradients
     coincide.
     """
-    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
-    raw = ratio * adv
-    alt = clipped * adv
-    take_raw = raw <= alt
-    value = np.where(take_raw, raw, alt)
-    grad_w = np.where(take_raw, raw, 0.0)
-    return value, grad_w
+    value = np.clip(ratio, 1.0 - eps, 1.0 + eps)
+    value *= adv
+    raw = np.multiply(ratio, adv, out=ratio)
+    take_raw = raw <= value
+    np.copyto(value, raw, where=take_raw)
+    np.copyto(raw, 0.0, where=~take_raw)
+    return value, raw
+
+
+def _head_sums(x: np.ndarray, bounds: list) -> float:
+    """The sum of `x` over each head's columns (`SitePass.bounds`), the heads'
+    sums added as Python floats in `HEADS` order."""
+    total = 0.0
+    for lo, hi in bounds:
+        total += float(x[lo:hi].sum())
+    return total
 
 
 @dataclass
@@ -232,14 +242,33 @@ def _sites(rows: TurnRows, params: PolicyParams, flat: bool,
                   False)
 
 
+def _kl_terms(sp: SitePass, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pass's log-prob differences to the reference log-probs `ref` (one
+    column per site), written over `ref`, and each site's KL(live || ref),
+    its terms written over `sp.lp`.  A pad row adds p * diff = 0 * (finite)
+    to its column's KL."""
+    diff = np.subtract(sp.lp, ref, out=ref)
+    return diff, np.multiply(sp.p, diff, out=sp.lp).sum(axis=0)
+
+
+def _kl(sites: _Sites, slab: np.ndarray) -> float:
+    """The exact KL(live || ref) averaged over every turn row, with the bits
+    `_step` over every row gives it, but no surrogate: the metrics' KL."""
+    sp = site_pass(sites.layout, slab)
+    kl = _kl_terms(sp, sites.packed[:-2].take(sp.site, axis=1))[1]
+    return _head_sums(kl, sp.bounds) / sites.layout.present.shape[1]
+
+
 def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
-          grad: bool = True):
+          grad: bool = True, kl_per_head: bool = True):
     """The minibatch of turn rows `idx`, in that order, under the live
     logits `slab` (`Sites.slab` of the layout): the clipped surrogate summed
     over its sites and the exact KL(live || ref) averaged over its rows, each
     with its gradient wrt `slab` (None without `grad`).  The log-probs come
     from `batch.site_pass` and the surrogate gradient from
-    `batch.site_scores`.
+    `batch.site_scores`.  The KL is summed head by head, as `_kl` sums it;
+    without `kl_per_head` it is one sum over the sites, which differs in the
+    last bits and serves only to check that it is finite.
 
     The flat surrogate takes one joint ratio per row, its score the sum of
     the present heads' scores; the action head's weighs with the explicitly
@@ -254,12 +283,9 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
     # log-prob differences overwrite the reference log-probs, and the KL
     # terms the log-probs, which nothing reads after
     packed = sites.packed.take(sp.site, axis=1)
-    diff = np.subtract(sp.lp, packed[:-2], out=packed[:-2])
-    # a pad row adds p * diff = 0 * (finite) to its column's KL
-    kl = np.multiply(sp.p, diff, out=sp.lp).sum(axis=0)
-    kl_sum, probs = 0.0, None
-    for lo, hi in sp.bounds:
-        kl_sum += float(kl[lo:hi].sum())
+    diff, kl = _kl_terms(sp, packed[:-2])
+    kl_mean = (_head_sums(kl, sp.bounds) if kl_per_head else kl.sum()) / n
+    probs = None
     if sites.flat:
         joint = np.bincount(sp.pos, sp.live, minlength=n)  # action, subgoal, switch
         # the action sites come first, one per row in `idx` order
@@ -268,21 +294,20 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
         probs = np.concatenate([sp.soft, sp.p[:, sp.soft.shape[1]:]], axis=1)
     else:
         value, w = _clipped_surrogate(np.exp(sp.live - packed[-2]), packed[-1], eps)
-        surrogate = 0.0
         if sites.scored is None:
-            for lo, hi in sp.bounds:
-                surrogate += float(value[lo:hi].sum())
+            surrogate = _head_sums(value, sp.bounds)
         else:
             scored = sites.scored[sp.site]
+            surrogate = 0.0
             for lo, hi in sp.bounds:
                 surrogate += float(value[lo:hi][scored[lo:hi]].sum())
             w = np.where(scored, w, 0.0)
     if not grad:
-        return surrogate, None, kl_sum / n, None
+        return surrogate, None, kl_mean, None
     terms = np.multiply(sp.p, np.subtract(diff, kl, out=diff), out=diff)
     g_kl = np.bincount(sp.ent.ravel(), terms.ravel(), minlength=slab.size)
     g_kl *= 1.0 / n
-    return surrogate, site_scores(sp, w, probs), kl_sum / n, g_kl
+    return surrogate, site_scores(sp, w, probs), kl_mean, g_kl
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +432,8 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         surrogate_sum, turn_count = 0.0, 0
         for idx in _minibatches(derive_seed(cfg.seed, 23, it), len(rows), cfg.epochs,
                                 cfg.minibatch):
-            value, g_actor, kl, g_kl = _step(sites, idx, slab, cfg.clip_eps)
+            value, g_actor, kl, g_kl = _step(sites, idx, slab, cfg.clip_eps,
+                                             kl_per_head=False)
             _check_finite("actor surrogate", it, value, kl)
             # the surrogate is a sum over minibatch turns while the KL is a
             # per-turn mean; scale the KL gradient to the same footing
@@ -421,8 +447,7 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         theta[sites.layout.cells] = slab[:-1]
         _check_finite("policy parameters", it, theta)
 
-        kl_now = _step(sites, np.arange(len(rows)), slab, cfg.clip_eps,
-                       grad=False)[2]
+        kl_now = _kl(sites, slab)
         st = batch_stats(tt, goal_state=goal)
         greedy = evaluate(state.params, env, cfg.eval_episodes, "greedy",
                           seed=derive_seed(cfg.seed, 31, it))

@@ -101,7 +101,7 @@ def weighted_target_maps(batch):
     mean targets, entry by entry (constant part, then each coefficient)."""
     n_v = batch.w.size
     units = [np.zeros(n_v)] + [np.eye(1, n_v, j)[0] for j in range(n_v)]
-    return [batch.w * batch.mean_targets(unstacked(u, batch.n_states))
+    return [batch.w * spec.mean_targets(batch, unstacked(u, batch.n_states))
             for u in units]
 
 

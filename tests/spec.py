@@ -21,7 +21,12 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   `high_advantages`, plus `switch_advantages`; `flat_gae` for
   `flat_advantage_arrays`;
 * `critic_batch` and `flat_critic_batch` for `critic_batch_from_table` and
-  `flat_batch_from_table`;
+  `flat_batch_from_table`; `critic_rows_nonzero`, the row builder with
+  (episode, turn) index pairs, for `_critic_rows`' flat gathers;
+  `batch_mse` and `mean_targets` for the one target pass per epoch of
+  `critic.fit_critic`;
+* `transition_loop`, one `env.transition` call per (state, action), for
+  `envs.transition_tables`' array-built FetchChain tables;
 * `ppo_ratios` for the per-head ratios inside the trainer's minibatch step;
 * `actor_loss`, `flat_actor_loss` and `kl_penalty` for that step
   (`training._step`, over the three heads' stacked sites): each head's
@@ -71,7 +76,7 @@ import numpy as np
 
 from segrl import gradcheck
 from segrl.advantages import GAEConfig
-from segrl.batch import (advantage_arrays, critic_batch_from_table,
+from segrl.batch import (_closing_states, advantage_arrays, critic_batch_from_table,
                          flat_advantage_arrays, gather_rows, head_sites,
                          returns_matrix, rollout_batch, site_pass, site_scores)
 from segrl.core import KEEP, SWITCH, MalformedTrajectory, TurnTable
@@ -528,6 +533,63 @@ def flat_critic_batch(trajectories, gamma: float, n_states: int,
         np.array(gs, dtype=np.float64), np.full(len(states), -1),
         np.zeros(len(states)))
     return CriticBatch.from_rows(rows, n_states, 0)
+
+
+def critic_rows_nonzero(tt: TurnTable, gamma, sm, n_states: int, n_options: int):
+    """`batch._critic_rows` with every turn gathered by `np.nonzero` pairs
+    (`x[episodes, turns]`) rather than flat positions: its rows, and where
+    they sit as (episodes, turns) index pairs."""
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (tt.n_episodes,))
+    close = _closing_states(tt, sm)
+    rows_i, ts = np.nonzero(tt.mask)
+    o = tt.subgoal[rows_i, ts]
+    lo_cell = low_cell(tt.state[rows_i, ts], o, n_states, n_options)
+    nxt = close[rows_i, ts]
+    lo_boot = np.where(sm.seg_final[rows_i, ts], nxt,
+                       low_cell(nxt, o, n_states, n_options))
+    b_rows, b_ts = np.nonzero(sm.is_boundary)
+    g = returns_matrix(tt, gamma)
+    ends = sm.seg_end[b_rows, b_ts]
+    gtilde = gamma[b_rows] ** (ends - b_ts).astype(np.float64)
+    open_end = ends < tt.length[b_rows]
+    g_end = np.where(open_end, g[b_rows, np.minimum(ends, tt.max_turns - 1)], 0.0)
+    rtilde = g[b_rows, b_ts] - gtilde * g_end
+    hi_boot = close[b_rows, ends - 1]
+    rows = single_coupling_rows(
+        np.concatenate([lo_cell, tt.state[b_rows, b_ts]]),
+        np.concatenate([tt.weight[rows_i], tt.weight[b_rows]]),
+        np.concatenate([tt.reward[rows_i, ts], rtilde]),
+        np.concatenate([lo_boot, hi_boot]),
+        np.concatenate([gamma[rows_i], gtilde]))
+    return rows, (rows_i, ts), (b_rows, b_ts), gtilde
+
+
+def batch_mse(cb: CriticBatch, tables: ValueTables,
+              target_tables: ValueTables | None = None) -> tuple[float, float]:
+    """Weighted MSE per head, (low, high); see `CriticBatch.mse_and_grad`."""
+    lo, hi, _ = cb.mse_and_grad(tables, target_tables)
+    return lo, hi
+
+
+def mean_targets(cb: CriticBatch, tables: ValueTables) -> np.ndarray:
+    """Per-cell w-weighted mean target over the stacked tables (0 where
+    unvisited), the target `critic.fit_critic` moves each cell toward."""
+    num = np.bincount(cb.rows["cell"], weights=cb.rows["w"] * cb.row_targets(tables),
+                      minlength=cb.w.size)
+    return np.divide(num, cb.w, out=np.zeros_like(num), where=cb.w > 0)
+
+
+def transition_loop(env: EnvModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`envs.transition_tables` one (state, action) pair at a time through
+    `env.transition`; terminal rows self-loop with zero reward."""
+    nxt = np.empty((env.n_states, env.n_actions), dtype=np.int64)
+    rew = np.zeros((env.n_states, env.n_actions))
+    done = np.ones((env.n_states, env.n_actions), dtype=bool)
+    for s in range(env.n_states):
+        for a in range(env.n_actions):
+            nxt[s, a], rew[s, a], done[s, a] = ((s, 0.0, True) if env.is_terminal(s)
+                                                else env.transition(s, a))
+    return nxt, rew, done
 
 
 # -- per-turn log-density and score -------------------------------------------

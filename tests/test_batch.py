@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from segrl.advantages import GAEConfig
-from segrl.batch import (_advantage_arrays, advantage_arrays,
+from segrl.batch import (_advantage_arrays, _critic_rows, advantage_arrays,
                          batch_stats, critic_batch_from_table,
                          flat_advantage_arrays, flat_batch_from_table,
                          gather_rows, head_sites, record_behavior, returns_matrix,
                          rollout_batch, segment_masks, site_pass)
-from segrl.core import KEEP, SWITCH, MalformedTrajectory
+from segrl.core import KEEP, SWITCH, MalformedTrajectory, _empty_table
 from segrl.critic import ValueTables, stacked
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import turn_log_likelihood
-from segrl.oracle import mc_gradient_hae, oracle_values, random_tables, solve_dp
+from segrl.oracle import (mc_gradient_hae, oracle_values, random_table, random_tables,
+                          solve_dp)
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased, log_softmax, softmax
 from segrl.training import _ref_log_probs, _sites, _whiten_sites
 
@@ -419,7 +420,7 @@ class TestCriticBatchesFromTable:
         a = flat_batch_from_table(tt, 0.9, env.n_states)
         b = spec.flat_critic_batch(spec.records(tt), 0.9, env.n_states)
         # per state: the weight and the weighted sum of returns-to-go
-        a_g, b_g = (x.w * x.mean_targets(ValueTables.zeros(env.n_states, 0))
+        a_g, b_g = (x.w * spec.mean_targets(x, ValueTables.zeros(env.n_states, 0))
                     for x in (a, b))
         assert np.allclose(a.w, b.w) and np.allclose(a_g, b_g)
 
@@ -452,6 +453,50 @@ class TestCriticBatchesFromTable:
         boot = np.where(last & tt.terminated[eps], 0.0, v_flat[nxt])
         target = tt.reward[eps, ts] + gamma * boot
         assert np.array_equal(a_flat[tt.mask], target - v_flat[tt.state[eps, ts]])
+
+
+class TestFlatGathers:
+    """The kernels gather turns at flat row-major positions; each gather
+    must equal the (episode, turn) index-pair form it replaced."""
+
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(21)
+        # ragged: lengths 1..9, some episodes truncated; then no episodes
+        return [random_table(rng, 30, 7, 3, 4, max_turns=9), _empty_table(0, 6)]
+
+    def test_gather_rows_matches_index_pairs(self):
+        for tt in self.tables():
+            adv = advantage_arrays(tt, random_tables(np.random.default_rng(1), 7, 3),
+                                   GAEConfig(gamma=0.9))
+            rows = gather_rows(tt, adv)
+            eps, ts = np.nonzero(tt.mask)
+            assert rows.episode.tobytes() == eps.tobytes()
+            assert rows.t.tobytes() == ts.tobytes()
+            for name, x in vars(tt).items():
+                if name in vars(rows) and name not in ("episode", "t"):
+                    got = getattr(rows, name)
+                    assert got.dtype == x.dtype and got.tobytes() == x[eps, ts].tobytes()
+            for name, level in (("adv_low", "a_low"), ("adv_high", "a_high"),
+                                ("adv_switch", "a_switch")):
+                assert getattr(rows, name).tobytes() == getattr(adv, level)[eps, ts].tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.9, "per episode"])
+    def test_critic_rows_match_index_pairs(self, gamma):
+        for tt in self.tables():
+            g = (np.linspace(0.5, 1.0, tt.n_episodes) if gamma == "per episode"
+                 else gamma)
+            sm = segment_masks(tt)
+            rows, lo, hi, gtilde = _critic_rows(tt, g, sm, 7, 3)
+            ref_rows, ref_lo, ref_hi, ref_gtilde = spec.critic_rows_nonzero(tt, g, sm, 7, 3)
+            assert rows.keys() == ref_rows.keys()
+            for key, x in rows.items():
+                assert x.dtype == ref_rows[key].dtype and x.tobytes() == ref_rows[key].tobytes()
+            assert gtilde.tobytes() == ref_gtilde.tobytes()
+            # the masks put the rows where the index pairs do
+            grid = np.arange(tt.mask.size).reshape(tt.mask.shape)
+            assert grid[lo].tobytes() == grid[ref_lo].tobytes()
+            assert grid[hi].tobytes() == grid[ref_hi].tobytes()
 
 
 class TestRatios:

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from segrl.advantages import GAEConfig
 from segrl.batch import BatchAdvantages, SegmentMasks, advantage_arrays
 from segrl.cli import advantage_lines, dispatch, load_values, save_values
-from segrl.config import _FLOAT_KEYS, KNOWN_KEYS, ConfigError, parse_config_text
+from segrl.config import (_FLOAT_KEYS, KNOWN_KEYS, MAX_POLICY_LOGITS, ConfigError,
+                          parse_config_text)
 from segrl.core import InputError, load_trajectories
 from segrl.critic import ValueTables, fit_critic
 from segrl.envs import FetchChain
@@ -30,7 +31,7 @@ from segrl.oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                           oracle_values, solve_dp)
 from segrl.parsing import ingest_transcript_file
 from segrl.policy import (CheckpointError, PolicyParams, fetchchain_phased,
-                          load_policy, save_policy)
+                          load_policy, policy_size, save_policy)
 from segrl.training import PPOConfig, train_flat_baseline
 
 import spec
@@ -91,6 +92,24 @@ class TestConfig:
         env = cfg.make_env()
         assert env.length == 4 and env.horizon == 12
         assert cfg.n_options == 3
+
+    def test_policy_size_bound(self):
+        # FetchChain(2, H) has 4H + 2 states; with one option the policy holds
+        # 7 logits a state.  The check reads integers and allocates nothing.
+        h = (MAX_POLICY_LOGITS // 7 - 2) // 4
+        assert policy_size(4 * h + 2, 1, 4) <= MAX_POLICY_LOGITS < policy_size(4 * h + 6, 1, 4)
+        assert parse_config_text(f"env.L = 2\nenv.H = {h}\nn_options = 1").env_h == h
+        with pytest.raises(ConfigError, match=f"'env.H' = {h + 1}"):
+            parse_config_text(f"env.L = 2\nenv.H = {h + 1}\nn_options = 1")
+        with pytest.raises(ConfigError, match="'env.L' = 1099511627776, 'env.H' = 20, "
+                                              "'n_options' = 2$"):
+            parse_config_text("env.L = 1099511627776")
+        # OneStep has 2 states and 2 actions whatever env.L and env.H say
+        n = MAX_POLICY_LOGITS // 10
+        assert parse_config_text(f"env = onestep\nn_options = {n}").n_options == n
+        with pytest.raises(ConfigError, match=r"logits, more than 16777216 \(2\*\*24\): "
+                                              f"'n_options' = {n + 1}$"):
+            parse_config_text(f"env = onestep\nenv.L = 2\nn_options = {n + 1}")
 
     def test_bad_env_rejected(self):
         with pytest.raises(ConfigError, match="env"):
@@ -481,6 +500,19 @@ class TestMalformedInputs:
         self._refused(["parse", "--input", str(path), "--out", str(tmp_path / "p")],
                       capsys, *expected)
         assert not (tmp_path / "p" / "trajectory.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["train", "train-flat", "rollout"])
+    def test_env_too_large_for_memory(self, tmp_path, capsys, monkeypatch, command):
+        # before, `PolicyParams.uniform` died allocating 192 TiB
+        def refuse(*args):
+            raise AssertionError("a policy was allocated")
+
+        monkeypatch.setattr(PolicyParams, "uniform", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 2\nenv.L = 1099511627776\n")
+        self._refused([command, "--config", str(cfg), "--out", str(tmp_path / "t")],
+                      capsys, "'env.L' = 1099511627776", "logits")
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("line", ["lr_actor = inf", "c_keep = inf",
                                       "gamma = nan", "lr_critic = 1e999"])

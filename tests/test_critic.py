@@ -53,7 +53,7 @@ def fit_flat_critic(v_flat, batch, lr, epochs):
 
 def flat_mean_targets(batch):
     """Per-state mean return-to-go of a flat batch (its targets read no table)."""
-    return batch.mean_targets(ValueTables.zeros(batch.n_states, 0))
+    return spec.mean_targets(batch, ValueTables.zeros(batch.n_states, 0))
 
 
 class TestVNext:
@@ -178,8 +178,36 @@ class TestFitCritic:
         fitted, rep = fit_critic(tables, batch, lr=0.0, epochs=3)
         assert fitted.v_high.tobytes() == tables.v_high.tobytes()
         assert fitted.v_low.tobytes() == tables.v_low.tobytes()
-        assert rep.final_mse == sum(batch.batch_mse(tables))
+        assert rep.final_mse == sum(spec.batch_mse(batch, tables))
         assert len(rep.mse_low) == 3
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_each_epoch_reports_its_tables_mse_and_steps_to_the_mean_targets(
+            self, rng, flat):
+        # the fit's one target pass per epoch: its MSEs are `batch_mse` of
+        # the tables the epoch starts from, and its step moves each visited
+        # cell toward `mean_targets`, bit for bit
+        env = FetchChain(3, 6)
+        tt = rollout_batch(env, fetchchain_phased(env, rng), 50, seed=5)
+        n_o = 0 if flat else 2
+        batch = (flat_batch_from_table(tt, 0.95, env.n_states) if flat
+                 else critic_batch_from_table(tt, 0.95, env.n_states, n_o))
+        tables = random_tables(rng, env.n_states, n_o)
+        _, rep = fit_critic(tables, batch, lr=0.3, epochs=4)
+        vis = batch.w > 0
+        for epoch in range(4):
+            start = fit_critic(tables, batch, lr=0.3, epochs=epoch)[0]
+            assert (rep.mse_low[epoch], rep.mse_high[epoch]) == spec.batch_mse(batch, start)
+            v = stacked(start)
+            want = v.copy()
+            want[vis] -= 2.0 * 0.3 * (v[vis] - spec.mean_targets(batch, start)[vis])
+            after = fit_critic(start, batch, lr=0.3, epochs=1)[0]
+            assert stacked(after).tobytes() == want.tobytes()
+
+    def test_tables_of_another_size_refused(self, rng):
+        batch = self.sampled_batch(rng, episodes=4)
+        with pytest.raises(ValueError, match="cells"):
+            fit_critic(ValueTables.zeros(batch.n_states, 3), batch, lr=0.1, epochs=1)
 
     @pytest.mark.parametrize("lr", [-0.1, float("nan")])
     def test_negative_step_refused(self, rng, lr):
@@ -209,8 +237,8 @@ class TestFitCritic:
         # lr < 0.5 never raises the batch squared error
         for _ in range(40):
             new, _ = fit_critic(tables, cb, lr=0.1, epochs=1)
-            assert sum(cb.batch_mse(new, target_tables=tables)) <= \
-                sum(cb.batch_mse(tables, target_tables=tables)) + 1e-12
+            assert sum(spec.batch_mse(cb, new, target_tables=tables)) <= \
+                sum(spec.batch_mse(cb, tables, target_tables=tables)) + 1e-12
             tables = new
 
     def test_trajectory_and_exact_batches_agree(self, rng):

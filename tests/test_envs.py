@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from segrl.envs import (DROP, LEFT, PICKUP, RIGHT, FetchChain, OneStep,
                         make_env, transition_tables)
 
-from spec import optimal_return
+from conftest import Walk
+from spec import optimal_return, transition_loop
 
 
 class TestFetchChain:
@@ -115,3 +117,60 @@ def test_transition_tables_built_once_and_read_only():
     # another env object of the same size gets its own, equal tables
     other = transition_tables(FetchChain(3, 4))
     assert all(a is not b and (a == b).all() for a, b in zip(first, other))
+
+
+class TestSizes:
+    @pytest.mark.parametrize("args", [(3, 6.0), (3.0, 6), (3, True), (True, 6),
+                                      (3, "6"), (3, None)])
+    def test_fetchchain_refuses_a_non_integer_size(self, args):
+        with pytest.raises(TypeError, match="must be an integer"):
+            FetchChain(*args)
+
+    @pytest.mark.parametrize("n_actions", [2.5, 2.0, True, "2"])
+    def test_onestep_refuses_a_non_integer_size(self, n_actions):
+        with pytest.raises(TypeError, match="n_actions must be an integer"):
+            OneStep(n_actions)
+
+    def test_numpy_integers_accepted(self):
+        env = FetchChain(np.int64(3), np.int32(6))
+        assert env.n_states == 38 and type(env.n_states) is int
+        assert OneStep(np.int16(3)).n_actions == 3
+
+
+class TestArrayTables:
+    @pytest.mark.parametrize("size", [(2, 1), (3, 6), (5, 20), (15, 60)])
+    def test_equal_the_transition_loop(self, size):
+        got, want = transition_tables(FetchChain(*size)), transition_loop(FetchChain(*size))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = a[0, 0]
+
+    def test_built_without_calling_transition(self, monkeypatch):
+        want = transition_loop(FetchChain(5, 20))
+
+        def refuse(self, state, action):
+            raise AssertionError("FetchChain.transition called")
+
+        monkeypatch.setattr(FetchChain, "transition", refuse)
+        got = transition_tables(FetchChain(5, 20))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("make", [lambda: OneStep(n_actions=3), Walk])
+    def test_other_envs_step_every_live_pair(self, make, monkeypatch):
+        env = make()
+        want = transition_loop(env)
+        calls = []
+        step = type(env).transition
+
+        def counted(self, state, action):
+            calls.append((state, action))
+            return step(self, state, action)
+
+        monkeypatch.setattr(type(env), "transition", counted)
+        got = transition_tables(env)
+        live = [s for s in range(env.n_states) if not env.is_terminal(s)]
+        assert calls == [(s, a) for s in live for a in range(env.n_actions)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -16,7 +16,7 @@ from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.rng import derive_seed
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
                             _minibatch_keys, _minibatches, _policy_fingerprint,
-                            _ref_log_probs, _sites, _step, evaluate,
+                            _kl, _ref_log_probs, _sites, _step, evaluate,
                             train, train_flat_baseline)
 
 import spec
@@ -239,6 +239,22 @@ class TestSharedPass:
         assert value == want and _same(grads, want_grads)
         assert kl == want_kl and _same(kl_grads, want_kl_grads)
 
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_kl_only_pass_matches_the_full_pass(self, shared_pass_case, flat):
+        # the iteration-end KL skips the surrogate and keeps the bits; the
+        # minibatch loop's one-sum KL only feeds the finiteness check
+        rows, live, ref, _ = shared_pass_case
+        sites = _sites(rows, live, flat, _ref_log_probs(ref))
+        slab = sites.layout.slab(live.theta)
+        every = np.arange(len(rows))
+        full = _step(sites, every, slab, 0.2, grad=False)
+        stepped = _step(sites, every, slab, 0.2)
+        assert _kl(sites, slab) == full[2] == stepped[2] == spec.kl_penalty(rows, live, ref)[0]
+        checked = _step(sites, every, slab, 0.2, kl_per_head=False)
+        assert math.isfinite(checked[2]) and checked[2] == pytest.approx(full[2], rel=1e-12)
+        assert checked[0] == stepped[0]
+        assert np.array_equal(checked[1], stepped[1]) and np.array_equal(checked[3], stepped[3])
+
     def test_cases_cover_what_they_name(self, shared_pass_case):
         rows, _, _, picks = shared_pass_case
         assert not (rows.q[picks["no-switch"]] == SWITCH).any()
@@ -418,6 +434,27 @@ class TestTrainLoop:
         cfg = PPOConfig(seed=0, iterations=2, episodes_per_iter=8)
         with pytest.raises(TrainingDiverged):
             train(cfg, env)
+
+    @pytest.mark.parametrize("driver", [train, train_flat_baseline])
+    def test_non_finite_kl_raises_at_its_iteration(self, driver, monkeypatch):
+        # a NaN reference log-prob leaves the surrogate finite and makes the
+        # KL of the next iteration's first step NaN
+        import segrl.training as tr
+        real, refs = tr._ref_log_probs, []
+
+        def kept(params):
+            refs.append(real(params))
+            return refs[-1]
+
+        monkeypatch.setattr(tr, "_ref_log_probs", kept)
+
+        def poison(state, row):
+            if state.iteration == 1:
+                refs[0][:] = np.nan
+
+        cfg = PPOConfig(iterations=4, episodes_per_iter=8, seed=0)
+        with pytest.raises(TrainingDiverged, match="^non-finite actor surrogate at iteration 2$"):
+            driver(cfg, FetchChain(3, 6), on_iteration=poison)
 
     @pytest.mark.parametrize("driver", [train, train_flat_baseline])
     def test_critic_divergence_raises(self, driver, monkeypatch):
