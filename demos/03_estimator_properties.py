@@ -11,7 +11,7 @@
 
 import numpy as np
 
-from segrl import FetchChain, GAEConfig, fetchchain_phased
+from segrl import FetchChain, PPOConfig, fetchchain_phased
 from segrl.oracle import (mc_gradient_hae, oracle_gradient, oracle_values,
                           solve_dp, switching_exactness_report,
                           telescope_check, unbiasedness, variance_reports)
@@ -30,7 +30,7 @@ sw = switching_exactness_report(dp)
 print(f"max deviation {sw.max_abs_dev:.2e} over {sw.n_contexts} contexts")
 
 print("\n-- unbiasedness of the sampled gradient (50k episodes) --")
-cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
 mc, = mc_gradient_hae(env, params, values.tables, [(cfg, 50000)], seed=1)
 ub = unbiasedness(mc, oracle_gradient(dp))
 print(f"max |z| = {ub.max_z:.2f} over {ub.n_coords} coordinates "

@@ -8,7 +8,6 @@ estimator identities on exactly enumerable toy environments.
 
 __version__ = "0.1.0"
 
-from .advantages import GAEConfig
 from .batch import advantage_arrays, flat_advantage_arrays, rollout_batch
 from .core import (KEEP, SWITCH, InputError, MalformedTrajectory, TurnTable,
                    load_trajectories, save_trajectories)

@@ -18,16 +18,19 @@ reproduces any of its sub-batches, rolled at the matching
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .advantages import GAEConfig
 from .core import KEEP, SWITCH, TurnTable, _empty_table
 from .critic import (CriticBatch, ValueTables, low_cell, row_targets,
                      single_coupling_rows, stacked)
 from .envs import EnvModel, transition_tables
 from .policy import PolicyParams, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
+
+if TYPE_CHECKING:  # the trainer imports this module
+    from .training import PPOConfig
 
 
 def _head_tables(params: PolicyParams) -> list:
@@ -254,7 +257,7 @@ class BatchAdvantages:
     masks: SegmentMasks
 
 
-def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
+def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: PPOConfig,
                      params: PolicyParams | None = None) -> BatchAdvantages:
     """Low, high and switching advantages per turn.
 
@@ -264,7 +267,7 @@ def advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
     return _advantage_arrays(tt, tables, cfg, cfg.gamma, params)
 
 
-def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
+def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: PPOConfig,
                       gamma: float | np.ndarray,
                       params: PolicyParams | None = None,
                       built: tuple | None = None) -> BatchAdvantages:
@@ -310,7 +313,7 @@ def _advantage_arrays(tt: TurnTable, tables: ValueTables, cfg: GAEConfig,
 
 
 def flat_advantage_arrays(tt: TurnTable, v_flat: np.ndarray,
-                          cfg: GAEConfig) -> np.ndarray:
+                          cfg: PPOConfig) -> np.ndarray:
     """The flat comparator's (n, T) advantages: GAE(lambda_flat) across the
     whole episode on the state-only baseline v_flat, its residuals the
     errors of one-step rows, one per turn bootstrapping at its closing state."""

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advantages import GAEConfig
 from .batch import BatchAdvantages, advantage_arrays, rollout_batch
-from .config import RANGES, RunConfig, load_config
+from .config import RANGES, RunConfig, check_turn_slots, load_config
 from .core import (InputError, MalformedTrajectory, TurnTable, load_trajectories,
                    save_trajectories)
 from .critic import ValueTables, fit_critic
@@ -32,8 +31,7 @@ from .parsing import ingest_transcript_file
 from .policy import (CheckpointError, PolicyParams, fetchchain_phased,
                      load_policy, read_checkpoint, save_policy,
                      write_checkpoint)
-from .rng import SEED_BOUND
-from .training import evaluate, train, train_flat_baseline
+from .training import PPOConfig, evaluate, train, train_flat_baseline
 
 CHECKPOINT_EVERY = 50
 VALUES_MAGIC = "segrl-values v1"
@@ -50,11 +48,18 @@ def load_values(path) -> ValueTables:
     return ValueTables(tables["v_high"], tables["v_low"])
 
 
+def _check_flags(args, *keys: str) -> None:
+    """Refuse each flag whose value its config key's range refuses."""
+    for key in keys:
+        ok, desc = RANGES[key]
+        if not ok(value := getattr(args, key)):
+            raise InputError(f"--{key.replace('_', '-')} must be {desc}, got {value}")
+
+
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        if not 0 <= args.seed < SEED_BOUND:
-            raise InputError(f"--seed must be in [0, 2**64), got {args.seed}")
+        _check_flags(args, "seed")
         cfg.ppo.seed = args.seed
     return cfg
 
@@ -107,6 +112,7 @@ def cmd_rollout(args) -> int:
     _check_policy_env(params, env)
     if args.episodes < 0:
         raise InputError("--episodes must be >= 0")
+    check_turn_slots({"--episodes": args.episodes, "horizon": env.horizon}, InputError)
     out = _out_dir(args, "runs/rollout")
     tt = rollout_batch(env, params, args.episodes, cfg.ppo.seed, c_keep=cfg.ppo.c_keep)
     path = out / "trajectories.jsonl"
@@ -120,6 +126,7 @@ def cmd_eval(args) -> int:
     env = cfg.make_env()
     if args.episodes < 1:
         raise InputError("--episodes must be >= 1")
+    check_turn_slots({"--episodes": args.episodes, "horizon": env.horizon}, InputError)
     params = load_policy(args.policy)
     _check_policy_env(params, env)
     report = evaluate(params, env, args.episodes, mode=args.mode, seed=cfg.ppo.seed)
@@ -197,15 +204,12 @@ def advantage_lines(tt: TurnTable, adv: BatchAdvantages) -> str:
 
 
 def cmd_advantages(args) -> int:
-    for key in ("gamma", "lambda_low", "lambda_high"):
-        ok, desc = RANGES[key]
-        if not ok(value := getattr(args, key)):
-            raise InputError(f"--{key.replace('_', '-')} must be {desc}, got {value}")
+    _check_flags(args, "gamma", "lambda_low", "lambda_high")
     tt, _ = load_trajectories(args.input)
     tables = load_values(args.values)
     params = load_policy(args.policy) if args.policy else None
     _check_advantage_inputs(tt, tables, params)
-    cfg = GAEConfig(gamma=args.gamma, lambda_low=args.lambda_low,
+    cfg = PPOConfig(gamma=args.gamma, lambda_low=args.lambda_low,
                     lambda_high=args.lambda_high)
     with np.errstate(over="ignore", invalid="ignore"):  # advantage_lines refuses overflow
         text = advantage_lines(tt, advantage_arrays(tt, tables, cfg, params=params))
@@ -286,8 +290,8 @@ def cmd_verify(args) -> int:
         # the gated estimator (mixing weight 1) and, over the first 20000 of
         # the same episodes, the bootstrapped one (0.95): its bias is recorded only
         mc, mixed = mc_gradient_hae(env, params, tables, [
-            (GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0), args.samples),
-            (GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95),
+            (PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0), args.samples),
+            (PPOConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95),
              min(args.samples, 20000))], seed=seed)
         rep = unbiasedness(mc, exact)
         bias95 = float(np.max(np.abs(mixed.mean.theta - exact.theta)))
@@ -383,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="trajectory JSON-Lines file")
     p.add_argument("--values", required=True, help="value-table checkpoint")
     p.add_argument("--policy", help="policy checkpoint for switch probabilities")
-    p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--lambda-low", dest="lambda_low", type=float, default=0.95)
-    p.add_argument("--lambda-high", dest="lambda_high", type=float, default=0.95)
+    for key in ("gamma", "lambda_low", "lambda_high"):  # PPOConfig's defaults
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=float,
+                       default=getattr(PPOConfig, key))
 
     p = sub.add_parser("verify", help="run a verification gate")
     common(p)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import InputError
 from .envs import EnvModel, make_env
@@ -16,16 +16,11 @@ class ConfigError(InputError):
     """Unknown key, unparsable line, or out-of-range or non-finite value."""
 
 
-_FLOAT_KEYS = {
-    "gamma", "lambda_low", "lambda_high", "lambda_flat", "clip_eps",
-    "kl_beta", "c_keep", "lr_actor", "lr_critic",
-}
-_INT_KEYS = {
-    "epochs", "minibatch", "iterations", "episodes_per_iter",
-    "eval_episodes", "seed", "env.L", "env.H", "n_options",
-}
-_STR_KEYS = {"env"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+# each key's type: a PPOConfig field's is its default's
+_TYPES = ({f.name: type(f.default) for f in fields(PPOConfig)}
+          | {"env": str, "env.L": int, "env.H": int, "n_options": int})
+_FLOAT_KEYS = {key for key, kind in _TYPES.items() if kind is float}
+KNOWN_KEYS = set(_TYPES)
 
 RANGES = {
     **training.RANGES,
@@ -41,6 +36,22 @@ RANGES = {
 # and 4 actions, and a policy over S states, O options and A actions holds
 # S * O * (3 + A) logits, so with 2 options L * H may reach about 599,000.
 MAX_POLICY_LOGITS = 2 ** 24
+
+# The most turn slots one array of a run may hold (128 MiB of int64): a
+# `TurnTable` column holds episodes x horizon, and the trainer's minibatch
+# keys epochs x episodes_per_iter x horizon.
+MAX_TURN_SLOTS = 2 ** 24
+
+
+def check_turn_slots(counts: dict, error: type[InputError] = ConfigError) -> None:
+    """Refuse the named counts when their product, the slots of an array a
+    run sizes from them, exceeds MAX_TURN_SLOTS: computed from Python
+    integers, before anything is allocated."""
+    slots = math.prod(counts.values())
+    if slots > MAX_TURN_SLOTS:
+        named = ", ".join(f"{name} = {v}" for name, v in counts.items())
+        raise error(f"one array would hold {slots} turn slots, more than "
+                    f"{MAX_TURN_SLOTS} (2**24): {named}")
 
 
 @dataclass
@@ -69,12 +80,7 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         try:
-            if key in _FLOAT_KEYS:
-                parsed: object = float(val)
-            elif key in _INT_KEYS:
-                parsed = int(val)
-            else:
-                parsed = val
+            parsed = _TYPES[key](val)
         except ValueError:
             raise ConfigError(f"line {line_no}: cannot parse value for '{key}': {val!r}")
         if key in _FLOAT_KEYS and not math.isfinite(parsed):
@@ -84,12 +90,12 @@ def parse_config_text(text: str) -> RunConfig:
             if not ok(parsed):
                 raise ConfigError(f"line {line_no}: '{key}' must be {desc}, got {val}")
         values[key] = parsed
-    env_name = str(values.pop("env", "fetchchain")).lower()
+    env_name = str(values.pop("env", RunConfig.env_name)).lower()
     if env_name not in ("fetchchain", "onestep"):
         raise ConfigError(f"'env' must be fetchchain or onestep, got '{env_name}'")
-    env_l = int(values.pop("env.L", 5))
-    env_h = int(values.pop("env.H", 20))
-    n_options = int(values.pop("n_options", 2))
+    env_l = int(values.pop("env.L", RunConfig.env_l))
+    env_h = int(values.pop("env.H", RunConfig.env_h))
+    n_options = int(values.pop("n_options", RunConfig.n_options))
     # sized from the env's integers alone, before any table is allocated
     env = make_env(env_name, length=env_l, horizon=env_h)
     size = policy_size(env.n_states, n_options, env.n_actions)
@@ -99,6 +105,10 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(f"the policy would hold {size} logits, more than "
                           f"{MAX_POLICY_LOGITS} (2**24): {keys}")
     ppo = PPOConfig(**values)  # type: ignore[arg-type]
+    # OneStep's horizon is 1 whatever env.H says
+    horizon = {"'env.H'": env_h} if env_name == "fetchchain" else {}
+    for keys in (("episodes_per_iter",), ("eval_episodes",), ("epochs", "episodes_per_iter")):
+        check_turn_slots({f"'{k}'": getattr(ppo, k) for k in keys} | horizon)
     return RunConfig(ppo=ppo, env_name=env_name, env_l=env_l, env_h=env_h,
                      n_options=n_options)
 

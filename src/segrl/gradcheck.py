@@ -125,7 +125,7 @@ def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
     (the loss reads no logit outside it, so every other logit's difference
     is 0), a table bump the critic part."""
     cfg, tables = case.cfg, case.tables
-    adv = advantage_arrays(case.table, tables, cfg.gae())
+    adv = advantage_arrays(case.table, tables, cfg)
     frozen = tables.copy()
     sites = _sites(gather_rows(case.table, adv), case.params, False,
                    _ref_log_probs(case.ref))

@@ -35,7 +35,6 @@ from functools import partial
 
 import numpy as np
 
-from .advantages import GAEConfig
 from .batch import (_advantage_arrays, advantage_arrays, flat_advantage_arrays,
                     gather_rows, head_sites, returns_matrix, rollout_batch,
                     segment_masks, site_pass, site_scores)
@@ -44,6 +43,7 @@ from .critic import CriticBatch, ValueTables, low_cell
 from .envs import EnvModel, transition_tables
 from .policy import GradTables, PolicyParams, log_softmax, softmax
 from .rng import derive_seed
+from .training import PPOConfig
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -689,7 +689,7 @@ def _turn_report(t, a_low, a_flat, seed, n_boot) -> VarianceReport:
 def _reaching_samples(env, params, values, turns, n, seed, max_rounds):
     """Each distinct turn t's (A_low, A_flat) at t over the first n rolled
     episodes that reach it; RuntimeError naming a turn that fewer reach."""
-    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
+    cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
     got = dict.fromkeys(turns, 0)
     lows: dict[int, list[np.ndarray]] = {t: [] for t in got}
     flats: dict[int, list[np.ndarray]] = {t: [] for t in got}
@@ -883,7 +883,7 @@ def _telescope_deviations(rng, trials, n_states, n_options, n_actions, max_turns
     offset = n_states * np.arange(trials)
     tt.state += offset[:, None]
     tt.final_state += offset     # a random episode always records one
-    adv = _advantage_arrays(tt, tables, GAEConfig(lambda_low=1.0, lambda_high=1.0),
+    adv = _advantage_arrays(tt, tables, PPOConfig(lambda_low=1.0, lambda_high=1.0),
                             gamma)
 
     sm = segment_masks(tt)

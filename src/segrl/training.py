@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .advantages import GAEConfig, whiten
+from .advantages import whiten
 from .batch import (BatchStats, Sites, SitePass, TurnRows, _advantage_arrays,
                     _critic_batch, batch_stats, cell_rows, flat_advantage_arrays,
                     flat_batch_from_table, gather_rows, head_sites, rollout_batch,
@@ -37,8 +37,8 @@ class TrainingDiverged(RuntimeError):
     """A loss or parameter became non-finite during training."""
 
 
-# each hyperparameter's range: PPOConfig checks its fields against it, and the
-# config reader its values (`config.RANGES`)
+# each hyperparameter's range: PPOConfig checks its fields against it, the
+# config reader its values and the CLI its flags (`config.RANGES`)
 RANGES = {
     "gamma": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "lambda_low": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -57,15 +57,13 @@ RANGES = {
     "eval_episodes": (lambda v: v >= 1, ">= 1"),
     "seed": (lambda v: 0 <= v < SEED_BOUND, "in [0, 2**64)"),
 }
-# the fields that count or seed: Python or numpy integers, never bool
-_INTEGERS = ("epochs", "minibatch", "iterations", "episodes_per_iter", "eval_episodes",
-             "seed")
 
 
 @dataclass
 class PPOConfig:
     """Hyperparameters of the training loop; learning rates are
-    tabular-scale."""
+    tabular-scale.  Each field's default gives its type and `RANGES` its
+    range; the config reader and the CLI read both from here."""
 
     gamma: float = 0.99
     lambda_low: float = 0.95
@@ -84,19 +82,16 @@ class PPOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, (ok, desc) in RANGES.items():
-            v = getattr(self, name)
-            if name in _INTEGERS and (isinstance(v, bool)
-                                      or not isinstance(v, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        for f in fields(self):
+            (ok, desc), v = RANGES[f.name], getattr(self, f.name)
+            # a count or the seed is a Python or numpy integer, never a bool
+            if type(f.default) is int and (isinstance(v, bool)
+                                           or not isinstance(v, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+                raise ValueError(f"{f.name} must be finite, got {v}")
             if not ok(v):
-                raise ValueError(f"{name} must be {desc}, got {v}")
-
-    def gae(self) -> GAEConfig:
-        return GAEConfig(gamma=self.gamma, lambda_low=self.lambda_low,
-                         lambda_high=self.lambda_high, lambda_flat=self.lambda_flat)
+                raise ValueError(f"{f.name} must be {desc}, got {v}")
 
 
 @dataclass
@@ -418,11 +413,10 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
                       state.tables.v_low)
         if flat:
             rows = gather_rows(tt)
-            rows.adv_flat = flat_advantage_arrays(tt, state.tables.v_high,
-                                                  cfg.gae())[tt.mask]
+            rows.adv_flat = flat_advantage_arrays(tt, state.tables.v_high, cfg)[tt.mask]
         else:
-            rows = gather_rows(tt, _advantage_arrays(tt, state.tables, cfg.gae(),
-                                                     cfg.gamma, built=built))
+            rows = gather_rows(tt, _advantage_arrays(tt, state.tables, cfg, cfg.gamma,
+                                                     built=built))
         # the steps read and update the slab of the entries the batch's
         # sites touch, written back once
         sites = _sites(rows, state.params, flat, ref_lp)

@@ -75,7 +75,6 @@ from typing import NamedTuple
 import numpy as np
 
 from segrl import gradcheck
-from segrl.advantages import GAEConfig
 from segrl.batch import (_closing_states, advantage_arrays, critic_batch_from_table,
                          flat_advantage_arrays, gather_rows, head_sites,
                          returns_matrix, rollout_batch, site_pass, site_scores)
@@ -363,7 +362,7 @@ def switch_advantages(traj: Trajectory, tables: ValueTables,
     return out
 
 
-def flat_gae(traj: Trajectory, v_flat: np.ndarray, cfg: GAEConfig) -> np.ndarray:
+def flat_gae(traj: Trajectory, v_flat: np.ndarray, cfg: PPOConfig) -> np.ndarray:
     """Ordinary GAE across the whole episode, no segment resets."""
     deltas = np.empty(traj.n_turns, dtype=np.float64)
     for t, turn in enumerate(traj.turns):
@@ -414,7 +413,7 @@ def low_td_residuals(traj: Trajectory, tables: ValueTables, gamma: float) -> np.
     return out
 
 
-def low_advantages(deltas: np.ndarray, boundaries: list[int], cfg: GAEConfig) -> np.ndarray:
+def low_advantages(deltas: np.ndarray, boundaries: list[int], cfg: PPOConfig) -> np.ndarray:
     """Backward accumulation of residuals, resetting at every boundary."""
     out = np.empty_like(deltas)
     decay = cfg.gamma * cfg.lambda_low
@@ -429,7 +428,7 @@ def low_advantages(deltas: np.ndarray, boundaries: list[int], cfg: GAEConfig) ->
     return out
 
 
-def high_advantages(traj: Trajectory, tables: ValueTables, cfg: GAEConfig
+def high_advantages(traj: Trajectory, tables: ValueTables, cfg: PPOConfig
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Macro-step residuals and advantages over the boundary-indexed chain.
 
@@ -459,7 +458,7 @@ def high_advantages(traj: Trajectory, tables: ValueTables, cfg: GAEConfig
     return deltas, adv
 
 
-def estimate_all(traj: Trajectory, tables: ValueTables, cfg: GAEConfig,
+def estimate_all(traj: Trajectory, tables: ValueTables, cfg: PPOConfig,
                  params: PolicyParams | None = None) -> HierarchicalAdvantages:
     boundaries = segment_boundaries(traj)
     deltas = low_td_residuals(traj, tables, cfg.gamma)
@@ -469,7 +468,7 @@ def estimate_all(traj: Trajectory, tables: ValueTables, cfg: GAEConfig,
     return HierarchicalAdvantages(a_low, a_high, a_switch, boundaries)
 
 
-def estimate_batch(trajectories, tables: ValueTables, cfg: GAEConfig,
+def estimate_batch(trajectories, tables: ValueTables, cfg: PPOConfig,
                    params: PolicyParams | None = None) -> list[HierarchicalAdvantages]:
     """Per-trajectory estimates."""
     return [estimate_all(traj, tables, cfg, params) for traj in trajectories]
@@ -705,7 +704,7 @@ def scatter_episode_grads(dense, tt, adv, params: PolicyParams,
 
 
 def mc_gradient_hae(env: EnvModel, params: PolicyParams, tables: ValueTables,
-                    cfg: GAEConfig, n: int, seed: int, chunk: int = 5000):
+                    cfg: PPOConfig, n: int, seed: int, chunk: int = 5000):
     """(mean, se) GradTables of the per-episode scattered gradients."""
     n_coords = params.switch.size + params.subgoal.size + params.action.size
     off_sub = params.switch.size
@@ -733,7 +732,7 @@ def variance_report(env: EnvModel, params: PolicyParams, values: OracleValues,
                     max_rounds: int = 50) -> VarianceReport:
     """Sample variances of both estimators over the first n episodes that
     reach turn t, with 95% bootstrap intervals from one dense resample."""
-    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
+    cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
     lows, flats = [], []
     got, offset = 0, 0
     for _ in range(max_rounds):

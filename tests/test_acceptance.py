@@ -21,7 +21,6 @@ from segrl.critic import (CriticBatch, ValueTables, fit_critic,
                           single_coupling_rows)
 from segrl.envs import FetchChain, OneStep
 from segrl.gradcheck import gradcheck_report
-from segrl.advantages import GAEConfig
 from segrl.oracle import (exact_critic_batch, mc_gradient_hae, oracle_gradient,
                           oracle_values, solve_dp,
                           switching_exactness_report, telescope_check,
@@ -89,7 +88,7 @@ def test_c04_gradient_unbiasedness(bench):
     env, params, _ = bench
     start = time.time()
     # the pair `segrl verify unbiased` runs, on one solve
-    cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+    cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
     dp = solve_dp(env, params, cfg.gamma)
     mc, = mc_gradient_hae(env, params, oracle_values(dp).tables, [(cfg, 200000)],
                           seed=11)

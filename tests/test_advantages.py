@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from segrl import batch, oracle
-from segrl.advantages import GAEConfig, whiten
+from segrl.advantages import whiten
 from segrl.batch import advantage_arrays, flat_advantage_arrays, gather_rows
 from segrl.critic import ValueTables
 from segrl.oracle import random_tables, telescope_check
 from segrl.policy import PolicyParams
-from segrl.training import _ref_log_probs, _sites, _whiten_sites
+from segrl.training import PPOConfig, _ref_log_probs, _sites, _whiten_sites
 
 import spec
 from spec import segment_boundaries
@@ -21,7 +21,7 @@ from conftest import random_trajectory, traj_from
 def cfg_with(**kw):
     base = dict(gamma=1.0, lambda_low=1.0, lambda_high=1.0, lambda_flat=1.0)
     base.update(kw)
-    return GAEConfig(**base)
+    return PPOConfig(**base)
 
 
 def one_episode(traj, tables, cfg, params=None):
@@ -182,7 +182,7 @@ class TestEstimateAll:
     def test_passthrough_components(self, rng):
         traj = random_trajectory(rng, 8, 3, 4)
         tables = random_tables(rng, 8, 3)
-        cfg = GAEConfig(gamma=0.9, lambda_low=0.7, lambda_high=0.6)
+        cfg = PPOConfig(gamma=0.9, lambda_low=0.7, lambda_high=0.6)
         a_low, a_high, a_switch = one_episode(traj, tables, cfg)
         bounds = segment_boundaries(traj)
         d = spec.low_td_residuals(traj, tables, 0.9)
@@ -198,7 +198,7 @@ class TestEstimateAll:
         # over its present sites: every turn, the switch turns, turns t >= 1
         trajs = [random_trajectory(rng, 8, 3, 4, max_turns=8) for _ in range(40)]
         tables = random_tables(rng, 8, 3)
-        cfg = GAEConfig(gamma=0.9)
+        cfg = PPOConfig(gamma=0.9)
         tt = spec.table(trajs)
         adv = advantage_arrays(tt, tables, cfg)
         params = PolicyParams.uniform(8, 3, 4)
@@ -217,7 +217,7 @@ class TestEstimateAll:
     def test_identical_trajectories_identical_advantages(self, rng):
         traj = random_trajectory(rng, 8, 3, 4)
         tables = random_tables(rng, 8, 3)
-        cfg = GAEConfig(gamma=0.9)
+        cfg = PPOConfig(gamma=0.9)
         adv = advantage_arrays(spec.table([traj, traj, traj]), tables, cfg)
         for i in (1, 2):
             assert np.array_equal(adv.a_low[i], adv.a_low[0])
@@ -230,7 +230,7 @@ class TestEstimateAll:
 
 class TestSegmentLocality:
     def test_reward_perturbation_stays_in_segment(self, rng):
-        cfg = GAEConfig(gamma=0.9, lambda_low=0.6, lambda_high=0.8)
+        cfg = PPOConfig(gamma=0.9, lambda_low=0.6, lambda_high=0.8)
         for _ in range(30):
             traj = random_trajectory(rng, 8, 3, 4, max_turns=10)
             tables = random_tables(rng, 8, 3)
@@ -316,9 +316,9 @@ class TestTelescoping:
 class TestConfigValidation:
     def test_ranges(self):
         with pytest.raises(ValueError):
-            GAEConfig(gamma=0.0)
+            PPOConfig(gamma=0.0)
         with pytest.raises(ValueError):
-            GAEConfig(gamma=1.2)
+            PPOConfig(gamma=1.2)
         with pytest.raises(ValueError):
-            GAEConfig(lambda_low=1.5)
-        GAEConfig(gamma=1.0, lambda_low=1.0)  # boundary values accepted
+            PPOConfig(lambda_low=1.5)
+        PPOConfig(gamma=1.0, lambda_low=1.0)  # boundary values accepted

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segrl.advantages import GAEConfig
 from segrl.batch import (_advantage_arrays, _critic_rows, advantage_arrays,
                          batch_stats, critic_batch_from_table,
                          flat_advantage_arrays, flat_batch_from_table,
@@ -17,7 +16,7 @@ from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import (mc_gradient_hae, oracle_values, random_table, random_tables,
                           solve_dp)
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased, log_softmax, softmax
-from segrl.training import _ref_log_probs, _sites, _whiten_sites
+from segrl.training import PPOConfig, _ref_log_probs, _sites, _whiten_sites
 
 import spec
 from spec import CounterRng, segment_boundaries
@@ -335,7 +334,7 @@ class TestBatchAdvantages:
         tt = rollout_batch(env, params, 50, seed=21)
         tables = random_tables(rng, env.n_states, 2)
         v_flat = rng.standard_normal(env.n_states)
-        cfg = GAEConfig(gamma=0.92, lambda_low=0.8, lambda_high=0.7,
+        cfg = PPOConfig(gamma=0.92, lambda_low=0.8, lambda_high=0.7,
                         lambda_flat=0.9)
         arr = advantage_arrays(tt, tables, cfg)
         a_flat = flat_advantage_arrays(tt, v_flat, cfg)
@@ -358,7 +357,7 @@ class TestBatchAdvantages:
         trajs = [random_trajectory(rng, 8, 3, 4) for _ in range(40)]
         gammas = rng.uniform(0.2, 1.0, size=40)
         tables = random_tables(rng, 8, 3)
-        cfg = GAEConfig(lambda_low=0.8, lambda_high=0.7)
+        cfg = PPOConfig(lambda_low=0.8, lambda_high=0.7)
         joint = _advantage_arrays(spec.table(trajs), tables, cfg, gammas)
         for i, (traj, gamma) in enumerate(zip(trajs, gammas)):
             one = advantage_arrays(spec.table([traj]), tables,
@@ -374,7 +373,7 @@ class TestBatchAdvantages:
         env, params = env_and_params
         tt = rollout_batch(env, params, 100, seed=3)
         tables = random_tables(np.random.default_rng(1), env.n_states, 2)
-        cfg = GAEConfig(gamma=0.95)
+        cfg = PPOConfig(gamma=0.95)
         ref_lp = _ref_log_probs(params)
         sites = _sites(gather_rows(tt, advantage_arrays(tt, tables, cfg)), params,
                        False, ref_lp)
@@ -434,7 +433,7 @@ class TestCriticBatchesFromTable:
         assert tt.terminated.any() and not tt.terminated.all()
         tables = random_tables(np.random.default_rng(5), env.n_states, 2)
         gamma = 0.9
-        adv = advantage_arrays(tt, tables, GAEConfig(gamma=gamma, lambda_low=0.0,
+        adv = advantage_arrays(tt, tables, PPOConfig(gamma=gamma, lambda_low=0.0,
                                                      lambda_high=0.0))
         cb = critic_batch_from_table(tt, gamma, env.n_states, 2)
         errors = cb.row_targets(tables) - stacked(tables)[cb.rows["cell"]]
@@ -444,7 +443,7 @@ class TestCriticBatchesFromTable:
         # the flat level: each turn's one-step row bootstraps v_flat at the
         # next state, at a truncated episode's final state, or nowhere
         v_flat = np.random.default_rng(6).standard_normal(env.n_states)
-        a_flat = flat_advantage_arrays(tt, v_flat, GAEConfig(gamma=gamma,
+        a_flat = flat_advantage_arrays(tt, v_flat, PPOConfig(gamma=gamma,
                                                              lambda_flat=0.0))
         eps, ts = np.nonzero(tt.mask)
         last = ts == tt.length[eps] - 1
@@ -468,7 +467,7 @@ class TestFlatGathers:
     def test_gather_rows_matches_index_pairs(self):
         for tt in self.tables():
             adv = advantage_arrays(tt, random_tables(np.random.default_rng(1), 7, 3),
-                                   GAEConfig(gamma=0.9))
+                                   PPOConfig(gamma=0.9))
             rows = gather_rows(tt, adv)
             eps, ts = np.nonzero(tt.mask)
             assert rows.episode.tobytes() == eps.tobytes()
@@ -621,7 +620,7 @@ class TestScoreKernel:
     def test_mc_gradient_matches_dense_scatter(self):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
+        cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
         tables = oracle_values(solve_dp(env, params, 1.0)).tables
         # chunks of 700 leave a short last chunk

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segrl.advantages import GAEConfig
 from segrl.batch import BatchAdvantages, SegmentMasks, advantage_arrays
 from segrl.cli import advantage_lines, dispatch, load_values, save_values
-from segrl.config import (_FLOAT_KEYS, KNOWN_KEYS, MAX_POLICY_LOGITS, ConfigError,
-                          parse_config_text)
+from segrl import training
+from segrl.config import (_FLOAT_KEYS, KNOWN_KEYS, MAX_POLICY_LOGITS, MAX_TURN_SLOTS,
+                          RANGES, ConfigError, parse_config_text)
 from segrl.core import InputError, load_trajectories
 from segrl.critic import ValueTables, fit_critic
 from segrl.envs import FetchChain
@@ -98,7 +99,10 @@ class TestConfig:
         # 7 logits a state.  The check reads integers and allocates nothing.
         h = (MAX_POLICY_LOGITS // 7 - 2) // 4
         assert policy_size(4 * h + 2, 1, 4) <= MAX_POLICY_LOGITS < policy_size(4 * h + 6, 1, 4)
-        assert parse_config_text(f"env.L = 2\nenv.H = {h}\nn_options = 1").env_h == h
+        # one episode and one epoch keep the turn-slot bound below its edge
+        assert parse_config_text(f"env.L = 2\nenv.H = {h}\nn_options = 1\n"
+                                 "episodes_per_iter = 1\neval_episodes = 1\n"
+                                 "epochs = 1").env_h == h
         with pytest.raises(ConfigError, match=f"'env.H' = {h + 1}"):
             parse_config_text(f"env.L = 2\nenv.H = {h + 1}\nn_options = 1")
         with pytest.raises(ConfigError, match="'env.L' = 1099511627776, 'env.H' = 20, "
@@ -114,6 +118,35 @@ class TestConfig:
     def test_bad_env_rejected(self):
         with pytest.raises(ConfigError, match="env"):
             parse_config_text("env = atari")
+
+    def test_one_declaration_per_hyperparameter(self):
+        # PPOConfig's fields and training.RANGES declare each hyperparameter;
+        # the reader takes every key's type from its field's default
+        fields = dataclasses.fields(PPOConfig)
+        env_keys = {"env", "env.L", "env.H", "n_options"}
+        assert {f.name for f in fields} <= set(training.RANGES)
+        assert set(RANGES) <= {f.name for f in fields} | env_keys
+        for f in fields:
+            kind = type(f.default)
+            assert kind in (float, int) and (f.name in _FLOAT_KEYS) == (kind is float)
+            parsed = getattr(parse_config_text(f"{f.name} = {f.default}").ppo, f.name)
+            assert type(parsed) is kind and parsed == f.default, f.name
+        with pytest.raises(ConfigError, match="cannot parse value for 'epochs'"):
+            parse_config_text("epochs = 4.0")
+        assert KNOWN_KEYS == {
+            "gamma", "lambda_low", "lambda_high", "lambda_flat", "clip_eps", "kl_beta",
+            "c_keep", "lr_actor", "lr_critic", "epochs", "minibatch", "iterations",
+            "episodes_per_iter", "eval_episodes", "seed", "env.L", "env.H", "n_options",
+            "env"}
+
+    @pytest.mark.parametrize("text", ["epochs = 13107", "epochs = 1\nepisodes_per_iter = 838860",
+                                      "eval_episodes = 838860", "env.H = 65536",
+                                      "env = onestep\nepochs = 1\nepisodes_per_iter = 16777216"])
+    def test_counts_at_the_turn_slot_bound(self, text):
+        # epochs x episodes_per_iter x env.H (4 x 64 x 20 by default) and each
+        # count of episodes x env.H reach 2**24 exactly; nothing is allocated
+        assert MAX_TURN_SLOTS == 2 ** 24
+        parse_config_text(text)
 
     @given(st.lists(st.one_of(
         st.tuples(st.sampled_from(sorted(KNOWN_KEYS) + ["entropy"]), st.one_of(
@@ -355,7 +388,7 @@ class TestRolloutAndAdvantages:
                          str(tmp_path / "adv")]) == 0
         got = [json.loads(line) for line in
                (tmp_path / "adv" / "advantages.jsonl").read_text().splitlines()]
-        cfg = GAEConfig(gamma=0.9, lambda_low=0.8, lambda_high=0.7)
+        cfg = PPOConfig(gamma=0.9, lambda_low=0.8, lambda_high=0.7)
         tt, _ = load_trajectories(jsonl)
         assert ((tmp_path / "adv" / "advantages.jsonl").read_text()
                 == spec.advantage_lines(tt, advantage_arrays(tt, tables, cfg, params=params)))
@@ -567,6 +600,50 @@ class TestMalformedInputs:
     def test_negative_episode_count(self, tmp_path, capsys):
         self._refused(["rollout", "--episodes", "-1", "--out",
                        str(tmp_path / "roll")], capsys, "--episodes")
+
+    @pytest.mark.parametrize("command", ["rollout", "eval"])
+    @pytest.mark.parametrize("episodes", [2 ** 62, MAX_TURN_SLOTS // 20 + 1])
+    def test_episode_count_past_the_turn_slots(self, tmp_path, capsys, command, episodes):
+        # FetchChain(5, 20): an episode takes 20 slots of each TurnTable column
+        # (before, 2**62 ended in "array is too big")
+        env = FetchChain(5, 20)
+        save_policy(tmp_path / "policy.txt",
+                    PolicyParams.uniform(env.n_states, 2, env.n_actions))
+        tracemalloc.start()
+        try:
+            self._refused([command, "--policy", str(tmp_path / "policy.txt"),
+                           "--episodes", str(episodes), "--out", str(tmp_path / "out")],
+                          capsys, f"--episodes = {episodes}, horizon = 20", "turn slots")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 21 and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines,named", [
+        ("episodes_per_iter = 4611686018427387904",
+         "'episodes_per_iter' = 4611686018427387904, 'env.H' = 20"),
+        ("epochs = 1\nepisodes_per_iter = 838861",
+         "'episodes_per_iter' = 838861, 'env.H' = 20"),
+        ("episodes_per_iter = 209716",
+         "'epochs' = 4, 'episodes_per_iter' = 209716, 'env.H' = 20"),
+        ("eval_episodes = 4611686018427387904",
+         "'eval_episodes' = 4611686018427387904, 'env.H' = 20"),
+        ("eval_episodes = 838861", "'eval_episodes' = 838861, 'env.H' = 20"),
+        ("epochs = 4611686018427387904",
+         "'epochs' = 4611686018427387904, 'episodes_per_iter' = 64, 'env.H' = 20"),
+        ("epochs = 13108", "'epochs' = 13108, 'episodes_per_iter' = 64, 'env.H' = 20"),
+        ("env.H = 65537", "'epochs' = 4, 'episodes_per_iter' = 64, 'env.H' = 65537"),
+        ("env = onestep\nepisodes_per_iter = 4611686018427387904",
+         "(2**24): 'episodes_per_iter' = 4611686018427387904\n"),
+    ])
+    def test_counts_past_the_turn_slots(self, tmp_path, capsys, lines, named):
+        # before, epochs = 2**62 died in `training._minibatch_keys`, which
+        # allocates an (epochs, rows) array
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 1\n" + lines + "\n")
+        self._refused(["train", "--config", str(cfg), "--out", str(tmp_path / "t")],
+                      capsys, named, "turn slots, more than 16777216")
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("lines,word", [
         (['{"t":0,"state":0'], "JSON"),
@@ -839,6 +916,80 @@ print(" ".join(m for m in ("numpy.random", "hashlib") if m in sys.modules))
 """
 
 
+class TestFlagKeyParity:
+    """Each flag accepts and refuses the values its config key does; each
+    refusal exits 2 with one stderr line naming the flag or the key."""
+
+    @staticmethod
+    def _code(argv, capsys, name):
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.count("\n") == 1 and name in err, err
+        else:
+            assert code == 0 and err == "", err
+        return code
+
+    def _key_code(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value!r}\n")
+        return self._code(["rollout", "--config", str(cfg), "--episodes", "0",
+                           "--out", str(tmp_path / "roll")], capsys, f"'{key}'")
+
+    @pytest.mark.parametrize("key,accepted", [("gamma", 3), ("lambda_low", 4),
+                                              ("lambda_high", 4)])
+    def test_float_flags(self, tmp_path, capsys, key, accepted):
+        episode = tmp_path / "ep.jsonl"
+        episode.write_text(json.dumps(dict(BAD_EPISODE[0], done=True)) + "\n")
+        save_values(tmp_path / "values.txt", ValueTables.zeros(14, 2))
+        flag = "--" + key.replace("_", "-")
+        values = [0.0, 1.0, math.nan, math.inf, -math.inf]
+        values += [math.nextafter(edge, to) for edge in (0.0, 1.0)
+                   for to in (-math.inf, math.inf)]
+        codes = []
+        for value in values:
+            code = self._code(["advantages", "--input", str(episode),
+                               "--values", str(tmp_path / "values.txt"),
+                               f"{flag}={value!r}", "--out", str(tmp_path / "adv")],
+                              capsys, flag)
+            assert code == self._key_code(tmp_path, capsys, key, value), value
+            codes.append(code)
+        assert codes.count(0) == accepted
+
+    def test_seed_flag(self, tmp_path, capsys):
+        for value in (-1, 0, 2 ** 64 - 1, 2 ** 64):
+            code = self._code(["rollout", "--episodes", "0", f"--seed={value}",
+                               "--out", str(tmp_path / "roll")], capsys, "--seed")
+            assert code == self._key_code(tmp_path, capsys, "seed", value)
+            assert code == (0 if 0 <= value < 2 ** 64 else 2)
+
+
+class TestSourceNames:
+    def test_every_top_level_name_is_used_outside_the_tests(self):
+        # a function or class that only the tests reference belongs in the
+        # tests: every one is named outside its own definition in src/,
+        # demos/, bench/ or the README
+        paths = [*sorted((ROOT / "src" / "segrl").glob("*.py")),
+                 *sorted((ROOT / "demos").glob("*.py")),
+                 *sorted(p for p in (ROOT / "bench").rglob("*")
+                         if p.suffix in (".py", ".md") and ".work" not in p.parts),
+                 ROOT / "README.md"]
+        texts = {path: path.read_text() for path in paths}
+        unused = []
+        for path in sorted((ROOT / "src" / "segrl").glob("*.py")):
+            lines = texts[path].splitlines(keepends=True)
+            for node in ast.parse(texts[path]).body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                rest = {p: t for p, t in texts.items() if p != path}
+                rest[path] = "".join(lines[:first - 1] + lines[node.end_lineno:])
+                word = re.compile(rf"\b{node.name}\b")
+                if not any(word.search(t) for t in rest.values()):
+                    unused.append(f"{path.stem}.{node.name}")
+        assert not unused
+
+
 class TestFootprint:
     def test_commands_import_neither_numpy_random_nor_hashlib(self, tmp_path):
         # every draw of train, train-flat, rollout and eval is a counter hash
@@ -1083,7 +1234,7 @@ class TestVerifyReports:
         params = fetchchain_phased(env, np.random.default_rng(12345))
         dp = solve_dp(env, params, 1.0)
         mc, = mc_gradient_hae(env, params, oracle_values(dp).tables,
-                              [(GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0), 3000)],
+                              [(PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0), 3000)],
                               seed=2)
         at = (*report["worst_cell"], report["worst_choice"])
         head = report["worst_head"]

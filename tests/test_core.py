@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segrl.advantages import GAEConfig
 from segrl.batch import (advantage_arrays, critic_batch_from_table,
                          returns_matrix, rollout_batch, segment_masks)
 from segrl.cli import dispatch
@@ -18,6 +17,7 @@ from segrl.core import (KEEP, SWITCH, InputError, MalformedTrajectory, _empty_ta
 from segrl.envs import FetchChain
 from segrl.oracle import random_tables
 from segrl.policy import PolicyParams
+from segrl.training import PPOConfig
 
 import spec
 from spec import Trajectory, TurnRecord, segment_boundaries
@@ -271,7 +271,7 @@ class TestValidation:
         if max(n_s, n_o, n_a) <= 100:
             # a validated table runs the advantage kernel to finite values
             adv = advantage_arrays(tt, random_tables(np.random.default_rng(0), n_s, n_o),
-                                   GAEConfig(), PolicyParams.uniform(n_s, n_o, n_a))
+                                   PPOConfig(), PolicyParams.uniform(n_s, n_o, n_a))
             assert np.isfinite(adv.a_low[tt.mask]).all()
             assert np.isfinite(adv.a_high[adv.masks.is_boundary]).all()
 

@@ -21,7 +21,7 @@ class TestFullLossCheck:
     @pytest.mark.parametrize("seed", range(4))
     def test_check_equals_differences_of_the_full_loss(self, seed):
         case = random_case(np.random.Generator(np.random.PCG64(seed)))
-        adv = advantage_arrays(case.table, case.tables, case.cfg.gae())
+        adv = advantage_arrays(case.table, case.tables, case.cfg)
         frozen = case.tables.copy()
 
         def loss(params=case.params):

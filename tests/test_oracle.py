@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from segrl import oracle
-from segrl.advantages import GAEConfig
 from segrl.batch import (TurnTable, advantage_arrays, critic_batch_from_table,
                          flat_advantage_arrays, rollout_batch)
 from segrl.core import KEEP
@@ -24,6 +23,7 @@ from segrl.oracle import (EnumerationCapExceeded, branching_bound,
                           McGradient, unbiasedness,
                           variance_reports)
 from segrl.policy import GradTables, PolicyParams, fetchchain_phased
+from segrl.training import PPOConfig
 
 import spec
 from conftest import Walk, cpus as _cpus, weighted_target_maps
@@ -371,7 +371,7 @@ class TestMonteCarloHarnesses:
     def test_unbiasedness_smoke(self):
         env = FetchChain(3, 6)
         params = fetchchain_phased(env, np.random.default_rng(12345))
-        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+        cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
         dp = solve_dp(env, params, cfg.gamma)
         mc, = mc_gradient_hae(env, params, oracle_values(dp).tables, [(cfg, 30000)], seed=4)
         rep = unbiasedness(mc, oracle_gradient(dp))
@@ -397,7 +397,7 @@ class TestMonteCarloHarnesses:
         env = FetchChain(2, 4)
         from spec import fetchchain_expert
         params = fetchchain_expert(env, sharpness=40.0)
-        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
+        cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
         tables = oracle_values(solve_dp(env, params, 1.0)).tables
         one, = mc_gradient_hae(env, params, tables, [(cfg, 1)], seed=0)
@@ -425,7 +425,7 @@ class TestMonteCarloHarnesses:
         params = PolicyParams.uniform(env.n_states, 1, env.n_actions)
         params.switch[:, :, 0] = 30.0   # never switch after the forced first
         vals = oracle_values(solve_dp(env, params, 1.0))
-        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
+        cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0,
                         lambda_flat=1.0)
         tt = rollout_batch(env, params, 2000, seed=6)
         a_low = advantage_arrays(tt, vals.tables, cfg).a_low
@@ -457,7 +457,7 @@ class TestForkedWorkers:
     """The Monte-Carlo gates on a pool of forked workers: the same bits as in
     one process, and no process left behind."""
 
-    CFG = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+    CFG = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
 
     @pytest.fixture(scope="class")
     def phased(self):
@@ -485,8 +485,8 @@ class TestForkedWorkers:
         # 13 chunks of 150 (two jobs): 1900 and 620 end inside a chunk, and
         # 90 inside the first one
         runs = [(self.CFG, 1900),
-                (GAEConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95), 620),
-                (GAEConfig(gamma=0.9, lambda_low=0.5, lambda_high=0.8), 90)]
+                (PPOConfig(gamma=1.0, lambda_low=0.95, lambda_high=0.95), 620),
+                (PPOConfig(gamma=0.9, lambda_low=0.5, lambda_high=0.8), 90)]
         together = mc_gradient_hae(env, params, vals.tables, runs, seed=4, chunk=150)
         assert [mc.n for mc in together] == [1900, 620, 90]
         for run, got in zip(runs, together):
@@ -558,13 +558,13 @@ class TestDegenerateSizes:
                                               (100, 0, "chunk"), (100, -5, "chunk")])
     def test_mc_gradient(self, phased, n, chunk, name):
         env, params, vals = phased
-        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+        cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
         with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
             mc_gradient_hae(env, params, vals.tables, [(cfg, n)], seed=0, chunk=chunk)
 
     def test_mc_gradient_runs(self, phased):
         env, params, vals = phased
-        cfg = GAEConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
+        cfg = PPOConfig(gamma=1.0, lambda_low=1.0, lambda_high=1.0)
         with pytest.raises(ValueError, match="^runs must not be empty"):
             mc_gradient_hae(env, params, vals.tables, [], seed=0)
         with pytest.raises(ValueError, match="^n must be >= 1"):

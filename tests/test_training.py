@@ -4,7 +4,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from segrl.advantages import GAEConfig
 from segrl.batch import (advantage_arrays, flat_advantage_arrays,
                          gather_rows, head_sites, record_behavior, rollout_batch,
                          site_pass, site_scores)
@@ -28,7 +27,7 @@ from conftest import (actor_loss, flat_actor_loss, head_ratios, kl_penalty,
 def make_rows(env, params, seed=7, n=24, c_keep=0.0, tables=None, cfg=None):
     tt = rollout_batch(env, params, n, seed=seed, c_keep=c_keep)
     tables = tables if tables is not None else ValueTables.zeros(env.n_states, 2)
-    cfg = cfg or GAEConfig(gamma=0.95)
+    cfg = cfg or PPOConfig(gamma=0.95)
     adv = advantage_arrays(tt, tables, cfg)
     return tt, adv, gather_rows(tt, adv)
 
@@ -148,7 +147,7 @@ class TestKlPenalty:
         params.action[0, 0, 0] = math.log(3.0)   # p = (0.75, 0.25)
         ref = PolicyParams.uniform(1, 1, 2)
         rows_tt = rollout_batch(OneStep(n_actions=2), params, 1, seed=0)
-        adv = advantage_arrays(rows_tt, ValueTables.zeros(2, 1), GAEConfig(gamma=1.0))
+        adv = advantage_arrays(rows_tt, ValueTables.zeros(2, 1), PPOConfig(gamma=1.0))
         rows = gather_rows(rows_tt, adv)
         kl, _ = kl_penalty(rows, params, ref)
         expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
@@ -172,7 +171,7 @@ def shared_pass_case():
     rng = np.random.default_rng(11)
     behavior = fetchchain_phased(env, rng)
     tt = rollout_batch(env, behavior, 40, seed=9, c_keep=0.1)
-    cfg = GAEConfig(gamma=0.95)
+    cfg = PPOConfig(gamma=0.95)
     rows = gather_rows(tt, advantage_arrays(tt, random_tables(rng, env.n_states, 2),
                                             cfg))
     rows.adv_flat = flat_advantage_arrays(tt, rng.standard_normal(env.n_states),
@@ -277,7 +276,7 @@ class TestOneKernel:
         params = fetchchain_phased(env, rng)
         tt = record_behavior(rollout_batch(env, params, 40, seed=9), params)
         tt.format_ok[:] = rng.random(tt.mask.shape) > 0.3
-        cfg = GAEConfig(gamma=0.95)
+        cfg = PPOConfig(gamma=0.95)
         rows = gather_rows(tt, advantage_arrays(tt, random_tables(rng, env.n_states, 2),
                                                 cfg))
         rows.adv_flat = flat_advantage_arrays(tt, rng.standard_normal(env.n_states),
@@ -331,7 +330,7 @@ class TestTotalLoss:
         tt = rollout_batch(env, behavior, 12, seed=5)
         v_flat = rng.standard_normal(env.n_states)
         rows = gather_rows(tt)
-        rows.adv_flat = flat_advantage_arrays(tt, v_flat, GAEConfig(gamma=0.95))[tt.mask]
+        rows.adv_flat = flat_advantage_arrays(tt, v_flat, PPOConfig(gamma=0.95))[tt.mask]
         _, analytic = flat_actor_loss(rows, params, eps=0.2)
 
         def f(p):
