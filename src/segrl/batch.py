@@ -26,29 +26,98 @@ from .core import KEEP, SWITCH, TurnTable, _empty_table
 from .critic import (CriticBatch, ValueTables, low_cell, row_targets,
                      single_coupling_rows, stacked)
 from .envs import EnvModel, transition_tables
-from .policy import PolicyParams, softmax
+from .policy import TABLES, PolicyParams, softmax
 from .rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform
 
 if TYPE_CHECKING:  # the trainer imports this module
     from .training import PPOConfig
 
 
-def _head_tables(params: PolicyParams) -> list:
-    """Per head in stream order (switch, subgoal, action), over every cell
-    of its table: the explicitly normalized softmax CDF without its last
-    entry, so that an inverse-CDF draw is the count of entries <= u (ties go
-    right, the last index takes the rest), and the log-softmax, flat.  Both
-    come from one max/exp/sum per row."""
-    out = []
-    for table in (params.switch, params.subgoal, params.action):
-        x = cell_rows(table)
-        z = x - np.max(x, axis=1, keepdims=True)
-        e = np.exp(z)
-        total = np.sum(e, axis=1, keepdims=True)
-        cdf = np.cumsum(e / total, axis=1)
-        cdf /= cdf[:, -1:]
-        out.append((cdf[:, :-1].copy(), (z - np.log(total)).ravel()))
-    return out
+def _cell_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the logit cells `x`: the explicitly normalized softmax CDF
+    without its last entry, so that an inverse-CDF draw is the count of
+    entries <= u (ties go right, the last index takes the rest), and the
+    log-softmax.  Both come from one max/exp/sum per row."""
+    z = x - np.max(x, axis=1, keepdims=True)
+    e = np.exp(z)
+    total = np.sum(e, axis=1, keepdims=True)
+    cdf = np.cumsum(e / total, axis=1)
+    cdf /= cdf[:, -1:]
+    z -= np.log(total)
+    return cdf[:, :-1], z
+
+
+class _PolicyTables:
+    """What a frozen policy's rollouts read, each part built on first use.
+    The draw tables: per head in stream order (switch, subgoal, action), over
+    every cell of its table, `_cell_draws`.  The greedy tables: each cell's
+    argmax, and per (state, previous subgoal) context the argmax turn and
+    its successor (`_walk`).
+
+    Every row is a function of one cell's logits, or of one state's cells,
+    so after a step that wrote the logits of the cells `Sites` covers,
+    `refresh` rebuilds only their rows and the tables equal freshly built
+    ones bit for bit.  A -0.0 logit turned +0.0 changes no row."""
+
+    def __init__(self, env: EnvModel, params: PolicyParams):
+        self.env, self.params = env, params
+        self._draws = self._argmax = self._contexts = None
+
+    def draws(self) -> list:
+        """(CDF without its last entry, log-softmax) per head, (cells, width)."""
+        if self._draws is None:
+            self._draws = [(cdf.copy(), lp) for cdf, lp in
+                           (_cell_draws(cell_rows(getattr(self.params, name)))
+                            for name in TABLES)]
+        return self._draws
+
+    def contexts(self) -> tuple:
+        """(q, o, a, succ) per context: context s * (O + 1) + p + 1 holds
+        (s, p), p = -1 standing for turn 0, and `succ` holds one more context
+        for an ended episode, its own successor."""
+        if self._contexts is None:
+            self._argmax = [np.argmax(cell_rows(getattr(self.params, name)), axis=1)
+                            for name in TABLES]
+            width = self.params.n_options + 1
+            n = self.env.n_states * width
+            self._contexts = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+                              np.empty(n, dtype=np.int64), np.full(n + 1, n))
+            self._turns(np.arange(n))
+        return self._contexts
+
+    def _turns(self, ctx: np.ndarray) -> None:
+        """Write the greedy turn and successor of the contexts `ctx`."""
+        nxt_tab, _, done_tab = transition_tables(self.env)
+        switch, subgoal, action = self._argmax
+        q, o, a, succ = self._contexts
+        n_o = self.params.n_options
+        s, prev = np.divmod(ctx, n_o + 1)
+        prev -= 1
+        q[ctx] = turn_q = np.where(prev < 0, SWITCH, switch[s * n_o + np.maximum(prev, 0)])
+        o[ctx] = turn_o = np.where(turn_q == KEEP, prev, subgoal[s])
+        a[ctx] = turn_a = action[s * n_o + turn_o]
+        succ[ctx] = np.where(done_tab[s, turn_a], q.size,
+                             nxt_tab[s, turn_a] * (n_o + 1) + turn_o + 1)
+
+    def refresh(self, sites: Sites) -> None:
+        """Rebuild, in each part built so far, the rows of the cells whose
+        logits `sites.cells` holds (whole cells, in `theta` order)."""
+        n_o = self.params.n_options
+        touched = np.zeros(self.env.n_states, dtype=bool)
+        for i, name in enumerate(TABLES):
+            h = HEADS.index(name)
+            (lo, hi), width = sites.spans[h], sites.widths[h]
+            rows = (sites.cells[lo:hi:width] - self.params.offsets[name]) // width
+            x = cell_rows(getattr(self.params, name))[rows]
+            if self._draws is not None:
+                cdf, lp = self._draws[i]
+                cdf[rows], lp[rows] = _cell_draws(x)
+            if self._contexts is not None:
+                self._argmax[i][rows] = np.argmax(x, axis=1)
+                touched[rows if name == "subgoal" else rows // n_o] = True
+        if self._contexts is not None:
+            states = np.flatnonzero(touched)
+            self._turns((states[:, None] * (n_o + 1) + np.arange(n_o + 1)).ravel())
 
 
 def _start_states(env: EnvModel, seed: int, ep_ids: np.ndarray) -> np.ndarray:
@@ -66,24 +135,26 @@ def _start_states(env: EnvModel, seed: int, ep_ids: np.ndarray) -> np.ndarray:
 
 def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: int,
                   c_keep: float = 0.0, episode_offset: int = 0,
-                  greedy: bool = False) -> TurnTable:
+                  greedy: bool = False, _tables: _PolicyTables | None = None) -> TurnTable:
     """Collect a batch of episodes in lockstep across vectorized turns; an
     episode not done by `env.horizon` is truncated there.
 
     Greedy episodes are a function of their start state, so a greedy batch
     walks one episode per distinct start and copies it to every episode
-    that starts there.
+    that starts there.  `_tables`, the trainer's, are kept in step with
+    `params` by their `refresh`; by default they are built afresh.
     """
     if not 0.0 <= c_keep < np.inf:
         raise ValueError(f"c_keep must be finite and >= 0, got {c_keep}")
     if n_episodes < 0 or episode_offset < 0:
         raise ValueError("n_episodes and episode_offset must be >= 0, got "
                          f"{n_episodes} and {episode_offset}")
+    tables = _PolicyTables(env, params) if _tables is None else _tables
     ep_ids = episode_offset + np.arange(int(n_episodes), dtype=np.int64)
     start = _start_states(env, seed, ep_ids)
     if greedy:
         distinct, which = np.unique(start, return_inverse=True)
-        once = _walk(env, params, distinct, _empty_table(distinct.size, env.horizon))
+        once = _walk(env, tables, distinct, _empty_table(distinct.size, env.horizon))
         tt = TurnTable(**{k: v[which] for k, v in vars(once).items()})
     else:
         tt = _empty_table(ep_ids.size, env.horizon)
@@ -91,7 +162,7 @@ def rollout_batch(env: EnvModel, params: PolicyParams, n_episodes: int, seed: in
         step = max(1, _ROLL_SLOTS // env.horizon)
         for lo in range(0, ep_ids.size, step):
             part = TurnTable(**{k: v[lo:lo + step] for k, v in vars(tt).items()})
-            _roll(env, params, start[lo:lo + step], seed, ep_ids[lo:lo + step], part)
+            _roll(env, tables, start[lo:lo + step], seed, ep_ids[lo:lo + step], part)
     if c_keep > 0.0:
         keeps = tt.mask & (tt.q == KEEP)
         tt.reward[keeps] -= c_keep
@@ -102,21 +173,21 @@ _HEAD_KEYS = np.array([HEAD_SWITCH, HEAD_SUBGOAL, HEAD_ACTION])[:, None]
 _ROLL_SLOTS = 2 ** 16  # (episode, turn) slots per rolled block
 
 
-def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, seed: int,
+def _roll(env: EnvModel, tables: _PolicyTables, state: np.ndarray, seed: int,
           ep_ids: np.ndarray, tt: TurnTable) -> TurnTable:
     """Episodes from the given start states, sampled with the streams of
     `ep_ids`, written into the empty table `tt`.
 
-    The policy is frozen for the whole batch, so each head's draw table is
-    computed once over all its cells and every (turn, head, episode) draw
-    is hashed in one call; a turn only gathers and compares, and writes its
-    decisions into turn-major columns.  The rewards and log-probs are
+    The policy is frozen for the whole batch, so each head's draw table
+    covers all its cells (`tables.draws`) and every (turn, head, episode)
+    draw is hashed in one call; a turn only gathers and compares, and writes
+    its decisions into turn-major columns.  The rewards and log-probs are
     gathered from those columns after the last turn.  Every episode steps
     until all are done; the turns after its end keep the table's padding."""
     nxt_tab, rew_tab, done_tab = (x.ravel() for x in transition_tables(env))
     live_tab = ~done_tab
-    n, n_o, n_a = state.size, params.n_options, env.n_actions
-    (cdf_sw, lp_sw), (cdf_hi, lp_hi), (cdf_lo, lp_lo) = _head_tables(params)
+    n, n_o, n_a = state.size, tables.params.n_options, env.n_actions
+    (cdf_sw, lp_sw), (cdf_hi, lp_hi), (cdf_lo, lp_lo) = tables.draws()
     u = counter_uniform(seed, ep_ids, np.arange(env.horizon)[:, None, None],
                         _HEAD_KEYS)[..., None]
     # turn-major: row t holds turn t of every episode; s, o hold one more
@@ -156,28 +227,17 @@ def _roll(env: EnvModel, params: PolicyParams, state: np.ndarray, seed: int,
     return tt
 
 
-def _walk(env: EnvModel, params: PolicyParams, state: np.ndarray,
+def _walk(env: EnvModel, tables: _PolicyTables, state: np.ndarray,
           tt: TurnTable) -> TurnTable:
     """Greedy episodes (argmax, no log-probs) from the given start states,
     written into the empty table `tt`.
 
     A greedy turn is a function of its context (state, previous subgoal), so
-    the argmax turn and successor of every context are built once; each turn
-    is then one gather of the successors.  Context s * (O + 1) + p + 1 holds
-    (s, p), p = -1 standing for turn 0, and one more context stands for an
-    ended episode: it holds the table's padding and is its own successor."""
+    each turn is one gather of the successors `tables.contexts` holds; one
+    more context stands for an ended episode and holds the table's padding."""
     nxt_tab, rew_tab, done_tab = transition_tables(env)
-    n_o, width = params.n_options, params.n_options + 1
-    s, prev = np.divmod(np.arange(env.n_states * width), width)
-    prev -= 1
-    switch, subgoal, action = (np.argmax(cell_rows(x), axis=1)
-                               for x in (params.switch, params.subgoal, params.action))
-    q = np.where(prev < 0, SWITCH, switch[s * n_o + np.maximum(prev, 0)])
-    o = np.where(q == KEEP, prev, subgoal[s])
-    a = action[s * n_o + o]
-    nxt, done = nxt_tab[s, a], done_tab[s, a]
-    end = s.size
-    succ = np.append(np.where(done, end, nxt * width + o + 1), end)
+    q, o, a, succ = tables.contexts()
+    width, end = tables.params.n_options + 1, q.size
     path = np.empty((env.horizon + 1, state.size), dtype=np.int64)
     path[0] = state * width
     for t in range(env.horizon):
@@ -185,15 +245,20 @@ def _walk(env: EnvModel, params: PolicyParams, state: np.ndarray,
     ctx = path[:-1].T
     mask = ctx < end
     live = ctx[mask]
+    s, prev = np.divmod(live, width)
+    prev -= 1
+    act = a.take(live)
     tt.mask[:] = mask
-    for name, col in (("state", s), ("prev_subgoal", prev), ("q", q), ("subgoal", o),
-                      ("action", a), ("reward", rew_tab[s, a])):
-        getattr(tt, name)[mask] = col[live]
+    for name, col in (("state", s), ("prev_subgoal", prev), ("q", q.take(live)),
+                      ("subgoal", o.take(live)), ("action", act),
+                      ("reward", rew_tab[s, act])):
+        getattr(tt, name)[mask] = col
     tt.raw_reward[:] = tt.reward
     tt.length[:] = mask.sum(axis=1)
     last = ctx[np.arange(state.size), tt.length - 1]
-    tt.terminated[:] = done[last]
-    tt.final_state[:] = nxt[last]
+    s_last, a_last = last // width, a.take(last)
+    tt.terminated[:] = done_tab[s_last, a_last]
+    tt.final_state[:] = nxt_tab[s_last, a_last]
     return tt
 
 
@@ -230,20 +295,34 @@ def segment_masks(tt: TurnTable) -> SegmentMasks:
 def returns_matrix(tt: TurnTable, gamma: float | np.ndarray) -> np.ndarray:
     """Per-turn return-to-go, zero beyond episode length; `gamma` is one
     discount or one per episode."""
-    r = np.where(tt.mask, tt.reward, 0.0)
-    return _backward_sums(r, tt.mask, np.reshape(gamma, (-1, 1)), np.zeros_like(tt.mask))
+    return _backward_sums(tt.reward, tt.mask, np.reshape(gamma, (-1, 1)))
 
 
-def _backward_sums(x: np.ndarray, mask: np.ndarray, decay, restart: np.ndarray):
-    """S_t = x_t + decay_t * S_{t+1} over each row's `mask` (zero outside
-    it), with S_t = x_t at `restart` turns; `decay` broadcasts to the (n, T)
-    grid of `x` (one factor per row as an (n, 1) column)."""
-    out = np.zeros_like(x)
+def _backward_sums(x: np.ndarray, mask: np.ndarray, decay,
+                   restart: np.ndarray | None = None):
+    """S_t = x_t + decay_t * S_{t+1} over each row's `mask`, a prefix of its
+    turns (zero outside it), with S_t = x_t at `restart` turns; `decay`
+    broadcasts to the (n, T) grid of `x` (one factor per row as an (n, 1)
+    column).
+
+    The decay kept at each turn (0 at a restart or outside the mask) and the
+    masked `x` are built once, so a turn is one multiply and one add; the
+    recursion starts at the last column any row's mask holds.  A restart
+    turn first sets S_{t+1} to -0.0, so that x_t comes out as it is, even
+    after a non-finite S_{t+1}."""
+    out = np.zeros(x.shape)
+    live = np.flatnonzero(mask.any(axis=0))
+    if live.size == 0:
+        return out
+    keep = np.where(mask if restart is None else mask & ~restart, decay, 0.0)
+    xm = np.where(mask, x, 0.0)
     carry = np.zeros(x.shape[0])
-    decay = np.broadcast_to(decay, x.shape)
-    for t in range(x.shape[1] - 1, -1, -1):
-        carry = np.where(restart[:, t], x[:, t], x[:, t] + decay[:, t] * carry)
-        out[:, t] = carry = np.where(mask[:, t], carry, 0.0)
+    for t in range(live[-1], -1, -1):
+        if restart is not None:
+            np.copyto(carry, -0.0, where=restart[:, t])
+        carry *= keep[:, t]
+        carry += xm[:, t]
+        out[:, t] = carry
     return out
 
 
@@ -516,12 +595,13 @@ class Sites:
     and one pad (`slab`).  `block` holds one column of slab indices per
     site: its cell's entries, then the pad below a head narrower than the
     widest (an absent site's column is all pad).
-    `chosen` is the index taken within the site's cell; `widths` holds each
-    head's choices and `spans` the (start, stop) of the slab its cells fill."""
+    `chosen` is the slab index of the logit taken at each site (the pad at
+    an absent one); `widths` holds each head's choices and `spans` the
+    (start, stop) of the slab its cells fill."""
 
     present: np.ndarray           # (3, n) bool
     block: np.ndarray             # (max width, 3n) int64
-    chosen: np.ndarray            # (3n,) int64
+    chosen: np.ndarray            # (3n,) int64 slab indices
     cells: np.ndarray             # (c,) sorted entries of the vector
     size: int                     # of the vector
     widths: list
@@ -541,29 +621,54 @@ class Sites:
 
 def head_sites(rows: TurnRows, params: PolicyParams) -> Sites:
     """The rows' sites: the action head is present at every turn, the
-    subgoal head at switch turns, the switch head from t = 1 on."""
-    n_o = params.n_options
-    present = np.stack([np.ones(len(rows), dtype=bool), rows.q == SWITCH, rows.t > 0])
-    cell = np.stack([rows.state * n_o + rows.subgoal, rows.state,
-                     rows.state * n_o + rows.prev_subgoal])
-    tables = [getattr(params, name) for name in HEADS]
-    widths = np.array([t.shape[-1] for t in tables])
-    size = params.theta.size
-    starts = np.array([params.offsets[name] for name in HEADS])
-    k = np.arange(widths.max())[:, None]
-    # entries past a head's width and every entry of an absent site are the
-    # pad (entry `size`): the switch head's cell at t = 0 (prev subgoal -1)
-    # would start before its table and is never indexed
-    ent = np.where((k < np.repeat(widths, len(rows))) & present.ravel(),
-                   (starts[:, None] + cell * widths[:, None]).ravel() + k, size)
-    hit = np.zeros(size + 1, dtype=bool)
-    hit[ent] = True
-    cells = np.flatnonzero(hit[:size])
-    slot = np.full(size + 1, cells.size)
-    slot[cells] = np.arange(cells.size)
-    edges = np.searchsorted(cells, [starts, starts + [t.size for t in tables]]).tolist()
-    return Sites(present, slot[ent], np.concatenate([rows.action, rows.subgoal, rows.q]),
-                 cells, size, widths.tolist(), list(zip(*edges)))
+    subgoal head at switch turns, the switch head from t = 1 on.
+
+    Cells are numbered across the tables in `theta` order, so the touched
+    ones, marked by one scatter per head, come out sorted; each takes its
+    slab start from a running sum of their widths.  Each head's columns of
+    `block` are then its cells' starts plus 0 .. width - 1, written in
+    place."""
+    n_o, n = params.n_options, len(rows)
+    present = np.stack([np.ones(n, dtype=bool), rows.q == SWITCH, rows.t > 0])
+    # per table in `theta` order: its cells, their width and its first cell's number
+    shapes = np.array([cell_rows(getattr(params, name)).shape for name in TABLES])
+    n_cells, width = shapes.T
+    base = np.cumsum(n_cells) - n_cells
+    heads = [TABLES.index(name) for name in HEADS]
+    # the switch head's cell at t = 0 (prev subgoal -1) is absent: its slot
+    # is read clipped, then padded
+    cells = [cell + b for cell, b in zip((rows.state * n_o + rows.subgoal, rows.state,
+                                          rows.state * n_o + rows.prev_subgoal), base[heads])]
+    hit = np.zeros(n_cells.sum(), dtype=bool)
+    for cell, here in zip(cells, present):
+        hit[cell[here]] = True
+    touched = np.flatnonzero(hit)
+    per_table = np.diff(np.searchsorted(touched, [*base, hit.size]))
+    table = np.repeat(np.arange(len(TABLES)), per_table)
+    w = width[table]
+    start = np.cumsum(w) - w
+    offsets = np.array([params.offsets[name] for name in TABLES])
+    entries = np.repeat(offsets[table] + (touched - base[table]) * w - start, w)
+    entries += np.arange(entries.size)
+    slot = np.zeros(hit.size, dtype=np.int64)
+    slot[touched] = start
+    pad = entries.size
+    block = np.empty((width.max(), len(HEADS) * n), dtype=np.int64)
+    chosen = np.empty(len(HEADS) * n, dtype=np.int64)
+    k = np.arange(width.max())[:, None]
+    for h, (cell, here, taken) in enumerate(zip(cells, present,
+                                                (rows.action, rows.subgoal, rows.q))):
+        cols, wide = slice(h * n, (h + 1) * n), width[heads[h]]
+        first = slot.take(cell, mode="clip")
+        np.add(first, k[:wide], out=block[:wide, cols])
+        block[wide:, cols] = pad
+        np.add(first, taken, out=chosen[cols])
+        np.copyto(block[:, cols], pad, where=~here)
+        np.copyto(chosen[cols], pad, where=~here)
+    stop = np.cumsum(per_table * width)
+    spans = np.stack([stop - per_table * width, stop], axis=1)[heads].tolist()
+    return Sites(present, block, chosen, entries, params.theta.size,
+                 width[heads].tolist(), list(map(tuple, spans)))
 
 
 @dataclass
@@ -588,40 +693,101 @@ class SitePass:
     span: tuple
 
 
+@dataclass
+class Columns:
+    """The present sites of one minibatch of turn rows, head-major, each
+    head's in the rows' order: what a pass over them reads besides the
+    logits; `flags` holds a per-site mask's entries (`site_columns`)."""
+
+    site: np.ndarray              # (m,) index in the Sites
+    pos: np.ndarray               # (m,) position among the minibatch's rows
+    chosen: np.ndarray            # (m,) slab index of the chosen logit
+    flags: np.ndarray | None      # (m,)
+    rows: int
+    bounds: list
+    head: int | None
+
+
+def site_columns(sites: Sites, order: np.ndarray, size: int, head: int | None = None,
+                 flags: np.ndarray | None = None) -> list[Columns]:
+    """The `Columns` of the turn rows `order` cut into minibatches of `size`
+    rows (the last one short), of every head or only `head`, all computed
+    at once; with `flags` (per site), their entries too.  The rows of one
+    minibatch are the same code with `size` = their count."""
+    n, n_rows = order.size, sites.present.shape[1]
+    size = max(size, 1)
+    n_mb = max(-(-n // size), 1)
+    heads = range(len(HEADS)) if head is None else range(head, head + 1)
+    # [j, b * size + k]: whether head heads[j] is present at row
+    # order[b * size + k]; rows past the last are absent
+    grid = np.zeros((len(heads), n_mb * size), dtype=bool)
+    grid[:, :n] = sites.present[heads.start:heads.stop].take(order, axis=1)
+    # the sites minibatch by minibatch, each head-major: group g = b * H + j
+    # holds head heads[j] of minibatch b, and flat entry g * size + k its row k
+    flat = np.flatnonzero(grid.reshape(len(heads), n_mb, size).transpose(1, 0, 2))
+    edges = np.searchsorted(flat, np.arange(n_mb * len(heads) + 1) * size)
+    counts = np.diff(edges)
+    mb, j = np.divmod(np.arange(n_mb * len(heads)), len(heads))
+    pos = flat - np.repeat((mb * len(heads) + j) * size, counts)
+    site = order.take(pos + np.repeat(mb * size, counts))
+    site += np.repeat((j + heads.start) * n_rows, counts)
+    chosen = sites.chosen.take(site)
+    flags = None if flags is None else flags.take(site)
+    # each minibatch's first column, and each head's end past it
+    lo = edges[:-1:len(heads)]
+    per_head = np.zeros((n_mb, len(HEADS)), dtype=np.int64)
+    per_head[:, heads.start:heads.stop] = counts.reshape(n_mb, len(heads))
+    ends = per_head.cumsum(axis=1).tolist()
+    out = []
+    for b, (a, e) in enumerate(zip(lo.tolist(), ends)):
+        cut = slice(a, a + e[-1])
+        out.append(Columns(site[cut], pos[cut], chosen[cut],
+                           None if flags is None else flags[cut],
+                           min(size, n - b * size), list(zip([0] + e, e)), head))
+    return out
+
+
 def site_pass(sites: Sites, slab: np.ndarray, idx: np.ndarray | None = None,
               head: int | None = None, soft: bool = False) -> SitePass:
     """The sites of the turn rows `idx` (default: all), in that order, and of
     every head or only `head` (without pad rows), under the logits `slab`
-    (`Sites.slab`): one log-softmax over their columns, each max and sum
-    one reduce over the outer axis.  That sums a column left to right, the
-    order numpy sums a row of up to 7 choices in, so a head of up to 7
-    choices has the bits a per-row `policy.log_softmax` gives it.  From 8
-    choices numpy sums a row pairwise, and the two differ in the last bits:
-    within 1e-14 up to 64 choices (3.6e-15 at most at logit scale 3).  With
-    `soft`, also the action head's softmax, as the flat trainer weighs its
-    scores."""
-    present = sites.present if idx is None else sites.present[:, idx]
-    if head is None:
-        heads, pos = present.nonzero()
+    (`Sites.slab`): `columns_pass` over their `site_columns`."""
+    rows = np.arange(sites.present.shape[1]) if idx is None else np.asarray(idx)
+    return columns_pass(sites, slab, site_columns(sites, rows, rows.size, head)[0], soft)
+
+
+def columns_pass(sites: Sites, slab: np.ndarray, cols: Columns,
+                 soft: bool = False) -> SitePass:
+    """The sites `cols` under the logits `slab`: one log-softmax over their
+    columns, each max and sum one reduce over the outer axis.  That sums a
+    column left to right, the order numpy sums a row of up to 7 choices in,
+    so a head of up to 7 choices has the bits a per-row `policy.log_softmax`
+    gives it.  From 8 choices numpy sums a row pairwise, and the two differ
+    in the last bits: within 1e-14 up to 64 choices (3.6e-15 at most at
+    logit scale 3).  With `soft`, also the action head's softmax, as the
+    flat trainer weighs its scores."""
+    if cols.head is None:
         block, span = sites.block, (0, slab.size)
     else:
-        pos = np.flatnonzero(present[head])
-        heads = np.full(pos.size, head)
-        block, span = sites.block[:sites.widths[head]], sites.spans[head]
-    site = heads * sites.present.shape[1] + (pos if idx is None else idx[pos])
-    ends = np.bincount(heads, minlength=len(HEADS)).cumsum().tolist()
+        block, span = sites.block[:sites.widths[cols.head]], sites.spans[cols.head]
     # take keeps C order, where the outer-axis reduces run whole rows at once
-    ent = block.take(site, axis=1)
+    ent = block.take(cols.site, axis=1)
     z = slab.take(ent)
-    z -= z.max(axis=0)
+    top = z.max(axis=0)
+    z -= top
     e = np.exp(z)
     total = e.sum(axis=0)
-    soft = e[:, :ends[0]] / total[:ends[0]] if soft else None
-    # the log-probs overwrite z, and their exp e
-    lp = np.subtract(z, np.log(total), out=z)
-    at = sites.chosen.take(site) * site.size + np.arange(site.size)
-    return SitePass(site, pos, ent.take(at), lp.take(at), ent, lp, np.exp(lp, out=e),
-                    soft, list(zip([0] + ends, ends)), span)
+    n_action = cols.bounds[0][1]
+    soft = e[:, :n_action] / total[:n_action] if soft else None
+    # the log-probs overwrite z, and their exp e; the chosen ones take the
+    # same two subtractions
+    log_total = np.log(total)
+    lp = np.subtract(z, log_total, out=z)
+    live = slab.take(cols.chosen)
+    live -= top
+    live -= log_total
+    return SitePass(cols.site, cols.pos, cols.chosen, live, ent, lp,
+                    np.exp(lp, out=e), soft, cols.bounds, span)
 
 
 def site_scores(sp: SitePass, weight: np.ndarray, probs: np.ndarray | None = None,

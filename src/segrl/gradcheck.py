@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import (Sites, advantage_arrays, critic_batch_from_table, gather_rows,
-                    head_sites, record_behavior, site_pass, site_scores)
+from .batch import (Columns, Sites, advantage_arrays, columns_pass, critic_batch_from_table,
+                    gather_rows, head_sites, record_behavior, site_columns, site_scores)
 from .core import TurnTable
 from .critic import ValueTables
 from .oracle import _fork_map, random_table, random_tables
 from .policy import GradTables, PolicyParams
-from .training import PPOConfig, _ref_log_probs, _sites, _step
+from .training import PPOConfig, _columns, _ref_log_probs, _sites, _step
 
 DEFAULT_H = 1e-5
 DEFAULT_TOL = 1e-6
@@ -88,12 +88,17 @@ def random_case(rng: np.random.Generator) -> GradCheckCase:
     return GradCheckCase(params, params_old, ref, tables, table, cfg, c_v)
 
 
-def turn_log_likelihood(sites: Sites, theta: np.ndarray) -> np.ndarray:
+def turn_log_likelihood(sites: Sites, theta: np.ndarray,
+                        every: Columns | None = None) -> np.ndarray:
     """Each turn's log-likelihood under the logits `theta`: its present
     heads' summed log-probabilities from the stacked site pass, as the flat
-    trainer's joint ratio sums them."""
-    sp = site_pass(sites, sites.slab(theta))
-    return np.bincount(sp.pos, sp.live, minlength=sites.present.shape[1])
+    trainer's joint ratio sums them.  `every` holds the columns of every
+    row when laid out already (`batch.site_columns`)."""
+    n_rows = sites.present.shape[1]
+    if every is None:
+        every = site_columns(sites, np.arange(n_rows), n_rows)[0]
+    sp = columns_pass(sites, sites.slab(theta), every)
+    return np.bincount(sp.pos, sp.live, minlength=n_rows)
 
 
 def _score_case(rng: np.random.Generator, n_turns: int = 20):
@@ -106,11 +111,13 @@ def _score_case(rng: np.random.Generator, n_turns: int = 20):
 
 
 def _check_scores(params: PolicyParams, sites: Sites, h: float) -> float:
-    sp = site_pass(sites, sites.slab(params.theta))
     n_rows = sites.present.shape[1]
+    every = site_columns(sites, np.arange(n_rows), n_rows)[0]
+    sp = columns_pass(sites, sites.slab(params.theta), every)
     analytic = sites.spread(site_scores(sp, np.ones(sp.site.size), group=sp.pos,
                                         n_groups=n_rows))
-    numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, p.theta), params, h)
+    numeric = fd_params_grad(lambda p: turn_log_likelihood(sites, p.theta, every),
+                             params, h)
     return rel_err(analytic, numeric.theta)
 
 
@@ -131,7 +138,7 @@ def check_total_loss_grads(case: GradCheckCase, h: float = DEFAULT_H) -> float:
                    _ref_log_probs(case.ref))
     critic = critic_batch_from_table(case.table, cfg.gamma, tables.n_states,
                                      tables.n_options)
-    every = np.arange(sites.layout.present.shape[1])
+    every = _columns(sites, np.arange(sites.layout.present.shape[1]))
     slab = sites.layout.slab(case.params.theta)
 
     def value(surrogate, kl, mse_lo, mse_hi):

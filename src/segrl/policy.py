@@ -190,7 +190,8 @@ def write_checkpoint(path, magic: str, sizes, tables: dict[str, np.ndarray]) -> 
         fp.write(f"{magic}\n{' '.join(map(str, sizes))}\n")
         for name, table in tables.items():
             fp.write(f"table {name} {table.size}\n")
-            fp.writelines(f"{v!r}\n" for v in table.ravel().tolist())
+            if table.size:
+                fp.write("\n".join(map(repr, table.ravel().tolist())) + "\n")
 
 
 def read_checkpoint(path, magic: str, shapes) -> dict[str, np.ndarray]:

@@ -17,10 +17,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .advantages import whiten
-from .batch import (BatchStats, Sites, SitePass, TurnRows, _advantage_arrays,
-                    _critic_batch, batch_stats, cell_rows, flat_advantage_arrays,
-                    flat_batch_from_table, gather_rows, head_sites, rollout_batch,
-                    site_pass, site_scores)
+from .batch import (BatchStats, Columns, Sites, SitePass, TurnRows, _PolicyTables,
+                    _advantage_arrays, _critic_batch, batch_stats, cell_rows,
+                    columns_pass, flat_advantage_arrays, flat_batch_from_table,
+                    gather_rows, head_sites, rollout_batch, site_columns, site_pass,
+                    site_scores)
 from .critic import ValueTables, fit_critic
 from .envs import EnvModel
 from .policy import TABLES, PolicyParams, log_softmax
@@ -254,13 +255,20 @@ def _kl(sites: _Sites, slab: np.ndarray) -> float:
     return _head_sums(kl, sp.bounds) / sites.layout.present.shape[1]
 
 
-def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
+def _columns(sites: _Sites, idx: np.ndarray) -> Columns:
+    """The minibatch of turn rows `idx`, in that order, as `_step` takes it:
+    a one-minibatch epoch of `batch.site_columns`."""
+    return site_columns(sites.layout, idx, len(idx), flags=sites.scored)[0]
+
+
+def _step(sites: _Sites, mb: Columns, slab: np.ndarray, eps: float,
           grad: bool = True, kl_per_head: bool = True):
-    """The minibatch of turn rows `idx`, in that order, under the live
-    logits `slab` (`Sites.slab` of the layout): the clipped surrogate summed
-    over its sites and the exact KL(live || ref) averaged over its rows, each
-    with its gradient wrt `slab` (None without `grad`).  The log-probs come
-    from `batch.site_pass` and the surrogate gradient from
+    """The minibatch `mb` (`_columns`, or one of an epoch's
+    `batch.site_columns`) under the live logits `slab` (`Sites.slab` of the
+    layout): the clipped surrogate summed over its sites and the exact
+    KL(live || ref) averaged over its rows, each with its gradient wrt
+    `slab` (None without `grad`).  The log-probs come from
+    `batch.columns_pass` and the surrogate gradient from
     `batch.site_scores`.  The KL is summed head by head, as `_kl` sums it;
     without `kl_per_head` it is one sum over the sites, which differs in the
     last bits and serves only to check that it is finite.
@@ -269,11 +277,11 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
     the present heads' scores; the action head's weighs with the explicitly
     normalized softmax, as a last-bit change would re-roll every later
     batch."""
-    n = len(idx)
+    n = mb.rows
     if n == 0:
         zeros = np.zeros_like(slab) if grad else None
         return 0.0, zeros, 0.0, zeros
-    sp = site_pass(sites.layout, slab, idx, soft=sites.flat)
+    sp = columns_pass(sites.layout, slab, mb, soft=sites.flat)
     # each site's reference log-probs, behavior log-prob and advantage; the
     # log-prob differences overwrite the reference log-probs, and the KL
     # terms the log-probs, which nothing reads after
@@ -283,16 +291,16 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
     probs = None
     if sites.flat:
         joint = np.bincount(sp.pos, sp.live, minlength=n)  # action, subgoal, switch
-        # the action sites come first, one per row in `idx` order
+        # the action sites come first, one per row in the minibatch's order
         value, w = _clipped_surrogate(np.exp(joint - packed[-2, :n]), packed[-1, :n], eps)
         surrogate, w = float(value.sum()), w[sp.pos]
         probs = np.concatenate([sp.soft, sp.p[:, sp.soft.shape[1]:]], axis=1)
     else:
         value, w = _clipped_surrogate(np.exp(sp.live - packed[-2]), packed[-1], eps)
-        if sites.scored is None:
+        if mb.flags is None:
             surrogate = _head_sums(value, sp.bounds)
         else:
-            scored = sites.scored[sp.site]
+            scored = mb.flags
             surrogate = 0.0
             for lo, hi in sp.bounds:
                 surrogate += float(value[lo:hi][scored[lo:hi]].sum())
@@ -310,18 +318,20 @@ def _step(sites: _Sites, idx: np.ndarray, slab: np.ndarray, eps: float,
 # ---------------------------------------------------------------------------
 
 def evaluate(params: PolicyParams, env: EnvModel, episodes: int,
-             mode: str = "greedy", seed: int = 0) -> BatchStats:
+             mode: str = "greedy", seed: int = 0,
+             _tables: _PolicyTables | None = None) -> BatchStats:
     """Roll out without reward shaping; success is the raw goal outcome.
 
     Greedy mode is deterministic (argmax, ties to the lowest index), so
-    repeated calls return identical results.
+    repeated calls return identical results.  `_tables` as in
+    `rollout_batch`.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError("mode must be 'greedy' or 'sample'")
     if episodes < 1:  # zero episodes have no success rate or mean
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     tt = rollout_batch(env, params, episodes, derive_seed(seed, _EVAL_STREAM),
-                       greedy=(mode == "greedy"))
+                       greedy=(mode == "greedy"), _tables=_tables)
     return batch_stats(tt, goal_state=getattr(env, "goal_state", None))
 
 
@@ -345,14 +355,12 @@ def _minibatch_keys(key: int, n_rows: int, epochs: int) -> np.ndarray:
     return counter_hash(key, rows, np.arange(epochs)[:, None]) >> low << low | rows
 
 
-def _minibatches(key: int, n_rows: int, epochs: int, size: int):
-    """Each epoch's minibatches of `size` rows (the last one short), in an
-    order of the rows that is a pure function of (key, epoch, n_rows): the
-    sorted keys' low bits."""
+def _epoch_orders(key: int, n_rows: int, epochs: int) -> np.ndarray:
+    """(epochs, n_rows): each epoch's order of the rows, a pure function of
+    (key, epoch, n_rows): the sorted keys' low bits.  An epoch's minibatches
+    are its order cut into `minibatch` rows (the last one short)."""
     mask = (1 << max(n_rows - 1, 0).bit_length()) - 1
-    for order in (np.sort(_minibatch_keys(key, n_rows, epochs), axis=1) & mask).astype(np.intp):
-        for lo in range(0, n_rows, size):
-            yield order[lo:lo + size]
+    return (np.sort(_minibatch_keys(key, n_rows, epochs), axis=1) & mask).astype(np.intp)
 
 
 def _policy_fingerprint(theta: np.ndarray) -> int:
@@ -394,13 +402,15 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
                                                 0 if flat else params.n_options))
     ref_lp = _ref_log_probs(state.params_ref)  # the reference stays frozen
     rollout_seed = derive_seed(cfg.seed, _TRAIN_STREAM)
+    # the rollouts' per-cell tables, refreshed where each update wrote
+    tables = _PolicyTables(env, state.params)
     metrics: list[MetricsRow] = []
     goal = getattr(env, "goal_state", None)
     for it in range(cfg.iterations):
         state.iteration = it
         it_seed = derive_seed(rollout_seed, _policy_fingerprint(theta))
         tt = rollout_batch(env, state.params, cfg.episodes_per_iter,
-                           it_seed, c_keep=cfg.c_keep)
+                           it_seed, c_keep=cfg.c_keep, _tables=tables)
         if flat:
             cb = flat_batch_from_table(tt, cfg.gamma, env.n_states)
         else:
@@ -424,27 +434,32 @@ def _run_loop(cfg: PPOConfig, env: EnvModel, init_params: PolicyParams | None,
         slab = sites.layout.slab(theta)
 
         surrogate_sum, turn_count = 0.0, 0
-        for idx in _minibatches(derive_seed(cfg.seed, 23, it), len(rows), cfg.epochs,
-                                cfg.minibatch):
-            value, g_actor, kl, g_kl = _step(sites, idx, slab, cfg.clip_eps,
-                                             kl_per_head=False)
-            _check_finite("actor surrogate", it, value, kl)
-            # the surrogate is a sum over minibatch turns while the KL is a
-            # per-turn mean; scale the KL gradient to the same footing
-            slab += cfg.lr_actor * (g_actor - cfg.kl_beta * len(idx) * g_kl)
-            surrogate_sum += value
-            turn_count += len(idx)
+        for order in _epoch_orders(derive_seed(cfg.seed, 23, it), len(rows), cfg.epochs):
+            for mb in site_columns(sites.layout, order, cfg.minibatch, flags=sites.scored):
+                value, g_actor, kl, g_kl = _step(sites, mb, slab, cfg.clip_eps,
+                                                 kl_per_head=False)
+                _check_finite("actor surrogate", it, value, kl)
+                # the surrogate is a sum over minibatch turns while the KL is
+                # a per-turn mean; scale the KL gradient to the same footing.
+                # In place: slab += lr_actor * (g_actor - kl_beta * rows * g_kl)
+                g_kl *= cfg.kl_beta * mb.rows
+                g_actor -= g_kl
+                g_actor *= cfg.lr_actor
+                slab += g_actor
+                surrogate_sum += value
+                turn_count += mb.rows
         # as a step over the whole vector would, turn each -0.0 logit outside
         # the slab into +0.0: the rollout streams hash the logits' bytes (an
         # episode has at least one turn, so a step ran)
         theta += 0.0
         theta[sites.layout.cells] = slab[:-1]
         _check_finite("policy parameters", it, theta)
+        tables.refresh(sites.layout)
 
         kl_now = _kl(sites, slab)
         st = batch_stats(tt, goal_state=goal)
         greedy = evaluate(state.params, env, cfg.eval_episodes, "greedy",
-                          seed=derive_seed(cfg.seed, 31, it))
+                          seed=derive_seed(cfg.seed, 31, it), _tables=tables)
         row = MetricsRow(
             iteration=it,
             mean_return=st.mean_return,

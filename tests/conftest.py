@@ -119,11 +119,12 @@ def minibatch_step(rows, params, ref, eps, flat=False, idx=None, grad=True):
     to `ref` and its gradient; the gradients as GradTables, None without
     `grad`."""
     from segrl.policy import GradTables
-    from segrl.training import _ref_log_probs, _sites, _step
+    from segrl.training import _columns, _ref_log_probs, _sites, _step
 
     idx = np.arange(len(rows)) if idx is None else idx
     sites = _sites(rows, params, flat, _ref_log_probs(ref))
-    value, g_sur, kl, g_kl = _step(sites, idx, sites.layout.slab(params.theta), eps, grad)
+    slab = sites.layout.slab(params.theta)
+    value, g_sur, kl, g_kl = _step(sites, _columns(sites, idx), slab, eps, grad)
     return tuple(GradTables.wrap(sites.layout.spread(x), params)
                  if isinstance(x, np.ndarray) else x for x in (value, g_sur, kl, g_kl))
 

@@ -12,7 +12,9 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
 * `segment_views` (macro-reward and duration discount per segment) and
   `returns_to_go` for `batch.segment_masks` / `returns_matrix` and the
   high-head rows of `critic_batch_from_table`, and `seg_end_loop`, the
-  backward loop over turns, for `segment_masks`' running minimum;
+  backward loop over turns, for `segment_masks`' running minimum, and
+  `backward_sums_loop`, one `np.where` per turn, for the recursion
+  `batch._backward_sums` runs with its decays built once;
 * `rollout` (with `CounterRng`, `sample_turn`, `greedy_turn` and
   `apply_keep_penalty`) for `rollout_batch`, sampled or greedy (its walk
   over the contexts' successors);
@@ -39,6 +41,10 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   time, for `batch.site_pass`, `batch.site_scores` and
   `batch.record_behavior`; `check_log_prob_grads`, gradcheck's score check
   on one random episode;
+* `head_sites_by_entries`, with a theta-sized mark and slot per logit, for
+  `batch.head_sites`' per-cell layout, and `minibatch_columns`, one
+  minibatch's site columns from its rows alone, for the epoch-wide
+  `batch.site_columns`;
 * `mc_gradient_hae` (with `scatter_episode_grads`, a dense per-episode
   `np.add.at` scatter) for `oracle.mc_gradient_hae`;
 * `variance_report`, one turn with its own rollout loop and the one-shot
@@ -58,7 +64,9 @@ against (`tests/test_batch.py` and the estimator tests), not library code:
   the kernels take from `policy.softmax`;
 * `write_trajectories` (with `turn_to_json`), one `json.dumps` per line,
   for `core.write_trajectories`' line template, and `advantage_lines`,
-  one dict per turn, for the lines of `segrl advantages`.
+  one dict per turn, for the lines of `segrl advantages`;
+  `checkpoint_text`, one formatted line per value, for
+  `policy.write_checkpoint`.
 
 The library has one implementation of each estimator; `oracle.telescope_check`
 verifies the hierarchical one, `batch.advantage_arrays`, against its closed
@@ -75,9 +83,9 @@ from typing import NamedTuple
 import numpy as np
 
 from segrl import gradcheck
-from segrl.batch import (_closing_states, advantage_arrays, critic_batch_from_table,
-                         flat_advantage_arrays, gather_rows, head_sites,
-                         returns_matrix, rollout_batch, site_pass, site_scores)
+from segrl.batch import (HEADS, Sites, _closing_states, advantage_arrays,
+                         critic_batch_from_table, flat_advantage_arrays, gather_rows,
+                         head_sites, returns_matrix, rollout_batch, site_pass, site_scores)
 from segrl.core import KEEP, SWITCH, MalformedTrajectory, TurnTable
 from segrl.critic import (CriticBatch, ValueTables, low_cell, single_coupling_rows,
                           unstacked)
@@ -85,7 +93,8 @@ from segrl.envs import EnvModel, FetchChain
 from segrl.oracle import OracleValues, VarianceReport, enumeration_table
 from segrl.policy import GradTables, PolicyParams, _fetchchain_moves, log_softmax, softmax
 from segrl.rng import HEAD_ACTION, HEAD_SUBGOAL, HEAD_SWITCH, counter_uniform, derive_seed
-from segrl.training import PPOConfig, _clipped_surrogate, _ref_log_probs, _sites, _step
+from segrl.training import (PPOConfig, _clipped_surrogate, _columns, _ref_log_probs, _sites,
+                            _step)
 
 
 # -- episode records ----------------------------------------------------------
@@ -212,6 +221,20 @@ def seg_end_loop(tt: TurnTable) -> np.ndarray:
     for t in range(tt.max_turns - 1, -1, -1):
         out[:, t] = carry
         carry = np.where(tt.mask[:, t] & (tt.q[:, t] == SWITCH), t, carry)
+    return out
+
+
+def backward_sums_loop(x: np.ndarray, mask: np.ndarray, decay, restart: np.ndarray
+                       ) -> np.ndarray:
+    """`batch._backward_sums`, one turn at a time from the last column:
+    S_t = x_t + decay_t * S_{t+1}, or x_t at a restart, and 0 outside the
+    mask."""
+    out = np.zeros_like(x)
+    carry = np.zeros(x.shape[0])
+    decay = np.broadcast_to(decay, x.shape)
+    for t in range(x.shape[1] - 1, -1, -1):
+        carry = np.where(restart[:, t], x[:, t], x[:, t] + decay[:, t] * carry)
+        out[:, t] = carry = np.where(mask[:, t], carry, 0.0)
     return out
 
 
@@ -661,6 +684,48 @@ def with_behavior_logprobs(traj: Trajectory, params: PolicyParams) -> Trajectory
     return replace(traj, turns=tuple(turns))
 
 
+def head_sites_by_entries(rows, params: PolicyParams) -> Sites:
+    """`batch.head_sites` entry by entry: every site's column of logit
+    indices (the pad past a head's width and at an absent site), one mark
+    per logit of `theta` and a theta-sized slot table mapping each marked
+    logit to its place in the slab."""
+    n_o = params.n_options
+    present = np.stack([np.ones(len(rows), dtype=bool), rows.q == SWITCH, rows.t > 0])
+    cell = np.stack([rows.state * n_o + rows.subgoal, rows.state,
+                     rows.state * n_o + rows.prev_subgoal])
+    tables = [getattr(params, name) for name in HEADS]
+    widths = np.array([t.shape[-1] for t in tables])
+    size = params.theta.size
+    starts = np.array([params.offsets[name] for name in HEADS])
+    k = np.arange(widths.max())[:, None]
+    ent = np.where((k < np.repeat(widths, len(rows))) & present.ravel(),
+                   (starts[:, None] + cell * widths[:, None]).ravel() + k, size)
+    hit = np.zeros(size + 1, dtype=bool)
+    hit[ent] = True
+    cells = np.flatnonzero(hit[:size])
+    slot = np.full(size + 1, cells.size)
+    slot[cells] = np.arange(cells.size)
+    edges = np.searchsorted(cells, [starts, starts + [t.size for t in tables]]).tolist()
+    block = slot[ent]
+    taken = np.concatenate([rows.action, rows.subgoal, rows.q])
+    return Sites(present, block, block[taken, np.arange(block.shape[1])], cells, size,
+                 widths.tolist(), list(zip(*edges)))
+
+
+def minibatch_columns(sites: Sites, idx: np.ndarray, flags=None) -> dict:
+    """What a pass over the turn rows `idx` reads besides the logits,
+    derived from those rows alone: the present sites head-major, each
+    head's in `idx` order (`site`), their position in `idx`, the slab index
+    of each chosen logit, each head's (lo, hi) among the columns and the
+    `flags` entries."""
+    heads, pos = sites.present[:, idx].nonzero()
+    site = heads * sites.present.shape[1] + idx[pos]
+    ends = np.bincount(heads, minlength=len(HEADS)).cumsum().tolist()
+    return {"site": site, "pos": pos, "chosen": sites.chosen[site],
+            "bounds": list(zip([0] + ends, ends)), "rows": len(idx),
+            "flags": None if flags is None else flags[site]}
+
+
 # -- Monte-Carlo gradient -------------------------------------------------------
 
 def scatter_episode_grads(dense, tt, adv, params: PolicyParams,
@@ -1020,8 +1085,8 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
     sites = _sites(gather_rows(tt, adv), params, False, _ref_log_probs(ref))
     critic = critic_batch_from_table(tt, cfg.gamma, tables.n_states, tables.n_options)
     layout = sites.layout
-    surrogate, g_actor, kl, g_kl = _step(sites, np.arange(layout.present.shape[1]),
-                                         layout.slab(params.theta), cfg.clip_eps)
+    every = _columns(sites, np.arange(layout.present.shape[1]))
+    surrogate, g_actor, kl, g_kl = _step(sites, every, layout.slab(params.theta), cfg.clip_eps)
     mse_lo, mse_hi, g_v = critic.mse_and_grad(tables, target_tables)
     value = -surrogate + c_v * (mse_lo + mse_hi) + cfg.kl_beta * kl
     return (value, GradTables.wrap(layout.spread(cfg.kl_beta * g_kl - g_actor), params),
@@ -1029,6 +1094,16 @@ def total_loss(params: PolicyParams, ref: PolicyParams, tables: ValueTables,
 
 
 # -- switch probabilities and the JSON-Lines writers ------------------------------
+
+def checkpoint_text(magic: str, sizes, tables: dict) -> str:
+    """A `policy.write_checkpoint` file's text, one formatted line per
+    value."""
+    out = [f"{magic}\n{' '.join(map(str, sizes))}\n"]
+    for name, table in tables.items():
+        out.append(f"table {name} {table.size}\n")
+        out.extend(f"{v!r}\n" for v in table.ravel().tolist())
+    return "".join(out)
+
 
 def switch_prob(params: PolicyParams, state: int, prev_subgoal: int) -> float:
     """Probability of SWITCH at (state, previous subgoal)."""

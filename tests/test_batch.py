@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segrl.batch import (_advantage_arrays, _critic_rows, advantage_arrays,
+from segrl.batch import (_advantage_arrays, _backward_sums, _critic_rows, advantage_arrays,
                          batch_stats, critic_batch_from_table,
                          flat_advantage_arrays, flat_batch_from_table,
                          gather_rows, head_sites, record_behavior, returns_matrix,
@@ -20,8 +20,8 @@ from segrl.training import PPOConfig, _ref_log_probs, _sites, _whiten_sites
 
 import spec
 from spec import CounterRng, segment_boundaries
-from conftest import (Walk, head_ratios, kernel_scores, random_trajectory, traj_from,
-                      weighted_target_maps)
+from conftest import (Walk, head_ratios, kernel_scores, random_trajectory, take,
+                      traj_from, weighted_target_maps)
 
 
 class _TwoStarts(FetchChain):
@@ -391,6 +391,32 @@ class TestBatchAdvantages:
         assert flat.adv.var() == pytest.approx(1.0, abs=1e-6)
 
 
+class TestBackwardSums:
+    """The recursion with its decays built once against the per-turn loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_turn_loop_bit_for_bit(self, seed):
+        # prefix masks, zeros of both signs at restarts and elsewhere, and
+        # non-finite entries whose carry a restart must not pass on
+        rng = np.random.default_rng(seed)
+        n, t_max = 30, 12
+        length = rng.integers(0, t_max + 1, n)
+        mask = np.arange(t_max) < length[:, None]
+        x = rng.standard_normal((n, t_max))
+        x[rng.random((n, t_max)) < 0.2] = -0.0
+        x[rng.random((n, t_max)) < 0.1] = 0.0
+        if seed % 2:
+            x[rng.random((n, t_max)) < 0.05] = np.inf
+            x[rng.random((n, t_max)) < 0.05] = np.nan
+        restart = mask & (rng.random((n, t_max)) < 0.3)
+        for decay in (rng.uniform(0, 1, (n, 1)), rng.uniform(0, 1, (n, t_max)), 0.9):
+            want = spec.backward_sums_loop(x, mask, decay, restart)
+            got = _backward_sums(x, mask, decay, restart)
+            assert got.tobytes() == want.tobytes()
+            want = spec.backward_sums_loop(x, mask, decay, np.zeros_like(mask))
+            assert _backward_sums(x, mask, decay).tobytes() == want.tobytes()
+
+
 class TestCriticBatchesFromTable:
     def test_agree_with_trajectory_construction(self, env_and_params):
         env, params = env_and_params
@@ -616,6 +642,28 @@ class TestScoreKernel:
             column = sites.block[:, site]
             assert np.array_equal(cells[column[:w.size]], w)
             assert (column[w.size:] == cells.size).all()
+
+    @pytest.mark.parametrize("case", ["fetchchain-3-6", "fetchchain-5-20",
+                                      "fetchchain-15-60", "eight-wide", "no-rows"])
+    def test_head_sites_match_the_entry_by_entry_layout(self, case):
+        # the per-cell layout (touched cells marked once, slab starts from a
+        # running sum of widths) returns the entry-by-entry one, field for field
+        rng = np.random.default_rng(7)
+        if case.startswith("fetchchain"):
+            env = FetchChain(*map(int, case.split("-")[1:]))
+            params = PolicyParams.random(rng, env.n_states, 2, env.n_actions)
+            rows = gather_rows(rollout_batch(env, params, 64, seed=3))
+        else:
+            # subgoal and action heads 8 choices wide
+            params = PolicyParams.random(rng, 6, 8, 8)
+            rows = gather_rows(random_table(rng, 40, 6, 8, 8))
+            if case == "no-rows":
+                rows = take(rows, np.array([], dtype=np.int64))
+        got, want = head_sites(rows, params), spec.head_sites_by_entries(rows, params)
+        for name in ("present", "block", "chosen", "cells"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.size, got.widths, got.spans) == (want.size, want.widths, want.spans)
 
     def test_mc_gradient_matches_dense_scatter(self):
         env = FetchChain(3, 6)

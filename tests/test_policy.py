@@ -9,7 +9,8 @@ from segrl.core import KEEP, SWITCH
 from segrl.envs import PICKUP, RIGHT, FetchChain
 from segrl.gradcheck import turn_log_likelihood
 from segrl.oracle import enumeration_table
-from segrl.policy import CheckpointError, GradTables, PolicyParams, load_policy, save_policy
+from segrl.policy import (CheckpointError, GradTables, PolicyParams, load_policy, save_policy,
+                          write_checkpoint)
 from segrl.training import PPOConfig, train, train_flat_baseline
 
 from conftest import (Walk, kernel_log_probs, kernel_scores, one_turn,
@@ -226,6 +227,15 @@ class TestCheckpoint:
         assert np.array_equal(back.switch, p.switch)
         assert np.array_equal(back.subgoal, p.subgoal)
         assert np.array_equal(back.action, p.action)
+
+    def test_writer_bytes_match_one_line_per_value(self, rng, tmp_path):
+        # every table is one joined write; an empty table writes no line
+        tables = {"a": rng.standard_normal((3, 2)) * 10.0 ** rng.integers(-300, 300, (3, 2)),
+                  "empty": np.zeros((4, 0)),
+                  "b": np.array([-0.0, 0.0, 1e-320, -1.5, 0.1])}
+        path = tmp_path / "tables.txt"
+        write_checkpoint(path, "magic v1", (3, 2), tables)
+        assert path.read_text() == spec.checkpoint_text("magic v1", (3, 2), tables)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -1,12 +1,13 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from segrl.batch import (advantage_arrays, flat_advantage_arrays,
+from segrl import training
+from segrl.batch import (Sites, _PolicyTables, advantage_arrays, flat_advantage_arrays,
                          gather_rows, head_sites, record_behavior, rollout_batch,
-                         site_pass, site_scores)
+                         site_columns, site_pass, site_scores)
 from segrl.core import KEEP, SWITCH
 from segrl.critic import ValueTables
 from segrl.envs import FetchChain, OneStep
@@ -14,8 +15,9 @@ from segrl.oracle import random_tables, solve_dp, success_probability
 from segrl.policy import PolicyParams, fetchchain_phased
 from segrl.rng import derive_seed
 from segrl.training import (PPOConfig, TrainingDiverged, _clipped_surrogate,
-                            _minibatch_keys, _minibatches, _policy_fingerprint,
-                            _kl, _ref_log_probs, _sites, _step, evaluate,
+                            _columns, _epoch_orders, _minibatch_keys,
+                            _policy_fingerprint, _kl, _ref_log_probs, _sites, _step,
+                            _whiten_sites, evaluate,
                             train, train_flat_baseline)
 
 import spec
@@ -245,7 +247,7 @@ class TestSharedPass:
         rows, live, ref, _ = shared_pass_case
         sites = _sites(rows, live, flat, _ref_log_probs(ref))
         slab = sites.layout.slab(live.theta)
-        every = np.arange(len(rows))
+        every = _columns(sites, np.arange(len(rows)))
         full = _step(sites, every, slab, 0.2, grad=False)
         stepped = _step(sites, every, slab, 0.2)
         assert _kl(sites, slab) == full[2] == stepped[2] == spec.kl_penalty(rows, live, ref)[0]
@@ -285,7 +287,7 @@ class TestOneKernel:
         theta = params.theta
         slab = sites.layout.slab(theta)
         idx = rng.permutation(len(rows))[:57]
-        _, g_sur, _, _ = _step(sites, idx, slab, 0.2)
+        _, g_sur, _, _ = _step(sites, _columns(sites, idx), slab, 0.2)
 
         sp = site_pass(sites.layout, slab, idx, soft=flat)
         if flat:
@@ -311,6 +313,92 @@ class TestOneKernel:
         assert np.array_equal(one.lp, sp.lp) and np.array_equal(one.live, sp.live)
         assert np.array_equal(sites.layout.spread(g_sur),
                               alone.spread(site_scores(one, weight, probs(one))))
+
+
+class TestMinibatchPlan:
+    """Each epoch's site columns, computed at once, against what the rows of
+    each minibatch give alone."""
+
+    @pytest.mark.parametrize("case", ["short-last", "malformed", "flat"])
+    def test_each_minibatch_of_the_plan_is_its_rows_alone(self, shared_pass_case, case):
+        rows, live, ref, _ = shared_pass_case
+        flat = case == "flat"
+        if case != "malformed":
+            rows = replace(rows, format_ok=np.ones(len(rows), dtype=bool))
+        sites = _sites(rows, live, flat, _ref_log_probs(ref))
+        _whiten_sites(sites)
+        assert (sites.scored is None) == (case != "malformed")
+        slab = sites.layout.slab(live.theta)
+        size = 50
+        assert len(rows) % size
+        for order in _epoch_orders(derive_seed(0, 23, 3), len(rows), 3):
+            plan = site_columns(sites.layout, order, size, flags=sites.scored)
+            assert [mb.rows for mb in plan] == [len(order[lo:lo + size])
+                                                 for lo in range(0, len(rows), size)]
+            for mb, lo in zip(plan, range(0, len(rows), size)):
+                idx = order[lo:lo + size]
+                want = spec.minibatch_columns(sites.layout, idx, sites.scored)
+                for name in ("site", "pos", "chosen", "flags"):
+                    a, b = getattr(mb, name), want[name]
+                    assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+                assert (mb.rows, mb.bounds) == (want["rows"], want["bounds"])
+                sp = site_pass(sites.layout, slab, idx, soft=flat)
+                assert np.array_equal(sp.site, mb.site) and np.array_equal(sp.pos, mb.pos)
+                assert np.array_equal(sp.chosen, mb.chosen) and sp.bounds == mb.bounds
+                got = _step(sites, mb, slab, 0.2)
+                alone = _step(sites, _columns(sites, idx), slab, 0.2)
+                assert got[0] == alone[0] and got[2] == alone[2]
+                assert got[1].tobytes() == alone[1].tobytes()
+                assert got[3].tobytes() == alone[3].tobytes()
+
+
+class TestKeptPolicyTables:
+    """The trainer's draw and greedy tables, refreshed where each update
+    wrote, against tables built afresh from its parameters."""
+
+    @staticmethod
+    def _kept_tables_match(monkeypatch, env, cfg, init_params=None, flat=False):
+        kept = []
+
+        def rollout(*args, _tables=None, **kwargs):
+            kept.append(_tables)
+            return rollout_batch(*args, _tables=_tables, **kwargs)
+
+        def check(state, row):
+            tables = kept[0]
+            assert all(t is tables for t in kept)
+            assert tables._draws is not None and tables._contexts is not None
+            fresh = _PolicyTables(env, state.params)
+            for (cdf, lp), (want_cdf, want_lp) in zip(tables.draws(), fresh.draws()):
+                assert cdf.tobytes() == want_cdf.tobytes()
+                assert lp.tobytes() == want_lp.tobytes()
+            for got, want in zip(tables.contexts(), fresh.contexts()):
+                assert np.array_equal(got, want)
+            checked.append(row.iteration)
+
+        checked = []
+        monkeypatch.setattr(training, "rollout_batch", rollout)
+        (train_flat_baseline if flat else train)(cfg, env, init_params,
+                                                 on_iteration=check)
+        assert checked == list(range(cfg.iterations))
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_fetchchain_5_20(self, monkeypatch, flat):
+        self._kept_tables_match(monkeypatch, FetchChain(5, 20),
+                                PPOConfig(seed=1, iterations=6), flat=flat)
+
+    def test_fetchchain_15_60(self, monkeypatch):
+        self._kept_tables_match(monkeypatch, FetchChain(15, 60),
+                                PPOConfig(seed=0, iterations=2))
+
+    def test_negative_zero_logits(self, monkeypatch):
+        # theta += 0.0 turns every -0.0 logit +0.0, written by the step or not
+        env = FetchChain(5, 20)
+        init = PolicyParams.uniform(env.n_states, 2, env.n_actions)
+        init.theta[::3] = -0.0
+        init.action[1:, :, 1] = 0.5
+        assert np.signbit(init.theta).sum() > 0
+        self._kept_tables_match(monkeypatch, env, PPOConfig(seed=2, iterations=3), init)
 
 
 class TestTotalLoss:
@@ -518,6 +606,19 @@ class TestTrainLoop:
         assert res.tables.n_options == 0
         assert len(res.metrics) == 30
         assert res.metrics[-1].success >= 0.9
+
+
+def _minibatches(key, n_rows, epochs, size):
+    """The rows of each minibatch `_run_loop` steps on, epoch by epoch: each
+    epoch's order cut by `batch.site_columns`, the rows read off the action
+    sites (one per row, in the minibatch's order)."""
+    layout = Sites(np.ones((3, n_rows), dtype=bool), np.zeros((1, 3 * n_rows), dtype=np.int64),
+                   np.zeros(3 * n_rows, dtype=np.int64), np.arange(0), 0, [1, 1, 1],
+                   [(0, 0)] * 3)
+    for order in _epoch_orders(key, n_rows, epochs):
+        for mb in site_columns(layout, order, size):
+            assert mb.rows == mb.bounds[0][1]
+            yield mb.site[:mb.rows]
 
 
 def _orders(seed, it, n_rows, epochs, size=256):
